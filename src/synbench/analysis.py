@@ -137,6 +137,24 @@ def estimate_from_moments(v_i: float, v_j: float, joint: float, method: str = "e
     return 0.5 - 0.5 / math.sqrt(radicand)
 
 
+def _bootstrap_values(counts: np.ndarray, method: str) -> np.ndarray:
+    """estimate_from_moments over rows of (n00, n01, n10, n11) counts, in
+    the same operation order, with failed resamples mapped to 0.5 (rate at
+    1/2) or 0.0 (anti-correlated)."""
+    total = counts.sum(axis=1).astype(np.float64)
+    v_i = (counts[:, 2] + counts[:, 3]) / total
+    v_j = (counts[:, 1] + counts[:, 3]) / total
+    c = counts[:, 3] / total - v_i * v_j
+    denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if method == "first_order":
+            values = c / denom
+        else:
+            radicand = 1.0 + 4.0 * c / denom
+            values = np.where(radicand <= 0.0, 0.0, 0.5 - 0.5 / np.sqrt(radicand))
+    return np.where(denom <= 0.0, 0.5, values)
+
+
 def correlation_rate(
     dm: DetectionMatrix,
     det_i: Detector,
@@ -176,15 +194,7 @@ def correlation_rate(
         anticorrelated = True
     rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
     resampled = rng.multinomial(n, counts / n, size=resamples)
-    values = np.empty(resamples)
-    for k in range(resamples):
-        try:
-            values[k] = from_counts(resampled[k])
-        except AntiCorrelationError:
-            values[k] = 0.0
-        except EstimationError:
-            values[k] = 0.5
-    stderr = float(np.std(values))
+    stderr = float(np.std(_bootstrap_values(resampled, method)))
     return RateEstimate(
         estimate=max(0.0, point),
         stderr=stderr,

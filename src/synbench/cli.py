@@ -18,7 +18,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -345,21 +345,11 @@ def _cmd_run(args) -> int:
     if args.config is None and args.cal is None:
         raise ConfigError("pass --config FILE or --cal FILE")
     if args.config is not None:
-        try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-        base_dir = Path(args.config).parent
+        config = RunConfig.from_file(args.config)
     else:
-        doc = {"calibration": args.cal}
-        base_dir = None
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
-    if args.shots is not None:
-        doc["shots"] = int(args.shots)
-    if args.output is not None:
-        doc["output_dir"] = args.output
-    config = RunConfig.from_dict(doc, base_dir=base_dir)
+        config = RunConfig(calibration=args.cal)
+    overrides = {"seed": args.seed, "shots": args.shots, "output_dir": args.output}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     report, paths = run_benchmark(config)
     for key in sorted(paths):
         print(f"{key}: {paths[key]}")
@@ -369,7 +359,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"report {args.report} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {args.report} is not a JSON object")
     cal_path = args.cal or doc.get("metadata", {}).get("calibration")
     if not cal_path:
         raise ConfigError("report has no calibration path; pass --cal")

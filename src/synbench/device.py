@@ -217,13 +217,15 @@ def load_calibration(source) -> DeviceCalibration:
         try:
             a, b = gate["qubits"]
             edge = canonical_edge(int(a), int(b))
+            error = float(gate["error"])
+            duration = float(gate["duration_ns"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CalibrationError(f"bad cx_gates entry {gate!r}") from exc
         if edge in edges:
             raise CalibrationError(f"duplicate cx edge {edge}")
         edges.add(edge)
-        cx_error[edge] = float(gate["error"])
-        cx_duration[edge] = float(gate["duration_ns"])
+        cx_error[edge] = error
+        cx_duration[edge] = duration
 
     return DeviceCalibration(
         qubit_count=len(entries),

@@ -13,6 +13,15 @@ Basis changes are deterministic, so a circuit compiles once into a flat list
 of vectorized operations executed over fixed-size shot chunks. Chunk i draws
 from its own generator seeded by (seed, i), which makes results bit-identical
 for any worker count.
+
+A peephole pass at the end of compilation fuses each qubit's single-qubit
+channels (flips, dephasing and relaxation) between two ops that read or
+couple it into one 2x2 stochastic op, so an echo-split idle chain costs one
+draw. A relaxation op whose event token some crosstalk op reads stays
+unfused and in place, so the first-overlap crosstalk rule sees the same
+events. The fused op is the exact Markov composition of the ops it replaces:
+the sampled distribution is that of the unfused program, though the random
+stream differs.
 """
 
 from __future__ import annotations
@@ -173,7 +182,7 @@ def compile_program(
 
     ops.sort(key=lambda e: (e[0], e[1], e[2]))
     return FrameProgram(
-        ops=tuple(op for _, _, _, op in ops),
+        ops=_fuse_idle_channels([op for _, _, _, op in ops]),
         n_qubits=len(circuit.line),
         n_slots=circuit.n_slots,
         n_tokens=n_tokens,
@@ -187,6 +196,58 @@ def _slice_duration(duration: int, slices: int) -> list[int]:
     out = [base] * slices
     out[-1] += duration - base * slices
     return [d for d in out if d > 0]
+
+
+def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
+    """Peephole pass: compose each qubit's run of flip, dephase and
+    dead-token relax ops into one 2x2 stochastic channel.
+
+    A channel is (P(0->1), P(1->0)). The pending channel of a qubit is
+    emitted just before the next op that reads or couples it (cx, cx0,
+    measure, xtalk, or a relax whose token some xtalk reads, which itself
+    stays in place); a prep or the end of the program discards it. Each
+    emitted op is the exact Markov composition of the ops it replaces.
+    """
+    live = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
+    pending: dict[int, tuple[float, float]] = {}
+    out: list[tuple] = []
+
+    def flush(i: int) -> None:
+        up, down = pending.pop(i, (0.0, 0.0))
+        if up == down == 0.0:
+            return
+        if up == down == 1.0:
+            out.append(("flip", i))
+        elif up == down:
+            out.append(("dephase", i, up))
+        else:
+            out.append(("relax", i, down, up, -1))
+
+    for op in ops:
+        tag = op[0]
+        if tag == "flip":
+            step = (1.0, 1.0)
+        elif tag == "dephase":
+            step = (op[2], op[2])
+        elif tag == "relax" and op[4] not in live:
+            step = (op[3], op[2])
+        else:
+            if tag == "prep":
+                pending.pop(op[1], None)
+            elif tag in ("cx", "cx0"):
+                flush(op[1])
+                flush(op[2])
+            else:  # measure, xtalk, live-token relax
+                flush(op[1])
+            out.append(op)
+            continue
+        up, down = pending.get(op[1], (0.0, 0.0))
+        s_up, s_down = step
+        pending[op[1]] = (
+            (1.0 - up) * s_up + up * (1.0 - s_down),
+            (1.0 - down) * s_down + down * (1.0 - s_up),
+        )
+    return tuple(out)
 
 
 def _attach_crosstalk(circuit: Circuit, segments: list[_Segment], eta: float, emit) -> None:
@@ -235,10 +296,9 @@ def _run_chunk(program: FrameProgram, n: int, rng: np.random.Generator) -> np.nd
         if tag == "relax":
             _, i, p10, p01, token = op
             u = rng.random(n)
-            was_one = bits[i].copy()  # token mask must see the pre-update state
-            flips = np.where(was_one, u < p10, u < p01)
+            flips = np.where(bits[i], u < p10, u < p01)
             if token >= 0:
-                tokens[token] = was_one & flips
+                tokens[token] = bits[i] & flips
             bits[i] ^= flips
         elif tag == "dephase":
             _, i, p = op

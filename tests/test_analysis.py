@@ -199,6 +199,37 @@ def test_correlation_rate_bootstrap_is_seeded(circuit):
     assert a.stderr != c.stderr
 
 
+@pytest.mark.parametrize("method", ["exact", "first_order"])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (1900, 40, 50, 10),  # correlated
+        (1000, 500, 500, 0),  # anti-correlated: resamples map to 0.0
+        (262, 240, 240, 258),  # rates near 1/2: resamples map to 0.5
+    ],
+)
+def test_correlation_rate_bootstrap_matches_scalar_loop(circuit, counts, method):
+    # the vectorized bootstrap reproduces the per-resample scalar estimator
+    # bit for bit, failure mapping included
+    n = sum(counts)
+    cells = np.repeat(np.arange(4), counts)
+    dm = synthetic_dm(circuit, {(1, 2): cells >> 1, (3, 2): cells & 1}, n)
+    est = correlation_rate(dm, (1, 2), (3, 2), seed=9, method=method)
+    rng = np.random.default_rng(9)
+    values = []
+    for c in rng.multinomial(n, np.array(counts) / n, size=200):
+        total = float(c.sum())
+        try:
+            values.append(
+                estimate_from_moments((c[2] + c[3]) / total, (c[1] + c[3]) / total, c[3] / total, method)
+            )
+        except AntiCorrelationError:
+            values.append(0.0)
+        except EstimationError:
+            values.append(0.5)
+    assert est.stderr == float(np.std(values))
+
+
 def test_estimator_consistency_on_sampled_fault_model(circuit):
     failures = 0
     trials = 20

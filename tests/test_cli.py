@@ -150,6 +150,32 @@ def test_run_with_missing_config_is_config_error(tmp_path):
     assert main(["run"]) == 1
 
 
+def test_run_with_directory_config_is_config_error(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_render_malformed_report_is_config_error(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text, encoding="utf-8")
+    assert main(["render", "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: report") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("missing", ["error", "duration_ns"])
+def test_cx_gate_without_required_field_is_calibration_error(tmp_path, capsys, missing):
+    doc = json.loads(falcon_bytes())
+    del doc["cx_gates"][0][missing]
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plan", "--cal", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad cx_gates entry") and err.count("\n") == 1
+
+
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--cal", str(cal_path), "--shots", "1000"]) == 0

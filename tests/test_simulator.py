@@ -21,6 +21,7 @@ from synbench import (
     run_shots,
 )
 from synbench.circuits import Circuit, Instruction
+from synbench.simulator import compile_program
 from helpers import make_line_cal
 from oracles import window_flip_probability
 
@@ -309,6 +310,37 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
     a = f_mid * (1 - f_quarter)
     expected = 2 * a * (1 - a)
     assert estimate.estimate == pytest.approx(expected, abs=4 * max(estimate.stderr, 1e-4))
+
+
+@pytest.mark.parametrize("lv", [0, 1])
+@pytest.mark.parametrize("scope", ["none", "code_only"])
+def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
+    # the center's idle window (echo pulses included) compiles to one relax
+    # op whose flip probability away from the start bit is the oracle's
+    cal = make_line_cal(p0=0.9)
+    circuit = build(cal, logical_value=lv, extra_delay_ns=12_500, dd_scope=scope)
+    ops = compile_program(circuit, compile_noise(cal)).ops
+    round1 = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
+    last_measure = max(k for k, op in enumerate(ops) if op[0] == "measure" and op[2] in round1)
+    next_cx = next(
+        k for k, op in enumerate(ops)
+        if k > last_measure and op[0] in ("cx", "cx0") and 2 in op[1:3]
+    )
+    window = [op for op in ops[last_measure:next_cx] if op[0] != "measure" and op[1] == 2]
+    assert len(window) == 1 and window[0][0] == "relax"
+    _, _, p10, p01, _ = window[0]
+    expected = window_flip_probability(circuit, cal, 2, start_bit=lv)
+    assert abs((p10 if lv == 1 else p01) - expected) <= 1e-12
+    assert all(op[4] == -1 for op in ops if op[0] == "relax")
+
+
+@pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])
+def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
+    circuit = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope=scope)
+    ops = compile_program(circuit, compile_noise(cal)).ops
+    read = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
+    kept = {op[4] for op in ops if op[0] == "relax" and op[4] >= 0}
+    assert read and kept == read
 
 
 def test_delay_slices_do_not_change_statistics(cal):
