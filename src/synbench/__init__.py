@@ -48,13 +48,7 @@ from .noise import (
     compile_noise,
     guide_values,
 )
-from .simulator import (
-    BasisContractError,
-    audit_basis_contract,
-    dump_shots,
-    inject_fault,
-    run_shots,
-)
+from .simulator import BasisContractError, inject_fault, run_shots
 
 __version__ = "0.1.0"
 
@@ -80,12 +74,10 @@ __all__ = [
     "RateEstimate",
     "ZERO_NOISE_OPTIONS",
     "aggregate_device",
-    "audit_basis_contract",
     "build_repetition_circuit",
     "compile_noise",
     "correlation_rate",
     "detection_events",
-    "dump_shots",
     "enumerate_lines",
     "estimate_from_moments",
     "extract_idle_rates",

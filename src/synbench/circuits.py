@@ -84,31 +84,12 @@ class Circuit:
     faults: tuple[FaultSite, ...] = ()
 
     @property
-    def qubits(self) -> tuple[int, ...]:
-        return self.line
-
-    @property
     def code_qubits(self) -> tuple[int, ...]:
         return self.line[0::2]
 
     @property
     def aux_qubits(self) -> tuple[int, ...]:
         return self.line[1::2]
-
-    @property
-    def center(self) -> int:
-        return self.line[len(self.line) // 2]
-
-    def role(self, qubit: int) -> str:
-        if qubit in self.code_qubits:
-            return "code"
-        if qubit in self.aux_qubits:
-            return "auxiliary"
-        raise KeyError(f"qubit {qubit} is not in this circuit")
-
-    @property
-    def qubit_roles(self) -> dict[int, str]:
-        return {q: self.role(q) for q in self.line}
 
     @property
     def n_slots(self) -> int:
@@ -152,15 +133,12 @@ def build_repetition_circuit(
     rounds: int = 2,
     extra_delay_ns: int = 0,
     dd_scope: str = "none",
-    *,
-    reset_duration_ns: int | None = None,
-    inter_round_gap_ns: int = 0,
 ) -> Circuit:
     """Build a distance-(n+1)/2 repetition-code benchmark circuit on `line`.
 
     `line` is a BenchLine or an odd-length qubit path (>= 5) whose consecutive
     pairs are device edges; even positions are code qubits, odd positions
-    auxiliaries. Reset duration defaults to the qubit's x duration.
+    auxiliaries. A reset lasts as long as the qubit's x gate.
     """
     qubits = tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
     if len(qubits) < 5 or len(qubits) % 2 == 0:
@@ -176,8 +154,8 @@ def build_repetition_circuit(
         raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value}")
     if rounds < 2:
         raise CircuitBuildError(f"at least 2 syndrome rounds are required, got {rounds}")
-    if extra_delay_ns < 0 or inter_round_gap_ns < 0:
-        raise CircuitBuildError("delays must be nonnegative")
+    if extra_delay_ns < 0:
+        raise CircuitBuildError(f"extra delay must be nonnegative, got {extra_delay_ns}")
     if dd_scope not in DD_SCOPES:
         raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
 
@@ -185,9 +163,6 @@ def build_repetition_circuit(
     aux = qubits[1::2]
     x_dur = {q: max(1, round(cal.qubits[q].x_ns)) for q in qubits}
     ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
-    rst_dur = {
-        q: (reset_duration_ns if reset_duration_ns is not None else x_dur[q]) for q in qubits
-    }
     cx_dur = {
         (a, b): max(1, round(cal.edge_duration(a, b))) for a, b in zip(qubits, qubits[1:])
     }
@@ -236,19 +211,14 @@ def build_repetition_circuit(
             instrs.append(Instruction("measure", (a,), t_meas, ro_dur[a], slot=slot))
             aux_slots[(a, rnd)] = slot
             slot += 1
-            instrs.append(Instruction("reset", (a,), t_meas + ro_dur[a], rst_dur[a]))
-            round_end = max(round_end, t_meas + ro_dur[a] + rst_dur[a])
+            instrs.append(Instruction("reset", (a,), t_meas + ro_dur[a], x_dur[a]))
+            round_end = max(round_end, t_meas + ro_dur[a] + x_dur[a])
         barriers.add(round_end)
         t = round_end
         if extra_delay_ns > 0:
             for q in qubits:
                 instrs.append(Instruction("delay", (q,), t, extra_delay_ns))
             t += extra_delay_ns
-            barriers.add(t)
-        if inter_round_gap_ns > 0 and rnd < rounds:
-            for q in qubits:
-                instrs.append(Instruction("delay", (q,), t, inter_round_gap_ns))
-            t += inter_round_gap_ns
             barriers.add(t)
 
     if encoding == "phase_flip":

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -35,13 +36,21 @@ from .circuits import build_repetition_circuit, idle_exposure
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
-from .simulator import default_workers, run_shots
+from .simulator import run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
 
 class ConfigError(ValueError):
     """Bad run configuration or calibration reference."""
+
+
+def _typed(doc: dict, key: str, default, convert):
+    raw = doc.get(key, default)
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config value for {key!r}: {raw!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,6 @@ class RunConfig:
     noise: NoiseOptions = field(default_factory=NoiseOptions)
     output_dir: str = "synbench_out"
     bootstrap_resamples: int = 200
-    inter_round_gap_ns: int = 0
 
     def __post_init__(self) -> None:
         if self.shots < 1:
@@ -79,10 +87,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> RunConfig:
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         known = {
             "calibration", "shots", "seed", "rounds", "encodings", "logical_values",
             "dd_scope", "extra_delay", "noise", "output_dir", "bootstrap_resamples",
-            "inter_round_gap_ns",
         }
         unknown = set(doc) - known
         if unknown:
@@ -92,27 +101,28 @@ class RunConfig:
         extra = doc.get("extra_delay", {"mode": "fraction", "fraction": 0.125})
         if isinstance(extra, str):
             extra = {"mode": extra}
+        if not isinstance(extra, dict):
+            raise ConfigError(f"extra_delay must be a mode name or an object, got {extra!r}")
         calibration = str(doc["calibration"])
         if base_dir is not None and not Path(calibration).is_absolute():
             calibration = str(base_dir / calibration)
         try:
             noise = NoiseOptions.from_dict(doc.get("noise", {}))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad noise options: {exc}") from exc
         return cls(
             calibration=calibration,
-            shots=int(doc.get("shots", 20_000)),
-            seed=int(doc.get("seed", 7)),
-            rounds=int(doc.get("rounds", 2)),
-            encodings=tuple(doc.get("encodings", ("bit_flip", "phase_flip"))),
-            logical_values=tuple(int(v) for v in doc.get("logical_values", (0, 1))),
+            shots=_typed(doc, "shots", 20_000, int),
+            seed=_typed(doc, "seed", 7, int),
+            rounds=_typed(doc, "rounds", 2, int),
+            encodings=_typed(doc, "encodings", ("bit_flip", "phase_flip"), lambda v: tuple(map(str, v))),
+            logical_values=_typed(doc, "logical_values", (0, 1), lambda v: tuple(map(int, v))),
             dd_scope=str(doc.get("dd_scope", "code_only")),
             extra_delay_mode=str(extra.get("mode", "fraction")),
-            extra_delay_fraction=float(extra.get("fraction", 0.125)),
+            extra_delay_fraction=_typed(extra, "fraction", 0.125, float),
             noise=noise,
             output_dir=str(doc.get("output_dir", "synbench_out")),
-            bootstrap_resamples=int(doc.get("bootstrap_resamples", 200)),
-            inter_round_gap_ns=int(doc.get("inter_round_gap_ns", 0)),
+            bootstrap_resamples=_typed(doc, "bootstrap_resamples", 200, int),
         )
 
     @classmethod
@@ -195,11 +205,8 @@ def benchmark_qubit(
                 rounds=config.rounds,
                 extra_delay_ns=extra,
                 dd_scope=config.dd_scope,
-                inter_round_gap_ns=config.inter_round_gap_ns,
             )
-            shots = run_shots(
-                circuit, noise, config.shots, seed=(config.seed, qubit, enc_idx, lv), workers=1
-            )
+            shots = run_shots(circuit, noise, config.shots, seed=(config.seed, qubit, enc_idx, lv))
             try:
                 est = extract_idle_rates(
                     circuit,
@@ -249,9 +256,18 @@ def benchmark_qubit(
     )
 
 
+def default_workers() -> int:
+    """Per-qubit worker count from SYNBENCH_WORKERS (default 1)."""
+    value = os.environ.get("SYNBENCH_WORKERS", "1")
+    if not value.strip().isdecimal() or int(value) < 1:
+        raise ConfigError(f"SYNBENCH_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[BenchmarkReport, dict]:
     """Full device benchmark; writes report JSON, CSV, and figures under
     config.output_dir and returns (report, artifact paths)."""
+    workers = workers if workers is not None else default_workers()
     try:
         cal = load_calibration(Path(config.calibration))
     except OSError as exc:
@@ -270,7 +286,6 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
             raise RuntimeError(f"qubit {q}: {exc}") from exc
 
     items = sorted(chosen.items())
-    workers = workers if workers is not None else default_workers()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, items))

@@ -183,8 +183,10 @@ def load_calibration(source) -> DeviceCalibration:
         raise CalibrationError("calibration must have top-level 'qubits' and 'cx_gates'")
 
     entries = doc["qubits"]
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        raise CalibrationError("calibration 'qubits' must be a list of objects")
     ids = [entry.get("id") for entry in entries]
-    if sorted(ids) != list(range(len(entries))):
+    if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(entries))):
         raise CalibrationError("qubit ids must be exactly 0..n-1")
 
     qubits: list[QubitCalibration | None] = [None] * len(entries)
@@ -195,20 +197,22 @@ def load_calibration(source) -> DeviceCalibration:
             t1 = float(entry["t1_ns"])
             t2 = float(entry["t2_ns"])
             readout_ns = float(entry["readout_ns"])
+            qubits[q] = QubitCalibration(
+                t1_ns=t1,
+                t2_ns=t2,
+                t2_star_ns=float(entry.get("t2_star_ns", T2_STAR_FACTOR * t2)),
+                p0=float(entry.get("p0", DEFAULT_P0)),
+                readout_error=float(entry.get("readout_error", DEFAULT_READOUT_ERROR)),
+                readout_ns=readout_ns,
+                x_ns=float(entry.get("x_ns", DEFAULT_X_NS)),
+            )
+            if "position" in entry:
+                x, y = entry["position"]
+                positions[q] = (float(x), float(y))
         except KeyError as exc:
             raise CalibrationError(f"qubit {q}: missing required field {exc}") from exc
-        qubits[q] = QubitCalibration(
-            t1_ns=t1,
-            t2_ns=t2,
-            t2_star_ns=float(entry.get("t2_star_ns", T2_STAR_FACTOR * t2)),
-            p0=float(entry.get("p0", DEFAULT_P0)),
-            readout_error=float(entry.get("readout_error", DEFAULT_READOUT_ERROR)),
-            readout_ns=readout_ns,
-            x_ns=float(entry.get("x_ns", DEFAULT_X_NS)),
-        )
-        if "position" in entry:
-            x, y = entry["position"]
-            positions[q] = (float(x), float(y))
+        except (TypeError, ValueError) as exc:  # CalibrationError included
+            raise CalibrationError(f"qubit {q}: {exc}") from exc
 
     edges: set[Edge] = set()
     cx_error: dict[Edge, float] = {}

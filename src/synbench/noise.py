@@ -72,9 +72,15 @@ class NoiseOptions:
 
     @classmethod
     def from_dict(cls, doc: dict) -> NoiseOptions:
+        keys = {"crosstalk_eta", "enable_crosstalk", "prep_error", "disable"}
+        if not isinstance(doc, dict) or not set(doc) <= keys:
+            raise ValueError(f"expected an object with keys from {sorted(keys)}, got {doc!r}")
+        enable_crosstalk = doc.get("enable_crosstalk", True)
+        if not isinstance(enable_crosstalk, bool):
+            raise ValueError(f"enable_crosstalk must be true or false, got {enable_crosstalk!r}")
         return cls(
             crosstalk_eta=float(doc.get("crosstalk_eta", 1.0)),
-            enable_crosstalk=bool(doc.get("enable_crosstalk", True)),
+            enable_crosstalk=enable_crosstalk,
             prep_error=float(doc.get("prep_error", 0.0)),
             disable=frozenset(doc.get("disable", ())),
         )

@@ -11,8 +11,8 @@ the Z basis.
 
 Basis changes are deterministic, so a circuit compiles once into a flat list
 of vectorized operations executed over fixed-size shot chunks. Chunk i draws
-from its own generator seeded by (seed, i), which makes results bit-identical
-for any worker count.
+from its own generator seeded by (seed, i), so a longer run's bits extend a
+shorter run's with the same seed.
 
 A peephole pass at the end of compilation fuses each qubit's single-qubit
 channels (flips, dephasing and relaxation) between two ops that read or
@@ -26,11 +26,7 @@ stream differs.
 
 from __future__ import annotations
 
-import gzip
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -76,15 +72,11 @@ class _Segment:
     seg_id: int  # unique, in emission order
 
 
-def compile_program(
-    circuit: Circuit, noise: NoiseModel | None, delay_slices: int = 1
-) -> FrameProgram:
+def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     """Walk the circuit once, check the tracked-basis contract, and lower
     every instruction to a vectorized operation with its channel
-    probabilities baked in. `noise=None` compiles the zero-noise program
-    (useful as a pure contract audit)."""
-    if delay_slices < 1:
-        raise ValueError("delay_slices must be >= 1")
+    probabilities baked in. Raises BasisContractError if the circuit cannot
+    be tracked classically."""
     index = {q: i for i, q in enumerate(circuit.line)}
     basis = {q: "Z" for q in circuit.line}
 
@@ -101,12 +93,11 @@ def compile_program(
         events.append((fault.time_ns, 1, seq, fault))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
-    eta = noise.crosstalk() if noise is not None else 0.0
+    eta = noise.crosstalk()
     ops: list[tuple[int, int, int, tuple]] = []  # (time, phase, order, op)
     segments: list[_Segment] = []
     order = 0
     n_tokens = 0
-    n_segments = 0
 
     def emit(time: int, phase: int, op: tuple) -> None:
         nonlocal order
@@ -123,7 +114,7 @@ def compile_program(
         i = index[q]
         if ins.kind == "prepare_z0":
             basis[q] = "Z"
-            emit(time, phase, ("prep", i, noise.preparation_flip() if noise else 0.0))
+            emit(time, phase, ("prep", i, noise.preparation_flip()))
         elif ins.kind == "reset":
             basis[q] = "Z"
             emit(time, phase, ("prep", i, 0.0))
@@ -136,7 +127,7 @@ def compile_program(
         elif ins.kind == "measure":
             if basis[q] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            emit(time, phase, ("measure", i, ins.slot, noise.readout_flip(q) if noise else 0.0))
+            emit(time, phase, ("measure", i, ins.slot, noise.readout_flip(q)))
         elif ins.kind == "cx":
             c, t = ins.qubits
             if basis[t] != "Z":
@@ -144,7 +135,7 @@ def compile_program(
                     f"cx at t={time} has an {basis[t]}-basis target {t}; only Z-basis "
                     "targets are trackable"
                 )
-            eps = noise.cx_error(c, t) if noise else 0.0
+            eps = noise.cx_error(c, t)
             if eps > 0.0:
                 fc = _flip_mask(basis[c])
                 ft = _flip_mask(basis[t])
@@ -154,26 +145,20 @@ def compile_program(
             else:
                 emit(time, phase, ("cx0", index[c], index[t]))
         elif ins.kind == "delay":
-            slices = _slice_duration(ins.duration, delay_slices)
-            t0 = ins.start
-            for dur in slices:
-                seg_end = t0 + dur
-                if basis[q] == "Z":
-                    p10, p01 = noise.relax_probs(q, dur) if noise else (0.0, 0.0)
-                    token = -1
-                    if p10 > 0.0 and eta > 0.0:
-                        token = n_tokens
-                        n_tokens += 1
-                    if p10 > 0.0 or p01 > 0.0:
-                        emit(t0, phase, ("relax", i, p10, p01, token))
-                    segments.append(_Segment(q, i, t0, seg_end, "Z", token, n_segments))
-                else:
-                    p = noise.dephase_prob(q, dur, ins.echoed) if noise else 0.0
-                    if p > 0.0:
-                        emit(t0, phase, ("dephase", i, p))
-                    segments.append(_Segment(q, i, t0, seg_end, "X", -1, n_segments))
-                n_segments += 1
-                t0 = seg_end
+            if basis[q] == "Z":
+                p10, p01 = noise.relax_probs(q, ins.duration)
+                token = -1
+                if p10 > 0.0 and eta > 0.0:
+                    token = n_tokens
+                    n_tokens += 1
+                if p10 > 0.0 or p01 > 0.0:
+                    emit(time, phase, ("relax", i, p10, p01, token))
+                segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))
+            else:
+                p = noise.dephase_prob(q, ins.duration, ins.echoed)
+                if p > 0.0:
+                    emit(time, phase, ("dephase", i, p))
+                segments.append(_Segment(q, i, ins.start, ins.end, "X", -1, len(segments)))
         else:
             raise BasisContractError(f"unknown instruction kind {ins.kind!r}")
 
@@ -187,15 +172,6 @@ def compile_program(
         n_slots=circuit.n_slots,
         n_tokens=n_tokens,
     )
-
-
-def _slice_duration(duration: int, slices: int) -> list[int]:
-    if slices == 1 or duration == 0:
-        return [duration]
-    base = duration // slices
-    out = [base] * slices
-    out[-1] += duration - base * slices
-    return [d for d in out if d > 0]
 
 
 def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
@@ -281,12 +257,6 @@ def _attach_crosstalk(circuit: Circuit, segments: list[_Segment], eta: float, em
         emit(seg.end, 0, ("xtalk", seg.index, tuple(entries)))
 
 
-def audit_basis_contract(circuit: Circuit) -> None:
-    """Static pre-pass: raises BasisContractError if the circuit cannot be
-    tracked classically."""
-    compile_program(circuit, None)
-
-
 def _run_chunk(program: FrameProgram, n: int, rng: np.random.Generator) -> np.ndarray:
     bits = np.zeros((program.n_qubits, n), dtype=bool)
     out = np.zeros((program.n_slots, n), dtype=bool)
@@ -338,46 +308,21 @@ def _run_chunk(program: FrameProgram, n: int, rng: np.random.Generator) -> np.nd
     return out
 
 
-def default_workers() -> int:
-    value = os.environ.get("SYNBENCH_WORKERS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
-def run_shots(
-    circuit: Circuit,
-    noise: NoiseModel | None,
-    shots: int,
-    seed,
-    *,
-    workers: int | None = None,
-    delay_slices: int = 1,
-) -> np.ndarray:
+def run_shots(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> np.ndarray:
     """Sample `shots` outcomes; returns a (shots, slots) uint8 bit matrix.
 
     Output is a pure function of (circuit, noise, shots, seed): shots are
-    simulated in fixed-size chunks with per-chunk generators, so any worker
-    count produces the same bits in the same order.
+    simulated in fixed-size chunks, chunk k with a generator seeded by
+    (seed, k), so a longer run's bits extend a shorter run's.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    program = compile_program(circuit, noise, delay_slices)
+    program = compile_program(circuit, noise)
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    bounds = [(k, min(CHUNK_SHOTS, shots - k * CHUNK_SHOTS)) for k in range((shots + CHUNK_SHOTS - 1) // CHUNK_SHOTS)]
-
-    def run_one(chunk: tuple[int, int]) -> np.ndarray:
-        k, n = chunk
+    parts = []
+    for k, start in enumerate(range(0, shots, CHUNK_SHOTS)):
         rng = np.random.default_rng((*base, k))
-        return _run_chunk(program, n, rng)
-
-    workers = workers if workers is not None else default_workers()
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_one, bounds))
-    else:
-        parts = [run_one(b) for b in bounds]
+        parts.append(_run_chunk(program, min(CHUNK_SHOTS, shots - start), rng))
     return np.concatenate([p.T for p in parts], axis=0).astype(np.uint8)
 
 
@@ -393,13 +338,3 @@ def inject_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circ
     site = FaultSite(qubit=qubit, time_ns=time_ns, pauli=pauli)
     return replace(circuit, faults=circuit.faults + (site,))
 
-
-def dump_shots(shots: np.ndarray, path, compress: bool = False) -> None:
-    """Raw shot dump: one line of 0/1 characters per shot, in slot order."""
-    lines = "\n".join("".join("1" if b else "0" for b in row) for row in shots) + "\n"
-    path = Path(path)
-    if compress:
-        with gzip.open(path, "wt", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        path.write_text(lines, encoding="utf-8")

@@ -176,6 +176,59 @@ def test_cx_gate_without_required_field_is_calibration_error(tmp_path, capsys, m
     assert err.startswith("config error: bad cx_gates entry") and err.count("\n") == 1
 
 
+QUBIT_ENTRY_BREAKS = {
+    "one-element-position": lambda doc: doc["qubits"][3].update(position=[1]),
+    "string-t1": lambda doc: doc["qubits"][3].update(t1_ns="abc"),
+    "entry-not-object": lambda doc: doc["qubits"].__setitem__(3, 5),
+    "string-id": lambda doc: doc["qubits"][0].update(id="0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUBIT_ENTRY_BREAKS))
+def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
+    doc = json.loads(falcon_bytes())
+    QUBIT_ENTRY_BREAKS[name](doc)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plan", "--cal", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "qubit" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"noise": {"disabel": ["cx"]}},
+        {"noise": {"enable_crosstalk": "false"}},
+        {"noise": 5},
+        {"extra_delay": 5},
+        {"shots": "abc"},
+        {"logical_values": ["x"]},
+        {"encodings": 3},
+        "5",  # the whole config file
+    ],
+    ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
+         "string-logical-value", "number-encodings", "not-an-object"],
+)
+def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
+    if isinstance(bad, dict):
+        config = write_config(tmp_path, cal_path, **bad)
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(bad, encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "two"])
+def test_bad_synbench_workers_is_config_error(tmp_path, cal_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SYNBENCH_WORKERS", value)
+    assert main(["run", "--config", str(write_config(tmp_path, cal_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: SYNBENCH_WORKERS") and err.count("\n") == 1
+
+
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--cal", str(cal_path), "--shots", "1000"]) == 0

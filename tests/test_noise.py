@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synbench import (
     IdleChannel,
@@ -23,13 +24,15 @@ p0s = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 @given(t1=t1s, t2=t1s, p0=p0s, t=times)
+@example(t1=1000.0, t2=1000.0, p0=sys.float_info.min, t=0.015625)
 @settings(max_examples=200, deadline=None)
 def test_flip_direction_identities(t1, t2, p0, t):
     ch = IdleChannel(t1_ns=t1, t2_ns=t2, t2_star_ns=0.5 * t2, p0=p0)
     total = ch.decay_fraction(t)
     assert ch.p_0to1(t) + ch.p_1to0(t) == pytest.approx(total, rel=1e-12, abs=1e-300)
     assert total == pytest.approx(-math.expm1(-t / t1), rel=1e-12, abs=1e-300)
-    if 0.0 < p0 < 1.0 and ch.p_1to0(t) > 0.0:
+    # a subnormal p_1to0 keeps too few significant bits for a 1e-12 ratio
+    if 0.0 < p0 < 1.0 and ch.p_1to0(t) >= sys.float_info.min:
         ratio = ch.p_0to1(t) / ch.p_1to0(t)
         assert ratio == pytest.approx((1.0 - p0) / p0, rel=1e-12)
 
