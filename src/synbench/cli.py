@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -32,7 +32,7 @@ from .analysis import (
     detection_events,
     extract_idle_rates,
 )
-from .circuits import build_repetition_circuit, idle_exposure
+from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
@@ -45,12 +45,30 @@ class ConfigError(ValueError):
     """Bad run configuration or calibration reference."""
 
 
-def _typed(doc: dict, key: str, default, convert):
-    raw = doc.get(key, default)
+def _read_json(path: Path, what: str):
     try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value for {key!r}: {raw!r}") from exc
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """A JSON number with an integral value such as 1e5 counts as an
+    integer; a bool or a fraction does not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _distinct(name: str, values, allowed: tuple) -> None:
+    # repr tells True and 1.0 from 1, and works on unhashable values
+    names = [repr(v) for v in values] if isinstance(values, tuple) else []
+    if not names or len(set(names)) < len(names) or not set(names) <= set(map(repr, allowed)):
+        raise ConfigError(f"{name} must be one or more distinct values from {list(allowed)}, got {values!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +77,7 @@ class RunConfig:
     shots: int = 20_000
     seed: int = 7
     rounds: int = 2
-    encodings: tuple[str, ...] = ("bit_flip", "phase_flip")
+    encodings: tuple[str, ...] = ENCODINGS
     logical_values: tuple[int, ...] = (0, 1)
     dd_scope: str = "code_only"
     extra_delay_mode: str = "fraction"  # or "none"
@@ -69,72 +87,54 @@ class RunConfig:
     bootstrap_resamples: int = 200
 
     def __post_init__(self) -> None:
-        if self.shots < 1:
-            raise ConfigError("shots must be >= 1")
-        if self.rounds < 2:
-            raise ConfigError("rounds must be >= 2")
+        if not isinstance(self.calibration, str) or not isinstance(self.output_dir, str):
+            raise ConfigError("calibration and output_dir must be path strings")
+        for name, minimum in (("shots", 1), ("seed", 0), ("rounds", 2), ("bootstrap_resamples", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.extra_delay_mode not in ("fraction", "none"):
             raise ConfigError(f"unknown extra_delay mode {self.extra_delay_mode!r}")
-        if self.extra_delay_fraction < 0:
-            raise ConfigError("extra_delay fraction must be >= 0")
-        bad = set(self.encodings) - {"bit_flip", "phase_flip"}
-        if bad or not self.encodings:
-            raise ConfigError(f"encodings must be a nonempty subset of bit_flip/phase_flip, got {self.encodings}")
-        if set(self.logical_values) - {0, 1} or not self.logical_values:
-            raise ConfigError(f"logical_values must be a nonempty subset of {{0, 1}}")
-        if self.dd_scope not in ("none", "all_qubits", "code_only"):
+        fraction = self.extra_delay_fraction
+        if type(fraction) not in (int, float) or not 0 <= fraction < math.inf:
+            raise ConfigError(f"extra_delay fraction must be a finite number >= 0, got {fraction!r}")
+        object.__setattr__(self, "extra_delay_fraction", float(fraction))
+        _distinct("encodings", self.encodings, ENCODINGS)
+        _distinct("logical_values", self.logical_values, (0, 1))
+        if self.dd_scope not in DD_SCOPES:
             raise ConfigError(f"unknown dd_scope {self.dd_scope!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "calibration", "shots", "seed", "rounds", "encodings", "logical_values",
-            "dd_scope", "extra_delay", "noise", "output_dir", "bootstrap_resamples",
-        }
-        unknown = set(doc) - known
+        keys = {f.name for f in fields(cls) if not f.name.startswith("extra_delay_")}
+        unknown = set(doc) - keys - {"extra_delay"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "calibration" not in doc:
             raise ConfigError("config needs a 'calibration' path")
-        extra = doc.get("extra_delay", {"mode": "fraction", "fraction": 0.125})
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in keys}
+        extra = doc.get("extra_delay", {})
         if isinstance(extra, str):
             extra = {"mode": extra}
-        if not isinstance(extra, dict):
-            raise ConfigError(f"extra_delay must be a mode name or an object, got {extra!r}")
-        calibration = str(doc["calibration"])
-        if base_dir is not None and not Path(calibration).is_absolute():
-            calibration = str(base_dir / calibration)
-        try:
-            noise = NoiseOptions.from_dict(doc.get("noise", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad noise options: {exc}") from exc
-        return cls(
-            calibration=calibration,
-            shots=_typed(doc, "shots", 20_000, int),
-            seed=_typed(doc, "seed", 7, int),
-            rounds=_typed(doc, "rounds", 2, int),
-            encodings=_typed(doc, "encodings", ("bit_flip", "phase_flip"), lambda v: tuple(map(str, v))),
-            logical_values=_typed(doc, "logical_values", (0, 1), lambda v: tuple(map(int, v))),
-            dd_scope=str(doc.get("dd_scope", "code_only")),
-            extra_delay_mode=str(extra.get("mode", "fraction")),
-            extra_delay_fraction=_typed(extra, "fraction", 0.125, float),
-            noise=noise,
-            output_dir=str(doc.get("output_dir", "synbench_out")),
-            bootstrap_resamples=_typed(doc, "bootstrap_resamples", 200, int),
-        )
+        if not isinstance(extra, dict) or not set(extra) <= {"mode", "fraction"}:
+            raise ConfigError(
+                f"extra_delay must be a mode name or an object with keys mode/fraction, got {extra!r}"
+            )
+        kwargs.update({f"extra_delay_{k}": v for k, v in extra.items()})
+        calibration = kwargs["calibration"]
+        if base_dir is not None and isinstance(calibration, str) and not Path(calibration).is_absolute():
+            kwargs["calibration"] = str(base_dir / calibration)
+        if "noise" in doc:
+            try:
+                kwargs["noise"] = NoiseOptions.from_dict(doc["noise"])
+            except ValueError as exc:
+                raise ConfigError(f"bad noise options: {exc}") from exc
+        return cls(**kwargs)
 
     @classmethod
     def from_file(cls, path) -> RunConfig:
         path = Path(path)
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc, base_dir=path.parent)
+        return cls.from_dict(_read_json(path, "config"), base_dir=path.parent)
 
     def describe(self) -> dict:
         return {
@@ -146,12 +146,7 @@ class RunConfig:
             "logical_values": list(self.logical_values),
             "dd_scope": self.dd_scope,
             "extra_delay": {"mode": self.extra_delay_mode, "fraction": self.extra_delay_fraction},
-            "noise": {
-                "crosstalk_eta": self.noise.crosstalk_eta,
-                "enable_crosstalk": self.noise.enable_crosstalk,
-                "prep_error": self.noise.prep_error,
-                "disable": sorted(self.noise.disable),
-            },
+            "noise": {**asdict(self.noise), "disable": sorted(self.noise.disable)},
             "version": __version__,
         }
 
@@ -165,12 +160,6 @@ def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encod
 
 
 def _combine(estimates: list[RateEstimate], rate_type: str) -> RateEstimate:
-    if len(estimates) == 1:
-        est = estimates[0]
-        return RateEstimate(
-            est.estimate, est.stderr, est.shots, est.detector_pair, rate_type,
-            est.encoding, est.anticorrelated,
-        )
     mean = sum(e.estimate for e in estimates) / len(estimates)
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates)) / len(estimates)
     return RateEstimate(
@@ -374,19 +363,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    try:
-        doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {args.report} is not valid JSON: {exc}") from exc
+    doc = _read_json(Path(args.report), "report")
     if not isinstance(doc, dict):
         raise ConfigError(f"report {args.report} is not a JSON object")
-    cal_path = args.cal or doc.get("metadata", {}).get("calibration")
-    if not cal_path:
-        raise ConfigError("report has no calibration path; pass --cal")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ConfigError(f"report {args.report}: metadata must be an object, got {metadata!r}")
+    cal_path = args.cal or metadata.get("calibration")
+    if not cal_path or not isinstance(cal_path, str):
+        raise ConfigError(f"report {args.report} has no calibration path; pass --cal")
     cal = load_calibration(Path(cal_path))
-    svg = render_device_map(doc, cal, args.mode)
+    try:
+        svg = render_device_map(doc, cal, args.mode)
+    except ValueError as exc:
+        raise ConfigError(f"report {args.report}: {exc}") from exc
     out = Path(args.out) if args.out else Path(args.report).with_suffix(f".{args.mode}.svg")
     out.write_text(svg, encoding="utf-8")
     print(out)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 Edge = tuple[int, int]
 
 DEFAULT_P0 = 1.0
@@ -106,6 +108,27 @@ class DeviceCalibration:
             nbrs[a].append(b)
             nbrs[b].append(a)
         return {q: tuple(sorted(v)) for q, v in nbrs.items()}
+
+    @cached_property
+    def layout(self) -> dict[int, tuple[float, float]]:
+        """Drawing coordinates: the committed positions, or a seeded
+        force-directed layout for devices without them."""
+        if self.positions:
+            return self.positions
+        rng = np.random.default_rng(0)
+        pos = rng.random((self.qubit_count, 2)) * math.sqrt(self.qubit_count)
+        for _ in range(300):
+            forces = np.zeros_like(pos)
+            delta = pos[:, None, :] - pos[None, :, :]
+            dist2 = (delta**2).sum(axis=2) + 1e-9
+            forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
+            for a, b in self.edges:
+                d = pos[a] - pos[b]
+                forces[a] -= 0.5 * d
+                forces[b] += 0.5 * d
+            pos += 0.05 * forces
+        pos -= pos.min(axis=0)
+        return {q: (float(x), float(y)) for q, (x, y) in enumerate(pos)}
 
     def neighbors(self, qubit: int) -> tuple[int, ...]:
         return self.adjacency[qubit]

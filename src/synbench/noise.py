@@ -16,7 +16,7 @@ neighbor that is idling in the X basis during an overlapping segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .device import DeviceCalibration, Edge, canonical_edge
 
@@ -62,28 +62,27 @@ class NoiseOptions:
     disable: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.crosstalk_eta <= 1.0:
-            raise ValueError(f"crosstalk_eta must be in [0, 1], got {self.crosstalk_eta}")
-        if not 0.0 <= self.prep_error <= 1.0:
-            raise ValueError(f"prep_error must be in [0, 1], got {self.prep_error}")
-        unknown = set(self.disable) - set(CHANNEL_NAMES)
-        if unknown:
-            raise ValueError(f"unknown channel names in disable: {sorted(unknown)}")
+        for name in ("crosstalk_eta", "prep_error"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.enable_crosstalk, bool):
+            raise ValueError(f"enable_crosstalk must be true or false, got {self.enable_crosstalk!r}")
+        if not isinstance(self.disable, frozenset) or not self.disable <= set(CHANNEL_NAMES):
+            raise ValueError(
+                f"disable must be a list of names from {list(CHANNEL_NAMES)}, got {self.disable!r}"
+            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> NoiseOptions:
-        keys = {"crosstalk_eta", "enable_crosstalk", "prep_error", "disable"}
+        keys = {f.name for f in fields(cls)}
         if not isinstance(doc, dict) or not set(doc) <= keys:
             raise ValueError(f"expected an object with keys from {sorted(keys)}, got {doc!r}")
-        enable_crosstalk = doc.get("enable_crosstalk", True)
-        if not isinstance(enable_crosstalk, bool):
-            raise ValueError(f"enable_crosstalk must be true or false, got {enable_crosstalk!r}")
-        return cls(
-            crosstalk_eta=float(doc.get("crosstalk_eta", 1.0)),
-            enable_crosstalk=enable_crosstalk,
-            prep_error=float(doc.get("prep_error", 0.0)),
-            disable=frozenset(doc.get("disable", ())),
-        )
+        disable = doc.get("disable")
+        if isinstance(disable, list) and all(isinstance(name, str) for name in disable):
+            doc = dict(doc, disable=frozenset(disable))
+        return cls(**doc)
 
 
 ZERO_NOISE_OPTIONS = NoiseOptions(

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .device import DeviceCalibration
 from .noise import guide_values
 
@@ -28,38 +26,27 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
-def _spring_layout(cal: DeviceCalibration) -> dict[int, tuple[float, float]]:
-    """Seeded force-directed fallback for devices without committed
-    coordinates."""
-    n = cal.qubit_count
-    rng = np.random.default_rng(0)
-    pos = rng.random((n, 2)) * math.sqrt(n)
-    edges = list(cal.edges)
-    for _ in range(300):
-        forces = np.zeros_like(pos)
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist2 = (delta**2).sum(axis=2) + 1e-9
-        forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
-        for a, b in edges:
-            d = pos[a] - pos[b]
-            forces[a] -= 0.5 * d
-            forces[b] += 0.5 * d
-        pos += 0.05 * forces
-    pos -= pos.min(axis=0)
-    return {q: (float(x), float(y)) for q, (x, y) in enumerate(pos)}
+def _is_rate(rate) -> bool:
+    estimate = rate.get("estimate") if isinstance(rate, dict) else None
+    return type(estimate) in (int, float) and math.isfinite(estimate)
 
 
 def _node_values(report: dict, cal: DeviceCalibration, mode: str) -> dict[int, tuple[float | None, float | None]]:
-    entries = {entry["qubit"]: entry for entry in report.get("qubits", ())}
-    values: dict[int, tuple[float | None, float | None]] = {}
+    """(bit, phase) value of every qubit, None where the report has no
+    entry; each entry is checked for what the maps read."""
+    qubits = report.get("qubits")
+    if not isinstance(qubits, list) or not qubits:
+        raise ValueError("report has no benchmarked qubits")
+    values: dict[int, tuple[float | None, float | None]] = {q: (None, None) for q in range(cal.qubit_count)}
     dd = report.get("metadata", {}).get("dd_scope", "code_only") != "none"
-    for q in range(cal.qubit_count):
-        entry = entries.get(q)
-        if entry is None:
-            values[q] = (None, None)
-            continue
+    for entry in qubits:
+        q = entry.get("qubit") if isinstance(entry, dict) else None
+        if type(q) is not int or not 0 <= q < cal.qubit_count:
+            raise ValueError(f"qubit entry {entry!r} does not name a qubit of {cal.name}")
+        rates = entry.get("rates", {})
+        if not isinstance(rates, dict) or not all(map(_is_rate, rates.values())):
+            raise ValueError(f"qubit {q}: each rate must be an object with a finite estimate")
         if mode == "rates":
-            rates = entry.get("rates", {})
             bit = rates.get("p_01") or rates.get("p_1to0") or rates.get("p_0to1")
             phase = rates.get("p_phase")
             values[q] = (
@@ -81,12 +68,9 @@ def render_device_map(report, cal: DeviceCalibration, mode: str = "rates") -> st
         raise ValueError(f"unknown render mode {mode!r}")
     if hasattr(report, "to_dict"):
         report = report.to_dict()
-    if not report.get("qubits"):
-        raise ValueError("report has no benchmarked qubits")
 
-    layout = cal.positions or _spring_layout(cal)
     px = {
-        q: (_MARGIN + _SCALE * x, _MARGIN + _SCALE * y) for q, (x, y) in layout.items()
+        q: (_MARGIN + _SCALE * x, _MARGIN + _SCALE * y) for q, (x, y) in cal.layout.items()
     }
     width = max(x for x, _ in px.values()) + _MARGIN
     height = max(y for _, y in px.values()) + _MARGIN + 10

@@ -2,7 +2,7 @@
 pass/fail line (visible with `pytest -v -s tests/test_acceptance.py`).
 
 Statistical criteria run the full stated shot counts, so this module is the
-slow part of the suite (about 16 s end to end on a 2-core machine).
+slow part of the suite (about 18 s end to end on a 2-vCPU Xeon KVM guest).
 """
 
 from __future__ import annotations

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synbench import enumerate_lines, load_calibration, select_line
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
@@ -40,6 +42,48 @@ def test_config_defaults():
     assert config.extra_delay_mode == "fraction"
     assert config.extra_delay_fraction == 0.125
     assert config.encodings == ("bit_flip", "phase_flip")
+
+
+VALID_CONFIG = {
+    "calibration": "cal.json",
+    "shots": 1200,
+    "seed": 3,
+    "rounds": 2,
+    "encodings": ["bit_flip"],
+    "logical_values": [1],
+    "dd_scope": "none",
+    "output_dir": "out",
+    "bootstrap_resamples": 50,
+}
+# arbitrary JSON, plus the values and lists of values a config accepts
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+ACCEPTED = st.sampled_from(["bit_flip", "phase_flip", "none", "all_qubits", 0, 1, 2, 0.0, 1.0, 2.0, 1e5])
+
+
+def _as_field(value):
+    """What a field holds for a JSON value: lists become tuples and integral
+    floats become ints."""
+    if isinstance(value, list):
+        return tuple(map(_as_field, value))
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(sorted(VALID_CONFIG)),
+    value=JSON_VALUES | ACCEPTED | st.lists(ACCEPTED, max_size=3),
+)
+def test_config_field_is_the_given_value_or_an_error(key, value):
+    try:
+        config = RunConfig.from_dict(dict(VALID_CONFIG, **{key: value}))
+    except ConfigError:
+        return
+    # repr tells True from 1, 1.0 from 1 and a list from a tuple
+    assert repr(getattr(config, key)) == repr(_as_field(value))
 
 
 def test_config_rejects_unknown_keys():
@@ -156,10 +200,26 @@ def test_run_with_directory_config_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: cannot read config") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
-def test_render_malformed_report_is_config_error(tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        pytest.param('{"metadata": 5}', id="metadata-number"),
+        pytest.param(
+            '{"metadata": {"calibration": 5}, "qubits": [{"qubit": 2}]}', id="calibration-number"
+        ),
+        pytest.param('{"metadata": {"calibration": "CAL"}, "qubits": [5]}', id="entry-number"),
+        pytest.param(
+            '{"metadata": {"calibration": "CAL"}, "qubits": [{"qubit": 2, "rates": {"p_01": 0.05}}]}',
+            id="rate-number",
+        ),
+        pytest.param('{"metadata": {"calibration": "CAL"}, "qubits": [{"qubit": 27}]}', id="qubit-off-device"),
+    ],
+)
+def test_render_malformed_report_is_config_error(tmp_path, cal_path, capsys, text):
     report = tmp_path / "report.json"
-    report.write_text(text, encoding="utf-8")
+    report.write_text(text.replace("CAL", str(cal_path)), encoding="utf-8")
     assert main(["render", "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: report") and err.count("\n") == 1
@@ -206,17 +266,33 @@ def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
         {"logical_values": ["x"]},
         {"encodings": 3},
         "5",  # the whole config file
+        {"shots": 1.9},
+        {"shots": True},
+        {"seed": -1},
+        ("--seed", "-1"),  # command-line override of a valid config
+        {"bootstrap_resamples": 0},
+        {"bootstrap_resamples": -1},
+        {"extra_delay": {"fraction": float("nan")}},
+        {"extra_delay": {"fraction": float("inf")}},
+        {"extra_delay": {"fracton": 0.5}},
+        {"logical_values": [1, 1]},
+        {"logical_values": [True]},
+        {"noise": {"disable": "cx"}},
     ],
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
-         "string-logical-value", "number-encodings", "not-an-object"],
+         "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
+         "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
+         "negative-resamples", "nan-fraction", "infinite-fraction", "extra-delay-typo",
+         "repeated-logical-value", "bool-logical-value", "string-disable"],
 )
 def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
-    if isinstance(bad, dict):
-        config = write_config(tmp_path, cal_path, **bad)
-    else:
+    if isinstance(bad, str):
         config = tmp_path / "run.json"
         config.write_text(bad, encoding="utf-8")
-    assert main(["run", "--config", str(config)]) == 1
+    else:
+        config = write_config(tmp_path, cal_path, **(bad if isinstance(bad, dict) else {}))
+    flags = list(bad) if isinstance(bad, tuple) else []
+    assert main(["run", "--config", str(config), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
