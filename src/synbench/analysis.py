@@ -12,10 +12,9 @@ means v_i, v_j and covariance C, the shared-fault probability is
 
     p = 1/2 - 1/(2 * sqrt(1 + 4C / ((1 - 2 v_i)(1 - 2 v_j))))
 
-which is algebraically exact for that model (and reduces to the familiar
-first-order C / ((1-2v_i)(1-2v_j)) for small rates, exposed as a cross-check
-mode). Standard errors come from a nonparametric bootstrap over shots,
-implemented as multinomial resampling of the 2x2 joint counts.
+which is algebraically exact for that model. Standard errors come from a
+nonparametric bootstrap over shots, implemented as multinomial resampling of
+the 2x2 joint counts.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ class DetectionMatrix:
 
     data: np.ndarray
     detectors: tuple[Detector, ...]
-    rounds: int
-    encoding: str
 
     @property
     def shots(self) -> int:
@@ -92,12 +89,7 @@ def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
                 col = syndrome[(a, rounds)] ^ final
             columns.append(col)
             detectors.append((a, r))
-    return DetectionMatrix(
-        data=np.stack(columns, axis=1),
-        detectors=tuple(detectors),
-        rounds=rounds,
-        encoding=circuit.encoding,
-    )
+    return DetectionMatrix(data=np.stack(columns, axis=1), detectors=tuple(detectors))
 
 
 @dataclass(frozen=True)
@@ -105,15 +97,12 @@ class RateEstimate:
     estimate: float
     stderr: float
     shots: int
-    detector_pair: tuple[Detector, Detector]
     rate_type: str = ""
-    encoding: str = ""
     anticorrelated: bool = False
 
 
-def estimate_from_moments(v_i: float, v_j: float, joint: float, method: str = "exact") -> float:
-    """Shared-fault probability from detector moments (exact inversion, or
-    the first-order form as a cross-check).
+def estimate_from_moments(v_i: float, v_j: float, joint: float) -> float:
+    """Shared-fault probability from detector moments (exact inversion).
 
     Raises EstimationError when a detector mean reaches 1/2 (the model's
     denominator vanishes: broken data) and AntiCorrelationError when the
@@ -127,8 +116,6 @@ def estimate_from_moments(v_i: float, v_j: float, joint: float, method: str = "e
             f"detector rates v_i={v_i:.4f}, v_j={v_j:.4f} reach 1/2; data is "
             "outside the fault model"
         )
-    if method == "first_order":
-        return c / denom
     radicand = 1.0 + 4.0 * c / denom
     if radicand <= 0.0:
         raise AntiCorrelationError(
@@ -137,7 +124,7 @@ def estimate_from_moments(v_i: float, v_j: float, joint: float, method: str = "e
     return 0.5 - 0.5 / math.sqrt(radicand)
 
 
-def _bootstrap_values(counts: np.ndarray, method: str) -> np.ndarray:
+def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
     """estimate_from_moments over rows of (n00, n01, n10, n11) counts, in
     the same operation order, with failed resamples mapped to 0.5 (rate at
     1/2) or 0.0 (anti-correlated)."""
@@ -147,11 +134,8 @@ def _bootstrap_values(counts: np.ndarray, method: str) -> np.ndarray:
     c = counts[:, 3] / total - v_i * v_j
     denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if method == "first_order":
-            values = c / denom
-        else:
-            radicand = 1.0 + 4.0 * c / denom
-            values = np.where(radicand <= 0.0, 0.0, 0.5 - 0.5 / np.sqrt(radicand))
+        radicand = 1.0 + 4.0 * c / denom
+        values = np.where(radicand <= 0.0, 0.0, 0.5 - 0.5 / np.sqrt(radicand))
     return np.where(denom <= 0.0, 0.5, values)
 
 
@@ -162,14 +146,11 @@ def correlation_rate(
     *,
     resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
     seed=0,
-    method: str = "exact",
     rate_type: str = "",
 ) -> RateEstimate:
     """Shared-fault probability for a detector pair, with bootstrap SE."""
     if det_i == det_j:
         raise ValueError("detector pair must be two distinct detectors")
-    if method not in ("exact", "first_order"):
-        raise ValueError(f"unknown method {method!r}")
     n = dm.shots
     if n < MIN_RECOMMENDED_SHOTS:
         warnings.warn(
@@ -184,7 +165,7 @@ def correlation_rate(
         total = float(c.sum())
         v_i = (c[2] + c[3]) / total
         v_j = (c[1] + c[3]) / total
-        return estimate_from_moments(v_i, v_j, c[3] / total, method)
+        return estimate_from_moments(v_i, v_j, c[3] / total)
 
     anticorrelated = False
     try:
@@ -194,16 +175,24 @@ def correlation_rate(
         anticorrelated = True
     rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
     resampled = rng.multinomial(n, counts / n, size=resamples)
-    stderr = float(np.std(_bootstrap_values(resampled, method)))
+    stderr = float(np.std(_bootstrap_values(resampled)))
     return RateEstimate(
         estimate=max(0.0, point),
         stderr=stderr,
         shots=n,
-        detector_pair=(det_i, det_j),
         rate_type=rate_type,
-        encoding=dm.encoding,
         anticorrelated=anticorrelated,
     )
+
+
+def rate_type_of(circuit: Circuit) -> str:
+    """The rate a circuit measures: the bit-flip encoding resolves the
+    direction by logical value (logical 1 exposes 1->0 decay, logical 0
+    exposes 0->1 excitation); the phase-flip encoding measures the
+    plus/minus flip rate."""
+    if circuit.encoding == "phase_flip":
+        return "p_phase"
+    return "p_1to0" if circuit.logical_value == 1 else "p_0to1"
 
 
 def extract_idle_rates(
@@ -216,28 +205,20 @@ def extract_idle_rates(
 ) -> RateEstimate:
     """Central-qubit idle error rate from the two adjacent detectors of
     round `rnd` (first and effective-final rounds are excluded by
-    construction: only 2 <= rnd <= T qualifies).
-
-    The bit-flip encoding resolves the direction by logical value (logical 1
-    exposes 1->0 decay, logical 0 exposes 0->1 excitation); the phase-flip
-    encoding measures the plus/minus flip rate.
-    """
+    construction: only 2 <= rnd <= T qualifies), labelled by
+    `rate_type_of`."""
     if len(circuit.line) != 5:
         raise ValueError("idle-rate extraction expects a distance-3 line of five qubits")
     if not 2 <= rnd <= circuit.rounds:
         raise ValueError(f"round {rnd} not in 2..{circuit.rounds}")
     left_aux, right_aux = circuit.aux_qubits
-    if circuit.encoding == "phase_flip":
-        rate_type = "p_phase"
-    else:
-        rate_type = "p_1to0" if circuit.logical_value == 1 else "p_0to1"
     return correlation_rate(
         dm,
         (left_aux, rnd),
         (right_aux, rnd),
         resamples=resamples,
         seed=seed,
-        rate_type=rate_type,
+        rate_type=rate_type_of(circuit),
     )
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    DEFAULT_BOOTSTRAP_RESAMPLES,
     BenchmarkReport,
     EstimationError,
     QubitBenchmark,
@@ -31,6 +32,7 @@ from .analysis import (
     aggregate_device,
     detection_events,
     extract_idle_rates,
+    rate_type_of,
 )
 from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
@@ -84,7 +86,7 @@ class RunConfig:
     extra_delay_fraction: float = 0.125
     noise: NoiseOptions = field(default_factory=NoiseOptions)
     output_dir: str = "synbench_out"
-    bootstrap_resamples: int = 200
+    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES
 
     def __post_init__(self) -> None:
         if not isinstance(self.calibration, str) or not isinstance(self.output_dir, str):
@@ -147,6 +149,7 @@ class RunConfig:
             "dd_scope": self.dd_scope,
             "extra_delay": {"mode": self.extra_delay_mode, "fraction": self.extra_delay_fraction},
             "noise": {**asdict(self.noise), "disable": sorted(self.noise.disable)},
+            "bootstrap_resamples": self.bootstrap_resamples,
             "version": __version__,
         }
 
@@ -162,10 +165,8 @@ def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encod
 def _combine(estimates: list[RateEstimate], rate_type: str) -> RateEstimate:
     mean = sum(e.estimate for e in estimates) / len(estimates)
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates)) / len(estimates)
-    return RateEstimate(
-        mean, stderr, sum(e.shots for e in estimates), estimates[0].detector_pair,
-        rate_type, estimates[0].encoding, any(e.anticorrelated for e in estimates),
-    )
+    shots = sum(e.shots for e in estimates)
+    return RateEstimate(mean, stderr, shots, rate_type, any(e.anticorrelated for e in estimates))
 
 
 def benchmark_qubit(
@@ -210,11 +211,7 @@ def benchmark_qubit(
                     f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5",
                     stacklevel=2,
                 )
-                rate_type = "p_phase" if encoding == "phase_flip" else ("p_1to0" if lv == 1 else "p_0to1")
-                left_aux, right_aux = circuit.aux_qubits
-                est = RateEstimate(
-                    0.5, 0.5, config.shots, ((left_aux, 2), (right_aux, 2)), rate_type, encoding
-                )
+                est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
             estimates.append(est)
         exposure = idle_exposure(circuit, qubit)[0]
         exposures[encoding] = exposure

@@ -117,15 +117,18 @@ class DeviceCalibration:
             return self.positions
         rng = np.random.default_rng(0)
         pos = rng.random((self.qubit_count, 2)) * math.sqrt(self.qubit_count)
+        # a spring on edge (a, b) adds -d/2 to a's force, then +d/2 to b's,
+        # with d = pos[a] - pos[b]; np.add.at sums them edge by edge
+        edges = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
+        ends = edges.ravel()
+        half = np.tile([-0.5, 0.5], len(edges))[:, None]
         for _ in range(300):
             forces = np.zeros_like(pos)
             delta = pos[:, None, :] - pos[None, :, :]
             dist2 = (delta**2).sum(axis=2) + 1e-9
             forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
-            for a, b in self.edges:
-                d = pos[a] - pos[b]
-                forces[a] -= 0.5 * d
-                forces[b] += 0.5 * d
+            d = pos[edges[:, 0]] - pos[edges[:, 1]]
+            np.add.at(forces, ends, half * np.repeat(d, 2, axis=0))
             pos += 0.05 * forces
         pos -= pos.min(axis=0)
         return {q: (float(x), float(y)) for q, (x, y) in enumerate(pos)}
@@ -154,14 +157,6 @@ class BenchLine:
     @property
     def center(self) -> int:
         return self.qubits[2]
-
-    @property
-    def code_qubits(self) -> tuple[int, int, int]:
-        return (self.qubits[0], self.qubits[2], self.qubits[4])
-
-    @property
-    def aux_qubits(self) -> tuple[int, int]:
-        return (self.qubits[1], self.qubits[3])
 
 
 def _make_line(cal: DeviceCalibration, path: tuple[int, ...]) -> BenchLine:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .device import DeviceCalibration, Edge, canonical_edge
+from .device import DeviceCalibration, QubitCalibration
 
 CHANNEL_NAMES = ("cx", "readout", "relaxation", "dephasing", "crosstalk")
 
@@ -31,6 +31,10 @@ class IdleChannel:
     t2_ns: float
     t2_star_ns: float
     p0: float
+
+    @classmethod
+    def of(cls, qc: QubitCalibration) -> IdleChannel:
+        return cls(qc.t1_ns, qc.t2_ns, qc.t2_star_ns, qc.p0)
 
     def decay_fraction(self, t_ns: float) -> float:
         """Total relaxation weight 1 - exp(-t/T1); both flip directions sum
@@ -57,7 +61,6 @@ class NoiseOptions:
     """Knobs for controlled experiments; `disable` names whole channels."""
 
     crosstalk_eta: float = 1.0
-    enable_crosstalk: bool = True
     prep_error: float = 0.0
     disable: frozenset[str] = frozenset()
 
@@ -67,8 +70,6 @@ class NoiseOptions:
             if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not isinstance(self.enable_crosstalk, bool):
-            raise ValueError(f"enable_crosstalk must be true or false, got {self.enable_crosstalk!r}")
         if not isinstance(self.disable, frozenset) or not self.disable <= set(CHANNEL_NAMES):
             raise ValueError(
                 f"disable must be a list of names from {list(CHANNEL_NAMES)}, got {self.disable!r}"
@@ -85,79 +86,61 @@ class NoiseOptions:
         return cls(**doc)
 
 
-ZERO_NOISE_OPTIONS = NoiseOptions(
-    enable_crosstalk=False, disable=frozenset(CHANNEL_NAMES)
-)
+ZERO_NOISE_OPTIONS = NoiseOptions(disable=frozenset(CHANNEL_NAMES))
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-instruction channels for one device, immutable after compilation.
+    """Per-instruction channels for one device: its calibration read
+    through the options it was compiled with.
 
     All accessors apply the disable masks, so a fully masked model is the
     zero-noise model.
     """
 
-    channels: dict[int, IdleChannel]
-    cx_errors: dict[Edge, float]
-    readout_errors: dict[int, float]
-    prep_error: float = 0.0
-    crosstalk_eta: float = 1.0
-    crosstalk_enabled: bool = True
-    disabled: frozenset[str] = frozenset()
+    calibration: DeviceCalibration
+    options: NoiseOptions
 
     def _on(self, name: str) -> bool:
-        return name not in self.disabled
+        return name not in self.options.disable
+
+    def _channel(self, qubit: int) -> IdleChannel:
+        return IdleChannel.of(self.calibration.qubits[qubit])
 
     def cx_error(self, a: int, b: int) -> float:
         if not self._on("cx"):
             return 0.0
-        return self.cx_errors[canonical_edge(a, b)]
+        return self.calibration.edge_error(a, b)
 
     def readout_flip(self, qubit: int) -> float:
         if not self._on("readout"):
             return 0.0
-        return self.readout_errors[qubit]
+        return self.calibration.qubits[qubit].readout_error
 
     def preparation_flip(self) -> float:
-        return self.prep_error
+        return self.options.prep_error
 
     def relax_probs(self, qubit: int, t_ns: float) -> tuple[float, float]:
         """(p_1to0, p_0to1) over an idle of t_ns."""
         if not self._on("relaxation"):
             return (0.0, 0.0)
-        ch = self.channels[qubit]
+        ch = self._channel(qubit)
         return (ch.p_1to0(t_ns), ch.p_0to1(t_ns))
 
     def dephase_prob(self, qubit: int, t_ns: float, echoed: bool) -> float:
         if not self._on("dephasing"):
             return 0.0
-        return self.channels[qubit].p_phaseflip(t_ns, echoed)
+        return self._channel(qubit).p_phaseflip(t_ns, echoed)
 
     def crosstalk(self) -> float:
-        if not self.crosstalk_enabled or not self._on("crosstalk"):
+        if not self._on("crosstalk"):
             return 0.0
-        return self.crosstalk_eta
+        return self.options.crosstalk_eta
 
 
 def compile_noise(cal: DeviceCalibration, options: NoiseOptions | None = None) -> NoiseModel:
     """Deterministically bind calibration data to channels."""
-    options = options or NoiseOptions()
-    channels = {
-        q: IdleChannel(
-            t1_ns=qc.t1_ns, t2_ns=qc.t2_ns, t2_star_ns=qc.t2_star_ns, p0=qc.p0
-        )
-        for q, qc in enumerate(cal.qubits)
-    }
-    return NoiseModel(
-        channels=channels,
-        cx_errors=dict(cal.cx_error),
-        readout_errors={q: qc.readout_error for q, qc in enumerate(cal.qubits)},
-        prep_error=options.prep_error,
-        crosstalk_eta=options.crosstalk_eta,
-        crosstalk_enabled=options.enable_crosstalk,
-        disabled=options.disable,
-    )
+    return NoiseModel(cal, options or NoiseOptions())
 
 
 @dataclass(frozen=True)
@@ -180,8 +163,7 @@ class GuideValues:
 def guide_values(
     cal: DeviceCalibration, qubit: int, t_delay_ns: float, dd: bool
 ) -> GuideValues:
-    qc = cal.qubits[qubit]
-    ch = IdleChannel(qc.t1_ns, qc.t2_ns, qc.t2_star_ns, qc.p0)
+    ch = IdleChannel.of(cal.qubits[qubit])
     if t_delay_ns <= 0:
         return GuideValues(0.0, 0.0, 0.0, 0.0)
     if dd:

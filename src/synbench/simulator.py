@@ -84,12 +84,6 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     for seq, ins in enumerate(circuit.instructions):
         events.append((ins.start, 2, seq, ins))
     for seq, fault in enumerate(circuit.faults):
-        if fault.qubit not in index:
-            raise BasisContractError(f"fault on unknown qubit {fault.qubit}")
-        if fault.pauli not in ("X", "Y", "Z"):
-            raise BasisContractError(f"unknown Pauli {fault.pauli!r}")
-        if not 0 <= fault.time_ns <= circuit.duration:
-            raise BasisContractError(f"fault time {fault.time_ns} outside the circuit")
         events.append((fault.time_ns, 1, seq, fault))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 

@@ -2,14 +2,17 @@
 
 Everything here is deliberately kept free of the library's algorithms: path
 enumeration by raw permutation search, channel composition by explicit 2x2
-Markov chains walked over a circuit's instruction list, and fault-model
-moments by enumerating all configurations.
+Markov chains walked over a circuit's instruction list, fault-model
+moments by enumerating all configurations, and the force-directed layout
+with its spring forces added edge by edge.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def brute_force_lines(edges: set[tuple[int, int]], n: int, center: int) -> set[tuple[int, ...]]:
@@ -146,3 +149,21 @@ def window_phase_flip_probability(circuit, cal, qubit: int, rnd: int = 1) -> flo
         else:
             break
     return p_net
+
+
+def spring_layout(n: int, edges) -> np.ndarray:
+    """The seeded force-directed layout, (n, 2) coordinates, with each
+    edge's spring force added in a Python loop over `edges`."""
+    rng = np.random.default_rng(0)
+    pos = rng.random((n, 2)) * math.sqrt(n)
+    for _ in range(300):
+        forces = np.zeros_like(pos)
+        delta = pos[:, None, :] - pos[None, :, :]
+        dist2 = (delta**2).sum(axis=2) + 1e-9
+        forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
+        for a, b in edges:
+            d = pos[a] - pos[b]
+            forces[a] -= 0.5 * d
+            forces[b] += 0.5 * d
+        pos += 0.05 * forces
+    return pos - pos.min(axis=0)

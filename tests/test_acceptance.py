@@ -155,9 +155,7 @@ def test_criterion_2_estimator_oracle():
         e = rng.random(MILLION) < p
         d_i = (e ^ (rng.random(MILLION) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(MILLION) < 0.03)).astype(np.uint8)
-        dm = DetectionMatrix(
-            data=np.stack([d_i, d_j], axis=1), detectors=detectors, rounds=2, encoding="bit_flip"
-        )
+        dm = DetectionMatrix(data=np.stack([d_i, d_j], axis=1), detectors=detectors)
         est = correlation_rate(dm, *detectors, seed=(3030, trial))
         if abs(est.estimate - p) > 4.0 * est.stderr:
             failures += 1
@@ -204,7 +202,7 @@ def test_criterion_3_line_selection_fixtures(falcon):
     )
 
 
-def _phase_medians(falcon, enable_crosstalk: bool, shots: int) -> dict[str, tuple[float, float]]:
+def _phase_medians(falcon, crosstalk: bool, shots: int) -> dict[str, tuple[float, float]]:
     """Median phase-flip rate and an approximate median SE per dd scope."""
     plan = {q: line for q, line in plan_device(falcon).items() if line is not None}
     out = {}
@@ -212,11 +210,13 @@ def _phase_medians(falcon, enable_crosstalk: bool, shots: int) -> dict[str, tupl
         config = RunConfig(
             calibration="in-memory",
             shots=shots,
-            seed=4040 if enable_crosstalk else 5050,
+            seed=4040 if crosstalk else 5050,
             encodings=("phase_flip",),
             logical_values=(0,),
             dd_scope=scope,
-            noise=NoiseOptions(crosstalk_eta=1.0, enable_crosstalk=enable_crosstalk),
+            noise=NoiseOptions(
+                crosstalk_eta=1.0, disable=frozenset() if crosstalk else frozenset({"crosstalk"})
+            ),
             bootstrap_resamples=100,
         )
         noise = compile_noise(falcon, config.noise)
@@ -234,14 +234,14 @@ def _phase_medians(falcon, enable_crosstalk: bool, shots: int) -> dict[str, tupl
 
 def test_criterion_4_dd_scope_anomaly(falcon):
     shots = 100_000
-    with_ct = _phase_medians(falcon, enable_crosstalk=True, shots=shots)
+    with_ct = _phase_medians(falcon, crosstalk=True, shots=shots)
     all_med, _ = with_ct["all_qubits"]
     code_med, _ = with_ct["code_only"]
     ordered = all_med > code_med
     ratio = all_med / code_med if code_med > 0 else math.inf
     ratio_ok = ratio >= 1.5
 
-    without_ct = _phase_medians(falcon, enable_crosstalk=False, shots=shots)
+    without_ct = _phase_medians(falcon, crosstalk=False, shots=shots)
     diff = abs(without_ct["all_qubits"][0] - without_ct["code_only"][0])
     sigma = math.sqrt(without_ct["all_qubits"][1] ** 2 + without_ct["code_only"][1] ** 2)
     agree_ok = diff <= 3.0 * sigma

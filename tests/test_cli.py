@@ -278,12 +278,13 @@ def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
         {"logical_values": [1, 1]},
         {"logical_values": [True]},
         {"noise": {"disable": "cx"}},
+        {"noise": {"enable_crosstalk": False}},
     ],
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
          "negative-resamples", "nan-fraction", "infinite-fraction", "extra-delay-typo",
-         "repeated-logical-value", "bool-logical-value", "string-disable"],
+         "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch"],
 )
 def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
     if isinstance(bad, str):
@@ -303,6 +304,13 @@ def test_bad_synbench_workers_is_config_error(tmp_path, cal_path, capsys, monkey
     assert main(["run", "--config", str(write_config(tmp_path, cal_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: SYNBENCH_WORKERS") and err.count("\n") == 1
+
+
+def test_report_metadata_records_bootstrap_resamples(tmp_path, cal_path):
+    config = write_config(tmp_path, cal_path, bootstrap_resamples=37)
+    assert main(["run", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metadata"]["bootstrap_resamples"] == 37
 
 
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from synbench import (
 )
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import make_graph_cal, make_line_cal, random_graph_edges
-from oracles import brute_force_lines
+from oracles import brute_force_lines, spring_layout
 
 
 def test_falcon_fixture_shape(falcon):
@@ -230,3 +231,15 @@ def test_enumerated_lines_are_simple_centered_and_edge_valid(seed):
             assert all(tuple(sorted(p)) in canon for p in zip(ln.qubits, ln.qubits[1:]))
             assert ln.qubits not in seen
             seen.add(ln.qubits)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, None])
+def test_layout_matches_per_edge_reference(seed):
+    n, edges = random_graph_edges(seed) if seed is not None else (3, set())
+    cal = make_graph_cal(n, edges)
+    assert cal.positions is None
+    got = np.array([cal.layout[q] for q in range(n)])
+    # the reference sums the springs in sorted edge order, the layout in the
+    # edge set's order
+    want = spring_layout(n, sorted(cal.edges))
+    assert np.abs(got - want).max() <= 1e-9

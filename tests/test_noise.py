@@ -121,7 +121,6 @@ def test_disable_masks_are_per_channel():
 def test_crosstalk_gate():
     cal = make_line_cal()
     assert compile_noise(cal, NoiseOptions(crosstalk_eta=0.7)).crosstalk() == 0.7
-    assert compile_noise(cal, NoiseOptions(enable_crosstalk=False)).crosstalk() == 0.0
     assert compile_noise(cal, NoiseOptions(disable=frozenset({"crosstalk"}))).crosstalk() == 0.0
 
 
