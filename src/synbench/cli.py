@@ -38,7 +38,7 @@ from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_expos
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
-from .simulator import run_shots
+from .simulator import MAX_ROUNDS, run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("calibration and output_dir must be path strings")
         for name, minimum in (("shots", 1), ("seed", 0), ("rounds", 2), ("bootstrap_resamples", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        if self.rounds > MAX_ROUNDS:
+            raise ConfigError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
         if self.extra_delay_mode not in ("fraction", "none"):
             raise ConfigError(f"unknown extra_delay mode {self.extra_delay_mode!r}")
         fraction = self.extra_delay_fraction

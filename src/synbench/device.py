@@ -115,21 +115,24 @@ class DeviceCalibration:
         force-directed layout for devices without them."""
         if self.positions:
             return self.positions
+        n = self.qubit_count
         rng = np.random.default_rng(0)
-        pos = rng.random((self.qubit_count, 2)) * math.sqrt(self.qubit_count)
-        # a spring on edge (a, b) adds -d/2 to a's force, then +d/2 to b's,
-        # with d = pos[a] - pos[b]; np.add.at sums them edge by edge
-        edges = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2)
-        ends = edges.ravel()
-        half = np.tile([-0.5, 0.5], len(edges))[:, None]
+        pos = rng.random((n, 2)) * math.sqrt(n)
+        # every pair (a, b), a < b, repels and every edge is a spring: with
+        # d = pos[a] - pos[b], a's force gains w = 0.2 d / |d|^2 from the
+        # pair and w = -d/2 from the spring, and b's force gains -w
+        pairs = np.triu_indices(n, k=1)
+        edges = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
+        a, b = (np.concatenate(ends) for ends in zip(pairs, edges))
+        repelling = len(pairs[0])
+        x, y = pos.T.copy()
         for _ in range(300):
-            forces = np.zeros_like(pos)
-            delta = pos[:, None, :] - pos[None, :, :]
-            dist2 = (delta**2).sum(axis=2) + 1e-9
-            forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
-            d = pos[edges[:, 0]] - pos[edges[:, 1]]
-            np.add.at(forces, ends, half * np.repeat(d, 2, axis=0))
-            pos += 0.05 * forces
+            dx, dy = x[a] - x[b], y[a] - y[b]
+            scale = np.full(len(a), -0.5)
+            scale[:repelling] = 0.2 / (dx[:repelling] ** 2 + dy[:repelling] ** 2 + 1e-9)
+            for coord, w in ((x, dx * scale), (y, dy * scale)):
+                coord += 0.05 * (np.bincount(a, w, n) - np.bincount(b, w, n))
+        pos = np.stack([x, y], axis=1)
         pos -= pos.min(axis=0)
         return {q: (float(x), float(y)) for q, (x, y) in enumerate(pos)}
 

@@ -3,8 +3,9 @@
 Everything here is deliberately kept free of the library's algorithms: path
 enumeration by raw permutation search, channel composition by explicit 2x2
 Markov chains walked over a circuit's instruction list, fault-model
-moments by enumerating all configurations, and the force-directed layout
-with its spring forces added edge by edge.
+moments by enumerating all configurations, measurement records by
+Monte Carlo frame tracking of every shot through every compiled op, and the
+force-directed layout with its spring forces added edge by edge.
 """
 
 from __future__ import annotations
@@ -167,3 +168,72 @@ def spring_layout(n: int, edges) -> np.ndarray:
             forces[b] += 0.5 * d
         pos += 0.05 * forces
     return pos - pos.min(axis=0)
+
+
+def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n shots of a compiled FrameProgram by per-shot frame tracking, as a
+    (slots, n) bool array: every op draws its channel's randomness for
+    every shot."""
+    bits = np.zeros((program.n_qubits, n), dtype=bool)
+    out = np.zeros((program.n_slots, n), dtype=bool)
+    tokens: list[np.ndarray | None] = [None] * program.n_tokens
+    for op in program.ops:
+        tag = op[0]
+        if tag == "relax":
+            _, i, p10, p01, token = op
+            u = rng.random(n)
+            flips = np.where(bits[i], u < p10, u < p01)
+            if token >= 0:
+                tokens[token] = bits[i] & flips
+            bits[i] ^= flips
+        elif tag == "dephase":
+            _, i, p = op
+            bits[i] ^= rng.random(n) < p
+        elif tag == "cx0":
+            bits[op[2]] ^= bits[op[1]]
+        elif tag == "cx":
+            _, ci, ti, eps, flips_c, flips_t = op
+            bits[ti] ^= bits[ci]
+            hit = rng.random(n) < eps
+            pauli = rng.integers(0, 15, size=n)
+            bits[ci] ^= hit & flips_c[pauli]
+            bits[ti] ^= hit & flips_t[pauli]
+        elif tag == "measure":
+            _, i, slot, p = op
+            if p > 0.0:
+                out[slot] = bits[i] ^ (rng.random(n) < p)
+            else:
+                out[slot] = bits[i]
+        elif tag == "prep":
+            _, i, p = op
+            if p > 0.0:
+                bits[i] = rng.random(n) < p
+            else:
+                bits[i] = False
+        elif tag == "flip":
+            bits[op[1]] ^= True
+        elif tag == "xtalk":
+            _, i, entries = op
+            for token, eta in entries:
+                mask = tokens[token]
+                if mask is None:
+                    continue
+                bits[i] ^= mask & (rng.random(n) < eta)
+        else:  # pragma: no cover - compile emits only the tags above
+            raise RuntimeError(f"unknown op {tag!r}")
+    return out
+
+
+def frame_shots(program, shots: int, seed: int) -> np.ndarray:
+    """Monte Carlo (shots, slots) uint8 records of a compiled program, in
+    chunks of 8192 shots with chunk k's generator seeded by (seed, k)."""
+    parts = []
+    for k, start in enumerate(range(0, shots, 8192)):
+        rng = np.random.default_rng((seed, k))
+        parts.append(_run_chunk(program, min(8192, shots - start), rng).T)
+    return np.concatenate(parts).astype(np.uint8)
+
+
+def record_table(n_slots: int) -> np.ndarray:
+    """All 2**n_slots records as rows of bits, slot 0 most significant."""
+    return np.array(list(itertools.product((0, 1), repeat=n_slots)), dtype=np.uint8)

@@ -279,12 +279,14 @@ def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
         {"logical_values": [True]},
         {"noise": {"disable": "cx"}},
         {"noise": {"enable_crosstalk": False}},
+        {"rounds": 5},
     ],
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
          "negative-resamples", "nan-fraction", "infinite-fraction", "extra-delay-typo",
-         "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch"],
+         "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch",
+         "too-many-rounds"],
 )
 def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
     if isinstance(bad, str):

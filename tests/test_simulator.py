@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -17,10 +18,11 @@ from synbench import (
     inject_fault,
     run_shots,
 )
-from synbench.circuits import Circuit, Instruction
-from synbench.simulator import compile_program
+from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
+from synbench.device import plan_device
+from synbench.simulator import CHUNK_SHOTS, MAX_ROUNDS, compile_program, record_distribution
 from helpers import make_line_cal
-from oracles import window_flip_probability
+from oracles import frame_shots, record_table, window_flip_probability
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -40,6 +42,22 @@ def build(cal, **kwargs):
 
 def zero_noise(cal):
     return compile_noise(cal, ZERO_NOISE_OPTIONS)
+
+
+def exact_record(circuit, noise) -> np.ndarray:
+    """The one record a noise-free circuit can produce: its exact record
+    distribution must be a point mass."""
+    pi = record_distribution(compile_program(circuit, noise))
+    assert pi.max() == 1.0 and np.count_nonzero(pi) == 1
+    return record_table(circuit.n_slots)[int(pi.argmax())]
+
+
+def exact_round2_coincidence(circuit, noise) -> float:
+    """P(both round-2 detectors of the center fire), summed over the exact
+    record distribution."""
+    dm = detection_events(circuit, record_table(circuit.n_slots))
+    fired = dm.column((1, 2)) & dm.column((3, 2))
+    return float(record_distribution(compile_program(circuit, noise))[fired == 1].sum())
 
 
 @pytest.fixture(scope="module")
@@ -114,11 +132,16 @@ def test_determinism_same_seed_same_bits(cal):
 
 
 def test_chunked_streams_make_prefixes_stable(cal):
-    circuit = build(cal, extra_delay_ns=5_000)
-    noise = compile_noise(cal)
-    small = run_shots(circuit, noise, 8_192, seed=5)
-    large = run_shots(circuit, noise, 9_000, seed=5)
-    assert np.array_equal(large[:8_192], small)
+    # runs with one seed share every whole chunk of the shorter run; its
+    # last, partial chunk is drawn for a different size
+    noisy = make_line_cal(readout_error=0.05, cx_error=0.02)
+    circuit = build(noisy, logical_value=1, extra_delay_ns=5_000)
+    noise = compile_noise(noisy)
+    whole = 2 * CHUNK_SHOTS
+    small = run_shots(circuit, noise, whole + 500, seed=5)
+    large = run_shots(circuit, noise, 3 * CHUNK_SHOTS, seed=5)
+    assert np.array_equal(large[:whole], small[:whole])
+    assert not np.array_equal(large[whole : whole + 500], small[whole:])
 
 
 def test_injected_x_between_rounds_fires_round2_pair(cal):
@@ -127,6 +150,7 @@ def test_injected_x_between_rounds_fires_round2_pair(cal):
     # second round's couplings
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="X")
     shots = run_shots(faulted, zero_noise(cal), 200, seed=3)
+    assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     fired = {det for det in dm.detectors if dm.column(det).all()}
     quiet = {det for det in dm.detectors if not dm.column(det).any()}
@@ -141,6 +165,7 @@ def test_injected_z_in_phase_encoding_fires_same_pair(cal):
     )
     faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
     shots = run_shots(faulted, zero_noise(cal), 200, seed=3)
+    assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     assert dm.column((1, 2)).all() and dm.column((3, 2)).all()
     others = [d for d in dm.detectors if d not in ((1, 2), (3, 2))]
@@ -154,6 +179,7 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
     )
     faulted = inject_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
     shots = run_shots(faulted, zero_noise(cal), 100, seed=3)
+    assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     assert dm.column((1, 1)).all() and dm.column((1, 2)).all()
     others = [d for d in dm.detectors if d not in ((1, 1), (1, 2))]
@@ -164,6 +190,7 @@ def test_injected_z_is_invisible_in_bit_flip_encoding(cal):
     circuit = build(cal, logical_value=1)
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="Z")
     shots = run_shots(faulted, zero_noise(cal), 100, seed=3)
+    assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert not detection_events(faulted, shots).data.any()
 
 
@@ -196,6 +223,7 @@ def test_relaxation_frequency_matches_closed_form():
     expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
+    assert abs(exact_round2_coincidence(circuit, noise) - expected) <= 1e-12
     assert expected == pytest.approx(0.1178, abs=2e-4)  # 12_530 ns of T1 = 100 us
 
 
@@ -214,6 +242,7 @@ def test_cpmg_relaxation_frequency_matches_markov_composition():
     expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
+    assert abs(exact_round2_coincidence(circuit, noise) - expected) <= 1e-12
     # the echo pair roughly halves the effective idle time
     assert expected == pytest.approx(1 - math.exp(-12_530 / 2 / 100_000), rel=0.05)
 
@@ -359,3 +388,51 @@ def test_shot_count_validation(cal):
     with pytest.raises(ValueError):
         run_shots(circuit, zero_noise(cal), 0, seed=1)
 
+
+def test_rounds_above_limit_are_rejected(cal):
+    run_shots(build(cal, rounds=MAX_ROUNDS), zero_noise(cal), 10, seed=1)
+    with pytest.raises(ValueError, match="rounds"):
+        run_shots(build(cal, rounds=MAX_ROUNDS + 1), zero_noise(cal), 10, seed=1)
+
+
+def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
+    """Pearson chi-square of `counts` against pi and its degrees of freedom.
+    The cells with the smallest expected counts share one bin, grown until
+    every bin expects at least 5."""
+    expected = counts.sum() * pi
+    order = np.argsort(expected)
+    merged = max(int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1, int((expected < 5).sum()))
+    rest, kept = order[:merged], order[merged:]
+    observed = np.append(counts[kept], counts[rest].sum())
+    expected = np.append(expected[kept], expected[rest].sum())
+    return float(((observed - expected) ** 2 / expected).sum()), len(observed) - 1
+
+
+def test_record_distribution_matches_frame_sampler(falcon):
+    # every falcon27 circuit the pipeline builds, at each dd_scope, with
+    # crosstalk on: the exact record distribution against per-shot frame
+    # tracking, one pooled chi-square over the full 2**7-cell records that
+    # fails below p = 1e-3
+    noise = compile_noise(falcon)
+    lines = {q: line for q, line in plan_device(falcon).items() if line is not None}
+    circuits = []
+    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
+        qc = falcon.qubits[q]
+        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
+        circuits.append(build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra, dd_scope=scope))
+    assert len(circuits) == 3 * 84
+    chi2, dof = 0.0, 0
+    for seed, circuit in enumerate(circuits):
+        program = compile_program(circuit, noise)
+        pi = record_distribution(program)
+        assert pi.shape == (2**circuit.n_slots,) and pi.min() >= 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-12
+        records = frame_shots(program, 20_000, seed)
+        cells = records.astype(np.intp) @ (1 << np.arange(circuit.n_slots - 1, -1, -1))
+        stat, df = binned_chi_square(np.bincount(cells, minlength=pi.size), pi)
+        chi2 += stat
+        dof += df
+    # Wilson-Hilferty: (chi2/dof)**(1/3) is close to normal for large dof
+    z = ((chi2 / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+    p_value = 0.5 * math.erfc(z / math.sqrt(2))
+    assert p_value > 1e-3, f"chi2 {chi2:.0f} on {dof} dof"
