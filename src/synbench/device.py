@@ -175,24 +175,16 @@ def _make_line(cal: DeviceCalibration, path: tuple[int, ...]) -> BenchLine:
 
 
 def load_calibration(source) -> DeviceCalibration:
-    """Load and validate a calibration file.
+    """Load and validate a calibration.
 
-    Accepts a path, raw bytes/str, or a readable binary/text stream. Optional
-    fields take documented defaults: p0 = 1.0, t2_star_ns = 0.5 * t2_ns,
-    readout_error = 0.01, x_ns = 35.0.
+    A Path names the JSON file to read; a str or bytes is the JSON text
+    itself, never a file name. Optional fields take documented defaults:
+    p0 = 1.0, t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
     """
     if isinstance(source, Path):
         raw = source.read_bytes()
-    elif isinstance(source, str):
-        try:
-            is_file = Path(source).exists()
-        except OSError:
-            is_file = False
-        raw = Path(source).read_bytes() if is_file else source
-    elif isinstance(source, bytes):
+    elif isinstance(source, (str, bytes)):
         raw = source
-    elif hasattr(source, "read"):
-        raw = source.read()
     else:
         raise CalibrationError(f"cannot read calibration from {type(source).__name__}")
     try:

@@ -11,12 +11,13 @@ either a Z-basis control (plain parity coupling) or an X-basis code control
 (the conjugated coupling of the phase-flip encoding); measurements must be in
 the Z basis.
 
-A peephole pass at the end of compilation fuses each qubit's single-qubit
-channels (flips, dephasing and relaxation) between two ops that read or
-couple it into one 2x2 stochastic op. A relaxation op whose event token some
-crosstalk op reads stays unfused and in place, so the first-overlap
-crosstalk rule sees the same events. The fused op is the exact Markov
-composition of the ops it replaces.
+Every single-qubit stochastic map (x flip, Pauli fault, dephasing,
+relaxation) compiles to one 2x2 `channel` op (P(0->1), P(1->0)); a
+relaxation whose decay event crosstalk may read is a `relax` op, a channel
+that also carries the event's token. A peephole pass at the end of
+compilation fuses each qubit's channels between two ops that read or couple
+it into one exact Markov composition. A `relax` op some `xtalk` reads stays
+unfused and in place, so the first-overlap crosstalk rule sees its events.
 
 `record_distribution` walks the compiled ops once over a probability vector
 on binary axes: the qubits first, then one axis per measured slot, appended
@@ -26,10 +27,8 @@ that reads it. A prep marginalizes its qubit and sets it again. The result
 is the exact probability of every one of the 2**n_slots records, which is
 why `run_shots` accepts at most MAX_ROUNDS rounds.
 
-`run_shots` draws iid records from that distribution in chunks of
-CHUNK_SHOTS: chunk k draws the count of each record with one multinomial
-and shuffles them into order, with its own generator seeded by (seed, k).
-Two runs with the same seed share every whole chunk of the shorter one.
+`run_shots` draws all its shots' record counts from that distribution with
+one multinomial and returns the records grouped by value.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import numpy as np
 from .circuits import Circuit, FaultSite, Instruction
 from .noise import NoiseModel
 
-CHUNK_SHOTS = 8192
 # the record of a five-qubit line has 2**(2*rounds + 3) cells; for a phase-
 # flip circuit record_distribution takes about 7 ms and 1.6 MB at 4 rounds,
 # 80 ms and 23 MB at 6 (2-vCPU Xeon guest)
@@ -70,7 +68,6 @@ class FrameProgram:
     ops: tuple[tuple, ...]
     n_qubits: int
     n_slots: int
-    n_tokens: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     ops: list[tuple[int, int, int, tuple]] = []  # (time, phase, order, op)
     segments: list[_Segment] = []
     order = 0
-    n_tokens = 0
 
     def emit(time: int, phase: int, op: tuple) -> None:
         nonlocal order
@@ -113,7 +109,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     for time, phase, _seq, item in events:
         if isinstance(item, FaultSite):
             if _flip_mask(basis[item.qubit])[item.pauli]:
-                emit(time, phase, ("flip", index[item.qubit]))
+                emit(time, phase, ("channel", index[item.qubit], 1.0, 1.0))
             continue
         ins: Instruction = item
         q = ins.qubits[0]
@@ -126,7 +122,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             emit(time, phase, ("prep", i, 0.0))
         elif ins.kind == "x":
             if basis[q] == "Z":
-                emit(time, phase, ("flip", i))
+                emit(time, phase, ("channel", i, 1.0, 1.0))
             # an x on an X-basis qubit changes only the phase; nothing tracked
         elif ins.kind == "h":
             basis[q] = "X" if basis[q] == "Z" else "Z"
@@ -141,29 +137,22 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                     f"cx at t={time} has an {basis[t]}-basis target {t}; only Z-basis "
                     "targets are trackable"
                 )
-            eps = noise.cx_error(c, t)
-            if eps > 0.0:
-                fc = _flip_mask(basis[c])
-                ft = _flip_mask(basis[t])
-                flips_c = np.array([fc[pc] for pc, _ in _PAULI2])
-                flips_t = np.array([ft[pt] for _, pt in _PAULI2])
-                emit(time, phase, ("cx", index[c], index[t], eps, flips_c, flips_t))
-            else:
-                emit(time, phase, ("cx0", index[c], index[t]))
+            fc = _flip_mask(basis[c])
+            ft = _flip_mask(basis[t])
+            flips_c = np.array([fc[pc] for pc, _ in _PAULI2])
+            flips_t = np.array([ft[pt] for _, pt in _PAULI2])
+            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t), flips_c, flips_t))
         elif ins.kind == "delay":
             if basis[q] == "Z":
                 p10, p01 = noise.relax_probs(q, ins.duration)
-                token = -1
-                if p10 > 0.0 and eta > 0.0:
-                    token = n_tokens
-                    n_tokens += 1
-                if p10 > 0.0 or p01 > 0.0:
-                    emit(time, phase, ("relax", i, p10, p01, token))
+                # a decay event crosstalk may read gets the segment's id as
+                # its token
+                token = len(segments) if p10 > 0.0 and eta > 0.0 else -1
+                emit(time, phase, ("relax", i, p01, p10, token) if token >= 0 else ("channel", i, p01, p10))
                 segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))
             else:
                 p = noise.dephase_prob(q, ins.duration, ins.echoed)
-                if p > 0.0:
-                    emit(time, phase, ("dephase", i, p))
+                emit(time, phase, ("channel", i, p, p))
                 segments.append(_Segment(q, i, ins.start, ins.end, "X", -1, len(segments)))
         else:
             raise BasisContractError(f"unknown instruction kind {ins.kind!r}")
@@ -176,19 +165,18 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
         ops=_fuse_idle_channels([op for _, _, _, op in ops]),
         n_qubits=len(circuit.line),
         n_slots=circuit.n_slots,
-        n_tokens=n_tokens,
     )
 
 
 def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
-    """Peephole pass: compose each qubit's run of flip, dephase and
-    dead-token relax ops into one 2x2 stochastic channel.
+    """Peephole pass: compose each qubit's run of channel ops and of relax
+    ops whose token no xtalk reads into one channel op.
 
-    A channel is (P(0->1), P(1->0)). The pending channel of a qubit is
-    emitted just before the next op that reads or couples it (cx, cx0,
-    measure, xtalk, or a relax whose token some xtalk reads, which itself
-    stays in place); a prep or the end of the program discards it. Each
-    emitted op is the exact Markov composition of the ops it replaces.
+    The pending channel of a qubit is emitted just before the next op that
+    reads or couples it (cx, measure, xtalk, or a relax whose token some
+    xtalk reads, which itself stays in place); a prep or the end of the
+    program discards it, and an identity channel is dropped. Each emitted op
+    is the exact Markov composition of the ops it replaces.
     """
     live = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
     pending: dict[int, tuple[float, float]] = {}
@@ -196,27 +184,15 @@ def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
 
     def flush(i: int) -> None:
         up, down = pending.pop(i, (0.0, 0.0))
-        if up == down == 0.0:
-            return
-        if up == down == 1.0:
-            out.append(("flip", i))
-        elif up == down:
-            out.append(("dephase", i, up))
-        else:
-            out.append(("relax", i, down, up, -1))
+        if up or down:
+            out.append(("channel", i, up, down))
 
     for op in ops:
         tag = op[0]
-        if tag == "flip":
-            step = (1.0, 1.0)
-        elif tag == "dephase":
-            step = (op[2], op[2])
-        elif tag == "relax" and op[4] not in live:
-            step = (op[3], op[2])
-        else:
+        if tag != "channel" and not (tag == "relax" and op[4] not in live):
             if tag == "prep":
                 pending.pop(op[1], None)
-            elif tag in ("cx", "cx0"):
+            elif tag == "cx":
                 flush(op[1])
                 flush(op[2])
             else:  # measure, xtalk, live-token relax
@@ -224,7 +200,7 @@ def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
             out.append(op)
             continue
         up, down = pending.get(op[1], (0.0, 0.0))
-        s_up, s_down = step
+        s_up, s_down = op[2], op[3]
         pending[op[1]] = (
             (1.0 - up) * s_up + up * (1.0 - s_down),
             (1.0 - down) * s_down + down * (1.0 - s_up),
@@ -309,12 +285,11 @@ def record_distribution(program: FrameProgram) -> np.ndarray:
     extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
     for k, op in enumerate(program.ops):
         tag, i = op[0], op[1]
-        if tag == "relax":
-            _, _, p10, p01, token = op
+        if tag == "channel":
+            state = _flip_channel(state.reshape(1 << i, 2, -1), op[2], op[3]).ravel()
+        elif tag == "relax":
+            _, _, p01, p10, token = op
             v = state.reshape(1 << i, 2, -1)
-            if token < 0:
-                state = _flip_channel(v, p01, p10).ravel()
-                continue
             # the new last axis holds the decay event (bit 1 -> 0) that
             # crosstalk reads
             decay = v[:, 1] * p10
@@ -326,18 +301,13 @@ def record_distribution(program: FrameProgram) -> np.ndarray:
             new[:, 0, :, 1] = decay
             state = new.ravel()
             extra.append(("t", token))
-        elif tag == "dephase":
-            state = _flip_channel(state.reshape(1 << i, 2, -1), op[2], op[2]).ravel()
-        elif tag == "flip":
-            state = state.reshape(1 << i, 2, -1)[:, ::-1].ravel()
-        elif tag in ("cx", "cx0"):
-            t = op[2]
+        elif tag == "cx":
+            _, _, t, eps, flips_c, flips_t = op
             v = _split(state, *sorted((i, t)))
             c_dim, t_dim = (1, 3) if i < t else (3, 1)
             control = v[(slice(None),) * c_dim + (1,)]
             control[...] = control[_reversed(t_dim - (t_dim > c_dim))]
-            if tag == "cx":
-                _, _, _, eps, flips_c, flips_t = op
+            if eps > 0.0:
                 # w[2a + b]: probability that the cx's error flips the
                 # control by a and the target by b
                 w = [1.0 - eps, 0.0, 0.0, 0.0]
@@ -378,13 +348,11 @@ def record_distribution(program: FrameProgram) -> np.ndarray:
 def run_shots(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> np.ndarray:
     """Sample `shots` outcomes; returns a (shots, slots) uint8 bit matrix.
 
-    The rows are iid draws from the circuit's exact record distribution,
-    taken in chunks of CHUNK_SHOTS: chunk k draws its records' counts with
-    one multinomial and shuffles them into order, with a generator seeded
-    by (seed, k). Output is a pure function of (circuit, noise, shots,
-    seed). Two runs with the same seed agree on every whole chunk of the
-    shorter one; the shorter run's last, partial chunk is drawn for a
-    different size, so its rows differ.
+    The rows are iid draws from the circuit's exact record distribution:
+    one multinomial, from a generator seeded by `seed` (an int or a tuple
+    of ints), draws how many shots hold each record. The rows come grouped
+    by record in ascending record order, not in draw order. Output is a
+    pure function of (circuit, noise, shots, seed).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -394,14 +362,7 @@ def run_shots(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> np.ndarr
     pi = record_distribution(program)
     cells = np.arange(pi.size)
     records = ((cells[:, None] >> np.arange(program.n_slots - 1, -1, -1)) & 1).astype(np.uint8)
-    base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    out = np.empty((shots, program.n_slots), dtype=np.uint8)
-    for k, start in enumerate(range(0, shots, CHUNK_SHOTS)):
-        rng = np.random.default_rng((*base, k))
-        index = np.repeat(cells, rng.multinomial(min(CHUNK_SHOTS, shots - start), pi))
-        rng.shuffle(index)
-        np.take(records, index, axis=0, out=out[start : start + index.size])
-    return out
+    return np.repeat(records, np.random.default_rng(seed).multinomial(shots, pi), axis=0)
 
 
 def inject_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circuit:

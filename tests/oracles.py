@@ -176,24 +176,21 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
     every shot."""
     bits = np.zeros((program.n_qubits, n), dtype=bool)
     out = np.zeros((program.n_slots, n), dtype=bool)
-    tokens: list[np.ndarray | None] = [None] * program.n_tokens
+    tokens: dict[int, np.ndarray] = {}  # relax token -> shots whose bit decayed
     for op in program.ops:
         tag = op[0]
-        if tag == "relax":
-            _, i, p10, p01, token = op
+        if tag in ("channel", "relax"):
+            i, up, down = op[1:4]
             u = rng.random(n)
-            flips = np.where(bits[i], u < p10, u < p01)
-            if token >= 0:
-                tokens[token] = bits[i] & flips
+            flips = np.where(bits[i], u < down, u < up)
+            if tag == "relax":
+                tokens[op[4]] = bits[i] & flips
             bits[i] ^= flips
-        elif tag == "dephase":
-            _, i, p = op
-            bits[i] ^= rng.random(n) < p
-        elif tag == "cx0":
-            bits[op[2]] ^= bits[op[1]]
         elif tag == "cx":
             _, ci, ti, eps, flips_c, flips_t = op
             bits[ti] ^= bits[ci]
+            if eps == 0.0:
+                continue
             hit = rng.random(n) < eps
             pauli = rng.integers(0, 15, size=n)
             bits[ci] ^= hit & flips_c[pauli]
@@ -210,15 +207,10 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
                 bits[i] = rng.random(n) < p
             else:
                 bits[i] = False
-        elif tag == "flip":
-            bits[op[1]] ^= True
         elif tag == "xtalk":
             _, i, entries = op
             for token, eta in entries:
-                mask = tokens[token]
-                if mask is None:
-                    continue
-                bits[i] ^= mask & (rng.random(n) < eta)
+                bits[i] ^= tokens[token] & (rng.random(n) < eta)
         else:  # pragma: no cover - compile emits only the tags above
             raise RuntimeError(f"unknown op {tag!r}")
     return out

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import importlib
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synbench.cli as cli
 from synbench import enumerate_lines, load_calibration, select_line
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from conftest import falcon_bytes
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -158,6 +165,38 @@ def test_run_is_deterministic_and_worker_independent(tmp_path, cal_path):
     run_benchmark(config, workers=4)
     for name, blob in first.items():
         assert (tmp_path / "out" / name).read_bytes() == blob
+
+
+def test_no_generator_seed_is_used_twice(tmp_path, cal_path, monkeypatch):
+    # each circuit's shots and its bootstrap draw from streams of their own
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    report, _ = run_benchmark(RunConfig.from_file(write_config(tmp_path, cal_path, shots=9_000)))
+    assert len(seeds) >= 2 * len(report.results) and len(set(seeds)) == len(seeds)
+
+
+def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
+    # bench/tracing.py wraps pipeline functions by name and counts their
+    # arguments and results; a renamed function or a changed return shape
+    # breaks `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    tracing = importlib.import_module("tracing")
+    per_layer = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
+    config = RunConfig.from_file(write_config(tmp_path, cal_path, shots=1000))
+    tracer = tracing.Tracer()
+    with tracer.installed():  # the wrappers replace module attributes
+        report, _ = cli.run_benchmark(config, workers=1)
+    metrics = tracing.layer_metrics(tracer.spans, workers=1)
+    assert set(metrics) <= per_layer and all(math.isfinite(v) for v in metrics.values())
+    circuits = len(report.results)  # one encoding, one logical value
+    assert metrics["simulator.shots"] == circuits * config.shots
+    assert metrics["analysis.resamples"] == circuits * config.bootstrap_resamples
 
 
 def test_run_seed_changes_report(tmp_path, cal_path):

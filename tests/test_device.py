@@ -77,9 +77,14 @@ def test_load_rejects_duplicate_edge():
         load_calibration(json.dumps(doc))
 
 
-def test_load_rejects_non_json():
+def test_load_rejects_non_json(tmp_path):
     with pytest.raises(CalibrationError):
         load_calibration(b"not json {")
+    # a str is JSON text, also when a file of that name exists
+    path = tmp_path / "falcon27.json"
+    path.write_bytes(falcon_bytes())
+    with pytest.raises(CalibrationError, match="not valid JSON"):
+        load_calibration(str(path))
 
 
 def test_missing_t2_star_defaults_to_half_t2():
