@@ -174,12 +174,26 @@ def _make_line(cal: DeviceCalibration, path: tuple[int, ...]) -> BenchLine:
     return BenchLine(qubits=tuple(path), max_cx_center=max(center_errors), max_cx_all=max(errors))
 
 
+def _finite(value, what: str) -> float:
+    """A finite JSON number: a bool, a string, null or an infinity is
+    rejected, not converted."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise CalibrationError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def load_calibration(source) -> DeviceCalibration:
     """Load and validate a calibration.
 
     A Path names the JSON file to read; a str or bytes is the JSON text
-    itself, never a file name. Optional fields take documented defaults:
-    p0 = 1.0, t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
+    itself, never a file name. Every numeric field and position coordinate
+    must be a finite JSON number, cx qubit ids integers and the name a
+    string. Optional fields take documented defaults: p0 = 1.0,
+    t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
     """
     if isinstance(source, Path):
         raw = source.read_bytes()
@@ -207,50 +221,55 @@ def load_calibration(source) -> DeviceCalibration:
     for entry in entries:
         q = entry["id"]
         try:
-            t1 = float(entry["t1_ns"])
-            t2 = float(entry["t2_ns"])
-            readout_ns = float(entry["readout_ns"])
-            qubits[q] = QubitCalibration(
-                t1_ns=t1,
-                t2_ns=t2,
-                t2_star_ns=float(entry.get("t2_star_ns", T2_STAR_FACTOR * t2)),
-                p0=float(entry.get("p0", DEFAULT_P0)),
-                readout_error=float(entry.get("readout_error", DEFAULT_READOUT_ERROR)),
-                readout_ns=readout_ns,
-                x_ns=float(entry.get("x_ns", DEFAULT_X_NS)),
-            )
+            values = {name: _finite(entry[name], name) for name in ("t1_ns", "t2_ns", "readout_ns")}
+            defaults = {
+                "t2_star_ns": T2_STAR_FACTOR * values["t2_ns"],
+                "p0": DEFAULT_P0,
+                "readout_error": DEFAULT_READOUT_ERROR,
+                "x_ns": DEFAULT_X_NS,
+            }
+            values.update({name: _finite(entry.get(name, default), name) for name, default in defaults.items()})
+            qubits[q] = QubitCalibration(**values)
             if "position" in entry:
                 x, y = entry["position"]
-                positions[q] = (float(x), float(y))
+                positions[q] = (_finite(x, "position x"), _finite(y, "position y"))
         except KeyError as exc:
             raise CalibrationError(f"qubit {q}: missing required field {exc}") from exc
         except (TypeError, ValueError) as exc:  # CalibrationError included
             raise CalibrationError(f"qubit {q}: {exc}") from exc
 
+    gates = doc["cx_gates"]
+    if not isinstance(gates, list):
+        raise CalibrationError("calibration 'cx_gates' must be a list of objects")
     edges: set[Edge] = set()
     cx_error: dict[Edge, float] = {}
     cx_duration: dict[Edge, float] = {}
-    for gate in doc["cx_gates"]:
+    for gate in gates:
         try:
             a, b = gate["qubits"]
-            edge = canonical_edge(int(a), int(b))
-            error = float(gate["error"])
-            duration = float(gate["duration_ns"])
+            if type(a) is not int or type(b) is not int:
+                raise CalibrationError(f"qubit ids must be integers, got {[a, b]!r}")
+            edge = canonical_edge(a, b)
+            error = _finite(gate["error"], "error")
+            duration = _finite(gate["duration_ns"], "duration_ns")
         except (KeyError, TypeError, ValueError) as exc:
-            raise CalibrationError(f"bad cx_gates entry {gate!r}") from exc
+            raise CalibrationError(f"bad cx_gates entry {gate!r}: {exc}") from exc
         if edge in edges:
             raise CalibrationError(f"duplicate cx edge {edge}")
         edges.add(edge)
         cx_error[edge] = error
         cx_duration[edge] = duration
 
+    name = doc.get("name", "device")
+    if not isinstance(name, str):
+        raise CalibrationError(f"calibration name must be a string, got {name!r}")
     return DeviceCalibration(
         qubit_count=len(entries),
         edges=frozenset(edges),
         qubits=tuple(qubits),
         cx_error=cx_error,
         cx_duration_ns=cx_duration,
-        name=str(doc.get("name", "device")),
+        name=name,
         positions=positions or None,
     )
 

@@ -11,8 +11,6 @@ noisier is drawn grey. Unbenchmarked qubits are hatched.
 
 from __future__ import annotations
 
-import math
-
 from .device import DeviceCalibration
 from .noise import guide_values
 
@@ -28,7 +26,7 @@ def _fmt(value: float) -> str:
 
 def _is_rate(rate) -> bool:
     estimate = rate.get("estimate") if isinstance(rate, dict) else None
-    return type(estimate) in (int, float) and math.isfinite(estimate)
+    return type(estimate) in (int, float) and 0.0 <= estimate <= 1.0
 
 
 def _node_values(report: dict, cal: DeviceCalibration, mode: str) -> dict[int, tuple[float | None, float | None]]:
@@ -45,7 +43,7 @@ def _node_values(report: dict, cal: DeviceCalibration, mode: str) -> dict[int, t
             raise ValueError(f"qubit entry {entry!r} does not name a qubit of {cal.name}")
         rates = entry.get("rates", {})
         if not isinstance(rates, dict) or not all(map(_is_rate, rates.values())):
-            raise ValueError(f"qubit {q}: each rate must be an object with a finite estimate")
+            raise ValueError(f"qubit {q}: each rate must be an object with an estimate in [0, 1]")
         if mode == "rates":
             bit = rates.get("p_01") or rates.get("p_1to0") or rates.get("p_0to1")
             phase = rates.get("p_phase")

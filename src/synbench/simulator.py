@@ -6,10 +6,14 @@ qubit is tracked as a (basis, bit) pair: Z basis with the computational
 value, or X basis where bit 0/1 stand for the plus/minus states. The circuit
 family keeps every qubit in a product state, so this tracking is exact while
 preserving the asymmetry of relaxation. The tracked-basis contract is
-enforced by a static compile pass: a cx must have a Z-basis target, with
-either a Z-basis control (plain parity coupling) or an X-basis code control
-(the conjugated coupling of the phase-flip encoding); measurements must be in
-the Z basis.
+enforced by a static compile pass: a cx must couple neighbours in the line
+and have a Z-basis target, with either a Z-basis control (plain parity
+coupling) or an X-basis code control (the conjugated coupling of the
+phase-flip encoding); measurements must be in the Z basis. A cx error is one
+of the 15 non-identity two-qubit Paulis, uniformly; in any pair of tracked
+bases 3 of them flip neither bit and 4 each flip the control, the target or
+both, so the error flips (control, target) by (0, 1), (1, 0) or (1, 1) with
+probability 4 eps / 15 each.
 
 Every single-qubit stochastic map (x flip, Pauli fault, dephasing,
 relaxation) compiles to one 2x2 `channel` op (P(0->1), P(1->0)); a
@@ -20,12 +24,19 @@ it into one exact Markov composition. A `relax` op some `xtalk` reads stays
 unfused and in place, so the first-overlap crosstalk rule sees its events.
 
 `record_distribution` walks the compiled ops once over a probability vector
-on binary axes: the qubits first, then one axis per measured slot, appended
-at its measure with the readout flip applied there, and one per live
-crosstalk token, appended at its relax and summed out after the last xtalk
-that reads it. A prep marginalizes its qubit and sets it again. The result
-is the exact probability of every one of the 2**n_slots records, which is
-why `run_shots` accepts at most MAX_ROUNDS rounds.
+on binary axes: the qubits first, in line order, then one axis per measured
+slot, added at its measure with the readout flip applied there, and one per
+live crosstalk token, added at its relax and summed out by the last xtalk
+that reads it. Each new axis is inserted right after the qubit axes, newest
+first, so every op's innermost loop runs over the added axes and each op is
+one or two numpy calls: a channel, or a prep (which marginalizes its qubit
+and sets it again), is one matmul of a 2x2 stochastic matrix on the
+(2**i, 2, -1) view; a cx one matmul of a 4x4 matrix on the (2**lo, 4, -1)
+view of its two neighbouring qubits; a measure one broadcast multiply by the
+readout matrix; a relax one matmul to (bit, token) and one transposed copy;
+an xtalk one matmul per token it reads. The result is the exact probability
+of every one of the 2**n_slots records, which is why `run_shots` accepts at
+most MAX_ROUNDS rounds.
 
 `run_shots` draws all its shots' record counts from that distribution with
 one multinomial and returns the records grouped by value.
@@ -45,9 +56,10 @@ from .noise import NoiseModel
 # 80 ms and 23 MB at 6 (2-vCPU Xeon guest)
 MAX_ROUNDS = 4
 
-# the 15 non-identity two-qubit Paulis, uniform under the cx depolarizing
-# channel
-_PAULI2 = [(c, t) for c in "IXYZ" for t in "IXYZ"][1:]
+# the noise-free cx on a neighbour pair's (2**lo, 4, -1) view, whose middle
+# index is 2 * (lower qubit's bit) + (upper qubit's bit); keyed by whether
+# the control is the lower qubit
+_CX_PARITY = {True: np.eye(4)[[0, 1, 3, 2]], False: np.eye(4)[[0, 3, 2, 1]]}
 
 
 class BasisContractError(ValueError):
@@ -137,11 +149,9 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                     f"cx at t={time} has an {basis[t]}-basis target {t}; only Z-basis "
                     "targets are trackable"
                 )
-            fc = _flip_mask(basis[c])
-            ft = _flip_mask(basis[t])
-            flips_c = np.array([fc[pc] for pc, _ in _PAULI2])
-            flips_t = np.array([ft[pt] for _, pt in _PAULI2])
-            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t), flips_c, flips_t))
+            if abs(index[c] - index[t]) != 1:
+                raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
+            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t)))
         elif ins.kind == "delay":
             if basis[q] == "Z":
                 p10, p01 = noise.relax_probs(q, ins.duration)
@@ -239,33 +249,10 @@ def _attach_crosstalk(circuit: Circuit, segments: list[_Segment], eta: float, em
         emit(seg.end, 0, ("xtalk", seg.index, tuple(entries)))
 
 
-def _split(state: np.ndarray, *axes: int) -> np.ndarray:
-    """View of a C-contiguous state over binary axes with each given axis
-    (ascending) as its own length-2 dimension, at positions 1, 3, ..., and
-    the axes before, between and after them merged."""
-    shape, prev = [], -1
-    for axis in axes:
-        shape += [1 << (axis - prev - 1), 2]
-        prev = axis
-    return state.reshape(*shape, -1)
-
-
-def _reversed(dim: int) -> tuple:
-    """Index that reverses dimension `dim` (swaps its bit values)."""
-    return (slice(None),) * dim + (slice(None, None, -1),)
-
-
-def _flip_channel(v: np.ndarray, up: float, down: float) -> np.ndarray:
-    """`v` (bit along axis 1) after mass moves from bit 0 to 1 with
-    probability `up` and from 1 to 0 with probability `down`."""
-    if up == down:
-        out = v * (1.0 - up)
-        out += v[:, ::-1] * up
-        return out
-    w = np.array([[1.0 - up, down], [1.0 - down, up]])[:, :, None]  # v is (A, 2, B)
-    out = v * w[:, 0]
-    out += v[:, ::-1] * w[:, 1]
-    return out
+def _channel(up: float, down: float) -> np.ndarray:
+    """The 2x2 stochastic matrix [new bit, old bit] that moves mass from bit
+    0 to 1 with probability `up` and from 1 to 0 with probability `down`."""
+    return np.array([[1.0 - up, down], [up, 1.0 - down]])
 
 
 def record_distribution(program: FrameProgram) -> np.ndarray:
@@ -274,9 +261,13 @@ def record_distribution(program: FrameProgram) -> np.ndarray:
 
     Cell r is the record whose slot j holds bit j of r, counted from the
     most significant end (slot 0 is the top bit). The ops are walked once
-    over a flat probability vector on binary axes: the qubits first, then a
-    slot axis appended at each measure and a token axis appended at each
-    live-token relax and summed out after the last xtalk that reads it.
+    over a flat probability vector on binary axes. The qubit axes come
+    first, in line order; each slot axis (added at its measure) and token
+    axis (added at its live-token relax, summed out by the last xtalk that
+    reads it) is inserted right after them, newest first. Qubit i's bit is
+    then the middle axis of the vector's (2**i, 2, -1) view and the bits of
+    neighbours lo and lo + 1 the middle axis of its (2**lo, 4, -1) view, so
+    each op is one matmul or broadcast multiply over such a view.
     """
     nq = program.n_qubits
     last_read = {token: k for k, op in enumerate(program.ops) if op[0] == "xtalk" for token, _ in op[2]}
@@ -285,57 +276,44 @@ def record_distribution(program: FrameProgram) -> np.ndarray:
     extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
     for k, op in enumerate(program.ops):
         tag, i = op[0], op[1]
+        v = state.reshape(1 << i, 2, -1)
         if tag == "channel":
-            state = _flip_channel(state.reshape(1 << i, 2, -1), op[2], op[3]).ravel()
-        elif tag == "relax":
-            _, _, p01, p10, token = op
-            v = state.reshape(1 << i, 2, -1)
-            # the new last axis holds the decay event (bit 1 -> 0) that
-            # crosstalk reads
-            decay = v[:, 1] * p10
-            up = v[:, 0] * p01
-            new = np.zeros(v.shape + (2,))
-            new[..., 0] = v
-            new[:, 0, :, 0] -= up
-            new[:, 1, :, 0] += up - decay
-            new[:, 0, :, 1] = decay
-            state = new.ravel()
-            extra.append(("t", token))
+            state = np.matmul(_channel(op[2], op[3]), v)
+        elif tag == "prep":
+            p = op[2]
+            state = np.matmul(np.array([[1.0 - p, 1.0 - p], [p, p]]), v)
         elif tag == "cx":
-            _, _, t, eps, flips_c, flips_t = op
-            v = _split(state, *sorted((i, t)))
-            c_dim, t_dim = (1, 3) if i < t else (3, 1)
-            control = v[(slice(None),) * c_dim + (1,)]
-            control[...] = control[_reversed(t_dim - (t_dim > c_dim))]
-            if eps > 0.0:
-                # w[2a + b]: probability that the cx's error flips the
-                # control by a and the target by b
-                w = [1.0 - eps, 0.0, 0.0, 0.0]
-                for a, b in zip(flips_c.tolist(), flips_t.tolist()):
-                    w[2 * a + b] += eps / len(flips_c)
-                out = v * w[0]
-                out += v[_reversed(t_dim)] * w[1]
-                out += v[_reversed(c_dim)] * w[2]
-                out += v[_reversed(c_dim)][_reversed(t_dim)] * w[3]
-                state = out.ravel()
+            _, _, t, eps = op
+            # every error pattern flips (control, target) by one of the
+            # three nonzero bit pairs with probability 4 eps / 15
+            w = 4.0 * eps / 15.0
+            m = (1.0 - 4.0 * w) * _CX_PARITY[i < t] + w
+            state = np.matmul(m, state.reshape(1 << min(i, t), 4, -1))
         elif tag == "measure":
             _, _, slot, p = op
             readout = np.array([[1.0 - p, p], [p, 1.0 - p]])  # [bit, recorded bit]
-            state = (state.reshape(1 << i, 2, -1)[..., None] * readout[:, None, :]).ravel()
-            extra.append(("s", slot))
-        elif tag == "prep":
-            p = op[2]
-            marginal = state.reshape(1 << i, 2, -1).sum(axis=1, keepdims=True)
-            state = (marginal * np.array([[1.0 - p], [p]])).ravel()
+            state = state.reshape(1 << i, 2, 1 << (nq - i - 1), 1, -1) * readout[:, None, :, None]
+            extra.insert(0, ("s", slot))
+        elif tag == "relax":
+            _, _, up, down, token = op
+            # rows (bit, decayed): the token bit records a 1 -> 0 decay,
+            # the event crosstalk reads
+            m = np.array([[1.0 - up, 0.0], [0.0, down], [up, 1.0 - down], [0.0, 0.0]])
+            moved = np.matmul(m, v).reshape(1 << i, 2, 2, 1 << (nq - i - 1), -1)
+            state = moved.transpose(0, 1, 3, 2, 4).ravel()
+            extra.insert(0, ("t", token))
         elif tag == "xtalk":
             for token, eta in op[2]:
-                fired = _split(state, i, nq + extra.index(("t", token)))[:, :, :, 1]
-                fired[...] = _flip_channel(fired, eta, eta)
-            for token, _ in op[2]:
+                # the bit flips with probability eta where the token fired
+                j = extra.index(("t", token))
+                shape = (1 << i, 2, 1 << (nq - i - 1 + j), 2, -1)
+                flipped = np.matmul(_channel(eta, eta), state.reshape(1 << i, 2, -1)).reshape(shape)
                 if last_read[token] == k:
-                    j = extra.index(("t", token))
-                    state = _split(state, nq + j).sum(axis=1).ravel()
+                    state = state.reshape(shape)[:, :, :, 0] + flipped[:, :, :, 1]
                     del extra[j]
+                else:
+                    flipped[:, :, :, 0] = state.reshape(shape)[:, :, :, 0]
+                    state = flipped
         else:  # pragma: no cover - compile emits only the tags above
             raise RuntimeError(f"unknown op {tag!r}")
     slots = [n for _, n in extra]

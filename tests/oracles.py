@@ -4,7 +4,8 @@ Everything here is deliberately kept free of the library's algorithms: path
 enumeration by raw permutation search, channel composition by explicit 2x2
 Markov chains walked over a circuit's instruction list, fault-model
 moments by enumerating all configurations, measurement records by
-Monte Carlo frame tracking of every shot through every compiled op, and the
+Monte Carlo frame tracking of every shot through every compiled op and
+exactly by a slice-and-sum walk over the same ops, and the
 force-directed layout with its spring forces added edge by edge.
 """
 
@@ -170,6 +171,128 @@ def spring_layout(n: int, edges) -> np.ndarray:
     return pos - pos.min(axis=0)
 
 
+# the 15 non-identity two-qubit Paulis of the cx depolarizing channel
+PAULI2 = [(c, t) for c in "IXYZ" for t in "IXYZ"][1:]
+
+
+def flip_mask(basis: str, pauli: str) -> bool:
+    """Whether `pauli` flips the bit tracked in `basis` ("Z" or "X"): it
+    does iff the two anticommute."""
+    return pauli in ("XY" if basis == "Z" else "YZ")
+
+
+def flip_pattern_counts(control_basis: str, target_basis: str) -> list[int]:
+    """How many of the 15 Paulis flip (control, target) bits by (0, 0),
+    (0, 1), (1, 0) and (1, 1), in the given tracked bases."""
+    counts = [0, 0, 0, 0]
+    for pc, pt in PAULI2:
+        counts[2 * flip_mask(control_basis, pc) + flip_mask(target_basis, pt)] += 1
+    return counts
+
+
+# per-Pauli bit flips of a cx's (control, target) with both in the Z basis;
+# flip_pattern_counts shows every pair of tracked bases gives the same law
+_CX_FLIPS = np.array([[flip_mask("Z", pc), flip_mask("Z", pt)] for pc, pt in PAULI2])
+
+
+def _split(state: np.ndarray, *axes: int) -> np.ndarray:
+    """View of a C-contiguous state over binary axes with each given axis
+    (ascending) as its own length-2 dimension, at positions 1, 3, ..., and
+    the axes before, between and after them merged."""
+    shape, prev = [], -1
+    for axis in axes:
+        shape += [1 << (axis - prev - 1), 2]
+        prev = axis
+    return state.reshape(*shape, -1)
+
+
+def _reversed(dim: int) -> tuple:
+    """Index that reverses dimension `dim` (swaps its bit values)."""
+    return (slice(None),) * dim + (slice(None, None, -1),)
+
+
+def _flip_channel(v: np.ndarray, up: float, down: float) -> np.ndarray:
+    """`v` (bit along axis 1) after mass moves from bit 0 to 1 with
+    probability `up` and from 1 to 0 with probability `down`."""
+    if up == down:
+        out = v * (1.0 - up)
+        out += v[:, ::-1] * up
+        return out
+    w = np.array([[1.0 - up, down], [1.0 - down, up]])[:, :, None]  # v is (A, 2, B)
+    out = v * w[:, 0]
+    out += v[:, ::-1] * w[:, 1]
+    return out
+
+
+def reference_record_distribution(program) -> np.ndarray:
+    """The exact record distribution of a compiled program, cell r holding
+    the record whose slot j is bit j of r from the top, by a walk over
+    binary axes that appends each slot and token axis last and applies
+    every op as masked, reversed and summed slices; a cx's error weights
+    come from the 15-Pauli table."""
+    nq = program.n_qubits
+    last_read = {token: k for k, op in enumerate(program.ops) if op[0] == "xtalk" for token, _ in op[2]}
+    state = np.zeros(1 << nq)
+    state[0] = 1.0
+    extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
+    for k, op in enumerate(program.ops):
+        tag, i = op[0], op[1]
+        if tag == "channel":
+            state = _flip_channel(state.reshape(1 << i, 2, -1), op[2], op[3]).ravel()
+        elif tag == "relax":
+            _, _, p01, p10, token = op
+            v = state.reshape(1 << i, 2, -1)
+            decay = v[:, 1] * p10
+            up = v[:, 0] * p01
+            new = np.zeros(v.shape + (2,))
+            new[..., 0] = v
+            new[:, 0, :, 0] -= up
+            new[:, 1, :, 0] += up - decay
+            new[:, 0, :, 1] = decay
+            state = new.ravel()
+            extra.append(("t", token))
+        elif tag == "cx":
+            _, _, t, eps = op
+            v = _split(state, *sorted((i, t)))
+            c_dim, t_dim = (1, 3) if i < t else (3, 1)
+            control = v[(slice(None),) * c_dim + (1,)]
+            control[...] = control[_reversed(t_dim - (t_dim > c_dim))]
+            # w[2a + b]: probability that the error flips the control by a
+            # and the target by b
+            w = [1.0 - eps, 0.0, 0.0, 0.0]
+            for a, b in _CX_FLIPS.tolist():
+                w[2 * a + b] += eps / len(PAULI2)
+            out = v * w[0]
+            out += v[_reversed(t_dim)] * w[1]
+            out += v[_reversed(c_dim)] * w[2]
+            out += v[_reversed(c_dim)][_reversed(t_dim)] * w[3]
+            state = out.ravel()
+        elif tag == "measure":
+            _, _, slot, p = op
+            readout = np.array([[1.0 - p, p], [p, 1.0 - p]])  # [bit, recorded bit]
+            state = (state.reshape(1 << i, 2, -1)[..., None] * readout[:, None, :]).ravel()
+            extra.append(("s", slot))
+        elif tag == "prep":
+            p = op[2]
+            marginal = state.reshape(1 << i, 2, -1).sum(axis=1, keepdims=True)
+            state = (marginal * np.array([[1.0 - p], [p]])).ravel()
+        elif tag == "xtalk":
+            for token, eta in op[2]:
+                fired = _split(state, i, nq + extra.index(("t", token)))[:, :, :, 1]
+                fired[...] = _flip_channel(fired, eta, eta)
+            for token, _ in op[2]:
+                if last_read[token] == k:
+                    j = extra.index(("t", token))
+                    state = _split(state, nq + j).sum(axis=1).ravel()
+                    del extra[j]
+        else:
+            raise RuntimeError(f"unknown op {tag!r}")
+    slots = [n for _, n in extra]
+    assert sorted(slots) == list(range(program.n_slots)), extra
+    records = state.reshape(1 << nq, -1).sum(axis=0).reshape((2,) * len(slots))
+    return records.transpose(sorted(range(len(slots)), key=slots.__getitem__)).ravel()
+
+
 def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
     """n shots of a compiled FrameProgram by per-shot frame tracking, as a
     (slots, n) bool array: every op draws its channel's randomness for
@@ -187,14 +310,14 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
                 tokens[op[4]] = bits[i] & flips
             bits[i] ^= flips
         elif tag == "cx":
-            _, ci, ti, eps, flips_c, flips_t = op
+            _, ci, ti, eps = op
             bits[ti] ^= bits[ci]
             if eps == 0.0:
                 continue
             hit = rng.random(n) < eps
-            pauli = rng.integers(0, 15, size=n)
-            bits[ci] ^= hit & flips_c[pauli]
-            bits[ti] ^= hit & flips_t[pauli]
+            pauli = rng.integers(0, len(PAULI2), size=n)
+            bits[ci] ^= hit & _CX_FLIPS[pauli, 0]
+            bits[ti] ^= hit & _CX_FLIPS[pauli, 1]
         elif tag == "measure":
             _, i, slot, p = op
             if p > 0.0:

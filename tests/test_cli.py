@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import importlib
+import io
 import json
 import math
 from pathlib import Path
@@ -280,6 +283,14 @@ QUBIT_ENTRY_BREAKS = {
     "string-t1": lambda doc: doc["qubits"][3].update(t1_ns="abc"),
     "entry-not-object": lambda doc: doc["qubits"].__setitem__(3, 5),
     "string-id": lambda doc: doc["qubits"][0].update(id="0"),
+    "numeric-string-t1": lambda doc: doc["qubits"][3].update(t1_ns="100000"),
+    "infinite-readout": lambda doc: doc["qubits"][3].update(readout_ns=math.inf),
+    "infinite-x": lambda doc: doc["qubits"][3].update(x_ns=math.inf),
+    "infinite-t1-t2": lambda doc: doc["qubits"][3].update(t1_ns=math.inf, t2_ns=math.inf),
+    "float-overflowing-t2": lambda doc: doc["qubits"][3].update(t2_ns=10**400),
+    "bool-p0": lambda doc: doc["qubits"][3].update(p0=True),
+    "null-readout-error": lambda doc: doc["qubits"][3].update(readout_error=None),
+    "nan-position": lambda doc: doc["qubits"][3].update(position=[math.nan, 1.0]),
 }
 
 
@@ -292,6 +303,106 @@ def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
     assert main(["plan", "--cal", str(cal)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "qubit" in err and err.count("\n") == 1
+
+
+def line_calibration_doc() -> dict:
+    """A five-qubit line calibration with every optional field present."""
+    qubit = {"t1_ns": 100_000.0, "t2_ns": 80_000.0, "t2_star_ns": 40_000.0, "p0": 0.98,
+             "readout_error": 0.02, "readout_ns": 700.0, "x_ns": 35.0}
+    return {
+        "name": "line5",
+        "qubits": [{"id": q, **qubit, "position": [float(q), 0.0]} for q in range(5)],
+        "cx_gates": [{"qubits": [q, q + 1], "error": 0.01, "duration_ns": 300.0} for q in range(4)],
+    }
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value below the root of a JSON document,
+    containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+# JSON scalars outside the ordinary range of any field: huge, tiny, infinite
+# and NaN floats, integers beyond the float range, bools, strings and null
+JSON_SCALARS = st.one_of(
+    st.floats().filter(lambda x: not 1e-6 <= abs(x) <= 1e6),
+    st.sampled_from([10**400, -(10**400), "100000", True, False, None]),
+    st.text(max_size=6),
+)
+
+
+def exit_and_stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_scalar_in_a_calibration_exits_0_or_1(fuzz_dir, data):
+    doc = line_calibration_doc()
+    path = data.draw(st.sampled_from(sorted(json_paths(doc), key=repr)), label="path")
+    cal = fuzz_dir / "cal.json"
+    cal.write_text(json.dumps(replaced(doc, path, data.draw(JSON_SCALARS, label="value"))), encoding="utf-8")
+    code, err = exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "out")])
+    assert code == 0 or (code == 1 and err.startswith("config error: ") and err.count("\n") == 1), err
+
+
+@pytest.fixture(scope="module")
+def line_report(fuzz_dir) -> dict:
+    cal = fuzz_dir / "line.json"
+    cal.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
+    assert exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "base")])[0] == 0
+    return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, data):
+    path = data.draw(st.sampled_from(sorted(json_paths(line_report), key=repr)), label="path")
+    report = fuzz_dir / "report.json"
+    report.write_text(json.dumps(replaced(line_report, path, data.draw(JSON_SCALARS, label="value"))), encoding="utf-8")
+    mode = data.draw(st.sampled_from(["rates", "calibration"]), label="mode")
+    code, err = exit_and_stderr(["render", "--report", str(report), "--mode", mode, "--out", str(fuzz_dir / "map.svg")])
+    assert code == 0 or (code == 1 and err.startswith("config error: ") and err.count("\n") == 1), err
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        {"qubits": [0.5, 1], "error": 0.01, "duration_ns": 300.0},
+        {"qubits": [True, 1], "error": 0.01, "duration_ns": 300.0},
+        {"qubits": [0, 1], "error": "0.01", "duration_ns": 300.0},
+        {"qubits": [0, 1], "error": 0.01, "duration_ns": math.inf},
+    ],
+    ids=["fractional-qubit", "bool-qubit", "string-error", "infinite-duration"],
+)
+def test_malformed_cx_entry_is_calibration_error(tmp_path, capsys, gate):
+    doc = json.loads(falcon_bytes())
+    doc["cx_gates"][0] = gate
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plan", "--cal", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad cx_gates entry") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

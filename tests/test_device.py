@@ -77,6 +77,14 @@ def test_load_rejects_duplicate_edge():
         load_calibration(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", [["x"], 5, None])
+def test_load_rejects_non_string_name(name):
+    doc = json.loads(falcon_bytes())
+    doc["name"] = name
+    with pytest.raises(CalibrationError, match="name must be a string"):
+        load_calibration(json.dumps(doc))
+
+
 def test_load_rejects_non_json(tmp_path):
     with pytest.raises(CalibrationError):
         load_calibration(b"not json {")

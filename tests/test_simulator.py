@@ -22,7 +22,13 @@ from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
 from synbench.simulator import MAX_ROUNDS, compile_program, record_distribution
 from helpers import make_line_cal
-from oracles import frame_shots, record_table, window_flip_probability
+from oracles import (
+    flip_pattern_counts,
+    frame_shots,
+    record_table,
+    reference_record_distribution,
+    window_flip_probability,
+)
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -119,6 +125,38 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
     )
     with pytest.raises(BasisContractError, match="target"):
         compile_program(circuit, zero_noise(cal))
+
+
+def test_contract_rejects_cx_between_line_non_neighbours(cal):
+    instructions = (
+        Instruction("prepare_z0", (0,), 0, 0),
+        Instruction("prepare_z0", (2,), 0, 0),
+        Instruction("cx", (0, 2), 0, 20),
+        Instruction("measure", (0,), 20, 20, slot=0),
+        Instruction("measure", (2,), 20, 20, slot=1),
+    )
+    circuit = Circuit(
+        line=(0, 1, 2),
+        instructions=instructions,
+        rounds=2,
+        encoding="bit_flip",
+        logical_value=0,
+        dd_scope="none",
+        extra_delay_ns=0,
+        aux_slots={},
+        final_slots={0: 0, 2: 1},
+        x_durations={0: 10, 1: 10, 2: 10},
+    )
+    with pytest.raises(BasisContractError, match="neighbours"):
+        compile_program(circuit, zero_noise(cal))
+
+
+@pytest.mark.parametrize("control_basis,target_basis", itertools.product("ZX", repeat=2))
+def test_cx_error_flip_patterns_are_uniform_in_every_basis(control_basis, target_basis):
+    # the 15 Paulis flip (control, target) by (0, 0), (0, 1), (1, 0), (1, 1)
+    # 3, 4, 4 and 4 times, so a cx error is one of the three nonzero flip
+    # pairs with probability 4 eps / 15 whatever the tracked bases
+    assert flip_pattern_counts(control_basis, target_basis) == [3, 4, 4, 4]
 
 
 def test_determinism_same_seed_same_bits(cal):
@@ -384,6 +422,35 @@ def test_rounds_above_limit_are_rejected(cal):
         run_shots(build(cal, rounds=MAX_ROUNDS + 1), zero_noise(cal), 10, seed=1)
 
 
+def pipeline_circuits(cal):
+    """Every circuit the pipeline builds for `cal` at each dd_scope, with
+    the default extra delay."""
+    lines = {q: line for q, line in plan_device(cal).items() if line is not None}
+    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
+        qc = cal.qubits[q]
+        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
+        yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
+
+
+def test_record_distribution_matches_reference_walk(falcon):
+    # the one-matmul-per-op walk against the oracle's slice-and-sum walk:
+    # every falcon27 pipeline circuit at each dd_scope, a MAX_ROUNDS phase-
+    # flip circuit and a circuit with an injected fault
+    noise = compile_noise(falcon)
+    circuits = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
+    assert len(circuits) == 3 * 84
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    circuits.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))))
+    faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
+    circuits.append((faulted, compile_noise(cal)))
+    for circuit, model in circuits:
+        program = compile_program(circuit, model)
+        pi = record_distribution(program)
+        assert pi.shape == (2**circuit.n_slots,)
+        assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+
+
 def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
     """Pearson chi-square of `counts` against pi and its degrees of freedom.
     The cells with the smallest expected counts share one bin, grown until
@@ -419,12 +486,8 @@ def test_record_distribution_matches_frame_sampler(falcon):
     # pooled chi-square of their own, which a record table out of step with
     # pi fails.
     noise = compile_noise(falcon)
-    lines = {q: line for q, line in plan_device(falcon).items() if line is not None}
     framed, sampled = [], []
-    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
-        qc = falcon.qubits[q]
-        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
-        circuit = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
+    for scope, circuit in pipeline_circuits(falcon):
         program = compile_program(circuit, noise)
         pi = record_distribution(program)
         assert pi.shape == (2**circuit.n_slots,) and pi.min() >= 0.0
