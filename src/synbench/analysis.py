@@ -30,7 +30,7 @@ from .circuits import Circuit
 Detector = tuple[int, int]  # (auxiliary qubit, round), rounds 1..T+1
 
 MIN_RECOMMENDED_SHOTS = 1000
-DEFAULT_BOOTSTRAP_RESAMPLES = 200
+BOOTSTRAP_RESAMPLES = 200
 
 
 class EstimationError(ValueError):
@@ -144,7 +144,7 @@ def correlation_rate(
     det_i: Detector,
     det_j: Detector,
     *,
-    resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
+    resamples: int = BOOTSTRAP_RESAMPLES,
     seed=0,
     rate_type: str = "",
 ) -> RateEstimate:
@@ -200,7 +200,7 @@ def extract_idle_rates(
     dm: DetectionMatrix,
     rnd: int = 2,
     *,
-    resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES,
+    resamples: int = BOOTSTRAP_RESAMPLES,
     seed=0,
 ) -> RateEstimate:
     """Central-qubit idle error rate from the two adjacent detectors of

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    DEFAULT_BOOTSTRAP_RESAMPLES,
+    BOOTSTRAP_RESAMPLES,
     BenchmarkReport,
     EstimationError,
     QubitBenchmark,
@@ -38,7 +38,7 @@ from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_expos
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
-from .simulator import MAX_ROUNDS, run_shots
+from .simulator import run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
@@ -78,28 +78,21 @@ class RunConfig:
     calibration: str
     shots: int = 20_000
     seed: int = 7
-    rounds: int = 2
     encodings: tuple[str, ...] = ENCODINGS
     logical_values: tuple[int, ...] = (0, 1)
     dd_scope: str = "code_only"
-    extra_delay_mode: str = "fraction"  # or "none"
     extra_delay_fraction: float = 0.125
     noise: NoiseOptions = field(default_factory=NoiseOptions)
     output_dir: str = "synbench_out"
-    bootstrap_resamples: int = DEFAULT_BOOTSTRAP_RESAMPLES
 
     def __post_init__(self) -> None:
         if not isinstance(self.calibration, str) or not isinstance(self.output_dir, str):
             raise ConfigError("calibration and output_dir must be path strings")
-        for name, minimum in (("shots", 1), ("seed", 0), ("rounds", 2), ("bootstrap_resamples", 1)):
+        for name, minimum in (("shots", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        if self.rounds > MAX_ROUNDS:
-            raise ConfigError(f"rounds must be at most {MAX_ROUNDS}, got {self.rounds}")
-        if self.extra_delay_mode not in ("fraction", "none"):
-            raise ConfigError(f"unknown extra_delay mode {self.extra_delay_mode!r}")
         fraction = self.extra_delay_fraction
         if type(fraction) not in (int, float) or not 0 <= fraction < math.inf:
-            raise ConfigError(f"extra_delay fraction must be a finite number >= 0, got {fraction!r}")
+            raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {fraction!r}")
         object.__setattr__(self, "extra_delay_fraction", float(fraction))
         _distinct("encodings", self.encodings, ENCODINGS)
         _distinct("logical_values", self.logical_values, (0, 1))
@@ -110,21 +103,12 @@ class RunConfig:
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        keys = {f.name for f in fields(cls) if not f.name.startswith("extra_delay_")}
-        unknown = set(doc) - keys - {"extra_delay"}
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "calibration" not in doc:
             raise ConfigError("config needs a 'calibration' path")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k in keys}
-        extra = doc.get("extra_delay", {})
-        if isinstance(extra, str):
-            extra = {"mode": extra}
-        if not isinstance(extra, dict) or not set(extra) <= {"mode", "fraction"}:
-            raise ConfigError(
-                f"extra_delay must be a mode name or an object with keys mode/fraction, got {extra!r}"
-            )
-        kwargs.update({f"extra_delay_{k}": v for k, v in extra.items()})
+        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
         calibration = kwargs["calibration"]
         if base_dir is not None and isinstance(calibration, str) and not Path(calibration).is_absolute():
             kwargs["calibration"] = str(base_dir / calibration)
@@ -145,23 +129,21 @@ class RunConfig:
             "calibration": self.calibration,
             "shots": self.shots,
             "seed": self.seed,
-            "rounds": self.rounds,
             "encodings": list(self.encodings),
             "logical_values": list(self.logical_values),
             "dd_scope": self.dd_scope,
-            "extra_delay": {"mode": self.extra_delay_mode, "fraction": self.extra_delay_fraction},
+            "extra_delay_fraction": self.extra_delay_fraction,
             "noise": {**asdict(self.noise), "disable": sorted(self.noise.disable)},
-            "bootstrap_resamples": self.bootstrap_resamples,
             "version": __version__,
         }
 
 
 def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encoding: str) -> int:
-    if config.extra_delay_mode == "none":
-        return 0
     qc = cal.qubits[qubit]
-    timescale = qc.t1_ns if encoding == "bit_flip" else qc.t2_ns
-    return int(round(config.extra_delay_fraction * timescale))
+    delay = config.extra_delay_fraction * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns)
+    if not math.isfinite(delay):
+        raise ConfigError(f"extra_delay_fraction {config.extra_delay_fraction!r} overflows qubit {qubit}'s delay")
+    return int(round(delay))
 
 
 def _combine(estimates: list[RateEstimate], rate_type: str) -> RateEstimate:
@@ -194,7 +176,6 @@ def benchmark_qubit(
                 cal,
                 encoding,
                 lv,
-                rounds=config.rounds,
                 extra_delay_ns=extra,
                 dd_scope=config.dd_scope,
             )
@@ -203,7 +184,7 @@ def benchmark_qubit(
                 est = extract_idle_rates(
                     circuit,
                     detection_events(circuit, shots),
-                    resamples=config.bootstrap_resamples,
+                    resamples=BOOTSTRAP_RESAMPLES,
                     seed=(config.seed, qubit, enc_idx, lv, 1),
                 )
             except EstimationError as exc:
@@ -265,6 +246,11 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
     chosen = {q: line for q, line in plan.items() if line is not None}
     if not chosen:
         raise RuntimeError("no benchmarkable qubits on this device")
+    # checked before the tasks start: a task re-raises any error as a
+    # runtime error (exit 2)
+    for q in chosen:
+        for encoding in config.encodings:
+            _extra_delay_ns(config, cal, q, encoding)
 
     def task(item):
         q, line = item

@@ -162,18 +162,6 @@ class BenchLine:
         return self.qubits[2]
 
 
-def _make_line(cal: DeviceCalibration, path: tuple[int, ...]) -> BenchLine:
-    if len(path) != 5 or len(set(path)) != 5:
-        raise ValueError(f"not a five-qubit line: {path}")
-    pairs = list(zip(path, path[1:]))
-    for a, b in pairs:
-        if canonical_edge(a, b) not in cal.edges:
-            raise ValueError(f"({a}, {b}) is not an edge of the device graph")
-    errors = [cal.edge_error(a, b) for a, b in pairs]
-    center_errors = [cal.edge_error(path[1], path[2]), cal.edge_error(path[2], path[3])]
-    return BenchLine(qubits=tuple(path), max_cx_center=max(center_errors), max_cx_all=max(errors))
-
-
 def _finite(value, what: str) -> float:
     """A finite JSON number: a bool, a string, null or an infinity is
     rejected, not converted."""
@@ -295,7 +283,11 @@ def enumerate_lines(cal: DeviceCalibration, center: int) -> list[BenchLine]:
                     if path[-1] < path[0]:
                         path = path[::-1]
                     paths.add(path)
-    return [_make_line(cal, p) for p in sorted(paths)]
+    lines = []
+    for path in sorted(paths):
+        errors = [cal.edge_error(a, b) for a, b in zip(path, path[1:])]
+        lines.append(BenchLine(qubits=path, max_cx_center=max(errors[1:3]), max_cx_all=max(errors)))
+    return lines
 
 
 def select_line(cal: DeviceCalibration, candidates: list[BenchLine]) -> BenchLine | None:

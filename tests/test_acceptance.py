@@ -217,7 +217,6 @@ def _phase_medians(falcon, crosstalk: bool, shots: int) -> dict[str, tuple[float
             noise=NoiseOptions(
                 crosstalk_eta=1.0, disable=frozenset() if crosstalk else frozenset({"crosstalk"})
             ),
-            bootstrap_resamples=100,
         )
         noise = compile_noise(falcon, config.noise)
         estimates = [
@@ -304,7 +303,6 @@ def test_criterion_7_determinism(falcon, tmp_path):
         "shots": 2_000,
         "seed": 77,
         "output_dir": str(tmp_path / "a"),
-        "bootstrap_resamples": 50,
     }
     (tmp_path / "falcon27.json").write_bytes(falcon_bytes())
     artifacts = {}

@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench import enumerate_lines, load_calibration, select_line
+from synbench import NoiseOptions, enumerate_lines, load_calibration, select_line
+from synbench.analysis import BOOTSTRAP_RESAMPLES
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from conftest import falcon_bytes
 
@@ -36,7 +38,6 @@ def write_config(tmp_path, cal_path, **overrides):
         "output_dir": str(tmp_path / "out"),
         "encodings": ["bit_flip"],
         "logical_values": [1],
-        "bootstrap_resamples": 50,
     }
     doc.update(overrides)
     path = tmp_path / "run.json"
@@ -47,9 +48,7 @@ def write_config(tmp_path, cal_path, **overrides):
 def test_config_defaults():
     config = RunConfig.from_dict({"calibration": "cal.json"})
     assert config.shots == 20_000
-    assert config.rounds == 2
     assert config.dd_scope == "code_only"
-    assert config.extra_delay_mode == "fraction"
     assert config.extra_delay_fraction == 0.125
     assert config.encodings == ("bit_flip", "phase_flip")
 
@@ -58,12 +57,10 @@ VALID_CONFIG = {
     "calibration": "cal.json",
     "shots": 1200,
     "seed": 3,
-    "rounds": 2,
     "encodings": ["bit_flip"],
     "logical_values": [1],
     "dd_scope": "none",
     "output_dir": "out",
-    "bootstrap_resamples": 50,
 }
 # arbitrary JSON, plus the values and lists of values a config accepts
 JSON_VALUES = st.recursive(
@@ -96,6 +93,16 @@ def test_config_field_is_the_given_value_or_an_error(key, value):
     assert repr(getattr(config, key)) == repr(_as_field(value))
 
 
+def test_readme_run_config_is_the_defaults():
+    # the README's config example names every field at its default value
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("A run config is one JSON file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(block)
+    assert set(doc) == {f.name for f in fields(RunConfig)}
+    assert set(doc["noise"]) == {f.name for f in fields(NoiseOptions)}
+    assert RunConfig.from_dict(doc) == RunConfig(calibration=doc["calibration"])
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"calibration": "c.json", "shotz": 5})
@@ -110,11 +117,11 @@ def test_config_validates_values():
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"calibration": "c", "shots": 0})
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"calibration": "c", "rounds": 1})
+        RunConfig.from_dict({"calibration": "c", "extra_delay_fraction": -0.5})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"calibration": "c", "encodings": ["qudit"]})
     with pytest.raises(ConfigError):
-        RunConfig.from_dict({"calibration": "c", "extra_delay": {"mode": "sometimes"}})
+        RunConfig.from_dict({"calibration": "c", "extra_delay_fraction": "0.5"})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"calibration": "c", "noise": {"disable": ["gravity"]}})
 
@@ -199,7 +206,7 @@ def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
     assert set(metrics) <= per_layer and all(math.isfinite(v) for v in metrics.values())
     circuits = len(report.results)  # one encoding, one logical value
     assert metrics["simulator.shots"] == circuits * config.shots
-    assert metrics["analysis.resamples"] == circuits * config.bootstrap_resamples
+    assert metrics["analysis.resamples"] == circuits * BOOTSTRAP_RESAMPLES
 
 
 def test_run_seed_changes_report(tmp_path, cal_path):
@@ -405,6 +412,10 @@ def test_malformed_cx_entry_is_calibration_error(tmp_path, capsys, gate):
     assert err.startswith("config error: bad cx_gates entry") and err.count("\n") == 1
 
 
+# run-config keys of earlier versions, refused rather than ignored
+DELETED_KEYS = {"rounds", "extra_delay", "bootstrap_resamples"}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -421,10 +432,11 @@ def test_malformed_cx_entry_is_calibration_error(tmp_path, capsys, gate):
         {"seed": -1},
         ("--seed", "-1"),  # command-line override of a valid config
         {"bootstrap_resamples": 0},
-        {"bootstrap_resamples": -1},
-        {"extra_delay": {"fraction": float("nan")}},
-        {"extra_delay": {"fraction": float("inf")}},
-        {"extra_delay": {"fracton": 0.5}},
+        {"extra_delay_fraction": float("nan")},
+        {"extra_delay_fraction": float("inf")},
+        {"extra_delay_fraction": -0.5},
+        {"extra_delay_fraction": 1e306},  # finite, but its delay overflows
+        {"extra_delay_fracton": 0.5},
         {"logical_values": [1, 1]},
         {"logical_values": [True]},
         {"noise": {"disable": "cx"}},
@@ -434,7 +446,7 @@ def test_malformed_cx_entry_is_calibration_error(tmp_path, capsys, gate):
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
-         "negative-resamples", "nan-fraction", "infinite-fraction", "extra-delay-typo",
+         "nan-fraction", "infinite-fraction", "negative-fraction", "overflowing-fraction", "extra-delay-typo",
          "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch",
          "too-many-rounds"],
 )
@@ -447,7 +459,9 @@ def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, b
     flags = list(bad) if isinstance(bad, tuple) else []
     assert main(["run", "--config", str(config), *flags]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and err.count("\n") == 1
+    deleted = isinstance(bad, dict) and set(bad) & DELETED_KEYS
+    assert err.startswith("config error: unknown config keys" if deleted else "config error: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["0", "two"])
@@ -456,13 +470,6 @@ def test_bad_synbench_workers_is_config_error(tmp_path, cal_path, capsys, monkey
     assert main(["run", "--config", str(write_config(tmp_path, cal_path))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: SYNBENCH_WORKERS") and err.count("\n") == 1
-
-
-def test_report_metadata_records_bootstrap_resamples(tmp_path, cal_path):
-    config = write_config(tmp_path, cal_path, bootstrap_resamples=37)
-    assert main(["run", "--config", str(config)]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["metadata"]["bootstrap_resamples"] == 37
 
 
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):

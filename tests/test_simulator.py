@@ -451,6 +451,36 @@ def test_record_distribution_matches_reference_walk(falcon):
         assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
 
 
+def round2_pair_cells(circuit, noise) -> np.ndarray:
+    """Exact probabilities of the round-2 detector pair's four outcomes."""
+    pi = record_distribution(compile_program(circuit, noise))
+    dm = detection_events(circuit, record_table(circuit.n_slots))
+    d_i, d_j = (dm.column((a, 2)) for a in circuit.aux_qubits)
+    return np.bincount(2 * d_i + d_j, weights=pi, minlength=4)
+
+
+def test_round2_pair_does_not_depend_on_later_rounds(falcon):
+    # the estimator reads only the round-2 pair, and rounds after the second
+    # cannot change its cells, so the pipeline runs two rounds: q7 at every
+    # dd_scope and round count, and every planned qubit at all_qubits and
+    # MAX_ROUNDS, crosstalk on
+    noise = compile_noise(falcon)
+    lines = {q: line for q, line in plan_device(falcon).items() if line is not None}
+    cases = [(7, scope, rounds) for scope in DD_SCOPES for rounds in range(3, MAX_ROUNDS + 1)]
+    cases += [(q, "all_qubits", MAX_ROUNDS) for q in sorted(lines)]
+    for (q, scope, rounds), encoding, lv in itertools.product(cases, ENCODINGS, (0, 1)):
+        qc = falcon.qubits[q]
+        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
+        two, longer = (
+            round2_pair_cells(
+                build_repetition_circuit(lines[q], falcon, encoding, lv, t, extra_delay_ns=extra, dd_scope=scope),
+                noise,
+            )
+            for t in (2, rounds)
+        )
+        assert np.abs(longer - two).max() <= 1e-12, (q, scope, rounds, encoding, lv)
+
+
 def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
     """Pearson chi-square of `counts` against pi and its degrees of freedom.
     The cells with the smallest expected counts share one bin, grown until
