@@ -43,7 +43,11 @@ class AntiCorrelationError(EstimationError):
 
 @dataclass(frozen=True)
 class DetectionMatrix:
-    """shots x detectors bit matrix; columns ordered round-major."""
+    """shots x detectors bit matrix; columns ordered round-major.
+
+    `detection_events` builds it as the transposed view of C-contiguous
+    (detectors, shots) storage, so each detector's column is contiguous.
+    """
 
     data: np.ndarray
     detectors: tuple[Detector, ...]
@@ -64,32 +68,34 @@ def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
     readouts of a's code neighbors. Noise-free circuits give the all-zero
     matrix for either logical value, since equal code bits cancel in parity.
     """
-    shots = np.asarray(shots, dtype=np.uint8)
+    shots = np.asarray(shots)
     if shots.ndim != 2 or shots.shape[1] != circuit.n_slots:
         raise ValueError(
             f"shots have {shots.shape[1] if shots.ndim == 2 else '?'} slots, "
             f"circuit has {circuit.n_slots}"
         )
-    aux = circuit.aux_qubits
+    # checked before the cast to uint8, which would truncate 0.9 to 0; bool
+    # and unsigned entries can only go wrong above 1
+    if shots.size and (
+        shots.max() > 1 if shots.dtype.kind in "bu" else ((shots != 0) & (shots != 1)).any()
+    ):
+        bad = shots[(shots != 0) & (shots != 1)].flat[0].item()
+        raise ValueError(f"shot entries must be 0 or 1, got {bad!r}")
+    shots = shots.astype(np.uint8, copy=False)
     rounds = circuit.rounds
-    columns = []
-    detectors: list[Detector] = []
-    syndrome = {
-        (a, r): shots[:, circuit.aux_slots[(a, r)]] for a in aux for r in range(1, rounds + 1)
-    }
-    for r in range(1, rounds + 2):
-        for a in aux:
-            if r == 1:
-                col = syndrome[(a, 1)]
-            elif r <= rounds:
-                col = syndrome[(a, r)] ^ syndrome[(a, r - 1)]
-            else:
-                left, right = circuit.neighbors_in_line(a)
-                final = shots[:, circuit.final_slots[left]] ^ shots[:, circuit.final_slots[right]]
-                col = syndrome[(a, rounds)] ^ final
-            columns.append(col)
-            detectors.append((a, r))
-    return DetectionMatrix(data=np.stack(columns, axis=1), detectors=tuple(detectors))
+    detectors = [(a, r) for r in range(1, rounds + 2) for a in circuit.aux_qubits]
+    rows = np.empty((len(detectors), shots.shape[0]), dtype=np.uint8)
+    for row, (a, r) in zip(rows, detectors):
+        syndrome = shots[:, circuit.aux_slots[(a, min(r, rounds))]]
+        if r == 1:
+            row[...] = syndrome
+        elif r <= rounds:
+            np.bitwise_xor(syndrome, shots[:, circuit.aux_slots[(a, r - 1)]], out=row)
+        else:
+            left, right = circuit.neighbors_in_line(a)
+            np.bitwise_xor(shots[:, circuit.final_slots[left]], shots[:, circuit.final_slots[right]], out=row)
+            np.bitwise_xor(row, syndrome, out=row)
+    return DetectionMatrix(data=rows.T, detectors=tuple(detectors))
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,14 @@ def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
     return np.where(denom <= 0.0, 0.5, values)
 
 
+def _pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
+    """(n00, n01, n10, n11) joint counts of two 0/1 detector columns."""
+    n11 = np.count_nonzero(d_i & d_j)
+    n1_ = np.count_nonzero(d_i)
+    n_1 = np.count_nonzero(d_j)
+    return np.array([d_i.size - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)
+
+
 def correlation_rate(
     dm: DetectionMatrix,
     det_i: Detector,
@@ -157,9 +171,7 @@ def correlation_rate(
             f"only {n} shots for detector pair {det_i}/{det_j}; estimates will be noisy",
             stacklevel=2,
         )
-    di = dm.column(det_i).astype(np.int64)
-    dj = dm.column(det_j).astype(np.int64)
-    counts = np.bincount(2 * di + dj, minlength=4)  # n00, n01, n10, n11
+    counts = _pair_counts(dm.column(det_i), dm.column(det_j))
 
     def from_counts(c) -> float:
         total = float(c.sum())

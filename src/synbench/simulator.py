@@ -39,7 +39,9 @@ of every one of the 2**n_slots records, which is why `run_shots` accepts at
 most MAX_ROUNDS rounds.
 
 `run_shots` draws all its shots' record counts from that distribution with
-one multinomial and returns the records grouped by value.
+one multinomial and expands a slot-major table of the records by those
+counts, so each slot's bits over all shots lie contiguous in memory; it
+returns the (shots, slots) transposed view, rows grouped by record value.
 """
 
 from __future__ import annotations
@@ -329,8 +331,10 @@ def run_shots(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> np.ndarr
     The rows are iid draws from the circuit's exact record distribution:
     one multinomial, from a generator seeded by `seed` (an int or a tuple
     of ints), draws how many shots hold each record. The rows come grouped
-    by record in ascending record order, not in draw order. Output is a
-    pure function of (circuit, noise, shots, seed).
+    by record in ascending record order, not in draw order. The matrix is
+    the transposed view of C-contiguous (slots, shots) storage, so each
+    slot's column is contiguous. Output is a pure function of (circuit,
+    noise, shots, seed).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -338,9 +342,9 @@ def run_shots(circuit: Circuit, noise: NoiseModel, shots: int, seed) -> np.ndarr
         raise ValueError(f"at most {MAX_ROUNDS} rounds can be sampled, got {circuit.rounds}")
     program = compile_program(circuit, noise)
     pi = record_distribution(program)
-    cells = np.arange(pi.size)
-    records = ((cells[:, None] >> np.arange(program.n_slots - 1, -1, -1)) & 1).astype(np.uint8)
-    return np.repeat(records, np.random.default_rng(seed).multinomial(shots, pi), axis=0)
+    # table[j, r] is slot j of record r
+    table = ((np.arange(pi.size) >> np.arange(program.n_slots - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
+    return np.repeat(table, np.random.default_rng(seed).multinomial(shots, pi), axis=1).T
 
 
 def inject_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circuit:

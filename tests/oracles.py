@@ -5,8 +5,11 @@ enumeration by raw permutation search, channel composition by explicit 2x2
 Markov chains walked over a circuit's instruction list, fault-model
 moments by enumerating all configurations, measurement records by
 Monte Carlo frame tracking of every shot through every compiled op and
-exactly by a slice-and-sum walk over the same ops, and the
-force-directed layout with its spring forces added edge by edge.
+exactly by a slice-and-sum walk over the same ops, the shot matrix,
+its detection events and a detector pair's joint counts by row-major
+formulas (records repeated row by row, one temporary per detector column
+stacked at the end, a bincount of 2 d_i + d_j), and the force-directed
+layout with its spring forces added edge by edge.
 """
 
 from __future__ import annotations
@@ -352,3 +355,43 @@ def frame_shots(program, shots: int, seed: int) -> np.ndarray:
 def record_table(n_slots: int) -> np.ndarray:
     """All 2**n_slots records as rows of bits, slot 0 most significant."""
     return np.array(list(itertools.product((0, 1), repeat=n_slots)), dtype=np.uint8)
+
+
+def grouped_records(pi: np.ndarray, shots: int, seed) -> np.ndarray:
+    """`shots` (shots, slots) uint8 records drawn from the record
+    distribution `pi`: one multinomial, from a generator seeded by `seed`,
+    draws each record's count, and each row of the record table is repeated
+    that many times."""
+    counts = np.random.default_rng(seed).multinomial(shots, pi)
+    return np.repeat(record_table(pi.size.bit_length() - 1), counts, axis=0)
+
+
+def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(shots, detectors) detection events and their (auxiliary, round)
+    labels, round-major: each detector's column is XORed into a temporary
+    of its own and the columns are stacked."""
+    shots = np.asarray(shots, dtype=np.uint8)
+    rounds = circuit.rounds
+    syndrome = {
+        (a, r): shots[:, circuit.aux_slots[(a, r)]] for a in circuit.aux_qubits for r in range(1, rounds + 1)
+    }
+    columns, detectors = [], []
+    for r in range(1, rounds + 2):
+        for a in circuit.aux_qubits:
+            if r == 1:
+                col = syndrome[(a, 1)]
+            elif r <= rounds:
+                col = syndrome[(a, r)] ^ syndrome[(a, r - 1)]
+            else:
+                left, right = circuit.neighbors_in_line(a)
+                final = shots[:, circuit.final_slots[left]] ^ shots[:, circuit.final_slots[right]]
+                col = syndrome[(a, rounds)] ^ final
+            columns.append(col)
+            detectors.append((a, r))
+    return np.stack(columns, axis=1), tuple(detectors)
+
+
+def bincount_pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
+    """(n00, n01, n10, n11) joint counts of two 0/1 columns, by a bincount
+    of 2 d_i + d_j."""
+    return np.bincount(2 * d_i.astype(np.int64) + d_j.astype(np.int64), minlength=4)

@@ -7,6 +7,7 @@ import pytest
 
 from synbench import (
     AntiCorrelationError,
+    DetectionMatrix,
     EstimationError,
     QubitBenchmark,
     RateEstimate,
@@ -17,8 +18,9 @@ from synbench import (
     estimate_from_moments,
     extract_idle_rates,
 )
+from synbench.analysis import _pair_counts
 from helpers import make_line_cal
-from oracles import shared_fault_moments
+from oracles import bincount_pair_counts, shared_fault_moments, stacked_detection_events
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -92,6 +94,61 @@ def test_detector_chain_parity_is_invariant_under_even_aux_flips(circuit):
 def test_detection_events_rejects_slot_mismatch(circuit):
     with pytest.raises(ValueError, match="slots"):
         detection_events(circuit, np.zeros((10, circuit.n_slots + 1), dtype=np.uint8))
+
+
+@pytest.mark.parametrize(
+    "bad,dtype",
+    [(2, np.uint8), (0.9, np.float64), (-1, np.int64)],
+)
+def test_detection_events_rejects_entries_other_than_zero_and_one(circuit, bad, dtype):
+    # a 2 would shift the detector counts, and a cast to uint8 would
+    # truncate 0.9 to 0; both must be refused, naming the value
+    shots = np.zeros((10, circuit.n_slots), dtype=dtype)
+    shots[3, circuit.aux_slots[(1, 2)]] = bad
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        detection_events(circuit, shots)
+
+
+def _layouts(bits: np.ndarray) -> dict[str, np.ndarray]:
+    """`bits` in C, F and non-contiguous memory order, and as bool, int64
+    and float64 arrays."""
+    padded = np.zeros((2 * bits.shape[0], 3 * bits.shape[1]), dtype=bits.dtype)
+    padded[::2, ::3] = bits
+    return {
+        "C": np.ascontiguousarray(bits),
+        "F": np.asfortranarray(bits),
+        "strided": padded[::2, ::3],
+        "bool": bits.astype(bool),
+        "int64": bits.astype(np.int64),
+        "float64": bits.astype(np.float64),
+    }
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "float64"])
+def test_detection_events_match_stacked_oracle_in_any_layout(layout):
+    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1, rounds=3)
+    bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
+    dm = detection_events(circuit, _layouts(bits)[layout])
+    data, detectors = stacked_detection_events(circuit, bits)
+    assert dm.detectors == detectors and dm.data.dtype == np.uint8 and np.array_equal(dm.data, data)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "stacked", "synthetic"])
+def test_pair_counts_match_bincount_oracle_in_any_layout(circuit, layout):
+    rng = np.random.default_rng(22)
+    e = rng.random(5_000) < 0.1
+    d_i = (e ^ (rng.random(5_000) < 0.2)).astype(np.uint8)
+    d_j = (e ^ (rng.random(5_000) < 0.3)).astype(np.uint8)
+    detectors = ((1, 2), (3, 2))
+    if layout == "stacked":  # as test_acceptance's criterion 2 builds it
+        dm = DetectionMatrix(data=np.stack([d_i, d_j], axis=1), detectors=detectors)
+    elif layout == "synthetic":
+        dm = synthetic_dm(circuit, dict(zip(detectors, (d_i, d_j))), 5_000)
+    else:
+        dm = DetectionMatrix(data=_layouts(np.stack([d_i, d_j], axis=1))[layout], detectors=detectors)
+    expected = bincount_pair_counts(d_i, d_j)
+    assert np.array_equal(_pair_counts(dm.column((1, 2)), dm.column((3, 2))), expected)
+    assert expected.sum() == 5_000 and expected.min() > 0
 
 
 def test_estimator_recovers_p_from_exact_moments():

@@ -18,15 +18,19 @@ from synbench import (
     inject_fault,
     run_shots,
 )
+from synbench.analysis import _pair_counts
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
 from synbench.simulator import MAX_ROUNDS, compile_program, record_distribution
 from helpers import make_line_cal
 from oracles import (
+    bincount_pair_counts,
     flip_pattern_counts,
     frame_shots,
+    grouped_records,
     record_table,
     reference_record_distribution,
+    stacked_detection_events,
     window_flip_probability,
 )
 
@@ -449,6 +453,45 @@ def test_record_distribution_matches_reference_walk(falcon):
         pi = record_distribution(program)
         assert pi.shape == (2**circuit.n_slots,)
         assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+
+
+def test_shot_kernels_match_row_major_oracles(falcon):
+    # run_shots' slot-major expansion, detection_events' in-place XORs and
+    # the popcount pair counts against the row-major formulas they replaced,
+    # bit for bit: every falcon27 pipeline circuit at 2k shots and those of
+    # the default dd_scope at 100k, a MAX_ROUNDS circuit and a circuit with
+    # an injected fault
+    noise = compile_noise(falcon)
+    cases = [(circuit, noise, 2_000) for _, circuit in pipeline_circuits(falcon)]
+    cases += [(circuit, noise, 100_000) for scope, circuit in pipeline_circuits(falcon) if scope == "code_only"]
+    assert len(cases) == 4 * 84
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    cases.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3)), 100_000))
+    faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
+    cases.append((faulted, compile_noise(cal), 2_000))
+    for seed, (circuit, model, n) in enumerate(cases):
+        shots = run_shots(circuit, model, n, seed)
+        pi = record_distribution(compile_program(circuit, model))
+        assert shots.dtype == np.uint8 and np.array_equal(shots, grouped_records(pi, n, seed))
+        dm = detection_events(circuit, shots)
+        data, detectors = stacked_detection_events(circuit, shots)
+        assert dm.detectors == detectors and dm.data.dtype == np.uint8 and np.array_equal(dm.data, data)
+        pairs = [tuple((a, 2) for a in circuit.aux_qubits), (detectors[0], detectors[-1])]
+        for det_i, det_j in pairs:
+            i, j = detectors.index(det_i), detectors.index(det_j)
+            counts = _pair_counts(dm.column(det_i), dm.column(det_j))
+            assert np.array_equal(counts, bincount_pair_counts(data[:, i], data[:, j]))
+
+
+def test_shot_and_detector_columns_are_contiguous(cal):
+    # each slot's and each detector's bits over all shots lie contiguous in
+    # memory, which is what makes each stage one pass per column
+    circuit = build(cal, logical_value=1, rounds=3, extra_delay_ns=5_000)
+    shots = run_shots(circuit, compile_noise(cal), 1_000, seed=5)
+    assert shots.shape == (1_000, circuit.n_slots) and shots.T.flags.c_contiguous
+    dm = detection_events(circuit, shots)
+    assert all(dm.column(det).flags.c_contiguous for det in dm.detectors)
 
 
 def round2_pair_cells(circuit, noise) -> np.ndarray:
