@@ -27,7 +27,6 @@ from .circuits import (
     Instruction,
     build_repetition_circuit,
     idle_exposure,
-    insert_dynamical_decoupling,
 )
 from .device import (
     BenchLine,
@@ -84,7 +83,6 @@ __all__ = [
     "guide_values",
     "idle_exposure",
     "inject_fault",
-    "insert_dynamical_decoupling",
     "load_calibration",
     "plan_device",
     "run_shots",

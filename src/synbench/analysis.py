@@ -43,7 +43,8 @@ class AntiCorrelationError(EstimationError):
 
 @dataclass(frozen=True)
 class DetectionMatrix:
-    """shots x detectors bit matrix; columns ordered round-major.
+    """shots x detectors matrix; columns ordered round-major. An entry
+    counts as fired when it is nonzero.
 
     `detection_events` builds it as the transposed view of C-contiguous
     (detectors, shots) storage, so each detector's column is contiguous.
@@ -146,8 +147,9 @@ def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
 
 
 def _pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
-    """(n00, n01, n10, n11) joint counts of two 0/1 detector columns."""
-    n11 = np.count_nonzero(d_i & d_j)
+    """(n00, n01, n10, n11) joint counts of two detector columns, a
+    nonzero entry counting as fired."""
+    n11 = np.count_nonzero(np.logical_and(d_i, d_j))
     n1_ = np.count_nonzero(d_i)
     n_1 = np.count_nonzero(d_j)
     return np.array([d_i.size - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)

@@ -12,6 +12,14 @@ integer nanoseconds. The schedule is fixed and documented:
 * the optional extra delay sits after each measurement round as its own delay
   instruction on every qubit.
 
+The builder places the instructions in time order and fills each qubit's
+idle gap as it reaches the qubit's next instruction, one delay per window
+between round-structure barriers. With an echo scope, each in-scope window
+of at least 2*x + 4 ns becomes delay(t'/4), x, delay(t'/2), x, delay(t'/4)
+with t' = t - 2*x, the integer remainder in the middle, every sub-delay
+flagged echoed. The instructions are sorted once, by (start, end, qubits,
+kind), which orders a circuit's instructions totally.
+
 The phase-flip encoding is the bit-flip circuit conjugated on code qubits:
 an h right after preparation and another right before the final transversal
 readout, with the instruction list otherwise unchanged.
@@ -19,8 +27,10 @@ readout, with the instruction list otherwise unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .device import BenchLine, DeviceCalibration, canonical_edge
 
@@ -35,12 +45,15 @@ _IDLE_BOUNDARY_KINDS = frozenset({"prepare_z0", "cx", "measure", "reset", "h"})
 # quarter segments and is left untouched
 _MIN_ECHO_SUBDELAY_NS = 4
 
+# the timeline's sort key; at equal starts, duration orders as end does
+_timeline_order = attrgetter("start", "duration", "qubits", "kind")
+
 
 class CircuitBuildError(ValueError):
     """Invalid inputs to the circuit builder."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instruction:
     kind: str  # prepare_z0 | x | h | cx | measure | reset | delay
     qubits: tuple[int, ...]
@@ -121,10 +134,6 @@ class Circuit:
         return "\n".join(ins.text() for ins in self.instructions) + "\n"
 
 
-def _sorted_instructions(instrs: list[Instruction]) -> tuple[Instruction, ...]:
-    return tuple(sorted(instrs, key=lambda i: (i.start, i.end, i.qubits, i.kind)))
-
-
 def build_repetition_circuit(
     line: BenchLine | tuple[int, ...],
     cal: DeviceCalibration,
@@ -167,154 +176,120 @@ def build_repetition_circuit(
         (a, b): max(1, round(cal.edge_duration(a, b))) for a, b in zip(qubits, qubits[1:])
     }
     cx_dur.update({(b, a): d for (a, b), d in list(cx_dur.items())})
+    echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
 
     instrs: list[Instruction] = []
-    barriers: set[int] = {0}
+    cuts = [0]  # round-structure barrier times, ascending
+    cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
     aux_slots: dict[tuple[int, int], int] = {}
     final_slots: dict[int, int] = {}
     slot = 0
 
+    def barrier(time: int) -> None:
+        if time > cuts[-1]:
+            cuts.append(time)
+
+    def idle(q: int, stop: int) -> None:
+        # every barrier before `stop` is already known, since instructions
+        # are placed in time order and each starts at or after its barrier
+        lo, x = cursor[q], x_dur[q]
+        for hi in cuts[bisect_right(cuts, lo) : bisect_left(cuts, stop)] + [stop]:
+            if q in echo and hi - lo >= 2 * x + _MIN_ECHO_SUBDELAY_NS:
+                quarter = (hi - lo - 2 * x) // 4
+                middle = hi - lo - 2 * x - 2 * quarter
+                instrs.extend(
+                    (
+                        Instruction("delay", (q,), lo, quarter, echoed=True),
+                        Instruction("x", (q,), lo + quarter, x),
+                        Instruction("delay", (q,), lo + quarter + x, middle, echoed=True),
+                        Instruction("x", (q,), hi - quarter - x, x),
+                        Instruction("delay", (q,), hi - quarter, quarter, echoed=True),
+                    )
+                )
+            else:
+                instrs.append(Instruction("delay", (q,), lo, hi - lo))
+            lo = hi
+
+    def place(kind: str, qs: tuple[int, ...], start: int, duration: int, slot: int | None = None) -> None:
+        for q in qs:
+            if start > cursor[q]:
+                idle(q, start)
+            cursor[q] = start + duration
+        instrs.append(Instruction(kind, qs, start, duration, slot))
+
     for q in qubits:
-        instrs.append(Instruction("prepare_z0", (q,), 0, 0))
+        place("prepare_z0", (q,), 0, 0)
     t = 0
     if logical_value == 1:
         for q in code:
-            instrs.append(Instruction("x", (q,), 0, x_dur[q]))
+            place("x", (q,), 0, x_dur[q])
         t = max(x_dur[q] for q in code)
-        barriers.add(t)
+        barrier(t)
     if encoding == "phase_flip":
         for q in code:
-            instrs.append(Instruction("h", (q,), t, x_dur[q]))
+            place("h", (q,), t, x_dur[q])
         t = t + max(x_dur[q] for q in code)
-        barriers.add(t)
+        barrier(t)
 
     for rnd in range(1, rounds + 1):
         # layer 1: each auxiliary with its left code neighbor
         layer_end = t
         for k, a in enumerate(aux):
             c = qubits[2 * k]
-            instrs.append(Instruction("cx", (c, a), t, cx_dur[(c, a)]))
+            place("cx", (c, a), t, cx_dur[(c, a)])
             layer_end = max(layer_end, t + cx_dur[(c, a)])
-        barriers.add(layer_end)
+        barrier(layer_end)
         # layer 2: each auxiliary with its right code neighbor
         t2 = layer_end
         layer_end = t2
         for k, a in enumerate(aux):
             c = qubits[2 * k + 2]
-            instrs.append(Instruction("cx", (c, a), t2, cx_dur[(c, a)]))
+            place("cx", (c, a), t2, cx_dur[(c, a)])
             layer_end = max(layer_end, t2 + cx_dur[(c, a)])
-        barriers.add(layer_end)
+        barrier(layer_end)
         # simultaneous auxiliary readout, each followed by unconditional reset
         t_meas = layer_end
         round_end = t_meas
         for a in aux:
-            instrs.append(Instruction("measure", (a,), t_meas, ro_dur[a], slot=slot))
+            place("measure", (a,), t_meas, ro_dur[a], slot=slot)
             aux_slots[(a, rnd)] = slot
             slot += 1
-            instrs.append(Instruction("reset", (a,), t_meas + ro_dur[a], x_dur[a]))
+            place("reset", (a,), t_meas + ro_dur[a], x_dur[a])
             round_end = max(round_end, t_meas + ro_dur[a] + x_dur[a])
-        barriers.add(round_end)
-        t = round_end
-        if extra_delay_ns > 0:
-            for q in qubits:
-                instrs.append(Instruction("delay", (q,), t, extra_delay_ns))
-            t += extra_delay_ns
-            barriers.add(t)
+        barrier(round_end)
+        # the extra delay is the structural window between two barriers,
+        # which the idle fill turns into one delay per qubit
+        t = round_end + extra_delay_ns
+        barrier(t)
 
     if encoding == "phase_flip":
         for q in code:
-            instrs.append(Instruction("h", (q,), t, x_dur[q]))
+            place("h", (q,), t, x_dur[q])
         t = t + max(x_dur[q] for q in code)
-        barriers.add(t)
+        barrier(t)
     end = t
     for q in code:
-        instrs.append(Instruction("measure", (q,), t, ro_dur[q], slot=slot))
+        place("measure", (q,), t, ro_dur[q], slot=slot)
         final_slots[q] = slot
         slot += 1
         end = max(end, t + ro_dur[q])
-    barriers.add(end)
+    barrier(end)
+    for q in qubits:
+        if end > cursor[q]:
+            idle(q, end)
 
-    _fill_gaps(instrs, qubits, end, barriers)
-
-    circuit = Circuit(
+    return Circuit(
         line=qubits,
-        instructions=_sorted_instructions(instrs),
+        instructions=tuple(sorted(instrs, key=_timeline_order)),
         rounds=rounds,
         encoding=encoding,
         logical_value=logical_value,
-        dd_scope="none",
+        dd_scope=dd_scope,
         extra_delay_ns=extra_delay_ns,
         aux_slots=aux_slots,
         final_slots=final_slots,
         x_durations=x_dur,
     )
-    if dd_scope != "none":
-        circuit = insert_dynamical_decoupling(circuit, dd_scope)
-    return circuit
-
-
-def _fill_gaps(instrs: list[Instruction], qubits, end: int, barriers: set[int]) -> None:
-    """Materialize every per-qubit idle gap as delay instructions, split at
-    the round-structure barrier times so each structural window is its own
-    delay."""
-    cuts = sorted(barriers)
-    by_qubit: dict[int, list[Instruction]] = {q: [] for q in qubits}
-    for ins in instrs:
-        for q in ins.qubits:
-            by_qubit[q].append(ins)
-    for q in qubits:
-        spans = sorted((ins.start, ins.end) for ins in by_qubit[q])
-        cursor = 0
-        for start, stop in spans + [(end, end)]:
-            if start > cursor:
-                lo = cursor
-                for cut in cuts:
-                    if lo < cut < start:
-                        instrs.append(Instruction("delay", (q,), lo, cut - lo))
-                        lo = cut
-                if start > lo:
-                    instrs.append(Instruction("delay", (q,), lo, start - lo))
-            cursor = max(cursor, stop)
-
-
-def insert_dynamical_decoupling(circuit: Circuit, scope: str) -> Circuit:
-    """Wrap in-scope delays with a symmetric echo pair.
-
-    delay(t) becomes delay(t'/4), x, delay(t'/2), x, delay(t'/4) with
-    t' = t - 2*x_duration; remainders from the integer split go to the middle
-    segment so the total timeline length is preserved exactly. Sub-delays are
-    flagged echoed. Delays too short for the pair pass through untouched, as
-    do delays already echoed.
-    """
-    if scope not in ("all_qubits", "code_only"):
-        raise CircuitBuildError(f"unknown dd scope {scope!r}")
-    in_scope = set(circuit.line if scope == "all_qubits" else circuit.code_qubits)
-    out: list[Instruction] = []
-    for ins in circuit.instructions:
-        q = ins.qubits[0]
-        if (
-            ins.kind != "delay"
-            or ins.echoed
-            or q not in in_scope
-            or ins.duration < 2 * circuit.x_durations[q] + _MIN_ECHO_SUBDELAY_NS
-        ):
-            out.append(ins)
-            continue
-        x = circuit.x_durations[q]
-        remaining = ins.duration - 2 * x
-        quarter = remaining // 4
-        middle = remaining - 2 * quarter
-        cursor = ins.start
-        out.append(Instruction("delay", (q,), cursor, quarter, echoed=True))
-        cursor += quarter
-        out.append(Instruction("x", (q,), cursor, x))
-        cursor += x
-        out.append(Instruction("delay", (q,), cursor, middle, echoed=True))
-        cursor += middle
-        out.append(Instruction("x", (q,), cursor, x))
-        cursor += x
-        out.append(Instruction("delay", (q,), cursor, quarter, echoed=True))
-    return replace(circuit, instructions=_sorted_instructions(out), dd_scope=scope)
 
 
 def idle_exposure(circuit: Circuit, qubit: int) -> list[int]:

@@ -251,6 +251,11 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
     for q in chosen:
         for encoding in config.encodings:
             _extra_delay_ns(config, cal, q, encoding)
+    out_dir = Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     def task(item):
         q, line = item
@@ -270,8 +275,6 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
     metadata["device"] = cal.name
     report = aggregate_device(results, metadata)
 
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "report": out_dir / "report.json",
         "csv": out_dir / "report.csv",

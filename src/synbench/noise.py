@@ -104,8 +104,18 @@ class NoiseModel:
     def _on(self, name: str) -> bool:
         return name not in self.options.disable
 
-    def _channel(self, qubit: int) -> IdleChannel:
-        return IdleChannel.of(self.calibration.qubits[qubit])
+    def idle_channel(self, qubit: int) -> IdleChannel:
+        """The qubit's idle channel. A disabled relaxation or dephasing
+        channel reads as an infinite T1 or T2 and T2*, under which every
+        probability it gives is exactly 0."""
+        qc = self.calibration.qubits[qubit]
+        relax, dephase = self._on("relaxation"), self._on("dephasing")
+        return IdleChannel(
+            qc.t1_ns if relax else math.inf,
+            qc.t2_ns if dephase else math.inf,
+            qc.t2_star_ns if dephase else math.inf,
+            qc.p0,
+        )
 
     def cx_error(self, a: int, b: int) -> float:
         if not self._on("cx"):
@@ -122,15 +132,11 @@ class NoiseModel:
 
     def relax_probs(self, qubit: int, t_ns: float) -> tuple[float, float]:
         """(p_1to0, p_0to1) over an idle of t_ns."""
-        if not self._on("relaxation"):
-            return (0.0, 0.0)
-        ch = self._channel(qubit)
+        ch = self.idle_channel(qubit)
         return (ch.p_1to0(t_ns), ch.p_0to1(t_ns))
 
     def dephase_prob(self, qubit: int, t_ns: float, echoed: bool) -> float:
-        if not self._on("dephasing"):
-            return 0.0
-        return self._channel(qubit).p_phaseflip(t_ns, echoed)
+        return self.idle_channel(qubit).p_phaseflip(t_ns, echoed)
 
     def crosstalk(self) -> float:
         if not self._on("crosstalk"):

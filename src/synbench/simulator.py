@@ -18,10 +18,15 @@ probability 4 eps / 15 each.
 Every single-qubit stochastic map (x flip, Pauli fault, dephasing,
 relaxation) compiles to one 2x2 `channel` op (P(0->1), P(1->0)); a
 relaxation whose decay event crosstalk may read is a `relax` op, a channel
-that also carries the event's token. A peephole pass at the end of
-compilation fuses each qubit's channels between two ops that read or couple
-it into one exact Markov composition. A `relax` op some `xtalk` reads stays
-unfused and in place, so the first-overlap crosstalk rule sees its events.
+that also carries the event's token. `compile_program` sweeps the
+time-ordered instructions once, reading each line qubit's idle channel once
+per circuit and recording each qubit's X-basis delay segments. After the
+sweep, each token is matched against the segment lists of its two line
+neighbours only, and each resulting `xtalk` op is inserted at its time by
+bisecting the ops' times. One peephole pass then fuses each qubit's
+channels between two ops that read or couple it into one exact Markov
+composition. A `relax` op some `xtalk` reads stays unfused and in place, so
+the first-overlap crosstalk rule sees its events.
 
 `record_distribution` walks the compiled ops once over a probability vector
 on binary axes: the qubits first, in line order, then one axis per measured
@@ -46,6 +51,7 @@ returns the (shots, slots) transposed view, rows grouped by record value.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,113 +90,128 @@ class FrameProgram:
     n_slots: int
 
 
-@dataclass(frozen=True)
-class _Segment:
-    qubit: int
-    index: int  # qubit's dense index
-    start: int
-    end: int
-    basis: str
-    token: int  # relaxation-event token id, -1 when not a source
-    seg_id: int  # unique, in emission order
+def _event_time(event: Instruction | FaultSite) -> tuple[int, int]:
+    # at equal times a fault acts before an instruction
+    return (event.time_ns, 1) if isinstance(event, FaultSite) else (event.start, 2)
 
 
 def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     """Walk the circuit once, check the tracked-basis contract, and lower
     every instruction to a vectorized operation with its channel
     probabilities baked in. Raises BasisContractError if the circuit cannot
-    be tracked classically."""
-    index = {q: i for i, q in enumerate(circuit.line)}
-    basis = {q: "Z" for q in circuit.line}
+    be tracked classically.
 
-    events: list[tuple[int, int, int, object]] = []
-    for seq, ins in enumerate(circuit.instructions):
-        events.append((ins.start, 2, seq, ins))
-    for seq, fault in enumerate(circuit.faults):
-        events.append((fault.time_ns, 1, seq, fault))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
-
+    Events run in (time, phase, order) order: a crosstalk resolution
+    (phase 0) before a fault (phase 1), and a fault before an instruction
+    (phase 2). The builder's instructions are already in time order, so
+    only a circuit with faults or out-of-order instructions is sorted.
+    """
+    line = circuit.line
+    n = len(line)
+    index = {q: i for i, q in enumerate(line)}
+    basis = ["Z"] * n
+    idle = [noise.idle_channel(q) for q in line]
+    prep = noise.preparation_flip()
     eta = noise.crosstalk()
-    ops: list[tuple[int, int, int, tuple]] = []  # (time, phase, order, op)
-    segments: list[_Segment] = []
-    order = 0
 
-    def emit(time: int, phase: int, op: tuple) -> None:
-        nonlocal order
-        ops.append((time, phase, order, op))
-        order += 1
+    events = circuit.instructions
+    starts = [ins.start for ins in events]
+    if circuit.faults or starts != sorted(starts):
+        events = sorted(events + circuit.faults, key=_event_time)
 
-    for time, phase, _seq, item in events:
-        if isinstance(item, FaultSite):
-            if _flip_mask(basis[item.qubit])[item.pauli]:
-                emit(time, phase, ("channel", index[item.qubit], 1.0, 1.0))
+    ops: list[tuple] = []
+    times: list[int] = []  # each op's event time, nondecreasing
+    sources: list[tuple[int, int, int, int]] = []  # (token, qubit index, start, end)
+    x_segments: list[list[tuple[int, int, int]]] = [[] for _ in line]  # (end, start, id)
+    n_segments = 0
+    for ev in events:
+        if isinstance(ev, FaultSite):
+            i = index[ev.qubit]
+            if _flip_mask(basis[i])[ev.pauli]:
+                ops.append(("channel", i, 1.0, 1.0))
+                times.append(ev.time_ns)
             continue
-        ins: Instruction = item
-        q = ins.qubits[0]
+        kind, time = ev.kind, ev.start
+        q = ev.qubits[0]
         i = index[q]
-        if ins.kind == "prepare_z0":
-            basis[q] = "Z"
-            emit(time, phase, ("prep", i, noise.preparation_flip()))
-        elif ins.kind == "reset":
-            basis[q] = "Z"
-            emit(time, phase, ("prep", i, 0.0))
-        elif ins.kind == "x":
-            if basis[q] == "Z":
-                emit(time, phase, ("channel", i, 1.0, 1.0))
-            # an x on an X-basis qubit changes only the phase; nothing tracked
-        elif ins.kind == "h":
-            basis[q] = "X" if basis[q] == "Z" else "Z"
-        elif ins.kind == "measure":
-            if basis[q] != "Z":
-                raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            emit(time, phase, ("measure", i, ins.slot, noise.readout_flip(q)))
-        elif ins.kind == "cx":
-            c, t = ins.qubits
-            if basis[t] != "Z":
-                raise BasisContractError(
-                    f"cx at t={time} has an {basis[t]}-basis target {t}; only Z-basis "
-                    "targets are trackable"
-                )
-            if abs(index[c] - index[t]) != 1:
-                raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t)))
-        elif ins.kind == "delay":
-            if basis[q] == "Z":
-                p10, p01 = noise.relax_probs(q, ins.duration)
+        if kind == "delay":
+            ch, d = idle[i], ev.duration
+            if basis[i] == "Z":
+                p10, p01 = ch.p_1to0(d), ch.p_0to1(d)
                 # a decay event crosstalk may read gets the segment's id as
                 # its token
-                token = len(segments) if p10 > 0.0 and eta > 0.0 else -1
-                emit(time, phase, ("relax", i, p01, p10, token) if token >= 0 else ("channel", i, p01, p10))
-                segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))
+                if p10 > 0.0 and eta > 0.0:
+                    ops.append(("relax", i, p01, p10, n_segments))
+                    sources.append((n_segments, i, time, time + d))
+                else:
+                    ops.append(("channel", i, p01, p10))
             else:
-                p = noise.dephase_prob(q, ins.duration, ins.echoed)
-                emit(time, phase, ("channel", i, p, p))
-                segments.append(_Segment(q, i, ins.start, ins.end, "X", -1, len(segments)))
+                p = ch.p_phaseflip(d, ev.echoed)
+                ops.append(("channel", i, p, p))
+                x_segments[i].append((time + d, time, n_segments))
+            n_segments += 1
+        elif kind == "x":
+            if basis[i] != "Z":
+                continue  # an x on an X-basis qubit changes only the phase
+            ops.append(("channel", i, 1.0, 1.0))
+        elif kind == "cx":
+            c, t = ev.qubits
+            j = index[t]
+            if basis[j] != "Z":
+                raise BasisContractError(
+                    f"cx at t={time} has an {basis[j]}-basis target {t}; only Z-basis "
+                    "targets are trackable"
+                )
+            if abs(i - j) != 1:
+                raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
+            ops.append(("cx", i, j, noise.cx_error(c, t)))
+        elif kind == "measure":
+            if basis[i] != "Z":
+                raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
+            ops.append(("measure", i, ev.slot, noise.readout_flip(q)))
+        elif kind == "prepare_z0":
+            basis[i] = "Z"
+            ops.append(("prep", i, prep))
+        elif kind == "reset":
+            basis[i] = "Z"
+            ops.append(("prep", i, 0.0))
+        elif kind == "h":
+            basis[i] = "X" if basis[i] == "Z" else "Z"
+            continue
         else:
-            raise BasisContractError(f"unknown instruction kind {ins.kind!r}")
+            raise BasisContractError(f"unknown instruction kind {kind!r}")
+        times.append(time)
 
-    if eta > 0.0:
-        _attach_crosstalk(circuit, segments, eta, emit)
+    # each source token hits a given neighbour at most once: its first (by
+    # end time) overlapping X-basis segment there receives the eta-weighted
+    # phase flip, resolved when that segment ends, after every source that
+    # overlaps it has been sampled
+    receivers: dict[int, tuple[int, int, list]] = {}  # segment id -> (end, qubit index, entries)
+    for token, i, start, end in sources:
+        for j in (i - 1, i + 1):
+            hits = [seg for seg in x_segments[j] if seg[1] < end and seg[0] > start] if 0 <= j < n else ()
+            if hits:
+                seg_end, _, seg_id = min(hits)
+                receivers.setdefault(seg_id, (seg_end, j, []))[2].append((token, eta))
+    # an xtalk goes before every op at or after its time, and xtalks of
+    # equal time go in segment order; inserting the latest first keeps the
+    # positions bisected on the unchanged time list valid
+    for seg_id, (seg_end, j, entries) in sorted(receivers.items(), key=lambda r: (r[1][0], r[0]), reverse=True):
+        ops.insert(bisect_left(times, seg_end), ("xtalk", j, tuple(entries)))
+    live = {token for _, _, entries in receivers.values() for token, _ in entries}
+    return FrameProgram(ops=_fuse_idle_channels(ops, live), n_qubits=n, n_slots=circuit.n_slots)
 
-    ops.sort(key=lambda e: (e[0], e[1], e[2]))
-    return FrameProgram(
-        ops=_fuse_idle_channels([op for _, _, _, op in ops]),
-        n_qubits=len(circuit.line),
-        n_slots=circuit.n_slots,
-    )
 
-
-def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
+def _fuse_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
     """Peephole pass: compose each qubit's run of channel ops and of relax
-    ops whose token no xtalk reads into one channel op.
+    ops whose token is not `live` (read by some xtalk) into one channel op.
 
     The pending channel of a qubit is emitted just before the next op that
-    reads or couples it (cx, measure, xtalk, or a relax whose token some
-    xtalk reads, which itself stays in place); a prep or the end of the
-    program discards it, and an identity channel is dropped. Each emitted op
-    is the exact Markov composition of the ops it replaces.
+    reads or couples it (cx, measure, xtalk, or a live-token relax, which
+    itself stays in place); a prep or the end of the program discards it,
+    and an identity channel is dropped. Each emitted op is the exact Markov
+    composition of the ops it replaces.
     """
-    live = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
     pending: dict[int, tuple[float, float]] = {}
     out: list[tuple] = []
 
@@ -218,37 +239,6 @@ def _fuse_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
             (1.0 - down) * s_down + down * (1.0 - s_up),
         )
     return tuple(out)
-
-
-def _attach_crosstalk(circuit: Circuit, segments: list[_Segment], eta: float, emit) -> None:
-    """Match relaxation-source segments to X-basis neighbor segments.
-
-    Each source token hits a given neighbor at most once: the first (by end
-    time) overlapping X-basis segment on that neighbor receives the
-    eta-weighted phase flip, resolved when that segment ends so every
-    overlapping source has already been sampled.
-    """
-    by_qubit: dict[int, list[_Segment]] = {}
-    for seg in segments:
-        by_qubit.setdefault(seg.qubit, []).append(seg)
-    receivers: dict[int, list[tuple[int, float]]] = {}  # segment id -> entries
-    seg_by_id = {seg.seg_id: seg for seg in segments}
-    for src in segments:
-        if src.token < 0:
-            continue
-        for nbr in circuit.neighbors_in_line(src.qubit):
-            hits = [
-                seg
-                for seg in by_qubit.get(nbr, ())
-                if seg.basis == "X" and seg.start < src.end and seg.end > src.start
-            ]
-            if not hits:
-                continue
-            first = min(hits, key=lambda s: (s.end, s.start))
-            receivers.setdefault(first.seg_id, []).append((src.token, eta))
-    for seg_id, entries in sorted(receivers.items()):
-        seg = seg_by_id[seg_id]
-        emit(seg.end, 0, ("xtalk", seg.index, tuple(entries)))
 
 
 def _channel(up: float, down: float) -> np.ndarray:

@@ -8,16 +8,23 @@ Monte Carlo frame tracking of every shot through every compiled op and
 exactly by a slice-and-sum walk over the same ops, the shot matrix,
 its detection events and a detector pair's joint counts by row-major
 formulas (records repeated row by row, one temporary per detector column
-stacked at the end, a bincount of 2 d_i + d_j), and the force-directed
-layout with its spring forces added edge by edge.
+stacked at the end, a bincount of 2 d_i + d_j), the force-directed
+layout with its spring forces added edge by edge, echo pairs inserted by a
+second pass over a built circuit, and a circuit's lowering to ops by
+sorting tagged events, matching crosstalk by rescanning every segment and
+sorting the ops again before the fusion pass.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
+
+from synbench import BasisContractError, CircuitBuildError, FaultSite, Instruction
+from synbench.simulator import FrameProgram
 
 
 def brute_force_lines(edges: set[tuple[int, int]], n: int, center: int) -> set[tuple[int, ...]]:
@@ -395,3 +402,203 @@ def bincount_pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
     """(n00, n01, n10, n11) joint counts of two 0/1 columns, by a bincount
     of 2 d_i + d_j."""
     return np.bincount(2 * d_i.astype(np.int64) + d_j.astype(np.int64), minlength=4)
+
+
+def _timeline_sorted(instrs) -> tuple:
+    return tuple(sorted(instrs, key=lambda i: (i.start, i.end, i.qubits, i.kind)))
+
+
+def insert_dynamical_decoupling(circuit, scope: str):
+    """Wrap in-scope delays of a built circuit with a symmetric echo pair,
+    as a second pass over its sorted instruction list.
+
+    delay(t) becomes delay(t'/4), x, delay(t'/2), x, delay(t'/4) with
+    t' = t - 2*x_duration; remainders from the integer split go to the middle
+    segment so the total timeline length is preserved exactly. Sub-delays are
+    flagged echoed. Delays shorter than 2*x + 4 ns pass through untouched, as
+    do delays already echoed.
+    """
+    if scope not in ("all_qubits", "code_only"):
+        raise CircuitBuildError(f"unknown dd scope {scope!r}")
+    in_scope = set(circuit.line if scope == "all_qubits" else circuit.code_qubits)
+    out = []
+    for ins in circuit.instructions:
+        q = ins.qubits[0]
+        if (
+            ins.kind != "delay"
+            or ins.echoed
+            or q not in in_scope
+            or ins.duration < 2 * circuit.x_durations[q] + 4
+        ):
+            out.append(ins)
+            continue
+        x = circuit.x_durations[q]
+        remaining = ins.duration - 2 * x
+        quarter = remaining // 4
+        middle = remaining - 2 * quarter
+        cursor = ins.start
+        out.append(Instruction("delay", (q,), cursor, quarter, echoed=True))
+        cursor += quarter
+        out.append(Instruction("x", (q,), cursor, x))
+        cursor += x
+        out.append(Instruction("delay", (q,), cursor, middle, echoed=True))
+        cursor += middle
+        out.append(Instruction("x", (q,), cursor, x))
+        cursor += x
+        out.append(Instruction("delay", (q,), cursor, quarter, echoed=True))
+    return dataclasses.replace(circuit, instructions=_timeline_sorted(out), dd_scope=scope)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Segment:
+    qubit: int
+    index: int  # qubit's dense index
+    start: int
+    end: int
+    basis: str
+    token: int  # relaxation-event token id, -1 when not a source
+    seg_id: int  # unique, in emission order
+
+
+def reference_compile_program(circuit, noise) -> FrameProgram:
+    """A circuit lowered to a FrameProgram in three passes: every
+    instruction and fault tagged (time, phase, order) and sorted, crosstalk
+    matched by scanning every segment for each source, and the ops sorted
+    again before the idle-channel fusion pass."""
+    index = {q: i for i, q in enumerate(circuit.line)}
+    basis = {q: "Z" for q in circuit.line}
+
+    events = []
+    for seq, ins in enumerate(circuit.instructions):
+        events.append((ins.start, 2, seq, ins))
+    for seq, fault in enumerate(circuit.faults):
+        events.append((fault.time_ns, 1, seq, fault))
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+
+    eta = noise.crosstalk()
+    ops = []  # (time, phase, order, op)
+    segments = []
+    order = 0
+
+    def emit(time, phase, op):
+        nonlocal order
+        ops.append((time, phase, order, op))
+        order += 1
+
+    for time, phase, _seq, item in events:
+        if isinstance(item, FaultSite):
+            if flip_mask(basis[item.qubit], item.pauli):
+                emit(time, phase, ("channel", index[item.qubit], 1.0, 1.0))
+            continue
+        ins = item
+        q = ins.qubits[0]
+        i = index[q]
+        if ins.kind == "prepare_z0":
+            basis[q] = "Z"
+            emit(time, phase, ("prep", i, noise.preparation_flip()))
+        elif ins.kind == "reset":
+            basis[q] = "Z"
+            emit(time, phase, ("prep", i, 0.0))
+        elif ins.kind == "x":
+            if basis[q] == "Z":
+                emit(time, phase, ("channel", i, 1.0, 1.0))
+        elif ins.kind == "h":
+            basis[q] = "X" if basis[q] == "Z" else "Z"
+        elif ins.kind == "measure":
+            if basis[q] != "Z":
+                raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
+            emit(time, phase, ("measure", i, ins.slot, noise.readout_flip(q)))
+        elif ins.kind == "cx":
+            c, t = ins.qubits
+            if basis[t] != "Z":
+                raise BasisContractError(
+                    f"cx at t={time} has an {basis[t]}-basis target {t}; only Z-basis "
+                    "targets are trackable"
+                )
+            if abs(index[c] - index[t]) != 1:
+                raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
+            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t)))
+        elif ins.kind == "delay":
+            if basis[q] == "Z":
+                p10, p01 = noise.relax_probs(q, ins.duration)
+                token = len(segments) if p10 > 0.0 and eta > 0.0 else -1
+                emit(time, phase, ("relax", i, p01, p10, token) if token >= 0 else ("channel", i, p01, p10))
+                segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))
+            else:
+                p = noise.dephase_prob(q, ins.duration, ins.echoed)
+                emit(time, phase, ("channel", i, p, p))
+                segments.append(_Segment(q, i, ins.start, ins.end, "X", -1, len(segments)))
+        else:
+            raise BasisContractError(f"unknown instruction kind {ins.kind!r}")
+
+    if eta > 0.0:
+        _attach_crosstalk(circuit, segments, eta, emit)
+
+    ops.sort(key=lambda e: (e[0], e[1], e[2]))
+    return FrameProgram(
+        ops=_fuse_idle_channels([op for _, _, _, op in ops]),
+        n_qubits=len(circuit.line),
+        n_slots=circuit.n_slots,
+    )
+
+
+def _fuse_idle_channels(ops):
+    """Compose each qubit's run of channel ops and of relax ops whose token
+    no xtalk reads into one channel op, emitted just before the next op
+    that reads or couples the qubit; a prep or the program end discards it
+    and an identity channel is dropped."""
+    live = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
+    pending = {}
+    out = []
+
+    def flush(i):
+        up, down = pending.pop(i, (0.0, 0.0))
+        if up or down:
+            out.append(("channel", i, up, down))
+
+    for op in ops:
+        tag = op[0]
+        if tag != "channel" and not (tag == "relax" and op[4] not in live):
+            if tag == "prep":
+                pending.pop(op[1], None)
+            elif tag == "cx":
+                flush(op[1])
+                flush(op[2])
+            else:
+                flush(op[1])
+            out.append(op)
+            continue
+        up, down = pending.get(op[1], (0.0, 0.0))
+        s_up, s_down = op[2], op[3]
+        pending[op[1]] = (
+            (1.0 - up) * s_up + up * (1.0 - s_down),
+            (1.0 - down) * s_down + down * (1.0 - s_up),
+        )
+    return tuple(out)
+
+
+def _attach_crosstalk(circuit, segments, eta, emit):
+    """Each source token hits a given neighbor at most once: the first (by
+    end time) overlapping X-basis segment on that neighbor receives the
+    phase flip, resolved when that segment ends."""
+    by_qubit = {}
+    for seg in segments:
+        by_qubit.setdefault(seg.qubit, []).append(seg)
+    receivers = {}  # segment id -> entries
+    seg_by_id = {seg.seg_id: seg for seg in segments}
+    for src in segments:
+        if src.token < 0:
+            continue
+        for nbr in circuit.neighbors_in_line(src.qubit):
+            hits = [
+                seg
+                for seg in by_qubit.get(nbr, ())
+                if seg.basis == "X" and seg.start < src.end and seg.end > src.start
+            ]
+            if not hits:
+                continue
+            first = min(hits, key=lambda s: (s.end, s.start))
+            receivers.setdefault(first.seg_id, []).append((src.token, eta))
+    for seg_id, entries in sorted(receivers.items()):
+        seg = seg_by_id[seg_id]
+        emit(seg.end, 0, ("xtalk", seg.index, tuple(entries)))

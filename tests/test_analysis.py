@@ -197,6 +197,20 @@ def test_correlation_rate_on_synthetic_columns(circuit):
     assert est.shots == n
 
 
+def test_any_nonzero_entry_counts_as_fired(circuit):
+    # a hand-built column that codes "fired" as 2 gives exactly the estimate
+    # of its 0/1 twin: the joint count follows the singles' nonzero rule
+    rng = np.random.default_rng(1)
+    n = 20_000
+    e = rng.random(n) < 0.05
+    d_i = (e ^ (rng.random(n) < 0.02)).astype(np.uint8)
+    d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
+    twin = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
+    coded = synthetic_dm(circuit, {(1, 2): 2 * d_i, (3, 2): d_j}, n)
+    assert correlation_rate(coded, (1, 2), (3, 2), seed=1) == correlation_rate(twin, (1, 2), (3, 2), seed=1)
+    assert correlation_rate(twin, (1, 2), (3, 2), seed=1).estimate > 0.04
+
+
 def test_correlation_rate_zero_data_is_zero(circuit):
     dm = synthetic_dm(circuit, {}, 2_000)
     est = correlation_rate(dm, (1, 2), (3, 2), seed=5)

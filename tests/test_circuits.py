@@ -1,15 +1,13 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from synbench import (
-    CircuitBuildError,
-    build_repetition_circuit,
-    idle_exposure,
-    insert_dynamical_decoupling,
-)
+from synbench import CircuitBuildError, build_repetition_circuit, idle_exposure, plan_device
+from synbench.circuits import ENCODINGS
 from helpers import make_line_cal
-from oracles import window_segments
+from oracles import insert_dynamical_decoupling, window_segments
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -133,8 +131,23 @@ def test_timeline_validity_across_variants(cal, encoding, logical_value, dd_scop
 def test_dd_preserves_total_duration(cal):
     plain = build(cal, extra_delay_ns=10_000)
     echoed = insert_dynamical_decoupling(plain, "all_qubits")
+    assert echoed == build(cal, extra_delay_ns=10_000, dd_scope="all_qubits")
     assert echoed.duration == plain.duration
     assert_timeline_valid(echoed)
+
+
+def test_builder_places_echo_pairs_as_the_reference_pass_does(falcon):
+    # echo pairs placed while the idles are filled give the circuit the
+    # reference pass makes of the plain build: every falcon27 line, encoding
+    # and logical value, without and with the pipeline's extra delay
+    lines = {q: line for q, line in plan_device(falcon).items() if line is not None}
+    for (q, line), encoding, lv in itertools.product(sorted(lines.items()), ENCODINGS, (0, 1)):
+        qc = falcon.qubits[q]
+        for extra in (0, round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))):
+            plain = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra)
+            for scope in ("all_qubits", "code_only"):
+                echoed = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
+                assert echoed == insert_dynamical_decoupling(plain, scope), (q, encoding, lv, extra, scope)
 
 
 def test_dd_split_arithmetic(cal):

@@ -249,6 +249,18 @@ def test_run_with_directory_config_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: cannot read config") and err.count("\n") == 1
 
 
+def test_run_with_output_dir_under_a_file_is_config_error(tmp_path, cal_path, capsys, monkeypatch):
+    # refused before any qubit task runs
+    ran = []
+    monkeypatch.setattr(cli, "benchmark_qubit", lambda *args: ran.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert main(["run", "--cal", str(cal_path), "--output", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory") and err.count("\n") == 1
+    assert not ran
+
+
 @pytest.mark.parametrize(
     "text",
     [

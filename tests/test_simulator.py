@@ -29,6 +29,7 @@ from oracles import (
     frame_shots,
     grouped_records,
     record_table,
+    reference_compile_program,
     reference_record_distribution,
     stacked_detection_events,
     window_flip_probability,
@@ -434,6 +435,28 @@ def pipeline_circuits(cal):
         qc = cal.qubits[q]
         extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
         yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
+
+
+def test_compile_program_matches_reference_lowering(falcon):
+    # the one-sweep lowering against the oracle's sort-match-sort passes:
+    # every falcon27 pipeline circuit at each dd_scope, a MAX_ROUNDS phase-
+    # flip circuit with eta 0.3, faults at the time an instruction starts
+    # and an xtalk resolves, and that circuit with its instructions grouped
+    # by qubit instead of in time order
+    noise = compile_noise(falcon)
+    cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
+    assert len(cases) == 3 * 84
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    weak = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
+    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    h_start = max(ins.start for ins in deep.per_qubit[2] if ins.kind == "h")
+    faulted = inject_fault(inject_fault(deep, 2, h_start, "Z"), 1, h_start, "X")
+    by_qubit = replace(faulted, instructions=tuple(sorted(faulted.instructions, key=lambda ins: ins.qubits)))
+    assert by_qubit.instructions != faulted.instructions
+    cases += [(deep, weak), (faulted, weak), (by_qubit, weak), (replace(by_qubit, faults=()), weak)]
+    for circuit, model in cases:
+        assert compile_program(circuit, model) == reference_compile_program(circuit, model)
+    assert any(op[0] == "xtalk" for op in compile_program(faulted, weak).ops)
 
 
 def test_record_distribution_matches_reference_walk(falcon):
