@@ -31,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .device import BenchLine, DeviceCalibration, canonical_edge
 
@@ -53,8 +54,7 @@ class CircuitBuildError(ValueError):
     """Invalid inputs to the circuit builder."""
 
 
-@dataclass(frozen=True, slots=True)
-class Instruction:
+class Instruction(NamedTuple):
     kind: str  # prepare_z0 | x | h | cx | measure | reset | delay
     qubits: tuple[int, ...]
     start: int

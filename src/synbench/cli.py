@@ -2,8 +2,9 @@
 
 A run is described by one JSON config file; every field has a default so a
 bare calibration path is enough. For each feasible qubit the pipeline picks
-its line, builds one circuit per (encoding, logical value), samples it,
-extracts the round-2 idle rate, and aggregates everything into a report
+its line, builds one circuit per (encoding, logical value), walks each
+encoding's circuits together for their exact record distributions, samples
+each, extracts the round-2 idle rate, and aggregates everything into a report
 (JSON + CSV) with device-map figures. Identical config and seed give
 byte-identical artifacts for any worker count.
 """
@@ -38,7 +39,7 @@ from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_expos
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
-from .simulator import run_shots
+from .simulator import compile_program, record_distribution, run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
@@ -160,8 +161,8 @@ def benchmark_qubit(
     noise,
     config: RunConfig,
 ) -> QubitBenchmark:
-    """The per-qubit pipeline: build, sample, and extract for every
-    configured (encoding, logical value)."""
+    """The per-qubit pipeline: build, compile, walk, sample, and extract
+    for every configured (encoding, logical value)."""
     rates: dict[str, RateEstimate] = {}
     guides: dict[str, float] = {}
     exposures: dict[str, int] = {}
@@ -169,17 +170,15 @@ def benchmark_qubit(
     for enc_idx, encoding in enumerate(config.encodings):
         extra = _extra_delay_ns(config, cal, qubit, encoding)
         estimates = []
-        circuit = None
-        for lv in config.logical_values:
-            circuit = build_repetition_circuit(
-                line,
-                cal,
-                encoding,
-                lv,
-                extra_delay_ns=extra,
-                dd_scope=config.dd_scope,
-            )
-            shots = run_shots(circuit, noise, config.shots, seed=(config.seed, qubit, enc_idx, lv))
+        circuits = [
+            build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=config.dd_scope)
+            for lv in config.logical_values
+        ]
+        # a qubit's logical values compile to programs of one structure,
+        # walked together
+        pis = record_distribution(*(compile_program(circuit, noise) for circuit in circuits))
+        for lv, circuit, pi in zip(config.logical_values, circuits, pis):
+            shots = run_shots(pi, config.shots, seed=(config.seed, qubit, enc_idx, lv))
             try:
                 est = extract_idle_rates(
                     circuit,
@@ -196,7 +195,7 @@ def benchmark_qubit(
                 )
                 est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
             estimates.append(est)
-        exposure = idle_exposure(circuit, qubit)[0]
+        exposure = idle_exposure(circuits[-1], qubit)[0]
         exposures[encoding] = exposure
         g = guide_values(cal, qubit, exposure, dd)
         if encoding == "bit_flip":

@@ -130,14 +130,6 @@ class NoiseModel:
     def preparation_flip(self) -> float:
         return self.options.prep_error
 
-    def relax_probs(self, qubit: int, t_ns: float) -> tuple[float, float]:
-        """(p_1to0, p_0to1) over an idle of t_ns."""
-        ch = self.idle_channel(qubit)
-        return (ch.p_1to0(t_ns), ch.p_0to1(t_ns))
-
-    def dephase_prob(self, qubit: int, t_ns: float, echoed: bool) -> float:
-        return self.idle_channel(qubit).p_phaseflip(t_ns, echoed)
-
     def crosstalk(self) -> float:
         if not self._on("crosstalk"):
             return 0.0

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from synbench import DeviceCalibration, QubitCalibration
+from synbench import DeviceCalibration, QubitCalibration, run_shots
 from synbench.device import canonical_edge
+from synbench.simulator import compile_program, record_distribution
 
 
 def make_line_cal(
@@ -87,3 +88,10 @@ def random_graph_edges(seed: int, max_vertices: int = 12) -> tuple[int, set]:
         if rng.random() < density
     }
     return n, edges
+
+
+def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:
+    """`shots` (shots, slots) records of one circuit, drawn from its exact
+    record distribution as the pipeline draws them."""
+    (pi,) = record_distribution(compile_program(circuit, noise))
+    return run_shots(pi, shots, seed)

@@ -12,7 +12,8 @@ stacked at the end, a bincount of 2 d_i + d_j), the force-directed
 layout with its spring forces added edge by edge, echo pairs inserted by a
 second pass over a built circuit, and a circuit's lowering to ops by
 sorting tagged events, matching crosstalk by rescanning every segment and
-sorting the ops again before the fusion pass.
+sorting the ops again before the pass that folds each qubit's idle channels
+into the op that reads it next.
 """
 
 from __future__ import annotations
@@ -234,6 +235,21 @@ def _flip_channel(v: np.ndarray, up: float, down: float) -> np.ndarray:
     return out
 
 
+def folded_channels(op: tuple) -> list[tuple[int, tuple[float, float]]]:
+    """(qubit index, (up, down)) of each idle channel a compiled op carries,
+    in the order they act, before the op itself: a cx's control's and
+    target's, none for a prep, and the op's last field otherwise."""
+    if op[0] == "cx":
+        return [(op[1], op[4]), (op[2], op[5])]
+    return [] if op[0] == "prep" else [(op[1], op[-1])]
+
+
+def _flips(bits: np.ndarray, up: float, down: float, rng: np.random.Generator) -> np.ndarray:
+    """Per-shot draws of whether a channel flips each shot's bit."""
+    u = rng.random(bits.size)
+    return np.where(bits, u < down, u < up)
+
+
 def reference_record_distribution(program) -> np.ndarray:
     """The exact record distribution of a compiled program, cell r holding
     the record whose slot j is bit j of r from the top, by a walk over
@@ -247,10 +263,10 @@ def reference_record_distribution(program) -> np.ndarray:
     extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
     for k, op in enumerate(program.ops):
         tag, i = op[0], op[1]
-        if tag == "channel":
-            state = _flip_channel(state.reshape(1 << i, 2, -1), op[2], op[3]).ravel()
-        elif tag == "relax":
-            _, _, p01, p10, token = op
+        for q, (up, down) in folded_channels(op):
+            state = _flip_channel(state.reshape(1 << q, 2, -1), up, down).ravel()
+        if tag == "relax":
+            _, _, token, p01, p10, _ = op
             v = state.reshape(1 << i, 2, -1)
             decay = v[:, 1] * p10
             up = v[:, 0] * p01
@@ -262,7 +278,7 @@ def reference_record_distribution(program) -> np.ndarray:
             state = new.ravel()
             extra.append(("t", token))
         elif tag == "cx":
-            _, _, t, eps = op
+            _, _, t, eps, _, _ = op
             v = _split(state, *sorted((i, t)))
             c_dim, t_dim = (1, 3) if i < t else (3, 1)
             control = v[(slice(None),) * c_dim + (1,)]
@@ -278,7 +294,7 @@ def reference_record_distribution(program) -> np.ndarray:
             out += v[_reversed(c_dim)][_reversed(t_dim)] * w[3]
             state = out.ravel()
         elif tag == "measure":
-            _, _, slot, p = op
+            _, _, slot, p, _ = op
             readout = np.array([[1.0 - p, p], [p, 1.0 - p]])  # [bit, recorded bit]
             state = (state.reshape(1 << i, 2, -1)[..., None] * readout[:, None, :]).ravel()
             extra.append(("s", slot))
@@ -305,22 +321,23 @@ def reference_record_distribution(program) -> np.ndarray:
 
 def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
     """n shots of a compiled FrameProgram by per-shot frame tracking, as a
-    (slots, n) bool array: every op draws its channel's randomness for
-    every shot."""
+    (slots, n) bool array: every op draws its folded channels' and its
+    own randomness for every shot, in the order they act."""
     bits = np.zeros((program.n_qubits, n), dtype=bool)
     out = np.zeros((program.n_slots, n), dtype=bool)
     tokens: dict[int, np.ndarray] = {}  # relax token -> shots whose bit decayed
     for op in program.ops:
         tag = op[0]
-        if tag in ("channel", "relax"):
-            i, up, down = op[1:4]
-            u = rng.random(n)
-            flips = np.where(bits[i], u < down, u < up)
-            if tag == "relax":
-                tokens[op[4]] = bits[i] & flips
+        for i, (up, down) in folded_channels(op):
+            if up or down:
+                bits[i] ^= _flips(bits[i], up, down, rng)
+        if tag == "relax":
+            _, i, token, up, down, _ = op
+            flips = _flips(bits[i], up, down, rng)
+            tokens[token] = bits[i] & flips
             bits[i] ^= flips
         elif tag == "cx":
-            _, ci, ti, eps = op
+            _, ci, ti, eps, _, _ = op
             bits[ti] ^= bits[ci]
             if eps == 0.0:
                 continue
@@ -329,7 +346,7 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
             bits[ci] ^= hit & _CX_FLIPS[pauli, 0]
             bits[ti] ^= hit & _CX_FLIPS[pauli, 1]
         elif tag == "measure":
-            _, i, slot, p = op
+            _, i, slot, p, _ = op
             if p > 0.0:
                 out[slot] = bits[i] ^ (rng.random(n) < p)
             else:
@@ -341,7 +358,7 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
             else:
                 bits[i] = False
         elif tag == "xtalk":
-            _, i, entries = op
+            _, i, entries, _ = op
             for token, eta in entries:
                 bits[i] ^= tokens[token] & (rng.random(n) < eta)
         else:  # pragma: no cover - compile emits only the tags above
@@ -464,7 +481,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
     """A circuit lowered to a FrameProgram in three passes: every
     instruction and fault tagged (time, phase, order) and sorted, crosstalk
     matched by scanning every segment for each source, and the ops sorted
-    again before the idle-channel fusion pass."""
+    again before the idle-channel folding pass."""
     index = {q: i for i, q in enumerate(circuit.line)}
     basis = {q: "Z" for q in circuit.line}
 
@@ -519,13 +536,14 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
             emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t)))
         elif ins.kind == "delay":
+            ch = noise.idle_channel(q)
             if basis[q] == "Z":
-                p10, p01 = noise.relax_probs(q, ins.duration)
+                p10, p01 = ch.p_1to0(ins.duration), ch.p_0to1(ins.duration)
                 token = len(segments) if p10 > 0.0 and eta > 0.0 else -1
                 emit(time, phase, ("relax", i, p01, p10, token) if token >= 0 else ("channel", i, p01, p10))
                 segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))
             else:
-                p = noise.dephase_prob(q, ins.duration, ins.echoed)
+                p = ch.p_phaseflip(ins.duration, ins.echoed)
                 emit(time, phase, ("channel", i, p, p))
                 segments.append(_Segment(q, i, ins.start, ins.end, "X", -1, len(segments)))
         else:
@@ -536,44 +554,48 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
 
     ops.sort(key=lambda e: (e[0], e[1], e[2]))
     return FrameProgram(
-        ops=_fuse_idle_channels([op for _, _, _, op in ops]),
+        ops=_fold_idle_channels([op for _, _, _, op in ops]),
         n_qubits=len(circuit.line),
         n_slots=circuit.n_slots,
     )
 
 
-def _fuse_idle_channels(ops):
+def _fold_idle_channels(ops):
     """Compose each qubit's run of channel ops and of relax ops whose token
-    no xtalk reads into one channel op, emitted just before the next op
-    that reads or couples the qubit; a prep or the program end discards it
-    and an identity channel is dropped."""
-    live = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
+    no xtalk reads into one pending channel, carried by the next op that
+    reads or couples the qubit (a cx carries its control's and its
+    target's, in that order); a prep or the program end discards it. A
+    prep with p = 0 is dropped while no kept op has acted on its qubit,
+    which is still at 0. The tokens xtalks read are renumbered 0, 1, ...
+    in order of creation."""
+    live = sorted({token for op in ops if op[0] == "xtalk" for token, _ in op[2]})
+    renumber = dict(zip(live, range(len(live))))
     pending = {}
     out = []
-
-    def flush(i):
-        up, down = pending.pop(i, (0.0, 0.0))
-        if up or down:
-            out.append(("channel", i, up, down))
-
     for op in ops:
-        tag = op[0]
-        if tag != "channel" and not (tag == "relax" and op[4] not in live):
-            if tag == "prep":
-                pending.pop(op[1], None)
-            elif tag == "cx":
-                flush(op[1])
-                flush(op[2])
-            else:
-                flush(op[1])
-            out.append(op)
+        tag, i = op[0], op[1]
+        if tag == "channel" or (tag == "relax" and op[4] not in renumber):
+            up, down = pending.get(i, (0.0, 0.0))
+            s_up, s_down = op[2], op[3]
+            pending[i] = (
+                (1.0 - up) * s_up + up * (1.0 - s_down),
+                (1.0 - down) * s_down + down * (1.0 - s_up),
+            )
             continue
-        up, down = pending.get(op[1], (0.0, 0.0))
-        s_up, s_down = op[2], op[3]
-        pending[op[1]] = (
-            (1.0 - up) * s_up + up * (1.0 - s_down),
-            (1.0 - down) * s_down + down * (1.0 - s_up),
-        )
+        if tag == "prep":
+            pending.pop(i, None)
+            untouched = all(i not in kept[1:3] if kept[0] == "cx" else kept[1] != i for kept in out)
+            if op[2] or not untouched:
+                out.append(op)
+        elif tag == "cx":
+            out.append(op + (pending.pop(i, (0.0, 0.0)), pending.pop(op[2], (0.0, 0.0))))
+        elif tag == "measure":
+            out.append(op + (pending.pop(i, (0.0, 0.0)),))
+        elif tag == "relax":
+            out.append(("relax", i, renumber[op[4]], op[2], op[3], pending.pop(i, (0.0, 0.0))))
+        else:
+            entries = tuple((renumber[token], eta) for token, eta in op[2])
+            out.append(("xtalk", i, entries, pending.pop(i, (0.0, 0.0))))
     return tuple(out)
 
 

@@ -28,14 +28,13 @@ from synbench import (
     inject_fault,
     load_calibration,
     plan_device,
-    run_shots,
     select_line,
 )
 from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge
 from synbench.noise import IdleChannel
 from conftest import FALCON_LEAVES, falcon_bytes
-from helpers import make_graph_cal, make_line_cal, random_graph_edges
+from helpers import make_graph_cal, make_line_cal, random_graph_edges, sample_shots
 from oracles import (
     brute_force_lines,
     shared_fault_moments,
@@ -85,7 +84,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     circuit = build_repetition_circuit(LINE, cal5, "bit_flip", 1, 2, extra_delay_ns=12_500)
     est = extract_idle_rates(
         circuit,
-        detection_events(circuit, run_shots(circuit, noise_relax, MILLION, seed=101)),
+        detection_events(circuit, sample_shots(circuit, noise_relax, MILLION, seed=101)),
         seed=201,
     )
     closed = window_flip_probability(circuit, cal5, 2, start_bit=1)
@@ -100,7 +99,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
         per_lv.append(
             extract_idle_rates(
                 circuit,
-                detection_events(circuit, run_shots(circuit, noise_relax, MILLION, seed=110 + lv)),
+                detection_events(circuit, sample_shots(circuit, noise_relax, MILLION, seed=110 + lv)),
                 seed=210 + lv,
             )
         )
@@ -117,7 +116,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     )
     est = extract_idle_rates(
         circuit,
-        detection_events(circuit, run_shots(circuit, noise_dephase, MILLION, seed=120)),
+        detection_events(circuit, sample_shots(circuit, noise_dephase, MILLION, seed=120)),
         seed=220,
     )
     closed = window_phase_flip_probability(circuit, cal5, 2)
@@ -262,7 +261,7 @@ def test_criterion_5_noise_free_soundness(cal5):
                 circuit = build_repetition_circuit(
                     LINE, cal5, encoding, lv, 2, extra_delay_ns=2_000, dd_scope=scope
                 )
-                shots = run_shots(circuit, zero, 10_000, seed=60)
+                shots = sample_shots(circuit, zero, 10_000, seed=60)
                 if detection_events(circuit, shots).data.any():
                     nonzero.append((encoding, lv, scope))
                 checked += 1
@@ -285,7 +284,7 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
             if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
         )
         faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 100, pauli=pauli)
-        dm = detection_events(faulted, run_shots(faulted, zero, 2_000, seed=61))
+        dm = detection_events(faulted, sample_shots(faulted, zero, 2_000, seed=61))
         fired = {det for det in dm.detectors if dm.column(det).all()}
         silent = {det for det in dm.detectors if not dm.column(det).any()}
         exact = fired == {(1, 2), (3, 2)} and silent == set(dm.detectors) - fired

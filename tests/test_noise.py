@@ -98,24 +98,27 @@ def test_guide_direction_split_follows_equilibrium():
 def test_zero_noise_model_is_all_zero():
     cal = make_line_cal(t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
     model = compile_noise(cal, ZERO_NOISE_OPTIONS)
-    assert model.relax_probs(2, 1e9) == (0.0, 0.0)
-    assert model.dephase_prob(2, 1e9, True) == 0.0
+    ch = model.idle_channel(2)
+    assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
+    assert ch.p_phaseflip(1e9, True) == 0.0
     assert model.cx_error(0, 1) == 0.0
     assert model.readout_flip(0) == 0.0
     assert model.crosstalk() == 0.0
     # infinite timescales alone already give zero idle error
     open_model = compile_noise(cal, NoiseOptions())
-    assert open_model.relax_probs(2, 1e9) == (0.0, 0.0)
-    assert open_model.dephase_prob(2, 1e9, True) == 0.0
+    ch = open_model.idle_channel(2)
+    assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
+    assert ch.p_phaseflip(1e9, True) == 0.0
 
 
 def test_disable_masks_are_per_channel():
     cal = make_line_cal(readout_error=0.02, cx_error=0.01)
     model = compile_noise(cal, NoiseOptions(disable=frozenset({"relaxation", "cx"})))
-    assert model.relax_probs(2, 1e6) == (0.0, 0.0)
+    ch = model.idle_channel(2)
+    assert (ch.p_1to0(1e6), ch.p_0to1(1e6)) == (0.0, 0.0)
     assert model.cx_error(0, 1) == 0.0
     assert model.readout_flip(0) == 0.02
-    assert model.dephase_prob(2, 1e6, True) > 0.0
+    assert ch.p_phaseflip(1e6, True) > 0.0
 
 
 def test_crosstalk_gate():

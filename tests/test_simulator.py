@@ -21,8 +21,8 @@ from synbench import (
 from synbench.analysis import _pair_counts
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
-from synbench.simulator import MAX_ROUNDS, compile_program, record_distribution
-from helpers import make_line_cal
+from synbench.simulator import MAX_ROUNDS, _structure, compile_program, record_distribution
+from helpers import make_line_cal, sample_shots
 from oracles import (
     bincount_pair_counts,
     flip_pattern_counts,
@@ -58,7 +58,7 @@ def zero_noise(cal):
 def exact_record(circuit, noise) -> np.ndarray:
     """The one record a noise-free circuit can produce: its exact record
     distribution must be a point mass."""
-    pi = record_distribution(compile_program(circuit, noise))
+    (pi,) = record_distribution(compile_program(circuit, noise))
     assert pi.max() == 1.0 and np.count_nonzero(pi) == 1
     return record_table(circuit.n_slots)[int(pi.argmax())]
 
@@ -68,7 +68,8 @@ def exact_round2_coincidence(circuit, noise) -> float:
     record distribution."""
     dm = detection_events(circuit, record_table(circuit.n_slots))
     fired = dm.column((1, 2)) & dm.column((3, 2))
-    return float(record_distribution(compile_program(circuit, noise))[fired == 1].sum())
+    (pi,) = record_distribution(compile_program(circuit, noise))
+    return float(pi[fired == 1].sum())
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +86,7 @@ def test_contract_audit_accepts_all_builder_variants(cal, encoding, lv, scope):
 @pytest.mark.parametrize("encoding,lv,scope", VARIANTS)
 def test_noise_free_parity_preservation(cal, encoding, lv, scope):
     circuit = build(cal, encoding=encoding, logical_value=lv, dd_scope=scope, extra_delay_ns=1_000)
-    shots = run_shots(circuit, zero_noise(cal), 500, seed=11)
+    shots = sample_shots(circuit, zero_noise(cal), 500, seed=11)
     n_aux_slots = len(circuit.aux_slots)
     assert not shots[:, :n_aux_slots].any()
     for q in circuit.code_qubits:
@@ -167,10 +168,10 @@ def test_cx_error_flip_patterns_are_uniform_in_every_basis(control_basis, target
 def test_determinism_same_seed_same_bits(cal):
     circuit = build(cal, logical_value=1, extra_delay_ns=5_000)
     noise = compile_noise(cal)
-    a = run_shots(circuit, noise, 3_000, seed=42)
-    b = run_shots(circuit, noise, 3_000, seed=42)
+    a = sample_shots(circuit, noise, 3_000, seed=42)
+    b = sample_shots(circuit, noise, 3_000, seed=42)
     assert np.array_equal(a, b)
-    c = run_shots(circuit, noise, 3_000, seed=43)
+    c = sample_shots(circuit, noise, 3_000, seed=43)
     assert not np.array_equal(a, c)
 
 
@@ -179,7 +180,7 @@ def test_injected_x_between_rounds_fires_round2_pair(cal):
     # center idles [40, 70) between the first round's measurement and the
     # second round's couplings
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="X")
-    shots = run_shots(faulted, zero_noise(cal), 200, seed=3)
+    shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     fired = {det for det in dm.detectors if dm.column(det).all()}
@@ -194,7 +195,7 @@ def test_injected_z_in_phase_encoding_fires_same_pair(cal):
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
     faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
-    shots = run_shots(faulted, zero_noise(cal), 200, seed=3)
+    shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     assert dm.column((1, 2)).all() and dm.column((3, 2)).all()
@@ -208,7 +209,7 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
     faulted = inject_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
-    shots = run_shots(faulted, zero_noise(cal), 100, seed=3)
+    shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     dm = detection_events(faulted, shots)
     assert dm.column((1, 1)).all() and dm.column((1, 2)).all()
@@ -219,7 +220,7 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
 def test_injected_z_is_invisible_in_bit_flip_encoding(cal):
     circuit = build(cal, logical_value=1)
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="Z")
-    shots = run_shots(faulted, zero_noise(cal), 100, seed=3)
+    shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert not detection_events(faulted, shots).data.any()
 
@@ -247,7 +248,7 @@ def test_relaxation_frequency_matches_closed_form():
     )
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
-    shots = run_shots(circuit, noise, n, seed=99)
+    shots = sample_shots(circuit, noise, n, seed=99)
     dm = detection_events(circuit, shots)
     coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
     expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
@@ -266,7 +267,7 @@ def test_cpmg_relaxation_frequency_matches_markov_composition():
     )
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
-    shots = run_shots(circuit, noise, n, seed=17)
+    shots = sample_shots(circuit, noise, n, seed=17)
     dm = detection_events(circuit, shots)
     coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
     expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
@@ -289,7 +290,7 @@ def test_readout_channel_linearity_at_small_p():
         )
         circuit = build_repetition_circuit(LINE, cal, "bit_flip", 0, rounds=2)
         noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "relaxation", "dephasing", "crosstalk"})))
-        shots = run_shots(circuit, noise, 400_000, seed=23)
+        shots = sample_shots(circuit, noise, 400_000, seed=23)
         dm = detection_events(circuit, shots)
         # a round-1 readout flip on the auxiliary fires its (round 1, round 2)
         # detector pair
@@ -327,7 +328,7 @@ def test_crosstalk_first_overlap_rule_applies_once():
     )
     cal = make_line_cal(2, t1_ns=0.01, t2_ns=0.02)  # decay within the window is certain
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"dephasing", "readout", "cx"})))
-    shots = run_shots(circuit, noise, 64, seed=1)
+    shots = sample_shots(circuit, noise, 64, seed=1)
     assert (shots[:, 0] == 0).all()  # qubit 0 decayed
     assert (shots[:, 1] == 1).all()  # neighbor flipped exactly once
 
@@ -344,7 +345,7 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
         cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"cx", "readout", "dephasing"}))
     )
     n = 300_000
-    shots = run_shots(circuit, noise, n, seed=31)
+    shots = sample_shots(circuit, noise, n, seed=31)
     estimate = extract_idle_rates(circuit, detection_events(circuit, shots), seed=8)
     # aux echo pattern per extra-delay window: quarter in 0, x, middle in 1,
     # x, quarter in (1 if decayed)
@@ -363,20 +364,15 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
 @pytest.mark.parametrize("scope", ["none", "code_only"])
 def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
     # the center's idle window (echo pulses included) compiles to one
-    # channel op whose flip probability away from the start bit is the
-    # oracle's
+    # channel, folded into the cx that next couples the center, whose flip
+    # probability away from the start bit is the oracle's
     cal = make_line_cal(p0=0.9)
     circuit = build(cal, logical_value=lv, extra_delay_ns=12_500, dd_scope=scope)
     ops = compile_program(circuit, compile_noise(cal)).ops
     round1 = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
     last_measure = max(k for k, op in enumerate(ops) if op[0] == "measure" and op[2] in round1)
-    next_cx = next(
-        k for k, op in enumerate(ops)
-        if k > last_measure and op[0] == "cx" and 2 in op[1:3]
-    )
-    window = [op for op in ops[last_measure:next_cx] if op[0] != "measure" and op[1] == 2]
-    assert len(window) == 1 and window[0][0] == "channel"
-    _, _, up, down = window[0]
+    next_cx = next(op for op in ops[last_measure:] if op[0] == "cx" and 2 in op[1:3])
+    up, down = next_cx[4] if next_cx[1] == 2 else next_cx[5]
     expected = window_flip_probability(circuit, cal, 2, start_bit=lv)
     assert abs((down if lv == 1 else up) - expected) <= 1e-12
     assert not any(op[0] == "relax" for op in ops)  # no crosstalk reads a bit-flip code
@@ -385,27 +381,29 @@ def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
 @pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])
 def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
     circuit = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope=scope)
+    # every idle channel is folded into an op that reads its qubit, and
+    # the kept tokens are numbered in creation order
     ops = compile_program(circuit, compile_noise(cal)).ops
-    assert {op[0] for op in ops} == {"prep", "channel", "relax", "cx", "measure", "xtalk"}
+    assert {op[0] for op in ops} == {"prep", "relax", "cx", "measure", "xtalk"}
     read = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
-    kept = [op[4] for op in ops if op[0] == "relax"]
-    assert read and sorted(kept) == sorted(read)
+    kept = [op[2] for op in ops if op[0] == "relax"]
+    assert read and kept == sorted(read) == list(range(len(kept)))
 
 
 def test_preparation_error_flips_initial_states(cal):
     circuit = build(cal)
     noise = compile_noise(cal, NoiseOptions(prep_error=1.0, disable=frozenset({"cx", "readout", "relaxation", "dephasing", "crosstalk"})))
-    shots = run_shots(circuit, noise, 50, seed=2)
+    shots = sample_shots(circuit, noise, 50, seed=2)
     for q in circuit.code_qubits:
         assert (shots[:, circuit.final_slots[q]] == 1).all()
 
 
 def test_three_round_circuit_stays_sound(cal):
     circuit = build(cal, logical_value=1, rounds=3, extra_delay_ns=12_500)
-    shots = run_shots(circuit, zero_noise(cal), 500, seed=14)
+    shots = sample_shots(circuit, zero_noise(cal), 500, seed=14)
     assert not detection_events(circuit, shots).data[:, : 2 * 3].any()
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
-    shots = run_shots(circuit, noise, 150_000, seed=15)
+    shots = sample_shots(circuit, noise, 150_000, seed=15)
     dm = detection_events(circuit, shots)
     # window 1 sees the fresh excited state; by window 2 the qubit has
     # already decayed with probability f, damping the marginal flip rate
@@ -416,15 +414,17 @@ def test_three_round_circuit_stays_sound(cal):
 
 
 def test_shot_count_validation(cal):
-    circuit = build(cal)
+    (pi,) = record_distribution(compile_program(build(cal), zero_noise(cal)))
     with pytest.raises(ValueError):
-        run_shots(circuit, zero_noise(cal), 0, seed=1)
+        run_shots(pi, 0, seed=1)
+    with pytest.raises(ValueError, match="2\\*\\*n_slots"):
+        run_shots(pi[:-1], 10, seed=1)
 
 
 def test_rounds_above_limit_are_rejected(cal):
-    run_shots(build(cal, rounds=MAX_ROUNDS), zero_noise(cal), 10, seed=1)
+    sample_shots(build(cal, rounds=MAX_ROUNDS), zero_noise(cal), 10, seed=1)
     with pytest.raises(ValueError, match="rounds"):
-        run_shots(build(cal, rounds=MAX_ROUNDS + 1), zero_noise(cal), 10, seed=1)
+        compile_program(build(cal, rounds=MAX_ROUNDS + 1), zero_noise(cal))
 
 
 def pipeline_circuits(cal):
@@ -473,9 +473,42 @@ def test_record_distribution_matches_reference_walk(falcon):
     circuits.append((faulted, compile_noise(cal)))
     for circuit, model in circuits:
         program = compile_program(circuit, model)
-        pi = record_distribution(program)
+        (pi,) = record_distribution(program)
         assert pi.shape == (2**circuit.n_slots,)
         assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("crosstalk", [True, False])
+def test_paired_walk_matches_each_programs_own_walk(falcon, crosstalk):
+    # a qubit's logical 0 and 1 programs share one structure on every
+    # falcon27 pipeline circuit at each dd_scope, so the pipeline walks
+    # them as one batch; each member's records match its own walk
+    noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
+    programs = [compile_program(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
+    assert len(programs) == 3 * 84
+    for lv0, lv1 in zip(programs[0::2], programs[1::2]):
+        assert _structure(lv0) == _structure(lv1) and lv0 != lv1
+        for paired, program in zip(record_distribution(lv0, lv1), (lv0, lv1)):
+            (alone,) = record_distribution(program)
+            assert np.abs(paired - alone).max() <= 1e-15
+
+
+def test_programs_of_different_structures_are_walked_apart():
+    # an injected fault folds into its qubit's next op, so the faulted
+    # circuit keeps its partner's structure and joins its batch with a
+    # matrix of its own; a phase-flip program, whose structure differs, is
+    # walked on its own. Each matches the oracle's walk.
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    noise = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
+    plain = build(cal, logical_value=1, extra_delay_ns=5_000)
+    faulted = inject_fault(plain, qubit=2, time_ns=55, pauli="Y")
+    phase = build(cal, encoding="phase_flip", extra_delay_ns=5_000, dd_scope="all_qubits")
+    programs = [compile_program(circuit, noise) for circuit in (faulted, phase, plain)]
+    assert _structure(programs[0]) == _structure(programs[2]) != _structure(programs[1])
+    for pi, program in zip(record_distribution(*programs), programs):
+        assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+        (alone,) = record_distribution(program)
+        assert np.abs(pi - alone).max() <= 1e-15
 
 
 def test_shot_kernels_match_row_major_oracles(falcon):
@@ -494,8 +527,8 @@ def test_shot_kernels_match_row_major_oracles(falcon):
     faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     cases.append((faulted, compile_noise(cal), 2_000))
     for seed, (circuit, model, n) in enumerate(cases):
-        shots = run_shots(circuit, model, n, seed)
-        pi = record_distribution(compile_program(circuit, model))
+        (pi,) = record_distribution(compile_program(circuit, model))
+        shots = run_shots(pi, n, seed)
         assert shots.dtype == np.uint8 and np.array_equal(shots, grouped_records(pi, n, seed))
         dm = detection_events(circuit, shots)
         data, detectors = stacked_detection_events(circuit, shots)
@@ -511,7 +544,7 @@ def test_shot_and_detector_columns_are_contiguous(cal):
     # each slot's and each detector's bits over all shots lie contiguous in
     # memory, which is what makes each stage one pass per column
     circuit = build(cal, logical_value=1, rounds=3, extra_delay_ns=5_000)
-    shots = run_shots(circuit, compile_noise(cal), 1_000, seed=5)
+    shots = sample_shots(circuit, compile_noise(cal), 1_000, seed=5)
     assert shots.shape == (1_000, circuit.n_slots) and shots.T.flags.c_contiguous
     dm = detection_events(circuit, shots)
     assert all(dm.column(det).flags.c_contiguous for det in dm.detectors)
@@ -519,7 +552,7 @@ def test_shot_and_detector_columns_are_contiguous(cal):
 
 def round2_pair_cells(circuit, noise) -> np.ndarray:
     """Exact probabilities of the round-2 detector pair's four outcomes."""
-    pi = record_distribution(compile_program(circuit, noise))
+    (pi,) = record_distribution(compile_program(circuit, noise))
     dm = detection_events(circuit, record_table(circuit.n_slots))
     d_i, d_j = (dm.column((a, 2)) for a in circuit.aux_qubits)
     return np.bincount(2 * d_i + d_j, weights=pi, minlength=4)
@@ -585,12 +618,12 @@ def test_record_distribution_matches_frame_sampler(falcon):
     framed, sampled = [], []
     for scope, circuit in pipeline_circuits(falcon):
         program = compile_program(circuit, noise)
-        pi = record_distribution(program)
+        (pi,) = record_distribution(program)
         assert pi.shape == (2**circuit.n_slots,) and pi.min() >= 0.0
         assert abs(pi.sum() - 1.0) <= 1e-12
         framed.append((frame_shots(program, 20_000, len(framed)), pi))
         if scope == "code_only":
-            sampled.append((run_shots(circuit, noise, 20_000, len(sampled)), pi))
+            sampled.append((run_shots(pi, 20_000, len(sampled)), pi))
     assert len(framed) == 3 * 84 and len(sampled) == 84
     assert pooled_p_value(framed) > 1e-3
     assert pooled_p_value(sampled) > 1e-3
