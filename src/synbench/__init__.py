@@ -47,7 +47,7 @@ from .noise import (
     compile_noise,
     guide_values,
 )
-from .simulator import BasisContractError, inject_fault, run_shots
+from .simulator import BasisContractError, inject_fault
 
 __version__ = "0.1.0"
 
@@ -85,6 +85,5 @@ __all__ = [
     "inject_fault",
     "load_calibration",
     "plan_device",
-    "run_shots",
     "select_line",
 ]

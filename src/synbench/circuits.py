@@ -301,15 +301,14 @@ def idle_exposure(circuit: Circuit, qubit: int) -> list[int]:
     own = circuit.per_qubit[qubit]
     exposures = []
     for rnd in range(1, circuit.rounds + 1):
-        meas_start = min(
-            ins.start
-            for ins in circuit.instructions
-            if ins.kind == "measure" and ins.slot in {circuit.aux_slots[(a, rnd)] for a in circuit.aux_qubits}
-        )
+        slots = {circuit.aux_slots[(a, rnd)] for a in circuit.aux_qubits}
+        meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in slots)
         boundary = min(
             (ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS and ins.start >= meas_start),
-            default=circuit.duration,
+            default=None,
         )
+        if boundary is None:  # Circuit.duration scans every instruction
+            boundary = circuit.duration
         exposures.append(
             sum(
                 ins.duration

@@ -6,7 +6,7 @@ its line, builds one circuit per (encoding, logical value), walks each
 encoding's circuits together for their exact record distributions, samples
 each, extracts the round-2 idle rate, and aggregates everything into a report
 (JSON + CSV) with device-map figures. Identical config and seed give
-byte-identical artifacts for any worker count.
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -224,18 +222,9 @@ def benchmark_qubit(
     )
 
 
-def default_workers() -> int:
-    """Per-qubit worker count from SYNBENCH_WORKERS (default 1)."""
-    value = os.environ.get("SYNBENCH_WORKERS", "1")
-    if not value.strip().isdecimal() or int(value) < 1:
-        raise ConfigError(f"SYNBENCH_WORKERS must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
-def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[BenchmarkReport, dict]:
+def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     """Full device benchmark; writes report JSON, CSV, and figures under
     config.output_dir and returns (report, artifact paths)."""
-    workers = workers if workers is not None else default_workers()
     try:
         cal = load_calibration(Path(config.calibration))
     except OSError as exc:
@@ -245,8 +234,8 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
     chosen = {q: line for q, line in plan.items() if line is not None}
     if not chosen:
         raise RuntimeError("no benchmarkable qubits on this device")
-    # checked before the tasks start: a task re-raises any error as a
-    # runtime error (exit 2)
+    # checked before the qubit loop, which re-raises any error as a runtime
+    # error (exit 2)
     for q in chosen:
         for encoding in config.encodings:
             _extra_delay_ns(config, cal, q, encoding)
@@ -256,19 +245,12 @@ def run_benchmark(config: RunConfig, workers: int | None = None) -> tuple[Benchm
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    def task(item):
-        q, line = item
+    results = []
+    for q, line in sorted(chosen.items()):
         try:
-            return benchmark_qubit(q, line, cal, noise, config)
+            results.append(benchmark_qubit(q, line, cal, noise, config))
         except Exception as exc:
             raise RuntimeError(f"qubit {q}: {exc}") from exc
-
-    items = sorted(chosen.items())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, items))
-    else:
-        results = [task(item) for item in items]
 
     metadata = config.describe()
     metadata["device"] = cal.name

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from synbench import DeviceCalibration, QubitCalibration, run_shots
+from synbench import DeviceCalibration, QubitCalibration
 from synbench.device import canonical_edge
-from synbench.simulator import compile_program, record_distribution
+from synbench.simulator import compile_program, record_distribution, run_shots
 
 
 def make_line_cal(

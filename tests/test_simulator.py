@@ -16,12 +16,11 @@ from synbench import (
     detection_events,
     extract_idle_rates,
     inject_fault,
-    run_shots,
 )
 from synbench.analysis import _pair_counts
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
-from synbench.simulator import MAX_ROUNDS, _structure, compile_program, record_distribution
+from synbench.simulator import MAX_ROUNDS, _structure, compile_program, record_distribution, run_shots
 from helpers import make_line_cal, sample_shots
 from oracles import (
     bincount_pair_counts,
