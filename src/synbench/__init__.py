@@ -15,7 +15,6 @@ from .analysis import (
     QubitBenchmark,
     RateEstimate,
     aggregate_device,
-    correlation_rate,
     detection_events,
     estimate_from_moments,
     extract_idle_rates,
@@ -75,7 +74,6 @@ __all__ = [
     "aggregate_device",
     "build_repetition_circuit",
     "compile_noise",
-    "correlation_rate",
     "detection_events",
     "enumerate_lines",
     "estimate_from_moments",

@@ -1,11 +1,11 @@
 """From raw shots to detection events and syndrome-derived error rates.
 
 A detection event is the XOR of an auxiliary's outcomes in consecutive
-rounds, with round T+1 inferred from the parity of the final transversal
-code-qubit readout. A fault on the central code qubit between two rounds
-fires both of its auxiliaries' detectors in the later round, so the
-coincidence statistics of that detector pair estimate the central qubit's
-idle error probability.
+rounds of the two-round circuit, with an effective round 3 inferred from the
+parity of the final transversal code-qubit readout. A fault on the central
+code qubit between rounds 1 and 2 fires both auxiliaries' round-2 detectors,
+so the coincidence statistics of that detector pair estimate the central
+qubit's idle error probability.
 
 The estimator inverts the shared/independent fault model: with detector
 means v_i, v_j and covariance C, the shared-fault probability is
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import ROUNDS, Circuit
 
-Detector = tuple[int, int]  # (auxiliary qubit, round), rounds 1..T+1
+Detector = tuple[int, int]  # (auxiliary qubit, round), rounds 1..ROUNDS + 1
 
 MIN_RECOMMENDED_SHOTS = 1000
 BOOTSTRAP_RESAMPLES = 200
@@ -64,8 +64,8 @@ class DetectionMatrix:
 def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
     """Derive detection events from raw measurement records.
 
-    d(a, 1) = s(a, 1); d(a, r) = s(a, r) XOR s(a, r-1); and the effective
-    final round d(a, T+1) = s(a, T) XOR m_left XOR m_right over the final
+    d(a, 1) = s(a, 1); d(a, 2) = s(a, 2) XOR s(a, 1); and the effective
+    final round d(a, 3) = s(a, 2) XOR m_left XOR m_right over the final
     readouts of a's code neighbors. Noise-free circuits give the all-zero
     matrix for either logical value, since equal code bits cancel in parity.
     """
@@ -83,14 +83,13 @@ def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
         bad = shots[(shots != 0) & (shots != 1)].flat[0].item()
         raise ValueError(f"shot entries must be 0 or 1, got {bad!r}")
     shots = shots.astype(np.uint8, copy=False)
-    rounds = circuit.rounds
-    detectors = [(a, r) for r in range(1, rounds + 2) for a in circuit.aux_qubits]
+    detectors = [(a, r) for r in range(1, ROUNDS + 2) for a in circuit.aux_qubits]
     rows = np.empty((len(detectors), shots.shape[0]), dtype=np.uint8)
     for row, (a, r) in zip(rows, detectors):
-        syndrome = shots[:, circuit.aux_slots[(a, min(r, rounds))]]
+        syndrome = shots[:, circuit.aux_slots[(a, min(r, ROUNDS))]]
         if r == 1:
             row[...] = syndrome
-        elif r <= rounds:
+        elif r <= ROUNDS:
             np.bitwise_xor(syndrome, shots[:, circuit.aux_slots[(a, r - 1)]], out=row)
         else:
             left, right = circuit.neighbors_in_line(a)
@@ -155,50 +154,6 @@ def _pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
     return np.array([d_i.size - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)
 
 
-def correlation_rate(
-    dm: DetectionMatrix,
-    det_i: Detector,
-    det_j: Detector,
-    *,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    seed=0,
-    rate_type: str = "",
-) -> RateEstimate:
-    """Shared-fault probability for a detector pair, with bootstrap SE."""
-    if det_i == det_j:
-        raise ValueError("detector pair must be two distinct detectors")
-    n = dm.shots
-    if n < MIN_RECOMMENDED_SHOTS:
-        warnings.warn(
-            f"only {n} shots for detector pair {det_i}/{det_j}; estimates will be noisy",
-            stacklevel=2,
-        )
-    counts = _pair_counts(dm.column(det_i), dm.column(det_j))
-
-    def from_counts(c) -> float:
-        total = float(c.sum())
-        v_i = (c[2] + c[3]) / total
-        v_j = (c[1] + c[3]) / total
-        return estimate_from_moments(v_i, v_j, c[3] / total)
-
-    anticorrelated = False
-    try:
-        point = from_counts(counts)
-    except AntiCorrelationError:
-        point = 0.0
-        anticorrelated = True
-    rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
-    resampled = rng.multinomial(n, counts / n, size=resamples)
-    stderr = float(np.std(_bootstrap_values(resampled)))
-    return RateEstimate(
-        estimate=max(0.0, point),
-        stderr=stderr,
-        shots=n,
-        rate_type=rate_type,
-        anticorrelated=anticorrelated,
-    )
-
-
 def rate_type_of(circuit: Circuit) -> str:
     """The rate a circuit measures: the bit-flip encoding resolves the
     direction by logical value (logical 1 exposes 1->0 decay, logical 0
@@ -212,27 +167,38 @@ def rate_type_of(circuit: Circuit) -> str:
 def extract_idle_rates(
     circuit: Circuit,
     dm: DetectionMatrix,
-    rnd: int = 2,
     *,
     resamples: int = BOOTSTRAP_RESAMPLES,
     seed=0,
 ) -> RateEstimate:
-    """Central-qubit idle error rate from the two adjacent detectors of
-    round `rnd` (first and effective-final rounds are excluded by
-    construction: only 2 <= rnd <= T qualifies), labelled by
+    """Central-qubit idle error rate: the shared-fault probability of the
+    two auxiliaries' round-2 detectors, with bootstrap SE, labelled by
     `rate_type_of`."""
-    if len(circuit.line) != 5:
-        raise ValueError("idle-rate extraction expects a distance-3 line of five qubits")
-    if not 2 <= rnd <= circuit.rounds:
-        raise ValueError(f"round {rnd} not in 2..{circuit.rounds}")
-    left_aux, right_aux = circuit.aux_qubits
-    return correlation_rate(
-        dm,
-        (left_aux, rnd),
-        (right_aux, rnd),
-        resamples=resamples,
-        seed=seed,
+    det_i, det_j = ((a, 2) for a in circuit.aux_qubits)
+    n = dm.shots
+    if n < MIN_RECOMMENDED_SHOTS:
+        warnings.warn(
+            f"only {n} shots for detector pair {det_i}/{det_j}; estimates will be noisy",
+            stacklevel=2,
+        )
+    counts = _pair_counts(dm.column(det_i), dm.column(det_j))
+    total = float(n)
+    v_i, v_j = (counts[2] + counts[3]) / total, (counts[1] + counts[3]) / total
+    anticorrelated = False
+    try:
+        point = estimate_from_moments(v_i, v_j, counts[3] / total)
+    except AntiCorrelationError:
+        point = 0.0
+        anticorrelated = True
+    rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
+    resampled = rng.multinomial(n, counts / n, size=resamples)
+    stderr = float(np.std(_bootstrap_values(resampled)))
+    return RateEstimate(
+        estimate=max(0.0, point),
+        stderr=stderr,
+        shots=n,
         rate_type=rate_type_of(circuit),
+        anticorrelated=anticorrelated,
     )
 
 

@@ -1,8 +1,10 @@
 """Timed circuits for repetition-code syndrome benchmarks.
 
-Circuits are flat, time-ordered instruction lists over physical qubits, with
-every idle gap materialized as an explicit delay instruction. Times are
-integer nanoseconds. The schedule is fixed and documented:
+Every circuit is a distance-3 repetition code on a five-qubit line with two
+syndrome rounds. Circuits are flat, time-ordered instruction lists over
+physical qubits, with every idle gap materialized as an explicit delay
+instruction. Times are integer nanoseconds. The schedule is fixed and
+documented:
 
 * per round, each auxiliary couples to its left code neighbor first, then its
   right, with the gates packed into two barrier-aligned layers so no qubit is
@@ -37,6 +39,10 @@ from .device import BenchLine, DeviceCalibration, canonical_edge
 
 ENCODINGS = ("bit_flip", "phase_flip")
 DD_SCOPES = ("none", "all_qubits", "code_only")
+
+# syndrome rounds per circuit: round 2's detector pair is the only one the
+# estimator reads, and it sees a fault between rounds 1 and 2
+ROUNDS = 2
 
 # kinds that end an idle window when walking a qubit's timeline; x is absent
 # on purpose so echo pulses inside a window do not terminate it
@@ -86,12 +92,11 @@ class FaultSite:
 class Circuit:
     line: tuple[int, ...]
     instructions: tuple[Instruction, ...]
-    rounds: int
     encoding: str
     logical_value: int
     dd_scope: str
     extra_delay_ns: int
-    aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..T) -> slot
+    aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
     final_slots: dict[int, int]  # code qubit -> slot
     x_durations: dict[int, int]  # per-qubit x gate duration, ns
     faults: tuple[FaultSite, ...] = ()
@@ -139,19 +144,19 @@ def build_repetition_circuit(
     cal: DeviceCalibration,
     encoding: str = "bit_flip",
     logical_value: int = 0,
-    rounds: int = 2,
     extra_delay_ns: int = 0,
     dd_scope: str = "none",
 ) -> Circuit:
-    """Build a distance-(n+1)/2 repetition-code benchmark circuit on `line`.
+    """Build the distance-3, two-round repetition-code benchmark circuit on
+    `line`.
 
-    `line` is a BenchLine or an odd-length qubit path (>= 5) whose consecutive
-    pairs are device edges; even positions are code qubits, odd positions
+    `line` is a BenchLine or a path of five qubits whose consecutive pairs
+    are device edges; even positions are code qubits, odd positions
     auxiliaries. A reset lasts as long as the qubit's x gate.
     """
     qubits = tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
-    if len(qubits) < 5 or len(qubits) % 2 == 0:
-        raise CircuitBuildError(f"line must have odd length >= 5, got {qubits}")
+    if len(qubits) != 5:
+        raise CircuitBuildError(f"line must have five qubits, got {qubits}")
     if len(set(qubits)) != len(qubits):
         raise CircuitBuildError(f"line has repeated qubits: {qubits}")
     for a, b in zip(qubits, qubits[1:]):
@@ -161,8 +166,6 @@ def build_repetition_circuit(
         raise CircuitBuildError(f"unknown encoding {encoding!r}")
     if logical_value not in (0, 1):
         raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value}")
-    if rounds < 2:
-        raise CircuitBuildError(f"at least 2 syndrome rounds are required, got {rounds}")
     if extra_delay_ns < 0:
         raise CircuitBuildError(f"extra delay must be nonnegative, got {extra_delay_ns}")
     if dd_scope not in DD_SCOPES:
@@ -231,7 +234,7 @@ def build_repetition_circuit(
         t = t + max(x_dur[q] for q in code)
         barrier(t)
 
-    for rnd in range(1, rounds + 1):
+    for r in range(1, ROUNDS + 1):
         # layer 1: each auxiliary with its left code neighbor
         layer_end = t
         for k, a in enumerate(aux):
@@ -252,7 +255,7 @@ def build_repetition_circuit(
         round_end = t_meas
         for a in aux:
             place("measure", (a,), t_meas, ro_dur[a], slot=slot)
-            aux_slots[(a, rnd)] = slot
+            aux_slots[(a, r)] = slot
             slot += 1
             place("reset", (a,), t_meas + ro_dur[a], x_dur[a])
             round_end = max(round_end, t_meas + ro_dur[a] + x_dur[a])
@@ -281,7 +284,6 @@ def build_repetition_circuit(
     return Circuit(
         line=qubits,
         instructions=tuple(sorted(instrs, key=_timeline_order)),
-        rounds=rounds,
         encoding=encoding,
         logical_value=logical_value,
         dd_scope=dd_scope,
@@ -292,28 +294,14 @@ def build_repetition_circuit(
     )
 
 
-def idle_exposure(circuit: Circuit, qubit: int) -> list[int]:
-    """Summed delay ns on `qubit` per syndrome round, from the start of that
-    round's auxiliary measurements to the qubit's next non-idle instruction
-    (its next-round cx for code qubits; echo x pulses do not end a window)."""
+def idle_exposure(circuit: Circuit, qubit: int) -> int:
+    """Summed delay ns on `qubit` from the start of round 1's auxiliary
+    measurements to the qubit's next non-idle instruction (its round-2 cx
+    for code qubits; echo x pulses do not end the window)."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
     own = circuit.per_qubit[qubit]
-    exposures = []
-    for rnd in range(1, circuit.rounds + 1):
-        slots = {circuit.aux_slots[(a, rnd)] for a in circuit.aux_qubits}
-        meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in slots)
-        boundary = min(
-            (ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS and ins.start >= meas_start),
-            default=None,
-        )
-        if boundary is None:  # Circuit.duration scans every instruction
-            boundary = circuit.duration
-        exposures.append(
-            sum(
-                ins.duration
-                for ins in own
-                if ins.kind == "delay" and ins.start >= meas_start and ins.end <= boundary
-            )
-        )
-    return exposures
+    slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
+    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in slots)
+    boundary = min(ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS and ins.start >= meas_start)
+    return sum(ins.duration for ins in own if ins.kind == "delay" and ins.start >= meas_start and ins.end <= boundary)

@@ -41,6 +41,9 @@ from .simulator import compile_program, record_distribution, run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
+# the multinomial draws each record's count as an int64
+MAX_SHOTS = 2**63 - 1
+
 
 class ConfigError(ValueError):
     """Bad run configuration or calibration reference."""
@@ -89,6 +92,8 @@ class RunConfig:
             raise ConfigError("calibration and output_dir must be path strings")
         for name, minimum in (("shots", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        if self.shots > MAX_SHOTS:
+            raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
         fraction = self.extra_delay_fraction
         if type(fraction) not in (int, float) or not 0 <= fraction < math.inf:
             raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {fraction!r}")
@@ -193,7 +198,7 @@ def benchmark_qubit(
                 )
                 est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
             estimates.append(est)
-        exposure = idle_exposure(circuits[-1], qubit)[0]
+        exposure = idle_exposure(circuits[-1], qubit)
         exposures[encoding] = exposure
         g = guide_values(cal, qubit, exposure, dd)
         if encoding == "bit_flip":
@@ -225,10 +230,7 @@ def benchmark_qubit(
 def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     """Full device benchmark; writes report JSON, CSV, and figures under
     config.output_dir and returns (report, artifact paths)."""
-    try:
-        cal = load_calibration(Path(config.calibration))
-    except OSError as exc:
-        raise ConfigError(f"cannot read calibration {config.calibration}: {exc}") from exc
+    cal = load_calibration(Path(config.calibration))
     noise = compile_noise(cal, config.noise)
     plan = plan_device(cal)
     chosen = {q: line for q, line in plan.items() if line is not None}
@@ -347,7 +349,10 @@ def _cmd_render(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"report {args.report}: {exc}") from exc
     out = Path(args.out) if args.out else Path(args.report).with_suffix(f".{args.mode}.svg")
-    out.write_text(svg, encoding="utf-8")
+    try:
+        out.write_text(svg, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
     print(out)
     return 0
 
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
     handlers = {"plan": _cmd_plan, "run": _cmd_run, "render": _cmd_render}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CalibrationError, FileNotFoundError) as exc:
+    except (ConfigError, CalibrationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures keep a distinct exit code

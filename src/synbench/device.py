@@ -184,7 +184,10 @@ def load_calibration(source) -> DeviceCalibration:
     t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
     """
     if isinstance(source, Path):
-        raw = source.read_bytes()
+        try:
+            raw = source.read_bytes()
+        except OSError as exc:
+            raise CalibrationError(f"cannot read calibration {source}: {exc}") from exc
     elif isinstance(source, (str, bytes)):
         raw = source
     else:

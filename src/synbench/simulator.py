@@ -57,8 +57,8 @@ relax one matmul to (bit, new bit) and one transposed copy; an xtalk one
 matmul for its channel and one per token it reads. An op whose members have
 equal parameters applies one matrix to the whole batch; otherwise each
 member's matrix is stacked along the batch axis. The result is the exact
-probability of every one of the 2**n_slots records, which is why
-`compile_program` accepts at most MAX_ROUNDS rounds.
+probability of every one of the 2**n_slots records; a five-qubit, two-round
+circuit has 2**7 of them.
 
 `run_shots` draws all its shots' record counts from that distribution with
 one multinomial and expands a slot-major table of the records by those
@@ -75,11 +75,6 @@ import numpy as np
 
 from .circuits import Circuit, FaultSite, Instruction
 from .noise import NoiseModel
-
-# the record of a five-qubit line has 2**(2*rounds + 3) cells; for a phase-
-# flip circuit record_distribution takes about 7 ms and 1.6 MB at 4 rounds,
-# 80 ms and 23 MB at 6 (2-vCPU Xeon guest)
-MAX_ROUNDS = 4
 
 # a folded channel that flips nothing
 _NO_FLIP = (0.0, 0.0)
@@ -123,15 +118,13 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     """Walk the circuit once, check the tracked-basis contract, and lower
     every instruction to a vectorized operation with its channel
     probabilities baked in. Raises BasisContractError if the circuit cannot
-    be tracked classically, and ValueError past MAX_ROUNDS rounds.
+    be tracked classically.
 
     Events run in (time, phase, order) order: a crosstalk resolution
     (phase 0) before a fault (phase 1), and a fault before an instruction
     (phase 2). The builder's instructions are already in time order, so
     only a circuit with faults or out-of-order instructions is sorted.
     """
-    if circuit.rounds > MAX_ROUNDS:
-        raise ValueError(f"at most {MAX_ROUNDS} rounds can be sampled, got {circuit.rounds}")
     line = circuit.line
     n = len(line)
     index = {q: i for i, q in enumerate(line)}

@@ -95,15 +95,15 @@ def composed_relaxation_flip(
     return dist[0] if ideal == 1 else dist[1]
 
 
-def window_segments(circuit, qubit: int, rnd: int = 1) -> list[tuple[str, float]]:
-    """Walk a built circuit's timeline for `qubit` between round `rnd`'s
+def window_segments(circuit, qubit: int) -> list[tuple[str, float]]:
+    """Walk a built circuit's timeline for `qubit` between round 1's
     auxiliary measurement start and the qubit's next coupling gate, returning
     the ('delay'/'x', duration) steps inside the window.
 
     Independent of the library's exposure computation: reads instruction
     tuples only.
     """
-    aux_slots = {circuit.aux_slots[(a, rnd)] for a in circuit.aux_qubits}
+    aux_slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
     meas_start = min(
         ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in aux_slots
     )
@@ -124,24 +124,24 @@ def window_segments(circuit, qubit: int, rnd: int = 1) -> list[tuple[str, float]
     return steps
 
 
-def window_flip_probability(circuit, cal, qubit: int, start_bit: int, rnd: int = 1) -> float:
-    """Closed-form net bit-flip probability over the qubit's idle window of
-    round `rnd`, from exact Markov composition of the actual segment
+def window_flip_probability(circuit, cal, qubit: int, start_bit: int) -> float:
+    """Closed-form net bit-flip probability over the qubit's idle window
+    after round 1, from exact Markov composition of the actual segment
     sequence (echo pulses included)."""
     qc = cal.qubits[qubit]
     return composed_relaxation_flip(
-        window_segments(circuit, qubit, rnd), qc.t1_ns, qc.p0, start_bit
+        window_segments(circuit, qubit), qc.t1_ns, qc.p0, start_bit
     )
 
 
-def window_phase_flip_probability(circuit, cal, qubit: int, rnd: int = 1) -> float:
+def window_phase_flip_probability(circuit, cal, qubit: int) -> float:
     """Closed-form phase-flip probability over the qubit's idle window: XOR
     composition of per-segment echoed/unechoed dephasing.
 
     Uses the echoed flag of each delay instruction directly.
     """
     qc = cal.qubits[qubit]
-    aux_slots = {circuit.aux_slots[(a, rnd)] for a in circuit.aux_qubits}
+    aux_slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
     meas_start = min(
         ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in aux_slots
     )
@@ -395,21 +395,18 @@ def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tu
     labels, round-major: each detector's column is XORed into a temporary
     of its own and the columns are stacked."""
     shots = np.asarray(shots, dtype=np.uint8)
-    rounds = circuit.rounds
-    syndrome = {
-        (a, r): shots[:, circuit.aux_slots[(a, r)]] for a in circuit.aux_qubits for r in range(1, rounds + 1)
-    }
+    syndrome = {key: shots[:, slot] for key, slot in circuit.aux_slots.items()}
     columns, detectors = [], []
-    for r in range(1, rounds + 2):
+    for r in (1, 2, 3):
         for a in circuit.aux_qubits:
             if r == 1:
                 col = syndrome[(a, 1)]
-            elif r <= rounds:
-                col = syndrome[(a, r)] ^ syndrome[(a, r - 1)]
+            elif r == 2:
+                col = syndrome[(a, 2)] ^ syndrome[(a, 1)]
             else:
                 left, right = circuit.neighbors_in_line(a)
                 final = shots[:, circuit.final_slots[left]] ^ shots[:, circuit.final_slots[right]]
-                col = syndrome[(a, rounds)] ^ final
+                col = syndrome[(a, 2)] ^ final
             columns.append(col)
             detectors.append((a, r))
     return np.stack(columns, axis=1), tuple(detectors)

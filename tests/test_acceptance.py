@@ -20,7 +20,6 @@ from synbench import (
     ZERO_NOISE_OPTIONS,
     build_repetition_circuit,
     compile_noise,
-    correlation_rate,
     detection_events,
     enumerate_lines,
     estimate_from_moments,
@@ -81,7 +80,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     cases = []
 
     # 1a: relaxation without echoes, logical 1 -> 1 - exp(-t/T1) ~ 11.8%
-    circuit = build_repetition_circuit(LINE, cal5, "bit_flip", 1, 2, extra_delay_ns=12_500)
+    circuit = build_repetition_circuit(LINE, cal5, "bit_flip", 1, extra_delay_ns=12_500)
     est = extract_idle_rates(
         circuit,
         detection_events(circuit, sample_shots(circuit, noise_relax, MILLION, seed=101)),
@@ -94,7 +93,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     per_lv = []
     for lv in (0, 1):
         circuit = build_repetition_circuit(
-            LINE, cal5, "bit_flip", lv, 2, extra_delay_ns=12_500, dd_scope="code_only"
+            LINE, cal5, "bit_flip", lv, extra_delay_ns=12_500, dd_scope="code_only"
         )
         per_lv.append(
             extract_idle_rates(
@@ -112,7 +111,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
 
     # 1c: dephasing with echoed idles -> (1 - exp(-t/T2))/2 ~ 5.9%
     circuit = build_repetition_circuit(
-        LINE, cal5, "phase_flip", 0, 2, extra_delay_ns=10_000, dd_scope="code_only"
+        LINE, cal5, "phase_flip", 0, extra_delay_ns=10_000, dd_scope="code_only"
     )
     est = extract_idle_rates(
         circuit,
@@ -135,7 +134,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     _verdict("criterion 1 (guide values)", ok, "; ".join(details))
 
 
-def test_criterion_2_estimator_oracle():
+def test_criterion_2_estimator_oracle(cal5):
     grid = [round(0.01 * k, 2) for k in range(31)]
     worst = 0.0
     for p in grid:
@@ -145,7 +144,8 @@ def test_criterion_2_estimator_oracle():
                 worst = max(worst, abs(estimate_from_moments(v_i, v_j, joint) - p))
     exact_ok = worst <= 1e-12
 
-    detectors = ((1, 2), (3, 2))
+    circuit = build_repetition_circuit(LINE, cal5)
+    detectors = ((1, 2), (3, 2))  # its round-2 pair
     failures = 0
     trials = 100
     for trial in range(trials):
@@ -155,7 +155,7 @@ def test_criterion_2_estimator_oracle():
         d_i = (e ^ (rng.random(MILLION) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(MILLION) < 0.03)).astype(np.uint8)
         dm = DetectionMatrix(data=np.stack([d_i, d_j], axis=1), detectors=detectors)
-        est = correlation_rate(dm, *detectors, seed=(3030, trial))
+        est = extract_idle_rates(circuit, dm, seed=(3030, trial))
         if abs(est.estimate - p) > 4.0 * est.stderr:
             failures += 1
     sampled_ok = failures <= trials - 95
@@ -259,7 +259,7 @@ def test_criterion_5_noise_free_soundness(cal5):
         for lv in (0, 1):
             for scope in ("none", "all_qubits", "code_only"):
                 circuit = build_repetition_circuit(
-                    LINE, cal5, encoding, lv, 2, extra_delay_ns=2_000, dd_scope=scope
+                    LINE, cal5, encoding, lv, extra_delay_ns=2_000, dd_scope=scope
                 )
                 shots = sample_shots(circuit, zero, 10_000, seed=60)
                 if detection_events(circuit, shots).data.any():
@@ -277,7 +277,7 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
     zero = compile_noise(cal5, ZERO_NOISE_OPTIONS)
     results = []
     for encoding, pauli in (("bit_flip", "X"), ("phase_flip", "Z")):
-        circuit = build_repetition_circuit(LINE, cal5, encoding, 0, 2, extra_delay_ns=1_000)
+        circuit = build_repetition_circuit(LINE, cal5, encoding, 0, extra_delay_ns=1_000)
         meas_start = min(
             i.start
             for i in circuit.instructions

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 
-
 import numpy as np
 import pytest
 
@@ -13,7 +12,6 @@ from synbench import (
     RateEstimate,
     aggregate_device,
     build_repetition_circuit,
-    correlation_rate,
     detection_events,
     estimate_from_moments,
     extract_idle_rates,
@@ -27,7 +25,7 @@ LINE = (0, 1, 2, 3, 4)
 
 @pytest.fixture(scope="module")
 def circuit():
-    return build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 0, rounds=2)
+    return build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 0)
 
 
 def synthetic_dm(circuit, columns: dict, shots: int):
@@ -56,7 +54,7 @@ def test_detector_columns_follow_xor_rules(circuit):
 
 
 def test_final_round_parity_under_logical_one():
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1, rounds=2)
+    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
     shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
     # clean syndromes but final readout 101: both final-round detectors fire
     shots[0, circuit.final_slots[0]] = 1
@@ -68,7 +66,7 @@ def test_final_round_parity_under_logical_one():
 
 
 def test_final_round_parity_cancels_equal_bits():
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1, rounds=2)
+    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
     shots = np.ones((1, circuit.n_slots), dtype=np.uint8)
     shots[0, : len(circuit.aux_slots)] = 0
     dm = detection_events(circuit, shots)
@@ -83,7 +81,7 @@ def test_detector_chain_parity_is_invariant_under_even_aux_flips(circuit):
     flipped[:, circuit.aux_slots[(1, 1)]] ^= 1
     flipped[:, circuit.aux_slots[(1, 2)]] ^= 1
     dm = detection_events(circuit, flipped)
-    chain = [(1, r) for r in range(1, circuit.rounds + 2)]
+    chain = [(1, r) for r in (1, 2, 3)]
     parity = np.zeros(64, dtype=np.uint8)
     for det in chain:
         parity ^= dm.column(det)
@@ -126,7 +124,7 @@ def _layouts(bits: np.ndarray) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "float64"])
 def test_detection_events_match_stacked_oracle_in_any_layout(layout):
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1, rounds=3)
+    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
     bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
     dm = detection_events(circuit, _layouts(bits)[layout])
     data, detectors = stacked_detection_events(circuit, bits)
@@ -191,7 +189,7 @@ def test_correlation_rate_on_synthetic_columns(circuit):
     d_i = e ^ (rng.random(n) < q_i)
     d_j = e ^ (rng.random(n) < q_j)
     dm = synthetic_dm(circuit, {(1, 2): d_i.astype(np.uint8), (3, 2): d_j.astype(np.uint8)}, n)
-    est = correlation_rate(dm, (1, 2), (3, 2), seed=5)
+    est = extract_idle_rates(circuit, dm, seed=5)
     assert est.stderr > 0
     assert est.estimate == pytest.approx(p, abs=4 * est.stderr)
     assert est.shots == n
@@ -207,13 +205,13 @@ def test_any_nonzero_entry_counts_as_fired(circuit):
     d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
     twin = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
     coded = synthetic_dm(circuit, {(1, 2): 2 * d_i, (3, 2): d_j}, n)
-    assert correlation_rate(coded, (1, 2), (3, 2), seed=1) == correlation_rate(twin, (1, 2), (3, 2), seed=1)
-    assert correlation_rate(twin, (1, 2), (3, 2), seed=1).estimate > 0.04
+    assert extract_idle_rates(circuit, coded, seed=1) == extract_idle_rates(circuit, twin, seed=1)
+    assert extract_idle_rates(circuit, twin, seed=1).estimate > 0.04
 
 
 def test_correlation_rate_zero_data_is_zero(circuit):
     dm = synthetic_dm(circuit, {}, 2_000)
-    est = correlation_rate(dm, (1, 2), (3, 2), seed=5)
+    est = extract_idle_rates(circuit, dm, seed=5)
     assert est.estimate == 0.0
     assert not est.anticorrelated
 
@@ -226,7 +224,7 @@ def test_correlation_rate_anticorrelated_columns_flagged(circuit):
     d_i[: int(0.3 * n)] = 1
     d_j[int(0.3 * n) : int(0.6 * n)] = 1
     dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
-    est = correlation_rate(dm, (1, 2), (3, 2), seed=5)
+    est = extract_idle_rates(circuit, dm, seed=5)
     assert est.estimate == 0.0
     assert est.anticorrelated
 
@@ -236,28 +234,24 @@ def test_correlation_rate_rejects_half_rate_detectors(circuit):
     d_i = np.tile([0, 1], n // 2).astype(np.uint8)
     dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): 1 - d_i}, n)
     with pytest.raises(EstimationError):
-        correlation_rate(dm, (1, 2), (3, 2), seed=5)
+        extract_idle_rates(circuit, dm, seed=5)
 
 
 def test_correlation_rate_warns_below_recommended_shots(circuit):
+    # the warning names the code that asked for the estimate
     dm = synthetic_dm(circuit, {}, 12)
-    with pytest.warns(UserWarning, match="shots"):
-        correlation_rate(dm, (1, 2), (3, 2), seed=5)
-
-
-def test_correlation_rate_rejects_identical_detectors(circuit):
-    dm = synthetic_dm(circuit, {}, 2_000)
-    with pytest.raises(ValueError):
-        correlation_rate(dm, (1, 2), (1, 2))
+    with pytest.warns(UserWarning, match="only 12 shots") as record:
+        extract_idle_rates(circuit, dm, seed=5)
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_correlation_rate_bootstrap_is_seeded(circuit):
     rng = np.random.default_rng(3)
     col = (rng.random(20_000) < 0.04).astype(np.uint8)
     dm = synthetic_dm(circuit, {(1, 2): col, (3, 2): col}, 20_000)
-    a = correlation_rate(dm, (1, 2), (3, 2), seed=7)
-    b = correlation_rate(dm, (1, 2), (3, 2), seed=7)
-    c = correlation_rate(dm, (1, 2), (3, 2), seed=8)
+    a = extract_idle_rates(circuit, dm, seed=7)
+    b = extract_idle_rates(circuit, dm, seed=7)
+    c = extract_idle_rates(circuit, dm, seed=8)
     assert a == b
     assert a.stderr != c.stderr
 
@@ -277,7 +271,7 @@ def test_correlation_rate_bootstrap_matches_scalar_loop(circuit, counts):
     n = sum(counts)
     cells = np.repeat(np.arange(4), counts)
     dm = synthetic_dm(circuit, {(1, 2): cells >> 1, (3, 2): cells & 1}, n)
-    est = correlation_rate(dm, (1, 2), (3, 2), seed=9)
+    est = extract_idle_rates(circuit, dm, seed=9)
     rng = np.random.default_rng(9)
     values = []
     for c in rng.multinomial(n, np.array(counts) / n, size=200):
@@ -303,7 +297,7 @@ def test_estimator_consistency_on_sampled_fault_model(circuit):
         d_i = (e ^ (rng.random(n) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
         dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
-        est = correlation_rate(dm, (1, 2), (3, 2), seed=trial)
+        est = extract_idle_rates(circuit, dm, seed=trial)
         if abs(est.estimate - 0.05) > 4 * est.stderr:
             failures += 1
     assert failures <= 1
@@ -317,26 +311,10 @@ def test_extract_labels_by_encoding_and_logical_value():
         ("phase_flip", 0, "p_phase"),
         ("phase_flip", 1, "p_phase"),
     ]:
-        c = build_repetition_circuit(LINE, cal, encoding, lv, rounds=2)
+        c = build_repetition_circuit(LINE, cal, encoding, lv)
         dm = detection_events(c, np.zeros((2_000, c.n_slots), dtype=np.uint8))
         est = extract_idle_rates(c, dm)
         assert est.rate_type == label
-
-
-def test_extract_validates_round(circuit):
-    dm = detection_events(circuit, np.zeros((2_000, circuit.n_slots), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        extract_idle_rates(circuit, dm, rnd=1)
-    with pytest.raises(ValueError):
-        extract_idle_rates(circuit, dm, rnd=3)
-
-
-def test_extract_requires_distance_three():
-    cal7 = make_line_cal(7)
-    c = build_repetition_circuit(tuple(range(7)), cal7, "bit_flip", 0, rounds=2)
-    dm = detection_events(c, np.zeros((2_000, c.n_slots), dtype=np.uint8))
-    with pytest.raises(ValueError, match="distance-3"):
-        extract_idle_rates(c, dm)
 
 
 def _qb(q, value, rate="p_phase"):

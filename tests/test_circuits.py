@@ -60,7 +60,7 @@ def cal():
 
 
 def build(cal, **kwargs):
-    defaults = dict(encoding="bit_flip", logical_value=0, rounds=2)
+    defaults = dict(encoding="bit_flip", logical_value=0)
     defaults.update(kwargs)
     return build_repetition_circuit(LINE, cal, **defaults)
 
@@ -91,7 +91,7 @@ def test_structure_matches_minimal_experiment(cal):
     assert circuit.n_slots == 7
     assert sorted(i.slot for i in circuit.instructions if i.slot is not None) == list(range(7))
     for a in circuit.aux_qubits:
-        assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == circuit.rounds
+        assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == 2
     for c in circuit.code_qubits:
         assert sum(1 for i in circuit.per_qubit[c] if i.kind == "measure") == 1
 
@@ -179,9 +179,7 @@ def test_short_delay_passes_through_unchanged():
     cal35 = make_line_cal(x_ns=35.0, readout_ns=30.0, cx_ns=20.0)
     # code-qubit measurement window is 30 + 35 = 65 < 2*35 + 4: too short for
     # the echo pair
-    circuit = build_repetition_circuit(
-        LINE, cal35, "bit_flip", 0, rounds=2, dd_scope="all_qubits"
-    )
+    circuit = build_repetition_circuit(LINE, cal35, "bit_flip", 0, dd_scope="all_qubits")
     window = [
         i
         for i in circuit.per_qubit[2]
@@ -193,21 +191,21 @@ def test_short_delay_passes_through_unchanged():
 def test_idle_exposure_is_measurement_window(cal):
     circuit = build(cal)
     # readout 20 ns + reset 10 ns, cross-checked by the independent walker
-    assert idle_exposure(circuit, 2) == [30, 30]
-    walker = sum(d for kind, d in window_segments(circuit, 2, rnd=1) if kind == "delay")
+    assert idle_exposure(circuit, 2) == 30
+    walker = sum(d for kind, d in window_segments(circuit, 2) if kind == "delay")
     assert walker == 30
 
 
 def test_idle_exposure_extra_delay_is_additive(cal):
-    base = idle_exposure(build(cal), 2)[0]
-    extra = idle_exposure(build(cal, extra_delay_ns=12_500), 2)[0]
+    base = idle_exposure(build(cal), 2)
+    extra = idle_exposure(build(cal, extra_delay_ns=12_500), 2)
     assert extra == base + 12_500
 
 
 def test_idle_exposure_of_aux_is_zero_while_measuring(cal):
     circuit = build(cal)
-    assert idle_exposure(circuit, 1) == [0, 0]
-    assert idle_exposure(circuit, 3) == [0, 0]
+    assert idle_exposure(circuit, 1) == 0
+    assert idle_exposure(circuit, 3) == 0
 
 
 def test_idle_exposure_counts_delays_not_echo_pulses(cal):
@@ -215,7 +213,7 @@ def test_idle_exposure_counts_delays_not_echo_pulses(cal):
     x_dur = circuit.x_durations[2]
     # two echoed windows in round 1 (measurement window + extra delay), each
     # giving up 2 x pulses of delay time
-    assert idle_exposure(circuit, 2)[0] == 30 + 10_000 - 4 * x_dur
+    assert idle_exposure(circuit, 2) == 30 + 10_000 - 4 * x_dur
 
 
 def test_idle_exposure_unknown_qubit(cal):
@@ -223,16 +221,13 @@ def test_idle_exposure_unknown_qubit(cal):
         idle_exposure(build(cal), 9)
 
 
-def test_rounds_below_two_rejected(cal):
-    with pytest.raises(CircuitBuildError):
-        build(cal, rounds=1)
-
-
 def test_invalid_line_rejected(cal):
     with pytest.raises(CircuitBuildError):
         build_repetition_circuit((0, 2, 1, 3, 4), cal)
     with pytest.raises(CircuitBuildError):
         build_repetition_circuit((0, 1, 2, 3), cal)
+    with pytest.raises(CircuitBuildError, match="five qubits"):
+        build_repetition_circuit(tuple(range(7)), make_line_cal(7))
 
 
 def test_bad_encoding_and_scope_rejected(cal):
@@ -240,11 +235,3 @@ def test_bad_encoding_and_scope_rejected(cal):
         build(cal, encoding="spin_flip")
     with pytest.raises(CircuitBuildError):
         build(cal, dd_scope="everything")
-
-
-def test_builder_accepts_distance_five_line():
-    cal7 = make_line_cal(7)
-    circuit = build_repetition_circuit(tuple(range(7)), cal7, "bit_flip", 0, rounds=2)
-    assert circuit.code_qubits == (0, 2, 4, 6)
-    assert circuit.aux_qubits == (1, 3, 5)
-    assert_timeline_valid(circuit)

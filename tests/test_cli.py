@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
@@ -85,6 +85,8 @@ def _as_field(value):
     key=st.sampled_from(sorted(VALID_CONFIG)),
     value=JSON_VALUES | ACCEPTED | st.lists(ACCEPTED, max_size=3),
 )
+@example(key="shots", value=10**20)
+@example(key="shots", value=2**63 - 1)
 def test_config_field_is_the_given_value_or_an_error(key, value):
     try:
         config = RunConfig.from_dict(dict(VALID_CONFIG, **{key: value}))
@@ -92,6 +94,9 @@ def test_config_field_is_the_given_value_or_an_error(key, value):
         return
     # repr tells True from 1, 1.0 from 1 and a list from a tuple
     assert repr(getattr(config, key)) == repr(_as_field(value))
+    # an accepted shot count is one the sampler's multinomial can draw
+    if key == "shots":
+        assert np.random.default_rng(0).multinomial(config.shots, [1.0])[0] == config.shots
 
 
 def test_readme_run_config_is_the_defaults():
@@ -389,6 +394,19 @@ def line_report(fuzz_dir) -> dict:
     return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("command", ["plan --cal", "render --cal", "render --out"])
+def test_directory_for_a_file_path_is_config_error(fuzz_dir, line_report, command):
+    # a path that cannot be read or written exits 1 on every command
+    report = str(fuzz_dir / "base" / "report.json")
+    argv = {
+        "plan --cal": ["plan", "--cal", str(fuzz_dir)],
+        "render --cal": ["render", "--report", report, "--cal", str(fuzz_dir)],
+        "render --out": ["render", "--report", report, "--out", str(fuzz_dir)],
+    }[command]
+    code, err = exit_and_stderr(argv)
+    assert code == 1 and err.startswith("config error: cannot ") and err.count("\n") == 1, err
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, data):
@@ -450,13 +468,14 @@ DELETED_KEYS = {"rounds", "extra_delay", "bootstrap_resamples"}
         {"noise": {"disable": "cx"}},
         {"noise": {"enable_crosstalk": False}},
         {"rounds": 5},
+        ("--shots", "100000000000000000000"),  # beyond the multinomial's int64
     ],
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
          "nan-fraction", "infinite-fraction", "negative-fraction", "overflowing-fraction", "extra-delay-typo",
          "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch",
-         "too-many-rounds"],
+         "too-many-rounds", "int64-overflowing-shots-flag"],
 )
 def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
     if isinstance(bad, str):
@@ -535,9 +554,9 @@ def test_report_guides_and_exposure_are_consistent(tmp_path, cal_path):
         q = result.qubit
         extra = round(0.125 * cal.qubits[q].t2_ns)
         circuit = build_repetition_circuit(
-            result.line, cal, "phase_flip", 0, rounds=2, extra_delay_ns=extra, dd_scope="code_only"
+            result.line, cal, "phase_flip", 0, extra_delay_ns=extra, dd_scope="code_only"
         )
-        assert result.exposure_ns["phase_flip"] == idle_exposure(circuit, q)[0]
+        assert result.exposure_ns["phase_flip"] == idle_exposure(circuit, q)
         expected = guide_values(cal, q, result.exposure_ns["phase_flip"], dd=True).p_phase
         assert result.guides["p_phase"] == pytest.approx(expected, rel=1e-12)
 

@@ -20,7 +20,7 @@ from synbench import (
 from synbench.analysis import _pair_counts
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
-from synbench.simulator import MAX_ROUNDS, _structure, compile_program, record_distribution, run_shots
+from synbench.simulator import _structure, compile_program, record_distribution, run_shots
 from helpers import make_line_cal, sample_shots
 from oracles import (
     bincount_pair_counts,
@@ -45,7 +45,7 @@ VARIANTS = [
 
 
 def build(cal, **kwargs):
-    defaults = dict(encoding="bit_flip", logical_value=0, rounds=2)
+    defaults = dict(encoding="bit_flip", logical_value=0)
     defaults.update(kwargs)
     return build_repetition_circuit(LINE, cal, **defaults)
 
@@ -119,7 +119,6 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
     circuit = Circuit(
         line=(0, 1),
         instructions=instructions,
-        rounds=2,
         encoding="bit_flip",
         logical_value=0,
         dd_scope="none",
@@ -143,7 +142,6 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
     circuit = Circuit(
         line=(0, 1, 2),
         instructions=instructions,
-        rounds=2,
         encoding="bit_flip",
         logical_value=0,
         dd_scope="none",
@@ -243,14 +241,14 @@ def test_relaxation_frequency_matches_closed_form():
     immortal = replace(base.qubits[0], t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
     cal = replace(base, qubits=(immortal, immortal, base.qubits[2], immortal, immortal))
     circuit = build_repetition_circuit(
-        LINE, cal, "bit_flip", 1, rounds=2, extra_delay_ns=12_500
+        LINE, cal, "bit_flip", 1, extra_delay_ns=12_500
     )
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=99)
     dm = detection_events(circuit, shots)
     coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
-    expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
+    expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
     assert abs(exact_round2_coincidence(circuit, noise) - expected) <= 1e-12
@@ -262,14 +260,14 @@ def test_cpmg_relaxation_frequency_matches_markov_composition():
     immortal = replace(base.qubits[0], t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
     cal = replace(base, qubits=(immortal, immortal, base.qubits[2], immortal, immortal))
     circuit = build_repetition_circuit(
-        LINE, cal, "bit_flip", 1, rounds=2, extra_delay_ns=12_500, dd_scope="code_only"
+        LINE, cal, "bit_flip", 1, extra_delay_ns=12_500, dd_scope="code_only"
     )
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=17)
     dm = detection_events(circuit, shots)
     coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
-    expected = window_flip_probability(circuit, cal, 2, start_bit=1, rnd=1)
+    expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
     assert abs(exact_round2_coincidence(circuit, noise) - expected) <= 1e-12
@@ -287,7 +285,7 @@ def test_readout_channel_linearity_at_small_p():
         cal = replace(
             base, qubits=(base.qubits[0], noisy_aux, base.qubits[2], base.qubits[3], base.qubits[4])
         )
-        circuit = build_repetition_circuit(LINE, cal, "bit_flip", 0, rounds=2)
+        circuit = build_repetition_circuit(LINE, cal, "bit_flip", 0)
         noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "relaxation", "dephasing", "crosstalk"})))
         shots = sample_shots(circuit, noise, 400_000, seed=23)
         dm = detection_events(circuit, shots)
@@ -316,7 +314,6 @@ def test_crosstalk_first_overlap_rule_applies_once():
     circuit = Circuit(
         line=(0, 1),
         instructions=instructions,
-        rounds=2,
         encoding="phase_flip",
         logical_value=0,
         dd_scope="none",
@@ -338,7 +335,7 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
     # decay events
     cal = make_line_cal()
     circuit = build_repetition_circuit(
-        LINE, cal, "phase_flip", 0, rounds=2, extra_delay_ns=10_000, dd_scope="all_qubits"
+        LINE, cal, "phase_flip", 0, extra_delay_ns=10_000, dd_scope="all_qubits"
     )
     noise = compile_noise(
         cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"cx", "readout", "dephasing"}))
@@ -397,33 +394,12 @@ def test_preparation_error_flips_initial_states(cal):
         assert (shots[:, circuit.final_slots[q]] == 1).all()
 
 
-def test_three_round_circuit_stays_sound(cal):
-    circuit = build(cal, logical_value=1, rounds=3, extra_delay_ns=12_500)
-    shots = sample_shots(circuit, zero_noise(cal), 500, seed=14)
-    assert not detection_events(circuit, shots).data[:, : 2 * 3].any()
-    noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
-    shots = sample_shots(circuit, noise, 150_000, seed=15)
-    dm = detection_events(circuit, shots)
-    # window 1 sees the fresh excited state; by window 2 the qubit has
-    # already decayed with probability f, damping the marginal flip rate
-    f = 0.1178
-    for rnd, expected in ((2, f), (3, (1 - f) * f)):
-        est = extract_idle_rates(circuit, dm, rnd=rnd, seed=16)
-        assert est.estimate == pytest.approx(expected, abs=4 * est.stderr)
-
-
 def test_shot_count_validation(cal):
     (pi,) = record_distribution(compile_program(build(cal), zero_noise(cal)))
     with pytest.raises(ValueError):
         run_shots(pi, 0, seed=1)
     with pytest.raises(ValueError, match="2\\*\\*n_slots"):
         run_shots(pi[:-1], 10, seed=1)
-
-
-def test_rounds_above_limit_are_rejected(cal):
-    sample_shots(build(cal, rounds=MAX_ROUNDS), zero_noise(cal), 10, seed=1)
-    with pytest.raises(ValueError, match="rounds"):
-        compile_program(build(cal, rounds=MAX_ROUNDS + 1), zero_noise(cal))
 
 
 def pipeline_circuits(cal):
@@ -438,16 +414,16 @@ def pipeline_circuits(cal):
 
 def test_compile_program_matches_reference_lowering(falcon):
     # the one-sweep lowering against the oracle's sort-match-sort passes:
-    # every falcon27 pipeline circuit at each dd_scope, a MAX_ROUNDS phase-
-    # flip circuit with eta 0.3, faults at the time an instruction starts
-    # and an xtalk resolves, and that circuit with its instructions grouped
-    # by qubit instead of in time order
+    # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
+    # with every qubit echoed and eta 0.3, faults at the time an instruction
+    # starts and an xtalk resolves, and that circuit with its instructions
+    # grouped by qubit instead of in time order
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     weak = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
-    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     h_start = max(ins.start for ins in deep.per_qubit[2] if ins.kind == "h")
     faulted = inject_fault(inject_fault(deep, 2, h_start, "Z"), 1, h_start, "X")
     by_qubit = replace(faulted, instructions=tuple(sorted(faulted.instructions, key=lambda ins: ins.qubits)))
@@ -455,18 +431,20 @@ def test_compile_program_matches_reference_lowering(falcon):
     cases += [(deep, weak), (faulted, weak), (by_qubit, weak), (replace(by_qubit, faults=()), weak)]
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
-    assert any(op[0] == "xtalk" for op in compile_program(faulted, weak).ops)
+    tags = [op[0] for op in compile_program(faulted, weak).ops]
+    assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (49, 18, 12)
 
 
 def test_record_distribution_matches_reference_walk(falcon):
     # the one-matmul-per-op walk against the oracle's slice-and-sum walk:
-    # every falcon27 pipeline circuit at each dd_scope, a MAX_ROUNDS phase-
-    # flip circuit and a circuit with an injected fault
+    # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
+    # with every qubit echoed and eta 0.3, and a circuit with an injected
+    # fault
     noise = compile_noise(falcon)
     circuits = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(circuits) == 3 * 84
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
-    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     circuits.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))))
     faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     circuits.append((faulted, compile_noise(cal)))
@@ -514,14 +492,14 @@ def test_shot_kernels_match_row_major_oracles(falcon):
     # run_shots' slot-major expansion, detection_events' in-place XORs and
     # the popcount pair counts against the row-major formulas they replaced,
     # bit for bit: every falcon27 pipeline circuit at 2k shots and those of
-    # the default dd_scope at 100k, a MAX_ROUNDS circuit and a circuit with
-    # an injected fault
+    # the default dd_scope at 100k, a phase-flip circuit with every qubit
+    # echoed and eta 0.3, and a circuit with an injected fault
     noise = compile_noise(falcon)
     cases = [(circuit, noise, 2_000) for _, circuit in pipeline_circuits(falcon)]
     cases += [(circuit, noise, 100_000) for scope, circuit in pipeline_circuits(falcon) if scope == "code_only"]
     assert len(cases) == 4 * 84
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
-    deep = build(cal, encoding="phase_flip", rounds=MAX_ROUNDS, extra_delay_ns=10_000, dd_scope="all_qubits")
+    deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     cases.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3)), 100_000))
     faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     cases.append((faulted, compile_noise(cal), 2_000))
@@ -542,41 +520,11 @@ def test_shot_kernels_match_row_major_oracles(falcon):
 def test_shot_and_detector_columns_are_contiguous(cal):
     # each slot's and each detector's bits over all shots lie contiguous in
     # memory, which is what makes each stage one pass per column
-    circuit = build(cal, logical_value=1, rounds=3, extra_delay_ns=5_000)
+    circuit = build(cal, logical_value=1, extra_delay_ns=5_000)
     shots = sample_shots(circuit, compile_noise(cal), 1_000, seed=5)
     assert shots.shape == (1_000, circuit.n_slots) and shots.T.flags.c_contiguous
     dm = detection_events(circuit, shots)
     assert all(dm.column(det).flags.c_contiguous for det in dm.detectors)
-
-
-def round2_pair_cells(circuit, noise) -> np.ndarray:
-    """Exact probabilities of the round-2 detector pair's four outcomes."""
-    (pi,) = record_distribution(compile_program(circuit, noise))
-    dm = detection_events(circuit, record_table(circuit.n_slots))
-    d_i, d_j = (dm.column((a, 2)) for a in circuit.aux_qubits)
-    return np.bincount(2 * d_i + d_j, weights=pi, minlength=4)
-
-
-def test_round2_pair_does_not_depend_on_later_rounds(falcon):
-    # the estimator reads only the round-2 pair, and rounds after the second
-    # cannot change its cells, so the pipeline runs two rounds: q7 at every
-    # dd_scope and round count, and every planned qubit at all_qubits and
-    # MAX_ROUNDS, crosstalk on
-    noise = compile_noise(falcon)
-    lines = {q: line for q, line in plan_device(falcon).items() if line is not None}
-    cases = [(7, scope, rounds) for scope in DD_SCOPES for rounds in range(3, MAX_ROUNDS + 1)]
-    cases += [(q, "all_qubits", MAX_ROUNDS) for q in sorted(lines)]
-    for (q, scope, rounds), encoding, lv in itertools.product(cases, ENCODINGS, (0, 1)):
-        qc = falcon.qubits[q]
-        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
-        two, longer = (
-            round2_pair_cells(
-                build_repetition_circuit(lines[q], falcon, encoding, lv, t, extra_delay_ns=extra, dd_scope=scope),
-                noise,
-            )
-            for t in (2, rounds)
-        )
-        assert np.abs(longer - two).max() <= 1e-12, (q, scope, rounds, encoding, lv)
 
 
 def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
