@@ -10,7 +10,6 @@ next to the analytic values their relaxation and dephasing times predict.
 from .analysis import (
     AntiCorrelationError,
     BenchmarkReport,
-    DetectionMatrix,
     EstimationError,
     QubitBenchmark,
     RateEstimate,
@@ -58,7 +57,6 @@ __all__ = [
     "CalibrationError",
     "Circuit",
     "CircuitBuildError",
-    "DetectionMatrix",
     "DeviceCalibration",
     "EstimationError",
     "FaultSite",

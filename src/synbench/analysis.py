@@ -1,11 +1,12 @@
-"""From raw shots to detection events and syndrome-derived error rates.
+"""From raw shots to the round-2 detector pair's counts and syndrome-derived
+error rates.
 
 A detection event is the XOR of an auxiliary's outcomes in consecutive
-rounds of the two-round circuit, with an effective round 3 inferred from the
-parity of the final transversal code-qubit readout. A fault on the central
-code qubit between rounds 1 and 2 fires both auxiliaries' round-2 detectors,
-so the coincidence statistics of that detector pair estimate the central
-qubit's idle error probability.
+rounds of the two-round circuit. A fault on the central code qubit between
+rounds 1 and 2 fires both auxiliaries' round-2 detectors, so the coincidence
+statistics of that detector pair estimate the central qubit's idle error
+probability. The analysis layer's data is that pair's 2x2 joint counts
+(n00, n01, n10, n11); no other detector is derived.
 
 The estimator inverts the shared/independent fault model: with detector
 means v_i, v_j and covariance C, the shared-fault probability is
@@ -25,9 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import ROUNDS, Circuit
-
-Detector = tuple[int, int]  # (auxiliary qubit, round), rounds 1..ROUNDS + 1
+from .circuits import Circuit
 
 MIN_RECOMMENDED_SHOTS = 1000
 BOOTSTRAP_RESAMPLES = 200
@@ -41,33 +40,12 @@ class AntiCorrelationError(EstimationError):
     """Anti-correlation stronger than the shared-fault model allows."""
 
 
-@dataclass(frozen=True)
-class DetectionMatrix:
-    """shots x detectors matrix; columns ordered round-major. An entry
-    counts as fired when it is nonzero.
-
-    `detection_events` builds it as the transposed view of C-contiguous
-    (detectors, shots) storage, so each detector's column is contiguous.
-    """
-
-    data: np.ndarray
-    detectors: tuple[Detector, ...]
-
-    @property
-    def shots(self) -> int:
-        return int(self.data.shape[0])
-
-    def column(self, detector: Detector) -> np.ndarray:
-        return self.data[:, self.detectors.index(detector)]
-
-
-def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
-    """Derive detection events from raw measurement records.
-
-    d(a, 1) = s(a, 1); d(a, 2) = s(a, 2) XOR s(a, 1); and the effective
-    final round d(a, 3) = s(a, 2) XOR m_left XOR m_right over the final
-    readouts of a's code neighbors. Noise-free circuits give the all-zero
-    matrix for either logical value, since equal code bits cancel in parity.
+def detection_events(circuit: Circuit, shots: np.ndarray) -> np.ndarray:
+    """Joint counts (n00, n01, n10, n11) of the round-2 detector pair over
+    raw measurement records, cell 2 d_left + d_right, where
+    d(a) = s(a, 2) XOR s(a, 1) for the auxiliaries line[1] (left) and
+    line[3] (right). Noise-free circuits put every shot in n00 for either
+    logical value.
     """
     shots = np.asarray(shots)
     if shots.ndim != 2 or shots.shape[1] != circuit.n_slots:
@@ -83,19 +61,13 @@ def detection_events(circuit: Circuit, shots: np.ndarray) -> DetectionMatrix:
         bad = shots[(shots != 0) & (shots != 1)].flat[0].item()
         raise ValueError(f"shot entries must be 0 or 1, got {bad!r}")
     shots = shots.astype(np.uint8, copy=False)
-    detectors = [(a, r) for r in range(1, ROUNDS + 2) for a in circuit.aux_qubits]
-    rows = np.empty((len(detectors), shots.shape[0]), dtype=np.uint8)
-    for row, (a, r) in zip(rows, detectors):
-        syndrome = shots[:, circuit.aux_slots[(a, min(r, ROUNDS))]]
-        if r == 1:
-            row[...] = syndrome
-        elif r <= ROUNDS:
-            np.bitwise_xor(syndrome, shots[:, circuit.aux_slots[(a, r - 1)]], out=row)
-        else:
-            left, right = circuit.neighbors_in_line(a)
-            np.bitwise_xor(shots[:, circuit.final_slots[left]], shots[:, circuit.final_slots[right]], out=row)
-            np.bitwise_xor(row, syndrome, out=row)
-    return DetectionMatrix(data=rows.T, detectors=tuple(detectors))
+    left, right = (
+        np.bitwise_xor(shots[:, circuit.aux_slots[(a, 2)]], shots[:, circuit.aux_slots[(a, 1)]])
+        for a in circuit.aux_qubits
+    )
+    n1_, n_1 = np.count_nonzero(left), np.count_nonzero(right)
+    n11 = np.count_nonzero(np.logical_and(left, right))
+    return np.array([shots.shape[0] - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -145,15 +117,6 @@ def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
     return np.where(denom <= 0.0, 0.5, values)
 
 
-def _pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
-    """(n00, n01, n10, n11) joint counts of two detector columns, a
-    nonzero entry counting as fired."""
-    n11 = np.count_nonzero(np.logical_and(d_i, d_j))
-    n1_ = np.count_nonzero(d_i)
-    n_1 = np.count_nonzero(d_j)
-    return np.array([d_i.size - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)
-
-
 def rate_type_of(circuit: Circuit) -> str:
     """The rate a circuit measures: the bit-flip encoding resolves the
     direction by logical value (logical 1 exposes 1->0 decay, logical 0
@@ -166,22 +129,27 @@ def rate_type_of(circuit: Circuit) -> str:
 
 def extract_idle_rates(
     circuit: Circuit,
-    dm: DetectionMatrix,
+    counts: np.ndarray,
     *,
     resamples: int = BOOTSTRAP_RESAMPLES,
     seed=0,
 ) -> RateEstimate:
     """Central-qubit idle error rate: the shared-fault probability of the
-    two auxiliaries' round-2 detectors, with bootstrap SE, labelled by
+    round-2 detector pair's joint counts (n00, n01, n10, n11), as
+    `detection_events` returns them, with bootstrap SE, labelled by
     `rate_type_of`."""
-    det_i, det_j = ((a, 2) for a in circuit.aux_qubits)
-    n = dm.shots
+    counts = np.asarray(counts)
+    if counts.shape != (4,):
+        raise ValueError(f"counts must be the four cells (n00, n01, n10, n11), got shape {counts.shape}")
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+    if counts.min() < 0:
+        raise ValueError(f"counts must be non-negative, got {counts.tolist()}")
+    n = int(counts.sum())
+    if n < 1:
+        raise ValueError("counts hold no shots")
     if n < MIN_RECOMMENDED_SHOTS:
-        warnings.warn(
-            f"only {n} shots for detector pair {det_i}/{det_j}; estimates will be noisy",
-            stacklevel=2,
-        )
-    counts = _pair_counts(dm.column(det_i), dm.column(det_j))
+        warnings.warn(f"only {n} shots for the round-2 detector pair; estimates will be noisy", stacklevel=2)
     total = float(n)
     v_i, v_j = (counts[2] + counts[3]) / total, (counts[1] + counts[3]) / total
     anticorrelated = False

@@ -125,15 +125,6 @@ class Circuit:
                 by_qubit[q].append(ins)
         return {q: tuple(v) for q, v in by_qubit.items()}
 
-    def neighbors_in_line(self, qubit: int) -> tuple[int, ...]:
-        i = self.line.index(qubit)
-        nbrs = []
-        if i > 0:
-            nbrs.append(self.line[i - 1])
-        if i < len(self.line) - 1:
-            nbrs.append(self.line[i + 1])
-        return tuple(nbrs)
-
     def timeline_text(self) -> str:
         """Deterministic plain-text dump, one line per instruction."""
         return "\n".join(ins.text() for ins in self.instructions) + "\n"

@@ -191,10 +191,11 @@ def benchmark_qubit(
                 )
             except EstimationError as exc:
                 # degenerate statistics (e.g. single-shot runs) stay in the
-                # report at the model boundary rather than failing the device
+                # report at the model boundary rather than failing the device;
+                # the warning names the code that called run_benchmark
                 warnings.warn(
                     f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
             estimates.append(est)

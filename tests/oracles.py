@@ -404,7 +404,8 @@ def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tu
             elif r == 2:
                 col = syndrome[(a, 2)] ^ syndrome[(a, 1)]
             else:
-                left, right = circuit.neighbors_in_line(a)
+                i = circuit.line.index(a)
+                left, right = circuit.line[i - 1], circuit.line[i + 1]
                 final = shots[:, circuit.final_slots[left]] ^ shots[:, circuit.final_slots[right]]
                 col = syndrome[(a, 2)] ^ final
             columns.append(col)
@@ -608,7 +609,8 @@ def _attach_crosstalk(circuit, segments, eta, emit):
     for src in segments:
         if src.token < 0:
             continue
-        for nbr in circuit.neighbors_in_line(src.qubit):
+        i = circuit.line.index(src.qubit)
+        for nbr in circuit.line[max(i - 1, 0) : i] + circuit.line[i + 1 : i + 2]:
             hits = [
                 seg
                 for seg in by_qubit.get(nbr, ())

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from synbench import (
-    DetectionMatrix,
     NoiseOptions,
     ZERO_NOISE_OPTIONS,
     build_repetition_circuit,
@@ -35,8 +34,10 @@ from synbench.noise import IdleChannel
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import make_graph_cal, make_line_cal, random_graph_edges, sample_shots
 from oracles import (
+    bincount_pair_counts,
     brute_force_lines,
     shared_fault_moments,
+    stacked_detection_events,
     window_flip_probability,
     window_phase_flip_probability,
 )
@@ -145,7 +146,6 @@ def test_criterion_2_estimator_oracle(cal5):
     exact_ok = worst <= 1e-12
 
     circuit = build_repetition_circuit(LINE, cal5)
-    detectors = ((1, 2), (3, 2))  # its round-2 pair
     failures = 0
     trials = 100
     for trial in range(trials):
@@ -154,8 +154,7 @@ def test_criterion_2_estimator_oracle(cal5):
         e = rng.random(MILLION) < p
         d_i = (e ^ (rng.random(MILLION) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(MILLION) < 0.03)).astype(np.uint8)
-        dm = DetectionMatrix(data=np.stack([d_i, d_j], axis=1), detectors=detectors)
-        est = extract_idle_rates(circuit, dm, seed=(3030, trial))
+        est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=(3030, trial))
         if abs(est.estimate - p) > 4.0 * est.stderr:
             failures += 1
     sampled_ok = failures <= trials - 95
@@ -262,7 +261,10 @@ def test_criterion_5_noise_free_soundness(cal5):
                     LINE, cal5, encoding, lv, extra_delay_ns=2_000, dd_scope=scope
                 )
                 shots = sample_shots(circuit, zero, 10_000, seed=60)
-                if detection_events(circuit, shots).data.any():
+                # the oracle's six detectors, and the pipeline's pair counts
+                if stacked_detection_events(circuit, shots)[0].any() or (
+                    detection_events(circuit, shots).tolist() != [10_000, 0, 0, 0]
+                ):
                     nonzero.append((encoding, lv, scope))
                 checked += 1
     _verdict(
@@ -284,10 +286,15 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
             if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
         )
         faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 100, pauli=pauli)
-        dm = detection_events(faulted, sample_shots(faulted, zero, 2_000, seed=61))
-        fired = {det for det in dm.detectors if dm.column(det).all()}
-        silent = {det for det in dm.detectors if not dm.column(det).any()}
-        exact = fired == {(1, 2), (3, 2)} and silent == set(dm.detectors) - fired
+        shots = sample_shots(faulted, zero, 2_000, seed=61)
+        data, detectors = stacked_detection_events(faulted, shots)
+        fired = {det for det, col in zip(detectors, data.T) if col.all()}
+        silent = {det for det, col in zip(detectors, data.T) if not col.any()}
+        exact = (
+            fired == {(1, 2), (3, 2)}
+            and silent == set(detectors) - fired
+            and detection_events(faulted, shots).tolist() == [0, 0, 0, 2_000]
+        )
         results.append((encoding, pauli, exact))
     _verdict(
         "criterion 6 (fault injection)",

@@ -6,7 +6,6 @@ import pytest
 
 from synbench import (
     AntiCorrelationError,
-    DetectionMatrix,
     EstimationError,
     QubitBenchmark,
     RateEstimate,
@@ -16,7 +15,6 @@ from synbench import (
     estimate_from_moments,
     extract_idle_rates,
 )
-from synbench.analysis import _pair_counts
 from helpers import make_line_cal
 from oracles import bincount_pair_counts, shared_fault_moments, stacked_detection_events
 
@@ -28,29 +26,27 @@ def circuit():
     return build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 0)
 
 
-def synthetic_dm(circuit, columns: dict, shots: int):
-    """DetectionMatrix with chosen columns set, everything else zero."""
-    dm = detection_events(circuit, np.zeros((shots, circuit.n_slots), dtype=np.uint8))
-    data = dm.data.copy()
-    for det, col in columns.items():
-        data[:, dm.detectors.index(det)] = col
-    return type(dm)(data=data, detectors=dm.detectors)
+def oracle_columns(circuit, shots) -> dict:
+    """The oracle's detection events by (auxiliary, round), rounds 1-3."""
+    data, detectors = stacked_detection_events(circuit, shots)
+    return dict(zip(detectors, data.T))
 
 
 def test_all_zero_shots_give_all_zero_matrix(circuit):
     shots = np.zeros((100, circuit.n_slots), dtype=np.uint8)
-    assert not detection_events(circuit, shots).data.any()
+    assert detection_events(circuit, shots).tolist() == [100, 0, 0, 0]
 
 
 def test_detector_columns_follow_xor_rules(circuit):
     shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
     # left aux fires in round 2 only: detectors (1,2) and (1,3) fire
     shots[0, circuit.aux_slots[(1, 2)]] = 1
-    dm = detection_events(circuit, shots)
-    assert dm.column((1, 1))[0] == 0
-    assert dm.column((1, 2))[0] == 1
-    assert dm.column((1, 3))[0] == 1
-    assert not dm.column((3, 1))[0] and not dm.column((3, 2))[0] and not dm.column((3, 3))[0]
+    col = oracle_columns(circuit, shots)
+    assert col[(1, 1)][0] == 0
+    assert col[(1, 2)][0] == 1
+    assert col[(1, 3)][0] == 1
+    assert not col[(3, 1)][0] and not col[(3, 2)][0] and not col[(3, 3)][0]
+    assert detection_events(circuit, shots).tolist() == [0, 0, 1, 0]
 
 
 def test_final_round_parity_under_logical_one():
@@ -60,33 +56,28 @@ def test_final_round_parity_under_logical_one():
     shots[0, circuit.final_slots[0]] = 1
     shots[0, circuit.final_slots[2]] = 0
     shots[0, circuit.final_slots[4]] = 1
-    dm = detection_events(circuit, shots)
-    assert dm.column((1, 3))[0] == 1 and dm.column((3, 3))[0] == 1
-    assert dm.column((1, 1))[0] == 0 and dm.column((1, 2))[0] == 0
+    col = oracle_columns(circuit, shots)
+    assert col[(1, 3)][0] == 1 and col[(3, 3)][0] == 1
+    assert col[(1, 1)][0] == 0 and col[(1, 2)][0] == 0
 
 
 def test_final_round_parity_cancels_equal_bits():
     circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
     shots = np.ones((1, circuit.n_slots), dtype=np.uint8)
     shots[0, : len(circuit.aux_slots)] = 0
-    dm = detection_events(circuit, shots)
-    assert not dm.data.any()
+    assert not stacked_detection_events(circuit, shots)[0].any()
 
 
 def test_detector_chain_parity_is_invariant_under_even_aux_flips(circuit):
-    rng = np.random.default_rng(0)
-    shots = np.zeros((64, circuit.n_slots), dtype=np.uint8)
-    base = detection_events(circuit, shots)
-    flipped = shots.copy()
+    flipped = np.zeros((64, circuit.n_slots), dtype=np.uint8)
     flipped[:, circuit.aux_slots[(1, 1)]] ^= 1
     flipped[:, circuit.aux_slots[(1, 2)]] ^= 1
-    dm = detection_events(circuit, flipped)
-    chain = [(1, r) for r in (1, 2, 3)]
+    col = oracle_columns(circuit, flipped)
     parity = np.zeros(64, dtype=np.uint8)
-    for det in chain:
-        parity ^= dm.column(det)
+    for r in (1, 2, 3):
+        parity ^= col[(1, r)]
     assert not parity.any()
-    assert dm.column((1, 1)).all() and dm.column((1, 3)).all() and not dm.column((1, 2)).any()
+    assert col[(1, 1)].all() and col[(1, 3)].all() and not col[(1, 2)].any()
 
 
 def test_detection_events_rejects_slot_mismatch(circuit):
@@ -124,29 +115,31 @@ def _layouts(bits: np.ndarray) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "float64"])
 def test_detection_events_match_stacked_oracle_in_any_layout(layout):
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
-    bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
-    dm = detection_events(circuit, _layouts(bits)[layout])
-    data, detectors = stacked_detection_events(circuit, bits)
-    assert dm.detectors == detectors and dm.data.dtype == np.uint8 and np.array_equal(dm.data, data)
+    # the popcount cells equal a bincount of the oracle's round-2 columns,
+    # cell 2 d_left + d_right, whatever the shots' memory order and dtype
+    for lv in (0, 1):
+        circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", lv)
+        bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
+        counts = detection_events(circuit, _layouts(bits)[layout])
+        col = oracle_columns(circuit, bits)
+        expected = bincount_pair_counts(col[(1, 2)], col[(3, 2)])
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+        assert expected.sum() == 3_000 and expected.min() > 0
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "stacked", "synthetic"])
-def test_pair_counts_match_bincount_oracle_in_any_layout(circuit, layout):
-    rng = np.random.default_rng(22)
-    e = rng.random(5_000) < 0.1
-    d_i = (e ^ (rng.random(5_000) < 0.2)).astype(np.uint8)
-    d_j = (e ^ (rng.random(5_000) < 0.3)).astype(np.uint8)
-    detectors = ((1, 2), (3, 2))
-    if layout == "stacked":  # as test_acceptance's criterion 2 builds it
-        dm = DetectionMatrix(data=np.stack([d_i, d_j], axis=1), detectors=detectors)
-    elif layout == "synthetic":
-        dm = synthetic_dm(circuit, dict(zip(detectors, (d_i, d_j))), 5_000)
-    else:
-        dm = DetectionMatrix(data=_layouts(np.stack([d_i, d_j], axis=1))[layout], detectors=detectors)
-    expected = bincount_pair_counts(d_i, d_j)
-    assert np.array_equal(_pair_counts(dm.column((1, 2)), dm.column((3, 2))), expected)
-    assert expected.sum() == 5_000 and expected.min() > 0
+@pytest.mark.parametrize(
+    "counts,problem",
+    [
+        (np.zeros(4, dtype=np.int64), "no shots"),  # detection_events of zero shots
+        (np.array([10, -1, 0, 0]), "non-negative"),
+        (np.array([10, 0, 0]), "four cells"),
+        (np.array([10.0, 0.0, 0.0, 0.0]), "integers"),
+    ],
+    ids=["zero-total", "negative-cell", "three-cells", "float"],
+)
+def test_extract_refuses_malformed_counts(circuit, counts, problem):
+    with pytest.raises(ValueError, match=problem):
+        extract_idle_rates(circuit, counts)
 
 
 def test_estimator_recovers_p_from_exact_moments():
@@ -188,30 +181,14 @@ def test_correlation_rate_on_synthetic_columns(circuit):
     e = rng.random(n) < p
     d_i = e ^ (rng.random(n) < q_i)
     d_j = e ^ (rng.random(n) < q_j)
-    dm = synthetic_dm(circuit, {(1, 2): d_i.astype(np.uint8), (3, 2): d_j.astype(np.uint8)}, n)
-    est = extract_idle_rates(circuit, dm, seed=5)
+    est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=5)
     assert est.stderr > 0
     assert est.estimate == pytest.approx(p, abs=4 * est.stderr)
-    assert est.shots == n
-
-
-def test_any_nonzero_entry_counts_as_fired(circuit):
-    # a hand-built column that codes "fired" as 2 gives exactly the estimate
-    # of its 0/1 twin: the joint count follows the singles' nonzero rule
-    rng = np.random.default_rng(1)
-    n = 20_000
-    e = rng.random(n) < 0.05
-    d_i = (e ^ (rng.random(n) < 0.02)).astype(np.uint8)
-    d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
-    twin = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
-    coded = synthetic_dm(circuit, {(1, 2): 2 * d_i, (3, 2): d_j}, n)
-    assert extract_idle_rates(circuit, coded, seed=1) == extract_idle_rates(circuit, twin, seed=1)
-    assert extract_idle_rates(circuit, twin, seed=1).estimate > 0.04
+    assert est.shots == n and type(est.shots) is int
 
 
 def test_correlation_rate_zero_data_is_zero(circuit):
-    dm = synthetic_dm(circuit, {}, 2_000)
-    est = extract_idle_rates(circuit, dm, seed=5)
+    est = extract_idle_rates(circuit, np.array([2_000, 0, 0, 0]), seed=5)
     assert est.estimate == 0.0
     assert not est.anticorrelated
 
@@ -223,8 +200,7 @@ def test_correlation_rate_anticorrelated_columns_flagged(circuit):
     d_j = np.zeros(n, dtype=np.uint8)
     d_i[: int(0.3 * n)] = 1
     d_j[int(0.3 * n) : int(0.6 * n)] = 1
-    dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
-    est = extract_idle_rates(circuit, dm, seed=5)
+    est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=5)
     assert est.estimate == 0.0
     assert est.anticorrelated
 
@@ -232,26 +208,24 @@ def test_correlation_rate_anticorrelated_columns_flagged(circuit):
 def test_correlation_rate_rejects_half_rate_detectors(circuit):
     n = 4_000
     d_i = np.tile([0, 1], n // 2).astype(np.uint8)
-    dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): 1 - d_i}, n)
     with pytest.raises(EstimationError):
-        extract_idle_rates(circuit, dm, seed=5)
+        extract_idle_rates(circuit, bincount_pair_counts(d_i, 1 - d_i), seed=5)
 
 
 def test_correlation_rate_warns_below_recommended_shots(circuit):
     # the warning names the code that asked for the estimate
-    dm = synthetic_dm(circuit, {}, 12)
     with pytest.warns(UserWarning, match="only 12 shots") as record:
-        extract_idle_rates(circuit, dm, seed=5)
+        extract_idle_rates(circuit, np.array([12, 0, 0, 0]), seed=5)
     assert [w.filename for w in record] == [__file__]
 
 
 def test_correlation_rate_bootstrap_is_seeded(circuit):
     rng = np.random.default_rng(3)
     col = (rng.random(20_000) < 0.04).astype(np.uint8)
-    dm = synthetic_dm(circuit, {(1, 2): col, (3, 2): col}, 20_000)
-    a = extract_idle_rates(circuit, dm, seed=7)
-    b = extract_idle_rates(circuit, dm, seed=7)
-    c = extract_idle_rates(circuit, dm, seed=8)
+    counts = bincount_pair_counts(col, col)
+    a = extract_idle_rates(circuit, counts, seed=7)
+    b = extract_idle_rates(circuit, counts, seed=7)
+    c = extract_idle_rates(circuit, counts, seed=8)
     assert a == b
     assert a.stderr != c.stderr
 
@@ -269,9 +243,7 @@ def test_correlation_rate_bootstrap_matches_scalar_loop(circuit, counts):
     # the vectorized bootstrap reproduces the per-resample scalar estimator
     # bit for bit, failure mapping included
     n = sum(counts)
-    cells = np.repeat(np.arange(4), counts)
-    dm = synthetic_dm(circuit, {(1, 2): cells >> 1, (3, 2): cells & 1}, n)
-    est = extract_idle_rates(circuit, dm, seed=9)
+    est = extract_idle_rates(circuit, np.array(counts), seed=9)
     rng = np.random.default_rng(9)
     values = []
     for c in rng.multinomial(n, np.array(counts) / n, size=200):
@@ -296,8 +268,7 @@ def test_estimator_consistency_on_sampled_fault_model(circuit):
         e = rng.random(n) < 0.05
         d_i = (e ^ (rng.random(n) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
-        dm = synthetic_dm(circuit, {(1, 2): d_i, (3, 2): d_j}, n)
-        est = extract_idle_rates(circuit, dm, seed=trial)
+        est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=trial)
         if abs(est.estimate - 0.05) > 4 * est.stderr:
             failures += 1
     assert failures <= 1
@@ -312,8 +283,7 @@ def test_extract_labels_by_encoding_and_logical_value():
         ("phase_flip", 1, "p_phase"),
     ]:
         c = build_repetition_circuit(LINE, cal, encoding, lv)
-        dm = detection_events(c, np.zeros((2_000, c.n_slots), dtype=np.uint8))
-        est = extract_idle_rates(c, dm)
+        est = extract_idle_rates(c, detection_events(c, np.zeros((2_000, c.n_slots), dtype=np.uint8)))
         assert est.rate_type == label
 
 

@@ -205,6 +205,8 @@ def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
     circuits = len(report.results)  # one encoding, one logical value
     assert metrics["simulator.shots"] == circuits * config.shots
     assert metrics["analysis.resamples"] == circuits * BOOTSTRAP_RESAMPLES
+    # every traced function is still called, so no layer reads 0 of 0
+    assert {s.name for s in tracer.spans} >= {name for _, _, name in tracing.TRACED}
     # coverage: the spans nest, so their self times add up to the call's wall
     # time and no blocking step goes unattributed
     assert abs(tracing.unattributed_seconds(tracer.spans)) <= 1e-3 * seconds
@@ -220,9 +222,12 @@ def test_run_seed_changes_report(tmp_path, cal_path):
 
 def test_run_with_single_shot_warns_but_succeeds(tmp_path, cal_path):
     config = write_config(tmp_path, cal_path, shots=1)
-    with pytest.warns(UserWarning, match="shots"):
+    with pytest.warns(UserWarning, match="shots") as record:
         report, _ = run_benchmark(RunConfig.from_file(config))
     assert len(report.results) == 21
+    # each fallback warning names the code that called run_benchmark
+    fallbacks = [w for w in record if "recording 0.5" in str(w.message)]
+    assert fallbacks and {w.filename for w in fallbacks} == {__file__}
 
 
 def test_run_without_benchmarkable_qubits_is_runtime_error(tmp_path, capsys):

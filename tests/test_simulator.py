@@ -17,7 +17,6 @@ from synbench import (
     extract_idle_rates,
     inject_fault,
 )
-from synbench.analysis import _pair_counts
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
 from synbench.simulator import _structure, compile_program, record_distribution, run_shots
@@ -62,11 +61,19 @@ def exact_record(circuit, noise) -> np.ndarray:
     return record_table(circuit.n_slots)[int(pi.argmax())]
 
 
+def fired_detectors(circuit, shots) -> set:
+    """The oracle's detectors, rounds 1-3, that fire in every shot; every
+    other detector must be silent in every shot."""
+    data, detectors = stacked_detection_events(circuit, shots)
+    assert np.all(data.all(axis=0) | ~data.any(axis=0))
+    return {det for det, col in zip(detectors, data.T) if col.all()}
+
+
 def exact_round2_coincidence(circuit, noise) -> float:
     """P(both round-2 detectors of the center fire), summed over the exact
     record distribution."""
-    dm = detection_events(circuit, record_table(circuit.n_slots))
-    fired = dm.column((1, 2)) & dm.column((3, 2))
+    data, detectors = stacked_detection_events(circuit, record_table(circuit.n_slots))
+    fired = data[:, detectors.index((1, 2))] & data[:, detectors.index((3, 2))]
     (pi,) = record_distribution(compile_program(circuit, noise))
     return float(pi[fired == 1].sum())
 
@@ -179,11 +186,8 @@ def test_injected_x_between_rounds_fires_round2_pair(cal):
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="X")
     shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    dm = detection_events(faulted, shots)
-    fired = {det for det in dm.detectors if dm.column(det).all()}
-    quiet = {det for det in dm.detectors if not dm.column(det).any()}
-    assert fired == {(1, 2), (3, 2)}
-    assert quiet == set(dm.detectors) - fired
+    assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
+    assert detection_events(faulted, shots).tolist() == [0, 0, 0, 200]
 
 
 def test_injected_z_in_phase_encoding_fires_same_pair(cal):
@@ -194,10 +198,8 @@ def test_injected_z_in_phase_encoding_fires_same_pair(cal):
     faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
     shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    dm = detection_events(faulted, shots)
-    assert dm.column((1, 2)).all() and dm.column((3, 2)).all()
-    others = [d for d in dm.detectors if d not in ((1, 2), (3, 2))]
-    assert not np.any([dm.column(d) for d in others])
+    assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
+    assert detection_events(faulted, shots).tolist() == [0, 0, 0, 200]
 
 
 def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
@@ -208,10 +210,8 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
     faulted = inject_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
     shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    dm = detection_events(faulted, shots)
-    assert dm.column((1, 1)).all() and dm.column((1, 2)).all()
-    others = [d for d in dm.detectors if d not in ((1, 1), (1, 2))]
-    assert not np.any([dm.column(d) for d in others])
+    assert fired_detectors(faulted, shots) == {(1, 1), (1, 2)}
+    assert detection_events(faulted, shots).tolist() == [0, 0, 100, 0]
 
 
 def test_injected_z_is_invisible_in_bit_flip_encoding(cal):
@@ -219,7 +219,8 @@ def test_injected_z_is_invisible_in_bit_flip_encoding(cal):
     faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="Z")
     shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    assert not detection_events(faulted, shots).data.any()
+    assert fired_detectors(faulted, shots) == set()
+    assert detection_events(faulted, shots).tolist() == [100, 0, 0, 0]
 
 
 def test_inject_fault_validation(cal):
@@ -246,8 +247,7 @@ def test_relaxation_frequency_matches_closed_form():
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=99)
-    dm = detection_events(circuit, shots)
-    coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
+    coincidence = detection_events(circuit, shots)[3] / n
     expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
@@ -265,8 +265,7 @@ def test_cpmg_relaxation_frequency_matches_markov_composition():
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=17)
-    dm = detection_events(circuit, shots)
-    coincidence = float((dm.column((1, 2)) & dm.column((3, 2))).mean())
+    coincidence = detection_events(circuit, shots)[3] / n
     expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
@@ -288,10 +287,10 @@ def test_readout_channel_linearity_at_small_p():
         circuit = build_repetition_circuit(LINE, cal, "bit_flip", 0)
         noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "relaxation", "dephasing", "crosstalk"})))
         shots = sample_shots(circuit, noise, 400_000, seed=23)
-        dm = detection_events(circuit, shots)
         # a round-1 readout flip on the auxiliary fires its (round 1, round 2)
         # detector pair
-        rates[p] = float((dm.column((1, 1)) & dm.column((1, 2))).mean())
+        data, detectors = stacked_detection_events(circuit, shots)
+        rates[p] = float((data[:, detectors.index((1, 1))] & data[:, detectors.index((1, 2))]).mean())
     assert rates[0.01] == pytest.approx(2 * rates[0.005], rel=0.10)
 
 
@@ -489,8 +488,8 @@ def test_programs_of_different_structures_are_walked_apart():
 
 
 def test_shot_kernels_match_row_major_oracles(falcon):
-    # run_shots' slot-major expansion, detection_events' in-place XORs and
-    # the popcount pair counts against the row-major formulas they replaced,
+    # run_shots' slot-major expansion and detection_events' XORs and
+    # popcount pair counts against the row-major formulas they replaced,
     # bit for bit: every falcon27 pipeline circuit at 2k shots and those of
     # the default dd_scope at 100k, a phase-flip circuit with every qubit
     # echoed and eta 0.3, and a circuit with an injected fault
@@ -507,24 +506,19 @@ def test_shot_kernels_match_row_major_oracles(falcon):
         (pi,) = record_distribution(compile_program(circuit, model))
         shots = run_shots(pi, n, seed)
         assert shots.dtype == np.uint8 and np.array_equal(shots, grouped_records(pi, n, seed))
-        dm = detection_events(circuit, shots)
         data, detectors = stacked_detection_events(circuit, shots)
-        assert dm.detectors == detectors and dm.data.dtype == np.uint8 and np.array_equal(dm.data, data)
-        pairs = [tuple((a, 2) for a in circuit.aux_qubits), (detectors[0], detectors[-1])]
-        for det_i, det_j in pairs:
-            i, j = detectors.index(det_i), detectors.index(det_j)
-            counts = _pair_counts(dm.column(det_i), dm.column(det_j))
-            assert np.array_equal(counts, bincount_pair_counts(data[:, i], data[:, j]))
+        i, j = (detectors.index((a, 2)) for a in circuit.aux_qubits)
+        assert np.array_equal(detection_events(circuit, shots), bincount_pair_counts(data[:, i], data[:, j]))
 
 
 def test_shot_and_detector_columns_are_contiguous(cal):
-    # each slot's and each detector's bits over all shots lie contiguous in
-    # memory, which is what makes each stage one pass per column
+    # each slot's bits over all shots lie contiguous in memory, so each of
+    # detection_events' XORs and popcounts is one pass over contiguous
+    # columns
     circuit = build(cal, logical_value=1, extra_delay_ns=5_000)
     shots = sample_shots(circuit, compile_noise(cal), 1_000, seed=5)
     assert shots.shape == (1_000, circuit.n_slots) and shots.T.flags.c_contiguous
-    dm = detection_events(circuit, shots)
-    assert all(dm.column(det).flags.c_contiguous for det in dm.detectors)
+    assert all(shots[:, slot].flags.c_contiguous for slot in circuit.aux_slots.values())
 
 
 def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
