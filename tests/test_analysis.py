@@ -127,6 +127,22 @@ def test_detection_events_match_stacked_oracle_in_any_layout(layout):
         assert expected.sum() == 3_000 and expected.min() > 0
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64"])
+def test_pair_counts_match_bincount_oracle_in_any_layout(circuit, layout):
+    # correlated detector columns written into raw records as
+    # s(a, 2) = s(a, 1) XOR d: the counts are those of the columns alone
+    rng = np.random.default_rng(22)
+    e = rng.random(5_000) < 0.1
+    d_i = (e ^ (rng.random(5_000) < 0.2)).astype(np.uint8)
+    d_j = (e ^ (rng.random(5_000) < 0.3)).astype(np.uint8)
+    bits = (rng.random((5_000, circuit.n_slots)) < 0.5).astype(np.uint8)
+    for a, d in zip((1, 3), (d_i, d_j)):
+        bits[:, circuit.aux_slots[(a, 2)]] = bits[:, circuit.aux_slots[(a, 1)]] ^ d
+    expected = bincount_pair_counts(d_i, d_j)
+    assert np.array_equal(detection_events(circuit, _layouts(bits)[layout]), expected)
+    assert expected.sum() == 5_000 and expected.min() > 0
+
+
 @pytest.mark.parametrize(
     "counts,problem",
     [
