@@ -21,7 +21,6 @@ from .analysis import (
 from .circuits import (
     Circuit,
     CircuitBuildError,
-    FaultSite,
     Instruction,
     build_repetition_circuit,
     idle_exposure,
@@ -45,7 +44,7 @@ from .noise import (
     compile_noise,
     guide_values,
 )
-from .simulator import BasisContractError, inject_fault
+from .simulator import BasisContractError
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "CircuitBuildError",
     "DeviceCalibration",
     "EstimationError",
-    "FaultSite",
     "GuideValues",
     "IdleChannel",
     "Instruction",
@@ -78,7 +76,6 @@ __all__ = [
     "extract_idle_rates",
     "guide_values",
     "idle_exposure",
-    "inject_fault",
     "load_calibration",
     "plan_device",
     "select_line",

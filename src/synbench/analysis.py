@@ -21,12 +21,12 @@ the 2x2 joint counts.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuits import Circuit
+from .device import warn_caller
 
 MIN_RECOMMENDED_SHOTS = 1000
 BOOTSTRAP_RESAMPLES = 200
@@ -149,7 +149,7 @@ def extract_idle_rates(
     if n < 1:
         raise ValueError("counts hold no shots")
     if n < MIN_RECOMMENDED_SHOTS:
-        warnings.warn(f"only {n} shots for the round-2 detector pair; estimates will be noisy", stacklevel=2)
+        warn_caller(f"only {n} shots for the round-2 detector pair; estimates will be noisy")
     total = float(n)
     v_i, v_j = (counts[2] + counts[3]) / total, (counts[1] + counts[3]) / total
     anticorrelated = False

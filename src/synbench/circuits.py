@@ -80,15 +80,6 @@ class Instruction(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FaultSite:
-    """A deterministic Pauli error marker at a point on a qubit's timeline."""
-
-    qubit: int
-    time_ns: int
-    pauli: str  # X | Y | Z
-
-
-@dataclass(frozen=True)
 class Circuit:
     line: tuple[int, ...]
     instructions: tuple[Instruction, ...]
@@ -99,7 +90,6 @@ class Circuit:
     aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
     final_slots: dict[int, int]  # code qubit -> slot
     x_durations: dict[int, int]  # per-qubit x gate duration, ns
-    faults: tuple[FaultSite, ...] = ()
 
     @property
     def code_qubits(self) -> tuple[int, ...]:

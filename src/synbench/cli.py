@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .analysis import (
     rate_type_of,
 )
 from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
-from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device
+from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device, warn_caller
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
 from .simulator import compile_program, record_distribution, run_shots
@@ -191,12 +190,8 @@ def benchmark_qubit(
                 )
             except EstimationError as exc:
                 # degenerate statistics (e.g. single-shot runs) stay in the
-                # report at the model boundary rather than failing the device;
-                # the warning names the code that called run_benchmark
-                warnings.warn(
-                    f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5",
-                    stacklevel=3,
-                )
+                # report at the model boundary rather than failing the device
+                warn_caller(f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5")
                 est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
             estimates.append(est)
         exposure = idle_exposure(circuits[-1], qubit)
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the full benchmark from a config file")
     p_run.add_argument("--config", default=None, help="run config JSON file")
-    p_run.add_argument("--cal", default=None, help="calibration JSON; runs with all defaults")
+    p_run.add_argument("--cal", default=None, help="calibration JSON; runs with every default")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--shots", type=int, default=None, help="override shots per circuit")
     p_run.add_argument("--output", default=None, help="override the output directory")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +32,15 @@ CX_ERROR_CUTOFF = 0.5
 
 class CalibrationError(ValueError):
     """Malformed calibration data or an invariant violation."""
+
+
+def warn_caller(message: str) -> None:
+    """Warn at the first frame outside synbench, so the warning names the
+    code that called into the library."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -96,10 +106,7 @@ class DeviceCalibration:
                 raise CalibrationError(f"cx duration on {edge} must be positive")
         for q, qc in enumerate(self.qubits):
             if qc.t2_ns > 2.0 * qc.t1_ns:
-                warnings.warn(
-                    f"qubit {q}: t2 ({qc.t2_ns}) exceeds 2*t1 ({2.0 * qc.t1_ns})",
-                    stacklevel=2,
-                )
+                warn_caller(f"qubit {q}: t2 ({qc.t2_ns}) exceeds 2*t1 ({2.0 * qc.t1_ns})")
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -139,9 +146,6 @@ class DeviceCalibration:
     def neighbors(self, qubit: int) -> tuple[int, ...]:
         return self.adjacency[qubit]
 
-    def degree(self, qubit: int) -> int:
-        return len(self.adjacency[qubit])
-
     def edge_error(self, a: int, b: int) -> float:
         return self.cx_error[canonical_edge(a, b)]
 
@@ -180,7 +184,7 @@ def load_calibration(source) -> DeviceCalibration:
     A Path names the JSON file to read; a str or bytes is the JSON text
     itself, never a file name. Every numeric field and position coordinate
     must be a finite JSON number, cx qubit ids integers and the name a
-    string. Optional fields take documented defaults: p0 = 1.0,
+    string. Optional fields take documented default values: p0 = 1.0,
     t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
     """
     if isinstance(source, Path):
@@ -213,13 +217,13 @@ def load_calibration(source) -> DeviceCalibration:
         q = entry["id"]
         try:
             values = {name: _finite(entry[name], name) for name in ("t1_ns", "t2_ns", "readout_ns")}
-            defaults = {
+            optional = {
                 "t2_star_ns": T2_STAR_FACTOR * values["t2_ns"],
                 "p0": DEFAULT_P0,
                 "readout_error": DEFAULT_READOUT_ERROR,
                 "x_ns": DEFAULT_X_NS,
             }
-            values.update({name: _finite(entry.get(name, default), name) for name, default in defaults.items()})
+            values.update({name: _finite(entry.get(name, default), name) for name, default in optional.items()})
             qubits[q] = QubitCalibration(**values)
             if "position" in entry:
                 x, y = entry["position"]

@@ -15,22 +15,22 @@ bases 3 of them flip neither bit and 4 each flip the control, the target or
 both, so the error flips (control, target) by (0, 1), (1, 0) or (1, 1) with
 probability 4 eps / 15 each.
 
-Every single-qubit stochastic map (x flip, Pauli fault, dephasing,
-relaxation) is a 2x2 channel (P(0->1), P(1->0)). `compile_program` sweeps
-the time-ordered instructions once, reading each line qubit's idle channel
-once per circuit and recording each qubit's X-basis delay segments. After
-the sweep, each relaxation token is matched against the segment lists of
-its two line neighbours only, and each resulting `xtalk` op is inserted at
-its time by bisecting the ops' times. One peephole pass then composes each
-qubit's channels between two ops that read or couple it into one exact
+Every single-qubit stochastic map (x flip, dephasing, relaxation) is a 2x2
+channel (P(0->1), P(1->0)). `compile_program` sorts the instructions once,
+stably by start, and sweeps them once, reading each line qubit's idle
+channel once per circuit and recording each qubit's X-basis delay segments.
+After the sweep, each relaxation token is matched against the segment lists
+of its two line neighbours only, and each resulting `xtalk` op is inserted
+at its time by bisecting the ops' times. One peephole pass then composes
+each qubit's channels between two ops that read or couple it into one exact
 Markov composition and folds it into the op that reads it next, so the
 program has no channel ops: each `cx`, `measure`, `xtalk` and `relax` op
 carries its qubits' pending channel, as (up, down) pairs, and a `prep` or
-the end of the program discards it. A noise-free `prep` before any other
-op on its qubit is dropped, since every qubit starts at 0. A relaxation
-some `xtalk` reads stays a `relax` op, so the first-overlap crosstalk rule
-sees its events; these live tokens are numbered 0, 1, ... in creation
-order. The op formats:
+the end of the program discards it. A noise-free `prep` before any other op
+on its qubit is dropped, since every qubit starts at 0. A relaxation some
+`xtalk` reads stays a `relax` op, so the first-overlap crosstalk rule sees
+its events; these live tokens are numbered 0, 1, ... in creation order. The
+op formats:
 
     ("prep", i, p)
     ("cx", control, target, eps, control channel, target channel)
@@ -69,11 +69,12 @@ returns the (shots, slots) transposed view, rows grouped by record value.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .circuits import Circuit, FaultSite, Instruction
+from .circuits import Circuit
 from .noise import NoiseModel
 
 # a folded channel that flips nothing
@@ -93,13 +94,6 @@ class BasisContractError(ValueError):
     """Circuit steps outside what classical frame tracking can represent."""
 
 
-def _flip_mask(basis: str) -> dict[str, bool]:
-    # a Pauli flips the tracked bit iff it anticommutes with the tracked basis
-    if basis == "Z":
-        return {"I": False, "X": True, "Y": True, "Z": False}
-    return {"I": False, "X": False, "Y": True, "Z": True}
-
-
 @dataclass(frozen=True)
 class FrameProgram:
     """A circuit compiled against a noise model, ready to execute."""
@@ -109,21 +103,15 @@ class FrameProgram:
     n_slots: int
 
 
-def _event_time(event: Instruction | FaultSite) -> tuple[int, int]:
-    # at equal times a fault acts before an instruction
-    return (event.time_ns, 1) if isinstance(event, FaultSite) else (event.start, 2)
-
-
 def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     """Walk the circuit once, check the tracked-basis contract, and lower
     every instruction to a vectorized operation with its channel
     probabilities baked in. Raises BasisContractError if the circuit cannot
     be tracked classically.
 
-    Events run in (time, phase, order) order: a crosstalk resolution
-    (phase 0) before a fault (phase 1), and a fault before an instruction
-    (phase 2). The builder's instructions are already in time order, so
-    only a circuit with faults or out-of-order instructions is sorted.
+    The instructions run in one stable sort by start, so instructions of
+    equal start keep their order; the builder's are already in time order.
+    A crosstalk resolution goes before every op at or after its time.
     """
     line = circuit.line
     n = len(line)
@@ -133,24 +121,12 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     prep = noise.preparation_flip()
     eta = noise.crosstalk()
 
-    events = circuit.instructions
-    starts = [ins.start for ins in events]
-    if circuit.faults or starts != sorted(starts):
-        events = sorted(events + circuit.faults, key=_event_time)
-
     ops: list[tuple] = []
     times: list[int] = []  # each op's event time, nondecreasing
     sources: list[tuple[int, int, int, int]] = []  # (token, qubit index, start, end)
     x_segments: list[list[tuple[int, int, int]]] = [[] for _ in line]  # (end, start, id)
     n_segments = 0
-    for ev in events:
-        if isinstance(ev, FaultSite):
-            i = index[ev.qubit]
-            if _flip_mask(basis[i])[ev.pauli]:
-                ops.append(("channel", i, 1.0, 1.0))
-                times.append(ev.time_ns)
-            continue
-        kind, qubits, time, d, slot, echoed = ev
+    for kind, qubits, time, d, slot, echoed in sorted(circuit.instructions, key=attrgetter("start")):
         q = qubits[0]
         i = index[q]
         if kind == "delay":
@@ -446,19 +422,3 @@ def run_shots(pi: np.ndarray, shots: int, seed) -> np.ndarray:
     table = ((np.arange(pi.size) >> np.arange(n_slots - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
     return np.repeat(table, np.random.default_rng(seed).multinomial(shots, pi), axis=1).T
 
-
-def inject_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circuit:
-    """A deterministic Pauli marker that `compile_program` lowers to a
-    flip of the qubit's tracked bit at `time_ns` when the Pauli
-    anticommutes with the qubit's basis there; used as a detector
-    sensitivity oracle. The flip folds, like any channel, into the next op
-    that reads the qubit, so a faulted program keeps its unfaulted
-    partner's structure and differs from it only in that op's channel."""
-    if qubit not in circuit.line:
-        raise ValueError(f"qubit {qubit} is not in this circuit")
-    if pauli not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli {pauli!r}")
-    if not 0 <= time_ns <= circuit.duration:
-        raise ValueError(f"time {time_ns} is outside the circuit timeline")
-    site = FaultSite(qubit=qubit, time_ns=time_ns, pauli=pauli)
-    return replace(circuit, faults=circuit.faults + (site,))

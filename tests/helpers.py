@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from synbench import DeviceCalibration, QubitCalibration
+from synbench import Circuit, DeviceCalibration, Instruction, QubitCalibration
 from synbench.device import canonical_edge
 from synbench.simulator import compile_program, record_distribution, run_shots
 
@@ -95,3 +97,18 @@ def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:
     record distribution as the pipeline draws them."""
     (pi,) = record_distribution(compile_program(circuit, noise))
     return run_shots(pi, shots, seed)
+
+
+# a Pauli as zero-duration gates: Z = HXH, and Y is X then Z up to a phase
+_PAULI_GATES = {"X": ("x",), "Z": ("h", "x", "h"), "Y": ("x", "h", "x", "h")}
+
+
+def insert_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circuit:
+    """`circuit` with a deterministic Pauli on `qubit` at `time_ns`, as
+    zero-duration gates placed before the first instruction that starts at
+    or after `time_ns`: the fault acts before every instruction at its time
+    and flips the qubit's tracked bit iff it anticommutes with its basis."""
+    fault = tuple(Instruction(kind, (qubit,), time_ns, 0) for kind in _PAULI_GATES[pauli])
+    ins = circuit.instructions
+    k = next((k for k, i in enumerate(ins) if i.start >= time_ns), len(ins))
+    return replace(circuit, instructions=ins[:k] + fault + ins[k:])

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from synbench import BasisContractError, CircuitBuildError, FaultSite, Instruction
+from synbench import BasisContractError, CircuitBuildError, Instruction
 from synbench.simulator import FrameProgram
 
 
@@ -477,7 +477,7 @@ class _Segment:
 
 def reference_compile_program(circuit, noise) -> FrameProgram:
     """A circuit lowered to a FrameProgram in three passes: every
-    instruction and fault tagged (time, phase, order) and sorted, crosstalk
+    instruction tagged (time, phase, order) and sorted, crosstalk
     matched by scanning every segment for each source, and the ops sorted
     again before the idle-channel folding pass."""
     index = {q: i for i, q in enumerate(circuit.line)}
@@ -486,8 +486,6 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
     events = []
     for seq, ins in enumerate(circuit.instructions):
         events.append((ins.start, 2, seq, ins))
-    for seq, fault in enumerate(circuit.faults):
-        events.append((fault.time_ns, 1, seq, fault))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
     eta = noise.crosstalk()
@@ -500,12 +498,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
         ops.append((time, phase, order, op))
         order += 1
 
-    for time, phase, _seq, item in events:
-        if isinstance(item, FaultSite):
-            if flip_mask(basis[item.qubit], item.pauli):
-                emit(time, phase, ("channel", index[item.qubit], 1.0, 1.0))
-            continue
-        ins = item
+    for time, phase, _seq, ins in events:
         q = ins.qubits[0]
         i = index[q]
         if ins.kind == "prepare_z0":

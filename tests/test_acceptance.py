@@ -23,7 +23,6 @@ from synbench import (
     enumerate_lines,
     estimate_from_moments,
     extract_idle_rates,
-    inject_fault,
     load_calibration,
     plan_device,
     select_line,
@@ -32,7 +31,7 @@ from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge
 from synbench.noise import IdleChannel
 from conftest import FALCON_LEAVES, falcon_bytes
-from helpers import make_graph_cal, make_line_cal, random_graph_edges, sample_shots
+from helpers import insert_fault, make_graph_cal, make_line_cal, random_graph_edges, sample_shots
 from oracles import (
     bincount_pair_counts,
     brute_force_lines,
@@ -285,7 +284,7 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
             for i in circuit.instructions
             if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
         )
-        faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 100, pauli=pauli)
+        faulted = insert_fault(circuit, qubit=2, time_ns=meas_start + 100, pauli=pauli)
         shots = sample_shots(faulted, zero, 2_000, seed=61)
         data, detectors = stacked_detection_events(faulted, shots)
         fired = {det for det, col in zip(detectors, data.T) if col.all()}

@@ -21,7 +21,7 @@ from oracles import brute_force_lines, spring_layout
 def test_falcon_fixture_shape(falcon):
     assert falcon.qubit_count == 27
     assert len(falcon.edges) == 28
-    assert sorted(q for q in range(27) if falcon.degree(q) == 1) == list(FALCON_LEAVES)
+    assert sorted(q for q in range(27) if len(falcon.neighbors(q)) == 1) == list(FALCON_LEAVES)
 
 
 def test_qubit7_has_a_unique_line(falcon):
@@ -116,8 +116,10 @@ def test_t2_above_2t1_warns_but_loads():
     doc = json.loads(falcon_bytes())
     doc["qubits"][2]["t2_ns"] = 2.5 * doc["qubits"][2]["t1_ns"]
     doc["qubits"][2]["t2_star_ns"] = doc["qubits"][2]["t1_ns"]
-    with pytest.warns(UserWarning, match="exceeds 2\\*t1"):
+    with pytest.warns(UserWarning, match="exceeds 2\\*t1") as record:
         cal = load_calibration(json.dumps(doc))
+    # the warning names the code that loaded the calibration
+    assert [w.filename for w in record] == [__file__]
     assert cal.qubit_count == 27
 
 

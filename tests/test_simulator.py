@@ -15,12 +15,11 @@ from synbench import (
     compile_noise,
     detection_events,
     extract_idle_rates,
-    inject_fault,
 )
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
 from synbench.device import plan_device
 from synbench.simulator import _structure, compile_program, record_distribution, run_shots
-from helpers import make_line_cal, sample_shots
+from helpers import insert_fault, make_line_cal, sample_shots
 from oracles import (
     bincount_pair_counts,
     flip_pattern_counts,
@@ -183,7 +182,7 @@ def test_injected_x_between_rounds_fires_round2_pair(cal):
     circuit = build(cal, logical_value=1)
     # center idles [40, 70) between the first round's measurement and the
     # second round's couplings
-    faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="X")
+    faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli="X")
     shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
@@ -195,7 +194,7 @@ def test_injected_z_in_phase_encoding_fires_same_pair(cal):
     meas_start = min(
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
-    faulted = inject_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
+    faulted = insert_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
     shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
@@ -207,32 +206,23 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
     meas_start = min(
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
-    faulted = inject_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
+    faulted = insert_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
     shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert fired_detectors(faulted, shots) == {(1, 1), (1, 2)}
     assert detection_events(faulted, shots).tolist() == [0, 0, 100, 0]
 
 
-def test_injected_z_is_invisible_in_bit_flip_encoding(cal):
-    circuit = build(cal, logical_value=1)
-    faulted = inject_fault(circuit, qubit=2, time_ns=55, pauli="Z")
+@pytest.mark.parametrize("encoding,pauli", [("bit_flip", "Z"), ("phase_flip", "X")])
+def test_injected_commuting_pauli_is_invisible(cal, encoding, pauli):
+    # a Z on a Z-basis centre, or an x on an X-basis centre, flips no
+    # tracked bit
+    circuit = build(cal, encoding=encoding, logical_value=1)
+    faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli=pauli)
     shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
     assert fired_detectors(faulted, shots) == set()
     assert detection_events(faulted, shots).tolist() == [100, 0, 0, 0]
-
-
-def test_inject_fault_validation(cal):
-    circuit = build(cal)
-    with pytest.raises(ValueError):
-        inject_fault(circuit, 9, 10, "X")
-    with pytest.raises(ValueError):
-        inject_fault(circuit, 2, -5, "X")
-    with pytest.raises(ValueError):
-        inject_fault(circuit, 2, circuit.duration + 1, "X")
-    with pytest.raises(ValueError):
-        inject_fault(circuit, 2, 10, "W")
 
 
 def test_relaxation_frequency_matches_closed_form():
@@ -415,8 +405,8 @@ def test_compile_program_matches_reference_lowering(falcon):
     # the one-sweep lowering against the oracle's sort-match-sort passes:
     # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
     # with every qubit echoed and eta 0.3, faults at the time an instruction
-    # starts and an xtalk resolves, and that circuit with its instructions
-    # grouped by qubit instead of in time order
+    # starts and an xtalk resolves, and that circuit and the unfaulted one
+    # with their instructions grouped by qubit instead of in time order
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
@@ -424,10 +414,13 @@ def test_compile_program_matches_reference_lowering(falcon):
     weak = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
     deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     h_start = max(ins.start for ins in deep.per_qubit[2] if ins.kind == "h")
-    faulted = inject_fault(inject_fault(deep, 2, h_start, "Z"), 1, h_start, "X")
-    by_qubit = replace(faulted, instructions=tuple(sorted(faulted.instructions, key=lambda ins: ins.qubits)))
-    assert by_qubit.instructions != faulted.instructions
-    cases += [(deep, weak), (faulted, weak), (by_qubit, weak), (replace(by_qubit, faults=()), weak)]
+    faulted = insert_fault(insert_fault(deep, 2, h_start, "Z"), 1, h_start, "X")
+
+    def by_qubit(circuit):
+        return replace(circuit, instructions=tuple(sorted(circuit.instructions, key=lambda ins: ins.qubits)))
+
+    assert by_qubit(faulted).instructions != faulted.instructions
+    cases += [(deep, weak), (faulted, weak), (by_qubit(faulted), weak), (by_qubit(deep), weak)]
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
@@ -445,7 +438,7 @@ def test_record_distribution_matches_reference_walk(falcon):
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     circuits.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))))
-    faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
+    faulted = insert_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     circuits.append((faulted, compile_noise(cal)))
     for circuit, model in circuits:
         program = compile_program(circuit, model)
@@ -477,7 +470,7 @@ def test_programs_of_different_structures_are_walked_apart():
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
     plain = build(cal, logical_value=1, extra_delay_ns=5_000)
-    faulted = inject_fault(plain, qubit=2, time_ns=55, pauli="Y")
+    faulted = insert_fault(plain, qubit=2, time_ns=55, pauli="Y")
     phase = build(cal, encoding="phase_flip", extra_delay_ns=5_000, dd_scope="all_qubits")
     programs = [compile_program(circuit, noise) for circuit in (faulted, phase, plain)]
     assert _structure(programs[0]) == _structure(programs[2]) != _structure(programs[1])
@@ -500,7 +493,7 @@ def test_shot_kernels_match_row_major_oracles(falcon):
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
     cases.append((deep, compile_noise(cal, NoiseOptions(crosstalk_eta=0.3)), 100_000))
-    faulted = inject_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
+    faulted = insert_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     cases.append((faulted, compile_noise(cal), 2_000))
     for seed, (circuit, model, n) in enumerate(cases):
         (pi,) = record_distribution(compile_program(circuit, model))
