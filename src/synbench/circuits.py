@@ -14,13 +14,15 @@ documented:
 * the optional extra delay sits after each measurement round as its own delay
   instruction on every qubit.
 
-The builder places the instructions in time order and fills each qubit's
-idle gap as it reaches the qubit's next instruction, one delay per window
-between round-structure barriers. With an echo scope, each in-scope window
-of at least 2*x + 4 ns becomes delay(t'/4), x, delay(t'/2), x, delay(t'/4)
-with t' = t - 2*x, the integer remainder in the middle, every sub-delay
-flagged echoed. The instructions are sorted once, by (start, end, qubits,
-kind), which orders a circuit's instructions totally.
+The builder places the gates layer by layer. Each gate starts where its
+qubits' timelines end: at the last barrier, or for a reset where its own
+measure ends. Each layer ends with a barrier at its latest end, and the
+extra delay is the window between two barriers. A barrier fills every
+qubit's timeline up to its time with one delay. With an echo scope, each
+in-scope window of at least 2*x + 4 ns becomes delay(t'/4), x, delay(t'/2),
+x, delay(t'/4) with t' = t - 2*x, the integer remainder in the middle,
+every sub-delay flagged echoed. The instructions are sorted once, by
+(start, end, qubits, kind), which orders a circuit's instructions totally.
 
 The phase-flip encoding is the bit-flip circuit conjugated on code qubits:
 an h right after preparation and another right before the final transversal
@@ -29,7 +31,6 @@ readout, with the instruction list otherwise unchanged.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -85,8 +86,6 @@ class Circuit:
     instructions: tuple[Instruction, ...]
     encoding: str
     logical_value: int
-    dd_scope: str
-    extra_delay_ns: int
     aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
     final_slots: dict[int, int]  # code qubit -> slot
     x_durations: dict[int, int]  # per-qubit x gate duration, ns
@@ -156,119 +155,75 @@ def build_repetition_circuit(
     aux = qubits[1::2]
     x_dur = {q: max(1, round(cal.qubits[q].x_ns)) for q in qubits}
     ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
-    cx_dur = {
-        (a, b): max(1, round(cal.edge_duration(a, b))) for a, b in zip(qubits, qubits[1:])
-    }
-    cx_dur.update({(b, a): d for (a, b), d in list(cx_dur.items())})
     echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
+    aux_slots = {(a, r): len(aux) * (r - 1) + k for r in range(1, ROUNDS + 1) for k, a in enumerate(aux)}
+    final_slots = {q: len(aux_slots) + k for k, q in enumerate(code)}
 
-    instrs: list[Instruction] = []
-    cuts = [0]  # round-structure barrier times, ascending
+    instrs = [Instruction("prepare_z0", (q,), 0, 0) for q in qubits]
     cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
-    aux_slots: dict[tuple[int, int], int] = {}
-    final_slots: dict[int, int] = {}
-    slot = 0
 
     def barrier(time: int) -> None:
-        if time > cuts[-1]:
-            cuts.append(time)
-
-    def idle(q: int, stop: int) -> None:
-        # every barrier before `stop` is already known, since instructions
-        # are placed in time order and each starts at or after its barrier
-        lo, x = cursor[q], x_dur[q]
-        for hi in cuts[bisect_right(cuts, lo) : bisect_left(cuts, stop)] + [stop]:
-            if q in echo and hi - lo >= 2 * x + _MIN_ECHO_SUBDELAY_NS:
-                quarter = (hi - lo - 2 * x) // 4
-                middle = hi - lo - 2 * x - 2 * quarter
+        # fill every qubit's timeline up to `time` with one delay, or with
+        # the echo pair when the qubit is in scope and the window fits it
+        for q, lo in cursor.items():
+            x = x_dur[q]
+            if q in echo and time - lo >= 2 * x + _MIN_ECHO_SUBDELAY_NS:
+                quarter = (time - lo - 2 * x) // 4
+                middle = time - lo - 2 * x - 2 * quarter
                 instrs.extend(
                     (
                         Instruction("delay", (q,), lo, quarter, echoed=True),
                         Instruction("x", (q,), lo + quarter, x),
                         Instruction("delay", (q,), lo + quarter + x, middle, echoed=True),
-                        Instruction("x", (q,), hi - quarter - x, x),
-                        Instruction("delay", (q,), hi - quarter, quarter, echoed=True),
+                        Instruction("x", (q,), time - quarter - x, x),
+                        Instruction("delay", (q,), time - quarter, quarter, echoed=True),
                     )
                 )
-            else:
-                instrs.append(Instruction("delay", (q,), lo, hi - lo))
-            lo = hi
+            elif time > lo:
+                instrs.append(Instruction("delay", (q,), lo, time - lo))
+            cursor[q] = time
 
-    def place(kind: str, qs: tuple[int, ...], start: int, duration: int, slot: int | None = None) -> None:
-        for q in qs:
-            if start > cursor[q]:
-                idle(q, start)
-            cursor[q] = start + duration
-        instrs.append(Instruction(kind, qs, start, duration, slot))
+    def layer(gates) -> None:
+        # a gate (kind, qubits, duration, slot) starts where its qubits all
+        # stand: at the last barrier, or for a reset at its own measure's end;
+        # the layer ends with a barrier at its latest end
+        for kind, qs, duration, slot in gates:
+            start = cursor[qs[0]]
+            instrs.append(Instruction(kind, qs, start, duration, slot))
+            for q in qs:
+                cursor[q] = start + duration
+        barrier(max(cursor.values()))
 
-    for q in qubits:
-        place("prepare_z0", (q,), 0, 0)
-    t = 0
+    h_layer = [("h", (q,), x_dur[q], None) for q in code]
+    # each auxiliary couples to its left code neighbor, then its right
+    cx_layers = [
+        [("cx", (c, a), max(1, round(cal.edge_duration(c, a))), None) for c, a in zip(cs, aux)]
+        for cs in (code, code[1:])
+    ]
     if logical_value == 1:
-        for q in code:
-            place("x", (q,), 0, x_dur[q])
-        t = max(x_dur[q] for q in code)
-        barrier(t)
+        layer(("x", (q,), x_dur[q], None) for q in code)
     if encoding == "phase_flip":
-        for q in code:
-            place("h", (q,), t, x_dur[q])
-        t = t + max(x_dur[q] for q in code)
-        barrier(t)
-
+        layer(h_layer)
     for r in range(1, ROUNDS + 1):
-        # layer 1: each auxiliary with its left code neighbor
-        layer_end = t
-        for k, a in enumerate(aux):
-            c = qubits[2 * k]
-            place("cx", (c, a), t, cx_dur[(c, a)])
-            layer_end = max(layer_end, t + cx_dur[(c, a)])
-        barrier(layer_end)
-        # layer 2: each auxiliary with its right code neighbor
-        t2 = layer_end
-        layer_end = t2
-        for k, a in enumerate(aux):
-            c = qubits[2 * k + 2]
-            place("cx", (c, a), t2, cx_dur[(c, a)])
-            layer_end = max(layer_end, t2 + cx_dur[(c, a)])
-        barrier(layer_end)
+        for gates in cx_layers:
+            layer(gates)
         # simultaneous auxiliary readout, each followed by unconditional reset
-        t_meas = layer_end
-        round_end = t_meas
-        for a in aux:
-            place("measure", (a,), t_meas, ro_dur[a], slot=slot)
-            aux_slots[(a, r)] = slot
-            slot += 1
-            place("reset", (a,), t_meas + ro_dur[a], x_dur[a])
-            round_end = max(round_end, t_meas + ro_dur[a] + x_dur[a])
-        barrier(round_end)
-        # the extra delay is the structural window between two barriers,
-        # which the idle fill turns into one delay per qubit
-        t = round_end + extra_delay_ns
-        barrier(t)
-
+        layer(
+            gate
+            for a in aux
+            for gate in (("measure", (a,), ro_dur[a], aux_slots[(a, r)]), ("reset", (a,), x_dur[a], None))
+        )
+        # the extra delay is one window on every qubit
+        barrier(max(cursor.values()) + extra_delay_ns)
     if encoding == "phase_flip":
-        for q in code:
-            place("h", (q,), t, x_dur[q])
-        t = t + max(x_dur[q] for q in code)
-        barrier(t)
-    end = t
-    for q in code:
-        place("measure", (q,), t, ro_dur[q], slot=slot)
-        final_slots[q] = slot
-        slot += 1
-        end = max(end, t + ro_dur[q])
-    barrier(end)
-    for q in qubits:
-        if end > cursor[q]:
-            idle(q, end)
+        layer(h_layer)
+    layer(("measure", (q,), ro_dur[q], final_slots[q]) for q in code)
 
     return Circuit(
         line=qubits,
         instructions=tuple(sorted(instrs, key=_timeline_order)),
         encoding=encoding,
         logical_value=logical_value,
-        dd_scope=dd_scope,
-        extra_delay_ns=extra_delay_ns,
         aux_slots=aux_slots,
         final_slots=final_slots,
         x_durations=x_dur,

@@ -461,7 +461,7 @@ def insert_dynamical_decoupling(circuit, scope: str):
         out.append(Instruction("x", (q,), cursor, x))
         cursor += x
         out.append(Instruction("delay", (q,), cursor, quarter, echoed=True))
-    return dataclasses.replace(circuit, instructions=_timeline_sorted(out), dd_scope=scope)
+    return dataclasses.replace(circuit, instructions=_timeline_sorted(out))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -190,7 +190,7 @@ def test_estimator_flags_excess_anticorrelation():
         estimate_from_moments(0.4, 0.4, 0.0)
 
 
-def test_correlation_rate_on_synthetic_columns(circuit):
+def test_extract_idle_rates_on_synthetic_columns(circuit):
     rng = np.random.default_rng(12)
     n = 200_000
     p, q_i, q_j = 0.05, 0.02, 0.03
@@ -203,13 +203,13 @@ def test_correlation_rate_on_synthetic_columns(circuit):
     assert est.shots == n and type(est.shots) is int
 
 
-def test_correlation_rate_zero_data_is_zero(circuit):
+def test_extract_idle_rates_zero_data_is_zero(circuit):
     est = extract_idle_rates(circuit, np.array([2_000, 0, 0, 0]), seed=5)
     assert est.estimate == 0.0
     assert not est.anticorrelated
 
 
-def test_correlation_rate_anticorrelated_columns_flagged(circuit):
+def test_extract_idle_rates_anticorrelated_columns_flagged(circuit):
     # detectors fire on disjoint shot sets: covariance below the model bound
     n = 4_000
     d_i = np.zeros(n, dtype=np.uint8)
@@ -221,21 +221,21 @@ def test_correlation_rate_anticorrelated_columns_flagged(circuit):
     assert est.anticorrelated
 
 
-def test_correlation_rate_rejects_half_rate_detectors(circuit):
+def test_extract_idle_rates_rejects_half_rate_detectors(circuit):
     n = 4_000
     d_i = np.tile([0, 1], n // 2).astype(np.uint8)
     with pytest.raises(EstimationError):
         extract_idle_rates(circuit, bincount_pair_counts(d_i, 1 - d_i), seed=5)
 
 
-def test_correlation_rate_warns_below_recommended_shots(circuit):
+def test_extract_idle_rates_warns_below_recommended_shots(circuit):
     # the warning names the code that asked for the estimate
     with pytest.warns(UserWarning, match="only 12 shots") as record:
         extract_idle_rates(circuit, np.array([12, 0, 0, 0]), seed=5)
     assert [w.filename for w in record] == [__file__]
 
 
-def test_correlation_rate_bootstrap_is_seeded(circuit):
+def test_extract_idle_rates_bootstrap_is_seeded(circuit):
     rng = np.random.default_rng(3)
     col = (rng.random(20_000) < 0.04).astype(np.uint8)
     counts = bincount_pair_counts(col, col)
@@ -255,7 +255,7 @@ def test_correlation_rate_bootstrap_is_seeded(circuit):
     ],
     ids=["counts0-exact", "counts1-exact", "counts2-exact"],  # the exact inversion
 )
-def test_correlation_rate_bootstrap_matches_scalar_loop(circuit, counts):
+def test_extract_idle_rates_bootstrap_matches_scalar_loop(circuit, counts):
     # the vectorized bootstrap reproduces the per-resample scalar estimator
     # bit for bit, failure mapping included
     n = sum(counts)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from synbench import CircuitBuildError, build_repetition_circuit, idle_exposure, plan_device
 from synbench.circuits import ENCODINGS
+from synbench.device import canonical_edge
 from helpers import make_line_cal
 from oracles import insert_dynamical_decoupling, window_segments
 
@@ -53,6 +55,148 @@ GOLDEN_T2_BITFLIP = """\
        140 measure    q[4] dur=20 slot=6
 """
 
+# phase flip, logical 1, code-only echo and a 100 ns extra delay on a line
+# whose x, readout and cx durations all differ: each layer ends with its
+# slowest gate, every qubit idles up to that end, and each code-qubit window
+# of at least 2*x + 4 ns holds an echo pair
+GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
+         0 prepare_z0 q[0] dur=0
+         0 prepare_z0 q[1] dur=0
+         0 prepare_z0 q[2] dur=0
+         0 prepare_z0 q[3] dur=0
+         0 prepare_z0 q[4] dur=0
+         0 x          q[0] dur=10
+         0 x          q[2] dur=12
+         0 delay      q[1] dur=16
+         0 delay      q[3] dur=16
+         0 x          q[4] dur=16
+        10 delay      q[0] dur=6
+        12 delay      q[2] dur=4
+        16 h          q[0] dur=10
+        16 h          q[2] dur=12
+        16 delay      q[1] dur=16
+        16 delay      q[3] dur=16
+        16 h          q[4] dur=16
+        26 delay      q[0] dur=6
+        28 delay      q[2] dur=4
+        32 cx         q[0,1] dur=20
+        32 cx         q[2,3] dur=22
+        32 delay      q[4] dur=22
+        52 delay      q[0] dur=2
+        52 delay      q[1] dur=2
+        54 delay      q[0] dur=2 echoed
+        54 cx         q[2,1] dur=26
+        54 cx         q[4,3] dur=30
+        56 x          q[0] dur=10
+        66 delay      q[0] dur=6 echoed
+        72 x          q[0] dur=10
+        80 delay      q[1] dur=4
+        80 delay      q[2] dur=4
+        82 delay      q[0] dur=2 echoed
+        84 delay      q[4] dur=3 echoed
+        84 delay      q[2] dur=5 echoed
+        84 delay      q[0] dur=6 echoed
+        84 measure    q[1] dur=24 slot=0
+        84 measure    q[3] dur=36 slot=1
+        87 x          q[4] dur=16
+        89 x          q[2] dur=12
+        90 x          q[0] dur=10
+       100 delay      q[0] dur=12 echoed
+       101 delay      q[2] dur=10 echoed
+       103 delay      q[4] dur=6 echoed
+       108 reset      q[1] dur=14
+       109 x          q[4] dur=16
+       111 x          q[2] dur=12
+       112 x          q[0] dur=10
+       120 reset      q[3] dur=8
+       122 delay      q[0] dur=6 echoed
+       122 delay      q[1] dur=6
+       123 delay      q[2] dur=5 echoed
+       125 delay      q[4] dur=3 echoed
+       128 delay      q[4] dur=17 echoed
+       128 delay      q[2] dur=19 echoed
+       128 delay      q[0] dur=20 echoed
+       128 delay      q[1] dur=100
+       128 delay      q[3] dur=100
+       145 x          q[4] dur=16
+       147 x          q[2] dur=12
+       148 x          q[0] dur=10
+       158 delay      q[0] dur=40 echoed
+       159 delay      q[2] dur=38 echoed
+       161 delay      q[4] dur=34 echoed
+       195 x          q[4] dur=16
+       197 x          q[2] dur=12
+       198 x          q[0] dur=10
+       208 delay      q[0] dur=20 echoed
+       209 delay      q[2] dur=19 echoed
+       211 delay      q[4] dur=17 echoed
+       228 cx         q[0,1] dur=20
+       228 cx         q[2,3] dur=22
+       228 delay      q[4] dur=22
+       248 delay      q[0] dur=2
+       248 delay      q[1] dur=2
+       250 delay      q[0] dur=2 echoed
+       250 cx         q[2,1] dur=26
+       250 cx         q[4,3] dur=30
+       252 x          q[0] dur=10
+       262 delay      q[0] dur=6 echoed
+       268 x          q[0] dur=10
+       276 delay      q[1] dur=4
+       276 delay      q[2] dur=4
+       278 delay      q[0] dur=2 echoed
+       280 delay      q[4] dur=3 echoed
+       280 delay      q[2] dur=5 echoed
+       280 delay      q[0] dur=6 echoed
+       280 measure    q[1] dur=24 slot=2
+       280 measure    q[3] dur=36 slot=3
+       283 x          q[4] dur=16
+       285 x          q[2] dur=12
+       286 x          q[0] dur=10
+       296 delay      q[0] dur=12 echoed
+       297 delay      q[2] dur=10 echoed
+       299 delay      q[4] dur=6 echoed
+       304 reset      q[1] dur=14
+       305 x          q[4] dur=16
+       307 x          q[2] dur=12
+       308 x          q[0] dur=10
+       316 reset      q[3] dur=8
+       318 delay      q[0] dur=6 echoed
+       318 delay      q[1] dur=6
+       319 delay      q[2] dur=5 echoed
+       321 delay      q[4] dur=3 echoed
+       324 delay      q[4] dur=17 echoed
+       324 delay      q[2] dur=19 echoed
+       324 delay      q[0] dur=20 echoed
+       324 delay      q[1] dur=100
+       324 delay      q[3] dur=100
+       341 x          q[4] dur=16
+       343 x          q[2] dur=12
+       344 x          q[0] dur=10
+       354 delay      q[0] dur=40 echoed
+       355 delay      q[2] dur=38 echoed
+       357 delay      q[4] dur=34 echoed
+       391 x          q[4] dur=16
+       393 x          q[2] dur=12
+       394 x          q[0] dur=10
+       404 delay      q[0] dur=20 echoed
+       405 delay      q[2] dur=19 echoed
+       407 delay      q[4] dur=17 echoed
+       424 h          q[0] dur=10
+       424 h          q[2] dur=12
+       424 delay      q[1] dur=16
+       424 delay      q[3] dur=16
+       424 h          q[4] dur=16
+       434 delay      q[0] dur=6
+       436 delay      q[2] dur=4
+       440 measure    q[4] dur=28 slot=6
+       440 measure    q[0] dur=30 slot=4
+       440 delay      q[1] dur=40
+       440 measure    q[2] dur=40 slot=5
+       440 delay      q[3] dur=40
+       468 delay      q[4] dur=12
+       470 delay      q[0] dur=10
+"""
+
 
 @pytest.fixture(scope="module")
 def cal():
@@ -81,6 +225,18 @@ def gate_shape(circuit):
 
 def test_golden_timeline(cal):
     assert build(cal).timeline_text() == GOLDEN_T2_BITFLIP
+
+
+def test_golden_timeline_with_unequal_durations():
+    base = make_line_cal()
+    durations = zip((10, 14, 12, 8, 16), (30, 24, 40, 36, 28))
+    cal = replace(
+        base,
+        qubits=tuple(replace(base.qubits[0], x_ns=x, readout_ns=ro) for x, ro in durations),
+        cx_duration_ns={canonical_edge(q, q + 1): d for q, d in enumerate((20, 26, 22, 30))},
+    )
+    circuit = build_repetition_circuit(LINE, cal, "phase_flip", 1, extra_delay_ns=100, dd_scope="code_only")
+    assert circuit.timeline_text() == GOLDEN_UNEQUAL_PHASEFLIP_ECHO
 
 
 def test_structure_matches_minimal_experiment(cal):

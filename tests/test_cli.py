@@ -6,7 +6,9 @@ import importlib
 import io
 import json
 import math
+import re
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -29,6 +31,17 @@ def cal_path(tmp_path):
     path = tmp_path / "falcon27.json"
     path.write_bytes(falcon_bytes())
     return path
+
+
+@contextlib.contextmanager
+def expected_warnings(*patterns):
+    """Record the warnings the block emits, every UserWarning included, and
+    fail unless each one's message matches one of `patterns`."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", UserWarning)
+        yield record
+    unexpected = [str(w.message) for w in record if not any(re.search(p, str(w.message)) for p in patterns)]
+    assert not unexpected, unexpected
 
 
 def write_config(tmp_path, cal_path, **overrides):
@@ -222,11 +235,12 @@ def test_run_seed_changes_report(tmp_path, cal_path):
 
 def test_run_with_single_shot_warns_but_succeeds(tmp_path, cal_path):
     config = write_config(tmp_path, cal_path, shots=1)
-    with pytest.warns(UserWarning, match="shots") as record:
+    with expected_warnings("only 1 shots", "recording 0.5") as record:
         report, _ = run_benchmark(RunConfig.from_file(config))
     assert len(report.results) == 21
     # every warning, the fallbacks' and the low-shot one, names the code
     # that called run_benchmark
+    assert any("only 1 shots" in str(w.message) for w in record)
     assert any("recording 0.5" in str(w.message) for w in record)
     assert {w.filename for w in record} == {__file__}
 
@@ -388,7 +402,8 @@ def test_any_scalar_in_a_calibration_exits_0_or_1(fuzz_dir, data):
     path = data.draw(st.sampled_from(sorted(json_paths(doc), key=repr)), label="path")
     cal = fuzz_dir / "cal.json"
     cal.write_text(json.dumps(replaced(doc, path, data.draw(JSON_SCALARS, label="value"))), encoding="utf-8")
-    code, err = exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "out")])
+    with expected_warnings("only 50 shots", r"exceeds 2\*t1", "recording 0.5"):
+        code, err = exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "out")])
     assert code == 0 or (code == 1 and err.startswith("config error: ") and err.count("\n") == 1), err
 
 
@@ -396,7 +411,8 @@ def test_any_scalar_in_a_calibration_exits_0_or_1(fuzz_dir, data):
 def line_report(fuzz_dir) -> dict:
     cal = fuzz_dir / "line.json"
     cal.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
-    assert exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "base")])[0] == 0
+    with expected_warnings("only 50 shots"):
+        assert exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "base")])[0] == 0
     return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
 
 

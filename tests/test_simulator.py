@@ -127,8 +127,6 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         instructions=instructions,
         encoding="bit_flip",
         logical_value=0,
-        dd_scope="none",
-        extra_delay_ns=0,
         aux_slots={},
         final_slots={0: 1, 1: 0},
         x_durations={0: 10, 1: 10},
@@ -150,8 +148,6 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         instructions=instructions,
         encoding="bit_flip",
         logical_value=0,
-        dd_scope="none",
-        extra_delay_ns=0,
         aux_slots={},
         final_slots={0: 0, 2: 1},
         x_durations={0: 10, 1: 10, 2: 10},
@@ -305,8 +301,6 @@ def test_crosstalk_first_overlap_rule_applies_once():
         instructions=instructions,
         encoding="phase_flip",
         logical_value=0,
-        dd_scope="none",
-        extra_delay_ns=0,
         aux_slots={},
         final_slots={0: 0, 1: 1},
         x_durations={0: 10, 1: 10},
