@@ -5,78 +5,29 @@ repetition-code syndrome circuits around each feasible qubit, sample them
 under a calibration-derived stochastic noise model, and estimate per-qubit
 idle bit-flip and phase-flip probabilities from detection-event correlations,
 next to the analytic values their relaxation and dephasing times predict.
+
+The root exports the run and what it reads and returns; the stages live in
+their modules (`synbench.device`, `.noise`, `.circuits`, `.simulator`,
+`.analysis`, `.render`).
 """
 
-from .analysis import (
-    AntiCorrelationError,
-    BenchmarkReport,
-    EstimationError,
-    QubitBenchmark,
-    RateEstimate,
-    aggregate_device,
-    detection_events,
-    estimate_from_moments,
-    extract_idle_rates,
-)
-from .circuits import (
-    Circuit,
-    CircuitBuildError,
-    Instruction,
-    build_repetition_circuit,
-    idle_exposure,
-)
-from .device import (
-    BenchLine,
-    CalibrationError,
-    DeviceCalibration,
-    QubitCalibration,
-    enumerate_lines,
-    load_calibration,
-    plan_device,
-    select_line,
-)
-from .noise import (
-    GuideValues,
-    IdleChannel,
-    NoiseModel,
-    NoiseOptions,
-    ZERO_NOISE_OPTIONS,
-    compile_noise,
-    guide_values,
-)
-from .simulator import BasisContractError
-
+# defined before the imports: `cli` reads it
 __version__ = "0.1.0"
 
+from .analysis import BenchmarkReport, QubitBenchmark, RateEstimate  # noqa: E402
+from .cli import ConfigError, RunConfig, run_benchmark  # noqa: E402
+from .device import CalibrationError, load_calibration, plan_device  # noqa: E402
+from .noise import NoiseOptions  # noqa: E402
+
 __all__ = [
-    "AntiCorrelationError",
-    "BasisContractError",
-    "BenchLine",
     "BenchmarkReport",
     "CalibrationError",
-    "Circuit",
-    "CircuitBuildError",
-    "DeviceCalibration",
-    "EstimationError",
-    "GuideValues",
-    "IdleChannel",
-    "Instruction",
-    "NoiseModel",
+    "ConfigError",
     "NoiseOptions",
     "QubitBenchmark",
-    "QubitCalibration",
     "RateEstimate",
-    "ZERO_NOISE_OPTIONS",
-    "aggregate_device",
-    "build_repetition_circuit",
-    "compile_noise",
-    "detection_events",
-    "enumerate_lines",
-    "estimate_from_moments",
-    "extract_idle_rates",
-    "guide_values",
-    "idle_exposure",
+    "RunConfig",
     "load_calibration",
     "plan_device",
-    "select_line",
+    "run_benchmark",
 ]

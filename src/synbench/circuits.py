@@ -88,7 +88,6 @@ class Circuit:
     logical_value: int
     aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
     final_slots: dict[int, int]  # code qubit -> slot
-    x_durations: dict[int, int]  # per-qubit x gate duration, ns
 
     @property
     def code_qubits(self) -> tuple[int, ...]:
@@ -226,7 +225,6 @@ def build_repetition_circuit(
         logical_value=logical_value,
         aux_slots=aux_slots,
         final_slots=final_slots,
-        x_durations=x_dur,
     )
 
 

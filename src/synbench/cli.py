@@ -391,7 +391,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures keep a distinct exit code
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -77,19 +77,17 @@ class QubitCalibration:
 class DeviceCalibration:
     """Coupling graph plus calibration data, immutable after load."""
 
-    qubit_count: int
-    edges: frozenset[Edge]
     qubits: tuple[QubitCalibration, ...]
-    cx_error: dict[Edge, float]
+    cx_error: dict[Edge, float]  # its keys are the coupling graph's edges
     cx_duration_ns: dict[Edge, float]
     name: str = "device"
     positions: dict[int, tuple[float, float]] | None = None
 
     def __post_init__(self) -> None:
-        if self.qubit_count <= 0:
-            raise CalibrationError("qubit_count must be positive")
-        if len(self.qubits) != self.qubit_count:
-            raise CalibrationError("per-qubit data does not match qubit_count")
+        if not self.qubits:
+            raise CalibrationError("a device needs at least one qubit")
+        if self.cx_error.keys() != self.cx_duration_ns.keys():
+            raise CalibrationError("cx_error and cx_duration_ns must name the same edges")
         for a, b in self.edges:
             if a == b:
                 raise CalibrationError(f"self-loop on qubit {a}")
@@ -98,8 +96,6 @@ class DeviceCalibration:
             if not (0 <= a < self.qubit_count and 0 <= b < self.qubit_count):
                 raise CalibrationError(f"edge ({a}, {b}) references an unknown qubit")
         for edge in self.edges:
-            if edge not in self.cx_error or edge not in self.cx_duration_ns:
-                raise CalibrationError(f"edge {edge} is missing cx data")
             if not 0.0 <= self.cx_error[edge] <= 1.0:
                 raise CalibrationError(f"cx error on {edge} outside [0, 1]")
             if not self.cx_duration_ns[edge] > 0:
@@ -107,6 +103,14 @@ class DeviceCalibration:
         for q, qc in enumerate(self.qubits):
             if qc.t2_ns > 2.0 * qc.t1_ns:
                 warn_caller(f"qubit {q}: t2 ({qc.t2_ns}) exceeds 2*t1 ({2.0 * qc.t1_ns})")
+
+    @property
+    def qubit_count(self) -> int:
+        return len(self.qubits)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.cx_error)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -236,7 +240,6 @@ def load_calibration(source) -> DeviceCalibration:
     gates = doc["cx_gates"]
     if not isinstance(gates, list):
         raise CalibrationError("calibration 'cx_gates' must be a list of objects")
-    edges: set[Edge] = set()
     cx_error: dict[Edge, float] = {}
     cx_duration: dict[Edge, float] = {}
     for gate in gates:
@@ -249,9 +252,8 @@ def load_calibration(source) -> DeviceCalibration:
             duration = _finite(gate["duration_ns"], "duration_ns")
         except (KeyError, TypeError, ValueError) as exc:
             raise CalibrationError(f"bad cx_gates entry {gate!r}: {exc}") from exc
-        if edge in edges:
+        if edge in cx_error:
             raise CalibrationError(f"duplicate cx edge {edge}")
-        edges.add(edge)
         cx_error[edge] = error
         cx_duration[edge] = duration
 
@@ -259,8 +261,6 @@ def load_calibration(source) -> DeviceCalibration:
     if not isinstance(name, str):
         raise CalibrationError(f"calibration name must be a string, got {name!r}")
     return DeviceCalibration(
-        qubit_count=len(entries),
-        edges=frozenset(edges),
         qubits=tuple(qubits),
         cx_error=cx_error,
         cx_duration_ns=cx_duration,

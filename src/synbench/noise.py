@@ -11,6 +11,11 @@ probability eps; readout flips the recorded bit with the calibrated error.
 Cross-talk is modeled phenomenologically: a relaxation event (1 -> 0) during
 a delay segment inflicts a phase flip with probability eta on each coupled
 neighbor that is idling in the X basis during an overlapping segment.
+
+`compile_noise` applies the run's options once: the `NoiseModel` it returns
+is only tables (each qubit's idle channel and readout flip, each coupled
+pair's cx error, the preparation flip and eta), with every disabled channel
+already zeroed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .device import DeviceCalibration, QubitCalibration
+from .device import DeviceCalibration, Edge, QubitCalibration
 
 CHANNEL_NAMES = ("cx", "readout", "relaxation", "dephasing", "crosstalk")
 
@@ -91,54 +96,44 @@ ZERO_NOISE_OPTIONS = NoiseOptions(disable=frozenset(CHANNEL_NAMES))
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-instruction channels for one device: its calibration read
-    through the options it was compiled with.
+    """One device's channels as tables, read per instruction by
+    `compile_program`: `idle` and `readout` indexed by qubit, `cx` by the
+    ordered pair in both orders."""
 
-    All accessors apply the disable masks, so a fully masked model is the
-    zero-noise model.
-    """
-
-    calibration: DeviceCalibration
-    options: NoiseOptions
-
-    def _on(self, name: str) -> bool:
-        return name not in self.options.disable
-
-    def idle_channel(self, qubit: int) -> IdleChannel:
-        """The qubit's idle channel. A disabled relaxation or dephasing
-        channel reads as an infinite T1 or T2 and T2*, under which every
-        probability it gives is exactly 0."""
-        qc = self.calibration.qubits[qubit]
-        relax, dephase = self._on("relaxation"), self._on("dephasing")
-        return IdleChannel(
-            qc.t1_ns if relax else math.inf,
-            qc.t2_ns if dephase else math.inf,
-            qc.t2_star_ns if dephase else math.inf,
-            qc.p0,
-        )
-
-    def cx_error(self, a: int, b: int) -> float:
-        if not self._on("cx"):
-            return 0.0
-        return self.calibration.edge_error(a, b)
-
-    def readout_flip(self, qubit: int) -> float:
-        if not self._on("readout"):
-            return 0.0
-        return self.calibration.qubits[qubit].readout_error
-
-    def preparation_flip(self) -> float:
-        return self.options.prep_error
-
-    def crosstalk(self) -> float:
-        if not self._on("crosstalk"):
-            return 0.0
-        return self.options.crosstalk_eta
+    idle: tuple[IdleChannel, ...]
+    cx: dict[Edge, float]
+    readout: tuple[float, ...]
+    prep: float
+    crosstalk: float
 
 
 def compile_noise(cal: DeviceCalibration, options: NoiseOptions | None = None) -> NoiseModel:
-    """Deterministically bind calibration data to channels."""
-    return NoiseModel(cal, options or NoiseOptions())
+    """Bind calibration data to channels, applying the options once: the
+    model is its tables. A disabled channel reads as 0, or for relaxation
+    and dephasing as an infinite T1, or T2 and T2*, under which every
+    probability the idle channel gives is exactly 0; a fully disabled model
+    is the zero-noise model."""
+    options = options or NoiseOptions()
+    off = options.disable
+    idle = tuple(
+        IdleChannel(
+            math.inf if "relaxation" in off else qc.t1_ns,
+            math.inf if "dephasing" in off else qc.t2_ns,
+            math.inf if "dephasing" in off else qc.t2_star_ns,
+            qc.p0,
+        )
+        for qc in cal.qubits
+    )
+    cx = {}
+    for (a, b), eps in cal.cx_error.items():
+        cx[a, b] = cx[b, a] = 0.0 if "cx" in off else eps
+    return NoiseModel(
+        idle=idle,
+        cx=cx,
+        readout=tuple(0.0 if "readout" in off else qc.readout_error for qc in cal.qubits),
+        prep=options.prep_error,
+        crosstalk=0.0 if "crosstalk" in off else options.crosstalk_eta,
+    )
 
 
 @dataclass(frozen=True)

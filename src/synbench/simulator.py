@@ -117,9 +117,8 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     n = len(line)
     index = {q: i for i, q in enumerate(line)}
     basis = ["Z"] * n
-    idle = [noise.idle_channel(q) for q in line]
-    prep = noise.preparation_flip()
-    eta = noise.crosstalk()
+    idle = [noise.idle[q] for q in line]
+    prep, eta = noise.prep, noise.crosstalk
 
     ops: list[tuple] = []
     times: list[int] = []  # each op's event time, nondecreasing
@@ -159,11 +158,11 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                 )
             if abs(i - j) != 1:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            ops.append(("cx", i, j, noise.cx_error(c, t)))
+            ops.append(("cx", i, j, noise.cx[c, t]))
         elif kind == "measure":
             if basis[i] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            ops.append(("measure", i, slot, noise.readout_flip(q)))
+            ops.append(("measure", i, slot, noise.readout[q]))
         elif kind == "prepare_z0":
             basis[i] = "Z"
             ops.append(("prep", i, prep))

@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from synbench import Circuit, DeviceCalibration, Instruction, QubitCalibration
-from synbench.device import canonical_edge
+from synbench.circuits import Circuit, Instruction
+from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge
 from synbench.simulator import compile_program, record_distribution, run_shots
 
 
@@ -37,8 +37,6 @@ def make_line_cal(
     )
     edges = frozenset(canonical_edge(i, i + 1) for i in range(n - 1))
     return DeviceCalibration(
-        qubit_count=n,
-        edges=edges,
         qubits=tuple([qubit] * n),
         cx_error={e: cx_error for e in edges},
         cx_duration_ns={e: cx_ns for e in edges},
@@ -70,8 +68,6 @@ def make_graph_cal(
     if cx_errors:
         errors.update({canonical_edge(a, b): v for (a, b), v in cx_errors.items()})
     return DeviceCalibration(
-        qubit_count=n,
-        edges=canon,
         qubits=tuple([qubit] * n),
         cx_error=errors,
         cx_duration_ns={e: 300.0 for e in canon},

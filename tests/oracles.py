@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from synbench import BasisContractError, CircuitBuildError, Instruction
-from synbench.simulator import FrameProgram
+from synbench.circuits import CircuitBuildError, Instruction
+from synbench.simulator import BasisContractError, FrameProgram
 
 
 def brute_force_lines(edges: set[tuple[int, int]], n: int, center: int) -> set[tuple[int, ...]]:
@@ -423,7 +423,7 @@ def _timeline_sorted(instrs) -> tuple:
     return tuple(sorted(instrs, key=lambda i: (i.start, i.end, i.qubits, i.kind)))
 
 
-def insert_dynamical_decoupling(circuit, scope: str):
+def insert_dynamical_decoupling(circuit, cal, scope: str):
     """Wrap in-scope delays of a built circuit with a symmetric echo pair,
     as a second pass over its sorted instruction list.
 
@@ -431,11 +431,13 @@ def insert_dynamical_decoupling(circuit, scope: str):
     t' = t - 2*x_duration; remainders from the integer split go to the middle
     segment so the total timeline length is preserved exactly. Sub-delays are
     flagged echoed. Delays shorter than 2*x + 4 ns pass through untouched, as
-    do delays already echoed.
+    do delays already echoed. A qubit's x lasts its calibrated x_ns,
+    rounded to at least 1 ns, as the builder schedules it.
     """
     if scope not in ("all_qubits", "code_only"):
         raise CircuitBuildError(f"unknown dd scope {scope!r}")
     in_scope = set(circuit.line if scope == "all_qubits" else circuit.code_qubits)
+    x_durations = {q: max(1, round(cal.qubits[q].x_ns)) for q in circuit.line}
     out = []
     for ins in circuit.instructions:
         q = ins.qubits[0]
@@ -443,11 +445,11 @@ def insert_dynamical_decoupling(circuit, scope: str):
             ins.kind != "delay"
             or ins.echoed
             or q not in in_scope
-            or ins.duration < 2 * circuit.x_durations[q] + 4
+            or ins.duration < 2 * x_durations[q] + 4
         ):
             out.append(ins)
             continue
-        x = circuit.x_durations[q]
+        x = x_durations[q]
         remaining = ins.duration - 2 * x
         quarter = remaining // 4
         middle = remaining - 2 * quarter
@@ -488,7 +490,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
         events.append((ins.start, 2, seq, ins))
     events.sort(key=lambda e: (e[0], e[1], e[2]))
 
-    eta = noise.crosstalk()
+    eta = noise.crosstalk
     ops = []  # (time, phase, order, op)
     segments = []
     order = 0
@@ -503,7 +505,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
         i = index[q]
         if ins.kind == "prepare_z0":
             basis[q] = "Z"
-            emit(time, phase, ("prep", i, noise.preparation_flip()))
+            emit(time, phase, ("prep", i, noise.prep))
         elif ins.kind == "reset":
             basis[q] = "Z"
             emit(time, phase, ("prep", i, 0.0))
@@ -515,7 +517,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
         elif ins.kind == "measure":
             if basis[q] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            emit(time, phase, ("measure", i, ins.slot, noise.readout_flip(q)))
+            emit(time, phase, ("measure", i, ins.slot, noise.readout[q]))
         elif ins.kind == "cx":
             c, t = ins.qubits
             if basis[t] != "Z":
@@ -525,9 +527,9 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
                 )
             if abs(index[c] - index[t]) != 1:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            emit(time, phase, ("cx", index[c], index[t], noise.cx_error(c, t)))
+            emit(time, phase, ("cx", index[c], index[t], noise.cx[c, t]))
         elif ins.kind == "delay":
-            ch = noise.idle_channel(q)
+            ch = noise.idle[q]
             if basis[q] == "Z":
                 p10, p01 = ch.p_1to0(ins.duration), ch.p_0to1(ins.duration)
                 token = len(segments) if p10 > 0.0 and eta > 0.0 else -1

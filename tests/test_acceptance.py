@@ -14,22 +14,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synbench import (
-    NoiseOptions,
-    ZERO_NOISE_OPTIONS,
-    build_repetition_circuit,
-    compile_noise,
-    detection_events,
-    enumerate_lines,
-    estimate_from_moments,
-    extract_idle_rates,
-    load_calibration,
-    plan_device,
-    select_line,
-)
+from synbench.analysis import detection_events, estimate_from_moments, extract_idle_rates
+from synbench.circuits import build_repetition_circuit
 from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
-from synbench.device import canonical_edge
-from synbench.noise import IdleChannel
+from synbench.device import canonical_edge, enumerate_lines, load_calibration, plan_device, select_line
+from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import insert_fault, make_graph_cal, make_line_cal, random_graph_edges, sample_shots
 from oracles import (

@@ -4,17 +4,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from synbench import (
+from synbench.analysis import (
     AntiCorrelationError,
     EstimationError,
     QubitBenchmark,
     RateEstimate,
     aggregate_device,
-    build_repetition_circuit,
     detection_events,
     estimate_from_moments,
     extract_idle_rates,
 )
+from synbench.circuits import build_repetition_circuit
 from helpers import make_line_cal
 from oracles import bincount_pair_counts, shared_fault_moments, stacked_detection_events
 

@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from synbench import CircuitBuildError, build_repetition_circuit, idle_exposure, plan_device
-from synbench.circuits import ENCODINGS
-from synbench.device import canonical_edge
+from synbench.circuits import ENCODINGS, CircuitBuildError, build_repetition_circuit, idle_exposure
+from synbench.device import canonical_edge, plan_device
 from helpers import make_line_cal
 from oracles import insert_dynamical_decoupling, window_segments
 
@@ -286,7 +285,7 @@ def test_timeline_validity_across_variants(cal, encoding, logical_value, dd_scop
 
 def test_dd_preserves_total_duration(cal):
     plain = build(cal, extra_delay_ns=10_000)
-    echoed = insert_dynamical_decoupling(plain, "all_qubits")
+    echoed = insert_dynamical_decoupling(plain, cal, "all_qubits")
     assert echoed == build(cal, extra_delay_ns=10_000, dd_scope="all_qubits")
     assert echoed.duration == plain.duration
     assert_timeline_valid(echoed)
@@ -303,7 +302,7 @@ def test_builder_places_echo_pairs_as_the_reference_pass_does(falcon):
             plain = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra)
             for scope in ("all_qubits", "code_only"):
                 echoed = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
-                assert echoed == insert_dynamical_decoupling(plain, scope), (q, encoding, lv, extra, scope)
+                assert echoed == insert_dynamical_decoupling(plain, falcon, scope), (q, encoding, lv, extra, scope)
 
 
 def test_dd_split_arithmetic(cal):
@@ -366,7 +365,7 @@ def test_idle_exposure_of_aux_is_zero_while_measuring(cal):
 
 def test_idle_exposure_counts_delays_not_echo_pulses(cal):
     circuit = build(cal, extra_delay_ns=10_000, dd_scope="code_only")
-    x_dur = circuit.x_durations[2]
+    x_dur = max(1, round(cal.qubits[2].x_ns))
     # two echoed windows in round 1 (measurement window + extra delay), each
     # giving up 2 x pulses of delay time
     assert idle_exposure(circuit, 2) == 30 + 10_000 - 4 * x_dur
@@ -384,6 +383,20 @@ def test_invalid_line_rejected(cal):
         build_repetition_circuit((0, 1, 2, 3), cal)
     with pytest.raises(CircuitBuildError, match="five qubits"):
         build_repetition_circuit(tuple(range(7)), make_line_cal(7))
+
+
+@pytest.mark.parametrize(
+    "line,kwargs,match",
+    [
+        ((0, 1, 2, 1, 0), {}, "repeated qubits"),
+        (LINE, {"logical_value": 2}, "logical value must be 0 or 1"),
+        (LINE, {"extra_delay_ns": -1}, "extra delay must be nonnegative"),
+    ],
+    ids=["repeated-qubit", "logical-value-2", "negative-extra-delay"],
+)
+def test_builder_rejects_out_of_range_inputs(cal, line, kwargs, match):
+    with pytest.raises(CircuitBuildError, match=match):
+        build_repetition_circuit(line, cal, **kwargs)
 
 
 def test_bad_encoding_and_scope_rejected(cal):

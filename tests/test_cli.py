@@ -6,7 +6,10 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import fields
@@ -18,9 +21,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench import NoiseOptions, enumerate_lines, load_calibration, select_line
 from synbench.analysis import BOOTSTRAP_RESAMPLES
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
+from synbench.device import enumerate_lines, load_calibration, select_line
+from synbench.noise import NoiseOptions
 from conftest import falcon_bytes
 
 REPO = Path(__file__).resolve().parents[1]
@@ -331,6 +335,9 @@ QUBIT_ENTRY_BREAKS = {
     "bool-p0": lambda doc: doc["qubits"][3].update(p0=True),
     "null-readout-error": lambda doc: doc["qubits"][3].update(readout_error=None),
     "nan-position": lambda doc: doc["qubits"][3].update(position=[math.nan, 1.0]),
+    "missing-t1": lambda doc: doc["qubits"][3].pop("t1_ns"),
+    "t2-star-above-t2": lambda doc: doc["qubits"][3].update(t2_star_ns=2 * doc["qubits"][3]["t2_ns"]),
+    "p0-above-one": lambda doc: doc["qubits"][3].update(p0=1.5),
 }
 
 
@@ -565,7 +572,8 @@ def test_report_medians_ordered_across_dd_scopes(tmp_path, cal_path):
 
 
 def test_report_guides_and_exposure_are_consistent(tmp_path, cal_path):
-    from synbench import build_repetition_circuit, guide_values, idle_exposure
+    from synbench.circuits import build_repetition_circuit, idle_exposure
+    from synbench.noise import guide_values
 
     config = RunConfig.from_file(
         write_config(tmp_path, cal_path, shots=1200, encodings=["phase_flip"], logical_values=[0])
@@ -604,3 +612,66 @@ def test_csv_rows_cover_all_rates(tmp_path, cal_path):
     assert rows[0] == "qubit,encoding,rate_type,estimate,stderr,guide,exposure_ns"
     # p_0to1, p_1to0, p_01, p_phase per benchmarked qubit
     assert len(rows) == 1 + 4 * len(report.results)
+
+
+P0_ONLY_RELAXATION = {"disable": ["cx", "readout", "dephasing", "crosstalk"]}
+
+
+def test_unechoed_p0_estimate_recovers_calibrated_p0(tmp_path, cal_path):
+    # with relaxation the only channel, the two flip directions split as p0
+    # to 1 - p0, so p_1to0 / (p_1to0 + p_0to1) estimates p0; its delta-method
+    # sd comes from the two rates' stderr. A qubit with p0 = 1 reads exactly
+    # 1.0 unless its neighbours' upward flips leave p_0to1 a sampling-noise
+    # estimate above 0, which its stderr then covers
+    config = RunConfig.from_file(
+        write_config(
+            tmp_path, cal_path, shots=200_000, logical_values=[0, 1], dd_scope="none", noise=P0_ONLY_RELAXATION
+        )
+    )
+    report, _ = run_benchmark(config)
+    cal = load_calibration(cal_path)
+    for result in report.results:
+        p0 = cal.qubits[result.qubit].p0
+        down, up = result.rates["p_1to0"], result.rates["p_0to1"]
+        total = down.estimate + up.estimate
+        sd = math.hypot(up.estimate * down.stderr, down.estimate * up.stderr) / total**2
+        assert abs(result.p0_estimate - p0) <= 4 * sd, (result.qubit, result.p0_estimate, p0, sd)
+
+
+def test_echoed_run_reports_no_p0_estimate(tmp_path, cal_path):
+    # echo pulses symmetrize the two directions, so their ratio says nothing
+    config = RunConfig.from_file(
+        write_config(tmp_path, cal_path, logical_values=[0, 1], dd_scope="code_only", noise=P0_ONLY_RELAXATION)
+    )
+    report, _ = run_benchmark(config)
+    assert report.results and all(result.p0_estimate is None for result in report.results)
+
+
+CALIBRATION_BREAKS = {
+    "no-qubits": lambda doc: doc.update(qubits=[], cx_gates=[]),
+    "no-cx-gates-key": lambda doc: doc.pop("cx_gates"),
+    "cx-gates-not-a-list": lambda doc: doc.update(cx_gates={}),
+    "self-loop-cx": lambda doc: doc["cx_gates"][0].update(qubits=[0, 0]),
+    "zero-duration-cx": lambda doc: doc["cx_gates"][0].update(duration_ns=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALIBRATION_BREAKS))
+def test_malformed_calibration_is_calibration_error(tmp_path, capsys, name):
+    doc = json.loads(falcon_bytes())
+    CALIBRATION_BREAKS[name](doc)
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["plan", "--cal", str(cal)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("args", [["-c", "import synbench"], ["-m", "synbench", "--version"]])
+def test_entry_points_run_without_warnings(args):
+    # `python -m synbench` runs the command line; a warning at import, such
+    # as runpy's for a module the package root already imported, fails here
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("synbench 0.1.0\n" if "--version" in args else "")

@@ -1,18 +1,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synbench import (
-    CalibrationError,
-    enumerate_lines,
-    load_calibration,
-    plan_device,
-    select_line,
-)
+from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import make_graph_cal, make_line_cal, random_graph_edges
 from oracles import brute_force_lines, spring_layout
@@ -93,6 +88,25 @@ def test_load_rejects_non_json(tmp_path):
     path.write_bytes(falcon_bytes())
     with pytest.raises(CalibrationError, match="not valid JSON"):
         load_calibration(str(path))
+
+
+def test_load_rejects_a_source_of_another_type():
+    with pytest.raises(CalibrationError, match="cannot read calibration from int"):
+        load_calibration(5)
+
+
+@pytest.mark.parametrize(
+    "cx_error,cx_duration_ns,match",
+    [
+        ({(0, 1): 0.01}, {}, "same edges"),
+        ({(1, 0): 0.01}, {(1, 0): 20.0}, "canonical order"),
+    ],
+    ids=["edge-without-duration", "reversed-edge"],
+)
+def test_direct_construction_checks_the_edges(cx_error, cx_duration_ns, match):
+    # load_calibration never builds these; a library caller can
+    with pytest.raises(CalibrationError, match=match):
+        replace(make_line_cal(2), cx_error=cx_error, cx_duration_ns=cx_duration_ns)
 
 
 def test_missing_t2_star_defaults_to_half_t2():

@@ -6,13 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synbench import (
-    IdleChannel,
-    NoiseOptions,
-    ZERO_NOISE_OPTIONS,
-    compile_noise,
-    guide_values,
-)
+from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise, guide_values
 from helpers import make_line_cal
 from oracles import composed_relaxation_flip
 
@@ -98,15 +92,15 @@ def test_guide_direction_split_follows_equilibrium():
 def test_zero_noise_model_is_all_zero():
     cal = make_line_cal(t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
     model = compile_noise(cal, ZERO_NOISE_OPTIONS)
-    ch = model.idle_channel(2)
+    ch = model.idle[2]
     assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
     assert ch.p_phaseflip(1e9, True) == 0.0
-    assert model.cx_error(0, 1) == 0.0
-    assert model.readout_flip(0) == 0.0
-    assert model.crosstalk() == 0.0
+    assert model.cx[0, 1] == 0.0
+    assert model.readout[0] == 0.0
+    assert model.crosstalk == 0.0
     # infinite timescales alone already give zero idle error
     open_model = compile_noise(cal, NoiseOptions())
-    ch = open_model.idle_channel(2)
+    ch = open_model.idle[2]
     assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
     assert ch.p_phaseflip(1e9, True) == 0.0
 
@@ -114,17 +108,17 @@ def test_zero_noise_model_is_all_zero():
 def test_disable_masks_are_per_channel():
     cal = make_line_cal(readout_error=0.02, cx_error=0.01)
     model = compile_noise(cal, NoiseOptions(disable=frozenset({"relaxation", "cx"})))
-    ch = model.idle_channel(2)
+    ch = model.idle[2]
     assert (ch.p_1to0(1e6), ch.p_0to1(1e6)) == (0.0, 0.0)
-    assert model.cx_error(0, 1) == 0.0
-    assert model.readout_flip(0) == 0.02
+    assert model.cx[0, 1] == 0.0
+    assert model.readout[0] == 0.02
     assert ch.p_phaseflip(1e6, True) > 0.0
 
 
 def test_crosstalk_gate():
     cal = make_line_cal()
-    assert compile_noise(cal, NoiseOptions(crosstalk_eta=0.7)).crosstalk() == 0.7
-    assert compile_noise(cal, NoiseOptions(disable=frozenset({"crosstalk"}))).crosstalk() == 0.0
+    assert compile_noise(cal, NoiseOptions(crosstalk_eta=0.7)).crosstalk == 0.7
+    assert compile_noise(cal, NoiseOptions(disable=frozenset({"crosstalk"}))).crosstalk == 0.0
 
 
 def test_options_validation():

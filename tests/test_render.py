@@ -4,11 +4,7 @@ import re
 
 import pytest
 
-from synbench import (
-    QubitBenchmark,
-    RateEstimate,
-    aggregate_device,
-)
+from synbench.analysis import QubitBenchmark, RateEstimate, aggregate_device
 from synbench.render import render_device_map
 from helpers import make_graph_cal
 

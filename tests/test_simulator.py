@@ -7,18 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synbench import (
-    BasisContractError,
-    NoiseOptions,
-    ZERO_NOISE_OPTIONS,
-    build_repetition_circuit,
-    compile_noise,
-    detection_events,
-    extract_idle_rates,
-)
-from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction
+from synbench.analysis import detection_events, extract_idle_rates
+from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
 from synbench.device import plan_device
-from synbench.simulator import _structure, compile_program, record_distribution, run_shots
+from synbench.noise import ZERO_NOISE_OPTIONS, NoiseOptions, compile_noise
+from synbench.simulator import BasisContractError, _structure, compile_program, record_distribution, run_shots
 from helpers import insert_fault, make_line_cal, sample_shots
 from oracles import (
     bincount_pair_counts,
@@ -129,7 +122,6 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         logical_value=0,
         aux_slots={},
         final_slots={0: 1, 1: 0},
-        x_durations={0: 10, 1: 10},
     )
     with pytest.raises(BasisContractError, match="target"):
         compile_program(circuit, zero_noise(cal))
@@ -150,10 +142,24 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         logical_value=0,
         aux_slots={},
         final_slots={0: 0, 2: 1},
-        x_durations={0: 10, 1: 10, 2: 10},
     )
     with pytest.raises(BasisContractError, match="neighbours"):
         compile_program(circuit, zero_noise(cal))
+
+
+@pytest.mark.parametrize(
+    "edit,error,match",
+    [
+        (lambda c: c.instructions + (Instruction("y", (2,), 0, 0),), BasisContractError, "unknown instruction"),
+        (lambda c: tuple(i for i in c.instructions if i.slot != c.final_slots[4]), ValueError, "every slot must"),
+    ],
+    ids=["unknown-kind", "unmeasured-slot"],
+)
+def test_program_outside_the_tracked_model_is_refused(cal, edit, error, match):
+    circuit = build(cal)
+    edited = replace(circuit, instructions=edit(circuit))
+    with pytest.raises(error, match=match):
+        record_distribution(compile_program(edited, zero_noise(cal)))
 
 
 @pytest.mark.parametrize("control_basis,target_basis", itertools.product("ZX", repeat=2))
@@ -303,7 +309,6 @@ def test_crosstalk_first_overlap_rule_applies_once():
         logical_value=0,
         aux_slots={},
         final_slots={0: 0, 1: 1},
-        x_durations={0: 10, 1: 10},
     )
     cal = make_line_cal(2, t1_ns=0.01, t2_ns=0.02)  # decay within the window is certain
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"dephasing", "readout", "cx"})))
