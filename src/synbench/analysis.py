@@ -44,8 +44,9 @@ def detection_events(circuit: Circuit, shots: np.ndarray) -> np.ndarray:
     """Joint counts (n00, n01, n10, n11) of the round-2 detector pair over
     raw measurement records, cell 2 d_left + d_right, where
     d(a) = s(a, 2) XOR s(a, 1) for the auxiliaries line[1] (left) and
-    line[3] (right). Noise-free circuits put every shot in n00 for either
-    logical value.
+    line[3] (right). A benchmark circuit's record is exactly these four
+    outcomes s(a, r), so `shots` is the (shots, 4) table `run_shots` gives.
+    Noise-free circuits put every shot in n00 for either logical value.
     """
     shots = np.asarray(shots)
     if shots.ndim != 2 or shots.shape[1] != circuit.n_slots:

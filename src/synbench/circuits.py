@@ -1,17 +1,18 @@
 """Timed circuits for repetition-code syndrome benchmarks.
 
 Every circuit is a distance-3 repetition code on a five-qubit line with two
-syndrome rounds. Circuits are flat, time-ordered instruction lists over
-physical qubits, with every idle gap materialized as an explicit delay
-instruction. Times are integer nanoseconds. The schedule is fixed and
-documented:
+syndrome rounds, ending with round 2's auxiliary readout: it records the 4
+auxiliary outcomes the estimator reads and never reads its code qubits.
+Circuits are flat, time-ordered instruction lists over physical qubits,
+with every idle gap materialized as an explicit delay instruction. Times are
+integer nanoseconds. The schedule is fixed and documented:
 
 * per round, each auxiliary couples to its left code neighbor first, then its
   right, with the gates packed into two barrier-aligned layers so no qubit is
   in two cx gates at once;
 * auxiliaries are measured simultaneously after the second layer, each
   followed by an unconditional reset;
-* the optional extra delay sits after each measurement round as its own delay
+* the optional extra delay sits between the two rounds as its own delay
   instruction on every qubit.
 
 The builder places the gates layer by layer. Each gate starts where its
@@ -24,9 +25,8 @@ x, delay(t'/4) with t' = t - 2*x, the integer remainder in the middle,
 every sub-delay flagged echoed. The instructions are sorted once, by
 (start, end, qubits, kind), which orders a circuit's instructions totally.
 
-The phase-flip encoding is the bit-flip circuit conjugated on code qubits:
-an h right after preparation and another right before the final transversal
-readout, with the instruction list otherwise unchanged.
+The phase-flip encoding is the bit-flip circuit with one h layer on the code
+qubits right after preparation.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ class Circuit:
     encoding: str
     logical_value: int
     aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
-    final_slots: dict[int, int]  # code qubit -> slot
 
     @property
     def code_qubits(self) -> tuple[int, ...]:
@@ -99,7 +98,7 @@ class Circuit:
 
     @property
     def n_slots(self) -> int:
-        return len(self.aux_slots) + len(self.final_slots)
+        return len(self.aux_slots)
 
     @property
     def duration(self) -> int:
@@ -156,7 +155,6 @@ def build_repetition_circuit(
     ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
     echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
     aux_slots = {(a, r): len(aux) * (r - 1) + k for r in range(1, ROUNDS + 1) for k, a in enumerate(aux)}
-    final_slots = {q: len(aux_slots) + k for k, q in enumerate(code)}
 
     instrs = [Instruction("prepare_z0", (q,), 0, 0) for q in qubits]
     cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
@@ -193,7 +191,6 @@ def build_repetition_circuit(
                 cursor[q] = start + duration
         barrier(max(cursor.values()))
 
-    h_layer = [("h", (q,), x_dur[q], None) for q in code]
     # each auxiliary couples to its left code neighbor, then its right
     cx_layers = [
         [("cx", (c, a), max(1, round(cal.edge_duration(c, a))), None) for c, a in zip(cs, aux)]
@@ -202,7 +199,7 @@ def build_repetition_circuit(
     if logical_value == 1:
         layer(("x", (q,), x_dur[q], None) for q in code)
     if encoding == "phase_flip":
-        layer(h_layer)
+        layer(("h", (q,), x_dur[q], None) for q in code)
     for r in range(1, ROUNDS + 1):
         for gates in cx_layers:
             layer(gates)
@@ -212,11 +209,9 @@ def build_repetition_circuit(
             for a in aux
             for gate in (("measure", (a,), ro_dur[a], aux_slots[(a, r)]), ("reset", (a,), x_dur[a], None))
         )
-        # the extra delay is one window on every qubit
-        barrier(max(cursor.values()) + extra_delay_ns)
-    if encoding == "phase_flip":
-        layer(h_layer)
-    layer(("measure", (q,), ro_dur[q], final_slots[q]) for q in code)
+        # the extra delay is one window on every qubit, between the rounds
+        if r < ROUNDS:
+            barrier(max(cursor.values()) + extra_delay_ns)
 
     return Circuit(
         line=qubits,
@@ -224,7 +219,6 @@ def build_repetition_circuit(
         encoding=encoding,
         logical_value=logical_value,
         aux_slots=aux_slots,
-        final_slots=final_slots,
     )
 
 

@@ -3,10 +3,10 @@
 A run is described by one JSON config file; every field has a default so a
 bare calibration path is enough. For each feasible qubit the pipeline picks
 its line, builds one circuit per (encoding, logical value), walks each
-encoding's circuits together for their exact record distributions, samples
-each, extracts the round-2 idle rate, and aggregates everything into a report
-(JSON + CSV) with device-map figures. Identical config and seed give
-byte-identical artifacts.
+encoding's circuits together for the exact distributions of their 4
+syndrome bits, samples each, extracts the round-2 idle rate, and aggregates
+everything into a report (JSON + CSV) with device-map figures. Identical
+config and seed give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -55,6 +55,22 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _flag_value(text: str):
+    # a --seed or --shots flag is the JSON value it spells, checked by
+    # RunConfig as a file value is; other text passes through to be refused
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def _integer(name: str, value, minimum: int) -> int:
@@ -213,14 +229,7 @@ def benchmark_qubit(
         total = rates["p_0to1"].estimate + rates["p_1to0"].estimate
         if total > 0:
             p0_estimate = rates["p_1to0"].estimate / total
-    return QubitBenchmark(
-        qubit=qubit,
-        line=line.qubits,
-        rates=rates,
-        guides=guides,
-        exposure_ns=exposures,
-        p0_estimate=p0_estimate,
-    )
+    return QubitBenchmark(qubit, line.qubits, rates, guides, exposures, p0_estimate)
 
 
 def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
@@ -260,12 +269,10 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
         "rates_map": out_dir / "rates.svg",
         "calibration_map": out_dir / "calibration.svg",
     }
-    paths["report"].write_text(report_json(report), encoding="utf-8")
-    paths["csv"].write_text(report_csv(report), encoding="utf-8")
-    paths["rates_map"].write_text(render_device_map(report, cal, "rates"), encoding="utf-8")
-    paths["calibration_map"].write_text(
-        render_device_map(report, cal, "calibration"), encoding="utf-8"
-    )
+    _write(paths["report"], report_json(report))
+    _write(paths["csv"], report_csv(report))
+    _write(paths["rates_map"], render_device_map(report, cal, "rates"))
+    _write(paths["calibration_map"], render_device_map(report, cal, "calibration"))
     return report, paths
 
 
@@ -315,12 +322,9 @@ def _cmd_plan(args) -> int:
 def _cmd_run(args) -> int:
     if args.config is None and args.cal is None:
         raise ConfigError("pass --config FILE or --cal FILE")
-    if args.config is not None:
-        config = RunConfig.from_file(args.config)
-    else:
-        config = RunConfig(calibration=args.cal)
-    overrides = {"seed": args.seed, "shots": args.shots, "output_dir": args.output}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+    config = RunConfig.from_file(args.config) if args.config is not None else RunConfig(calibration=args.cal)
+    overrides = {k: v for k, v in vars(args).items() if k in ("seed", "shots", "output_dir")}
+    config = replace(config, **overrides)
     report, paths = run_benchmark(config)
     for key in sorted(paths):
         print(f"{key}: {paths[key]}")
@@ -345,10 +349,7 @@ def _cmd_render(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"report {args.report}: {exc}") from exc
     out = Path(args.out) if args.out else Path(args.report).with_suffix(f".{args.mode}.svg")
-    try:
-        out.write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {out}: {exc}") from exc
+    _write(out, svg)
     print(out)
     return 0
 
@@ -367,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full benchmark from a config file")
     p_run.add_argument("--config", default=None, help="run config JSON file")
     p_run.add_argument("--cal", default=None, help="calibration JSON; runs with every default")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--shots", type=int, default=None, help="override shots per circuit")
-    p_run.add_argument("--output", default=None, help="override the output directory")
+    p_run.add_argument("--seed", type=_flag_value, default=argparse.SUPPRESS, help="override the config seed")
+    p_run.add_argument("--shots", type=_flag_value, default=argparse.SUPPRESS, help="override shots per circuit")
+    p_run.add_argument("--output", dest="output_dir", default=argparse.SUPPRESS, help="override the output directory")
 
     p_render = sub.add_parser("render", help="draw a device map from a report")
     p_render.add_argument("--report", required=True, help="report JSON file")

@@ -57,13 +57,14 @@ relax one matmul to (bit, new bit) and one transposed copy; an xtalk one
 matmul for its channel and one per token it reads. An op whose members have
 equal parameters applies one matrix to the whole batch; otherwise each
 member's matrix is stacked along the batch axis. The result is the exact
-probability of every one of the 2**n_slots records; a five-qubit, two-round
-circuit has 2**7 of them.
+probability of every one of the 2**n_slots records; a benchmark circuit
+records its two auxiliaries' outcomes in both rounds, so it has 2**4.
 
 `run_shots` draws all its shots' record counts from that distribution with
 one multinomial and expands a slot-major table of the records by those
 counts, so each slot's bits over all shots lie contiguous in memory; it
-returns the (shots, slots) transposed view, rows grouped by record value.
+returns the (shots, slots) transposed view, rows grouped by record value: a
+(shots, 4) table for a benchmark circuit.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,6 +43,17 @@ def make_line_cal(
         cx_duration_ns={e: cx_ns for e in edges},
         name=f"line{n}",
     )
+
+
+def line_calibration_doc() -> dict:
+    """A five-qubit line calibration with every optional field present."""
+    qubit = {"t1_ns": 100_000.0, "t2_ns": 80_000.0, "t2_star_ns": 40_000.0, "p0": 0.98,
+             "readout_error": 0.02, "readout_ns": 700.0, "x_ns": 35.0}
+    return {
+        "name": "line5",
+        "qubits": [{"id": q, **qubit, "position": [float(q), 0.0]} for q in range(5)],
+        "cx_gates": [{"qubits": [q, q + 1], "error": 0.01, "duration_ns": 300.0} for q in range(4)],
+    }
 
 
 def make_graph_cal(
@@ -108,3 +120,41 @@ def insert_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circ
     ins = circuit.instructions
     k = next((k for k, i in enumerate(ins) if i.start >= time_ns), len(ins))
     return replace(circuit, instructions=ins[:k] + fault + ins[k:])
+
+
+@dataclass(frozen=True)
+class ReadoutCircuit(Circuit):
+    """A circuit that also reads code qubits out: `final_slots` maps each
+    read qubit to its slot, numbered after the auxiliaries' slots."""
+
+    final_slots: dict[int, int]
+
+    @property
+    def n_slots(self) -> int:
+        return len(self.aux_slots) + len(self.final_slots)
+
+
+def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> ReadoutCircuit:
+    """`circuit` followed by the transversal code readout the estimator does
+    not read: after its end, an h on each code qubit (phase-flip encoding
+    only), then each code qubit measured into a new slot. As in the
+    builder, a gate layer ends with its slowest gate, and every qubit idles
+    up to there with one delay."""
+    code = circuit.code_qubits
+    final_slots = {q: circuit.n_slots + k for k, q in enumerate(code)}
+    layers = [[("measure", q, cal.qubits[q].readout_ns, final_slots[q]) for q in code]]
+    if circuit.encoding == "phase_flip":
+        layers.insert(0, [("h", q, cal.qubits[q].x_ns, None) for q in code])
+    added = []
+    start = circuit.duration
+    for layer in layers:
+        busy = dict.fromkeys(circuit.line, start)  # where each qubit's gate ends
+        for kind, q, ns, slot in layer:
+            added.append(Instruction(kind, (q,), start, max(1, round(ns)), slot))
+            busy[q] = added[-1].end
+        end = max(busy.values())
+        added += [Instruction("delay", (q,), t, end - t) for q, t in busy.items() if t < end]
+        start = end
+    added.sort(key=attrgetter("start", "duration", "qubits", "kind"))
+    kept = {f.name: getattr(circuit, f.name) for f in fields(Circuit) if f.name != "instructions"}
+    return ReadoutCircuit(instructions=circuit.instructions + tuple(added), final_slots=final_slots, **kept)

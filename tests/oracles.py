@@ -393,11 +393,14 @@ def grouped_records(pi: np.ndarray, shots: int, seed) -> np.ndarray:
 def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tuple]:
     """(shots, detectors) detection events and their (auxiliary, round)
     labels, round-major: each detector's column is XORed into a temporary
-    of its own and the columns are stacked."""
+    of its own and the columns are stacked. Rounds 1 and 2 come from the
+    auxiliaries; round 3, each auxiliary's last outcome against the parity
+    of its code neighbours' readouts, only for a circuit with
+    `final_slots`."""
     shots = np.asarray(shots, dtype=np.uint8)
     syndrome = {key: shots[:, slot] for key, slot in circuit.aux_slots.items()}
     columns, detectors = [], []
-    for r in (1, 2, 3):
+    for r in (1, 2, 3) if hasattr(circuit, "final_slots") else (1, 2):
         for a in circuit.aux_qubits:
             if r == 1:
                 col = syndrome[(a, 1)]

@@ -20,7 +20,7 @@ from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge, enumerate_lines, load_calibration, plan_device, select_line
 from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise
 from conftest import FALCON_LEAVES, falcon_bytes
-from helpers import insert_fault, make_graph_cal, make_line_cal, random_graph_edges, sample_shots
+from helpers import insert_fault, make_graph_cal, make_line_cal, random_graph_edges, sample_shots, with_final_readout
 from oracles import (
     bincount_pair_counts,
     brute_force_lines,
@@ -248,6 +248,8 @@ def test_criterion_5_noise_free_soundness(cal5):
                 circuit = build_repetition_circuit(
                     LINE, cal5, encoding, lv, extra_delay_ns=2_000, dd_scope=scope
                 )
+                # the final code readout gives the oracle its round-3 detectors
+                circuit = with_final_readout(circuit, cal5)
                 shots = sample_shots(circuit, zero, 10_000, seed=60)
                 # the oracle's six detectors, and the pipeline's pair counts
                 if stacked_detection_events(circuit, shots)[0].any() or (
@@ -267,7 +269,7 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
     zero = compile_noise(cal5, ZERO_NOISE_OPTIONS)
     results = []
     for encoding, pauli in (("bit_flip", "X"), ("phase_flip", "Z")):
-        circuit = build_repetition_circuit(LINE, cal5, encoding, 0, extra_delay_ns=1_000)
+        circuit = with_final_readout(build_repetition_circuit(LINE, cal5, encoding, 0, extra_delay_ns=1_000), cal5)
         meas_start = min(
             i.start
             for i in circuit.instructions

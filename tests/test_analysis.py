@@ -15,7 +15,7 @@ from synbench.analysis import (
     extract_idle_rates,
 )
 from synbench.circuits import build_repetition_circuit
-from helpers import make_line_cal
+from helpers import make_line_cal, with_final_readout
 from oracles import bincount_pair_counts, shared_fault_moments, stacked_detection_events
 
 LINE = (0, 1, 2, 3, 4)
@@ -24,6 +24,13 @@ LINE = (0, 1, 2, 3, 4)
 @pytest.fixture(scope="module")
 def circuit():
     return build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 0)
+
+
+def read_out(lv: int):
+    """The bit-flip circuit of logical value `lv` with the final code
+    readout that round 3's detectors read."""
+    cal = make_line_cal()
+    return with_final_readout(build_repetition_circuit(LINE, cal, "bit_flip", lv), cal)
 
 
 def oracle_columns(circuit, shots) -> dict:
@@ -37,7 +44,8 @@ def test_all_zero_shots_give_all_zero_matrix(circuit):
     assert detection_events(circuit, shots).tolist() == [100, 0, 0, 0]
 
 
-def test_detector_columns_follow_xor_rules(circuit):
+def test_detector_columns_follow_xor_rules():
+    circuit = read_out(0)
     shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
     # left aux fires in round 2 only: detectors (1,2) and (1,3) fire
     shots[0, circuit.aux_slots[(1, 2)]] = 1
@@ -50,7 +58,7 @@ def test_detector_columns_follow_xor_rules(circuit):
 
 
 def test_final_round_parity_under_logical_one():
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
+    circuit = read_out(1)
     shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
     # clean syndromes but final readout 101: both final-round detectors fire
     shots[0, circuit.final_slots[0]] = 1
@@ -62,13 +70,14 @@ def test_final_round_parity_under_logical_one():
 
 
 def test_final_round_parity_cancels_equal_bits():
-    circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 1)
+    circuit = read_out(1)
     shots = np.ones((1, circuit.n_slots), dtype=np.uint8)
     shots[0, : len(circuit.aux_slots)] = 0
     assert not stacked_detection_events(circuit, shots)[0].any()
 
 
-def test_detector_chain_parity_is_invariant_under_even_aux_flips(circuit):
+def test_detector_chain_parity_is_invariant_under_even_aux_flips():
+    circuit = read_out(0)
     flipped = np.zeros((64, circuit.n_slots), dtype=np.uint8)
     flipped[:, circuit.aux_slots[(1, 1)]] ^= 1
     flipped[:, circuit.aux_slots[(1, 2)]] ^= 1
@@ -118,7 +127,7 @@ def test_detection_events_match_stacked_oracle_in_any_layout(layout):
     # the popcount cells equal a bincount of the oracle's round-2 columns,
     # cell 2 d_left + d_right, whatever the shots' memory order and dtype
     for lv in (0, 1):
-        circuit = build_repetition_circuit(LINE, make_line_cal(), "bit_flip", lv)
+        circuit = read_out(lv)
         bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
         counts = detection_events(circuit, _layouts(bits)[layout])
         col = oracle_columns(circuit, bits)

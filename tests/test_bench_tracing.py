@@ -7,6 +7,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -14,8 +15,13 @@ import pytest
 
 import synbench.cli
 from synbench.analysis import extract_idle_rates
+from synbench.circuits import build_repetition_circuit
+from synbench.cli import RunConfig
+from synbench.device import load_calibration, plan_device
+from helpers import line_calibration_doc
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING = REPO / "bench" / "tracing.py"
 
 
 @pytest.fixture
@@ -41,3 +47,31 @@ def test_tracer_installs_and_restores_every_wrapper(tracing):
     with tracing.Tracer().installed():
         assert synbench.cli.benchmark_qubit is not original
     assert synbench.cli.benchmark_qubit is original
+
+
+def test_traced_run_gives_every_layer_metric(tracing, tmp_path):
+    # a pipeline that stopped calling a traced function would leave its
+    # layer empty, which otherwise shows only under `bench/run.py --trace 1`
+    cal_path = tmp_path / "line.json"
+    cal_path.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
+    config = RunConfig(calibration=str(cal_path), shots=1_000, output_dir=str(tmp_path / "out"))
+    with tracing.Tracer().installed() as tracer:
+        synbench.cli.run_benchmark(config)
+    assert {span.name for span in tracer.spans} == {name for _, _, name in tracing.TRACED}
+    metrics = tracing.layer_metrics(tracer.spans, 1)
+    # run.py adds the trace.* and workload.* metrics itself
+    names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
+    assert {n for n in names if not n.startswith(("trace.", "workload."))} <= set(metrics)
+    cal = load_calibration(cal_path)
+    circuits = [
+        build_repetition_circuit(
+            line, cal, encoding, lv, synbench.cli._extra_delay_ns(config, cal, q, encoding), config.dd_scope
+        )
+        for q, line in plan_device(cal).items()
+        if line is not None
+        for encoding in config.encodings
+        for lv in config.logical_values
+    ]
+    assert len(circuits) == 4  # the centre qubit's two encodings and logical values
+    assert metrics["simulator.shots"] == len(circuits) * config.shots
+    assert metrics["circuits.instructions"] == sum(len(c.instructions) for c in circuits)

@@ -13,8 +13,8 @@ from oracles import insert_dynamical_decoupling, window_segments
 LINE = (0, 1, 2, 3, 4)
 
 # verified by hand against the documented schedule: two staggered cx layers
-# per round, simultaneous aux readout + reset, transversal final readout,
-# every gap materialized
+# per round, simultaneous aux readout + reset, the circuit ending with round
+# 2's, every gap materialized
 GOLDEN_T2_BITFLIP = """\
          0 prepare_z0 q[0] dur=0
          0 prepare_z0 q[1] dur=0
@@ -47,17 +47,12 @@ GOLDEN_T2_BITFLIP = """\
        110 delay      q[4] dur=30
        130 reset      q[1] dur=10
        130 reset      q[3] dur=10
-       140 measure    q[0] dur=20 slot=4
-       140 delay      q[1] dur=20
-       140 measure    q[2] dur=20 slot=5
-       140 delay      q[3] dur=20
-       140 measure    q[4] dur=20 slot=6
 """
 
-# phase flip, logical 1, code-only echo and a 100 ns extra delay on a line
-# whose x, readout and cx durations all differ: each layer ends with its
-# slowest gate, every qubit idles up to that end, and each code-qubit window
-# of at least 2*x + 4 ns holds an echo pair
+# phase flip, logical 1, code-only echo and a 100 ns extra delay between the
+# rounds on a line whose x, readout and cx durations all differ: each layer
+# ends with its slowest gate, every qubit idles up to that end, and each
+# code-qubit window of at least 2*x + 4 ns holds an echo pair
 GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
          0 prepare_z0 q[0] dur=0
          0 prepare_z0 q[1] dur=0
@@ -163,37 +158,6 @@ GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
        318 delay      q[1] dur=6
        319 delay      q[2] dur=5 echoed
        321 delay      q[4] dur=3 echoed
-       324 delay      q[4] dur=17 echoed
-       324 delay      q[2] dur=19 echoed
-       324 delay      q[0] dur=20 echoed
-       324 delay      q[1] dur=100
-       324 delay      q[3] dur=100
-       341 x          q[4] dur=16
-       343 x          q[2] dur=12
-       344 x          q[0] dur=10
-       354 delay      q[0] dur=40 echoed
-       355 delay      q[2] dur=38 echoed
-       357 delay      q[4] dur=34 echoed
-       391 x          q[4] dur=16
-       393 x          q[2] dur=12
-       394 x          q[0] dur=10
-       404 delay      q[0] dur=20 echoed
-       405 delay      q[2] dur=19 echoed
-       407 delay      q[4] dur=17 echoed
-       424 h          q[0] dur=10
-       424 h          q[2] dur=12
-       424 delay      q[1] dur=16
-       424 delay      q[3] dur=16
-       424 h          q[4] dur=16
-       434 delay      q[0] dur=6
-       436 delay      q[2] dur=4
-       440 measure    q[4] dur=28 slot=6
-       440 measure    q[0] dur=30 slot=4
-       440 delay      q[1] dur=40
-       440 measure    q[2] dur=40 slot=5
-       440 delay      q[3] dur=40
-       468 delay      q[4] dur=12
-       470 delay      q[0] dur=10
 """
 
 
@@ -242,13 +206,13 @@ def test_structure_matches_minimal_experiment(cal):
     circuit = build(cal)
     kinds = [i.kind for i in circuit.instructions]
     assert kinds.count("cx") == 8  # 4 per round
-    assert kinds.count("measure") == 7  # 2 auxes x 2 rounds + 3 code
-    assert circuit.n_slots == 7
-    assert sorted(i.slot for i in circuit.instructions if i.slot is not None) == list(range(7))
+    assert kinds.count("measure") == 4  # 2 auxes x 2 rounds
+    assert circuit.n_slots == 4
+    assert sorted(i.slot for i in circuit.instructions if i.slot is not None) == list(range(4))
     for a in circuit.aux_qubits:
         assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == 2
     for c in circuit.code_qubits:
-        assert sum(1 for i in circuit.per_qubit[c] if i.kind == "measure") == 1
+        assert sum(1 for i in circuit.per_qubit[c] if i.kind == "measure") == 0
 
 
 def test_logical_one_adds_x_on_code_qubits(cal):
@@ -259,13 +223,12 @@ def test_logical_one_adds_x_on_code_qubits(cal):
     assert shape[8:] == gate_shape(zero)[5:]
 
 
-def test_phase_flip_is_hadamard_conjugation(cal):
+def test_phase_flip_adds_one_hadamard_layer(cal):
     bit, phase = build(cal), build(cal, encoding="phase_flip")
     hs = [("h", (q,)) for q in bit.code_qubits]
     bit_gates = gate_shape(bit)
-    # h right after the five preparations, and again right before the final
-    # three readouts; nothing else changes
-    assert gate_shape(phase) == bit_gates[:5] + hs + bit_gates[5:-3] + hs + bit_gates[-3:]
+    # h right after the five preparations; nothing else changes
+    assert gate_shape(phase) == bit_gates[:5] + hs + bit_gates[5:]
 
 
 @pytest.mark.parametrize("encoding", ["bit_flip", "phase_flip"])

@@ -26,6 +26,7 @@ from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import enumerate_lines, load_calibration, select_line
 from synbench.noise import NoiseOptions
 from conftest import falcon_bytes
+from helpers import line_calibration_doc
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -352,17 +353,6 @@ def test_malformed_qubit_entry_is_calibration_error(tmp_path, capsys, name):
     assert err.startswith("config error: ") and "qubit" in err and err.count("\n") == 1
 
 
-def line_calibration_doc() -> dict:
-    """A five-qubit line calibration with every optional field present."""
-    qubit = {"t1_ns": 100_000.0, "t2_ns": 80_000.0, "t2_star_ns": 40_000.0, "p0": 0.98,
-             "readout_error": 0.02, "readout_ns": 700.0, "x_ns": 35.0}
-    return {
-        "name": "line5",
-        "qubits": [{"id": q, **qubit, "position": [float(q), 0.0]} for q in range(5)],
-        "cx_gates": [{"qubits": [q, q + 1], "error": 0.01, "duration_ns": 300.0} for q in range(4)],
-    }
-
-
 def json_paths(doc, prefix=()):
     """The key path of every value below the root of a JSON document,
     containers included."""
@@ -423,16 +413,20 @@ def line_report(fuzz_dir) -> dict:
     return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("command", ["plan --cal", "render --cal", "render --out"])
+@pytest.mark.parametrize("command", ["plan --cal", "render --cal", "render --out", "run --output"])
 def test_directory_for_a_file_path_is_config_error(fuzz_dir, line_report, command):
-    # a path that cannot be read or written exits 1 on every command
+    # a path that cannot be read or written exits 1 on every command; for
+    # run, a directory where its report.json would go
     report = str(fuzz_dir / "base" / "report.json")
+    (fuzz_dir / "blocked" / "report.json").mkdir(parents=True, exist_ok=True)
     argv = {
         "plan --cal": ["plan", "--cal", str(fuzz_dir)],
         "render --cal": ["render", "--report", report, "--cal", str(fuzz_dir)],
         "render --out": ["render", "--report", report, "--out", str(fuzz_dir)],
+        "run --output": ["run", "--cal", str(fuzz_dir / "line.json"), "--shots", "50", "--output", str(fuzz_dir / "blocked")],
     }[command]
-    code, err = exit_and_stderr(argv)
+    with expected_warnings("only 50 shots"):
+        code, err = exit_and_stderr(argv)
     assert code == 1 and err.startswith("config error: cannot ") and err.count("\n") == 1, err
 
 
@@ -498,13 +492,17 @@ DELETED_KEYS = {"rounds", "extra_delay", "bootstrap_resamples"}
         {"noise": {"enable_crosstalk": False}},
         {"rounds": 5},
         ("--shots", "100000000000000000000"),  # beyond the multinomial's int64
+        ("--shots", "abc"),  # flags are read as JSON values and checked as file values are
+        ("--shots", "1.9"),
+        ("--seed", "true"),
     ],
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
          "nan-fraction", "infinite-fraction", "negative-fraction", "overflowing-fraction", "extra-delay-typo",
          "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch",
-         "too-many-rounds", "int64-overflowing-shots-flag"],
+         "too-many-rounds", "int64-overflowing-shots-flag", "string-shots-flag", "fractional-shots-flag",
+         "bool-seed-flag"],
 )
 def test_run_with_malformed_config_is_config_error(tmp_path, cal_path, capsys, bad):
     if isinstance(bad, str):
@@ -538,6 +536,13 @@ def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):
     assert report["metadata"]["shots"] == 1000
     assert report["metadata"]["dd_scope"] == "code_only"
     assert len(report["qubits"]) == 21
+
+
+def test_shots_flag_with_an_integral_exponent_counts(tmp_path, cal_path, capsys):
+    config = write_config(tmp_path, cal_path)
+    assert main(["run", "--config", str(config), "--shots", "1e3"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metadata"]["shots"] == 1000
 
 
 def test_render_command_roundtrip(tmp_path, cal_path, capsys):

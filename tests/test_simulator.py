@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from synbench.analysis import detection_events, extract_idle_rates
-from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
+from synbench.circuits import DD_SCOPES, ENCODINGS, Instruction, build_repetition_circuit
 from synbench.device import plan_device
 from synbench.noise import ZERO_NOISE_OPTIONS, NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, _structure, compile_program, record_distribution, run_shots
-from helpers import insert_fault, make_line_cal, sample_shots
+from helpers import ReadoutCircuit, insert_fault, make_line_cal, sample_shots, with_final_readout
 from oracles import (
     bincount_pair_counts,
     flip_pattern_counts,
@@ -54,8 +54,8 @@ def exact_record(circuit, noise) -> np.ndarray:
 
 
 def fired_detectors(circuit, shots) -> set:
-    """The oracle's detectors, rounds 1-3, that fire in every shot; every
-    other detector must be silent in every shot."""
+    """The oracle's detectors that fire in every shot; every other detector
+    must be silent in every shot."""
     data, detectors = stacked_detection_events(circuit, shots)
     assert np.all(data.all(axis=0) | ~data.any(axis=0))
     return {det for det, col in zip(detectors, data.T) if col.all()}
@@ -83,7 +83,9 @@ def test_contract_audit_accepts_all_builder_variants(cal, encoding, lv, scope):
 
 @pytest.mark.parametrize("encoding,lv,scope", VARIANTS)
 def test_noise_free_parity_preservation(cal, encoding, lv, scope):
-    circuit = build(cal, encoding=encoding, logical_value=lv, dd_scope=scope, extra_delay_ns=1_000)
+    circuit = with_final_readout(
+        build(cal, encoding=encoding, logical_value=lv, dd_scope=scope, extra_delay_ns=1_000), cal
+    )
     shots = sample_shots(circuit, zero_noise(cal), 500, seed=11)
     n_aux_slots = len(circuit.aux_slots)
     assert not shots[:, :n_aux_slots].any()
@@ -92,7 +94,7 @@ def test_noise_free_parity_preservation(cal, encoding, lv, scope):
 
 
 def test_contract_rejects_measuring_x_basis_qubit(cal):
-    circuit = build(cal, encoding="phase_flip")
+    circuit = with_final_readout(build(cal, encoding="phase_flip"), cal)
     final_h_start = max(i.start for i in circuit.instructions if i.kind == "h")
     stripped = replace(
         circuit,
@@ -115,7 +117,7 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         Instruction("measure", (1,), 40, 20, slot=0),
         Instruction("measure", (0,), 60, 20, slot=1),
     )
-    circuit = Circuit(
+    circuit = ReadoutCircuit(
         line=(0, 1),
         instructions=instructions,
         encoding="bit_flip",
@@ -135,7 +137,7 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         Instruction("measure", (0,), 20, 20, slot=0),
         Instruction("measure", (2,), 20, 20, slot=1),
     )
-    circuit = Circuit(
+    circuit = ReadoutCircuit(
         line=(0, 1, 2),
         instructions=instructions,
         encoding="bit_flip",
@@ -156,7 +158,7 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
     ids=["unknown-kind", "unmeasured-slot"],
 )
 def test_program_outside_the_tracked_model_is_refused(cal, edit, error, match):
-    circuit = build(cal)
+    circuit = with_final_readout(build(cal), cal)
     edited = replace(circuit, instructions=edit(circuit))
     with pytest.raises(error, match=match):
         record_distribution(compile_program(edited, zero_noise(cal)))
@@ -181,7 +183,7 @@ def test_determinism_same_seed_same_bits(cal):
 
 
 def test_injected_x_between_rounds_fires_round2_pair(cal):
-    circuit = build(cal, logical_value=1)
+    circuit = with_final_readout(build(cal, logical_value=1), cal)
     # center idles [40, 70) between the first round's measurement and the
     # second round's couplings
     faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli="X")
@@ -192,7 +194,7 @@ def test_injected_x_between_rounds_fires_round2_pair(cal):
 
 
 def test_injected_z_in_phase_encoding_fires_same_pair(cal):
-    circuit = build(cal, encoding="phase_flip", logical_value=0)
+    circuit = with_final_readout(build(cal, encoding="phase_flip", logical_value=0), cal)
     meas_start = min(
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
@@ -204,7 +206,7 @@ def test_injected_z_in_phase_encoding_fires_same_pair(cal):
 
 
 def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
-    circuit = build(cal)
+    circuit = with_final_readout(build(cal), cal)
     meas_start = min(
         i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
     )
@@ -219,7 +221,7 @@ def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
 def test_injected_commuting_pauli_is_invisible(cal, encoding, pauli):
     # a Z on a Z-basis centre, or an x on an X-basis centre, flips no
     # tracked bit
-    circuit = build(cal, encoding=encoding, logical_value=1)
+    circuit = with_final_readout(build(cal, encoding=encoding, logical_value=1), cal)
     faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli=pauli)
     shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
     assert (shots == exact_record(faulted, zero_noise(cal))).all()
@@ -302,7 +304,7 @@ def test_crosstalk_first_overlap_rule_applies_once():
         Instruction("measure", (0,), 110, 20, slot=0),
         Instruction("measure", (1,), 120, 20, slot=1),
     )
-    circuit = Circuit(
+    circuit = ReadoutCircuit(
         line=(0, 1),
         instructions=instructions,
         encoding="phase_flip",
@@ -375,7 +377,7 @@ def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
 
 
 def test_preparation_error_flips_initial_states(cal):
-    circuit = build(cal)
+    circuit = with_final_readout(build(cal), cal)
     noise = compile_noise(cal, NoiseOptions(prep_error=1.0, disable=frozenset({"cx", "readout", "relaxation", "dephasing", "crosstalk"})))
     shots = sample_shots(circuit, noise, 50, seed=2)
     for q in circuit.code_qubits:
@@ -404,16 +406,18 @@ def test_compile_program_matches_reference_lowering(falcon):
     # the one-sweep lowering against the oracle's sort-match-sort passes:
     # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
     # with every qubit echoed and eta 0.3, faults at the time an instruction
-    # starts and an xtalk resolves, and that circuit and the unfaulted one
-    # with their instructions grouped by qubit instead of in time order
+    # starts and an xtalk resolves (round 2's first cx layer, where the
+    # extra delay's X-basis windows end), and that circuit and the
+    # unfaulted one with their instructions grouped by qubit instead of in
+    # time order
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     weak = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
     deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
-    h_start = max(ins.start for ins in deep.per_qubit[2] if ins.kind == "h")
-    faulted = insert_fault(insert_fault(deep, 2, h_start, "Z"), 1, h_start, "X")
+    round2 = sorted({ins.start for ins in deep.instructions if ins.kind == "cx"})[2]
+    faulted = insert_fault(insert_fault(deep, 2, round2, "Z"), 1, round2, "X")
 
     def by_qubit(circuit):
         return replace(circuit, instructions=tuple(sorted(circuit.instructions, key=lambda ins: ins.qubits)))
@@ -423,7 +427,7 @@ def test_compile_program_matches_reference_lowering(falcon):
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
-    assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (49, 18, 12)
+    assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (31, 9, 6)
 
 
 def test_record_distribution_matches_reference_walk(falcon):
@@ -444,6 +448,28 @@ def test_record_distribution_matches_reference_walk(falcon):
         (pi,) = record_distribution(program)
         assert pi.shape == (2**circuit.n_slots,)
         assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("crosstalk", [True, False])
+def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
+    # a record bit is fixed once its slot is measured, so a transversal
+    # code readout after the circuit's end only splits each of its 16
+    # records by the code qubits' bits: on every falcon27 pipeline circuit
+    # at each dd_scope, the 128 records with that readout, summed over its
+    # three slots (the low bits), are the circuit's own. Each pipeline
+    # circuit records the 4 auxiliary outcomes and ends with round 2's.
+    noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
+    checked = 0
+    for _, circuit in pipeline_circuits(falcon):
+        measures = [ins for ins in circuit.instructions if ins.kind == "measure"]
+        last = {ins.slot for ins in measures if ins.start == measures[-1].start}
+        assert circuit.n_slots == 4 and last == {circuit.aux_slots[(a, 2)] for a in circuit.aux_qubits}
+        read = with_final_readout(circuit, falcon)
+        pi, full = record_distribution(compile_program(circuit, noise), compile_program(read, noise))
+        assert pi.shape == (16,) and full.shape == (128,)
+        assert np.abs(full.reshape(16, 8).sum(axis=1) - pi).max() <= 1e-14
+        checked += 1
+    assert checked == 3 * 84
 
 
 @pytest.mark.parametrize("crosstalk", [True, False])
@@ -543,7 +569,7 @@ def pooled_p_value(samples) -> float:
 def test_record_distribution_matches_frame_sampler(falcon):
     # every falcon27 circuit the pipeline builds, at each dd_scope, with
     # crosstalk on: the exact record distribution against per-shot frame
-    # tracking, one pooled chi-square over the full 2**7-cell records that
+    # tracking, one pooled chi-square over the full 2**4-cell records that
     # fails below p = 1e-3. run_shots' rows for the code_only circuits get a
     # pooled chi-square of their own, which a record table out of step with
     # pi fails.
