@@ -1,12 +1,13 @@
-"""From raw shots to the round-2 detector pair's counts and syndrome-derived
-error rates.
+"""From the round-2 detector pair's shots to its counts and
+syndrome-derived error rates.
 
 A detection event is the XOR of an auxiliary's outcomes in consecutive
 rounds of the two-round circuit. A fault on the central code qubit between
 rounds 1 and 2 fires both auxiliaries' round-2 detectors, so the coincidence
 statistics of that detector pair estimate the central qubit's idle error
-probability. The analysis layer's data is that pair's 2x2 joint counts
-(n00, n01, n10, n11); no other detector is derived.
+probability. The simulator draws each shot's pair (d_left, d_right)
+directly; the analysis layer's data is its 2x2 joint counts
+(n00, n01, n10, n11).
 
 The estimator inverts the shared/independent fault model: with detector
 means v_i, v_j and covariance C, the shared-fault probability is
@@ -40,32 +41,22 @@ class AntiCorrelationError(EstimationError):
     """Anti-correlation stronger than the shared-fault model allows."""
 
 
-def detection_events(circuit: Circuit, shots: np.ndarray) -> np.ndarray:
-    """Joint counts (n00, n01, n10, n11) of the round-2 detector pair over
-    raw measurement records, cell 2 d_left + d_right, where
-    d(a) = s(a, 2) XOR s(a, 1) for the auxiliaries line[1] (left) and
-    line[3] (right). A benchmark circuit's record is exactly these four
-    outcomes s(a, r), so `shots` is the (shots, 4) table `run_shots` gives.
-    Noise-free circuits put every shot in n00 for either logical value.
+def detection_events(shots: np.ndarray) -> np.ndarray:
+    """Joint counts (n00, n01, n10, n11) of the round-2 detector pair,
+    cell 2 d_left + d_right, over a (shots, 2) table of its bits
+    (d_left, d_right), as `run_shots` gives it. Noise-free circuits put
+    every shot in n00 for either logical value.
     """
     shots = np.asarray(shots)
-    if shots.ndim != 2 or shots.shape[1] != circuit.n_slots:
-        raise ValueError(
-            f"shots have {shots.shape[1] if shots.ndim == 2 else '?'} slots, "
-            f"circuit has {circuit.n_slots}"
-        )
-    # checked before the cast to uint8, which would truncate 0.9 to 0; bool
-    # and unsigned entries can only go wrong above 1
+    if shots.ndim != 2 or shots.shape[1] != 2:
+        raise ValueError(f"shots must be a (shots, 2) table of the detector pair's bits, got shape {shots.shape}")
+    # bool and unsigned entries can only go wrong above 1
     if shots.size and (
         shots.max() > 1 if shots.dtype.kind in "bu" else ((shots != 0) & (shots != 1)).any()
     ):
         bad = shots[(shots != 0) & (shots != 1)].flat[0].item()
         raise ValueError(f"shot entries must be 0 or 1, got {bad!r}")
-    shots = shots.astype(np.uint8, copy=False)
-    left, right = (
-        np.bitwise_xor(shots[:, circuit.aux_slots[(a, 2)]], shots[:, circuit.aux_slots[(a, 1)]])
-        for a in circuit.aux_qubits
-    )
+    left, right = shots[:, 0], shots[:, 1]
     n1_, n_1 = np.count_nonzero(left), np.count_nonzero(right)
     n11 = np.count_nonzero(np.logical_and(left, right))
     return np.array([shots.shape[0] - n1_ - n_1 + n11, n_1 - n11, n1_ - n11, n11], dtype=np.int64)

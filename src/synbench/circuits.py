@@ -1,8 +1,9 @@
 """Timed circuits for repetition-code syndrome benchmarks.
 
 Every circuit is a distance-3 repetition code on a five-qubit line with two
-syndrome rounds, ending with round 2's auxiliary readout: it records the 4
-auxiliary outcomes the estimator reads and never reads its code qubits.
+syndrome rounds, ending with round 2's auxiliary readout: each auxiliary is
+measured once per round, the XOR of its two outcomes is its round-2
+detector, and the code qubits are never read.
 Circuits are flat, time-ordered instruction lists over physical qubits,
 with every idle gap materialized as an explicit delay instruction. Times are
 integer nanoseconds. The schedule is fixed and documented:
@@ -66,7 +67,6 @@ class Instruction(NamedTuple):
     qubits: tuple[int, ...]
     start: int
     duration: int
-    slot: int | None = None  # measure only
     echoed: bool = False  # delay only: True once wrapped by an echo pair
 
     @property
@@ -74,10 +74,9 @@ class Instruction(NamedTuple):
         return self.start + self.duration
 
     def text(self) -> str:
-        slot = f" slot={self.slot}" if self.slot is not None else ""
         echoed = " echoed" if self.kind == "delay" and self.echoed else ""
         qubits = ",".join(str(q) for q in self.qubits)
-        return f"{self.start:>10d} {self.kind:<10s} q[{qubits}] dur={self.duration}{slot}{echoed}"
+        return f"{self.start:>10d} {self.kind:<10s} q[{qubits}] dur={self.duration}{echoed}"
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ class Circuit:
     instructions: tuple[Instruction, ...]
     encoding: str
     logical_value: int
-    aux_slots: dict[tuple[int, int], int]  # (aux qubit, round 1..ROUNDS) -> slot
 
     @property
     def code_qubits(self) -> tuple[int, ...]:
@@ -95,10 +93,6 @@ class Circuit:
     @property
     def aux_qubits(self) -> tuple[int, ...]:
         return self.line[1::2]
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.aux_slots)
 
     @property
     def duration(self) -> int:
@@ -154,7 +148,6 @@ def build_repetition_circuit(
     x_dur = {q: max(1, round(cal.qubits[q].x_ns)) for q in qubits}
     ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
     echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
-    aux_slots = {(a, r): len(aux) * (r - 1) + k for r in range(1, ROUNDS + 1) for k, a in enumerate(aux)}
 
     instrs = [Instruction("prepare_z0", (q,), 0, 0) for q in qubits]
     cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
@@ -181,25 +174,25 @@ def build_repetition_circuit(
             cursor[q] = time
 
     def layer(gates) -> None:
-        # a gate (kind, qubits, duration, slot) starts where its qubits all
+        # a gate (kind, qubits, duration) starts where its qubits all
         # stand: at the last barrier, or for a reset at its own measure's end;
         # the layer ends with a barrier at its latest end
-        for kind, qs, duration, slot in gates:
+        for kind, qs, duration in gates:
             start = cursor[qs[0]]
-            instrs.append(Instruction(kind, qs, start, duration, slot))
+            instrs.append(Instruction(kind, qs, start, duration))
             for q in qs:
                 cursor[q] = start + duration
         barrier(max(cursor.values()))
 
     # each auxiliary couples to its left code neighbor, then its right
     cx_layers = [
-        [("cx", (c, a), max(1, round(cal.edge_duration(c, a))), None) for c, a in zip(cs, aux)]
+        [("cx", (c, a), max(1, round(cal.edge_duration(c, a)))) for c, a in zip(cs, aux)]
         for cs in (code, code[1:])
     ]
     if logical_value == 1:
-        layer(("x", (q,), x_dur[q], None) for q in code)
+        layer(("x", (q,), x_dur[q]) for q in code)
     if encoding == "phase_flip":
-        layer(("h", (q,), x_dur[q], None) for q in code)
+        layer(("h", (q,), x_dur[q]) for q in code)
     for r in range(1, ROUNDS + 1):
         for gates in cx_layers:
             layer(gates)
@@ -207,7 +200,7 @@ def build_repetition_circuit(
         layer(
             gate
             for a in aux
-            for gate in (("measure", (a,), ro_dur[a], aux_slots[(a, r)]), ("reset", (a,), x_dur[a], None))
+            for gate in (("measure", (a,), ro_dur[a]), ("reset", (a,), x_dur[a]))
         )
         # the extra delay is one window on every qubit, between the rounds
         if r < ROUNDS:
@@ -218,18 +211,17 @@ def build_repetition_circuit(
         instructions=tuple(sorted(instrs, key=_timeline_order)),
         encoding=encoding,
         logical_value=logical_value,
-        aux_slots=aux_slots,
     )
 
 
 def idle_exposure(circuit: Circuit, qubit: int) -> int:
     """Summed delay ns on `qubit` from the start of round 1's auxiliary
-    measurements to the qubit's next non-idle instruction (its round-2 cx
-    for code qubits; echo x pulses do not end the window)."""
+    measurements, the circuit's first, to the qubit's next non-idle
+    instruction (its round-2 cx for code qubits; echo x pulses do not end
+    the window)."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
     own = circuit.per_qubit[qubit]
-    slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
-    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in slots)
+    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure")
     boundary = min(ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS and ins.start >= meas_start)
     return sum(ins.duration for ins in own if ins.kind == "delay" and ins.start >= meas_start and ins.end <= boundary)

@@ -3,8 +3,8 @@
 A run is described by one JSON config file; every field has a default so a
 bare calibration path is enough. For each feasible qubit the pipeline picks
 its line, builds one circuit per (encoding, logical value), walks each
-encoding's circuits together for the exact distributions of their 4
-syndrome bits, samples each, extracts the round-2 idle rate, and aggregates
+encoding's circuits together for the exact distributions of their round-2
+detector pair, samples each, extracts the round-2 idle rate, and aggregates
 everything into a report (JSON + CSV) with device-map figures. Identical
 config and seed give byte-identical artifacts.
 """
@@ -36,11 +36,11 @@ from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_expos
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device, warn_caller
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
-from .simulator import compile_program, record_distribution, run_shots
+from .simulator import compile_program, pair_distribution, run_shots
 
 RATE_CSV_HEADER = ("qubit", "encoding", "rate_type", "estimate", "stderr", "guide", "exposure_ns")
 
-# the multinomial draws each record's count as an int64
+# the multinomial draws each cell's count as an int64
 MAX_SHOTS = 2**63 - 1
 
 
@@ -194,13 +194,13 @@ def benchmark_qubit(
         ]
         # a qubit's logical values compile to programs of one structure,
         # walked together
-        pis = record_distribution(*(compile_program(circuit, noise) for circuit in circuits))
+        pis = pair_distribution(*(compile_program(circuit, noise) for circuit in circuits))
         for lv, circuit, pi in zip(config.logical_values, circuits, pis):
             shots = run_shots(pi, config.shots, seed=(config.seed, qubit, enc_idx, lv))
             try:
                 est = extract_idle_rates(
                     circuit,
-                    detection_events(circuit, shots),
+                    detection_events(shots),
                     resamples=BOOTSTRAP_RESAMPLES,
                     seed=(config.seed, qubit, enc_idx, lv, 1),
                 )
@@ -320,8 +320,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.config is None and args.cal is None:
-        raise ConfigError("pass --config FILE or --cal FILE")
+    if (args.config is None) == (args.cal is None):
+        raise ConfigError("pass exactly one of --config FILE and --cal FILE")
     config = RunConfig.from_file(args.config) if args.config is not None else RunConfig(calibration=args.cal)
     overrides = {k: v for k, v in vars(args).items() if k in ("seed", "shots", "output_dir")}
     config = replace(config, **overrides)

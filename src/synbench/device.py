@@ -188,8 +188,9 @@ def load_calibration(source) -> DeviceCalibration:
     A Path names the JSON file to read; a str or bytes is the JSON text
     itself, never a file name. Every numeric field and position coordinate
     must be a finite JSON number, cx qubit ids integers and the name a
-    string. Optional fields take documented default values: p0 = 1.0,
-    t2_star_ns = 0.5 * t2_ns, readout_error = 0.01, x_ns = 35.0.
+    string; either every qubit has a position or none has. Optional fields
+    take documented default values: p0 = 1.0, t2_star_ns = 0.5 * t2_ns,
+    readout_error = 0.01, x_ns = 35.0.
     """
     if isinstance(source, Path):
         try:
@@ -236,6 +237,10 @@ def load_calibration(source) -> DeviceCalibration:
             raise CalibrationError(f"qubit {q}: missing required field {exc}") from exc
         except (TypeError, ValueError) as exc:  # CalibrationError included
             raise CalibrationError(f"qubit {q}: {exc}") from exc
+
+    if positions and len(positions) < len(entries):
+        missing = min(set(range(len(entries))) - set(positions))
+        raise CalibrationError(f"qubit {missing} has no position; give every qubit a position or none")
 
     gates = doc["cx_gates"]
     if not isinstance(gates, list):

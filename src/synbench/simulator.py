@@ -1,5 +1,5 @@
-"""Sampling of benchmark circuits from their exact measurement-record
-distribution.
+"""Exact round-2 detector-pair distributions of benchmark circuits, and
+shots drawn from them.
 
 A circuit compiles once into a flat list of ops on classical frames. Each
 qubit is tracked as a (basis, bit) pair: Z basis with the computational
@@ -34,7 +34,7 @@ op formats:
 
     ("prep", i, p)
     ("cx", control, target, eps, control channel, target channel)
-    ("measure", i, slot, readout flip, channel)
+    ("measure", i, readout flip, channel)
     ("relax", i, token, P(0->1), P(1->0), channel)
     ("xtalk", i, ((token, eta), ...), channel)
 
@@ -42,29 +42,28 @@ The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
 programs of one structure (the same ops up to their probabilities): they
 differ only in the channels folded into the first cx layer.
 
-`record_distribution(*programs)` walks the ops once over a probability
-vector on binary axes, for every program of one structure at a time behind
-a leading batch axis. The qubits come first, in line order, then one axis
-per measured slot, added at its measure with the readout flip applied
-there, and one per live crosstalk token, added at its relax and summed out
-by the last xtalk that reads it. Each new axis is inserted right after the
-qubit axes, newest first, so every op's innermost loop runs over the added
-axes and each op is one or two numpy calls: a prep (which marginalizes its
-qubit and sets it again) is one matmul of a 2x2 stochastic matrix on the
-(batch, 2**i, 2, -1) view; a cx one matmul of a 4x4 matrix on the
-(batch, 2**lo, 4, -1) view of its two neighbouring qubits; a measure or a
-relax one matmul to (bit, new bit) and one transposed copy; an xtalk one
-matmul for its channel and one per token it reads. An op whose members have
-equal parameters applies one matrix to the whole batch; otherwise each
-member's matrix is stacked along the batch axis. The result is the exact
-probability of every one of the 2**n_slots records; a benchmark circuit
-records its two auxiliaries' outcomes in both rounds, so it has 2**4.
+`pair_distribution(*programs)` walks the ops once over a probability vector
+on binary axes, for every program of one structure at a time behind a
+leading batch axis. The qubit axes come first, in line order; then one axis
+per live crosstalk token, added at its relax and summed out by the last
+xtalk that reads it; then one parity axis per measured qubit, in line
+order, added at its first measure, into which each later measure XORs its
+read-out bit. Each op is one or two numpy calls: a prep (which
+marginalizes its qubit and sets it again) is one matmul of a 2x2 stochastic
+matrix on the (batch, 2**i, 2, -1) view; a cx one matmul of a 4x4 matrix on
+the (batch, 2**lo, 4, -1) view of its two neighbouring qubits; a measure or
+a relax one matmul to (bit, new bit) and one transposed copy, or a sum for
+a later measure; an xtalk one matmul for its channel and one per token it
+reads. An op whose members have equal parameters applies one matrix to the
+whole batch; otherwise each member's matrix is stacked along the batch
+axis. A benchmark circuit measures each auxiliary once per round, so its
+parity axes are the round-2 detectors, and the result is the 4 cells of
+(d_left, d_right), cell 2 d_left + d_right.
 
-`run_shots` draws all its shots' record counts from that distribution with
-one multinomial and expands a slot-major table of the records by those
-counts, so each slot's bits over all shots lie contiguous in memory; it
-returns the (shots, slots) transposed view, rows grouped by record value: a
-(shots, 4) table for a benchmark circuit.
+`run_shots` draws its shots' cell counts with one multinomial and expands a
+detector-major table of the cells by those counts, so each detector's bits
+over all shots lie contiguous in memory; it returns the (shots, 2)
+transposed view, rows grouped by cell.
 """
 
 from __future__ import annotations
@@ -86,9 +85,12 @@ _NO_FLIP = (0.0, 0.0)
 # by whether the control is the lower qubit
 _CX_ROWS = {True: [0, 1, 3, 2], False: [0, 3, 2, 1]}
 
+# _PAIR_TABLE[:, r] is cell r's (d_left, d_right)
+_PAIR_TABLE = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
+
 # how many leading fields of each op say what it acts on; the rest are its
 # probabilities, which may differ between programs of one structure
-_STRUCTURE_FIELDS = {"prep": 2, "cx": 3, "measure": 3, "relax": 3, "xtalk": 3}
+_STRUCTURE_FIELDS = {"prep": 2, "cx": 3, "measure": 2, "relax": 3, "xtalk": 3}
 
 
 class BasisContractError(ValueError):
@@ -101,7 +103,6 @@ class FrameProgram:
 
     ops: tuple[tuple, ...]
     n_qubits: int
-    n_slots: int
 
 
 def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
@@ -126,7 +127,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     sources: list[tuple[int, int, int, int]] = []  # (token, qubit index, start, end)
     x_segments: list[list[tuple[int, int, int]]] = [[] for _ in line]  # (end, start, id)
     n_segments = 0
-    for kind, qubits, time, d, slot, echoed in sorted(circuit.instructions, key=attrgetter("start")):
+    for kind, qubits, time, d, echoed in sorted(circuit.instructions, key=attrgetter("start")):
         q = qubits[0]
         i = index[q]
         if kind == "delay":
@@ -163,7 +164,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
         elif kind == "measure":
             if basis[i] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            ops.append(("measure", i, slot, noise.readout[q]))
+            ops.append(("measure", i, noise.readout[q]))
         elif kind == "prepare_z0":
             basis[i] = "Z"
             ops.append(("prep", i, prep))
@@ -194,7 +195,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     for seg_id, (seg_end, j, entries) in sorted(receivers.items(), key=lambda r: (r[1][0], r[0]), reverse=True):
         ops.insert(bisect_left(times, seg_end), ("xtalk", j, tuple(entries)))
     live = {token for _, _, entries in receivers.values() for token, _ in entries}
-    return FrameProgram(ops=_fold_idle_channels(ops, live), n_qubits=n, n_slots=circuit.n_slots)
+    return FrameProgram(ops=_fold_idle_channels(ops, live), n_qubits=n)
 
 
 def _fold_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
@@ -272,7 +273,7 @@ def _cx_matrices(ops: list[tuple]) -> np.ndarray:
 
 def _measure_matrices(ops: list[tuple]) -> np.ndarray:
     # rows (bit, recorded bit) after the folded channel
-    p, up, down = np.array([(op[3], *op[4]) for op in ops]).T
+    p, up, down = np.array([(op[2], *op[3]) for op in ops]).T
     readout = _channels(p, p)  # [bit, recorded bit]
     return (readout[:, :, :, None] * _channels(up, down)[:, :, None, :]).reshape(-1, 4, 2)
 
@@ -327,16 +328,18 @@ def _matrices(columns: list[tuple[tuple, ...]], b: int) -> list[np.ndarray]:
 def _structure(program: FrameProgram) -> tuple:
     """What a program's ops act on, without their probabilities."""
     ops = tuple(op[: _STRUCTURE_FIELDS[op[0]]] for op in program.ops)
-    return program.n_qubits, program.n_slots, ops
+    return program.n_qubits, ops
 
 
-def record_distribution(*programs: FrameProgram) -> list[np.ndarray]:
-    """The exact probability of each of every program's 2**n_slots
-    measurement records, one array per program.
+def pair_distribution(*programs: FrameProgram) -> list[np.ndarray]:
+    """The exact outcome probabilities of every program's measured qubits'
+    parities, one array per program: for a benchmark circuit, the 4 cells
+    of the round-2 detector pair, cell 2 d_left + d_right.
 
-    Cell r is the record whose slot j holds bit j of r, counted from the
-    most significant end (slot 0 is the top bit). Programs of one structure
-    are walked together, in one pass behind a leading batch axis.
+    A measured qubit's parity is the XOR of all its read-out bits. Cell r
+    holds the outcome whose k-th measured qubit in line order has bit k of
+    r, counted from the most significant end. Programs of one structure are
+    walked together, in one pass behind a leading batch axis.
     """
     classes: dict[tuple, list[int]] = {}
     for k, program in enumerate(programs):
@@ -348,24 +351,22 @@ def record_distribution(*programs: FrameProgram) -> list[np.ndarray]:
 
 
 def _walk(programs: list[FrameProgram]) -> np.ndarray:
-    """The (programs, 2**n_slots) record probabilities of programs of one
-    structure, walked once over a flat vector on binary axes.
-
-    The batch axis leads. The qubit axes follow, in line order; each slot
-    axis (added at its measure) and token axis (added at its relax, summed
-    out by the last xtalk that reads it) is inserted right after them,
-    newest first. Qubit i's bit is then the third axis of the vector's
-    (batch, 2**i, 2, -1) view and the bits of neighbours lo and lo + 1 the
-    third axis of its (batch, 2**lo, 4, -1) view, so each op is one matmul
-    over such a view, of one matrix when every member's op is the same and
-    of the members' stacked matrices otherwise.
+    """The (programs, 2**measured qubits) parity probabilities of programs
+    of one structure, walked once over a flat vector on binary axes: the
+    batch, the qubits in line order, the live tokens newest first, the
+    parities in line order. Qubit i's bit is then the third axis of the
+    vector's (batch, 2**i, 2, -1) view and the bits of neighbours lo and
+    lo + 1 the third axis of its (batch, 2**lo, 4, -1) view, so each op is
+    one matmul over such a view, of one matrix when every member's op is
+    the same and of the members' stacked matrices otherwise.
     """
     first = programs[0]
     nq, b = first.n_qubits, len(programs)
     last_read = {token: k for k, op in enumerate(first.ops) if op[0] == "xtalk" for token, _ in op[2]}
     state = np.zeros(b << nq)
     state[:: 1 << nq] = 1.0
-    extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
+    tokens: list[int] = []  # the token of axis nq + j, newest first
+    measured: list[int] = []  # the qubit of each parity axis, after the tokens
     columns = list(zip(*(program.ops for program in programs)))
     for k, (column, m) in enumerate(zip(columns, _matrices(columns, b))):
         op = column[0]
@@ -373,52 +374,55 @@ def _walk(programs: list[FrameProgram]) -> np.ndarray:
         if tag == "cx":
             state = np.matmul(m, state.reshape(b, 1 << min(i, op[2]), 4, -1))
         elif tag in ("measure", "relax"):
-            # the new axis moves from next to its qubit's bit to right
-            # after the qubit axes
             moved = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
-            state = moved.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
-            extra.insert(0, ("s" if tag == "measure" else "t", op[2]))
+            if tag == "relax":
+                j = 0
+                tokens.insert(0, op[2])
+            elif i in measured:
+                # the read-out bit, next to its qubit's bit, is XORed into
+                # the qubit's parity axis
+                j = len(tokens) + measured.index(i)
+                v = moved.reshape(b << (i + 1), 2, 1 << (nq - i - 1 + j), 2, -1)
+                state = v[:, 0] + v[:, 1, :, ::-1]
+                continue
+            else:
+                j = bisect_left(measured, i)
+                measured.insert(j, i)
+                j += len(tokens)
+            # the new axis moves from next to its qubit's bit to axis nq + j
+            state = moved.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1 + j), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
         else:
             state = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
         if tag == "xtalk":
             for token, eta in op[2]:
                 # the bit flips with probability eta where the token fired
-                j = extra.index(("t", token))
+                j = tokens.index(token)
                 shape = (b << i, 2, 1 << (nq - i - 1 + j), 2, -1)
                 flip = np.array([[1.0 - eta, eta], [eta, 1.0 - eta]])
                 flipped = np.matmul(flip, state.reshape(b << i, 2, -1)).reshape(shape)
                 if last_read[token] == k:
                     state = state.reshape(shape)[:, :, :, 0] + flipped[:, :, :, 1]
-                    del extra[j]
+                    del tokens[j]
                 else:
                     flipped[:, :, :, 0] = state.reshape(shape)[:, :, :, 0]
                     state = flipped
-    slots = [n for _, n in extra]
-    if sorted(slots) != list(range(first.n_slots)):
-        raise ValueError(f"every slot must be measured exactly once, got axes {extra}")
-    records = state.reshape(b, 1 << nq, -1).sum(axis=1).reshape((b,) + (2,) * len(slots))
-    order = sorted(range(len(slots)), key=slots.__getitem__)
-    return records.transpose(0, *(1 + axis for axis in order)).reshape(b, -1)
+    return state.reshape(b, 1 << nq, -1).sum(axis=1)
 
 
 def run_shots(pi: np.ndarray, shots: int, seed) -> np.ndarray:
-    """Sample `shots` outcomes from the record distribution `pi` (as
-    `record_distribution` gives it); returns a (shots, slots) uint8 bit
-    matrix.
+    """Sample `shots` detector-pair outcomes from the 4 cells `pi` (as
+    `pair_distribution` gives them); returns a (shots, 2) uint8 matrix of
+    (d_left, d_right) bits.
 
     The rows are iid draws from `pi`: one multinomial, from a generator
     seeded by `seed` (an int or a tuple of ints), draws how many shots hold
-    each record. The rows come grouped by record in ascending record order,
-    not in draw order. The matrix is the transposed view of C-contiguous
-    (slots, shots) storage, so each slot's column is contiguous. Output is
+    each cell. The rows come grouped by cell in ascending cell order, not in
+    draw order. The matrix is the transposed view of C-contiguous
+    (2, shots) storage, so each detector's column is contiguous. Output is
     a pure function of (pi, shots, seed).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    n_slots = pi.size.bit_length() - 1
-    if pi.ndim != 1 or pi.size != 1 << n_slots:
-        raise ValueError(f"pi must be a vector of 2**n_slots probabilities, got shape {pi.shape}")
-    # table[j, r] is slot j of record r
-    table = ((np.arange(pi.size) >> np.arange(n_slots - 1, -1, -1)[:, None]) & 1).astype(np.uint8)
-    return np.repeat(table, np.random.default_rng(seed).multinomial(shots, pi), axis=1).T
-
+    if pi.shape != (4,):
+        raise ValueError(f"pi must be the 4 cells of a detector pair, got shape {pi.shape}")
+    return np.repeat(_PAIR_TABLE, np.random.default_rng(seed).multinomial(shots, pi), axis=1).T

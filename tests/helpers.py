@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 
 from synbench.circuits import Circuit, Instruction
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge
-from synbench.simulator import compile_program, record_distribution, run_shots
+from synbench.simulator import compile_program, pair_distribution, run_shots
+from oracles import grouped_records, reference_record_distribution
 
 
 def make_line_cal(
@@ -101,10 +102,18 @@ def random_graph_edges(seed: int, max_vertices: int = 12) -> tuple[int, set]:
 
 
 def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:
-    """`shots` (shots, slots) records of one circuit, drawn from its exact
-    record distribution as the pipeline draws them."""
-    (pi,) = record_distribution(compile_program(circuit, noise))
+    """`shots` (shots, 2) round-2 detector-pair bits of one circuit, drawn
+    from its exact pair distribution as the pipeline draws them."""
+    (pi,) = pair_distribution(compile_program(circuit, noise))
     return run_shots(pi, shots, seed)
+
+
+def sample_records(circuit, noise, shots: int, seed) -> np.ndarray:
+    """`shots` (shots, slots) full records of one circuit, slots as
+    `oracles.record_slots` numbers them, drawn from the oracle's exact
+    record distribution."""
+    pi = reference_record_distribution(circuit, compile_program(circuit, noise))
+    return grouped_records(pi, shots, seed)
 
 
 # a Pauli as zero-duration gates: Z = HXH, and Y is X then Z up to a phase
@@ -122,39 +131,25 @@ def insert_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circ
     return replace(circuit, instructions=ins[:k] + fault + ins[k:])
 
 
-@dataclass(frozen=True)
-class ReadoutCircuit(Circuit):
-    """A circuit that also reads code qubits out: `final_slots` maps each
-    read qubit to its slot, numbered after the auxiliaries' slots."""
-
-    final_slots: dict[int, int]
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.aux_slots) + len(self.final_slots)
-
-
-def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> ReadoutCircuit:
+def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
     """`circuit` followed by the transversal code readout the estimator does
     not read: after its end, an h on each code qubit (phase-flip encoding
-    only), then each code qubit measured into a new slot. As in the
-    builder, a gate layer ends with its slowest gate, and every qubit idles
-    up to there with one delay."""
+    only), then each code qubit measured. As in the builder, a gate layer
+    ends with its slowest gate, and every qubit idles up to there with one
+    delay."""
     code = circuit.code_qubits
-    final_slots = {q: circuit.n_slots + k for k, q in enumerate(code)}
-    layers = [[("measure", q, cal.qubits[q].readout_ns, final_slots[q]) for q in code]]
+    layers = [[("measure", q, cal.qubits[q].readout_ns) for q in code]]
     if circuit.encoding == "phase_flip":
-        layers.insert(0, [("h", q, cal.qubits[q].x_ns, None) for q in code])
+        layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in code])
     added = []
     start = circuit.duration
     for layer in layers:
         busy = dict.fromkeys(circuit.line, start)  # where each qubit's gate ends
-        for kind, q, ns, slot in layer:
-            added.append(Instruction(kind, (q,), start, max(1, round(ns)), slot))
+        for kind, q, ns in layer:
+            added.append(Instruction(kind, (q,), start, max(1, round(ns))))
             busy[q] = added[-1].end
         end = max(busy.values())
         added += [Instruction("delay", (q,), t, end - t) for q, t in busy.items() if t < end]
         start = end
     added.sort(key=attrgetter("start", "duration", "qubits", "kind"))
-    kept = {f.name: getattr(circuit, f.name) for f in fields(Circuit) if f.name != "instructions"}
-    return ReadoutCircuit(instructions=circuit.instructions + tuple(added), final_slots=final_slots, **kept)
+    return replace(circuit, instructions=circuit.instructions + tuple(added))

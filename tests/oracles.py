@@ -3,17 +3,18 @@
 Everything here is deliberately kept free of the library's algorithms: path
 enumeration by raw permutation search, channel composition by explicit 2x2
 Markov chains walked over a circuit's instruction list, fault-model
-moments by enumerating all configurations, measurement records by
-Monte Carlo frame tracking of every shot through every compiled op and
-exactly by a slice-and-sum walk over the same ops, the shot matrix,
-its detection events and a detector pair's joint counts by row-major
-formulas (records repeated row by row, one temporary per detector column
-stacked at the end, a bincount of 2 d_i + d_j), the force-directed
-layout with its spring forces added edge by edge, echo pairs inserted by a
-second pass over a built circuit, and a circuit's lowering to ops by
-sorting tagged events, matching crosstalk by rescanning every segment and
-sorting the ops again before the pass that folds each qubit's idle channels
-into the op that reads it next.
+moments by enumerating all configurations, full measurement records (every
+outcome of every measure, in slots numbered by ranking the measures by
+start and line position) by Monte Carlo frame tracking of every shot
+through every compiled op and exactly by a slice-and-sum walk over the same
+ops, the shot matrix, its detection events and a detector pair's joint
+counts by row-major formulas (records repeated row by row, one temporary
+per detector column stacked at the end, a bincount of 2 d_i + d_j), the
+force-directed layout with its spring forces added edge by edge, echo
+pairs inserted by a second pass over a built circuit, and a circuit's
+lowering to ops by sorting tagged events, matching crosstalk by rescanning
+every segment and sorting the ops again before the pass that folds each
+qubit's idle channels into the op that reads it next.
 """
 
 from __future__ import annotations
@@ -103,10 +104,7 @@ def window_segments(circuit, qubit: int) -> list[tuple[str, float]]:
     Independent of the library's exposure computation: reads instruction
     tuples only.
     """
-    aux_slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
-    meas_start = min(
-        ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in aux_slots
-    )
+    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure")
     own = sorted(
         (ins for ins in circuit.instructions if qubit in ins.qubits),
         key=lambda ins: ins.start,
@@ -141,10 +139,7 @@ def window_phase_flip_probability(circuit, cal, qubit: int) -> float:
     Uses the echoed flag of each delay instruction directly.
     """
     qc = cal.qubits[qubit]
-    aux_slots = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
-    meas_start = min(
-        ins.start for ins in circuit.instructions if ins.kind == "measure" and ins.slot in aux_slots
-    )
+    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure")
     own = sorted(
         (ins for ins in circuit.instructions if qubit in ins.qubits),
         key=lambda ins: ins.start,
@@ -250,12 +245,38 @@ def _flips(bits: np.ndarray, up: float, down: float, rng: np.random.Generator) -
     return np.where(bits, u < down, u < up)
 
 
-def reference_record_distribution(program) -> np.ndarray:
-    """The exact record distribution of a compiled program, cell r holding
-    the record whose slot j is bit j of r from the top, by a walk over
-    binary axes that appends each slot and token axis last and applies
-    every op as masked, reversed and summed slices; a cx's error weights
-    come from the 15-Pauli table."""
+def record_slots(circuit) -> dict[tuple[int, int], int]:
+    """(qubit, n) -> the slot of the qubit's n-th measure (from 1), every
+    measure ranked by (start, line index): an auxiliary's round-r outcome
+    lands in slot 2 (r - 1) + its position among the auxiliaries, and a
+    code qubit's readout after both rounds in a slot after theirs."""
+    measures = [ins for ins in circuit.instructions if ins.kind == "measure"]
+    ranked = sorted(measures, key=lambda ins: (ins.start, circuit.line.index(ins.qubits[0])))
+    seen: dict[int, int] = {}
+    slots = {}
+    for slot, ins in enumerate(ranked):
+        q = ins.qubits[0]
+        seen[q] = seen.get(q, 0) + 1
+        slots[q, seen[q]] = slot
+    return slots
+
+
+def _op_slots(circuit) -> list[int]:
+    """The slot of each measure op of the circuit's program, in program
+    order: the measures sorted stably by start, as the compiler sweeps
+    them."""
+    measures = sorted((ins for ins in circuit.instructions if ins.kind == "measure"), key=lambda ins: ins.start)
+    ranked = sorted(measures, key=lambda ins: (ins.start, circuit.line.index(ins.qubits[0])))
+    return [ranked.index(ins) for ins in measures]
+
+
+def reference_record_distribution(circuit, program) -> np.ndarray:
+    """The exact full-record distribution of `circuit` compiled to
+    `program`, cell r holding the record whose slot j (`record_slots`) is
+    bit j of r from the top, by a walk over binary axes that appends each
+    slot and token axis last and applies every op as masked, reversed and
+    summed slices; a cx's error weights come from the 15-Pauli table."""
+    op_slots = iter(_op_slots(circuit))
     nq = program.n_qubits
     last_read = {token: k for k, op in enumerate(program.ops) if op[0] == "xtalk" for token, _ in op[2]}
     state = np.zeros(1 << nq)
@@ -294,7 +315,8 @@ def reference_record_distribution(program) -> np.ndarray:
             out += v[_reversed(c_dim)][_reversed(t_dim)] * w[3]
             state = out.ravel()
         elif tag == "measure":
-            _, _, slot, p, _ = op
+            _, _, p, _ = op
+            slot = next(op_slots)
             readout = np.array([[1.0 - p, p], [p, 1.0 - p]])  # [bit, recorded bit]
             state = (state.reshape(1 << i, 2, -1)[..., None] * readout[:, None, :]).ravel()
             extra.append(("s", slot))
@@ -314,17 +336,19 @@ def reference_record_distribution(program) -> np.ndarray:
         else:
             raise RuntimeError(f"unknown op {tag!r}")
     slots = [n for _, n in extra]
-    assert sorted(slots) == list(range(program.n_slots)), extra
+    assert sorted(slots) == list(range(len(slots))), extra
     records = state.reshape(1 << nq, -1).sum(axis=0).reshape((2,) * len(slots))
     return records.transpose(sorted(range(len(slots)), key=slots.__getitem__)).ravel()
 
 
-def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
+def _run_chunk(program, op_slots: list[int], n: int, rng: np.random.Generator) -> np.ndarray:
     """n shots of a compiled FrameProgram by per-shot frame tracking, as a
-    (slots, n) bool array: every op draws its folded channels' and its
-    own randomness for every shot, in the order they act."""
+    (slots, n) bool array, the k-th measure op writing slot op_slots[k]:
+    every op draws its folded channels' and its own randomness for every
+    shot, in the order they act."""
     bits = np.zeros((program.n_qubits, n), dtype=bool)
-    out = np.zeros((program.n_slots, n), dtype=bool)
+    out = np.zeros((len(op_slots), n), dtype=bool)
+    slots = iter(op_slots)
     tokens: dict[int, np.ndarray] = {}  # relax token -> shots whose bit decayed
     for op in program.ops:
         tag = op[0]
@@ -346,7 +370,8 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
             bits[ci] ^= hit & _CX_FLIPS[pauli, 0]
             bits[ti] ^= hit & _CX_FLIPS[pauli, 1]
         elif tag == "measure":
-            _, i, slot, p, _ = op
+            _, i, p, _ = op
+            slot = next(slots)
             if p > 0.0:
                 out[slot] = bits[i] ^ (rng.random(n) < p)
             else:
@@ -366,13 +391,15 @@ def _run_chunk(program, n: int, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def frame_shots(program, shots: int, seed: int) -> np.ndarray:
-    """Monte Carlo (shots, slots) uint8 records of a compiled program, in
-    chunks of 8192 shots with chunk k's generator seeded by (seed, k)."""
+def frame_shots(circuit, program, shots: int, seed: int) -> np.ndarray:
+    """Monte Carlo (shots, slots) uint8 records of `circuit` compiled to
+    `program`, in chunks of 8192 shots with chunk k's generator seeded by
+    (seed, k)."""
+    op_slots = _op_slots(circuit)
     parts = []
     for k, start in enumerate(range(0, shots, 8192)):
         rng = np.random.default_rng((seed, k))
-        parts.append(_run_chunk(program, min(8192, shots - start), rng).T)
+        parts.append(_run_chunk(program, op_slots, min(8192, shots - start), rng).T)
     return np.concatenate(parts).astype(np.uint8)
 
 
@@ -391,29 +418,38 @@ def grouped_records(pi: np.ndarray, shots: int, seed) -> np.ndarray:
 
 
 def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """(shots, detectors) detection events and their (auxiliary, round)
-    labels, round-major: each detector's column is XORed into a temporary
-    of its own and the columns are stacked. Rounds 1 and 2 come from the
+    """(shots, detectors) detection events of full records (slots as
+    `record_slots` numbers them) and their (auxiliary, round) labels,
+    round-major: each detector's column is XORed into a temporary of its
+    own and the columns are stacked. Rounds 1 and 2 come from the
     auxiliaries; round 3, each auxiliary's last outcome against the parity
-    of its code neighbours' readouts, only for a circuit with
-    `final_slots`."""
+    of its code neighbours' readouts, only for a circuit that reads its
+    code qubits out."""
     shots = np.asarray(shots, dtype=np.uint8)
-    syndrome = {key: shots[:, slot] for key, slot in circuit.aux_slots.items()}
+    slots = record_slots(circuit)
+    column = {key: shots[:, slot] for key, slot in slots.items()}
     columns, detectors = [], []
-    for r in (1, 2, 3) if hasattr(circuit, "final_slots") else (1, 2):
+    for r in (1, 2, 3) if (circuit.code_qubits[0], 1) in slots else (1, 2):
         for a in circuit.aux_qubits:
             if r == 1:
-                col = syndrome[(a, 1)]
+                col = column[(a, 1)]
             elif r == 2:
-                col = syndrome[(a, 2)] ^ syndrome[(a, 1)]
+                col = column[(a, 2)] ^ column[(a, 1)]
             else:
                 i = circuit.line.index(a)
-                left, right = circuit.line[i - 1], circuit.line[i + 1]
-                final = shots[:, circuit.final_slots[left]] ^ shots[:, circuit.final_slots[right]]
-                col = syndrome[(a, 2)] ^ final
+                col = column[(a, 2)] ^ column[(circuit.line[i - 1], 1)] ^ column[(circuit.line[i + 1], 1)]
             columns.append(col)
             detectors.append((a, r))
     return np.stack(columns, axis=1), tuple(detectors)
+
+
+def pair_cells(circuit, records: np.ndarray) -> np.ndarray:
+    """A full-record distribution (`reference_record_distribution`)
+    folded to the 4 cells 2 d_left + d_right of its round-2 detector
+    pair."""
+    data, detectors = stacked_detection_events(circuit, record_table(records.size.bit_length() - 1))
+    i, j = (detectors.index((a, 2)) for a in circuit.aux_qubits)
+    return np.bincount(2 * data[:, i].astype(np.int64) + data[:, j], weights=records, minlength=4)
 
 
 def bincount_pair_counts(d_i: np.ndarray, d_j: np.ndarray) -> np.ndarray:
@@ -520,7 +556,7 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
         elif ins.kind == "measure":
             if basis[q] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            emit(time, phase, ("measure", i, ins.slot, noise.readout[q]))
+            emit(time, phase, ("measure", i, noise.readout[q]))
         elif ins.kind == "cx":
             c, t = ins.qubits
             if basis[t] != "Z":
@@ -552,7 +588,6 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
     return FrameProgram(
         ops=_fold_idle_channels([op for _, _, _, op in ops]),
         n_qubits=len(circuit.line),
-        n_slots=circuit.n_slots,
     )
 
 

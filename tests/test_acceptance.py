@@ -20,7 +20,15 @@ from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge, enumerate_lines, load_calibration, plan_device, select_line
 from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise
 from conftest import FALCON_LEAVES, falcon_bytes
-from helpers import insert_fault, make_graph_cal, make_line_cal, random_graph_edges, sample_shots, with_final_readout
+from helpers import (
+    insert_fault,
+    make_graph_cal,
+    make_line_cal,
+    random_graph_edges,
+    sample_records,
+    sample_shots,
+    with_final_readout,
+)
 from oracles import (
     bincount_pair_counts,
     brute_force_lines,
@@ -72,7 +80,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     circuit = build_repetition_circuit(LINE, cal5, "bit_flip", 1, extra_delay_ns=12_500)
     est = extract_idle_rates(
         circuit,
-        detection_events(circuit, sample_shots(circuit, noise_relax, MILLION, seed=101)),
+        detection_events(sample_shots(circuit, noise_relax, MILLION, seed=101)),
         seed=201,
     )
     closed = window_flip_probability(circuit, cal5, 2, start_bit=1)
@@ -87,7 +95,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
         per_lv.append(
             extract_idle_rates(
                 circuit,
-                detection_events(circuit, sample_shots(circuit, noise_relax, MILLION, seed=110 + lv)),
+                detection_events(sample_shots(circuit, noise_relax, MILLION, seed=110 + lv)),
                 seed=210 + lv,
             )
         )
@@ -104,7 +112,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     )
     est = extract_idle_rates(
         circuit,
-        detection_events(circuit, sample_shots(circuit, noise_dephase, MILLION, seed=120)),
+        detection_events(sample_shots(circuit, noise_dephase, MILLION, seed=120)),
         seed=220,
     )
     closed = window_phase_flip_probability(circuit, cal5, 2)
@@ -249,11 +257,11 @@ def test_criterion_5_noise_free_soundness(cal5):
                     LINE, cal5, encoding, lv, extra_delay_ns=2_000, dd_scope=scope
                 )
                 # the final code readout gives the oracle its round-3 detectors
-                circuit = with_final_readout(circuit, cal5)
-                shots = sample_shots(circuit, zero, 10_000, seed=60)
+                read = with_final_readout(circuit, cal5)
+                records = sample_records(read, zero, 10_000, seed=60)
                 # the oracle's six detectors, and the pipeline's pair counts
-                if stacked_detection_events(circuit, shots)[0].any() or (
-                    detection_events(circuit, shots).tolist() != [10_000, 0, 0, 0]
+                if stacked_detection_events(read, records)[0].any() or (
+                    detection_events(sample_shots(circuit, zero, 10_000, seed=60)).tolist() != [10_000, 0, 0, 0]
                 ):
                     nonzero.append((encoding, lv, scope))
                 checked += 1
@@ -269,21 +277,18 @@ def test_criterion_6_fault_injection_sensitivity(cal5):
     zero = compile_noise(cal5, ZERO_NOISE_OPTIONS)
     results = []
     for encoding, pauli in (("bit_flip", "X"), ("phase_flip", "Z")):
-        circuit = with_final_readout(build_repetition_circuit(LINE, cal5, encoding, 0, extra_delay_ns=1_000), cal5)
-        meas_start = min(
-            i.start
-            for i in circuit.instructions
-            if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
-        )
+        circuit = build_repetition_circuit(LINE, cal5, encoding, 0, extra_delay_ns=1_000)
+        meas_start = min(i.start for i in circuit.instructions if i.kind == "measure")
         faulted = insert_fault(circuit, qubit=2, time_ns=meas_start + 100, pauli=pauli)
-        shots = sample_shots(faulted, zero, 2_000, seed=61)
-        data, detectors = stacked_detection_events(faulted, shots)
+        # the final code readout gives the oracle its round-3 detectors
+        read = with_final_readout(faulted, cal5)
+        data, detectors = stacked_detection_events(read, sample_records(read, zero, 2_000, seed=61))
         fired = {det for det, col in zip(detectors, data.T) if col.all()}
         silent = {det for det, col in zip(detectors, data.T) if not col.any()}
         exact = (
             fired == {(1, 2), (3, 2)}
             and silent == set(detectors) - fired
-            and detection_events(faulted, shots).tolist() == [0, 0, 0, 2_000]
+            and detection_events(sample_shots(faulted, zero, 2_000, seed=61)).tolist() == [0, 0, 0, 2_000]
         )
         results.append((encoding, pauli, exact))
     _verdict(

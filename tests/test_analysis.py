@@ -16,7 +16,7 @@ from synbench.analysis import (
 )
 from synbench.circuits import build_repetition_circuit
 from helpers import make_line_cal, with_final_readout
-from oracles import bincount_pair_counts, shared_fault_moments, stacked_detection_events
+from oracles import bincount_pair_counts, record_slots, shared_fault_moments, stacked_detection_events
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -39,31 +39,38 @@ def oracle_columns(circuit, shots) -> dict:
     return dict(zip(detectors, data.T))
 
 
-def test_all_zero_shots_give_all_zero_matrix(circuit):
-    shots = np.zeros((100, circuit.n_slots), dtype=np.uint8)
-    assert detection_events(circuit, shots).tolist() == [100, 0, 0, 0]
+def oracle_pairs(col: dict) -> np.ndarray:
+    """The oracle's round-2 detector columns as a (shots, 2) pair table."""
+    return np.stack([col[(1, 2)], col[(3, 2)]], axis=1)
+
+
+def test_all_zero_shots_give_all_zero_matrix():
+    shots = np.zeros((100, 2), dtype=np.uint8)
+    assert detection_events(shots).tolist() == [100, 0, 0, 0]
 
 
 def test_detector_columns_follow_xor_rules():
     circuit = read_out(0)
-    shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
+    slots = record_slots(circuit)
+    shots = np.zeros((1, len(slots)), dtype=np.uint8)
     # left aux fires in round 2 only: detectors (1,2) and (1,3) fire
-    shots[0, circuit.aux_slots[(1, 2)]] = 1
+    shots[0, slots[1, 2]] = 1
     col = oracle_columns(circuit, shots)
     assert col[(1, 1)][0] == 0
     assert col[(1, 2)][0] == 1
     assert col[(1, 3)][0] == 1
     assert not col[(3, 1)][0] and not col[(3, 2)][0] and not col[(3, 3)][0]
-    assert detection_events(circuit, shots).tolist() == [0, 0, 1, 0]
+    assert detection_events(oracle_pairs(col)).tolist() == [0, 0, 1, 0]
 
 
 def test_final_round_parity_under_logical_one():
     circuit = read_out(1)
-    shots = np.zeros((1, circuit.n_slots), dtype=np.uint8)
+    slots = record_slots(circuit)
+    shots = np.zeros((1, len(slots)), dtype=np.uint8)
     # clean syndromes but final readout 101: both final-round detectors fire
-    shots[0, circuit.final_slots[0]] = 1
-    shots[0, circuit.final_slots[2]] = 0
-    shots[0, circuit.final_slots[4]] = 1
+    shots[0, slots[0, 1]] = 1
+    shots[0, slots[2, 1]] = 0
+    shots[0, slots[4, 1]] = 1
     col = oracle_columns(circuit, shots)
     assert col[(1, 3)][0] == 1 and col[(3, 3)][0] == 1
     assert col[(1, 1)][0] == 0 and col[(1, 2)][0] == 0
@@ -71,16 +78,18 @@ def test_final_round_parity_under_logical_one():
 
 def test_final_round_parity_cancels_equal_bits():
     circuit = read_out(1)
-    shots = np.ones((1, circuit.n_slots), dtype=np.uint8)
-    shots[0, : len(circuit.aux_slots)] = 0
+    slots = record_slots(circuit)
+    shots = np.ones((1, len(slots)), dtype=np.uint8)
+    shots[0, [slots[a, r] for a in circuit.aux_qubits for r in (1, 2)]] = 0
     assert not stacked_detection_events(circuit, shots)[0].any()
 
 
 def test_detector_chain_parity_is_invariant_under_even_aux_flips():
     circuit = read_out(0)
-    flipped = np.zeros((64, circuit.n_slots), dtype=np.uint8)
-    flipped[:, circuit.aux_slots[(1, 1)]] ^= 1
-    flipped[:, circuit.aux_slots[(1, 2)]] ^= 1
+    slots = record_slots(circuit)
+    flipped = np.zeros((64, len(slots)), dtype=np.uint8)
+    flipped[:, slots[1, 1]] ^= 1
+    flipped[:, slots[1, 2]] ^= 1
     col = oracle_columns(circuit, flipped)
     parity = np.zeros(64, dtype=np.uint8)
     for r in (1, 2, 3):
@@ -89,22 +98,24 @@ def test_detector_chain_parity_is_invariant_under_even_aux_flips():
     assert col[(1, 1)].all() and col[(1, 3)].all() and not col[(1, 2)].any()
 
 
-def test_detection_events_rejects_slot_mismatch(circuit):
-    with pytest.raises(ValueError, match="slots"):
-        detection_events(circuit, np.zeros((10, circuit.n_slots + 1), dtype=np.uint8))
+def test_detection_events_rejects_slot_mismatch():
+    # a table of anything but the pair's two detector columns is refused
+    for shape in ((10, 3), (10, 1), (10,), (10, 2, 1)):
+        with pytest.raises(ValueError, match="\\(shots, 2\\) table"):
+            detection_events(np.zeros(shape, dtype=np.uint8))
 
 
 @pytest.mark.parametrize(
     "bad,dtype",
     [(2, np.uint8), (0.9, np.float64), (-1, np.int64)],
 )
-def test_detection_events_rejects_entries_other_than_zero_and_one(circuit, bad, dtype):
-    # a 2 would shift the detector counts, and a cast to uint8 would
-    # truncate 0.9 to 0; both must be refused, naming the value
-    shots = np.zeros((10, circuit.n_slots), dtype=dtype)
-    shots[3, circuit.aux_slots[(1, 2)]] = bad
+def test_detection_events_rejects_entries_other_than_zero_and_one(bad, dtype):
+    # a 2 or a 0.9 would shift the detector counts; both must be refused,
+    # naming the value
+    shots = np.zeros((10, 2), dtype=dtype)
+    shots[3, 0] = bad
     with pytest.raises(ValueError, match=f"got {bad}$"):
-        detection_events(circuit, shots)
+        detection_events(shots)
 
 
 def _layouts(bits: np.ndarray) -> dict[str, np.ndarray]:
@@ -124,31 +135,28 @@ def _layouts(bits: np.ndarray) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64", "float64"])
 def test_detection_events_match_stacked_oracle_in_any_layout(layout):
-    # the popcount cells equal a bincount of the oracle's round-2 columns,
-    # cell 2 d_left + d_right, whatever the shots' memory order and dtype
+    # the popcount cells of the oracle's round-2 columns equal their
+    # bincount, cell 2 d_left + d_right, whatever the pair table's memory
+    # order and dtype
     for lv in (0, 1):
         circuit = read_out(lv)
-        bits = (np.random.default_rng(21).random((3_000, circuit.n_slots)) < 0.3).astype(np.uint8)
-        counts = detection_events(circuit, _layouts(bits)[layout])
+        bits = (np.random.default_rng(21).random((3_000, len(record_slots(circuit)))) < 0.3).astype(np.uint8)
         col = oracle_columns(circuit, bits)
+        counts = detection_events(_layouts(oracle_pairs(col))[layout])
         expected = bincount_pair_counts(col[(1, 2)], col[(3, 2)])
         assert counts.dtype == np.int64 and np.array_equal(counts, expected)
         assert expected.sum() == 3_000 and expected.min() > 0
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided", "bool", "int64"])
-def test_pair_counts_match_bincount_oracle_in_any_layout(circuit, layout):
-    # correlated detector columns written into raw records as
-    # s(a, 2) = s(a, 1) XOR d: the counts are those of the columns alone
+def test_pair_counts_match_bincount_oracle_in_any_layout(layout):
+    # correlated detector columns: the popcount cells are their bincount
     rng = np.random.default_rng(22)
     e = rng.random(5_000) < 0.1
     d_i = (e ^ (rng.random(5_000) < 0.2)).astype(np.uint8)
     d_j = (e ^ (rng.random(5_000) < 0.3)).astype(np.uint8)
-    bits = (rng.random((5_000, circuit.n_slots)) < 0.5).astype(np.uint8)
-    for a, d in zip((1, 3), (d_i, d_j)):
-        bits[:, circuit.aux_slots[(a, 2)]] = bits[:, circuit.aux_slots[(a, 1)]] ^ d
     expected = bincount_pair_counts(d_i, d_j)
-    assert np.array_equal(detection_events(circuit, _layouts(bits)[layout]), expected)
+    assert np.array_equal(detection_events(_layouts(np.stack([d_i, d_j], axis=1))[layout]), expected)
     assert expected.sum() == 5_000 and expected.min() > 0
 
 
@@ -308,7 +316,7 @@ def test_extract_labels_by_encoding_and_logical_value():
         ("phase_flip", 1, "p_phase"),
     ]:
         c = build_repetition_circuit(LINE, cal, encoding, lv)
-        est = extract_idle_rates(c, detection_events(c, np.zeros((2_000, c.n_slots), dtype=np.uint8)))
+        est = extract_idle_rates(c, detection_events(np.zeros((2_000, 2), dtype=np.uint8)))
         assert est.rate_type == label
 
 

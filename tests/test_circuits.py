@@ -27,8 +27,8 @@ GOLDEN_T2_BITFLIP = """\
         20 delay      q[0] dur=20
         20 cx         q[2,1] dur=20
         20 cx         q[4,3] dur=20
-        40 measure    q[1] dur=20 slot=0
-        40 measure    q[3] dur=20 slot=1
+        40 measure    q[1] dur=20
+        40 measure    q[3] dur=20
         40 delay      q[0] dur=30
         40 delay      q[2] dur=30
         40 delay      q[4] dur=30
@@ -40,8 +40,8 @@ GOLDEN_T2_BITFLIP = """\
         90 delay      q[0] dur=20
         90 cx         q[2,1] dur=20
         90 cx         q[4,3] dur=20
-       110 measure    q[1] dur=20 slot=2
-       110 measure    q[3] dur=20 slot=3
+       110 measure    q[1] dur=20
+       110 measure    q[3] dur=20
        110 delay      q[0] dur=30
        110 delay      q[2] dur=30
        110 delay      q[4] dur=30
@@ -90,8 +90,8 @@ GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
         84 delay      q[4] dur=3 echoed
         84 delay      q[2] dur=5 echoed
         84 delay      q[0] dur=6 echoed
-        84 measure    q[1] dur=24 slot=0
-        84 measure    q[3] dur=36 slot=1
+        84 measure    q[1] dur=24
+        84 measure    q[3] dur=36
         87 x          q[4] dur=16
         89 x          q[2] dur=12
         90 x          q[0] dur=10
@@ -141,8 +141,8 @@ GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
        280 delay      q[4] dur=3 echoed
        280 delay      q[2] dur=5 echoed
        280 delay      q[0] dur=6 echoed
-       280 measure    q[1] dur=24 slot=2
-       280 measure    q[3] dur=36 slot=3
+       280 measure    q[1] dur=24
+       280 measure    q[3] dur=36
        283 x          q[4] dur=16
        285 x          q[2] dur=12
        286 x          q[0] dur=10
@@ -207,8 +207,9 @@ def test_structure_matches_minimal_experiment(cal):
     kinds = [i.kind for i in circuit.instructions]
     assert kinds.count("cx") == 8  # 4 per round
     assert kinds.count("measure") == 4  # 2 auxes x 2 rounds
-    assert circuit.n_slots == 4
-    assert sorted(i.slot for i in circuit.instructions if i.slot is not None) == list(range(4))
+    # both auxiliaries read out together, once per round
+    measures = [i for i in circuit.instructions if i.kind == "measure"]
+    assert [i.qubits for i in measures] == [(1,), (3,)] * 2 and measures[0].start == measures[1].start
     for a in circuit.aux_qubits:
         assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == 2
     for c in circuit.code_qubits:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import synbench.cli as cli
 from synbench.analysis import BOOTSTRAP_RESAMPLES
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
-from synbench.device import enumerate_lines, load_calibration, select_line
+from synbench.device import CalibrationError, enumerate_lines, load_calibration, select_line
 from synbench.noise import NoiseOptions
 from conftest import falcon_bytes
 from helpers import line_calibration_doc
@@ -267,6 +267,37 @@ def test_run_without_benchmarkable_qubits_is_runtime_error(tmp_path, capsys):
 def test_run_with_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
     assert main(["run"]) == 1
+
+
+def test_run_with_both_config_and_cal_is_config_error(tmp_path, cal_path, capsys, monkeypatch):
+    # the config names its own calibration, so a --cal beside it, even one
+    # that does not exist, is refused before any qubit task runs
+    ran = []
+    monkeypatch.setattr(cli, "benchmark_qubit", lambda *args: ran.append(args))
+    config = write_config(tmp_path, cal_path)
+    for cal in (cal_path, tmp_path / "nope.json"):
+        assert main(["run", "--config", str(config), "--cal", str(cal)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--cal" in err and err.count("\n") == 1, err
+    assert not ran and not (tmp_path / "out").exists()
+
+
+def test_calibration_with_some_positions_is_config_error(tmp_path, cal_path, capsys):
+    # positions are all or none: one qubit with a position and the rest
+    # without would leave the device map without coordinates for qubit 1,
+    # so the calibration is refused before the run starts
+    doc = json.loads(falcon_bytes())
+    for entry in doc["qubits"]:
+        if entry["id"] != 0:
+            entry.pop("position")
+    cal = tmp_path / "partial.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(CalibrationError, match="^qubit 1 has no position"):
+        load_calibration(cal)
+    assert main(["run", "--cal", str(cal), "--shots", "50", "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: qubit 1 has no position") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_with_directory_config_is_config_error(tmp_path, capsys):

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from synbench.analysis import detection_events, extract_idle_rates
-from synbench.circuits import DD_SCOPES, ENCODINGS, Instruction, build_repetition_circuit
+from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
 from synbench.device import plan_device
 from synbench.noise import ZERO_NOISE_OPTIONS, NoiseOptions, compile_noise
-from synbench.simulator import BasisContractError, _structure, compile_program, record_distribution, run_shots
-from helpers import ReadoutCircuit, insert_fault, make_line_cal, sample_shots, with_final_readout
+from synbench.simulator import BasisContractError, _structure, compile_program, pair_distribution, run_shots
+from helpers import insert_fault, make_line_cal, sample_records, sample_shots, with_final_readout
 from oracles import (
     bincount_pair_counts,
     flip_pattern_counts,
     frame_shots,
     grouped_records,
+    pair_cells,
+    record_slots,
     record_table,
     reference_compile_program,
     reference_record_distribution,
@@ -46,11 +48,11 @@ def zero_noise(cal):
 
 
 def exact_record(circuit, noise) -> np.ndarray:
-    """The one record a noise-free circuit can produce: its exact record
-    distribution must be a point mass."""
-    (pi,) = record_distribution(compile_program(circuit, noise))
+    """The one record a noise-free circuit can produce: the oracle's exact
+    record distribution must be a point mass."""
+    pi = reference_record_distribution(circuit, compile_program(circuit, noise))
     assert pi.max() == 1.0 and np.count_nonzero(pi) == 1
-    return record_table(circuit.n_slots)[int(pi.argmax())]
+    return record_table(pi.size.bit_length() - 1)[int(pi.argmax())]
 
 
 def fired_detectors(circuit, shots) -> set:
@@ -62,12 +64,10 @@ def fired_detectors(circuit, shots) -> set:
 
 
 def exact_round2_coincidence(circuit, noise) -> float:
-    """P(both round-2 detectors of the center fire), summed over the exact
-    record distribution."""
-    data, detectors = stacked_detection_events(circuit, record_table(circuit.n_slots))
-    fired = data[:, detectors.index((1, 2))] & data[:, detectors.index((3, 2))]
-    (pi,) = record_distribution(compile_program(circuit, noise))
-    return float(pi[fired == 1].sum())
+    """P(both round-2 detectors of the center fire): the exact pair
+    distribution's cell 3."""
+    (pi,) = pair_distribution(compile_program(circuit, noise))
+    return float(pi[3])
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +86,11 @@ def test_noise_free_parity_preservation(cal, encoding, lv, scope):
     circuit = with_final_readout(
         build(cal, encoding=encoding, logical_value=lv, dd_scope=scope, extra_delay_ns=1_000), cal
     )
-    shots = sample_shots(circuit, zero_noise(cal), 500, seed=11)
-    n_aux_slots = len(circuit.aux_slots)
-    assert not shots[:, :n_aux_slots].any()
+    shots = sample_records(circuit, zero_noise(cal), 500, seed=11)
+    slots = record_slots(circuit)
+    assert not shots[:, [slots[a, r] for a in circuit.aux_qubits for r in (1, 2)]].any()
     for q in circuit.code_qubits:
-        assert (shots[:, circuit.final_slots[q]] == lv).all()
+        assert (shots[:, slots[q, 1]] == lv).all()
 
 
 def test_contract_rejects_measuring_x_basis_qubit(cal):
@@ -114,17 +114,10 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         Instruction("h", (1,), 0, 10),
         Instruction("cx", (0, 1), 10, 20),
         Instruction("h", (1,), 30, 10),
-        Instruction("measure", (1,), 40, 20, slot=0),
-        Instruction("measure", (0,), 60, 20, slot=1),
+        Instruction("measure", (1,), 40, 20),
+        Instruction("measure", (0,), 60, 20),
     )
-    circuit = ReadoutCircuit(
-        line=(0, 1),
-        instructions=instructions,
-        encoding="bit_flip",
-        logical_value=0,
-        aux_slots={},
-        final_slots={0: 1, 1: 0},
-    )
+    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="bit_flip", logical_value=0)
     with pytest.raises(BasisContractError, match="target"):
         compile_program(circuit, zero_noise(cal))
 
@@ -134,17 +127,10 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         Instruction("prepare_z0", (0,), 0, 0),
         Instruction("prepare_z0", (2,), 0, 0),
         Instruction("cx", (0, 2), 0, 20),
-        Instruction("measure", (0,), 20, 20, slot=0),
-        Instruction("measure", (2,), 20, 20, slot=1),
+        Instruction("measure", (0,), 20, 20),
+        Instruction("measure", (2,), 20, 20),
     )
-    circuit = ReadoutCircuit(
-        line=(0, 1, 2),
-        instructions=instructions,
-        encoding="bit_flip",
-        logical_value=0,
-        aux_slots={},
-        final_slots={0: 0, 2: 1},
-    )
+    circuit = Circuit(line=(0, 1, 2), instructions=instructions, encoding="bit_flip", logical_value=0)
     with pytest.raises(BasisContractError, match="neighbours"):
         compile_program(circuit, zero_noise(cal))
 
@@ -153,15 +139,14 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
     "edit,error,match",
     [
         (lambda c: c.instructions + (Instruction("y", (2,), 0, 0),), BasisContractError, "unknown instruction"),
-        (lambda c: tuple(i for i in c.instructions if i.slot != c.final_slots[4]), ValueError, "every slot must"),
     ],
-    ids=["unknown-kind", "unmeasured-slot"],
+    ids=["unknown-kind"],
 )
 def test_program_outside_the_tracked_model_is_refused(cal, edit, error, match):
     circuit = with_final_readout(build(cal), cal)
     edited = replace(circuit, instructions=edit(circuit))
     with pytest.raises(error, match=match):
-        record_distribution(compile_program(edited, zero_noise(cal)))
+        pair_distribution(compile_program(edited, zero_noise(cal)))
 
 
 @pytest.mark.parametrize("control_basis,target_basis", itertools.product("ZX", repeat=2))
@@ -182,51 +167,46 @@ def test_determinism_same_seed_same_bits(cal):
     assert not np.array_equal(a, c)
 
 
+def first_measure_start(circuit, qubit: int) -> int:
+    return min(i.start for i in circuit.instructions if i.kind == "measure" and i.qubits == (qubit,))
+
+
+def assert_fault_fires(faulted, cal, shots: int, fired: set, counts: list) -> None:
+    """The faulted circuit, read out, gives one exact record in every shot,
+    fires exactly the oracle's `fired` detectors, and the pipeline's pair
+    counts of the circuit itself are `counts`."""
+    read = with_final_readout(faulted, cal)
+    records = sample_records(read, zero_noise(cal), shots, seed=3)
+    assert (records == exact_record(read, zero_noise(cal))).all()
+    assert fired_detectors(read, records) == fired
+    assert detection_events(sample_shots(faulted, zero_noise(cal), shots, seed=3)).tolist() == counts
+
+
 def test_injected_x_between_rounds_fires_round2_pair(cal):
-    circuit = with_final_readout(build(cal, logical_value=1), cal)
     # center idles [40, 70) between the first round's measurement and the
     # second round's couplings
-    faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli="X")
-    shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
-    assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
-    assert detection_events(faulted, shots).tolist() == [0, 0, 0, 200]
+    faulted = insert_fault(build(cal, logical_value=1), qubit=2, time_ns=55, pauli="X")
+    assert_fault_fires(faulted, cal, 200, {(1, 2), (3, 2)}, [0, 0, 0, 200])
 
 
 def test_injected_z_in_phase_encoding_fires_same_pair(cal):
-    circuit = with_final_readout(build(cal, encoding="phase_flip", logical_value=0), cal)
-    meas_start = min(
-        i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
-    )
-    faulted = insert_fault(circuit, qubit=2, time_ns=meas_start + 5, pauli="Z")
-    shots = sample_shots(faulted, zero_noise(cal), 200, seed=3)
-    assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    assert fired_detectors(faulted, shots) == {(1, 2), (3, 2)}
-    assert detection_events(faulted, shots).tolist() == [0, 0, 0, 200]
+    circuit = build(cal, encoding="phase_flip", logical_value=0)
+    faulted = insert_fault(circuit, qubit=2, time_ns=first_measure_start(circuit, 1) + 5, pauli="Z")
+    assert_fault_fires(faulted, cal, 200, {(1, 2), (3, 2)}, [0, 0, 0, 200])
 
 
 def test_injected_x_before_aux_measurement_fires_syndrome_pair(cal):
-    circuit = with_final_readout(build(cal), cal)
-    meas_start = min(
-        i.start for i in circuit.instructions if i.kind == "measure" and i.slot == circuit.aux_slots[(1, 1)]
-    )
-    faulted = insert_fault(circuit, qubit=1, time_ns=meas_start, pauli="X")
-    shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
-    assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    assert fired_detectors(faulted, shots) == {(1, 1), (1, 2)}
-    assert detection_events(faulted, shots).tolist() == [0, 0, 100, 0]
+    circuit = build(cal)
+    faulted = insert_fault(circuit, qubit=1, time_ns=first_measure_start(circuit, 1), pauli="X")
+    assert_fault_fires(faulted, cal, 100, {(1, 1), (1, 2)}, [0, 0, 100, 0])
 
 
 @pytest.mark.parametrize("encoding,pauli", [("bit_flip", "Z"), ("phase_flip", "X")])
 def test_injected_commuting_pauli_is_invisible(cal, encoding, pauli):
     # a Z on a Z-basis centre, or an x on an X-basis centre, flips no
     # tracked bit
-    circuit = with_final_readout(build(cal, encoding=encoding, logical_value=1), cal)
-    faulted = insert_fault(circuit, qubit=2, time_ns=55, pauli=pauli)
-    shots = sample_shots(faulted, zero_noise(cal), 100, seed=3)
-    assert (shots == exact_record(faulted, zero_noise(cal))).all()
-    assert fired_detectors(faulted, shots) == set()
-    assert detection_events(faulted, shots).tolist() == [100, 0, 0, 0]
+    faulted = insert_fault(build(cal, encoding=encoding, logical_value=1), qubit=2, time_ns=55, pauli=pauli)
+    assert_fault_fires(faulted, cal, 100, set(), [100, 0, 0, 0])
 
 
 def test_relaxation_frequency_matches_closed_form():
@@ -241,7 +221,7 @@ def test_relaxation_frequency_matches_closed_form():
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=99)
-    coincidence = detection_events(circuit, shots)[3] / n
+    coincidence = detection_events(shots)[3] / n
     expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
@@ -259,7 +239,7 @@ def test_cpmg_relaxation_frequency_matches_markov_composition():
     noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "readout", "dephasing", "crosstalk"})))
     n = 200_000
     shots = sample_shots(circuit, noise, n, seed=17)
-    coincidence = detection_events(circuit, shots)[3] / n
+    coincidence = detection_events(shots)[3] / n
     expected = window_flip_probability(circuit, cal, 2, start_bit=1)
     sigma = math.sqrt(expected * (1 - expected) / n)
     assert abs(coincidence - expected) <= 4 * sigma
@@ -280,7 +260,7 @@ def test_readout_channel_linearity_at_small_p():
         )
         circuit = build_repetition_circuit(LINE, cal, "bit_flip", 0)
         noise = compile_noise(cal, NoiseOptions(disable=frozenset({"cx", "relaxation", "dephasing", "crosstalk"})))
-        shots = sample_shots(circuit, noise, 400_000, seed=23)
+        shots = sample_records(circuit, noise, 400_000, seed=23)
         # a round-1 readout flip on the auxiliary fires its (round 1, round 2)
         # detector pair
         data, detectors = stacked_detection_events(circuit, shots)
@@ -301,20 +281,13 @@ def test_crosstalk_first_overlap_rule_applies_once():
         Instruction("delay", (1,), 10, 50),
         Instruction("delay", (1,), 60, 50),
         Instruction("h", (1,), 110, 10),
-        Instruction("measure", (0,), 110, 20, slot=0),
-        Instruction("measure", (1,), 120, 20, slot=1),
+        Instruction("measure", (0,), 110, 20),
+        Instruction("measure", (1,), 120, 20),
     )
-    circuit = ReadoutCircuit(
-        line=(0, 1),
-        instructions=instructions,
-        encoding="phase_flip",
-        logical_value=0,
-        aux_slots={},
-        final_slots={0: 0, 1: 1},
-    )
+    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="phase_flip", logical_value=0)
     cal = make_line_cal(2, t1_ns=0.01, t2_ns=0.02)  # decay within the window is certain
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"dephasing", "readout", "cx"})))
-    shots = sample_shots(circuit, noise, 64, seed=1)
+    shots = sample_records(circuit, noise, 64, seed=1)
     assert (shots[:, 0] == 0).all()  # qubit 0 decayed
     assert (shots[:, 1] == 1).all()  # neighbor flipped exactly once
 
@@ -332,7 +305,7 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
     )
     n = 300_000
     shots = sample_shots(circuit, noise, n, seed=31)
-    estimate = extract_idle_rates(circuit, detection_events(circuit, shots), seed=8)
+    estimate = extract_idle_rates(circuit, detection_events(shots), seed=8)
     # aux echo pattern per extra-delay window: quarter in 0, x, middle in 1,
     # x, quarter in (1 if decayed)
     t1 = 100_000.0
@@ -355,8 +328,8 @@ def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
     cal = make_line_cal(p0=0.9)
     circuit = build(cal, logical_value=lv, extra_delay_ns=12_500, dd_scope=scope)
     ops = compile_program(circuit, compile_noise(cal)).ops
-    round1 = {circuit.aux_slots[(a, 1)] for a in circuit.aux_qubits}
-    last_measure = max(k for k, op in enumerate(ops) if op[0] == "measure" and op[2] in round1)
+    # round 1 measures each auxiliary once, before any other measure
+    last_measure = [k for k, op in enumerate(ops) if op[0] == "measure"][len(circuit.aux_qubits) - 1]
     next_cx = next(op for op in ops[last_measure:] if op[0] == "cx" and 2 in op[1:3])
     up, down = next_cx[4] if next_cx[1] == 2 else next_cx[5]
     expected = window_flip_probability(circuit, cal, 2, start_bit=lv)
@@ -379,16 +352,16 @@ def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
 def test_preparation_error_flips_initial_states(cal):
     circuit = with_final_readout(build(cal), cal)
     noise = compile_noise(cal, NoiseOptions(prep_error=1.0, disable=frozenset({"cx", "readout", "relaxation", "dephasing", "crosstalk"})))
-    shots = sample_shots(circuit, noise, 50, seed=2)
+    shots = sample_records(circuit, noise, 50, seed=2)
     for q in circuit.code_qubits:
-        assert (shots[:, circuit.final_slots[q]] == 1).all()
+        assert (shots[:, record_slots(circuit)[q, 1]] == 1).all()
 
 
 def test_shot_count_validation(cal):
-    (pi,) = record_distribution(compile_program(build(cal), zero_noise(cal)))
+    (pi,) = pair_distribution(compile_program(build(cal), zero_noise(cal)))
     with pytest.raises(ValueError):
         run_shots(pi, 0, seed=1)
-    with pytest.raises(ValueError, match="2\\*\\*n_slots"):
+    with pytest.raises(ValueError, match="4 cells"):
         run_shots(pi[:-1], 10, seed=1)
 
 
@@ -430,12 +403,13 @@ def test_compile_program_matches_reference_lowering(falcon):
     assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (31, 9, 6)
 
 
-def test_record_distribution_matches_reference_walk(falcon):
-    # the one-matmul-per-op walk against the oracle's slice-and-sum walk:
-    # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
-    # with every qubit echoed and eta 0.3, and a circuit with an injected
-    # fault
-    noise = compile_noise(falcon)
+@pytest.mark.parametrize("crosstalk", [True, False])
+def test_pair_distribution_matches_reference_walk(falcon, crosstalk):
+    # the pair walk against the oracle's slice-and-sum walk over full
+    # records, folded to the round-2 pair's cells: every falcon27 pipeline
+    # circuit at each dd_scope, a phase-flip circuit with every qubit echoed
+    # and eta 0.3, and a circuit with an injected fault
+    noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     circuits = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(circuits) == 3 * 84
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
@@ -445,29 +419,31 @@ def test_record_distribution_matches_reference_walk(falcon):
     circuits.append((faulted, compile_noise(cal)))
     for circuit, model in circuits:
         program = compile_program(circuit, model)
-        (pi,) = record_distribution(program)
-        assert pi.shape == (2**circuit.n_slots,)
-        assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
+        (pi,) = pair_distribution(program)
+        records = reference_record_distribution(circuit, program)
+        assert pi.shape == (4,) and records.shape == (16,)
+        assert np.abs(pi - pair_cells(circuit, records)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("crosstalk", [True, False])
 def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
-    # a record bit is fixed once its slot is measured, so a transversal
-    # code readout after the circuit's end only splits each of its 16
-    # records by the code qubits' bits: on every falcon27 pipeline circuit
-    # at each dd_scope, the 128 records with that readout, summed over its
-    # three slots (the low bits), are the circuit's own. Each pipeline
-    # circuit records the 4 auxiliary outcomes and ends with round 2's.
+    # a parity bit is fixed once its qubit's last measure is done, so a
+    # transversal code readout after the circuit's end only splits each of
+    # its 4 cells by the code qubits' bits: on every falcon27 pipeline
+    # circuit at each dd_scope, the 32 cells of the read-out circuit's five
+    # measured qubits in line order, summed over the three code qubits, are
+    # the circuit's own. Each pipeline circuit measures each auxiliary once
+    # per round and ends with round 2's measures.
     noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     checked = 0
     for _, circuit in pipeline_circuits(falcon):
         measures = [ins for ins in circuit.instructions if ins.kind == "measure"]
-        last = {ins.slot for ins in measures if ins.start == measures[-1].start}
-        assert circuit.n_slots == 4 and last == {circuit.aux_slots[(a, 2)] for a in circuit.aux_qubits}
+        last = {ins.qubits[0] for ins in measures if ins.start == measures[-1].start}
+        assert len(measures) == 4 and last == set(circuit.aux_qubits)
         read = with_final_readout(circuit, falcon)
-        pi, full = record_distribution(compile_program(circuit, noise), compile_program(read, noise))
-        assert pi.shape == (16,) and full.shape == (128,)
-        assert np.abs(full.reshape(16, 8).sum(axis=1) - pi).max() <= 1e-14
+        pi, full = pair_distribution(compile_program(circuit, noise), compile_program(read, noise))
+        assert pi.shape == (4,) and full.shape == (32,)
+        assert np.abs(full.reshape((2,) * 5).sum(axis=(0, 2, 4)).ravel() - pi).max() <= 1e-14
         checked += 1
     assert checked == 3 * 84
 
@@ -476,14 +452,14 @@ def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
 def test_paired_walk_matches_each_programs_own_walk(falcon, crosstalk):
     # a qubit's logical 0 and 1 programs share one structure on every
     # falcon27 pipeline circuit at each dd_scope, so the pipeline walks
-    # them as one batch; each member's records match its own walk
+    # them as one batch; each member's cells match its own walk
     noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     programs = [compile_program(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(programs) == 3 * 84
     for lv0, lv1 in zip(programs[0::2], programs[1::2]):
         assert _structure(lv0) == _structure(lv1) and lv0 != lv1
-        for paired, program in zip(record_distribution(lv0, lv1), (lv0, lv1)):
-            (alone,) = record_distribution(program)
+        for paired, program in zip(pair_distribution(lv0, lv1), (lv0, lv1)):
+            (alone,) = pair_distribution(program)
             assert np.abs(paired - alone).max() <= 1e-15
 
 
@@ -497,19 +473,20 @@ def test_programs_of_different_structures_are_walked_apart():
     plain = build(cal, logical_value=1, extra_delay_ns=5_000)
     faulted = insert_fault(plain, qubit=2, time_ns=55, pauli="Y")
     phase = build(cal, encoding="phase_flip", extra_delay_ns=5_000, dd_scope="all_qubits")
-    programs = [compile_program(circuit, noise) for circuit in (faulted, phase, plain)]
+    circuits = (faulted, phase, plain)
+    programs = [compile_program(circuit, noise) for circuit in circuits]
     assert _structure(programs[0]) == _structure(programs[2]) != _structure(programs[1])
-    for pi, program in zip(record_distribution(*programs), programs):
-        assert np.abs(pi - reference_record_distribution(program)).max() <= 1e-14
-        (alone,) = record_distribution(program)
+    for pi, circuit, program in zip(pair_distribution(*programs), circuits, programs):
+        assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, program))).max() <= 1e-14
+        (alone,) = pair_distribution(program)
         assert np.abs(pi - alone).max() <= 1e-15
 
 
 def test_shot_kernels_match_row_major_oracles(falcon):
-    # run_shots' slot-major expansion and detection_events' XORs and
-    # popcount pair counts against the row-major formulas they replaced,
-    # bit for bit: every falcon27 pipeline circuit at 2k shots and those of
-    # the default dd_scope at 100k, a phase-flip circuit with every qubit
+    # run_shots' detector-major expansion and detection_events' popcount
+    # pair counts against the row-major formulas they replaced, bit for
+    # bit: every falcon27 pipeline circuit at 2k shots and those of the
+    # default dd_scope at 100k, a phase-flip circuit with every qubit
     # echoed and eta 0.3, and a circuit with an injected fault
     noise = compile_noise(falcon)
     cases = [(circuit, noise, 2_000) for _, circuit in pipeline_circuits(falcon)]
@@ -521,22 +498,19 @@ def test_shot_kernels_match_row_major_oracles(falcon):
     faulted = insert_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     cases.append((faulted, compile_noise(cal), 2_000))
     for seed, (circuit, model, n) in enumerate(cases):
-        (pi,) = record_distribution(compile_program(circuit, model))
+        (pi,) = pair_distribution(compile_program(circuit, model))
         shots = run_shots(pi, n, seed)
         assert shots.dtype == np.uint8 and np.array_equal(shots, grouped_records(pi, n, seed))
-        data, detectors = stacked_detection_events(circuit, shots)
-        i, j = (detectors.index((a, 2)) for a in circuit.aux_qubits)
-        assert np.array_equal(detection_events(circuit, shots), bincount_pair_counts(data[:, i], data[:, j]))
+        assert np.array_equal(detection_events(shots), bincount_pair_counts(shots[:, 0], shots[:, 1]))
 
 
 def test_shot_and_detector_columns_are_contiguous(cal):
-    # each slot's bits over all shots lie contiguous in memory, so each of
-    # detection_events' XORs and popcounts is one pass over contiguous
-    # columns
+    # each detector's bits over all shots lie contiguous in memory, so each
+    # of detection_events' popcounts is one pass over a contiguous column
     circuit = build(cal, logical_value=1, extra_delay_ns=5_000)
     shots = sample_shots(circuit, compile_noise(cal), 1_000, seed=5)
-    assert shots.shape == (1_000, circuit.n_slots) and shots.T.flags.c_contiguous
-    assert all(shots[:, slot].flags.c_contiguous for slot in circuit.aux_slots.values())
+    assert shots.shape == (1_000, 2) and shots.T.flags.c_contiguous
+    assert shots[:, 0].flags.c_contiguous and shots[:, 1].flags.c_contiguous
 
 
 def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
@@ -553,12 +527,11 @@ def binned_chi_square(counts: np.ndarray, pi: np.ndarray) -> tuple[float, int]:
 
 
 def pooled_p_value(samples) -> float:
-    """Upper-tail p-value of the chi-square pooled over (records, pi)
-    pairs, each records a (shots, slots) bit matrix."""
+    """Upper-tail p-value of the chi-square pooled over (cell counts, pi)
+    pairs."""
     chi2, dof = 0.0, 0
-    for records, pi in samples:
-        cells = records.astype(np.intp) @ (1 << np.arange(records.shape[1] - 1, -1, -1))
-        stat, df = binned_chi_square(np.bincount(cells, minlength=pi.size), pi)
+    for counts, pi in samples:
+        stat, df = binned_chi_square(counts, pi)
         chi2 += stat
         dof += df
     # Wilson-Hilferty: (chi2/dof)**(1/3) is close to normal for large dof
@@ -568,21 +541,32 @@ def pooled_p_value(samples) -> float:
 
 def test_record_distribution_matches_frame_sampler(falcon):
     # every falcon27 circuit the pipeline builds, at each dd_scope, with
-    # crosstalk on: the exact record distribution against per-shot frame
-    # tracking, one pooled chi-square over the full 2**4-cell records that
-    # fails below p = 1e-3. run_shots' rows for the code_only circuits get a
-    # pooled chi-square of their own, which a record table out of step with
-    # pi fails.
+    # crosstalk on: the oracle's exact full-record distribution against
+    # per-shot frame tracking, one pooled chi-square over the 2**4-cell
+    # records that fails below p = 1e-3
     noise = compile_noise(falcon)
-    framed, sampled = [], []
-    for scope, circuit in pipeline_circuits(falcon):
+    framed = []
+    for _, circuit in pipeline_circuits(falcon):
         program = compile_program(circuit, noise)
-        (pi,) = record_distribution(program)
-        assert pi.shape == (2**circuit.n_slots,) and pi.min() >= 0.0
+        pi = reference_record_distribution(circuit, program)
+        assert pi.shape == (16,) and pi.min() >= 0.0
         assert abs(pi.sum() - 1.0) <= 1e-12
-        framed.append((frame_shots(program, 20_000, len(framed)), pi))
-        if scope == "code_only":
-            sampled.append((run_shots(pi, 20_000, len(sampled)), pi))
-    assert len(framed) == 3 * 84 and len(sampled) == 84
+        records = frame_shots(circuit, program, 20_000, len(framed))
+        framed.append((np.bincount(records.astype(np.intp) @ [8, 4, 2, 1], minlength=16), pi))
+    assert len(framed) == 3 * 84
     assert pooled_p_value(framed) > 1e-3
-    assert pooled_p_value(sampled) > 1e-3
+
+
+def test_pipeline_pair_counts_match_exact_cells(falcon):
+    # the draw path the pipeline runs, run_shots then detection_events, on
+    # every falcon27 circuit it builds at each dd_scope, with crosstalk on:
+    # one pooled chi-square of the pair counts against the exact cells that
+    # fails below p = 1e-3; a table out of step with the cells fails it
+    noise = compile_noise(falcon)
+    drawn = []
+    for _, circuit in pipeline_circuits(falcon):
+        (pi,) = pair_distribution(compile_program(circuit, noise))
+        assert abs(pi.sum() - 1.0) <= 1e-12 and pi.min() >= 0.0
+        drawn.append((detection_events(run_shots(pi, 20_000, len(drawn))), pi))
+    assert len(drawn) == 3 * 84
+    assert pooled_p_value(drawn) > 1e-3
