@@ -16,7 +16,9 @@ means v_i, v_j and covariance C, the shared-fault probability is
 
 which is algebraically exact for that model. Standard errors come from a
 nonparametric bootstrap over shots, implemented as multinomial resampling of
-the 2x2 joint counts.
+the 2x2 joint counts. The estimate is a number from counts alone; `RATES`
+names each reported rate once, with the encoding that measures it and the
+logical values whose estimates it averages.
 """
 
 from __future__ import annotations
@@ -26,11 +28,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit
 from .device import warn_caller
 
 MIN_RECOMMENDED_SHOTS = 1000
 BOOTSTRAP_RESAMPLES = 200
+
+# report key -> (encoding, logical values averaged). The bit-flip encoding
+# resolves the direction by logical value: logical 1 exposes 1->0 decay,
+# logical 0 exposes 0->1 excitation. The phase-flip encoding measures the
+# plus/minus flip rate at either logical value.
+RATES: dict[str, tuple[str, tuple[int, ...]]] = {
+    "p_0to1": ("bit_flip", (0,)),
+    "p_1to0": ("bit_flip", (1,)),
+    "p_01": ("bit_flip", (0, 1)),
+    "p_phase": ("phase_flip", (0, 1)),
+}
 
 
 class EstimationError(ValueError):
@@ -67,8 +79,7 @@ class RateEstimate:
     estimate: float
     stderr: float
     shots: int
-    rate_type: str = ""
-    anticorrelated: bool = False
+    anticorrelated: bool = field(default=False, kw_only=True)
 
 
 def estimate_from_moments(v_i: float, v_j: float, joint: float) -> float:
@@ -109,27 +120,10 @@ def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
     return np.where(denom <= 0.0, 0.5, values)
 
 
-def rate_type_of(circuit: Circuit) -> str:
-    """The rate a circuit measures: the bit-flip encoding resolves the
-    direction by logical value (logical 1 exposes 1->0 decay, logical 0
-    exposes 0->1 excitation); the phase-flip encoding measures the
-    plus/minus flip rate."""
-    if circuit.encoding == "phase_flip":
-        return "p_phase"
-    return "p_1to0" if circuit.logical_value == 1 else "p_0to1"
-
-
-def extract_idle_rates(
-    circuit: Circuit,
-    counts: np.ndarray,
-    *,
-    resamples: int = BOOTSTRAP_RESAMPLES,
-    seed=0,
-) -> RateEstimate:
+def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPLES, seed=0) -> RateEstimate:
     """Central-qubit idle error rate: the shared-fault probability of the
     round-2 detector pair's joint counts (n00, n01, n10, n11), as
-    `detection_events` returns them, with bootstrap SE, labelled by
-    `rate_type_of`."""
+    `detection_events` returns them, with bootstrap SE."""
     counts = np.asarray(counts)
     if counts.shape != (4,):
         raise ValueError(f"counts must be the four cells (n00, n01, n10, n11), got shape {counts.shape}")
@@ -153,13 +147,7 @@ def extract_idle_rates(
     rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
     resampled = rng.multinomial(n, counts / n, size=resamples)
     stderr = float(np.std(_bootstrap_values(resampled)))
-    return RateEstimate(
-        estimate=max(0.0, point),
-        stderr=stderr,
-        shots=n,
-        rate_type=rate_type_of(circuit),
-        anticorrelated=anticorrelated,
-    )
+    return RateEstimate(max(0.0, point), stderr, n, anticorrelated=anticorrelated)
 
 
 @dataclass(frozen=True)
@@ -211,7 +199,7 @@ def aggregate_device(results: list[QubitBenchmark], metadata: dict | None = None
     """Assemble per-qubit estimates into a device report with medians.
 
     Medians use the usual even-count rule (mean of the central pair) and are
-    recomputed per rate type over the qubits that measured it.
+    recomputed per rate key over the qubits that measured it.
     """
     if not results:
         raise ValueError("no benchmarked qubits to aggregate")

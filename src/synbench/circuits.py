@@ -87,14 +87,6 @@ class Circuit:
     logical_value: int
 
     @property
-    def code_qubits(self) -> tuple[int, ...]:
-        return self.line[0::2]
-
-    @property
-    def aux_qubits(self) -> tuple[int, ...]:
-        return self.line[1::2]
-
-    @property
     def duration(self) -> int:
         return max(ins.end for ins in self.instructions)
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import (
     BOOTSTRAP_RESAMPLES,
+    RATES,
     BenchmarkReport,
     EstimationError,
     QubitBenchmark,
@@ -30,7 +31,6 @@ from .analysis import (
     aggregate_device,
     detection_events,
     extract_idle_rates,
-    rate_type_of,
 )
 from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
 from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device, warn_caller
@@ -165,11 +165,13 @@ def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encod
     return int(round(delay))
 
 
-def _combine(estimates: list[RateEstimate], rate_type: str) -> RateEstimate:
+def _combine(estimates: list[RateEstimate]) -> RateEstimate:
+    if len(estimates) == 1:
+        return estimates[0]
     mean = sum(e.estimate for e in estimates) / len(estimates)
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates)) / len(estimates)
     shots = sum(e.shots for e in estimates)
-    return RateEstimate(mean, stderr, shots, rate_type, any(e.anticorrelated for e in estimates))
+    return RateEstimate(mean, stderr, shots, anticorrelated=any(e.anticorrelated for e in estimates))
 
 
 def benchmark_qubit(
@@ -178,16 +180,18 @@ def benchmark_qubit(
     cal: DeviceCalibration,
     noise,
     config: RunConfig,
+    extra_delays: dict[str, int],
 ) -> QubitBenchmark:
     """The per-qubit pipeline: build, compile, walk, sample, and extract
-    for every configured (encoding, logical value)."""
-    rates: dict[str, RateEstimate] = {}
-    guides: dict[str, float] = {}
+    for every configured (encoding, logical value), with each encoding's
+    extra delay from `extra_delays`; then report every `RATES` key whose
+    encoding and some logical value were configured."""
+    estimates: dict[tuple[str, int], RateEstimate] = {}
     exposures: dict[str, int] = {}
+    predicted = {}
     dd = config.dd_scope != "none"
     for enc_idx, encoding in enumerate(config.encodings):
-        extra = _extra_delay_ns(config, cal, qubit, encoding)
-        estimates = []
+        extra = extra_delays[encoding]
         circuits = [
             build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=config.dd_scope)
             for lv in config.logical_values
@@ -195,11 +199,10 @@ def benchmark_qubit(
         # a qubit's logical values compile to programs of one structure,
         # walked together
         pis = pair_distribution(*(compile_program(circuit, noise) for circuit in circuits))
-        for lv, circuit, pi in zip(config.logical_values, circuits, pis):
+        for lv, pi in zip(config.logical_values, pis):
             shots = run_shots(pi, config.shots, seed=(config.seed, qubit, enc_idx, lv))
             try:
                 est = extract_idle_rates(
-                    circuit,
                     detection_events(shots),
                     resamples=BOOTSTRAP_RESAMPLES,
                     seed=(config.seed, qubit, enc_idx, lv, 1),
@@ -208,20 +211,17 @@ def benchmark_qubit(
                 # degenerate statistics (e.g. single-shot runs) stay in the
                 # report at the model boundary rather than failing the device
                 warn_caller(f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5")
-                est = RateEstimate(0.5, 0.5, config.shots, rate_type_of(circuit))
-            estimates.append(est)
-        exposure = idle_exposure(circuits[-1], qubit)
-        exposures[encoding] = exposure
-        g = guide_values(cal, qubit, exposure, dd)
-        if encoding == "bit_flip":
-            for est in estimates:
-                rates[est.rate_type] = est
-                guides[est.rate_type] = g.p_1to0 if est.rate_type == "p_1to0" else g.p_0to1
-            rates["p_01"] = _combine(estimates, "p_01")
-            guides["p_01"] = g.p_flip
-        else:
-            rates["p_phase"] = _combine(estimates, "p_phase")
-            guides["p_phase"] = g.p_phase
+                est = RateEstimate(0.5, 0.5, config.shots)
+            estimates[encoding, lv] = est
+        exposures[encoding] = idle_exposure(circuits[-1], qubit)
+        predicted[encoding] = guide_values(cal, qubit, exposures[encoding], dd)
+    rates: dict[str, RateEstimate] = {}
+    guides: dict[str, float] = {}
+    for key, (encoding, lvs) in RATES.items():
+        measured = [estimates[encoding, lv] for lv in lvs if (encoding, lv) in estimates]
+        if measured:
+            rates[key] = _combine(measured)
+            guides[key] = getattr(predicted[encoding], key)
     # the direction ratio identifies the equilibrium population, but only
     # when no echo pulses symmetrize the two directions
     p0_estimate = None
@@ -241,11 +241,9 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     chosen = {q: line for q, line in plan.items() if line is not None}
     if not chosen:
         raise RuntimeError("no benchmarkable qubits on this device")
-    # checked before the qubit loop, which re-raises any error as a runtime
+    # computed before the qubit loop, which re-raises any error as a runtime
     # error (exit 2)
-    for q in chosen:
-        for encoding in config.encodings:
-            _extra_delay_ns(config, cal, q, encoding)
+    delays = {q: {enc: _extra_delay_ns(config, cal, q, enc) for enc in config.encodings} for q in chosen}
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,7 +253,7 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     results = []
     for q, line in sorted(chosen.items()):
         try:
-            results.append(benchmark_qubit(q, line, cal, noise, config))
+            results.append(benchmark_qubit(q, line, cal, noise, config, delays[q]))
         except Exception as exc:
             raise RuntimeError(f"qubit {q}: {exc}") from exc
 
@@ -285,17 +283,17 @@ def report_csv(report: BenchmarkReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RATE_CSV_HEADER)
     for result in report.results:
-        for rate_type in sorted(result.rates):
-            est = result.rates[rate_type]
-            encoding = "phase_flip" if rate_type == "p_phase" else "bit_flip"
+        for key in sorted(result.rates):
+            est = result.rates[key]
+            encoding, _ = RATES[key]
             writer.writerow(
                 (
                     result.qubit,
                     encoding,
-                    rate_type,
+                    key,
                     repr(est.estimate),
                     repr(est.stderr),
-                    repr(result.guides.get(rate_type, "")),
+                    repr(result.guides.get(key, "")),
                     result.exposure_ns.get(encoding, ""),
                 )
             )
@@ -328,8 +326,8 @@ def _cmd_run(args) -> int:
     report, paths = run_benchmark(config)
     for key in sorted(paths):
         print(f"{key}: {paths[key]}")
-    for rate_type in sorted(report.medians):
-        print(f"median {rate_type}: {100 * report.medians[rate_type]:.2f}%")
+    for key in sorted(report.medians):
+        print(f"median {key}: {100 * report.medians[key]:.2f}%")
     return 0
 
 

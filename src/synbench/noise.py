@@ -91,9 +91,6 @@ class NoiseOptions:
         return cls(**doc)
 
 
-ZERO_NOISE_OPTIONS = NoiseOptions(disable=frozenset(CHANNEL_NAMES))
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """One device's channels as tables, read per instruction by
@@ -141,15 +138,16 @@ class GuideValues:
     """Analytic expectations for idle errors over a delay of t.
 
     Without echoing, relaxation acts on a resting state: p_1to0 = p0 * (1 -
-    exp(-t/T1)) and p_0to1 its p0-complement, with p_flip their average (what
+    exp(-t/T1)) and p_0to1 its p0-complement, with p_01 their average (what
     a both-logical-values protocol measures). With echoing the state spends
     half the delay flipped, so both directions collapse onto the symmetrized
-    1 - exp(-(t/2)/T1). The phase guide uses T2 when echoed and T2* when not.
+    1 - exp(-(t/2)/T1). The phase guide uses T2 when echoed and T2* when
+    not. Each field is named as the report key it guides.
     """
 
     p_1to0: float
     p_0to1: float
-    p_flip: float
+    p_01: float
     p_phase: float
 
 
@@ -161,14 +159,14 @@ def guide_values(
         return GuideValues(0.0, 0.0, 0.0, 0.0)
     if dd:
         sym = ch.decay_fraction(t_delay_ns / 2.0)
-        p_1to0 = p_0to1 = p_flip = sym
+        p_1to0 = p_0to1 = p_01 = sym
     else:
         p_1to0 = ch.p_1to0(t_delay_ns)
         p_0to1 = ch.p_0to1(t_delay_ns)
-        p_flip = 0.5 * (p_1to0 + p_0to1)
+        p_01 = 0.5 * (p_1to0 + p_0to1)
     return GuideValues(
         p_1to0=p_1to0,
         p_0to1=p_0to1,
-        p_flip=p_flip,
+        p_01=p_01,
         p_phase=ch.p_phaseflip(t_delay_ns, echoed=dd),
     )

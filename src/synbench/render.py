@@ -1,18 +1,18 @@
-"""Deterministic SVG device maps.
+"""Deterministic SVG device maps of a report.
 
-Rates mode paints each benchmarked qubit with the bit-flip rate on the red
-channel and the phase-flip rate on the blue channel, normalized so the
-device maximum has full brightness, with both percentages printed beside the
-qubit (bit flip first). Calibration mode paints the same quantities predicted
-from each qubit's relaxation/dephasing times over its readout window, and
-colors cx links green with full brightness at a 2% error rate; anything
-noisier is drawn grey. Unbenchmarked qubits are hatched.
+Rates mode paints each benchmarked qubit with its bit-flip rate `p_01` on
+the red channel and its phase-flip rate `p_phase` on the blue channel,
+normalized so the device maximum has full brightness, with both percentages
+printed beside the qubit (bit flip first). Calibration mode paints the
+report's own guides for the same two keys, the relaxation/dephasing
+predictions over each encoding's exposure window, and colors cx links green
+with full brightness at a 2% error rate; anything noisier is drawn grey.
+Unbenchmarked qubits are hatched.
 """
 
 from __future__ import annotations
 
 from .device import DeviceCalibration
-from .noise import guide_values
 
 CX_FULL_GREEN_ERROR = 0.02
 _SCALE = 90.0
@@ -24,38 +24,36 @@ def _fmt(value: float) -> str:
     return f"{value:.1f}"
 
 
+def _is_probability(value) -> bool:
+    return type(value) in (int, float) and 0.0 <= value <= 1.0
+
+
 def _is_rate(rate) -> bool:
-    estimate = rate.get("estimate") if isinstance(rate, dict) else None
-    return type(estimate) in (int, float) and 0.0 <= estimate <= 1.0
+    return isinstance(rate, dict) and _is_probability(rate.get("estimate"))
 
 
 def _node_values(report: dict, cal: DeviceCalibration, mode: str) -> dict[int, tuple[float | None, float | None]]:
-    """(bit, phase) value of every qubit, None where the report has no
-    entry; each entry is checked for what the maps read."""
+    """(bit, phase) value of every qubit: its `p_01` and `p_phase` rate
+    estimates, or guides in calibration mode, None where the report has no
+    entry; each entry is checked for what the map reads."""
     qubits = report.get("qubits")
     if not isinstance(qubits, list) or not qubits:
         raise ValueError("report has no benchmarked qubits")
     values: dict[int, tuple[float | None, float | None]] = {q: (None, None) for q in range(cal.qubit_count)}
-    dd = report.get("metadata", {}).get("dd_scope", "code_only") != "none"
     for entry in qubits:
         q = entry.get("qubit") if isinstance(entry, dict) else None
         if type(q) is not int or not 0 <= q < cal.qubit_count:
             raise ValueError(f"qubit entry {entry!r} does not name a qubit of {cal.name}")
-        rates = entry.get("rates", {})
-        if not isinstance(rates, dict) or not all(map(_is_rate, rates.values())):
-            raise ValueError(f"qubit {q}: each rate must be an object with an estimate in [0, 1]")
         if mode == "rates":
-            bit = rates.get("p_01") or rates.get("p_1to0") or rates.get("p_0to1")
-            phase = rates.get("p_phase")
-            values[q] = (
-                bit["estimate"] if bit else None,
-                phase["estimate"] if phase else None,
-            )
+            rates = entry.get("rates", {})
+            if not isinstance(rates, dict) or not all(map(_is_rate, rates.values())):
+                raise ValueError(f"qubit {q}: each rate must be an object with an estimate in [0, 1]")
+            painted = {key: rate["estimate"] for key, rate in rates.items()}
         else:
-            qc = cal.qubits[q]
-            window = qc.readout_ns + qc.x_ns
-            g = guide_values(cal, q, window, dd=dd)
-            values[q] = (g.p_flip, g.p_phase)
+            painted = entry.get("guides", {})
+            if not isinstance(painted, dict) or not all(map(_is_probability, painted.values())):
+                raise ValueError(f"qubit {q}: each guide must be a number in [0, 1]")
+        values[q] = (painted.get("p_01"), painted.get("p_phase"))
     return values
 
 

@@ -9,8 +9,22 @@ import numpy as np
 
 from synbench.circuits import Circuit, Instruction
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge
+from synbench.noise import CHANNEL_NAMES, NoiseOptions
 from synbench.simulator import compile_program, pair_distribution, run_shots
 from oracles import grouped_records, reference_record_distribution
+
+# every channel off: a circuit's outcomes are then deterministic
+ZERO_NOISE_OPTIONS = NoiseOptions(disable=frozenset(CHANNEL_NAMES))
+
+
+def code_qubits(circuit: Circuit) -> tuple[int, ...]:
+    """The line's even positions: the outer code qubits and the centre."""
+    return circuit.line[0::2]
+
+
+def aux_qubits(circuit: Circuit) -> tuple[int, ...]:
+    """The line's odd positions: the two auxiliaries."""
+    return circuit.line[1::2]
 
 
 def make_line_cal(
@@ -137,7 +151,7 @@ def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
     only), then each code qubit measured. As in the builder, a gate layer
     ends with its slowest gate, and every qubit idles up to there with one
     delay."""
-    code = circuit.code_qubits
+    code = code_qubits(circuit)
     layers = [[("measure", q, cal.qubits[q].readout_ns) for q in code]]
     if circuit.encoding == "phase_flip":
         layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in code])

@@ -424,13 +424,13 @@ def stacked_detection_events(circuit, shots: np.ndarray) -> tuple[np.ndarray, tu
     own and the columns are stacked. Rounds 1 and 2 come from the
     auxiliaries; round 3, each auxiliary's last outcome against the parity
     of its code neighbours' readouts, only for a circuit that reads its
-    code qubits out."""
+    code qubits out. The auxiliaries sit at the line's odd positions."""
     shots = np.asarray(shots, dtype=np.uint8)
     slots = record_slots(circuit)
     column = {key: shots[:, slot] for key, slot in slots.items()}
     columns, detectors = [], []
-    for r in (1, 2, 3) if (circuit.code_qubits[0], 1) in slots else (1, 2):
-        for a in circuit.aux_qubits:
+    for r in (1, 2, 3) if (circuit.line[0], 1) in slots else (1, 2):
+        for a in circuit.line[1::2]:
             if r == 1:
                 col = column[(a, 1)]
             elif r == 2:
@@ -448,7 +448,7 @@ def pair_cells(circuit, records: np.ndarray) -> np.ndarray:
     folded to the 4 cells 2 d_left + d_right of its round-2 detector
     pair."""
     data, detectors = stacked_detection_events(circuit, record_table(records.size.bit_length() - 1))
-    i, j = (detectors.index((a, 2)) for a in circuit.aux_qubits)
+    i, j = (detectors.index((a, 2)) for a in circuit.line[1::2])
     return np.bincount(2 * data[:, i].astype(np.int64) + data[:, j], weights=records, minlength=4)
 
 
@@ -475,7 +475,7 @@ def insert_dynamical_decoupling(circuit, cal, scope: str):
     """
     if scope not in ("all_qubits", "code_only"):
         raise CircuitBuildError(f"unknown dd scope {scope!r}")
-    in_scope = set(circuit.line if scope == "all_qubits" else circuit.code_qubits)
+    in_scope = set(circuit.line if scope == "all_qubits" else circuit.line[0::2])
     x_durations = {q: max(1, round(cal.qubits[q].x_ns)) for q in circuit.line}
     out = []
     for ins in circuit.instructions:

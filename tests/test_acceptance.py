@@ -16,11 +16,12 @@ import pytest
 
 from synbench.analysis import detection_events, estimate_from_moments, extract_idle_rates
 from synbench.circuits import build_repetition_circuit
-from synbench.cli import RunConfig, benchmark_qubit, run_benchmark
+from synbench.cli import RunConfig, _extra_delay_ns, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge, enumerate_lines, load_calibration, plan_device, select_line
-from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise
+from synbench.noise import IdleChannel, NoiseOptions, compile_noise
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import (
+    ZERO_NOISE_OPTIONS,
     insert_fault,
     make_graph_cal,
     make_line_cal,
@@ -79,7 +80,6 @@ def test_criterion_1_guide_value_reproduction(cal5):
     # 1a: relaxation without echoes, logical 1 -> 1 - exp(-t/T1) ~ 11.8%
     circuit = build_repetition_circuit(LINE, cal5, "bit_flip", 1, extra_delay_ns=12_500)
     est = extract_idle_rates(
-        circuit,
         detection_events(sample_shots(circuit, noise_relax, MILLION, seed=101)),
         seed=201,
     )
@@ -94,7 +94,6 @@ def test_criterion_1_guide_value_reproduction(cal5):
         )
         per_lv.append(
             extract_idle_rates(
-                circuit,
                 detection_events(sample_shots(circuit, noise_relax, MILLION, seed=110 + lv)),
                 seed=210 + lv,
             )
@@ -111,7 +110,6 @@ def test_criterion_1_guide_value_reproduction(cal5):
         LINE, cal5, "phase_flip", 0, extra_delay_ns=10_000, dd_scope="code_only"
     )
     est = extract_idle_rates(
-        circuit,
         detection_events(sample_shots(circuit, noise_dephase, MILLION, seed=120)),
         seed=220,
     )
@@ -131,7 +129,7 @@ def test_criterion_1_guide_value_reproduction(cal5):
     _verdict("criterion 1 (guide values)", ok, "; ".join(details))
 
 
-def test_criterion_2_estimator_oracle(cal5):
+def test_criterion_2_estimator_oracle():
     grid = [round(0.01 * k, 2) for k in range(31)]
     worst = 0.0
     for p in grid:
@@ -141,7 +139,6 @@ def test_criterion_2_estimator_oracle(cal5):
                 worst = max(worst, abs(estimate_from_moments(v_i, v_j, joint) - p))
     exact_ok = worst <= 1e-12
 
-    circuit = build_repetition_circuit(LINE, cal5)
     failures = 0
     trials = 100
     for trial in range(trials):
@@ -150,7 +147,7 @@ def test_criterion_2_estimator_oracle(cal5):
         e = rng.random(MILLION) < p
         d_i = (e ^ (rng.random(MILLION) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(MILLION) < 0.03)).astype(np.uint8)
-        est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=(3030, trial))
+        est = extract_idle_rates(bincount_pair_counts(d_i, d_j), seed=(3030, trial))
         if abs(est.estimate - p) > 4.0 * est.stderr:
             failures += 1
     sampled_ok = failures <= trials - 95
@@ -213,10 +210,10 @@ def _phase_medians(falcon, crosstalk: bool, shots: int) -> dict[str, tuple[float
             ),
         )
         noise = compile_noise(falcon, config.noise)
-        estimates = [
-            benchmark_qubit(q, line, falcon, noise, config).rates["p_phase"]
-            for q, line in sorted(plan.items())
-        ]
+        estimates = []
+        for q, line in sorted(plan.items()):
+            delays = {"phase_flip": _extra_delay_ns(config, falcon, q, "phase_flip")}
+            estimates.append(benchmark_qubit(q, line, falcon, noise, config, delays).rates["p_phase"])
         values = [e.estimate for e in estimates]
         ses = [e.stderr for e in estimates]
         # normal-approximation SE of a sample median

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 
 import numpy as np
 import pytest
 
 from synbench.analysis import (
+    RATES,
     AntiCorrelationError,
     EstimationError,
     QubitBenchmark,
@@ -15,15 +17,11 @@ from synbench.analysis import (
     extract_idle_rates,
 )
 from synbench.circuits import build_repetition_circuit
-from helpers import make_line_cal, with_final_readout
+from synbench.cli import RunConfig, run_benchmark
+from helpers import aux_qubits, line_calibration_doc, make_line_cal, with_final_readout
 from oracles import bincount_pair_counts, record_slots, shared_fault_moments, stacked_detection_events
 
 LINE = (0, 1, 2, 3, 4)
-
-
-@pytest.fixture(scope="module")
-def circuit():
-    return build_repetition_circuit(LINE, make_line_cal(), "bit_flip", 0)
 
 
 def read_out(lv: int):
@@ -80,7 +78,7 @@ def test_final_round_parity_cancels_equal_bits():
     circuit = read_out(1)
     slots = record_slots(circuit)
     shots = np.ones((1, len(slots)), dtype=np.uint8)
-    shots[0, [slots[a, r] for a in circuit.aux_qubits for r in (1, 2)]] = 0
+    shots[0, [slots[a, r] for a in aux_qubits(circuit) for r in (1, 2)]] = 0
     assert not stacked_detection_events(circuit, shots)[0].any()
 
 
@@ -170,9 +168,9 @@ def test_pair_counts_match_bincount_oracle_in_any_layout(layout):
     ],
     ids=["zero-total", "negative-cell", "three-cells", "float"],
 )
-def test_extract_refuses_malformed_counts(circuit, counts, problem):
+def test_extract_refuses_malformed_counts(counts, problem):
     with pytest.raises(ValueError, match=problem):
-        extract_idle_rates(circuit, counts)
+        extract_idle_rates(counts)
 
 
 def test_estimator_recovers_p_from_exact_moments():
@@ -207,58 +205,58 @@ def test_estimator_flags_excess_anticorrelation():
         estimate_from_moments(0.4, 0.4, 0.0)
 
 
-def test_extract_idle_rates_on_synthetic_columns(circuit):
+def test_extract_idle_rates_on_synthetic_columns():
     rng = np.random.default_rng(12)
     n = 200_000
     p, q_i, q_j = 0.05, 0.02, 0.03
     e = rng.random(n) < p
     d_i = e ^ (rng.random(n) < q_i)
     d_j = e ^ (rng.random(n) < q_j)
-    est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=5)
+    est = extract_idle_rates(bincount_pair_counts(d_i, d_j), seed=5)
     assert est.stderr > 0
     assert est.estimate == pytest.approx(p, abs=4 * est.stderr)
     assert est.shots == n and type(est.shots) is int
 
 
-def test_extract_idle_rates_zero_data_is_zero(circuit):
-    est = extract_idle_rates(circuit, np.array([2_000, 0, 0, 0]), seed=5)
+def test_extract_idle_rates_zero_data_is_zero():
+    est = extract_idle_rates(np.array([2_000, 0, 0, 0]), seed=5)
     assert est.estimate == 0.0
     assert not est.anticorrelated
 
 
-def test_extract_idle_rates_anticorrelated_columns_flagged(circuit):
+def test_extract_idle_rates_anticorrelated_columns_flagged():
     # detectors fire on disjoint shot sets: covariance below the model bound
     n = 4_000
     d_i = np.zeros(n, dtype=np.uint8)
     d_j = np.zeros(n, dtype=np.uint8)
     d_i[: int(0.3 * n)] = 1
     d_j[int(0.3 * n) : int(0.6 * n)] = 1
-    est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=5)
+    est = extract_idle_rates(bincount_pair_counts(d_i, d_j), seed=5)
     assert est.estimate == 0.0
     assert est.anticorrelated
 
 
-def test_extract_idle_rates_rejects_half_rate_detectors(circuit):
+def test_extract_idle_rates_rejects_half_rate_detectors():
     n = 4_000
     d_i = np.tile([0, 1], n // 2).astype(np.uint8)
     with pytest.raises(EstimationError):
-        extract_idle_rates(circuit, bincount_pair_counts(d_i, 1 - d_i), seed=5)
+        extract_idle_rates(bincount_pair_counts(d_i, 1 - d_i), seed=5)
 
 
-def test_extract_idle_rates_warns_below_recommended_shots(circuit):
+def test_extract_idle_rates_warns_below_recommended_shots():
     # the warning names the code that asked for the estimate
     with pytest.warns(UserWarning, match="only 12 shots") as record:
-        extract_idle_rates(circuit, np.array([12, 0, 0, 0]), seed=5)
+        extract_idle_rates(np.array([12, 0, 0, 0]), seed=5)
     assert [w.filename for w in record] == [__file__]
 
 
-def test_extract_idle_rates_bootstrap_is_seeded(circuit):
+def test_extract_idle_rates_bootstrap_is_seeded():
     rng = np.random.default_rng(3)
     col = (rng.random(20_000) < 0.04).astype(np.uint8)
     counts = bincount_pair_counts(col, col)
-    a = extract_idle_rates(circuit, counts, seed=7)
-    b = extract_idle_rates(circuit, counts, seed=7)
-    c = extract_idle_rates(circuit, counts, seed=8)
+    a = extract_idle_rates(counts, seed=7)
+    b = extract_idle_rates(counts, seed=7)
+    c = extract_idle_rates(counts, seed=8)
     assert a == b
     assert a.stderr != c.stderr
 
@@ -272,11 +270,11 @@ def test_extract_idle_rates_bootstrap_is_seeded(circuit):
     ],
     ids=["counts0-exact", "counts1-exact", "counts2-exact"],  # the exact inversion
 )
-def test_extract_idle_rates_bootstrap_matches_scalar_loop(circuit, counts):
+def test_extract_idle_rates_bootstrap_matches_scalar_loop(counts):
     # the vectorized bootstrap reproduces the per-resample scalar estimator
     # bit for bit, failure mapping included
     n = sum(counts)
-    est = extract_idle_rates(circuit, np.array(counts), seed=9)
+    est = extract_idle_rates(np.array(counts), seed=9)
     rng = np.random.default_rng(9)
     values = []
     for c in rng.multinomial(n, np.array(counts) / n, size=200):
@@ -292,7 +290,7 @@ def test_extract_idle_rates_bootstrap_matches_scalar_loop(circuit, counts):
     assert est.stderr == float(np.std(values))
 
 
-def test_estimator_consistency_on_sampled_fault_model(circuit):
+def test_estimator_consistency_on_sampled_fault_model():
     failures = 0
     trials = 20
     n = 100_000
@@ -301,27 +299,34 @@ def test_estimator_consistency_on_sampled_fault_model(circuit):
         e = rng.random(n) < 0.05
         d_i = (e ^ (rng.random(n) < 0.02)).astype(np.uint8)
         d_j = (e ^ (rng.random(n) < 0.03)).astype(np.uint8)
-        est = extract_idle_rates(circuit, bincount_pair_counts(d_i, d_j), seed=trial)
+        est = extract_idle_rates(bincount_pair_counts(d_i, d_j), seed=trial)
         if abs(est.estimate - 0.05) > 4 * est.stderr:
             failures += 1
     assert failures <= 1
 
 
-def test_extract_labels_by_encoding_and_logical_value():
-    cal = make_line_cal()
-    for encoding, lv, label in [
-        ("bit_flip", 0, "p_0to1"),
-        ("bit_flip", 1, "p_1to0"),
-        ("phase_flip", 0, "p_phase"),
-        ("phase_flip", 1, "p_phase"),
+def test_extract_labels_by_encoding_and_logical_value(tmp_path):
+    # a run reports each RATES key whose encoding and some logical value it
+    # measured; a key over one logical value is that estimate, bit for bit
+    cal_path = tmp_path / "line.json"
+    cal_path.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
+    for encoding, lv, keys in [
+        ("bit_flip", 1, {"p_1to0", "p_01"}),
+        ("bit_flip", 0, {"p_0to1", "p_01"}),
+        ("phase_flip", 0, {"p_phase"}),
+        ("phase_flip", 1, {"p_phase"}),
     ]:
-        c = build_repetition_circuit(LINE, cal, encoding, lv)
-        est = extract_idle_rates(c, detection_events(np.zeros((2_000, 2), dtype=np.uint8)))
-        assert est.rate_type == label
+        config = RunConfig(
+            str(cal_path), shots=2_000, encodings=(encoding,), logical_values=(lv,), output_dir=str(tmp_path / "out")
+        )
+        (result,) = run_benchmark(config)[0].results
+        assert set(result.rates) == set(result.guides) == keys
+        assert len({result.rates[key] for key in keys}) == 1
+        assert all(RATES[key][0] == encoding for key in keys)
 
 
 def _qb(q, value, rate="p_phase"):
-    est = RateEstimate(value, 0.001, 1000, rate_type=rate)
+    est = RateEstimate(value, 0.001, 1000)
     return QubitBenchmark(qubit=q, line=(0, 1, q, 3, 4), rates={rate: est}, guides={}, exposure_ns={})
 
 

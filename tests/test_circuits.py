@@ -7,7 +7,7 @@ import pytest
 
 from synbench.circuits import ENCODINGS, CircuitBuildError, build_repetition_circuit, idle_exposure
 from synbench.device import canonical_edge, plan_device
-from helpers import make_line_cal
+from helpers import aux_qubits, code_qubits, make_line_cal
 from oracles import insert_dynamical_decoupling, window_segments
 
 LINE = (0, 1, 2, 3, 4)
@@ -210,9 +210,9 @@ def test_structure_matches_minimal_experiment(cal):
     # both auxiliaries read out together, once per round
     measures = [i for i in circuit.instructions if i.kind == "measure"]
     assert [i.qubits for i in measures] == [(1,), (3,)] * 2 and measures[0].start == measures[1].start
-    for a in circuit.aux_qubits:
+    for a in aux_qubits(circuit):
         assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == 2
-    for c in circuit.code_qubits:
+    for c in code_qubits(circuit):
         assert sum(1 for i in circuit.per_qubit[c] if i.kind == "measure") == 0
 
 
@@ -220,13 +220,13 @@ def test_logical_one_adds_x_on_code_qubits(cal):
     zero, one = build(cal), build(cal, logical_value=1)
     shape = gate_shape(one)
     assert shape[:5] == gate_shape(zero)[:5]  # preparations
-    assert shape[5:8] == [("x", (q,)) for q in zero.code_qubits]
+    assert shape[5:8] == [("x", (q,)) for q in code_qubits(zero)]
     assert shape[8:] == gate_shape(zero)[5:]
 
 
 def test_phase_flip_adds_one_hadamard_layer(cal):
     bit, phase = build(cal), build(cal, encoding="phase_flip")
-    hs = [("h", (q,)) for q in bit.code_qubits]
+    hs = [("h", (q,)) for q in code_qubits(bit)]
     bit_gates = gate_shape(bit)
     # h right after the five preparations; nothing else changes
     assert gate_shape(phase) == bit_gates[:5] + hs + bit_gates[5:]
@@ -282,7 +282,7 @@ def test_dd_split_arithmetic(cal):
 
 def test_dd_code_only_leaves_aux_delays_unechoed(cal):
     circuit = build(cal, extra_delay_ns=1_000, dd_scope="code_only")
-    for a in circuit.aux_qubits:
+    for a in aux_qubits(circuit):
         assert all(not i.echoed for i in circuit.per_qubit[a] if i.kind == "delay")
         assert all(i.kind != "x" for i in circuit.per_qubit[a])
     assert any(i.echoed for i in circuit.per_qubit[2] if i.kind == "delay")
@@ -290,7 +290,7 @@ def test_dd_code_only_leaves_aux_delays_unechoed(cal):
 
 def test_dd_all_qubits_echoes_aux_delays(cal):
     circuit = build(cal, extra_delay_ns=1_000, dd_scope="all_qubits")
-    for a in circuit.aux_qubits:
+    for a in aux_qubits(circuit):
         assert any(i.echoed for i in circuit.per_qubit[a] if i.kind == "delay")
 
 

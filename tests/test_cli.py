@@ -641,6 +641,32 @@ def test_rendered_figure_values_match_report(tmp_path, cal_path):
     assert sorted(p[0] for p in printed) == bit_values
 
 
+def test_calibration_map_shows_the_report_guides(tmp_path, cal_path):
+    # the map prints the report's own guides, over each encoding's exposure
+    # window, and computes none of its own
+    config = write_config(tmp_path, cal_path, encodings=["bit_flip", "phase_flip"], logical_values=[0, 1])
+    assert main(["run", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    svg = (tmp_path / "out" / "calibration.svg").read_text()
+    guides = [entry["guides"] for entry in report["qubits"]]
+    assert re.findall(r">([\d.]+)/([\d.]+)<", svg) == [
+        (f"{100 * g['p_01']:.1f}", f"{100 * g['p_phase']:.1f}") for g in guides
+    ]
+
+
+def test_render_calibration_with_non_numeric_guide_is_config_error(tmp_path, cal_path, capsys):
+    # each mode checks what it paints: the rates map draws this report, the
+    # calibration map refuses its string guide
+    report = tmp_path / "report.json"
+    entry = {"qubit": 2, "rates": {"p_01": {"estimate": 0.05}}, "guides": {"p_01": "0.05"}}
+    report.write_text(json.dumps({"metadata": {"calibration": str(cal_path)}, "qubits": [entry]}), encoding="utf-8")
+    assert main(["render", "--report", str(report), "--mode", "rates", "--out", str(tmp_path / "r.svg")]) == 0
+    capsys.readouterr()
+    assert main(["render", "--report", str(report), "--mode", "calibration", "--out", str(tmp_path / "c.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: report " + str(report) + ": qubit 2: each guide must be a number in [0, 1]\n", err
+
+
 def test_csv_rows_cover_all_rates(tmp_path, cal_path):
     config = RunConfig.from_file(write_config(tmp_path, cal_path, encodings=["bit_flip", "phase_flip"], logical_values=[0, 1], shots=1200))
     report, paths = run_benchmark(config)

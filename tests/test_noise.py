@@ -6,8 +6,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synbench.noise import ZERO_NOISE_OPTIONS, IdleChannel, NoiseOptions, compile_noise, guide_values
-from helpers import make_line_cal
+from synbench.noise import IdleChannel, NoiseOptions, compile_noise, guide_values
+from helpers import ZERO_NOISE_OPTIONS, make_line_cal
 from oracles import composed_relaxation_flip
 
 # exact zero plus meaningful magnitudes; subnormal times would only probe
@@ -69,7 +69,7 @@ def test_guide_values_match_long_delay_expectations():
     plain = guide_values(cal, 2, 12_500.0, dd=False)
     assert plain.p_1to0 == pytest.approx(0.1175, abs=5e-5)  # ~11.8%
     echoed = guide_values(cal, 2, 12_500.0, dd=True)
-    assert echoed.p_flip == pytest.approx(0.0606, abs=5e-5)  # ~6.1%
+    assert echoed.p_01 == pytest.approx(0.0606, abs=5e-5)  # ~6.1%
     # T2 = 80 us at t = T2/8
     phase = guide_values(cal, 2, 10_000.0, dd=True)
     assert phase.p_phase == pytest.approx(0.0588, abs=5e-5)  # ~5.9%
@@ -86,7 +86,7 @@ def test_guide_direction_split_follows_equilibrium():
     cal = make_line_cal(p0=0.9)
     g = guide_values(cal, 2, 12_500.0, dd=False)
     assert g.p_0to1 / g.p_1to0 == pytest.approx(0.1 / 0.9, rel=1e-9)
-    assert g.p_flip == pytest.approx((g.p_0to1 + g.p_1to0) / 2.0, rel=1e-12)
+    assert g.p_01 == pytest.approx((g.p_0to1 + g.p_1to0) / 2.0, rel=1e-12)
 
 
 def test_zero_noise_model_is_all_zero():

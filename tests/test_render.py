@@ -12,9 +12,9 @@ from helpers import make_graph_cal
 def _report(values: dict[int, tuple[float, float | None]]):
     results = []
     for q, (bit, phase) in values.items():
-        rates = {"p_01": RateEstimate(bit, 0.001, 1000, "p_01")}
+        rates = {"p_01": RateEstimate(bit, 0.001, 1000)}
         if phase is not None:
-            rates["p_phase"] = RateEstimate(phase, 0.001, 1000, "p_phase")
+            rates["p_phase"] = RateEstimate(phase, 0.001, 1000)
         results.append(
             QubitBenchmark(qubit=q, line=(0, 1, 2, 3, 4), rates=rates, guides={}, exposure_ns={})
         )

@@ -10,9 +10,18 @@ import pytest
 from synbench.analysis import detection_events, extract_idle_rates
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
 from synbench.device import plan_device
-from synbench.noise import ZERO_NOISE_OPTIONS, NoiseOptions, compile_noise
+from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, _structure, compile_program, pair_distribution, run_shots
-from helpers import insert_fault, make_line_cal, sample_records, sample_shots, with_final_readout
+from helpers import (
+    ZERO_NOISE_OPTIONS,
+    aux_qubits,
+    code_qubits,
+    insert_fault,
+    make_line_cal,
+    sample_records,
+    sample_shots,
+    with_final_readout,
+)
 from oracles import (
     bincount_pair_counts,
     flip_pattern_counts,
@@ -88,8 +97,8 @@ def test_noise_free_parity_preservation(cal, encoding, lv, scope):
     )
     shots = sample_records(circuit, zero_noise(cal), 500, seed=11)
     slots = record_slots(circuit)
-    assert not shots[:, [slots[a, r] for a in circuit.aux_qubits for r in (1, 2)]].any()
-    for q in circuit.code_qubits:
+    assert not shots[:, [slots[a, r] for a in aux_qubits(circuit) for r in (1, 2)]].any()
+    for q in code_qubits(circuit):
         assert (shots[:, slots[q, 1]] == lv).all()
 
 
@@ -305,7 +314,7 @@ def test_crosstalk_rate_matches_event_parity_closed_form():
     )
     n = 300_000
     shots = sample_shots(circuit, noise, n, seed=31)
-    estimate = extract_idle_rates(circuit, detection_events(shots), seed=8)
+    estimate = extract_idle_rates(detection_events(shots), seed=8)
     # aux echo pattern per extra-delay window: quarter in 0, x, middle in 1,
     # x, quarter in (1 if decayed)
     t1 = 100_000.0
@@ -329,7 +338,7 @@ def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
     circuit = build(cal, logical_value=lv, extra_delay_ns=12_500, dd_scope=scope)
     ops = compile_program(circuit, compile_noise(cal)).ops
     # round 1 measures each auxiliary once, before any other measure
-    last_measure = [k for k, op in enumerate(ops) if op[0] == "measure"][len(circuit.aux_qubits) - 1]
+    last_measure = [k for k, op in enumerate(ops) if op[0] == "measure"][len(aux_qubits(circuit)) - 1]
     next_cx = next(op for op in ops[last_measure:] if op[0] == "cx" and 2 in op[1:3])
     up, down = next_cx[4] if next_cx[1] == 2 else next_cx[5]
     expected = window_flip_probability(circuit, cal, 2, start_bit=lv)
@@ -353,7 +362,7 @@ def test_preparation_error_flips_initial_states(cal):
     circuit = with_final_readout(build(cal), cal)
     noise = compile_noise(cal, NoiseOptions(prep_error=1.0, disable=frozenset({"cx", "readout", "relaxation", "dephasing", "crosstalk"})))
     shots = sample_records(circuit, noise, 50, seed=2)
-    for q in circuit.code_qubits:
+    for q in code_qubits(circuit):
         assert (shots[:, record_slots(circuit)[q, 1]] == 1).all()
 
 
@@ -439,7 +448,7 @@ def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
     for _, circuit in pipeline_circuits(falcon):
         measures = [ins for ins in circuit.instructions if ins.kind == "measure"]
         last = {ins.qubits[0] for ins in measures if ins.start == measures[-1].start}
-        assert len(measures) == 4 and last == set(circuit.aux_qubits)
+        assert len(measures) == 4 and last == set(aux_qubits(circuit))
         read = with_final_readout(circuit, falcon)
         pi, full = pair_distribution(compile_program(circuit, noise), compile_program(read, noise))
         assert pi.shape == (4,) and full.shape == (32,)
