@@ -144,7 +144,7 @@ def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPL
     except AntiCorrelationError:
         point = 0.0
         anticorrelated = True
-    rng = np.random.default_rng(seed if isinstance(seed, int) else list(seed))
+    rng = np.random.default_rng(seed)
     resampled = rng.multinomial(n, counts / n, size=resamples)
     stderr = float(np.std(_bootstrap_values(resampled)))
     return RateEstimate(max(0.0, point), stderr, n, anticorrelated=anticorrelated)

@@ -15,24 +15,25 @@ bases 3 of them flip neither bit and 4 each flip the control, the target or
 both, so the error flips (control, target) by (0, 1), (1, 0) or (1, 1) with
 probability 4 eps / 15 each.
 
-Every single-qubit stochastic map (x flip, dephasing, relaxation) is a 2x2
-channel (P(0->1), P(1->0)). `compile_program` sorts the instructions once,
-stably by start, and sweeps them once, reading each line qubit's idle
-channel once per circuit and recording each qubit's X-basis delay segments.
-After the sweep, each relaxation token is matched against the segment lists
-of its two line neighbours only, and each resulting `xtalk` op is inserted
-at its time by bisecting the ops' times. One peephole pass then composes
-each qubit's channels between two ops that read or couple it into one exact
-Markov composition and folds it into the op that reads it next, so the
-program has no channel ops: each `cx`, `measure`, `xtalk` and `relax` op
-carries its qubits' pending channel, as (up, down) pairs, and a `prep` or
-the end of the program discards it. A noise-free `prep` before any other op
-on its qubit is dropped, since every qubit starts at 0. A relaxation some
-`xtalk` reads stays a `relax` op, so the first-overlap crosstalk rule sees
-its events; these live tokens are numbered 0, 1, ... in creation order. The
-op formats:
+Every single-qubit map, preparation and reset included, is a 2x2 channel
+(P(0->1), P(1->0)): x flips are (1, 1), dephasing (p, p), relaxation its
+two directions, and a preparation with flip p is (p, 1 - p), which sets the
+bit whatever it was (a reset has p = 0). `compile_program` sorts the
+instructions once, stably by start, and sweeps them once, reading each line
+qubit's idle channel once per circuit and recording each qubit's X-basis
+delay segments. After the sweep, each relaxation token is matched against
+the segment lists of its two line neighbours only, and each resulting
+`xtalk` op is inserted at its time by bisecting the ops' times. One peephole
+pass then composes each qubit's channels between two ops that read or
+couple it into one exact Markov composition and folds it into the op that
+reads it next, so the program has no channel ops: each `cx`, `measure`,
+`xtalk` and `relax` op carries its qubits' pending channel, as (up, down)
+pairs, and the end of the program discards it. A preparation in that
+composition forgets what came before it, since any channel followed by it
+equals it. A relaxation some `xtalk` reads stays a `relax` op, so the
+first-overlap crosstalk rule sees its events; these live tokens are
+numbered 0, 1, ... in creation order. The op formats:
 
-    ("prep", i, p)
     ("cx", control, target, eps, control channel, target channel)
     ("measure", i, readout flip, channel)
     ("relax", i, token, P(0->1), P(1->0), channel)
@@ -48,16 +49,13 @@ leading batch axis. The qubit axes come first, in line order; then one axis
 per live crosstalk token, added at its relax and summed out by the last
 xtalk that reads it; then one parity axis per measured qubit, in line
 order, added at its first measure, into which each later measure XORs its
-read-out bit. Each op is one or two numpy calls: a prep (which
-marginalizes its qubit and sets it again) is one matmul of a 2x2 stochastic
-matrix on the (batch, 2**i, 2, -1) view; a cx one matmul of a 4x4 matrix on
-the (batch, 2**lo, 4, -1) view of its two neighbouring qubits; a measure or
-a relax one matmul to (bit, new bit) and one transposed copy, or a sum for
-a later measure; an xtalk one matmul for its channel and one per token it
-reads. An op whose members have equal parameters applies one matrix to the
-whole batch; otherwise each member's matrix is stacked along the batch
-axis. A benchmark circuit measures each auxiliary once per round, so its
-parity axes are the round-2 detectors, and the result is the 4 cells of
+read-out bit. Each op is one or two numpy calls on the members' stacked
+matrices: a cx one matmul of 4x4 matrices on the (batch, 2**lo, 4, -1) view
+of its two neighbouring qubits; a measure or a relax one matmul to (bit,
+new bit) on the (batch, 2**i, 2, -1) view and one transposed copy, or a sum
+for a later measure; an xtalk one matmul for its channel and one per token
+it reads. A benchmark circuit measures each auxiliary once per round, so
+its parity axes are the round-2 detectors, and the result is the 4 cells of
 (d_left, d_right), cell 2 d_left + d_right.
 
 `run_shots` draws its shots' cell counts with one multinomial and expands a
@@ -90,7 +88,7 @@ _PAIR_TABLE = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
 
 # how many leading fields of each op say what it acts on; the rest are its
 # probabilities, which may differ between programs of one structure
-_STRUCTURE_FIELDS = {"prep": 2, "cx": 3, "measure": 2, "relax": 3, "xtalk": 3}
+_STRUCTURE_FIELDS = {"cx": 3, "measure": 2, "relax": 3, "xtalk": 3}
 
 
 class BasisContractError(ValueError):
@@ -165,12 +163,11 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             if basis[i] != "Z":
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
             ops.append(("measure", i, noise.readout[q]))
-        elif kind == "prepare_z0":
+        elif kind in ("prepare_z0", "reset"):
+            # whatever the old bit, the new bit is 1 with probability p
+            p = prep if kind == "prepare_z0" else 0.0
             basis[i] = "Z"
-            ops.append(("prep", i, prep))
-        elif kind == "reset":
-            basis[i] = "Z"
-            ops.append(("prep", i, 0.0))
+            ops.append(("channel", i, p, 1.0 - p))
         elif kind == "h":
             basis[i] = "X" if basis[i] == "Z" else "Z"
             continue
@@ -204,14 +201,14 @@ def _fold_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
     channel, the exact Markov composition of the ops it replaces.
 
     The pending channel of a qubit is folded into the next op that reads or
-    couples it (cx, measure, xtalk, or a live-token relax); a prep or the
-    end of the program discards it. A noise-free prep before any other op
-    on its qubit is dropped: the walk starts every qubit at 0. Live tokens
-    are renumbered 0, 1, ... in creation order.
+    couples it (cx, measure, xtalk, or a live-token relax); the end of the
+    program discards it, so a reset no later op reads leaves nothing. A
+    preparation's channel joins the run like any other; any channel
+    followed by it equals it, so the run forgets what came before it. Live
+    tokens are renumbered 0, 1, ... in creation order.
     """
     renumber = {token: k for k, token in enumerate(sorted(live))}
     pending: dict[int, tuple[float, float]] = {}
-    touched: set[int] = set()  # qubits some kept op acts on
     out: list[tuple] = []
     for op in ops:
         tag, i = op[0], op[1]
@@ -223,14 +220,8 @@ def _fold_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
                 (1.0 - down) * s_down + down * (1.0 - s_up),
             )
             continue
-        if tag == "prep":
-            pending.pop(i, None)
-            if not op[2] and i not in touched:
-                continue
-            out.append(op)
-        elif tag == "cx":
+        if tag == "cx":
             out.append(op + (pending.pop(i, _NO_FLIP), pending.pop(op[2], _NO_FLIP)))
-            touched.add(op[2])
         elif tag == "measure":
             out.append(op + (pending.pop(i, _NO_FLIP),))
         elif tag == "relax":
@@ -238,7 +229,6 @@ def _fold_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
         else:  # xtalk
             entries = tuple((renumber[token], eta) for token, eta in op[2])
             out.append(("xtalk", i, entries, pending.pop(i, _NO_FLIP)))
-        touched.add(i)
     return tuple(out)
 
 
@@ -247,12 +237,6 @@ def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     from bit 0 to 1 with probability `up` and from 1 to 0 with probability
     `down`."""
     return np.array([1.0 - up, down, up, 1.0 - down]).T.reshape(-1, 2, 2)
-
-
-def _prep_matrices(ops: list[tuple]) -> np.ndarray:
-    # whatever the old bit, the new bit is 1 with probability p
-    p = np.array([op[2] for op in ops])
-    return _channels(p, 1.0 - p)
 
 
 def _cx_matrices(ops: list[tuple]) -> np.ndarray:
@@ -296,7 +280,6 @@ def _xtalk_matrices(ops: list[tuple]) -> np.ndarray:
 
 
 _BUILDERS = {
-    "prep": _prep_matrices,
     "cx": _cx_matrices,
     "measure": _measure_matrices,
     "relax": _relax_matrices,
@@ -305,24 +288,18 @@ _BUILDERS = {
 
 
 def _matrices(columns: list[tuple[tuple, ...]], b: int) -> list[np.ndarray]:
-    """The matrix of each op of b programs of one structure, given the
-    members' versions of each op: one (r, c) matrix where they are all the
-    same, the members' (b, 1, r, c) stack otherwise. A measure's and a
-    relax's matrix has rows (bit, new axis bit). Each tag's matrices are
-    built in one vectorized pass."""
-    shared = [column.count(column[0]) == b for column in columns]
+    """The members' (b, 1, r, c) stack of matrices of each op of b programs
+    of one structure, given the members' versions of each op. A measure's
+    and a relax's matrix has rows (bit, new axis bit). Each tag's matrices
+    are built in one vectorized pass."""
     by_tag: dict[str, list[tuple]] = {}
-    for column, one in zip(columns, shared):
-        by_tag.setdefault(column[0][0], []).extend(column[:1] if one else column)
-    built = {tag: _BUILDERS[tag](ops) for tag, ops in by_tag.items()}
-    used = dict.fromkeys(built, 0)
-    out = []
-    for column, one in zip(columns, shared):
-        tag = column[0][0]
-        j = used[tag]
-        used[tag] = j + (1 if one else b)
-        out.append(built[tag][j] if one else built[tag][j : j + b, None])
-    return out
+    for column in columns:
+        by_tag.setdefault(column[0][0], []).extend(column)
+    built = {}
+    for tag, ops in by_tag.items():
+        m = _BUILDERS[tag](ops)
+        built[tag] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
+    return [next(built[column[0][0]]) for column in columns]
 
 
 def _structure(program: FrameProgram) -> tuple:
@@ -357,8 +334,7 @@ def _walk(programs: list[FrameProgram]) -> np.ndarray:
     parities in line order. Qubit i's bit is then the third axis of the
     vector's (batch, 2**i, 2, -1) view and the bits of neighbours lo and
     lo + 1 the third axis of its (batch, 2**lo, 4, -1) view, so each op is
-    one matmul over such a view, of one matrix when every member's op is
-    the same and of the members' stacked matrices otherwise.
+    one matmul of the members' stacked matrices over such a view.
     """
     first = programs[0]
     nq, b = first.n_qubits, len(programs)
@@ -391,9 +367,8 @@ def _walk(programs: list[FrameProgram]) -> np.ndarray:
                 j += len(tokens)
             # the new axis moves from next to its qubit's bit to axis nq + j
             state = moved.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1 + j), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
-        else:
+        else:  # xtalk
             state = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
-        if tag == "xtalk":
             for token, eta in op[2]:
                 # the bit flips with probability eta where the token fired
                 j = tokens.index(token)

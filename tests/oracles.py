@@ -14,7 +14,9 @@ force-directed layout with its spring forces added edge by edge, echo
 pairs inserted by a second pass over a built circuit, and a circuit's
 lowering to ops by sorting tagged events, matching crosstalk by rescanning
 every segment and sorting the ops again before the pass that folds each
-qubit's idle channels into the op that reads it next.
+qubit's idle channels into the op that reads it next, with each preparation
+and reset either a channel, as the library lowers it, or an explicit op
+that marginalizes its qubit and sets it again.
 """
 
 from __future__ import annotations
@@ -233,7 +235,8 @@ def _flip_channel(v: np.ndarray, up: float, down: float) -> np.ndarray:
 def folded_channels(op: tuple) -> list[tuple[int, tuple[float, float]]]:
     """(qubit index, (up, down)) of each idle channel a compiled op carries,
     in the order they act, before the op itself: a cx's control's and
-    target's, none for a prep, and the op's last field otherwise."""
+    target's, none for an explicit prep, and the op's last field
+    otherwise."""
     if op[0] == "cx":
         return [(op[1], op[4]), (op[2], op[5])]
     return [] if op[0] == "prep" else [(op[1], op[-1])]
@@ -376,12 +379,6 @@ def _run_chunk(program, op_slots: list[int], n: int, rng: np.random.Generator) -
                 out[slot] = bits[i] ^ (rng.random(n) < p)
             else:
                 out[slot] = bits[i]
-        elif tag == "prep":
-            _, i, p = op
-            if p > 0.0:
-                bits[i] = rng.random(n) < p
-            else:
-                bits[i] = False
         elif tag == "xtalk":
             _, i, entries, _ = op
             for token, eta in entries:
@@ -516,11 +513,14 @@ class _Segment:
     seg_id: int  # unique, in emission order
 
 
-def reference_compile_program(circuit, noise) -> FrameProgram:
+def reference_compile_program(circuit, noise, explicit_preps: bool = False) -> FrameProgram:
     """A circuit lowered to a FrameProgram in three passes: every
     instruction tagged (time, phase, order) and sorted, crosstalk
     matched by scanning every segment for each source, and the ops sorted
-    again before the idle-channel folding pass."""
+    again before the idle-channel folding pass. A preparation with flip p
+    (0 for a reset) lowers to the channel (p, 1 - p), or with
+    `explicit_preps` to a ("prep", i, p) op that discards its qubit's
+    pending channel, marginalizes the qubit and sets it again."""
     index = {q: i for i, q in enumerate(circuit.line)}
     basis = {q: "Z" for q in circuit.line}
 
@@ -542,12 +542,10 @@ def reference_compile_program(circuit, noise) -> FrameProgram:
     for time, phase, _seq, ins in events:
         q = ins.qubits[0]
         i = index[q]
-        if ins.kind == "prepare_z0":
+        if ins.kind in ("prepare_z0", "reset"):
             basis[q] = "Z"
-            emit(time, phase, ("prep", i, noise.prep))
-        elif ins.kind == "reset":
-            basis[q] = "Z"
-            emit(time, phase, ("prep", i, 0.0))
+            p = noise.prep if ins.kind == "prepare_z0" else 0.0
+            emit(time, phase, ("prep", i, p) if explicit_preps else ("channel", i, p, 1.0 - p))
         elif ins.kind == "x":
             if basis[q] == "Z":
                 emit(time, phase, ("channel", i, 1.0, 1.0))
@@ -595,10 +593,9 @@ def _fold_idle_channels(ops):
     """Compose each qubit's run of channel ops and of relax ops whose token
     no xtalk reads into one pending channel, carried by the next op that
     reads or couples the qubit (a cx carries its control's and its
-    target's, in that order); a prep or the program end discards it. A
-    prep with p = 0 is dropped while no kept op has acted on its qubit,
-    which is still at 0. The tokens xtalks read are renumbered 0, 1, ...
-    in order of creation."""
+    target's, in that order); an explicit prep or the program end discards
+    it. The tokens xtalks read are renumbered 0, 1, ... in order of
+    creation."""
     live = sorted({token for op in ops if op[0] == "xtalk" for token, _ in op[2]})
     renumber = dict(zip(live, range(len(live))))
     pending = {}
@@ -615,9 +612,7 @@ def _fold_idle_channels(ops):
             continue
         if tag == "prep":
             pending.pop(i, None)
-            untouched = all(i not in kept[1:3] if kept[0] == "cx" else kept[1] != i for kept in out)
-            if op[2] or not untouched:
-                out.append(op)
+            out.append(op)
         elif tag == "cx":
             out.append(op + (pending.pop(i, (0.0, 0.0)), pending.pop(op[2], (0.0, 0.0))))
         elif tag == "measure":

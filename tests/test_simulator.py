@@ -352,10 +352,29 @@ def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
     # every idle channel is folded into an op that reads its qubit, and
     # the kept tokens are numbered in creation order
     ops = compile_program(circuit, compile_noise(cal)).ops
-    assert {op[0] for op in ops} == {"prep", "relax", "cx", "measure", "xtalk"}
+    assert {op[0] for op in ops} == {"relax", "cx", "measure", "xtalk"}
     read = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
     kept = [op[2] for op in ops if op[0] == "relax"]
     assert read and kept == sorted(read) == list(range(len(kept)))
+
+
+def test_reset_forgets_a_fault_before_it():
+    # a reset is the channel (0, 1), which absorbs every channel before it:
+    # an X on the left auxiliary at its round-1 reset's start leaves the
+    # cells as they are, and at the reset's end it flips the auxiliary's
+    # round-2 outcome, swapping d_left. The auxiliaries do not relax, so
+    # nothing after the X tells a flipped auxiliary from one that was not.
+    base = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    immortal = replace(base.qubits[1], t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
+    code = base.qubits[0]
+    cal = replace(base, qubits=(code, immortal, code, immortal, code))
+    circuit = build(cal, logical_value=1, extra_delay_ns=5_000)
+    noise = compile_noise(cal)
+    reset = next(ins for ins in circuit.instructions if ins.kind == "reset" and ins.qubits == (1,))
+    faulted = [compile_program(insert_fault(circuit, 1, t, "X"), noise) for t in (reset.start, reset.end)]
+    before, after, plain = pair_distribution(*faulted, compile_program(circuit, noise))
+    assert np.array_equal(before, plain)
+    assert plain[0] > 0.5 and np.abs(after - plain[[2, 3, 0, 1]]).max() <= 1e-15
 
 
 def test_preparation_error_flips_initial_states(cal):
@@ -384,6 +403,46 @@ def pipeline_circuits(cal):
         yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
 
 
+@pytest.mark.parametrize("crosstalk", [True, False])
+def test_no_op_is_a_preparation(falcon, crosstalk):
+    # every preparation and reset folds into the op that next reads its
+    # qubit, and the reset after an auxiliary's round-2 measure, which no op
+    # reads, leaves nothing: without crosstalk that measure is the
+    # auxiliary's last op, and with it only a relaxation whose decay an
+    # xtalk on a neighbour reads may follow
+    noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
+    checked = 0
+    for _, circuit in pipeline_circuits(falcon):
+        ops = compile_program(circuit, noise).ops
+        assert {op[0] for op in ops} <= {"cx", "measure", "relax", "xtalk"}
+        for a in (1, 3):
+            tags = [op[0] for op in ops if a in (op[1:3] if op[0] == "cx" else op[1:2])]
+            after = tags[len(tags) - tags[::-1].index("measure") :]
+            assert tags.count("measure") == 2 and set(after) <= ({"relax"} if crosstalk else set())
+        checked += 1
+    assert checked == 3 * 84
+
+
+@pytest.mark.parametrize(
+    "options", [NoiseOptions(prep_error=0.05), NoiseOptions(crosstalk_eta=0.3)], ids=["prep_error", "crosstalk_eta"]
+)
+def test_preparation_channels_match_explicit_preparations(falcon, options):
+    # the library's lowering, with every preparation and reset a channel,
+    # against the oracle's full-record walk over the lowering that keeps
+    # each of them an op that marginalizes its qubit and sets it again,
+    # folded to the round-2 pair's cells: every falcon27 pipeline circuit
+    # at each dd_scope
+    noise = compile_noise(falcon, options)
+    checked = 0
+    for _, circuit in pipeline_circuits(falcon):
+        explicit = reference_compile_program(circuit, noise, explicit_preps=True)
+        assert [op[0] for op in explicit.ops].count("prep") == 9  # five preparations, four resets
+        (pi,) = pair_distribution(compile_program(circuit, noise))
+        assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, explicit))).max() <= 1e-14
+        checked += 1
+    assert checked == 3 * 84
+
+
 def test_compile_program_matches_reference_lowering(falcon):
     # the one-sweep lowering against the oracle's sort-match-sort passes:
     # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
@@ -409,7 +468,7 @@ def test_compile_program_matches_reference_lowering(falcon):
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
-    assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (31, 9, 6)
+    assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (27, 9, 6)
 
 
 @pytest.mark.parametrize("crosstalk", [True, False])
