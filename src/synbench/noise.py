@@ -9,8 +9,9 @@ one of the 15 non-identity two-qubit Paulis uniformly at random with
 probability eps; readout flips the recorded bit with the calibrated error.
 
 Cross-talk is modeled phenomenologically: a relaxation event (1 -> 0) during
-a delay segment inflicts a phase flip with probability eta on each coupled
-neighbor that is idling in the X basis during an overlapping segment.
+a delay inflicts a phase flip with probability eta, once per neighbour, at
+the decay, on each line neighbour idling in the X basis during an
+overlapping delay.
 
 `compile_noise` applies the run's options once: the `NoiseModel` it returns
 is only tables (each qubit's idle channel and readout flip, each coupled

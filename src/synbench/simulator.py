@@ -18,26 +18,23 @@ probability 4 eps / 15 each.
 Every single-qubit map, preparation and reset included, is a 2x2 channel
 (P(0->1), P(1->0)): x flips are (1, 1), dephasing (p, p), relaxation its
 two directions, and a preparation with flip p is (p, 1 - p), which sets the
-bit whatever it was (a reset has p = 0). `compile_program` sorts the
-instructions once, stably by start, and sweeps them once, reading each line
-qubit's idle channel once per circuit and recording each qubit's X-basis
-delay segments. After the sweep, each relaxation token is matched against
-the segment lists of its two line neighbours only, and each resulting
-`xtalk` op is inserted at its time by bisecting the ops' times. One peephole
-pass then composes each qubit's channels between two ops that read or
-couple it into one exact Markov composition and folds it into the op that
-reads it next, so the program has no channel ops: each `cx`, `measure`,
-`xtalk` and `relax` op carries its qubits' pending channel, as (up, down)
-pairs, and the end of the program discards it. A preparation in that
-composition forgets what came before it, since any channel followed by it
-equals it. A relaxation some `xtalk` reads stays a `relax` op, so the
-first-overlap crosstalk rule sees its events; these live tokens are
-numbered 0, 1, ... in creation order. The op formats:
+bit whatever it was (a reset has p = 0). `compile_program` sweeps the
+instructions once, stably sorted by start, reading each line qubit's idle
+channel once per circuit. After the sweep, each Z-basis delay that can
+decay and overlaps an X-basis delay of a line neighbour becomes a `decay`
+op: its decays (1 -> 0) flip each such receiver once, with probability
+eta, at the decay itself. No op after the last measure can change a
+parity, so the program ends there. One peephole pass then composes each
+qubit's channels between two ops that act on it into one exact Markov
+composition, folded into the next such op as (up, down) pairs, so the
+program has no channel ops; the end of the program discards the rest. A
+preparation forgets what came before it, since any channel followed by it
+equals it. The op formats, a decay carrying one channel per qubit of its
+block, from its lowest qubit to its highest:
 
     ("cx", control, target, eps, control channel, target channel)
     ("measure", i, readout flip, channel)
-    ("relax", i, token, P(0->1), P(1->0), channel)
-    ("xtalk", i, ((token, eta), ...), channel)
+    ("decay", i, receivers, P(0->1), P(1->0), eta, block channels)
 
 The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
 programs of one structure (the same ops up to their probabilities): they
@@ -45,18 +42,16 @@ differ only in the channels folded into the first cx layer.
 
 `pair_distribution(*programs)` walks the ops once over a probability vector
 on binary axes, for every program of one structure at a time behind a
-leading batch axis. The qubit axes come first, in line order; then one axis
-per live crosstalk token, added at its relax and summed out by the last
-xtalk that reads it; then one parity axis per measured qubit, in line
-order, added at its first measure, into which each later measure XORs its
-read-out bit. Each op is one or two numpy calls on the members' stacked
-matrices: a cx one matmul of 4x4 matrices on the (batch, 2**lo, 4, -1) view
-of its two neighbouring qubits; a measure or a relax one matmul to (bit,
-new bit) on the (batch, 2**i, 2, -1) view and one transposed copy, or a sum
-for a later measure; an xtalk one matmul for its channel and one per token
-it reads. A benchmark circuit measures each auxiliary once per round, so
-its parity axes are the round-2 detectors, and the result is the 4 cells of
-(d_left, d_right), cell 2 d_left + d_right.
+leading batch axis. The qubit axes come first, in line order; then one
+parity axis per measured qubit, in line order, added at its first measure,
+into which each later measure XORs its read-out bit. Each op is one or two
+numpy calls on the members' stacked matrices: a cx or a decay one matmul on
+the (batch, 2**lo, 2**k, -1) view of its block of k neighbouring qubits from
+lo; a measure one matmul to (bit, read-out bit) on the (batch, 2**i, 2, -1)
+view and one transposed copy, or a sum for a later measure. A benchmark
+circuit measures each auxiliary once per round, so its parity axes are the
+round-2 detectors, and the result is the 4 cells of (d_left, d_right), cell
+2 d_left + d_right.
 
 `run_shots` draws its shots' cell counts with one multinomial and expands a
 detector-major table of the cells by those counts, so each detector's bits
@@ -88,7 +83,7 @@ _PAIR_TABLE = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
 
 # how many leading fields of each op say what it acts on; the rest are its
 # probabilities, which may differ between programs of one structure
-_STRUCTURE_FIELDS = {"cx": 3, "measure": 2, "relax": 3, "xtalk": 3}
+_STRUCTURE_FIELDS = {"cx": 3, "measure": 2, "decay": 3}
 
 
 class BasisContractError(ValueError):
@@ -111,7 +106,6 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
 
     The instructions run in one stable sort by start, so instructions of
     equal start keep their order; the builder's are already in time order.
-    A crosstalk resolution goes before every op at or after its time.
     """
     line = circuit.line
     n = len(line)
@@ -121,33 +115,25 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     prep, eta = noise.prep, noise.crosstalk
 
     ops: list[tuple] = []
-    times: list[int] = []  # each op's event time, nondecreasing
-    sources: list[tuple[int, int, int, int]] = []  # (token, qubit index, start, end)
-    x_segments: list[list[tuple[int, int, int]]] = [[] for _ in line]  # (end, start, id)
-    n_segments = 0
+    sources: list[tuple[int, int, int, int]] = []  # (op index, qubit index, start, end)
+    x_delays: list[list[tuple[int, int]]] = [[] for _ in line]  # (start, end)
     for kind, qubits, time, d, echoed in sorted(circuit.instructions, key=attrgetter("start")):
         q = qubits[0]
         i = index[q]
         if kind == "delay":
             ch = idle[i]
             if basis[i] == "Z":
-                p10, p01 = ch.p_1to0(d), ch.p_0to1(d)
-                # a decay event crosstalk may read gets the segment's id as
-                # its token
+                p01, p10 = ch.p_0to1(d), ch.p_1to0(d)
                 if p10 > 0.0 and eta > 0.0:
-                    ops.append(("relax", i, p01, p10, n_segments))
-                    sources.append((n_segments, i, time, time + d))
-                else:
-                    ops.append(("channel", i, p01, p10))
+                    sources.append((len(ops), i, time, time + d))
+                ops.append(("channel", i, p01, p10))
             else:
                 p = ch.p_phaseflip(d, echoed)
                 ops.append(("channel", i, p, p))
-                x_segments[i].append((time + d, time, n_segments))
-            n_segments += 1
+                x_delays[i].append((time, time + d))
         elif kind == "x":
-            if basis[i] != "Z":
-                continue  # an x on an X-basis qubit changes only the phase
-            ops.append(("channel", i, 1.0, 1.0))
+            if basis[i] == "Z":  # an x on an X-basis qubit changes only the phase
+                ops.append(("channel", i, 1.0, 1.0))
         elif kind == "cx":
             c, t = qubits
             j = index[t]
@@ -170,65 +156,55 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             ops.append(("channel", i, p, 1.0 - p))
         elif kind == "h":
             basis[i] = "X" if basis[i] == "Z" else "Z"
-            continue
         else:
             raise BasisContractError(f"unknown instruction kind {kind!r}")
-        times.append(time)
 
-    # each source token hits a given neighbour at most once: its first (by
-    # end time) overlapping X-basis segment there receives the eta-weighted
-    # phase flip, resolved when that segment ends, after every source that
-    # overlaps it has been sampled
-    receivers: dict[int, tuple[int, int, list]] = {}  # segment id -> (end, qubit index, entries)
-    for token, i, start, end in sources:
-        for j in (i - 1, i + 1):
-            hits = [seg for seg in x_segments[j] if seg[1] < end and seg[0] > start] if 0 <= j < n else ()
-            if hits:
-                seg_end, _, seg_id = min(hits)
-                receivers.setdefault(seg_id, (seg_end, j, []))[2].append((token, eta))
-    # an xtalk goes before every op at or after its time, and xtalks of
-    # equal time go in segment order; inserting the latest first keeps the
-    # positions bisected on the unchanged time list valid
-    for seg_id, (seg_end, j, entries) in sorted(receivers.items(), key=lambda r: (r[1][0], r[0]), reverse=True):
-        ops.insert(bisect_left(times, seg_end), ("xtalk", j, tuple(entries)))
-    live = {token for _, _, entries in receivers.values() for token, _ in entries}
-    return FrameProgram(ops=_fold_idle_channels(ops, live), n_qubits=n)
+    # a Z-basis delay's decay flips each line neighbour whose X-basis delay
+    # overlaps it, once, with probability eta
+    for k, i, start, end in sources:
+        receivers = tuple(
+            j for j in (i - 1, i + 1) if 0 <= j < n and any(s < end and start < e for s, e in x_delays[j])
+        )
+        if receivers:
+            ops[k] = ("decay", i, receivers, *ops[k][2:], eta)
+    # no op after the last measure can change a parity
+    del ops[max((k for k, op in enumerate(ops) if op[0] == "measure"), default=-1) + 1 :]
+    return FrameProgram(ops=_fold_idle_channels(ops), n_qubits=n)
 
 
-def _fold_idle_channels(ops: list[tuple], live: set[int]) -> tuple[tuple, ...]:
-    """Peephole pass: compose each qubit's run of channel ops and of relax
-    ops whose token is not `live` (read by some xtalk) into one pending
-    channel, the exact Markov composition of the ops it replaces.
+def _block(op: tuple) -> range:
+    """The line indices a cx or a decay acts on, lowest first."""
+    qubits = (op[1], op[2]) if op[0] == "cx" else (op[1], *op[2])
+    return range(min(qubits), max(qubits) + 1)
 
-    The pending channel of a qubit is folded into the next op that reads or
-    couples it (cx, measure, xtalk, or a live-token relax); the end of the
-    program discards it, so a reset no later op reads leaves nothing. A
-    preparation's channel joins the run like any other; any channel
-    followed by it equals it, so the run forgets what came before it. Live
-    tokens are renumbered 0, 1, ... in creation order.
+
+def _fold_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
+    """Peephole pass: compose each qubit's run of channel ops into one
+    pending channel, the exact Markov composition of the ops it replaces.
+
+    The pending channel of a qubit is folded into the next op that acts on
+    it (a cx, a measure, or a decay it is the source or a receiver of); the
+    end of the program discards it, so a reset no later op reads leaves
+    nothing. A preparation's channel joins the run like any other; any
+    channel followed by it equals it, so the run forgets what came before.
     """
-    renumber = {token: k for k, token in enumerate(sorted(live))}
     pending: dict[int, tuple[float, float]] = {}
     out: list[tuple] = []
     for op in ops:
         tag, i = op[0], op[1]
-        if tag == "channel" or (tag == "relax" and op[4] not in renumber):
+        if tag == "channel":
             up, down = pending.get(i, _NO_FLIP)
             s_up, s_down = op[2], op[3]
             pending[i] = (
                 (1.0 - up) * s_up + up * (1.0 - s_down),
                 (1.0 - down) * s_down + down * (1.0 - s_up),
             )
-            continue
-        if tag == "cx":
+        elif tag == "cx":
             out.append(op + (pending.pop(i, _NO_FLIP), pending.pop(op[2], _NO_FLIP)))
         elif tag == "measure":
             out.append(op + (pending.pop(i, _NO_FLIP),))
-        elif tag == "relax":
-            out.append(("relax", i, renumber[op[4]], op[2], op[3], pending.pop(i, _NO_FLIP)))
-        else:  # xtalk
-            entries = tuple((renumber[token], eta) for token, eta in op[2])
-            out.append(("xtalk", i, entries, pending.pop(i, _NO_FLIP)))
+        else:  # decay
+            out.append(op + (tuple(pending.pop(j, _NO_FLIP) for j in _block(op)),))
     return tuple(out)
 
 
@@ -239,15 +215,24 @@ def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.array([1.0 - up, down, up, 1.0 - down]).T.reshape(-1, 2, 2)
 
 
+def _kron(channels: list[np.ndarray]) -> np.ndarray:
+    """The (n, 2**k, 2**k) Kronecker products of k stacks of (n, 2, 2)
+    channels, the first on the most significant bit."""
+    out = channels[0]
+    for ch in channels[1:]:
+        n, r, c = out.shape
+        out = (out[:, :, None, :, None] * ch[:, None, :, None, :]).reshape(n, 2 * r, 2 * c)
+    return out
+
+
 def _cx_matrices(ops: list[tuple]) -> np.ndarray:
     # (eps, lower qubit's channel, upper qubit's channel) and the cx's
     # noise-free rows
     eps, lo_up, lo_down, hi_up, hi_down = np.array(
         [(eps, *ch_c, *ch_t) if c < t else (eps, *ch_t, *ch_c) for _, c, t, eps, ch_c, ch_t in ops]
     ).T
-    lo, hi = _channels(lo_up, lo_down), _channels(hi_up, hi_down)
     rows = [4 * k + r for k, op in enumerate(ops) for r in _CX_ROWS[op[1] < op[2]]]
-    folded = (lo[:, :, None, :, None] * hi[:, None, :, None, :]).reshape(-1, 4)[rows].reshape(-1, 4, 4)
+    folded = _kron([_channels(lo_up, lo_down), _channels(hi_up, hi_down)]).reshape(-1, 4)[rows].reshape(-1, 4, 4)
     # every error pattern flips (control, target) by one of the three
     # nonzero bit pairs with probability 4 eps / 15; the folded columns sum
     # to 1, so the error's uniform part is w in every cell
@@ -262,49 +247,60 @@ def _measure_matrices(ops: list[tuple]) -> np.ndarray:
     return (readout[:, :, :, None] * _channels(up, down)[:, :, None, :]).reshape(-1, 4, 2)
 
 
-def _relax_matrices(ops: list[tuple]) -> np.ndarray:
-    # rows (bit, decayed) after the folded channel: the token bit records a
-    # 1 -> 0 decay, the event crosstalk reads
-    p01, p10, up, down = np.array([(op[3], op[4], *op[5]) for op in ops]).T
-    folded = _channels(up, down)
-    out = np.zeros((len(ops), 4, 2))
-    out[:, 0] = (1.0 - p01)[:, None] * folded[:, 0]
-    out[:, 1] = p10[:, None] * folded[:, 1]
-    out[:, 2] = p01[:, None] * folded[:, 0] + (1.0 - p10)[:, None] * folded[:, 1]
+def _decay_matrices(ops: list[tuple]) -> np.ndarray:
+    # the block's folded channels, then the source's relaxation, whose
+    # decays flip each receiver with probability eta; rows of one source
+    # bit are views of the block's matrices, updated in place
+    _, i, receivers = ops[0][:3]
+    block = _block(ops[0])
+    p01, p10, eta = (np.array([op[f] for op in ops])[:, None, None] for f in (3, 4, 5))
+    out = _kron([_channels(*np.array([op[6][b] for op in ops]).T) for b in range(len(block))])
+    s = i - block.start
+    split = out.reshape(len(ops), 1 << s, 2, -1)
+    zero, one = split[:, :, 0], split[:, :, 1]
+    decayed = (p10 * one).reshape(len(ops), 1 << s, -1)
+    one *= 1.0 - p10
+    one += p01 * zero
+    zero *= 1.0 - p01
+    for j in receivers:
+        # the receiver's bit among the decayed rows, which lack the source's
+        r = j - block.start - (j > i)
+        v = decayed.reshape(len(ops), 1 << r, 2, -1)
+        v[:] = (1.0 - eta[:, :, None]) * v + eta[:, :, None] * v[:, :, ::-1]
+    zero += decayed.reshape(zero.shape)
     return out
 
 
-def _xtalk_matrices(ops: list[tuple]) -> np.ndarray:
-    # the receiver's folded channel; the flips are applied per token
-    return _channels(*np.array([op[3] for op in ops]).T)
+_BUILDERS = {"cx": _cx_matrices, "measure": _measure_matrices, "decay": _decay_matrices}
 
 
-_BUILDERS = {
-    "cx": _cx_matrices,
-    "measure": _measure_matrices,
-    "relax": _relax_matrices,
-    "xtalk": _xtalk_matrices,
-}
+def _layout(op: tuple) -> tuple:
+    """Ops of one layout have matrices of one shape and meaning: a decay's
+    depend on which of its neighbours receive it."""
+    return (op[0], *(j - op[1] for j in op[2])) if op[0] == "decay" else (op[0],)
 
 
 def _matrices(columns: list[tuple[tuple, ...]], b: int) -> list[np.ndarray]:
     """The members' (b, 1, r, c) stack of matrices of each op of b programs
     of one structure, given the members' versions of each op. A measure's
-    and a relax's matrix has rows (bit, new axis bit). Each tag's matrices
-    are built in one vectorized pass."""
-    by_tag: dict[str, list[tuple]] = {}
-    for column in columns:
-        by_tag.setdefault(column[0][0], []).extend(column)
+    matrix has rows (bit, recorded bit). Each layout's matrices are built in
+    one vectorized pass."""
+    layouts = [_layout(column[0]) for column in columns]
+    by_layout: dict[tuple, list[tuple]] = {}
+    for layout, column in zip(layouts, columns):
+        by_layout.setdefault(layout, []).extend(column)
     built = {}
-    for tag, ops in by_tag.items():
-        m = _BUILDERS[tag](ops)
-        built[tag] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
-    return [next(built[column[0][0]]) for column in columns]
+    for layout, ops in by_layout.items():
+        m = _BUILDERS[layout[0]](ops)
+        built[layout] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
+    return [next(built[layout]) for layout in layouts]
 
 
 def _structure(program: FrameProgram) -> tuple:
     """What a program's ops act on, without their probabilities."""
-    ops = tuple(op[: _STRUCTURE_FIELDS[op[0]]] for op in program.ops)
+    # from a list: a tuple grown from a generator leaves CPython's tuple free
+    # lists one more tuple per call, which raised the peak memory
+    ops = tuple([op[: _STRUCTURE_FIELDS[op[0]]] for op in program.ops])
     return program.n_qubits, ops
 
 
@@ -330,57 +326,33 @@ def pair_distribution(*programs: FrameProgram) -> list[np.ndarray]:
 def _walk(programs: list[FrameProgram]) -> np.ndarray:
     """The (programs, 2**measured qubits) parity probabilities of programs
     of one structure, walked once over a flat vector on binary axes: the
-    batch, the qubits in line order, the live tokens newest first, the
-    parities in line order. Qubit i's bit is then the third axis of the
-    vector's (batch, 2**i, 2, -1) view and the bits of neighbours lo and
-    lo + 1 the third axis of its (batch, 2**lo, 4, -1) view, so each op is
-    one matmul of the members' stacked matrices over such a view.
+    batch, the qubits in line order, the parities in line order. Each op is
+    one matmul of the members' stacked matrices over a view whose third
+    axis holds the bits of its qubit, or of its block of neighbours.
     """
-    first = programs[0]
-    nq, b = first.n_qubits, len(programs)
-    last_read = {token: k for k, op in enumerate(first.ops) if op[0] == "xtalk" for token, _ in op[2]}
+    nq, b = programs[0].n_qubits, len(programs)
     state = np.zeros(b << nq)
     state[:: 1 << nq] = 1.0
-    tokens: list[int] = []  # the token of axis nq + j, newest first
-    measured: list[int] = []  # the qubit of each parity axis, after the tokens
+    measured: list[int] = []  # the qubit of each parity axis
     columns = list(zip(*(program.ops for program in programs)))
-    for k, (column, m) in enumerate(zip(columns, _matrices(columns, b))):
+    for column, m in zip(columns, _matrices(columns, b)):
         op = column[0]
-        tag, i = op[0], op[1]
-        if tag == "cx":
-            state = np.matmul(m, state.reshape(b, 1 << min(i, op[2]), 4, -1))
-        elif tag in ("measure", "relax"):
-            moved = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
-            if tag == "relax":
-                j = 0
-                tokens.insert(0, op[2])
-            elif i in measured:
-                # the read-out bit, next to its qubit's bit, is XORed into
-                # the qubit's parity axis
-                j = len(tokens) + measured.index(i)
-                v = moved.reshape(b << (i + 1), 2, 1 << (nq - i - 1 + j), 2, -1)
-                state = v[:, 0] + v[:, 1, :, ::-1]
-                continue
-            else:
-                j = bisect_left(measured, i)
-                measured.insert(j, i)
-                j += len(tokens)
-            # the new axis moves from next to its qubit's bit to axis nq + j
+        i = op[1]
+        if op[0] != "measure":
+            state = np.matmul(m, state.reshape(b, 1 << _block(op).start, m.shape[-1], -1))
+            continue
+        moved = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
+        if i in measured:
+            # the read-out bit, next to its qubit's bit, is XORed into the
+            # qubit's parity axis
+            v = moved.reshape(b << (i + 1), 2, 1 << (nq - i - 1 + measured.index(i)), 2, -1)
+            state = v[:, 0] + v[:, 1, :, ::-1]
+        else:
+            # the read-out bit moves from next to its qubit's bit to a new
+            # parity axis nq + j
+            j = bisect_left(measured, i)
+            measured.insert(j, i)
             state = moved.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1 + j), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
-        else:  # xtalk
-            state = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
-            for token, eta in op[2]:
-                # the bit flips with probability eta where the token fired
-                j = tokens.index(token)
-                shape = (b << i, 2, 1 << (nq - i - 1 + j), 2, -1)
-                flip = np.array([[1.0 - eta, eta], [eta, 1.0 - eta]])
-                flipped = np.matmul(flip, state.reshape(b << i, 2, -1)).reshape(shape)
-                if last_read[token] == k:
-                    state = state.reshape(shape)[:, :, :, 0] + flipped[:, :, :, 1]
-                    del tokens[j]
-                else:
-                    flipped[:, :, :, 0] = state.reshape(shape)[:, :, :, 0]
-                    state = flipped
     return state.reshape(b, 1 << nq, -1).sum(axis=1)
 
 

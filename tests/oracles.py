@@ -14,9 +14,12 @@ force-directed layout with its spring forces added edge by edge, echo
 pairs inserted by a second pass over a built circuit, and a circuit's
 lowering to ops by sorting tagged events, matching crosstalk by rescanning
 every segment and sorting the ops again before the pass that folds each
-qubit's idle channels into the op that reads it next, with each preparation
-and reset either a channel, as the library lowers it, or an explicit op
-that marginalizes its qubit and sets it again.
+qubit's idle channels into the op that reads it next. Each preparation and
+reset is either a channel, as the library lowers it, or an explicit op that
+marginalizes its qubit and sets it again; crosstalk flips its receivers
+either at the decay, as the library lowers it, or at the end of each
+receiver's first overlapping X-basis segment, through a token axis that
+records the decay.
 """
 
 from __future__ import annotations
@@ -232,13 +235,21 @@ def _flip_channel(v: np.ndarray, up: float, down: float) -> np.ndarray:
     return out
 
 
+def decay_block(op: tuple) -> range:
+    """The line indices of a decay op's source and receivers, lowest
+    first."""
+    return range(min(op[1], *op[2]), max(op[1], *op[2]) + 1)
+
+
 def folded_channels(op: tuple) -> list[tuple[int, tuple[float, float]]]:
     """(qubit index, (up, down)) of each idle channel a compiled op carries,
     in the order they act, before the op itself: a cx's control's and
-    target's, none for an explicit prep, and the op's last field
-    otherwise."""
+    target's, a decay's for each qubit of its block, none for an explicit
+    prep, and the op's last field otherwise."""
     if op[0] == "cx":
         return [(op[1], op[4]), (op[2], op[5])]
+    if op[0] == "decay":
+        return list(zip(decay_block(op), op[-1]))
     return [] if op[0] == "prep" else [(op[1], op[-1])]
 
 
@@ -301,6 +312,21 @@ def reference_record_distribution(circuit, program) -> np.ndarray:
             new[:, 0, :, 1] = decay
             state = new.ravel()
             extra.append(("t", token))
+        elif tag == "decay":
+            _, _, receivers, p01, p10, eta, _ = op
+            v = state.reshape(1 << i, 2, -1)
+            decay = v[:, 1] * p10
+            up = v[:, 0] * p01
+            kept = v.copy()
+            kept[:, 0] -= up
+            kept[:, 1] += up - decay
+            # the decayed mass lands on bit 0, each receiver flipped with
+            # probability eta
+            fired = np.zeros_like(v)
+            fired[:, 0] = decay
+            for j in receivers:
+                fired = _flip_channel(fired.reshape(1 << j, 2, -1), eta, eta)
+            state = kept.ravel() + fired.ravel()
         elif tag == "cx":
             _, _, t, eps, _, _ = op
             v = _split(state, *sorted((i, t)))
@@ -352,17 +378,18 @@ def _run_chunk(program, op_slots: list[int], n: int, rng: np.random.Generator) -
     bits = np.zeros((program.n_qubits, n), dtype=bool)
     out = np.zeros((len(op_slots), n), dtype=bool)
     slots = iter(op_slots)
-    tokens: dict[int, np.ndarray] = {}  # relax token -> shots whose bit decayed
     for op in program.ops:
         tag = op[0]
         for i, (up, down) in folded_channels(op):
             if up or down:
                 bits[i] ^= _flips(bits[i], up, down, rng)
-        if tag == "relax":
-            _, i, token, up, down, _ = op
+        if tag == "decay":
+            _, i, receivers, up, down, eta, _ = op
             flips = _flips(bits[i], up, down, rng)
-            tokens[token] = bits[i] & flips
+            decayed = bits[i] & flips
             bits[i] ^= flips
+            for j in receivers:
+                bits[j] ^= decayed & (rng.random(n) < eta)
         elif tag == "cx":
             _, ci, ti, eps, _, _ = op
             bits[ti] ^= bits[ci]
@@ -379,10 +406,6 @@ def _run_chunk(program, op_slots: list[int], n: int, rng: np.random.Generator) -
                 out[slot] = bits[i] ^ (rng.random(n) < p)
             else:
                 out[slot] = bits[i]
-        elif tag == "xtalk":
-            _, i, entries, _ = op
-            for token, eta in entries:
-                bits[i] ^= tokens[token] & (rng.random(n) < eta)
         else:  # pragma: no cover - compile emits only the tags above
             raise RuntimeError(f"unknown op {tag!r}")
     return out
@@ -513,14 +536,24 @@ class _Segment:
     seg_id: int  # unique, in emission order
 
 
-def reference_compile_program(circuit, noise, explicit_preps: bool = False) -> FrameProgram:
+def reference_compile_program(
+    circuit, noise, explicit_preps: bool = False, crosstalk_at_segment_end: bool = False
+) -> FrameProgram:
     """A circuit lowered to a FrameProgram in three passes: every
     instruction tagged (time, phase, order) and sorted, crosstalk
     matched by scanning every segment for each source, and the ops sorted
-    again before the idle-channel folding pass. A preparation with flip p
-    (0 for a reset) lowers to the channel (p, 1 - p), or with
-    `explicit_preps` to a ("prep", i, p) op that discards its qubit's
-    pending channel, marginalizes the qubit and sets it again."""
+    again before the idle-channel folding pass.
+
+    A preparation with flip p (0 for a reset) lowers to the channel (p,
+    1 - p), or with `explicit_preps` to a ("prep", i, p) op that discards
+    its qubit's pending channel, marginalizes the qubit and sets it again.
+    A relaxation some neighbour's overlapping X-basis segment receives
+    lowers to a ("decay", i, receivers, P(0->1), P(1->0), eta) op that flips
+    each receiver at the decay; with `crosstalk_at_segment_end` it stays a
+    ("relax", i, P(0->1), P(1->0), token) op, and an ("xtalk", j, ((token,
+    eta), ...)) op at the end of each neighbour's first overlapping X-basis
+    segment flips it there. Without either keyword, as in the library, the
+    ops after the last measure are dropped."""
     index = {q: i for i, q in enumerate(circuit.line)}
     basis = {q: "Z" for q in circuit.line}
 
@@ -579,23 +612,37 @@ def reference_compile_program(circuit, noise, explicit_preps: bool = False) -> F
         else:
             raise BasisContractError(f"unknown instruction kind {ins.kind!r}")
 
-    if eta > 0.0:
-        _attach_crosstalk(circuit, segments, eta, emit)
+    hits = _crosstalk_hits(circuit, segments) if eta > 0.0 else []
+    receivers = {}  # source token -> receiving line indices
+    if crosstalk_at_segment_end:
+        entries = {}  # receiving segment -> entries
+        for src, seg in hits:
+            entries.setdefault(seg, []).append((src.token, eta))
+        for seg, read in sorted(entries.items(), key=lambda item: item[0].seg_id):
+            emit(seg.end, 0, ("xtalk", seg.index, tuple(read)))
+    else:
+        for src, seg in hits:
+            receivers.setdefault(src.token, []).append(seg.index)
 
     ops.sort(key=lambda e: (e[0], e[1], e[2]))
-    return FrameProgram(
-        ops=_fold_idle_channels([op for _, _, _, op in ops]),
-        n_qubits=len(circuit.line),
-    )
+    lowered = [
+        ("decay", op[1], tuple(sorted(receivers[op[4]])), op[2], op[3], eta)
+        if op[0] == "relax" and op[4] in receivers
+        else op
+        for _, _, _, op in ops
+    ]
+    while not (explicit_preps or crosstalk_at_segment_end) and lowered and lowered[-1][0] != "measure":
+        lowered.pop()
+    return FrameProgram(ops=_fold_idle_channels(lowered), n_qubits=len(circuit.line))
 
 
 def _fold_idle_channels(ops):
     """Compose each qubit's run of channel ops and of relax ops whose token
     no xtalk reads into one pending channel, carried by the next op that
     reads or couples the qubit (a cx carries its control's and its
-    target's, in that order); an explicit prep or the program end discards
-    it. The tokens xtalks read are renumbered 0, 1, ... in order of
-    creation."""
+    target's, in that order, and a decay each of its block's qubits', in
+    line order); an explicit prep or the program end discards it. The
+    tokens xtalks read are renumbered 0, 1, ... in order of creation."""
     live = sorted({token for op in ops if op[0] == "xtalk" for token, _ in op[2]})
     renumber = dict(zip(live, range(len(live))))
     pending = {}
@@ -617,6 +664,8 @@ def _fold_idle_channels(ops):
             out.append(op + (pending.pop(i, (0.0, 0.0)), pending.pop(op[2], (0.0, 0.0))))
         elif tag == "measure":
             out.append(op + (pending.pop(i, (0.0, 0.0)),))
+        elif tag == "decay":
+            out.append(op + (tuple(pending.pop(j, (0.0, 0.0)) for j in decay_block(op)),))
         elif tag == "relax":
             out.append(("relax", i, renumber[op[4]], op[2], op[3], pending.pop(i, (0.0, 0.0))))
         else:
@@ -625,29 +674,24 @@ def _fold_idle_channels(ops):
     return tuple(out)
 
 
-def _attach_crosstalk(circuit, segments, eta, emit):
-    """Each source token hits a given neighbor at most once: the first (by
-    end time) overlapping X-basis segment on that neighbor receives the
-    phase flip, resolved when that segment ends."""
+def _crosstalk_hits(circuit, segments):
+    """(source segment, receiving segment) pairs: each source token hits a
+    given neighbor at most once, in the first (by end time) X-basis segment
+    there that overlaps it."""
     by_qubit = {}
     for seg in segments:
         by_qubit.setdefault(seg.qubit, []).append(seg)
-    receivers = {}  # segment id -> entries
-    seg_by_id = {seg.seg_id: seg for seg in segments}
+    hits = []
     for src in segments:
         if src.token < 0:
             continue
         i = circuit.line.index(src.qubit)
         for nbr in circuit.line[max(i - 1, 0) : i] + circuit.line[i + 1 : i + 2]:
-            hits = [
+            overlapping = [
                 seg
                 for seg in by_qubit.get(nbr, ())
                 if seg.basis == "X" and seg.start < src.end and seg.end > src.start
             ]
-            if not hits:
-                continue
-            first = min(hits, key=lambda s: (s.end, s.start))
-            receivers.setdefault(first.seg_id, []).append((src.token, eta))
-    for seg_id, entries in sorted(receivers.items()):
-        seg = seg_by_id[seg_id]
-        emit(seg.end, 0, ("xtalk", seg.index, tuple(entries)))
+            if overlapping:
+                hits.append((src, min(overlapping, key=lambda s: (s.end, s.start))))
+    return hits

@@ -279,8 +279,8 @@ def test_readout_channel_linearity_at_small_p():
 
 def test_crosstalk_first_overlap_rule_applies_once():
     # one certain relaxation event on qubit 0; its X-basis neighbor idles in
-    # two consecutive segments, and only the first overlapping one takes the
-    # eta = 1 flip
+    # two consecutive segments that both overlap the decaying delay, and the
+    # decay flips it once, with eta = 1
     instructions = (
         Instruction("prepare_z0", (0,), 0, 0),
         Instruction("prepare_z0", (1,), 0, 0),
@@ -343,19 +343,20 @@ def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
     up, down = next_cx[4] if next_cx[1] == 2 else next_cx[5]
     expected = window_flip_probability(circuit, cal, 2, start_bit=lv)
     assert abs((down if lv == 1 else up) - expected) <= 1e-12
-    assert not any(op[0] == "relax" for op in ops)  # no crosstalk reads a bit-flip code
+    assert not any(op[0] == "decay" for op in ops)  # no crosstalk reads a bit-flip code
 
 
 @pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])
 def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
     circuit = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope=scope)
-    # every idle channel is folded into an op that reads its qubit, and
-    # the kept tokens are numbered in creation order
+    # every idle channel is folded into an op that reads its qubit, and a
+    # relaxation stays an op only as a decay some neighbour receives, which
+    # carries the channel of each qubit of its block
     ops = compile_program(circuit, compile_noise(cal)).ops
-    assert {op[0] for op in ops} == {"relax", "cx", "measure", "xtalk"}
-    read = {token for op in ops if op[0] == "xtalk" for token, _ in op[2]}
-    kept = [op[2] for op in ops if op[0] == "relax"]
-    assert read and kept == sorted(read) == list(range(len(kept)))
+    assert {op[0] for op in ops} == {"decay", "cx", "measure"}
+    for _, i, receivers, *_, channels in (op for op in ops if op[0] == "decay"):
+        assert receivers and set(receivers) <= {i - 1, i + 1}
+        assert len(channels) == max(i, *receivers) - min(i, *receivers) + 1
 
 
 def test_reset_forgets_a_fault_before_it():
@@ -403,22 +404,27 @@ def pipeline_circuits(cal):
         yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
 
 
+def op_qubits(op: tuple) -> tuple:
+    """The line indices a compiled op reads or couples."""
+    return op[1:3] if op[0] == "cx" else (op[1], *op[2]) if op[0] == "decay" else op[1:2]
+
+
 @pytest.mark.parametrize("crosstalk", [True, False])
 def test_no_op_is_a_preparation(falcon, crosstalk):
     # every preparation and reset folds into the op that next reads its
     # qubit, and the reset after an auxiliary's round-2 measure, which no op
-    # reads, leaves nothing: without crosstalk that measure is the
-    # auxiliary's last op, and with it only a relaxation whose decay an
-    # xtalk on a neighbour reads may follow
+    # reads, leaves nothing: nothing follows an auxiliary's round-2
+    # measure, and every program ends with the two round-2 measures
     noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     checked = 0
     for _, circuit in pipeline_circuits(falcon):
         ops = compile_program(circuit, noise).ops
-        assert {op[0] for op in ops} <= {"cx", "measure", "relax", "xtalk"}
+        assert {op[0] for op in ops} <= {"cx", "measure", "decay"}
         for a in (1, 3):
-            tags = [op[0] for op in ops if a in (op[1:3] if op[0] == "cx" else op[1:2])]
-            after = tags[len(tags) - tags[::-1].index("measure") :]
-            assert tags.count("measure") == 2 and set(after) <= ({"relax"} if crosstalk else set())
+            touched = [k for k, op in enumerate(ops) if a in op_qubits(op)]
+            round2 = [k for k in touched if ops[k][0] == "measure"][1]
+            assert round2 == touched[-1] >= len(ops) - 2
+        assert sorted(op[:2] for op in ops[-2:]) == [("measure", 1), ("measure", 3)]
         checked += 1
     assert checked == 3 * 84
 
@@ -447,10 +453,9 @@ def test_compile_program_matches_reference_lowering(falcon):
     # the one-sweep lowering against the oracle's sort-match-sort passes:
     # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
     # with every qubit echoed and eta 0.3, faults at the time an instruction
-    # starts and an xtalk resolves (round 2's first cx layer, where the
-    # extra delay's X-basis windows end), and that circuit and the
-    # unfaulted one with their instructions grouped by qubit instead of in
-    # time order
+    # starts and the extra delay's X-basis windows end (round 2's first cx
+    # layer), and that circuit and the unfaulted one with their
+    # instructions grouped by qubit instead of in time order
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
@@ -468,6 +473,79 @@ def test_compile_program_matches_reference_lowering(falcon):
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
+    assert (len(tags), tags.count("decay"), tags.count("measure")) == (18, 6, 4)
+
+
+def relaxing_delays_and_receivers(circuit, noise) -> list[tuple[int, tuple[int, ...]]]:
+    """(line index, receivers) of each Z-basis delay that can decay and
+    starts before the last measure, in instruction order, with the line
+    neighbours that have an X-basis delay overlapping it; each qubit's basis
+    is tracked through its h gates, preparations and resets."""
+    line = circuit.line
+    basis = dict.fromkeys(line, "Z")
+    delays = {"Z": [], "X": []}
+    for ins in circuit.instructions:
+        q = ins.qubits[0]
+        if ins.kind == "h":
+            basis[q] = "X" if basis[q] == "Z" else "Z"
+        elif ins.kind in ("prepare_z0", "reset"):
+            basis[q] = "Z"
+        elif ins.kind == "delay":
+            delays[basis[q]].append(ins)
+    last = max(ins.start for ins in circuit.instructions if ins.kind == "measure")
+    out = []
+    for ins in delays["Z"]:
+        q = ins.qubits[0]
+        if ins.start < last and noise.idle[q].p_1to0(ins.duration) > 0.0:
+            i = line.index(q)
+            near = {line.index(x.qubits[0]) for x in delays["X"] if x.start < ins.end and x.end > ins.start}
+            out.append((i, tuple(sorted(near & {i - 1, i + 1}))))
+    return out
+
+
+def test_each_decay_flips_exactly_its_overlapping_x_basis_neighbours(falcon):
+    # no op is a relax or an xtalk, and the decays are exactly the Z-basis
+    # delays with a line neighbour whose X-basis delay overlaps them, each
+    # flipping those neighbours: every falcon27 pipeline circuit at each
+    # dd_scope, and a phase-flip circuit with every qubit echoed
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
+    noise = compile_noise(falcon)
+    cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)] + [(deep, compile_noise(cal))]
+    decays = 0
+    for circuit, model in cases:
+        ops = compile_program(circuit, model).ops
+        assert {op[0] for op in ops} <= {"cx", "measure", "decay"}
+        expected = [(i, receivers) for i, receivers in relaxing_delays_and_receivers(circuit, model) if receivers]
+        assert [op[1:3] for op in ops if op[0] == "decay"] == expected
+        decays += len(expected)
+    assert decays > 0
+
+
+def test_crosstalk_at_the_decay_matches_crosstalk_at_segment_end(falcon):
+    # the library flips each receiver at the decay; the oracle's full-record
+    # walk over the lowering that flips it at the end of the receiver's
+    # first overlapping X-basis segment, folded to the round-2 pair's cells,
+    # agrees on every falcon27 pipeline circuit at each dd_scope with eta
+    # 1.0 and 0.3, on a phase-flip circuit with every qubit echoed and eta
+    # 0.3, and on that circuit with faults where its X-basis windows end
+    cases = [
+        (circuit, noise)
+        for noise in (compile_noise(falcon), compile_noise(falcon, NoiseOptions(crosstalk_eta=0.3)))
+        for _, circuit in pipeline_circuits(falcon)
+    ]
+    assert len(cases) == 2 * 3 * 84
+    cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+    weak = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
+    deep = build(cal, encoding="phase_flip", extra_delay_ns=10_000, dd_scope="all_qubits")
+    round2 = sorted({ins.start for ins in deep.instructions if ins.kind == "cx"})[2]
+    faulted = insert_fault(insert_fault(deep, 2, round2, "Z"), 1, round2, "X")
+    cases += [(deep, weak), (faulted, weak)]
+    for circuit, model in cases:
+        segment_end = reference_compile_program(circuit, model, crosstalk_at_segment_end=True)
+        (pi,) = pair_distribution(compile_program(circuit, model))
+        assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, segment_end))).max() <= 1e-14
+    tags = [op[0] for op in reference_compile_program(faulted, weak, crosstalk_at_segment_end=True).ops]
     assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (27, 9, 6)
 
 
