@@ -1,12 +1,14 @@
 """Benchmark orchestration and the `synbench` command line.
 
 A run is described by one JSON config file; every field has a default so a
-bare calibration path is enough. For each feasible qubit the pipeline picks
-its line, builds one circuit per (encoding, logical value), walks each
-encoding's circuits together for the exact distributions of their round-2
-detector pair, samples each, extracts the round-2 idle rate, and aggregates
-everything into a report (JSON + CSV) with device-map figures. Identical
-config and seed give byte-identical artifacts.
+bare calibration path is enough. The pipeline picks each feasible qubit's
+line and runs in three stages over the device: it builds and compiles one
+circuit per (qubit, encoding, logical value), qubit by qubit; one walk over
+every program gives the exact distribution of each circuit's round-2
+detector pair; then, qubit by qubit, it samples each circuit, extracts the
+round-2 idle rates and assembles the qubit's result. Everything aggregates
+into a report (JSON + CSV) with device-map figures. Identical config and
+seed give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -178,29 +182,19 @@ def benchmark_qubit(
     qubit: int,
     line: BenchLine,
     cal: DeviceCalibration,
-    noise,
     config: RunConfig,
-    extra_delays: dict[str, int],
+    cells: dict[tuple[str, int], np.ndarray],
+    exposures: dict[str, int],
 ) -> QubitBenchmark:
-    """The per-qubit pipeline: build, compile, walk, sample, and extract
-    for every configured (encoding, logical value), with each encoding's
-    extra delay from `extra_delays`; then report every `RATES` key whose
-    encoding and some logical value were configured."""
+    """One qubit's draw, estimate and assembly: sample and estimate each
+    configured (encoding, logical value) from its exact `cells`, then report
+    every `RATES` key whose encoding and some logical value were configured,
+    with guides over each encoding's `exposures`."""
     estimates: dict[tuple[str, int], RateEstimate] = {}
-    exposures: dict[str, int] = {}
-    predicted = {}
     dd = config.dd_scope != "none"
     for enc_idx, encoding in enumerate(config.encodings):
-        extra = extra_delays[encoding]
-        circuits = [
-            build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=config.dd_scope)
-            for lv in config.logical_values
-        ]
-        # a qubit's logical values compile to programs of one structure,
-        # walked together
-        pis = pair_distribution(*(compile_program(circuit, noise) for circuit in circuits))
-        for lv, pi in zip(config.logical_values, pis):
-            shots = run_shots(pi, config.shots, seed=(config.seed, qubit, enc_idx, lv))
+        for lv in config.logical_values:
+            shots = run_shots(cells[encoding, lv], config.shots, seed=(config.seed, qubit, enc_idx, lv))
             try:
                 est = extract_idle_rates(
                     detection_events(shots),
@@ -213,8 +207,7 @@ def benchmark_qubit(
                 warn_caller(f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5")
                 est = RateEstimate(0.5, 0.5, config.shots)
             estimates[encoding, lv] = est
-        exposures[encoding] = idle_exposure(circuits[-1], qubit)
-        predicted[encoding] = guide_values(cal, qubit, exposures[encoding], dd)
+    predicted = {encoding: guide_values(cal, qubit, exposures[encoding], dd) for encoding in config.encodings}
     rates: dict[str, RateEstimate] = {}
     guides: dict[str, float] = {}
     for key, (encoding, lvs) in RATES.items():
@@ -238,11 +231,11 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     cal = load_calibration(Path(config.calibration))
     noise = compile_noise(cal, config.noise)
     plan = plan_device(cal)
-    chosen = {q: line for q, line in plan.items() if line is not None}
+    chosen = {q: line for q, line in sorted(plan.items()) if line is not None}
     if not chosen:
         raise RuntimeError("no benchmarkable qubits on this device")
-    # computed before the qubit loop, which re-raises any error as a runtime
-    # error (exit 2)
+    # computed before the qubit stages, which re-raise any error as a
+    # runtime error (exit 2)
     delays = {q: {enc: _extra_delay_ns(config, cal, q, enc) for enc in config.encodings} for q in chosen}
     out_dir = Path(config.output_dir)
     try:
@@ -250,10 +243,26 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
+    exposures: dict[int, dict[str, int]] = {q: {} for q in chosen}
+
+    def programs():
+        # every circuit, built and compiled qubit by qubit as the walk reads it
+        for q, line in chosen.items():
+            try:
+                for encoding, extra in delays[q].items():
+                    for lv in config.logical_values:
+                        circuit = build_repetition_circuit(line, cal, encoding, lv, extra, config.dd_scope)
+                        yield compile_program(circuit, noise)
+                    exposures[q][encoding] = idle_exposure(circuit, q)
+            except Exception as exc:
+                raise RuntimeError(f"qubit {q}: {exc}") from exc
+
+    cells = iter(pair_distribution(programs()))
     results = []
-    for q, line in sorted(chosen.items()):
+    for q, line in chosen.items():
+        mine = {(encoding, lv): next(cells) for encoding in config.encodings for lv in config.logical_values}
         try:
-            results.append(benchmark_qubit(q, line, cal, noise, config, delays[q]))
+            results.append(benchmark_qubit(q, line, cal, config, mine, exposures[q]))
         except Exception as exc:
             raise RuntimeError(f"qubit {q}: {exc}") from exc
 

@@ -40,18 +40,19 @@ The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
 programs of one structure (the same ops up to their probabilities): they
 differ only in the channels folded into the first cx layer.
 
-`pair_distribution(*programs)` walks the ops once over a probability vector
-on binary axes, for every program of one structure at a time behind a
-leading batch axis. The qubit axes come first, in line order; then one
-parity axis per measured qubit, in line order, added at its first measure,
-into which each later measure XORs its read-out bit. Each op is one or two
-numpy calls on the members' stacked matrices: a cx or a decay one matmul on
-the (batch, 2**lo, 2**k, -1) view of its block of k neighbouring qubits from
-lo; a measure one matmul to (bit, read-out bit) on the (batch, 2**i, 2, -1)
-view and one transposed copy, or a sum for a later measure. A benchmark
-circuit measures each auxiliary once per round, so its parity axes are the
-round-2 detectors, and the result is the 4 cells of (d_left, d_right), cell
-2 d_left + d_right.
+`pair_distribution(programs)` reads its programs lazily, keeping each one's
+structure and a row of its probabilities, then walks the ops once over a
+probability vector on binary axes, for every program of one structure at a
+time behind a leading batch axis. The qubit axes come first, in line order;
+then one parity axis per measured qubit, in line order, added at its first
+measure, into which each later measure XORs its read-out bit. Each op is one
+or two numpy calls on the members' stacked matrices: a cx or a decay one
+matmul on the (batch, 2**lo, 2**k, -1) view of its block of k neighbouring
+qubits from lo; a measure one matmul to (bit, read-out bit) on the (batch,
+2**i, 2, -1) view and one transposed copy, or a sum for a later measure. A
+benchmark circuit measures each auxiliary once per round, so its parity axes
+are the round-2 detectors, and the result is the 4 cells of (d_left,
+d_right), cell 2 d_left + d_right.
 
 `run_shots` draws its shots' cell counts with one multinomial and expands a
 detector-major table of the cells by those counts, so each detector's bits
@@ -62,8 +63,10 @@ transposed view, rows grouped by cell.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
+from struct import pack
 
 import numpy as np
 
@@ -80,10 +83,6 @@ _CX_ROWS = {True: [0, 1, 3, 2], False: [0, 3, 2, 1]}
 
 # _PAIR_TABLE[:, r] is cell r's (d_left, d_right)
 _PAIR_TABLE = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
-
-# how many leading fields of each op say what it acts on; the rest are its
-# probabilities, which may differ between programs of one structure
-_STRUCTURE_FIELDS = {"cx": 3, "measure": 2, "decay": 3}
 
 
 class BasisContractError(ValueError):
@@ -225,14 +224,12 @@ def _kron(channels: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _cx_matrices(ops: list[tuple]) -> np.ndarray:
+def _cx_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
     # (eps, lower qubit's channel, upper qubit's channel) and the cx's
     # noise-free rows
-    eps, lo_up, lo_down, hi_up, hi_down = np.array(
-        [(eps, *ch_c, *ch_t) if c < t else (eps, *ch_t, *ch_c) for _, c, t, eps, ch_c, ch_t in ops]
-    ).T
-    rows = [4 * k + r for k, op in enumerate(ops) for r in _CX_ROWS[op[1] < op[2]]]
-    folded = _kron([_channels(lo_up, lo_down), _channels(hi_up, hi_down)]).reshape(-1, 4)[rows].reshape(-1, 4, 4)
+    lower = op[1] < op[2]
+    eps, lo_up, lo_down, hi_up, hi_down = probs[:, [0, 1, 2, 3, 4] if lower else [0, 3, 4, 1, 2]].T
+    folded = np.take(_kron([_channels(lo_up, lo_down), _channels(hi_up, hi_down)]), _CX_ROWS[lower], axis=1)
     # every error pattern flips (control, target) by one of the three
     # nonzero bit pairs with probability 4 eps / 15; the folded columns sum
     # to 1, so the error's uniform part is w in every cell
@@ -240,32 +237,32 @@ def _cx_matrices(ops: list[tuple]) -> np.ndarray:
     return (1.0 - 4.0 * w) * folded + w
 
 
-def _measure_matrices(ops: list[tuple]) -> np.ndarray:
+def _measure_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
     # rows (bit, recorded bit) after the folded channel
-    p, up, down = np.array([(op[2], *op[3]) for op in ops]).T
+    p, up, down = probs.T
     readout = _channels(p, p)  # [bit, recorded bit]
     return (readout[:, :, :, None] * _channels(up, down)[:, :, None, :]).reshape(-1, 4, 2)
 
 
-def _decay_matrices(ops: list[tuple]) -> np.ndarray:
+def _decay_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
     # the block's folded channels, then the source's relaxation, whose
     # decays flip each receiver with probability eta; rows of one source
     # bit are views of the block's matrices, updated in place
-    _, i, receivers = ops[0][:3]
-    block = _block(ops[0])
-    p01, p10, eta = (np.array([op[f] for op in ops])[:, None, None] for f in (3, 4, 5))
-    out = _kron([_channels(*np.array([op[6][b] for op in ops]).T) for b in range(len(block))])
+    _, i, receivers = op[:3]
+    block = _block(op)
+    p01, p10, eta = (probs[:, f, None, None] for f in range(3))
+    out = _kron([_channels(probs[:, 3 + 2 * b], probs[:, 4 + 2 * b]) for b in range(len(block))])
     s = i - block.start
-    split = out.reshape(len(ops), 1 << s, 2, -1)
+    split = out.reshape(len(probs), 1 << s, 2, -1)
     zero, one = split[:, :, 0], split[:, :, 1]
-    decayed = (p10 * one).reshape(len(ops), 1 << s, -1)
+    decayed = (p10 * one).reshape(len(probs), 1 << s, -1)
     one *= 1.0 - p10
     one += p01 * zero
     zero *= 1.0 - p01
     for j in receivers:
         # the receiver's bit among the decayed rows, which lack the source's
         r = j - block.start - (j > i)
-        v = decayed.reshape(len(ops), 1 << r, 2, -1)
+        v = decayed.reshape(len(probs), 1 << r, 2, -1)
         v[:] = (1.0 - eta[:, :, None]) * v + eta[:, :, None] * v[:, :, ::-1]
     zero += decayed.reshape(zero.shape)
     return out
@@ -273,70 +270,89 @@ def _decay_matrices(ops: list[tuple]) -> np.ndarray:
 
 _BUILDERS = {"cx": _cx_matrices, "measure": _measure_matrices, "decay": _decay_matrices}
 
+# each op's probabilities, flattened in field order, channels as (up, down)
+_ROWS = {
+    "cx": lambda op: (op[3], *op[4], *op[5]),
+    "measure": lambda op: (op[2], *op[3]),
+    "decay": lambda op: (*op[3:6], *(x for channel in op[6] for x in channel)),
+}
+
 
 def _layout(op: tuple) -> tuple:
-    """Ops of one layout have matrices of one shape and meaning: a decay's
-    depend on which of its neighbours receive it."""
-    return (op[0], *(j - op[1] for j in op[2])) if op[0] == "decay" else (op[0],)
+    """Ops of one layout have matrices of one shape and meaning: a cx's
+    rows depend on whether its control is the lower qubit, a decay's on
+    which of its neighbours receive it."""
+    return (op[0], *(j - op[1] for j in op[2])) if op[0] == "decay" else (op[0], op[0] == "cx" and op[1] < op[2])
 
 
-def _matrices(columns: list[tuple[tuple, ...]], b: int) -> list[np.ndarray]:
+def _matrices(ops: tuple[tuple, ...], probs: np.ndarray) -> list[np.ndarray]:
     """The members' (b, 1, r, c) stack of matrices of each op of b programs
-    of one structure, given the members' versions of each op. A measure's
-    matrix has rows (bit, recorded bit). Each layout's matrices are built in
-    one vectorized pass."""
-    layouts = [_layout(column[0]) for column in columns]
-    by_layout: dict[tuple, list[tuple]] = {}
-    for layout, column in zip(layouts, columns):
-        by_layout.setdefault(layout, []).extend(column)
+    of one structure, given one member's ops and the members' (b, m) rows of
+    `_ROWS` probabilities. A measure's matrix has rows (bit, recorded bit).
+    Each layout's matrices are built in one vectorized pass."""
+    b = len(probs)
+    layouts = [_layout(op) for op in ops]
+    by_layout: dict[tuple, tuple[tuple, list[np.ndarray]]] = {}
+    start = 0
+    for layout, op in zip(layouts, ops):
+        end = start + len(_ROWS[op[0]](op))
+        by_layout.setdefault(layout, (op, []))[1].append(probs[:, start:end])
+        start = end
     built = {}
-    for layout, ops in by_layout.items():
-        m = _BUILDERS[layout[0]](ops)
+    for layout, (op, columns) in by_layout.items():
+        m = _BUILDERS[layout[0]](op, np.concatenate(columns))
         built[layout] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
     return [next(built[layout]) for layout in layouts]
 
 
 def _structure(program: FrameProgram) -> tuple:
-    """What a program's ops act on, without their probabilities."""
+    """What a program's ops act on: each op's leading fields, without its probabilities."""
     # from a list: a tuple grown from a generator leaves CPython's tuple free
     # lists one more tuple per call, which raised the peak memory
-    ops = tuple([op[: _STRUCTURE_FIELDS[op[0]]] for op in program.ops])
+    ops = tuple([op[: 2 if op[0] == "measure" else 3] for op in program.ops])
     return program.n_qubits, ops
 
 
-def pair_distribution(*programs: FrameProgram) -> list[np.ndarray]:
+def pair_distribution(programs: Iterable[FrameProgram]) -> list[np.ndarray]:
     """The exact outcome probabilities of every program's measured qubits'
     parities, one array per program: for a benchmark circuit, the 4 cells
     of the round-2 detector pair, cell 2 d_left + d_right.
 
     A measured qubit's parity is the XOR of all its read-out bits. Cell r
     holds the outcome whose k-th measured qubit in line order has bit k of
-    r, counted from the most significant end. Programs of one structure are
-    walked together, in one pass behind a leading batch axis.
+    r, counted from the most significant end. `programs` is read once,
+    lazily: each program is reduced to its structure and a row of its
+    probabilities and released before the next is read. Programs of one
+    structure are walked together, in one pass behind a leading batch axis.
     """
-    classes: dict[tuple, list[int]] = {}
-    for k, program in enumerate(programs):
-        classes.setdefault(_structure(program), []).append(k)
+    classes: dict[tuple, tuple[tuple, list[int], bytearray]] = {}
+    count = 0
+    for program in programs:
+        _, members, rows = classes.setdefault(_structure(program), (program.ops, [], bytearray()))
+        members.append(count)
+        row = [x for op in program.ops for x in _ROWS[op[0]](op)]
+        rows += pack(f"{len(row)}d", *row)
+        count += 1
+        del program  # released before the next one is made
     out: dict[int, np.ndarray] = {}
-    for members in classes.values():
-        out.update(zip(members, _walk([programs[k] for k in members])))
-    return [out[k] for k in range(len(programs))]
+    for (nq, _), (ops, members, rows) in classes.items():
+        out.update(zip(members, _walk(nq, ops, np.frombuffer(rows).reshape(len(members), -1))))
+    return [out[k] for k in range(count)]
 
 
-def _walk(programs: list[FrameProgram]) -> np.ndarray:
+def _walk(nq: int, ops: tuple[tuple, ...], probs: np.ndarray) -> np.ndarray:
     """The (programs, 2**measured qubits) parity probabilities of programs
-    of one structure, walked once over a flat vector on binary axes: the
+    of one structure on `nq` qubits, given one member's ops and the members'
+    probability rows, walked once over a flat vector on binary axes: the
     batch, the qubits in line order, the parities in line order. Each op is
     one matmul of the members' stacked matrices over a view whose third
     axis holds the bits of its qubit, or of its block of neighbours.
     """
-    nq, b = programs[0].n_qubits, len(programs)
+    b = len(probs)
     state = np.zeros(b << nq)
     state[:: 1 << nq] = 1.0
     measured: list[int] = []  # the qubit of each parity axis
-    columns = list(zip(*(program.ops for program in programs)))
-    for column, m in zip(columns, _matrices(columns, b)):
-        op = column[0]
+    for op, m in zip(ops, _matrices(ops, probs)):
         i = op[1]
         if op[0] != "measure":
             state = np.matmul(m, state.reshape(b, 1 << _block(op).start, m.shape[-1], -1))

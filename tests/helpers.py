@@ -118,7 +118,7 @@ def random_graph_edges(seed: int, max_vertices: int = 12) -> tuple[int, set]:
 def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:
     """`shots` (shots, 2) round-2 detector-pair bits of one circuit, drawn
     from its exact pair distribution as the pipeline draws them."""
-    (pi,) = pair_distribution(compile_program(circuit, noise))
+    (pi,) = pair_distribution([compile_program(circuit, noise)])
     return run_shots(pi, shots, seed)
 
 

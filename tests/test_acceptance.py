@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from synbench.analysis import detection_events, estimate_from_moments, extract_idle_rates
-from synbench.circuits import build_repetition_circuit
+from synbench.circuits import build_repetition_circuit, idle_exposure
 from synbench.cli import RunConfig, _extra_delay_ns, benchmark_qubit, run_benchmark
 from synbench.device import canonical_edge, enumerate_lines, load_calibration, plan_device, select_line
 from synbench.noise import IdleChannel, NoiseOptions, compile_noise
+from synbench.simulator import compile_program, pair_distribution
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import (
     ZERO_NOISE_OPTIONS,
@@ -210,10 +211,21 @@ def _phase_medians(falcon, crosstalk: bool, shots: int) -> dict[str, tuple[float
             ),
         )
         noise = compile_noise(falcon, config.noise)
-        estimates = []
-        for q, line in sorted(plan.items()):
-            delays = {"phase_flip": _extra_delay_ns(config, falcon, q, "phase_flip")}
-            estimates.append(benchmark_qubit(q, line, falcon, noise, config, delays).rates["p_phase"])
+        # the pipeline's stages: build and compile every circuit, one walk
+        # over all of them, then each qubit's draw and estimate
+        circuits = {
+            q: build_repetition_circuit(
+                line, falcon, "phase_flip", 0, _extra_delay_ns(config, falcon, q, "phase_flip"), scope
+            )
+            for q, line in sorted(plan.items())
+        }
+        cells = pair_distribution(compile_program(circuit, noise) for circuit in circuits.values())
+        estimates = [
+            benchmark_qubit(
+                q, plan[q], falcon, config, {("phase_flip", 0): pi}, {"phase_flip": idle_exposure(circuit, q)}
+            ).rates["p_phase"]
+            for (q, circuit), pi in zip(circuits.items(), cells)
+        ]
         values = [e.estimate for e in estimates]
         ses = [e.stderr for e in estimates]
         # normal-approximation SE of a sample median

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 import synbench.cli as cli
 from synbench.analysis import BOOTSTRAP_RESAMPLES
+from synbench.circuits import ENCODINGS
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
-from synbench.device import CalibrationError, enumerate_lines, load_calibration, select_line
+from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
 from synbench.noise import NoiseOptions
 from conftest import falcon_bytes
 from helpers import line_calibration_doc
@@ -558,6 +559,42 @@ def test_failing_qubit_is_runtime_error_naming_it(tmp_path, cal_path, capsys, mo
     monkeypatch.setattr(cli, "benchmark_qubit", fail)
     assert main(["run", "--config", str(write_config(tmp_path, cal_path))]) == 2
     assert capsys.readouterr().err == "error: qubit 1: broken\n"
+
+
+@pytest.mark.parametrize("stage", ["build_repetition_circuit", "compile_program"])
+def test_failing_build_or_compile_is_runtime_error_naming_its_qubit(tmp_path, cal_path, capsys, monkeypatch, stage):
+    # stage 1 builds and compiles every circuit while the walk reads them; an
+    # error there still names the qubit whose circuit failed, here the
+    # second qubit's (one circuit per qubit), before any qubit task runs
+    original, calls, ran = getattr(cli, stage), [], []
+
+    def fail_second(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("broken")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stage, fail_second)
+    monkeypatch.setattr(cli, "benchmark_qubit", lambda *args: ran.append(args))
+    assert main(["run", "--config", str(write_config(tmp_path, cal_path))]) == 2
+    second = sorted(q for q, line in plan_device(load_calibration(cal_path)).items() if line is not None)[1]
+    assert capsys.readouterr().err == f"error: qubit {second}: broken\n"
+    assert not ran
+
+
+def test_run_walks_the_device_once(tmp_path, cal_path, monkeypatch):
+    # one pair_distribution call reads every program of the run
+    calls = []
+    original = cli.pair_distribution
+
+    def counting(programs):
+        calls.append(list(programs))
+        return original(calls[-1])
+
+    monkeypatch.setattr(cli, "pair_distribution", counting)
+    config = RunConfig.from_file(write_config(tmp_path, cal_path, encodings=list(ENCODINGS), logical_values=[0, 1]))
+    report, _ = run_benchmark(config)
+    assert len(calls) == 1 and len(calls[0]) == 4 * len(report.results) == 4 * 21
 
 
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -75,7 +76,7 @@ def fired_detectors(circuit, shots) -> set:
 def exact_round2_coincidence(circuit, noise) -> float:
     """P(both round-2 detectors of the center fire): the exact pair
     distribution's cell 3."""
-    (pi,) = pair_distribution(compile_program(circuit, noise))
+    (pi,) = pair_distribution([compile_program(circuit, noise)])
     return float(pi[3])
 
 
@@ -155,7 +156,7 @@ def test_program_outside_the_tracked_model_is_refused(cal, edit, error, match):
     circuit = with_final_readout(build(cal), cal)
     edited = replace(circuit, instructions=edit(circuit))
     with pytest.raises(error, match=match):
-        pair_distribution(compile_program(edited, zero_noise(cal)))
+        pair_distribution([compile_program(edited, zero_noise(cal))])
 
 
 @pytest.mark.parametrize("control_basis,target_basis", itertools.product("ZX", repeat=2))
@@ -373,7 +374,7 @@ def test_reset_forgets_a_fault_before_it():
     noise = compile_noise(cal)
     reset = next(ins for ins in circuit.instructions if ins.kind == "reset" and ins.qubits == (1,))
     faulted = [compile_program(insert_fault(circuit, 1, t, "X"), noise) for t in (reset.start, reset.end)]
-    before, after, plain = pair_distribution(*faulted, compile_program(circuit, noise))
+    before, after, plain = pair_distribution([*faulted, compile_program(circuit, noise)])
     assert np.array_equal(before, plain)
     assert plain[0] > 0.5 and np.abs(after - plain[[2, 3, 0, 1]]).max() <= 1e-15
 
@@ -387,7 +388,7 @@ def test_preparation_error_flips_initial_states(cal):
 
 
 def test_shot_count_validation(cal):
-    (pi,) = pair_distribution(compile_program(build(cal), zero_noise(cal)))
+    (pi,) = pair_distribution([compile_program(build(cal), zero_noise(cal))])
     with pytest.raises(ValueError):
         run_shots(pi, 0, seed=1)
     with pytest.raises(ValueError, match="4 cells"):
@@ -443,7 +444,7 @@ def test_preparation_channels_match_explicit_preparations(falcon, options):
     for _, circuit in pipeline_circuits(falcon):
         explicit = reference_compile_program(circuit, noise, explicit_preps=True)
         assert [op[0] for op in explicit.ops].count("prep") == 9  # five preparations, four resets
-        (pi,) = pair_distribution(compile_program(circuit, noise))
+        (pi,) = pair_distribution([compile_program(circuit, noise)])
         assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, explicit))).max() <= 1e-14
         checked += 1
     assert checked == 3 * 84
@@ -543,7 +544,7 @@ def test_crosstalk_at_the_decay_matches_crosstalk_at_segment_end(falcon):
     cases += [(deep, weak), (faulted, weak)]
     for circuit, model in cases:
         segment_end = reference_compile_program(circuit, model, crosstalk_at_segment_end=True)
-        (pi,) = pair_distribution(compile_program(circuit, model))
+        (pi,) = pair_distribution([compile_program(circuit, model)])
         assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, segment_end))).max() <= 1e-14
     tags = [op[0] for op in reference_compile_program(faulted, weak, crosstalk_at_segment_end=True).ops]
     assert (len(tags), tags.count("xtalk"), tags.count("relax")) == (27, 9, 6)
@@ -565,7 +566,7 @@ def test_pair_distribution_matches_reference_walk(falcon, crosstalk):
     circuits.append((faulted, compile_noise(cal)))
     for circuit, model in circuits:
         program = compile_program(circuit, model)
-        (pi,) = pair_distribution(program)
+        (pi,) = pair_distribution([program])
         records = reference_record_distribution(circuit, program)
         assert pi.shape == (4,) and records.shape == (16,)
         assert np.abs(pi - pair_cells(circuit, records)).max() <= 1e-14
@@ -587,7 +588,7 @@ def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
         last = {ins.qubits[0] for ins in measures if ins.start == measures[-1].start}
         assert len(measures) == 4 and last == set(aux_qubits(circuit))
         read = with_final_readout(circuit, falcon)
-        pi, full = pair_distribution(compile_program(circuit, noise), compile_program(read, noise))
+        pi, full = pair_distribution([compile_program(circuit, noise), compile_program(read, noise)])
         assert pi.shape == (4,) and full.shape == (32,)
         assert np.abs(full.reshape((2,) * 5).sum(axis=(0, 2, 4)).ravel() - pi).max() <= 1e-14
         checked += 1
@@ -604,9 +605,47 @@ def test_paired_walk_matches_each_programs_own_walk(falcon, crosstalk):
     assert len(programs) == 3 * 84
     for lv0, lv1 in zip(programs[0::2], programs[1::2]):
         assert _structure(lv0) == _structure(lv1) and lv0 != lv1
-        for paired, program in zip(pair_distribution(lv0, lv1), (lv0, lv1)):
-            (alone,) = pair_distribution(program)
+        for paired, program in zip(pair_distribution([lv0, lv1]), (lv0, lv1)):
+            (alone,) = pair_distribution([program])
             assert np.abs(paired - alone).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "options",
+    [NoiseOptions(), NoiseOptions(crosstalk_eta=0.3), NoiseOptions(prep_error=0.05)],
+    ids=["eta-1", "eta-0.3", "prep-0.05"],
+)
+def test_device_wide_walk_matches_each_programs_own_walk_exactly(falcon, options):
+    # the pipeline walks every program of a device in one call; batching
+    # changes no bit of any member's cells: every falcon27 pipeline circuit
+    # at each dd_scope, against each program walked alone
+    noise = compile_noise(falcon, options)
+    programs = [compile_program(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
+    assert len(programs) == 3 * 84 and len({_structure(p) for p in programs}) < len(programs) // 4
+    together = pair_distribution(programs)
+    alone = [pi for program in programs for pi in pair_distribution([program])]
+    assert np.abs(np.array(together) - np.array(alone)).max() == 0.0
+
+
+def test_pair_distribution_reads_its_programs_lazily(falcon):
+    # each program is reduced to its structure and probabilities on arrival
+    # and released before the next one is asked for, so a device's programs
+    # never sit in memory together
+    noise = compile_noise(falcon)
+    circuits = [circuit for scope, circuit in pipeline_circuits(falcon) if scope == "none"]
+    released = []
+
+    def programs():
+        last = None
+        for circuit in circuits:
+            released.append(last is None or last() is None)
+            box = [compile_program(circuit, noise)]
+            last = weakref.ref(box[0])
+            yield box.pop()
+
+    cells = pair_distribution(programs())
+    assert len(cells) == len(released) == 84 and all(released)
+    assert all(np.array_equal(pi, pair_distribution([compile_program(c, noise)])[0]) for pi, c in zip(cells, circuits))
 
 
 def test_programs_of_different_structures_are_walked_apart():
@@ -622,9 +661,9 @@ def test_programs_of_different_structures_are_walked_apart():
     circuits = (faulted, phase, plain)
     programs = [compile_program(circuit, noise) for circuit in circuits]
     assert _structure(programs[0]) == _structure(programs[2]) != _structure(programs[1])
-    for pi, circuit, program in zip(pair_distribution(*programs), circuits, programs):
+    for pi, circuit, program in zip(pair_distribution(programs), circuits, programs):
         assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, program))).max() <= 1e-14
-        (alone,) = pair_distribution(program)
+        (alone,) = pair_distribution([program])
         assert np.abs(pi - alone).max() <= 1e-15
 
 
@@ -644,7 +683,7 @@ def test_shot_kernels_match_row_major_oracles(falcon):
     faulted = insert_fault(build(cal, logical_value=1, extra_delay_ns=5_000), qubit=2, time_ns=55, pauli="Y")
     cases.append((faulted, compile_noise(cal), 2_000))
     for seed, (circuit, model, n) in enumerate(cases):
-        (pi,) = pair_distribution(compile_program(circuit, model))
+        (pi,) = pair_distribution([compile_program(circuit, model)])
         shots = run_shots(pi, n, seed)
         assert shots.dtype == np.uint8 and np.array_equal(shots, grouped_records(pi, n, seed))
         assert np.array_equal(detection_events(shots), bincount_pair_counts(shots[:, 0], shots[:, 1]))
@@ -711,7 +750,7 @@ def test_pipeline_pair_counts_match_exact_cells(falcon):
     noise = compile_noise(falcon)
     drawn = []
     for _, circuit in pipeline_circuits(falcon):
-        (pi,) = pair_distribution(compile_program(circuit, noise))
+        (pi,) = pair_distribution([compile_program(circuit, noise)])
         assert abs(pi.sum() - 1.0) <= 1e-12 and pi.min() >= 0.0
         drawn.append((detection_events(run_shots(pi, 20_000, len(drawn))), pi))
     assert len(drawn) == 3 * 84
