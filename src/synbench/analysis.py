@@ -16,14 +16,18 @@ means v_i, v_j and covariance C, the shared-fault probability is
 
 which is algebraically exact for that model. Standard errors come from a
 nonparametric bootstrap over shots, implemented as multinomial resampling of
-the 2x2 joint counts. The estimate is a number from counts alone; `RATES`
-names each reported rate once, with the encoding that measures it and the
-logical values whose estimates it averages.
+the 2x2 joint counts. One elementwise inversion serves the point estimate
+and every resample: the observed counts are row 0 above the resamples.
+Where a detector mean reaches 1/2 it gives 0.5, and past the model's
+anti-correlation bound 0.0, with a mask for each; at row 0 the first is an
+`EstimationError` and the second the estimate's `anticorrelated` flag. The
+estimate is a number from counts alone; `RATES` names each reported rate
+once, with the encoding that measures it and the logical values whose
+estimates it averages.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +51,6 @@ RATES: dict[str, tuple[str, tuple[int, ...]]] = {
 
 class EstimationError(ValueError):
     """Detector statistics outside what the fault model can describe."""
-
-
-class AntiCorrelationError(EstimationError):
-    """Anti-correlation stronger than the shared-fault model allows."""
 
 
 def detection_events(shots: np.ndarray) -> np.ndarray:
@@ -82,48 +82,31 @@ class RateEstimate:
     anticorrelated: bool = field(default=False, kw_only=True)
 
 
-def estimate_from_moments(v_i: float, v_j: float, joint: float) -> float:
-    """Shared-fault probability from detector moments (exact inversion).
+def estimate_from_moments(v_i, v_j, joint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared-fault probability from detector moments (exact inversion),
+    elementwise over arrays of v_i, v_j and <d_i d_j>.
 
-    Raises EstimationError when a detector mean reaches 1/2 (the model's
-    denominator vanishes: broken data) and AntiCorrelationError when the
-    covariance is more negative than the model allows (radicand <= 0). Small
-    negative returns near p = 0 are ordinary sampling noise.
+    Returns (values, at_half, anticorrelated). `at_half` marks a detector
+    mean at or past 1/2 (the model's denominator vanishes: broken data),
+    whose value is 0.5; `anticorrelated` marks a covariance more negative
+    than the model allows (radicand <= 0), whose value is 0.0. Small
+    negative values near p = 0 are ordinary sampling noise.
     """
     c = joint - v_i * v_j
-    denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
-    if denom <= 0.0:
-        raise EstimationError(
-            f"detector rates v_i={v_i:.4f}, v_j={v_j:.4f} reach 1/2; data is "
-            "outside the fault model"
-        )
-    radicand = 1.0 + 4.0 * c / denom
-    if radicand <= 0.0:
-        raise AntiCorrelationError(
-            f"covariance {c:.3e} exceeds the model's anti-correlation bound"
-        )
-    return 0.5 - 0.5 / math.sqrt(radicand)
-
-
-def _bootstrap_values(counts: np.ndarray) -> np.ndarray:
-    """estimate_from_moments over rows of (n00, n01, n10, n11) counts, in
-    the same operation order, with failed resamples mapped to 0.5 (rate at
-    1/2) or 0.0 (anti-correlated)."""
-    total = counts.sum(axis=1).astype(np.float64)
-    v_i = (counts[:, 2] + counts[:, 3]) / total
-    v_j = (counts[:, 1] + counts[:, 3]) / total
-    c = counts[:, 3] / total - v_i * v_j
     denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
     with np.errstate(divide="ignore", invalid="ignore"):
         radicand = 1.0 + 4.0 * c / denom
         values = np.where(radicand <= 0.0, 0.0, 0.5 - 0.5 / np.sqrt(radicand))
-    return np.where(denom <= 0.0, 0.5, values)
+    at_half = denom <= 0.0
+    return np.where(at_half, 0.5, values), at_half, (radicand <= 0.0) & ~at_half
 
 
 def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPLES, seed=0) -> RateEstimate:
     """Central-qubit idle error rate: the shared-fault probability of the
     round-2 detector pair's joint counts (n00, n01, n10, n11), as
-    `detection_events` returns them, with bootstrap SE."""
+    `detection_events` returns them, with bootstrap SE. The observed counts
+    and their multinomial resamples are inverted in one call; row 0 is the
+    estimate, clamped at 0, and the rest give its SE."""
     counts = np.asarray(counts)
     if counts.shape != (4,):
         raise ValueError(f"counts must be the four cells (n00, n01, n10, n11), got shape {counts.shape}")
@@ -136,18 +119,19 @@ def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPL
         raise ValueError("counts hold no shots")
     if n < MIN_RECOMMENDED_SHOTS:
         warn_caller(f"only {n} shots for the round-2 detector pair; estimates will be noisy")
-    total = float(n)
-    v_i, v_j = (counts[2] + counts[3]) / total, (counts[1] + counts[3]) / total
-    anticorrelated = False
-    try:
-        point = estimate_from_moments(v_i, v_j, counts[3] / total)
-    except AntiCorrelationError:
-        point = 0.0
-        anticorrelated = True
     rng = np.random.default_rng(seed)
-    resampled = rng.multinomial(n, counts / n, size=resamples)
-    stderr = float(np.std(_bootstrap_values(resampled)))
-    return RateEstimate(max(0.0, point), stderr, n, anticorrelated=anticorrelated)
+    rows = np.vstack([counts, rng.multinomial(n, counts / n, size=resamples)])
+    total = rows.sum(axis=1).astype(np.float64)
+    v_i = (rows[:, 2] + rows[:, 3]) / total
+    v_j = (rows[:, 1] + rows[:, 3]) / total
+    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, rows[:, 3] / total)
+    if at_half[0]:
+        raise EstimationError(
+            f"detector rates v_i={v_i[0]:.4f}, v_j={v_j[0]:.4f} reach 1/2; data is outside the fault model"
+        )
+    return RateEstimate(
+        max(0.0, float(values[0])), float(np.std(values[1:])), n, anticorrelated=bool(anticorrelated[0])
+    )
 
 
 @dataclass(frozen=True)

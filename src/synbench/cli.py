@@ -276,15 +276,16 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
         "rates_map": out_dir / "rates.svg",
         "calibration_map": out_dir / "calibration.svg",
     }
-    _write(paths["report"], report_json(report))
+    doc = report.to_dict()
+    _write(paths["report"], report_json(doc))
     _write(paths["csv"], report_csv(report))
-    _write(paths["rates_map"], render_device_map(report, cal, "rates"))
-    _write(paths["calibration_map"], render_device_map(report, cal, "calibration"))
+    _write(paths["rates_map"], render_device_map(doc, cal, "rates"))
+    _write(paths["calibration_map"], render_device_map(doc, cal, "calibration"))
     return report, paths
 
 
-def report_json(report: BenchmarkReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def report_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def report_csv(report: BenchmarkReport) -> str:

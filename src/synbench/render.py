@@ -57,13 +57,12 @@ def _node_values(report: dict, cal: DeviceCalibration, mode: str) -> dict[int, t
     return values
 
 
-def render_device_map(report, cal: DeviceCalibration, mode: str = "rates") -> str:
-    """Render the coupling graph with per-qubit rate coloring; returns SVG
-    text (stable bytes for identical inputs)."""
+def render_device_map(report: dict, cal: DeviceCalibration, mode: str = "rates") -> str:
+    """Render the coupling graph of a report document (`to_dict`'s form)
+    with per-qubit rate coloring; returns SVG text (stable bytes for
+    identical inputs)."""
     if mode not in ("rates", "calibration"):
         raise ValueError(f"unknown render mode {mode!r}")
-    if hasattr(report, "to_dict"):
-        report = report.to_dict()
 
     px = {
         q: (_MARGIN + _SCALE * x, _MARGIN + _SCALE * y) for q, (x, y) in cal.layout.items()

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 
-from synbench.circuits import Circuit, Instruction
-from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge
+from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
+from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge, plan_device
 from synbench.noise import CHANNEL_NAMES, NoiseOptions
 from synbench.simulator import compile_program, pair_distribution, run_shots
 from oracles import grouped_records, reference_record_distribution
@@ -113,6 +114,16 @@ def random_graph_edges(seed: int, max_vertices: int = 12) -> tuple[int, set]:
         if rng.random() < density
     }
     return n, edges
+
+
+def pipeline_circuits(cal):
+    """Every circuit the pipeline builds for `cal` at each dd_scope, with
+    the default extra delay."""
+    lines = {q: line for q, line in plan_device(cal).items() if line is not None}
+    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
+        qc = cal.qubits[q]
+        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
+        yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
 
 
 def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:

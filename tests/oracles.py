@@ -3,7 +3,8 @@
 Everything here is deliberately kept free of the library's algorithms: path
 enumeration by raw permutation search, channel composition by explicit 2x2
 Markov chains walked over a circuit's instruction list, fault-model
-moments by enumerating all configurations, full measurement records (every
+moments by enumerating all configurations and their inversion one scalar
+at a time, raising where the model fails, full measurement records (every
 outcome of every measure, in slots numbered by ranking the measures by
 start and line position) by Monte Carlo frame tracking of every shot
 through every compiled op and exactly by a slice-and-sum walk over the same
@@ -64,6 +65,24 @@ def shared_fault_moments(p: float, q_i: float, q_j: float) -> tuple[float, float
         v_j += prob * d_j
         joint += prob * d_i * d_j
     return v_i, v_j, joint
+
+
+class AntiCorrelated(ValueError):
+    """Covariance below the shared-fault model's anti-correlation bound."""
+
+
+def shared_fault_inversion(v_i: float, v_j: float, joint: float) -> float:
+    """The shared-fault probability of one set of detector moments, one
+    scalar at a time: ValueError where a detector mean reaches 1/2 and
+    AntiCorrelated where the radicand is not positive."""
+    c = joint - v_i * v_j
+    denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
+    if denom <= 0.0:
+        raise ValueError(f"detector rates v_i={v_i}, v_j={v_j} reach 1/2")
+    radicand = 1.0 + 4.0 * c / denom
+    if radicand <= 0.0:
+        raise AntiCorrelated(f"covariance {c} is below the model's bound")
+    return 0.5 - 0.5 / math.sqrt(radicand)
 
 
 def relax_step(dist: tuple[float, float], t_ns: float, t1_ns: float, p0: float) -> tuple[float, float]:

@@ -7,6 +7,7 @@ slow part of the suite (about 11 s end to end on a 2-vCPU Xeon KVM guest).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -132,13 +133,11 @@ def test_criterion_1_guide_value_reproduction(cal5):
 
 def test_criterion_2_estimator_oracle():
     grid = [round(0.01 * k, 2) for k in range(31)]
-    worst = 0.0
-    for p in grid:
-        for q_i in grid:
-            for q_j in grid:
-                v_i, v_j, joint = shared_fault_moments(p, q_i, q_j)
-                worst = max(worst, abs(estimate_from_moments(v_i, v_j, joint) - p))
-    exact_ok = worst <= 1e-12
+    cases = list(itertools.product(grid, repeat=3))
+    v_i, v_j, joint = np.array([shared_fault_moments(*case) for case in cases]).T
+    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, joint)
+    worst = np.abs(values - np.array(cases)[:, 0]).max()
+    exact_ok = worst <= 1e-12 and not at_half.any() and not anticorrelated.any()
 
     failures = 0
     trials = 100

@@ -7,7 +7,6 @@ import pytest
 
 from synbench.analysis import (
     RATES,
-    AntiCorrelationError,
     EstimationError,
     QubitBenchmark,
     RateEstimate,
@@ -19,7 +18,14 @@ from synbench.analysis import (
 from synbench.circuits import build_repetition_circuit
 from synbench.cli import RunConfig, run_benchmark
 from helpers import aux_qubits, line_calibration_doc, make_line_cal, with_final_readout
-from oracles import bincount_pair_counts, record_slots, shared_fault_moments, stacked_detection_events
+from oracles import (
+    AntiCorrelated,
+    bincount_pair_counts,
+    record_slots,
+    shared_fault_inversion,
+    shared_fault_moments,
+    stacked_detection_events,
+)
 
 LINE = (0, 1, 2, 3, 4)
 
@@ -175,34 +181,42 @@ def test_extract_refuses_malformed_counts(counts, problem):
 
 def test_estimator_recovers_p_from_exact_moments():
     grid = [round(0.01 * k, 2) for k in range(0, 31)]
-    worst = 0.0
-    for p in grid:
-        for q_i in grid[::6]:
-            for q_j in grid[::6]:
-                v_i, v_j, joint = shared_fault_moments(p, q_i, q_j)
-                worst = max(worst, abs(estimate_from_moments(v_i, v_j, joint) - p))
-    assert worst <= 1e-12
+    cases = [(p, q_i, q_j) for p in grid for q_i in grid[::6] for q_j in grid[::6]]
+    v_i, v_j, joint = np.array([shared_fault_moments(*case) for case in cases]).T
+    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, joint)
+    assert not at_half.any() and not anticorrelated.any()
+    assert np.abs(values - np.array(cases)[:, 0]).max() <= 1e-12
 
 
 def test_estimator_matches_documented_example():
     v_i, v_j, joint = shared_fault_moments(0.05, 0.02, 0.03)
     assert v_i == pytest.approx(0.068)
     assert v_j == pytest.approx(0.077)
-    assert estimate_from_moments(v_i, v_j, joint) == pytest.approx(0.05, abs=1e-15)
+    assert estimate_from_moments(v_i, v_j, joint)[0] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_estimator_zero_covariance_is_zero():
-    assert estimate_from_moments(0.1, 0.2, 0.1 * 0.2) == pytest.approx(0.0, abs=1e-15)
+    assert estimate_from_moments(0.1, 0.2, 0.1 * 0.2)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_estimator_rejects_rates_at_one_half():
-    with pytest.raises(EstimationError):
-        estimate_from_moments(0.5, 0.1, 0.05)
+    # a detector mean at or past 1/2 maps to 0.5 and is masked, and only
+    # that element: beside it an ordinary row and an anticorrelated one
+    values, at_half, anticorrelated = estimate_from_moments(
+        np.array([0.5, 0.1, 0.6, 0.4]), np.array([0.1, 0.2, 0.1, 0.4]), np.array([0.05, 0.03, 0.06, 0.0])
+    )
+    assert at_half.tolist() == [True, False, True, False]
+    assert anticorrelated.tolist() == [False, False, False, True]
+    assert values[[0, 2]].tolist() == [0.5, 0.5]
+    assert values[1] == shared_fault_inversion(0.1, 0.2, 0.03)
 
 
 def test_estimator_flags_excess_anticorrelation():
-    with pytest.raises(AntiCorrelationError):
-        estimate_from_moments(0.4, 0.4, 0.0)
+    values, at_half, anticorrelated = estimate_from_moments(0.4, 0.4, 0.0)
+    assert anticorrelated and not at_half
+    assert values == 0.0
+    with pytest.raises(AntiCorrelated):
+        shared_fault_inversion(0.4, 0.4, 0.0)
 
 
 def test_extract_idle_rates_on_synthetic_columns():
@@ -271,22 +285,24 @@ def test_extract_idle_rates_bootstrap_is_seeded():
     ids=["counts0-exact", "counts1-exact", "counts2-exact"],  # the exact inversion
 )
 def test_extract_idle_rates_bootstrap_matches_scalar_loop(counts):
-    # the vectorized bootstrap reproduces the per-resample scalar estimator
-    # bit for bit, failure mapping included
-    n = sum(counts)
-    est = extract_idle_rates(np.array(counts), seed=9)
-    rng = np.random.default_rng(9)
-    values = []
-    for c in rng.multinomial(n, np.array(counts) / n, size=200):
+    # the one stacked inversion reproduces the oracle's scalar inversion
+    # bit for bit, at the observed counts and at every resample, failure
+    # mapping included
+    def scalar(c) -> tuple[float, bool]:
         total = float(c.sum())
         try:
-            values.append(
-                estimate_from_moments((c[2] + c[3]) / total, (c[1] + c[3]) / total, c[3] / total)
-            )
-        except AntiCorrelationError:
-            values.append(0.0)
-        except EstimationError:
-            values.append(0.5)
+            return shared_fault_inversion((c[2] + c[3]) / total, (c[1] + c[3]) / total, c[3] / total), False
+        except AntiCorrelated:
+            return 0.0, True
+        except ValueError:
+            return 0.5, False
+
+    n = sum(counts)
+    est = extract_idle_rates(np.array(counts), seed=9)
+    point, flagged = scalar(np.array(counts))
+    assert (est.estimate, est.anticorrelated) == (max(0.0, point), flagged)
+    rng = np.random.default_rng(9)
+    values = [scalar(c)[0] for c in rng.multinomial(n, np.array(counts) / n, size=200)]
     assert est.stderr == float(np.std(values))
 
 
@@ -357,5 +373,5 @@ def test_aggregate_rejects_empty():
 def test_estimator_sampled_vs_exact_moments_match_closed_form():
     # estimate from a huge synthetic sample approaches the exact-moment value
     v_i, v_j, joint = shared_fault_moments(0.08, 0.05, 0.01)
-    p_exact = estimate_from_moments(v_i, v_j, joint)
+    p_exact = estimate_from_moments(v_i, v_j, joint)[0]
     assert p_exact == pytest.approx(0.08, abs=1e-12)

@@ -1,0 +1,44 @@
+"""Stored digests of exact cells and of a report's bytes.
+
+Every other test compares one walk or estimator with another, or checks a
+number to a tolerance, so a change that moves cells or estimates by an ulp
+passes them all. The digests below were taken with numpy 2.4.6 on CPython
+3.11 and x86-64 Linux. A moved digest there means some cell or reported
+number changed by at least one bit: a change that means to keep every
+number must find why, and one that means to move them says so and stores
+the new digest. Another numpy or platform may round differently and move
+them on its own.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+
+from synbench.cli import RunConfig, run_benchmark
+from synbench.noise import compile_noise
+from synbench.simulator import compile_program, pair_distribution
+from conftest import falcon_bytes
+from helpers import pipeline_circuits
+
+FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
+FALCON_REPORT_CSV = "2a649449e300636ab49ba932d5011bcb9b693cacb1e7678c7386d4d623fe19bd"
+
+
+def test_falcon_pipeline_cells_keep_their_bytes(falcon):
+    # the exact cells of falcon27's 84 pipeline programs at code_only with
+    # default noise, walked in one call as the run walks them
+    noise = compile_noise(falcon)
+    programs = [compile_program(c, noise) for scope, c in pipeline_circuits(falcon) if scope == "code_only"]
+    assert len(programs) == 84
+    cells = np.array(pair_distribution(programs))
+    assert hashlib.sha256(cells.tobytes()).hexdigest() == FALCON_CODE_ONLY_CELLS
+
+
+def test_falcon_report_csv_keeps_its_bytes(tmp_path):
+    # a falcon27 run at 2,000 shots, seed 7; the CSV holds no paths
+    cal_path = tmp_path / "falcon27.json"
+    cal_path.write_bytes(falcon_bytes())
+    _, paths = run_benchmark(RunConfig(str(cal_path), shots=2_000, seed=7, output_dir=str(tmp_path / "out")))
+    assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == FALCON_REPORT_CSV

@@ -5,6 +5,8 @@ circuits, noise or the run."""
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,18 @@ def test_module_imports_only_the_device_layer(module):
 def test_import_reader_finds_every_import_form():
     source = "from .noise import x\nfrom . import cli, __version__\nfrom synbench.circuits import y\nimport synbench.render\n"
     assert sibling_imports(source) == {"noise", "cli", "circuits", "render"}
+
+
+def test_oracles_import_only_classes_from_the_library():
+    # the oracles stay free of the library's algorithms: what they take
+    # from synbench is types to build and exceptions to expect, never a
+    # function such as the inversion they are a reference for
+    imported = []
+    for node in ast.walk(ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "synbench"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "synbench":
+            imported += [(node.module, alias.name) for alias in node.names]
+    assert imported
+    modules = {module: importlib.import_module(module) for module, _ in imported}
+    assert [name for module, name in imported if not inspect.isclass(getattr(modules[module], name))] == []

@@ -9,7 +9,7 @@ from synbench.render import render_device_map
 from helpers import make_graph_cal
 
 
-def _report(values: dict[int, tuple[float, float | None]]):
+def _report(values: dict[int, tuple[float, float | None]]) -> dict:
     results = []
     for q, (bit, phase) in values.items():
         rates = {"p_01": RateEstimate(bit, 0.001, 1000)}
@@ -18,7 +18,7 @@ def _report(values: dict[int, tuple[float, float | None]]):
         results.append(
             QubitBenchmark(qubit=q, line=(0, 1, 2, 3, 4), rates=rates, guides={}, exposure_ns={})
         )
-    return aggregate_device(results, {"dd_scope": "code_only"})
+    return aggregate_device(results, {"dd_scope": "code_only"}).to_dict()
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +62,7 @@ def test_values_round_trip_at_one_decimal(cal):
             re.findall(r">([\d.]+)/([\d.]+)<", svg),
         )
     )
-    for entry in report.to_dict()["qubits"]:
+    for entry in report["qubits"]:
         bit, phase = printed[entry["qubit"]]
         assert bit == f"{100 * entry['rates']['p_01']['estimate']:.1f}"
         assert phase == f"{100 * entry['rates']['p_phase']['estimate']:.1f}"

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from synbench.analysis import detection_events, extract_idle_rates
-from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
-from synbench.device import plan_device
+from synbench.circuits import Circuit, Instruction, build_repetition_circuit
 from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, _structure, compile_program, pair_distribution, run_shots
 from helpers import (
@@ -19,6 +18,7 @@ from helpers import (
     code_qubits,
     insert_fault,
     make_line_cal,
+    pipeline_circuits,
     sample_records,
     sample_shots,
     with_final_readout,
@@ -393,16 +393,6 @@ def test_shot_count_validation(cal):
         run_shots(pi, 0, seed=1)
     with pytest.raises(ValueError, match="4 cells"):
         run_shots(pi[:-1], 10, seed=1)
-
-
-def pipeline_circuits(cal):
-    """Every circuit the pipeline builds for `cal` at each dd_scope, with
-    the default extra delay."""
-    lines = {q: line for q, line in plan_device(cal).items() if line is not None}
-    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
-        qc = cal.qubits[q]
-        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
-        yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
 
 
 def op_qubits(op: tuple) -> tuple:
