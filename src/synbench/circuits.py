@@ -73,11 +73,6 @@ class Instruction(NamedTuple):
     def end(self) -> int:
         return self.start + self.duration
 
-    def text(self) -> str:
-        echoed = " echoed" if self.kind == "delay" and self.echoed else ""
-        qubits = ",".join(str(q) for q in self.qubits)
-        return f"{self.start:>10d} {self.kind:<10s} q[{qubits}] dur={self.duration}{echoed}"
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -86,10 +81,6 @@ class Circuit:
     encoding: str
     logical_value: int
 
-    @property
-    def duration(self) -> int:
-        return max(ins.end for ins in self.instructions)
-
     @cached_property
     def per_qubit(self) -> dict[int, tuple[Instruction, ...]]:
         by_qubit: dict[int, list[Instruction]] = {q: [] for q in self.line}
@@ -97,10 +88,6 @@ class Circuit:
             for q in ins.qubits:
                 by_qubit[q].append(ins)
         return {q: tuple(v) for q, v in by_qubit.items()}
-
-    def timeline_text(self) -> str:
-        """Deterministic plain-text dump, one line per instruction."""
-        return "\n".join(ins.text() for ins in self.instructions) + "\n"
 
 
 def build_repetition_circuit(

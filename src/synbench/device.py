@@ -12,11 +12,9 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 Edge = tuple[int, int]
 
@@ -122,33 +120,21 @@ class DeviceCalibration:
 
     @cached_property
     def layout(self) -> dict[int, tuple[float, float]]:
-        """Drawing coordinates: the committed positions, or a seeded
-        force-directed layout for devices without them."""
+        """Drawing coordinates: the committed positions, or breadth-first
+        columns. Each connected component is walked from its lowest qubit and
+        sits right of the last; a column holds its qubits in discovery order,
+        centred on 0, and every edge of a bipartite graph spans one column."""
         if self.positions:
             return self.positions
-        n = self.qubit_count
-        rng = np.random.default_rng(0)
-        pos = rng.random((n, 2)) * math.sqrt(n)
-        # every pair (a, b), a < b, repels and every edge is a spring: with
-        # d = pos[a] - pos[b], a's force gains w = 0.2 d / |d|^2 from the
-        # pair and w = -d/2 from the spring, and b's force gains -w
-        pairs = np.triu_indices(n, k=1)
-        edges = np.array(list(self.edges), dtype=np.intp).reshape(-1, 2).T
-        a, b = (np.concatenate(ends) for ends in zip(pairs, edges))
-        repelling = len(pairs[0])
-        x, y = pos.T.copy()
-        for _ in range(300):
-            dx, dy = x[a] - x[b], y[a] - y[b]
-            scale = np.full(len(a), -0.5)
-            scale[:repelling] = 0.2 / (dx[:repelling] ** 2 + dy[:repelling] ** 2 + 1e-9)
-            for coord, w in ((x, dx * scale), (y, dy * scale)):
-                coord += 0.05 * (np.bincount(a, w, n) - np.bincount(b, w, n))
-        pos = np.stack([x, y], axis=1)
-        pos -= pos.min(axis=0)
-        return {q: (float(x), float(y)) for q, (x, y) in enumerate(pos)}
-
-    def neighbors(self, qubit: int) -> tuple[int, ...]:
-        return self.adjacency[qubit]
+        placed: set[int] = set()
+        columns: list[list[int]] = []
+        for root in range(self.qubit_count):
+            column = [] if root in placed else [root]
+            while column:
+                placed.update(column)
+                columns.append(column)
+                column = list(dict.fromkeys(q for p in column for q in self.adjacency[p] if q not in placed))
+        return {q: (float(x), row - (len(col) - 1) / 2) for x, col in enumerate(columns) for row, q in enumerate(col)}
 
     def edge_error(self, a: int, b: int) -> float:
         return self.cx_error[canonical_edge(a, b)]
@@ -281,14 +267,15 @@ def enumerate_lines(cal: DeviceCalibration, center: int) -> list[BenchLine]:
     if not 0 <= center < cal.qubit_count:
         raise ValueError(f"qubit {center} is not on the device")
     paths: set[tuple[int, ...]] = set()
-    for left in cal.neighbors(center):
-        for right in cal.neighbors(center):
+    nbrs = cal.adjacency
+    for left in nbrs[center]:
+        for right in nbrs[center]:
             if left == right:
                 continue
-            for a in cal.neighbors(left):
+            for a in nbrs[left]:
                 if a in (center, right):
                     continue
-                for d in cal.neighbors(right):
+                for d in nbrs[right]:
                     if d in (center, left, a):
                         continue
                     path = (a, left, center, right, d)

@@ -64,9 +64,9 @@ def render_device_map(report: dict, cal: DeviceCalibration, mode: str = "rates")
     if mode not in ("rates", "calibration"):
         raise ValueError(f"unknown render mode {mode!r}")
 
-    px = {
-        q: (_MARGIN + _SCALE * x, _MARGIN + _SCALE * y) for q, (x, y) in cal.layout.items()
-    }
+    # shifted so the lowest x and y sit at the margin, whatever the origin
+    x0, y0 = map(min, zip(*cal.layout.values()))
+    px = {q: (_MARGIN + _SCALE * (x - x0), _MARGIN + _SCALE * (y - y0)) for q, (x, y) in cal.layout.items()}
     width = max(x for x, _ in px.values()) + _MARGIN
     height = max(y for _, y in px.values()) + _MARGIN + 10
 

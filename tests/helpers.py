@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +29,16 @@ def code_qubits(circuit: Circuit) -> tuple[int, ...]:
 def aux_qubits(circuit: Circuit) -> tuple[int, ...]:
     """The line's odd positions: the two auxiliaries."""
     return circuit.line[1::2]
+
+
+def timeline_text(circuit: Circuit) -> str:
+    """Deterministic plain-text dump, one line per instruction."""
+    lines = []
+    for ins in circuit.instructions:
+        echoed = " echoed" if ins.kind == "delay" and ins.echoed else ""
+        qubits = ",".join(str(q) for q in ins.qubits)
+        lines.append(f"{ins.start:>10d} {ins.kind:<10s} q[{qubits}] dur={ins.duration}{echoed}")
+    return "\n".join(lines) + "\n"
 
 
 def make_line_cal(
@@ -116,6 +129,16 @@ def random_graph_edges(seed: int, max_vertices: int = 12) -> tuple[int, set]:
     return n, edges
 
 
+def load_bench_module(name: str, monkeypatch):
+    """bench/<name>.py, loaded by path since bench is not a package."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while being defined
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def pipeline_circuits(cal):
     """Every circuit the pipeline builds for `cal` at each dd_scope, with
     the default extra delay."""
@@ -167,7 +190,7 @@ def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
     if circuit.encoding == "phase_flip":
         layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in code])
     added = []
-    start = circuit.duration
+    start = max(ins.end for ins in circuit.instructions)
     for layer in layers:
         busy = dict.fromkeys(circuit.line, start)  # where each qubit's gate ends
         for kind, q, ns in layer:

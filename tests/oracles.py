@@ -10,8 +10,7 @@ start and line position) by Monte Carlo frame tracking of every shot
 through every compiled op and exactly by a slice-and-sum walk over the same
 ops, the shot matrix, its detection events and a detector pair's joint
 counts by row-major formulas (records repeated row by row, one temporary
-per detector column stacked at the end, a bincount of 2 d_i + d_j), the
-force-directed layout with its spring forces added edge by edge, echo
+per detector column stacked at the end, a bincount of 2 d_i + d_j), echo
 pairs inserted by a second pass over a built circuit, and a circuit's
 lowering to ops by sorting tagged events, matching crosstalk by rescanning
 every segment and sorting the ops again before the pass that folds each
@@ -181,24 +180,6 @@ def window_phase_flip_probability(circuit, cal, qubit: int) -> float:
         else:
             break
     return p_net
-
-
-def spring_layout(n: int, edges) -> np.ndarray:
-    """The seeded force-directed layout, (n, 2) coordinates, with each
-    edge's spring force added in a Python loop over `edges`."""
-    rng = np.random.default_rng(0)
-    pos = rng.random((n, 2)) * math.sqrt(n)
-    for _ in range(300):
-        forces = np.zeros_like(pos)
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist2 = (delta**2).sum(axis=2) + 1e-9
-        forces += (delta / dist2[:, :, None]).sum(axis=1) * 0.2
-        for a, b in edges:
-            d = pos[a] - pos[b]
-            forces[a] -= 0.5 * d
-            forces[b] += 0.5 * d
-        pos += 0.05 * forces
-    return pos - pos.min(axis=0)
 
 
 # the 15 non-identity two-qubit Paulis of the cx depolarizing channel

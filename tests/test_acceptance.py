@@ -8,7 +8,6 @@ slow part of the suite (about 11 s end to end on a 2-vCPU Xeon KVM guest).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import replace
 

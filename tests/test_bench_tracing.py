@@ -5,10 +5,8 @@ name, so a rename in the package fails here and not only under
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import inspect
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -18,20 +16,14 @@ from synbench.analysis import extract_idle_rates
 from synbench.circuits import build_repetition_circuit
 from synbench.cli import RunConfig
 from synbench.device import load_calibration, plan_device
-from helpers import line_calibration_doc
+from helpers import line_calibration_doc, load_bench_module
 
 REPO = Path(__file__).resolve().parent.parent
-TRACING = REPO / "bench" / "tracing.py"
 
 
 @pytest.fixture
 def tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name while being defined
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracing", monkeypatch)
 
 
 def test_every_traced_name_exists_in_its_home_module(tracing):

@@ -3,20 +3,19 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
 from conftest import FALCON_LEAVES, falcon_bytes
-from helpers import make_graph_cal, make_line_cal, random_graph_edges
-from oracles import brute_force_lines, spring_layout
+from helpers import load_bench_module, make_graph_cal, make_line_cal, random_graph_edges
+from oracles import brute_force_lines
 
 
 def test_falcon_fixture_shape(falcon):
     assert falcon.qubit_count == 27
     assert len(falcon.edges) == 28
-    assert sorted(q for q in range(27) if len(falcon.neighbors(q)) == 1) == list(FALCON_LEAVES)
+    assert sorted(q for q in range(27) if len(falcon.adjacency[q]) == 1) == list(FALCON_LEAVES)
 
 
 def test_qubit7_has_a_unique_line(falcon):
@@ -262,13 +261,27 @@ def test_enumerated_lines_are_simple_centered_and_edge_valid(seed):
             seen.add(ln.qubits)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, None])
-def test_layout_matches_per_edge_reference(seed):
-    n, edges = random_graph_edges(seed) if seed is not None else (3, set())
-    cal = make_graph_cal(n, edges)
-    assert cal.positions is None
-    got = np.array([cal.layout[q] for q in range(n)])
-    # the reference sums the springs in sorted edge order, the layout in the
-    # edge set's order
-    want = spring_layout(n, sorted(cal.edges))
-    assert np.abs(got - want).max() <= 1e-9
+@pytest.mark.parametrize(
+    "n, edges, want",
+    [
+        (5, [(3, 4), (1, 2), (0, 1), (2, 3)], {k: (k, 0) for k in range(5)}),
+        (6, [(k, (k + 1) % 6) for k in range(6)], {0: (0, 0), 1: (1, -0.5), 5: (1, 0.5), 2: (2, -0.5), 4: (2, 0.5), 3: (3, 0)}),
+        (3, [], {0: (0, 0), 1: (1, 0), 2: (2, 0)}),
+        (5, [(1, 3), (3, 4), (0, 2)], {0: (0, 0), 2: (1, 0), 1: (2, 0), 3: (3, 0), 4: (4, 0)}),
+    ],
+    ids=["path", "ring", "no_edges", "two_components_by_lowest_qubit"],
+)
+def test_layout_is_breadth_first_columns(n, edges, want):
+    assert make_graph_cal(n, edges).layout == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_layout_gives_every_qubit_its_own_point(seed):
+    n, edges = random_graph_edges(seed)
+    assert len(set(make_graph_cal(n, edges).layout.values())) == n
+
+
+def test_heavy_hex_edges_each_span_one_column(monkeypatch):
+    n, edges = load_bench_module("workloads", monkeypatch).heavy_hex_edges()
+    layout = make_graph_cal(n, edges).layout
+    assert n == 129 and all(abs(layout[a][0] - layout[b][0]) == 1 for a, b in edges)

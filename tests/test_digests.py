@@ -1,4 +1,4 @@
-"""Stored digests of exact cells and of a report's bytes.
+"""Stored digests of exact cells and of a run's report and maps.
 
 Every other test compares one walk or estimator with another, or checks a
 number to a tolerance, so a change that moves cells or estimates by an ulp
@@ -24,6 +24,8 @@ from helpers import pipeline_circuits
 
 FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
 FALCON_REPORT_CSV = "2a649449e300636ab49ba932d5011bcb9b693cacb1e7678c7386d4d623fe19bd"
+FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e02995"
+FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
 
 
 def test_falcon_pipeline_cells_keep_their_bytes(falcon):
@@ -37,8 +39,11 @@ def test_falcon_pipeline_cells_keep_their_bytes(falcon):
 
 
 def test_falcon_report_csv_keeps_its_bytes(tmp_path):
-    # a falcon27 run at 2,000 shots, seed 7; the CSV holds no paths
+    # a falcon27 run at 2,000 shots, seed 7; the CSV and the maps hold no
+    # paths, and falcon27's positions keep its maps off the computed layout
     cal_path = tmp_path / "falcon27.json"
     cal_path.write_bytes(falcon_bytes())
     _, paths = run_benchmark(RunConfig(str(cal_path), shots=2_000, seed=7, output_dir=str(tmp_path / "out")))
     assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == FALCON_REPORT_CSV
+    assert hashlib.sha256(paths["rates_map"].read_bytes()).hexdigest() == FALCON_RATES_SVG
+    assert hashlib.sha256(paths["calibration_map"].read_bytes()).hexdigest() == FALCON_CALIBRATION_SVG

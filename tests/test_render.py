@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -73,14 +74,22 @@ def test_render_is_deterministic(cal):
     assert render_device_map(report, cal, "rates") == render_device_map(report, cal, "rates")
 
 
-def test_render_without_positions_uses_seeded_layout():
+def test_render_without_positions_draws_breadth_first_columns():
     cal = make_graph_cal(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-    assert cal.positions is None
-    report = _report({2: (0.05, 0.01)})
-    a = render_device_map(report, cal, "rates")
-    b = render_device_map(report, cal, "rates")
-    assert a == b
-    assert a.count("<circle") == 6
+    svg = render_device_map(_report({2: (0.05, 0.01)}), cal, "rates")
+    # columns 90 apart, rows -0.5, 0 and 0.5 shifted to the margin at 55
+    assert re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg) == [
+        ("55.0", "100.0"), ("145.0", "55.0"), ("235.0", "55.0"), ("325.0", "100.0"), ("235.0", "145.0"), ("145.0", "145.0"),
+    ]
+
+
+def test_negative_positions_draw_inside_the_canvas():
+    base = make_graph_cal(3, [(0, 1), (1, 2)])
+    report = _report({1: (0.05, 0.01)})
+    svg = render_device_map(report, replace(base, positions={0: (-5.0, -3.0), 1: (0.0, 0.0), 2: (2.0, 1.0)}), "rates")
+    assert svg == render_device_map(report, replace(base, positions={0: (0.0, 0.0), 1: (5.0, 3.0), 2: (7.0, 4.0)}), "rates")
+    assert 'viewBox="0 0 740.0 480.0"' in svg
+    assert '<circle cx="55.0" cy="55.0"' in svg
 
 
 def test_render_rejects_empty_report(cal):
