@@ -120,17 +120,17 @@ def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPL
     if n < MIN_RECOMMENDED_SHOTS:
         warn_caller(f"only {n} shots for the round-2 detector pair; estimates will be noisy")
     rng = np.random.default_rng(seed)
+    # every row, the counts' and each resample's, holds n shots
     rows = np.vstack([counts, rng.multinomial(n, counts / n, size=resamples)])
-    total = rows.sum(axis=1).astype(np.float64)
-    v_i = (rows[:, 2] + rows[:, 3]) / total
-    v_j = (rows[:, 1] + rows[:, 3]) / total
-    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, rows[:, 3] / total)
+    v_i = (rows[:, 2] + rows[:, 3]) / n
+    v_j = (rows[:, 1] + rows[:, 3]) / n
+    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, rows[:, 3] / n)
     if at_half[0]:
         raise EstimationError(
             f"detector rates v_i={v_i[0]:.4f}, v_j={v_j[0]:.4f} reach 1/2; data is outside the fault model"
         )
     return RateEstimate(
-        max(0.0, float(values[0])), float(np.std(values[1:])), n, anticorrelated=bool(anticorrelated[0])
+        max(0.0, float(values[0])), float(values[1:].std()), n, anticorrelated=bool(anticorrelated[0])
     )
 
 

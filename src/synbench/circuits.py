@@ -33,8 +33,7 @@ qubits right after preparation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .device import BenchLine, DeviceCalibration, canonical_edge
@@ -54,8 +53,9 @@ _IDLE_BOUNDARY_KINDS = frozenset({"prepare_z0", "cx", "measure", "reset", "h"})
 # quarter segments and is left untouched
 _MIN_ECHO_SUBDELAY_NS = 4
 
-# the timeline's sort key; at equal starts, duration orders as end does
-_timeline_order = attrgetter("start", "duration", "qubits", "kind")
+# the timeline's sort key, (start, duration, qubits, kind); at equal
+# starts, duration orders as end does
+_timeline_order = itemgetter(2, 3, 1, 0)
 
 
 class CircuitBuildError(ValueError):
@@ -80,14 +80,6 @@ class Circuit:
     instructions: tuple[Instruction, ...]
     encoding: str
     logical_value: int
-
-    @cached_property
-    def per_qubit(self) -> dict[int, tuple[Instruction, ...]]:
-        by_qubit: dict[int, list[Instruction]] = {q: [] for q in self.line}
-        for ins in self.instructions:
-            for q in ins.qubits:
-                by_qubit[q].append(ins)
-        return {q: tuple(v) for q, v in by_qubit.items()}
 
 
 def build_repetition_circuit(
@@ -127,8 +119,9 @@ def build_repetition_circuit(
     x_dur = {q: max(1, round(cal.qubits[q].x_ns)) for q in qubits}
     ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
     echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
+    own = {q: (q,) for q in qubits}  # one operand tuple per qubit, shared by its instructions
 
-    instrs = [Instruction("prepare_z0", (q,), 0, 0) for q in qubits]
+    instrs = [Instruction("prepare_z0", own[q], 0, 0) for q in qubits]
     cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
 
     def barrier(time: int) -> None:
@@ -136,20 +129,21 @@ def build_repetition_circuit(
         # the echo pair when the qubit is in scope and the window fits it
         for q, lo in cursor.items():
             x = x_dur[q]
+            qs = own[q]
             if q in echo and time - lo >= 2 * x + _MIN_ECHO_SUBDELAY_NS:
                 quarter = (time - lo - 2 * x) // 4
                 middle = time - lo - 2 * x - 2 * quarter
                 instrs.extend(
                     (
-                        Instruction("delay", (q,), lo, quarter, echoed=True),
-                        Instruction("x", (q,), lo + quarter, x),
-                        Instruction("delay", (q,), lo + quarter + x, middle, echoed=True),
-                        Instruction("x", (q,), time - quarter - x, x),
-                        Instruction("delay", (q,), time - quarter, quarter, echoed=True),
+                        Instruction("delay", qs, lo, quarter, True),
+                        Instruction("x", qs, lo + quarter, x),
+                        Instruction("delay", qs, lo + quarter + x, middle, True),
+                        Instruction("x", qs, time - quarter - x, x),
+                        Instruction("delay", qs, time - quarter, quarter, True),
                     )
                 )
             elif time > lo:
-                instrs.append(Instruction("delay", (q,), lo, time - lo))
+                instrs.append(Instruction("delay", qs, lo, time - lo))
             cursor[q] = time
 
     def layer(gates) -> None:
@@ -169,9 +163,9 @@ def build_repetition_circuit(
         for cs in (code, code[1:])
     ]
     if logical_value == 1:
-        layer(("x", (q,), x_dur[q]) for q in code)
+        layer(("x", own[q], x_dur[q]) for q in code)
     if encoding == "phase_flip":
-        layer(("h", (q,), x_dur[q]) for q in code)
+        layer(("h", own[q], x_dur[q]) for q in code)
     for r in range(1, ROUNDS + 1):
         for gates in cx_layers:
             layer(gates)
@@ -179,7 +173,7 @@ def build_repetition_circuit(
         layer(
             gate
             for a in aux
-            for gate in (("measure", (a,), ro_dur[a]), ("reset", (a,), x_dur[a]))
+            for gate in (("measure", own[a], ro_dur[a]), ("reset", own[a], x_dur[a]))
         )
         # the extra delay is one window on every qubit, between the rounds
         if r < ROUNDS:
@@ -200,7 +194,7 @@ def idle_exposure(circuit: Circuit, qubit: int) -> int:
     the window)."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
-    own = circuit.per_qubit[qubit]
     meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure")
-    boundary = min(ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS and ins.start >= meas_start)
-    return sum(ins.duration for ins in own if ins.kind == "delay" and ins.start >= meas_start and ins.end <= boundary)
+    own = [ins for ins in circuit.instructions if qubit in ins.qubits and ins.start >= meas_start]
+    boundary = min(ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS)
+    return sum(ins.duration for ins in own if ins.kind == "delay" and ins.end <= boundary)

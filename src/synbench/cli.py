@@ -64,7 +64,7 @@ def _read_json(path: Path, what: str):
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
@@ -240,7 +240,7 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     out_dir = Path(config.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     exposures: dict[int, dict[str, int]] = {q: {} for q in chosen}

@@ -181,7 +181,7 @@ def load_calibration(source) -> DeviceCalibration:
     if isinstance(source, Path):
         try:
             raw = source.read_bytes()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a null byte in the path
             raise CalibrationError(f"cannot read calibration {source}: {exc}") from exc
     elif isinstance(source, (str, bytes)):
         raw = source

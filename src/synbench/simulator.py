@@ -19,17 +19,17 @@ Every single-qubit map, preparation and reset included, is a 2x2 channel
 (P(0->1), P(1->0)): x flips are (1, 1), dephasing (p, p), relaxation its
 two directions, and a preparation with flip p is (p, 1 - p), which sets the
 bit whatever it was (a reset has p = 0). `compile_program` sweeps the
-instructions once, stably sorted by start, reading each line qubit's idle
-channel once per circuit. After the sweep, each Z-basis delay that can
-decay and overlaps an X-basis delay of a line neighbour becomes a `decay`
-op: its decays (1 -> 0) flip each such receiver once, with probability
-eta, at the decay itself. No op after the last measure can change a
-parity, so the program ends there. One peephole pass then composes each
-qubit's channels between two ops that act on it into one exact Markov
-composition, folded into the next such op as (up, down) pairs, so the
-program has no channel ops; the end of the program discards the rest. A
-preparation forgets what came before it, since any channel followed by it
-equals it. The op formats, a decay carrying one channel per qubit of its
+instructions twice, stably sorted by start: once to note each qubit's
+X-basis delays, then once to emit the ops. As the second sweep goes, it
+composes each qubit's channels between two ops that act on it into one
+exact Markov composition, folded into the next such op as an (up, down)
+pair, so the program has no channel ops; the end of the program discards
+the rest. A preparation forgets what came before it, since any channel
+followed by it equals it. Each Z-basis delay that can decay and overlaps
+an X-basis delay of a line neighbour becomes a `decay` op: its decays
+(1 -> 0) flip each such receiver once, with probability eta, at the decay
+itself. No op after the last measure can change a parity, so the program
+ends there. The op formats, a decay carrying one channel per qubit of its
 block, from its lowest qubit to its highest:
 
     ("cx", control, target, eps, control channel, target channel)
@@ -65,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from struct import pack
 
 import numpy as np
@@ -98,113 +98,112 @@ class FrameProgram:
 
 
 def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
-    """Walk the circuit once, check the tracked-basis contract, and lower
-    every instruction to a vectorized operation with its channel
-    probabilities baked in. Raises BasisContractError if the circuit cannot
-    be tracked classically.
+    """Lower the circuit to ops in two sweeps over its instructions, checking
+    the tracked-basis contract; every channel probability is baked in.
+    Raises BasisContractError if the circuit cannot be tracked classically.
 
     The instructions run in one stable sort by start, so instructions of
     equal start keep their order; the builder's are already in time order.
+    The first sweep records each qubit's X-basis delays as their starts and
+    the running maximum of their ends. The second folds each qubit's
+    channels into one pending (up, down) pair, handed to the next op that
+    acts on the qubit, and keeps the ops up to the last measure. A Z-basis
+    delay [start, end) that can decay is received by a line neighbour iff
+    the latest end among the neighbour's X-basis delays that start before
+    `end`, found by one bisect, lies after `start`.
     """
     line = circuit.line
     n = len(line)
     index = {q: i for i, q in enumerate(line)}
-    basis = ["Z"] * n
+    ordered = sorted(circuit.instructions, key=itemgetter(2))  # by start
+
+    x_starts: list[list[int]] = [[] for _ in line]
+    x_reach: list[list[int]] = [[] for _ in line]  # the running maximum end
+    in_x = [False] * n
+    for kind, qubits, time, d, _ in ordered:
+        i = index[qubits[0]]
+        if kind == "h":
+            in_x[i] = not in_x[i]
+        elif kind in ("prepare_z0", "reset"):
+            in_x[i] = False
+        elif kind == "delay" and in_x[i]:
+            reach = x_reach[i]
+            x_starts[i].append(time)
+            reach.append(max(time + d, reach[-1]) if reach else time + d)
+
     idle = [noise.idle[q] for q in line]
     prep, eta = noise.prep, noise.crosstalk
-
+    crosstalk = eta > 0.0 and any(x_starts)
+    in_x = [False] * n
+    pending = [_NO_FLIP] * n
     ops: list[tuple] = []
-    sources: list[tuple[int, int, int, int]] = []  # (op index, qubit index, start, end)
-    x_delays: list[list[tuple[int, int]]] = [[] for _ in line]  # (start, end)
-    for kind, qubits, time, d, echoed in sorted(circuit.instructions, key=attrgetter("start")):
+    kept = 0  # the ops up to the last measure
+    for kind, qubits, time, d, echoed in ordered:
         q = qubits[0]
         i = index[q]
         if kind == "delay":
             ch = idle[i]
-            if basis[i] == "Z":
-                p01, p10 = ch.p_0to1(d), ch.p_1to0(d)
-                if p10 > 0.0 and eta > 0.0:
-                    sources.append((len(ops), i, time, time + d))
-                ops.append(("channel", i, p01, p10))
+            if in_x[i]:
+                up = down = ch.p_phaseflip(d, echoed)
             else:
-                p = ch.p_phaseflip(d, echoed)
-                ops.append(("channel", i, p, p))
-                x_delays[i].append((time, time + d))
+                f = ch.decay_fraction(d)
+                up, down = (1.0 - ch.p0) * f, ch.p0 * f
+                # a receiver's first k X-basis delays, those that start
+                # before this one ends, reach past its start
+                if crosstalk and down > 0.0:
+                    end = time + d
+                    receivers = tuple(
+                        j
+                        for j in (i - 1, i + 1)
+                        if 0 <= j < n and (k := bisect_left(x_starts[j], end)) and x_reach[j][k - 1] > time
+                    )
+                    if receivers:
+                        lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
+                        ops.append(("decay", i, receivers, up, down, eta, tuple(pending[lo:hi])))
+                        pending[lo:hi] = [_NO_FLIP] * (hi - lo)
+                        continue
         elif kind == "x":
-            if basis[i] == "Z":  # an x on an X-basis qubit changes only the phase
-                ops.append(("channel", i, 1.0, 1.0))
+            if in_x[i]:  # an x on an X-basis qubit changes only the phase
+                continue
+            up = down = 1.0
         elif kind == "cx":
             c, t = qubits
             j = index[t]
-            if basis[j] != "Z":
-                raise BasisContractError(
-                    f"cx at t={time} has an {basis[j]}-basis target {t}; only Z-basis "
-                    "targets are trackable"
-                )
+            if in_x[j]:
+                raise BasisContractError(f"cx at t={time} has an X-basis target {t}; only Z-basis targets are trackable")
             if abs(i - j) != 1:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            ops.append(("cx", i, j, noise.cx[c, t]))
+            ops.append(("cx", i, j, noise.cx[c, t], pending[i], pending[j]))
+            pending[i] = pending[j] = _NO_FLIP
+            continue
         elif kind == "measure":
-            if basis[i] != "Z":
+            if in_x[i]:
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            ops.append(("measure", i, noise.readout[q]))
+            ops.append(("measure", i, noise.readout[q], pending[i]))
+            pending[i] = _NO_FLIP
+            kept = len(ops)
+            continue
         elif kind in ("prepare_z0", "reset"):
-            # whatever the old bit, the new bit is 1 with probability p
-            p = prep if kind == "prepare_z0" else 0.0
-            basis[i] = "Z"
-            ops.append(("channel", i, p, 1.0 - p))
+            # whatever the old bit, the new bit is 1 with probability p; any
+            # channel followed by this one equals it
+            in_x[i] = False
+            up = prep if kind == "prepare_z0" else 0.0
+            down = 1.0 - up
         elif kind == "h":
-            basis[i] = "X" if basis[i] == "Z" else "Z"
+            in_x[i] = not in_x[i]
+            continue
         else:
             raise BasisContractError(f"unknown instruction kind {kind!r}")
-
-    # a Z-basis delay's decay flips each line neighbour whose X-basis delay
-    # overlaps it, once, with probability eta
-    for k, i, start, end in sources:
-        receivers = tuple(
-            j for j in (i - 1, i + 1) if 0 <= j < n and any(s < end and start < e for s, e in x_delays[j])
-        )
-        if receivers:
-            ops[k] = ("decay", i, receivers, *ops[k][2:], eta)
-    # no op after the last measure can change a parity
-    del ops[max((k for k, op in enumerate(ops) if op[0] == "measure"), default=-1) + 1 :]
-    return FrameProgram(ops=_fold_idle_channels(ops), n_qubits=n)
+        # the exact Markov composition of the qubit's pending channel, then this one
+        was_up, was_down = pending[i]
+        pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
+    return FrameProgram(ops=tuple(ops[:kept]), n_qubits=n)
 
 
 def _block(op: tuple) -> range:
     """The line indices a cx or a decay acts on, lowest first."""
     qubits = (op[1], op[2]) if op[0] == "cx" else (op[1], *op[2])
     return range(min(qubits), max(qubits) + 1)
-
-
-def _fold_idle_channels(ops: list[tuple]) -> tuple[tuple, ...]:
-    """Peephole pass: compose each qubit's run of channel ops into one
-    pending channel, the exact Markov composition of the ops it replaces.
-
-    The pending channel of a qubit is folded into the next op that acts on
-    it (a cx, a measure, or a decay it is the source or a receiver of); the
-    end of the program discards it, so a reset no later op reads leaves
-    nothing. A preparation's channel joins the run like any other; any
-    channel followed by it equals it, so the run forgets what came before.
-    """
-    pending: dict[int, tuple[float, float]] = {}
-    out: list[tuple] = []
-    for op in ops:
-        tag, i = op[0], op[1]
-        if tag == "channel":
-            up, down = pending.get(i, _NO_FLIP)
-            s_up, s_down = op[2], op[3]
-            pending[i] = (
-                (1.0 - up) * s_up + up * (1.0 - s_down),
-                (1.0 - down) * s_down + down * (1.0 - s_up),
-            )
-        elif tag == "cx":
-            out.append(op + (pending.pop(i, _NO_FLIP), pending.pop(op[2], _NO_FLIP)))
-        elif tag == "measure":
-            out.append(op + (pending.pop(i, _NO_FLIP),))
-        else:  # decay
-            out.append(op + (tuple(pending.pop(j, _NO_FLIP) for j in _block(op)),))
-    return tuple(out)
 
 
 def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:

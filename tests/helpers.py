@@ -6,12 +6,11 @@ import importlib.util
 import itertools
 import sys
 from dataclasses import replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, build_repetition_circuit
+from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, _timeline_order, build_repetition_circuit
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge, plan_device
 from synbench.noise import CHANNEL_NAMES, NoiseOptions
 from synbench.simulator import compile_program, pair_distribution, run_shots
@@ -29,6 +28,15 @@ def code_qubits(circuit: Circuit) -> tuple[int, ...]:
 def aux_qubits(circuit: Circuit) -> tuple[int, ...]:
     """The line's odd positions: the two auxiliaries."""
     return circuit.line[1::2]
+
+
+def per_qubit(circuit: Circuit) -> dict[int, tuple[Instruction, ...]]:
+    """Each line qubit's instructions, in circuit order."""
+    by_qubit: dict[int, list[Instruction]] = {q: [] for q in circuit.line}
+    for ins in circuit.instructions:
+        for q in ins.qubits:
+            by_qubit[q].append(ins)
+    return {q: tuple(v) for q, v in by_qubit.items()}
 
 
 def timeline_text(circuit: Circuit) -> str:
@@ -199,5 +207,5 @@ def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
         end = max(busy.values())
         added += [Instruction("delay", (q,), t, end - t) for q, t in busy.items() if t < end]
         start = end
-    added.sort(key=attrgetter("start", "duration", "qubits", "kind"))
+    added.sort(key=_timeline_order)
     return replace(circuit, instructions=circuit.instructions + tuple(added))

@@ -5,9 +5,17 @@ from dataclasses import replace
 
 import pytest
 
-from synbench.circuits import ENCODINGS, CircuitBuildError, build_repetition_circuit, idle_exposure
+from synbench.circuits import ENCODINGS, CircuitBuildError, _timeline_order, build_repetition_circuit, idle_exposure
 from synbench.device import canonical_edge, plan_device
-from helpers import aux_qubits, code_qubits, make_line_cal, timeline_text
+from helpers import (
+    aux_qubits,
+    code_qubits,
+    make_line_cal,
+    per_qubit,
+    pipeline_circuits,
+    timeline_text,
+    with_final_readout,
+)
 from oracles import insert_dynamical_decoupling, window_segments
 
 LINE = (0, 1, 2, 3, 4)
@@ -176,7 +184,7 @@ def assert_timeline_valid(circuit):
     """Per-qubit intervals are disjoint, gap-free, and tile [0, duration]."""
     for q in circuit.line:
         cursor = 0
-        for ins in sorted(circuit.per_qubit[q], key=lambda i: (i.start, i.end)):
+        for ins in sorted(per_qubit(circuit)[q], key=lambda i: (i.start, i.end)):
             assert ins.start == cursor or ins.duration == 0, (q, ins)
             cursor = max(cursor, ins.end)
         assert cursor == max(i.end for i in circuit.instructions), q
@@ -211,9 +219,9 @@ def test_structure_matches_minimal_experiment(cal):
     measures = [i for i in circuit.instructions if i.kind == "measure"]
     assert [i.qubits for i in measures] == [(1,), (3,)] * 2 and measures[0].start == measures[1].start
     for a in aux_qubits(circuit):
-        assert sum(1 for i in circuit.per_qubit[a] if i.kind == "measure") == 2
+        assert sum(1 for i in per_qubit(circuit)[a] if i.kind == "measure") == 2
     for c in code_qubits(circuit):
-        assert sum(1 for i in circuit.per_qubit[c] if i.kind == "measure") == 0
+        assert sum(1 for i in per_qubit(circuit)[c] if i.kind == "measure") == 0
 
 
 def test_logical_one_adds_x_on_code_qubits(cal):
@@ -274,7 +282,7 @@ def test_dd_split_arithmetic(cal):
     cal35 = make_line_cal(x_ns=35.0)
     circuit = build(cal35, extra_delay_ns=1_000, dd_scope="code_only")
     center_extra = [
-        i for i in circuit.per_qubit[2] if i.kind == "delay" and i.echoed and i.duration in (232, 466)
+        i for i in per_qubit(circuit)[2] if i.kind == "delay" and i.echoed and i.duration in (232, 466)
     ]
     assert sorted(i.duration for i in center_extra[:3]) == [232, 232, 466]
     assert sum(i.duration for i in center_extra[:3]) + 2 * 35 == 1_000
@@ -283,15 +291,15 @@ def test_dd_split_arithmetic(cal):
 def test_dd_code_only_leaves_aux_delays_unechoed(cal):
     circuit = build(cal, extra_delay_ns=1_000, dd_scope="code_only")
     for a in aux_qubits(circuit):
-        assert all(not i.echoed for i in circuit.per_qubit[a] if i.kind == "delay")
-        assert all(i.kind != "x" for i in circuit.per_qubit[a])
-    assert any(i.echoed for i in circuit.per_qubit[2] if i.kind == "delay")
+        assert all(not i.echoed for i in per_qubit(circuit)[a] if i.kind == "delay")
+        assert all(i.kind != "x" for i in per_qubit(circuit)[a])
+    assert any(i.echoed for i in per_qubit(circuit)[2] if i.kind == "delay")
 
 
 def test_dd_all_qubits_echoes_aux_delays(cal):
     circuit = build(cal, extra_delay_ns=1_000, dd_scope="all_qubits")
     for a in aux_qubits(circuit):
-        assert any(i.echoed for i in circuit.per_qubit[a] if i.kind == "delay")
+        assert any(i.echoed for i in per_qubit(circuit)[a] if i.kind == "delay")
 
 
 def test_short_delay_passes_through_unchanged():
@@ -301,7 +309,7 @@ def test_short_delay_passes_through_unchanged():
     circuit = build_repetition_circuit(LINE, cal35, "bit_flip", 0, dd_scope="all_qubits")
     window = [
         i
-        for i in circuit.per_qubit[2]
+        for i in per_qubit(circuit)[2]
         if i.kind == "delay" and i.duration == 65
     ]
     assert window and all(not i.echoed for i in window)
@@ -333,6 +341,25 @@ def test_idle_exposure_counts_delays_not_echo_pulses(cal):
     # two echoed windows in round 1 (measurement window + extra delay), each
     # giving up 2 x pulses of delay time
     assert idle_exposure(circuit, 2) == 30 + 10_000 - 4 * x_dur
+
+
+def test_idle_exposure_matches_walker_on_pipeline_circuits(falcon):
+    # every falcon27 pipeline circuit at each dd_scope, for its centre qubit
+    for _, circuit in pipeline_circuits(falcon):
+        centre = circuit.line[2]
+        walker = sum(d for kind, d in window_segments(circuit, centre) if kind == "delay")
+        assert idle_exposure(circuit, centre) == walker > 0
+
+
+def test_final_readout_keeps_builder_order(cal):
+    # the appended readout sorts as the builder sorts, so the whole
+    # timeline stays in builder order
+    for encoding in ENCODINGS:
+        circuit = build(cal, encoding=encoding, extra_delay_ns=100)
+        read = with_final_readout(circuit, cal)
+        assert read.instructions[: len(circuit.instructions)] == circuit.instructions
+        assert list(read.instructions) == sorted(read.instructions, key=_timeline_order)
+        assert [i.kind for i in read.instructions[len(circuit.instructions) :]].count("measure") == 3
 
 
 def test_idle_exposure_unknown_qubit(cal):

@@ -462,6 +462,24 @@ def test_directory_for_a_file_path_is_config_error(fuzz_dir, line_report, comman
     assert code == 1 and err.startswith("config error: cannot ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("where", ["report calibration", "config calibration", "config output_dir"])
+def test_null_byte_in_a_path_is_config_error(fuzz_dir, line_report, where):
+    # the OS refuses such a path with a ValueError, not an OSError
+    if where == "report calibration":
+        report = fuzz_dir / "nul_report.json"
+        report.write_text(json.dumps(replaced(line_report, ("metadata", "calibration"), "\x00")), encoding="utf-8")
+        argv = ["render", "--report", str(report), "--out", str(fuzz_dir / "nul.svg")]
+    else:
+        doc = {"calibration": str(fuzz_dir / "line.json"), "output_dir": str(fuzz_dir / "nul_run"), "shots": 50}
+        doc[where.split()[1]] += "\x00"
+        config = fuzz_dir / "nul_config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["run", "--config", str(config)]
+    with expected_warnings("only 50 shots"):
+        code, err = exit_and_stderr(argv)
+    assert code == 1 and err.startswith("config error: cannot ") and err.count("\n") == 1, err
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, data):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from synbench.analysis import detection_events, extract_idle_rates
 from synbench.circuits import Circuit, Instruction, build_repetition_circuit
+from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, _structure, compile_program, pair_distribution, run_shots
 from helpers import (
@@ -17,6 +19,7 @@ from helpers import (
     aux_qubits,
     code_qubits,
     insert_fault,
+    load_bench_module,
     make_line_cal,
     pipeline_circuits,
     sample_records,
@@ -465,6 +468,64 @@ def test_compile_program_matches_reference_lowering(falcon):
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
     assert (len(tags), tags.count("decay"), tags.count("measure")) == (18, 6, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_compile_program_matches_reference_lowering_on_heavy_hex(monkeypatch, seed):
+    # the library's lowering against the oracle's on every pipeline circuit
+    # of the benchmark's seeded 129-qubit device at each dd_scope
+    doc = load_bench_module("workloads", monkeypatch).heavy_hex_calibration(seed)
+    cal = load_calibration(json.dumps(doc))
+    noise = compile_noise(cal)
+    checked = 0
+    for _, circuit in pipeline_circuits(cal):
+        assert compile_program(circuit, noise).ops == reference_compile_program(circuit, noise).ops
+        checked += 1
+    assert checked == 3 * 4 * sum(line is not None for line in plan_device(cal).values())
+
+
+def crosstalk_circuit(source: tuple[int, int], x_delays: dict[int, list[tuple[int, int]]]) -> Circuit:
+    """Every line qubit prepared at 0; qubit 1 idles in the Z basis over
+    `source` (start, end) and is then measured; each qubit of `x_delays`
+    is turned to the X basis by an h at 0 and idles over its (start, end)
+    delays, in that order."""
+    ins = [Instruction("prepare_z0", (q,), 0, 0) for q in LINE]
+    ins += [Instruction("h", (q,), 0, 0) for q in x_delays]
+    ins += [Instruction("delay", (q,), s, e - s) for q, delays in x_delays.items() for s, e in delays]
+    start, end = source
+    ins += [Instruction("delay", (1,), start, end - start), Instruction("measure", (1,), end, 20)]
+    return Circuit(LINE, tuple(sorted(ins, key=lambda i: i.start)), "phase_flip", 0)
+
+
+@pytest.mark.parametrize(
+    "x_delays, receivers",
+    [
+        ({2: [(10, 200), (20, 30)]}, (2,)),
+        ({2: [(20, 30), (40, 45), (60, 70)]}, (2,)),
+        ({2: [(60, 80)]}, (2,)),
+        ({0: [(0, 50)], 2: [(100, 150)]}, ()),
+        ({0: [(99, 100)], 2: [(0, 51)]}, (0, 2)),
+        ({}, ()),
+    ],
+    ids=[
+        "overlapping_delays_one_reaching_past_the_source",
+        "only_the_last_delay_overlaps",
+        "source_spans_the_whole_delay",
+        "delays_touching_either_end",
+        "both_neighbours",
+        "no_x_basis_delay",
+    ],
+)
+def test_crosstalk_receivers_match_reference_lowering(x_delays, receivers):
+    # a decay over [50, 100) on qubit 1 is received by each line neighbour
+    # with an X-basis delay that starts before 100 and ends after 50, and
+    # the lowering equals the oracle's, which scans every X-basis delay
+    noise = compile_noise(make_line_cal(p0=0.9), NoiseOptions(crosstalk_eta=0.3))
+    circuit = crosstalk_circuit((50, 100), x_delays)
+    ops = compile_program(circuit, noise).ops
+    assert ops == reference_compile_program(circuit, noise).ops
+    assert [op[1:3] for op in ops if op[0] == "decay"] == ([(1, receivers)] if receivers else [])
+    assert ops[-1][:2] == ("measure", 1)
 
 
 def relaxing_delays_and_receivers(circuit, noise) -> list[tuple[int, tuple[int, ...]]]:
