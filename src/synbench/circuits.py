@@ -79,7 +79,6 @@ class Circuit:
     line: tuple[int, ...]
     instructions: tuple[Instruction, ...]
     encoding: str
-    logical_value: int
 
 
 def build_repetition_circuit(
@@ -183,7 +182,6 @@ def build_repetition_circuit(
         line=qubits,
         instructions=tuple(sorted(instrs, key=_timeline_order)),
         encoding=encoding,
-        logical_value=logical_value,
     )
 
 

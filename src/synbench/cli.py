@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -114,9 +115,13 @@ class RunConfig:
         if self.shots > MAX_SHOTS:
             raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
         fraction = self.extra_delay_fraction
-        if type(fraction) not in (int, float) or not 0 <= fraction < math.inf:
+        try:
+            number = float(fraction) if type(fraction) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not 0 <= number < math.inf:
             raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {fraction!r}")
-        object.__setattr__(self, "extra_delay_fraction", float(fraction))
+        object.__setattr__(self, "extra_delay_fraction", number)
         _distinct("encodings", self.encodings, ENCODINGS)
         _distinct("logical_values", self.logical_values, (0, 1))
         if self.dd_scope not in DD_SCOPES:
@@ -149,7 +154,9 @@ class RunConfig:
 
     def describe(self) -> dict:
         return {
-            "calibration": self.calibration,
+            # relative to the output directory, where the report is written,
+            # so a run's report does not depend on where its tree sits
+            "calibration": os.path.relpath(self.calibration, self.output_dir),
             "shots": self.shots,
             "seed": self.seed,
             "encodings": list(self.encodings),
@@ -169,13 +176,20 @@ def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encod
     return int(round(delay))
 
 
-def _combine(estimates: list[RateEstimate]) -> RateEstimate:
-    if len(estimates) == 1:
-        return estimates[0]
-    mean = sum(e.estimate for e in estimates) / len(estimates)
+def _mean(values) -> float:
+    return sum(values) / len(values)
+
+
+def _combine(measured: list[tuple[RateEstimate, float]]) -> tuple[RateEstimate, float]:
+    """The mean over the measured logical values, of their estimates and of
+    their guides alike; its stderr is the mean's, for independent
+    estimates. One logical value gives its estimate and guide unchanged."""
+    estimates, guides = zip(*measured)
     stderr = math.sqrt(sum(e.stderr**2 for e in estimates)) / len(estimates)
     shots = sum(e.shots for e in estimates)
-    return RateEstimate(mean, stderr, shots, anticorrelated=any(e.anticorrelated for e in estimates))
+    anticorrelated = any(e.anticorrelated for e in estimates)
+    mean = RateEstimate(_mean([e.estimate for e in estimates]), stderr, shots, anticorrelated=anticorrelated)
+    return mean, _mean(guides)
 
 
 def benchmark_qubit(
@@ -187,10 +201,11 @@ def benchmark_qubit(
     exposures: dict[str, int],
 ) -> QubitBenchmark:
     """One qubit's draw, estimate and assembly: sample and estimate each
-    configured (encoding, logical value) from its exact `cells`, then report
-    every `RATES` key whose encoding and some logical value were configured,
-    with guides over each encoding's `exposures`."""
-    estimates: dict[tuple[str, int], RateEstimate] = {}
+    configured (encoding, logical value) from its exact `cells`, beside that
+    circuit's guide over its encoding's `exposures`, then report every
+    `RATES` key whose encoding and some logical value were configured,
+    combining the estimates and the guides alike."""
+    measured: dict[tuple[str, int], tuple[RateEstimate, float]] = {}
     dd = config.dd_scope != "none"
     for enc_idx, encoding in enumerate(config.encodings):
         for lv in config.logical_values:
@@ -206,15 +221,13 @@ def benchmark_qubit(
                 # report at the model boundary rather than failing the device
                 warn_caller(f"qubit {qubit} {encoding} logical {lv}: {exc}; recording 0.5")
                 est = RateEstimate(0.5, 0.5, config.shots)
-            estimates[encoding, lv] = est
-    predicted = {encoding: guide_values(cal, qubit, exposures[encoding], dd) for encoding in config.encodings}
+            measured[encoding, lv] = est, guide_values(cal, qubit, encoding, lv, exposures[encoding], dd)
     rates: dict[str, RateEstimate] = {}
     guides: dict[str, float] = {}
     for key, (encoding, lvs) in RATES.items():
-        measured = [estimates[encoding, lv] for lv in lvs if (encoding, lv) in estimates]
-        if measured:
-            rates[key] = _combine(measured)
-            guides[key] = getattr(predicted[encoding], key)
+        circuits = [measured[encoding, lv] for lv in lvs if (encoding, lv) in measured]
+        if circuits:
+            rates[key], guides[key] = _combine(circuits)
     # the direction ratio identifies the equilibrium population, but only
     # when no echo pulses symmetrize the two directions
     p0_estimate = None
@@ -348,10 +361,11 @@ def _cmd_render(args) -> int:
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ConfigError(f"report {args.report}: metadata must be an object, got {metadata!r}")
-    cal_path = args.cal or metadata.get("calibration")
-    if not cal_path or not isinstance(cal_path, str):
+    recorded = metadata.get("calibration")
+    if not args.cal and (not recorded or not isinstance(recorded, str)):
         raise ConfigError(f"report {args.report} has no calibration path; pass --cal")
-    cal = load_calibration(Path(cal_path))
+    # a report records its calibration relative to its own directory
+    cal = load_calibration(Path(args.cal) if args.cal else Path(args.report).parent / recorded)
     try:
         svg = render_device_map(doc, cal, args.mode)
     except ValueError as exc:

@@ -17,6 +17,10 @@ overlapping delay.
 is only tables (each qubit's idle channel and readout flip, each coupled
 pair's cx error, the preparation flip and eta), with every disabled channel
 already zeroed.
+
+`guide_values` is the T1/T2 prediction for one circuit, read from the
+calibration alone; a run averages the guides over logical values as it
+averages the estimates they guide.
 """
 
 from __future__ import annotations
@@ -134,40 +138,22 @@ def compile_noise(cal: DeviceCalibration, options: NoiseOptions | None = None) -
     )
 
 
-@dataclass(frozen=True)
-class GuideValues:
-    """Analytic expectations for idle errors over a delay of t.
-
-    Without echoing, relaxation acts on a resting state: p_1to0 = p0 * (1 -
-    exp(-t/T1)) and p_0to1 its p0-complement, with p_01 their average (what
-    a both-logical-values protocol measures). With echoing the state spends
-    half the delay flipped, so both directions collapse onto the symmetrized
-    1 - exp(-(t/2)/T1). The phase guide uses T2 when echoed and T2* when
-    not. Each field is named as the report key it guides.
-    """
-
-    p_1to0: float
-    p_0to1: float
-    p_01: float
-    p_phase: float
-
-
 def guide_values(
-    cal: DeviceCalibration, qubit: int, t_delay_ns: float, dd: bool
-) -> GuideValues:
+    cal: DeviceCalibration, qubit: int, encoding: str, logical_value: int, t_delay_ns: float, dd: bool
+) -> float:
+    """The T1/T2 prediction for one circuit's idle error over a delay of t,
+    to set beside that circuit's estimate.
+
+    The phase-flip encoding's guide is the phase-flip probability, over T2
+    when echoed and T2* when not. Without echoing, relaxation acts on a
+    resting state: logical 1 decays with p_1to0 = p0 * (1 - exp(-t/T1)) and
+    logical 0 excites with its p0-complement. With echoing the state spends
+    half the delay flipped, so both directions collapse onto the
+    symmetrized 1 - exp(-(t/2)/T1). Every channel gives 0 for t <= 0.
+    """
     ch = IdleChannel.of(cal.qubits[qubit])
-    if t_delay_ns <= 0:
-        return GuideValues(0.0, 0.0, 0.0, 0.0)
+    if encoding == "phase_flip":
+        return ch.p_phaseflip(t_delay_ns, echoed=dd)
     if dd:
-        sym = ch.decay_fraction(t_delay_ns / 2.0)
-        p_1to0 = p_0to1 = p_01 = sym
-    else:
-        p_1to0 = ch.p_1to0(t_delay_ns)
-        p_0to1 = ch.p_0to1(t_delay_ns)
-        p_01 = 0.5 * (p_1to0 + p_0to1)
-    return GuideValues(
-        p_1to0=p_1to0,
-        p_0to1=p_0to1,
-        p_01=p_01,
-        p_phase=ch.p_phaseflip(t_delay_ns, echoed=dd),
-    )
+        return ch.decay_fraction(t_delay_ns / 2.0)
+    return ch.p_1to0(t_delay_ns) if logical_value == 1 else ch.p_0to1(t_delay_ns)

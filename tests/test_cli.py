@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench.analysis import BOOTSTRAP_RESAMPLES
+from synbench.analysis import BOOTSTRAP_RESAMPLES, RATES
 from synbench.circuits import ENCODINGS
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
@@ -126,6 +126,15 @@ def test_readme_run_config_is_the_defaults():
     assert set(doc) == {f.name for f in fields(RunConfig)}
     assert set(doc["noise"]) == {f.name for f in fields(NoiseOptions)}
     assert RunConfig.from_dict(doc) == RunConfig(calibration=doc["calibration"])
+
+
+def test_readme_rate_table_is_rates():
+    # the README's rate-key table lists each key with its encoding and the
+    # logical values it averages, as analysis.RATES does
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| ([\d, ]+)", readme, flags=re.MULTILINE)
+    assert len(rows) == len(RATES)
+    assert {key: (encoding, tuple(int(v) for v in lvs.split(","))) for key, encoding, lvs in rows} == RATES
 
 
 def test_config_rejects_unknown_keys():
@@ -484,7 +493,8 @@ def test_null_byte_in_a_path_is_config_error(fuzz_dir, line_report, where):
 @given(data=st.data())
 def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, data):
     path = data.draw(st.sampled_from(sorted(json_paths(line_report), key=repr)), label="path")
-    report = fuzz_dir / "report.json"
+    # beside the original, so its relative calibration path still resolves
+    report = fuzz_dir / "base" / "fuzzed.json"
     report.write_text(json.dumps(replaced(line_report, path, data.draw(JSON_SCALARS, label="value"))), encoding="utf-8")
     mode = data.draw(st.sampled_from(["rates", "calibration"]), label="mode")
     code, err = exit_and_stderr(["render", "--report", str(report), "--mode", mode, "--out", str(fuzz_dir / "map.svg")])
@@ -535,6 +545,7 @@ DELETED_KEYS = {"rounds", "extra_delay", "bootstrap_resamples"}
         {"extra_delay_fraction": float("inf")},
         {"extra_delay_fraction": -0.5},
         {"extra_delay_fraction": 1e306},  # finite, but its delay overflows
+        {"extra_delay_fraction": 10**400},  # a JSON integer beyond the float range
         {"extra_delay_fracton": 0.5},
         {"logical_values": [1, 1]},
         {"logical_values": [True]},
@@ -549,7 +560,8 @@ DELETED_KEYS = {"rounds", "extra_delay", "bootstrap_resamples"}
     ids=["noise-typo", "string-bool", "noise-number", "extra-delay-number", "string-shots",
          "string-logical-value", "number-encodings", "not-an-object", "fractional-shots",
          "bool-shots", "negative-seed", "negative-seed-flag", "zero-resamples",
-         "nan-fraction", "infinite-fraction", "negative-fraction", "overflowing-fraction", "extra-delay-typo",
+         "nan-fraction", "infinite-fraction", "negative-fraction", "overflowing-fraction", "huge-integer-fraction",
+         "extra-delay-typo",
          "repeated-logical-value", "bool-logical-value", "string-disable", "crosstalk-switch",
          "too-many-rounds", "int64-overflowing-shots-flag", "string-shots-flag", "fractional-shots-flag",
          "bool-seed-flag"],
@@ -678,8 +690,70 @@ def test_report_guides_and_exposure_are_consistent(tmp_path, cal_path):
             result.line, cal, "phase_flip", 0, extra_delay_ns=extra, dd_scope="code_only"
         )
         assert result.exposure_ns["phase_flip"] == idle_exposure(circuit, q)
-        expected = guide_values(cal, q, result.exposure_ns["phase_flip"], dd=True).p_phase
+        expected = guide_values(cal, q, "phase_flip", 0, result.exposure_ns["phase_flip"], dd=True)
         assert result.guides["p_phase"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("lv, direction", [(0, "p_0to1"), (1, "p_1to0")])
+def test_single_logical_value_guides_p01_by_its_direction(tmp_path, cal_path, lv, direction):
+    # without echo the two directions differ, and a run that measured one
+    # of them reports that direction's estimate and guide as p_01
+    config = write_config(tmp_path, cal_path, logical_values=[lv], dd_scope="none")
+    report, _ = run_benchmark(RunConfig.from_file(config))
+    for result in report.results:
+        assert result.guides["p_01"] == result.guides[direction]
+        assert result.rates["p_01"] == result.rates[direction]
+
+
+@pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])
+def test_each_guide_is_the_mean_of_its_circuits_guides(tmp_path, cal_path, scope):
+    from synbench.circuits import build_repetition_circuit, idle_exposure
+    from synbench.noise import guide_values
+
+    config = RunConfig.from_file(
+        write_config(tmp_path, cal_path, encodings=list(ENCODINGS), logical_values=[0, 1], dd_scope=scope)
+    )
+    report, _ = run_benchmark(config)
+    cal = load_calibration(cal_path)
+    assert len(report.results) == 21
+    for result in report.results:
+        q = result.qubit
+        per_circuit = {}
+        for encoding in ENCODINGS:
+            extra = cli._extra_delay_ns(config, cal, q, encoding)
+            for lv in (0, 1):
+                circuit = build_repetition_circuit(result.line, cal, encoding, lv, extra, scope)
+                exposure = idle_exposure(circuit, q)
+                per_circuit[encoding, lv] = guide_values(cal, q, encoding, lv, exposure, scope != "none")
+        assert result.guides == {
+            key: sum(per_circuit[encoding, lv] for lv in lvs) / len(lvs) for key, (encoding, lvs) in RATES.items()
+        }
+        if scope == "none":
+            # p_01's guide is the mean of the two directions' guides
+            g = result.guides
+            assert g["p_01"] == pytest.approx((g["p_0to1"] + g["p_1to0"]) / 2.0, rel=1e-12)
+
+
+def test_report_bytes_do_not_depend_on_where_the_tree_sits(tmp_path, monkeypatch):
+    # one config and calibration in two trees at different depths give one
+    # report, which names its calibration relative to itself
+    reports = []
+    for tree in (tmp_path / "a", tmp_path / "b" / "deeper"):
+        tree.mkdir(parents=True)
+        (tree / "falcon27.json").write_bytes(falcon_bytes())
+        config = {"calibration": "falcon27.json", "shots": 1200, "seed": 3, "encodings": ["bit_flip"]}
+        (tree / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(tree / "run.json"), "--output", str(tree / "out")]) == 0
+        reports.append((tree / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["metadata"]["calibration"] == os.path.join("..", "falcon27.json")
+    # render finds the calibration from any working directory
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    report = os.path.relpath(tmp_path / "a" / "out" / "report.json")
+    assert main(["render", "--report", report, "--mode", "calibration", "--out", "map.svg"]) == 0
+    assert (elsewhere / "map.svg").read_bytes() == (tmp_path / "a" / "out" / "calibration.svg").read_bytes()
 
 
 def test_rendered_figure_values_match_report(tmp_path, cal_path):

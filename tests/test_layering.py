@@ -1,6 +1,6 @@
-"""The package's layering, read from its import statements: the estimator
-and the maps depend only on the device layer, so neither reaches back into
-circuits, noise or the run."""
+"""The package's layering, read from its import statements: the estimator,
+the maps and the noise model depend only on the device layer, so none of
+them reaches back into circuits, the estimator's tables or the run."""
 
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ def sibling_imports(source: str) -> set[str]:
     return found & MODULES
 
 
-@pytest.mark.parametrize("module", ["analysis", "render"])
+@pytest.mark.parametrize("module", ["analysis", "noise", "render"])
 def test_module_imports_only_the_device_layer(module):
     assert sibling_imports((PACKAGE / f"{module}.py").read_text(encoding="utf-8")) <= {"device"}
 

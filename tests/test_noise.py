@@ -66,27 +66,25 @@ def test_channel_monotone_and_saturating():
 def test_guide_values_match_long_delay_expectations():
     # T1 = 100 us at t = T1/8, equilibrium ground state
     cal = make_line_cal(t1_ns=100_000.0, t2_ns=80_000.0)
-    plain = guide_values(cal, 2, 12_500.0, dd=False)
-    assert plain.p_1to0 == pytest.approx(0.1175, abs=5e-5)  # ~11.8%
-    echoed = guide_values(cal, 2, 12_500.0, dd=True)
-    assert echoed.p_01 == pytest.approx(0.0606, abs=5e-5)  # ~6.1%
+    assert guide_values(cal, 2, "bit_flip", 1, 12_500.0, dd=False) == pytest.approx(0.1175, abs=5e-5)  # ~11.8%
+    # echoing gives both directions the symmetrized decay
+    for lv in (0, 1):
+        assert guide_values(cal, 2, "bit_flip", lv, 12_500.0, dd=True) == pytest.approx(0.0606, abs=5e-5)  # ~6.1%
     # T2 = 80 us at t = T2/8
-    phase = guide_values(cal, 2, 10_000.0, dd=True)
-    assert phase.p_phase == pytest.approx(0.0588, abs=5e-5)  # ~5.9%
+    assert guide_values(cal, 2, "phase_flip", 0, 10_000.0, dd=True) == pytest.approx(0.0588, abs=5e-5)  # ~5.9%
 
 
 def test_guide_values_at_zero_delay_are_zero():
     cal = make_line_cal()
-    assert guide_values(cal, 2, 0.0, dd=False) == guide_values(cal, 2, 0.0, dd=True)
-    assert guide_values(cal, 2, 0.0, dd=False).p_1to0 == 0.0
-    assert guide_values(cal, 2, 0.0, dd=False).p_phase == 0.0
+    for encoding in ("bit_flip", "phase_flip"):
+        for lv in (0, 1):
+            assert [guide_values(cal, 2, encoding, lv, 0.0, dd) for dd in (False, True)] == [0.0, 0.0]
 
 
 def test_guide_direction_split_follows_equilibrium():
     cal = make_line_cal(p0=0.9)
-    g = guide_values(cal, 2, 12_500.0, dd=False)
-    assert g.p_0to1 / g.p_1to0 == pytest.approx(0.1 / 0.9, rel=1e-9)
-    assert g.p_01 == pytest.approx((g.p_0to1 + g.p_1to0) / 2.0, rel=1e-12)
+    p_0to1, p_1to0 = (guide_values(cal, 2, "bit_flip", lv, 12_500.0, dd=False) for lv in (0, 1))
+    assert p_0to1 / p_1to0 == pytest.approx(0.1 / 0.9, rel=1e-9)
 
 
 def test_zero_noise_model_is_all_zero():

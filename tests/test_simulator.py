@@ -130,7 +130,7 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         Instruction("measure", (1,), 40, 20),
         Instruction("measure", (0,), 60, 20),
     )
-    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="bit_flip", logical_value=0)
+    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="bit_flip")
     with pytest.raises(BasisContractError, match="target"):
         compile_program(circuit, zero_noise(cal))
 
@@ -143,7 +143,7 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         Instruction("measure", (0,), 20, 20),
         Instruction("measure", (2,), 20, 20),
     )
-    circuit = Circuit(line=(0, 1, 2), instructions=instructions, encoding="bit_flip", logical_value=0)
+    circuit = Circuit(line=(0, 1, 2), instructions=instructions, encoding="bit_flip")
     with pytest.raises(BasisContractError, match="neighbours"):
         compile_program(circuit, zero_noise(cal))
 
@@ -297,7 +297,7 @@ def test_crosstalk_first_overlap_rule_applies_once():
         Instruction("measure", (0,), 110, 20),
         Instruction("measure", (1,), 120, 20),
     )
-    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="phase_flip", logical_value=0)
+    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="phase_flip")
     cal = make_line_cal(2, t1_ns=0.01, t2_ns=0.02)  # decay within the window is certain
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"dephasing", "readout", "cx"})))
     shots = sample_records(circuit, noise, 64, seed=1)
@@ -494,7 +494,7 @@ def crosstalk_circuit(source: tuple[int, int], x_delays: dict[int, list[tuple[in
     ins += [Instruction("delay", (q,), s, e - s) for q, delays in x_delays.items() for s, e in delays]
     start, end = source
     ins += [Instruction("delay", (1,), start, end - start), Instruction("measure", (1,), end, 20)]
-    return Circuit(LINE, tuple(sorted(ins, key=lambda i: i.start)), "phase_flip", 0)
+    return Circuit(LINE, tuple(sorted(ins, key=lambda i: i.start)), "phase_flip")
 
 
 @pytest.mark.parametrize(
