@@ -6,7 +6,8 @@ measured once per round, the XOR of its two outcomes is its round-2
 detector, and the code qubits are never read.
 Circuits are flat, time-ordered instruction lists over physical qubits,
 with every idle gap materialized as an explicit delay instruction. Times are
-integer nanoseconds. The schedule is fixed and documented:
+integer nanoseconds: durations round to at least 1 ns, and the extra delay
+must be an int. The schedule is fixed and documented:
 
 * per round, each auxiliary couples to its left code neighbor first, then its
   right, with the gates packed into two barrier-aligned layers so no qubit is
@@ -101,88 +102,86 @@ def build_repetition_circuit(
         raise CircuitBuildError(f"line must have five qubits, got {qubits}")
     if len(set(qubits)) != len(qubits):
         raise CircuitBuildError(f"line has repeated qubits: {qubits}")
+    cx_dur = []  # edge p joins positions p and p + 1
     for a, b in zip(qubits, qubits[1:]):
-        if canonical_edge(a, b) not in cal.edges:
+        edge = canonical_edge(a, b)
+        if edge not in cal.edges:
             raise CircuitBuildError(f"({a}, {b}) is not an edge of the device graph")
+        cx_dur.append(max(1, round(cal.cx_duration_ns[edge])))
     if encoding not in ENCODINGS:
         raise CircuitBuildError(f"unknown encoding {encoding!r}")
     if logical_value not in (0, 1):
         raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value}")
-    if extra_delay_ns < 0:
-        raise CircuitBuildError(f"extra delay must be nonnegative, got {extra_delay_ns}")
+    if isinstance(extra_delay_ns, bool) or not isinstance(extra_delay_ns, int) or extra_delay_ns < 0:
+        raise CircuitBuildError(f"extra delay must be nonnegative integer ns, got {extra_delay_ns!r}")
     if dd_scope not in DD_SCOPES:
         raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
 
-    code = qubits[0::2]
-    aux = qubits[1::2]
-    x_dur = {q: max(1, round(cal.qubits[q].x_ns)) for q in qubits}
-    ro_dur = {q: max(1, round(cal.qubits[q].readout_ns)) for q in qubits}
-    echo = set(qubits if dd_scope == "all_qubits" else code if dd_scope == "code_only" else ())
-    own = {q: (q,) for q in qubits}  # one operand tuple per qubit, shared by its instructions
-
-    instrs = [Instruction("prepare_z0", own[q], 0, 0) for q in qubits]
-    cursor = dict.fromkeys(qubits, 0)  # where each qubit's timeline is filled to
+    # per position: the operand tuple its instructions share, its x (and
+    # reset) duration, and the shortest window it echoes, None out of scope
+    echo = range(5) if dd_scope == "all_qubits" else range(0, 5, 2) if dd_scope == "code_only" else ()
+    table = []
+    for p, q in enumerate(qubits):
+        x = max(1, round(cal.qubits[q].x_ns))
+        table.append(((q,), x, 2 * x + _MIN_ECHO_SUBDELAY_NS if p in echo else None))
+    new = tuple.__new__  # an Instruction without the namedtuple's Python-level __new__
+    instrs = [new(Instruction, ("prepare_z0", qs, 0, 0, False)) for qs, _, _ in table]
+    cursor = [0] * 5  # where each position's timeline is filled to
 
     def barrier(time: int) -> None:
-        # fill every qubit's timeline up to `time` with one delay, or with
-        # the echo pair when the qubit is in scope and the window fits it
-        for q, lo in cursor.items():
-            x = x_dur[q]
-            qs = own[q]
-            if q in echo and time - lo >= 2 * x + _MIN_ECHO_SUBDELAY_NS:
+        # fill every position's timeline up to `time` with one delay, or with
+        # the echo pair when it is in scope and the window fits it
+        for (qs, x, shortest), lo in zip(table, cursor):
+            if shortest is not None and time - lo >= shortest:
                 quarter = (time - lo - 2 * x) // 4
                 middle = time - lo - 2 * x - 2 * quarter
                 instrs.extend(
                     (
-                        Instruction("delay", qs, lo, quarter, True),
-                        Instruction("x", qs, lo + quarter, x),
-                        Instruction("delay", qs, lo + quarter + x, middle, True),
-                        Instruction("x", qs, time - quarter - x, x),
-                        Instruction("delay", qs, time - quarter, quarter, True),
+                        new(Instruction, ("delay", qs, lo, quarter, True)),
+                        new(Instruction, ("x", qs, lo + quarter, x, False)),
+                        new(Instruction, ("delay", qs, lo + quarter + x, middle, True)),
+                        new(Instruction, ("x", qs, time - quarter - x, x, False)),
+                        new(Instruction, ("delay", qs, time - quarter, quarter, True)),
                     )
                 )
             elif time > lo:
-                instrs.append(Instruction("delay", qs, lo, time - lo))
-            cursor[q] = time
+                instrs.append(new(Instruction, ("delay", qs, lo, time - lo, False)))
+        cursor[:] = (time,) * 5
 
     def layer(gates) -> None:
-        # a gate (kind, qubits, duration) starts where its qubits all
-        # stand: at the last barrier, or for a reset at its own measure's end;
-        # the layer ends with a barrier at its latest end
-        for kind, qs, duration in gates:
-            start = cursor[qs[0]]
-            instrs.append(Instruction(kind, qs, start, duration))
-            for q in qs:
-                cursor[q] = start + duration
-        barrier(max(cursor.values()))
+        # a gate (kind, positions, qubits, duration) starts where its
+        # positions all stand: at the last barrier, or for a reset at its own
+        # measure's end; the layer ends with a barrier at its latest end
+        for kind, ps, qs, duration in gates:
+            start = cursor[ps[0]]
+            instrs.append(new(Instruction, (kind, qs, start, duration, False)))
+            for p in ps:
+                cursor[p] = start + duration
+        barrier(max(cursor))
 
     # each auxiliary couples to its left code neighbor, then its right
     cx_layers = [
-        [("cx", (c, a), max(1, round(cal.edge_duration(c, a)))) for c, a in zip(cs, aux)]
-        for cs in (code, code[1:])
+        [("cx", (c, a), (qubits[c], qubits[a]), cx_dur[min(c, a)]) for c, a in pairs]
+        for pairs in (((0, 1), (2, 3)), ((2, 1), (4, 3)))
     ]
+    # simultaneous auxiliary readout, each followed by unconditional reset
+    readout = []
+    for a in (1, 3):
+        qs, x, _ = table[a]
+        readout += (("measure", (a,), qs, max(1, round(cal.qubits[qubits[a]].readout_ns))), ("reset", (a,), qs, x))
     if logical_value == 1:
-        layer(("x", own[q], x_dur[q]) for q in code)
+        layer(("x", (p,), *table[p][:2]) for p in (0, 2, 4))
     if encoding == "phase_flip":
-        layer(("h", own[q], x_dur[q]) for q in code)
+        layer(("h", (p,), *table[p][:2]) for p in (0, 2, 4))
     for r in range(1, ROUNDS + 1):
-        for gates in cx_layers:
+        for gates in (*cx_layers, readout):
             layer(gates)
-        # simultaneous auxiliary readout, each followed by unconditional reset
-        layer(
-            gate
-            for a in aux
-            for gate in (("measure", own[a], ro_dur[a]), ("reset", own[a], x_dur[a]))
-        )
         # the extra delay is one window on every qubit, between the rounds
         if r < ROUNDS:
-            barrier(max(cursor.values()) + extra_delay_ns)
+            barrier(max(cursor) + extra_delay_ns)
 
-    return Circuit(
-        line=qubits,
-        instructions=tuple(sorted(instrs, key=_timeline_order)),
-        encoding=encoding,
-    )
+    instrs.sort(key=_timeline_order)
+    return Circuit(line=qubits, instructions=tuple(instrs), encoding=encoding)
 
 
 def idle_exposure(circuit: Circuit, qubit: int) -> int:

@@ -139,9 +139,6 @@ class DeviceCalibration:
     def edge_error(self, a: int, b: int) -> float:
         return self.cx_error[canonical_edge(a, b)]
 
-    def edge_duration(self, a: int, b: int) -> float:
-        return self.cx_duration_ns[canonical_edge(a, b)]
-
 
 @dataclass(frozen=True)
 class BenchLine:

@@ -39,6 +39,18 @@ def per_qubit(circuit: Circuit) -> dict[int, tuple[Instruction, ...]]:
     return {q: tuple(v) for q, v in by_qubit.items()}
 
 
+def assert_timeline_valid(circuit):
+    """Per-qubit intervals are disjoint, gap-free, and tile [0, duration],
+    in integer nanoseconds."""
+    for q in circuit.line:
+        cursor = 0
+        for ins in sorted(per_qubit(circuit)[q], key=lambda i: (i.start, i.end)):
+            assert type(ins.start) is int and type(ins.duration) is int, (q, ins)
+            assert ins.start == cursor or ins.duration == 0, (q, ins)
+            cursor = max(cursor, ins.end)
+        assert cursor == max(i.end for i in circuit.instructions), q
+
+
 def timeline_text(circuit: Circuit) -> str:
     """Deterministic plain-text dump, one line per instruction."""
     lines = []

@@ -1,15 +1,27 @@
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from synbench.circuits import ENCODINGS, CircuitBuildError, _timeline_order, build_repetition_circuit, idle_exposure
+from synbench import load_calibration
+from synbench.circuits import (
+    DD_SCOPES,
+    ENCODINGS,
+    CircuitBuildError,
+    _timeline_order,
+    build_repetition_circuit,
+    idle_exposure,
+)
 from synbench.device import canonical_edge, plan_device
 from helpers import (
+    assert_timeline_valid,
     aux_qubits,
     code_qubits,
+    line_calibration_doc,
     make_line_cal,
     per_qubit,
     pipeline_circuits,
@@ -180,16 +192,6 @@ def build(cal, **kwargs):
     return build_repetition_circuit(LINE, cal, **defaults)
 
 
-def assert_timeline_valid(circuit):
-    """Per-qubit intervals are disjoint, gap-free, and tile [0, duration]."""
-    for q in circuit.line:
-        cursor = 0
-        for ins in sorted(per_qubit(circuit)[q], key=lambda i: (i.start, i.end)):
-            assert ins.start == cursor or ins.duration == 0, (q, ins)
-            cursor = max(cursor, ins.end)
-        assert cursor == max(i.end for i in circuit.instructions), q
-
-
 def gate_shape(circuit):
     return [(i.kind, i.qubits) for i in circuit.instructions if i.kind != "delay"]
 
@@ -275,6 +277,38 @@ def test_builder_places_echo_pairs_as_the_reference_pass_does(falcon):
             for scope in ("all_qubits", "code_only"):
                 echoed = build_repetition_circuit(line, falcon, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
                 assert echoed == insert_dynamical_decoupling(plain, falcon, scope), (q, encoding, lv, extra, scope)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    line=st.permutations(range(5)),
+    x_ns=st.lists(st.sampled_from((20.0, 35.0, 36.0)), min_size=5, max_size=5),
+    readout_ns=st.lists(st.sampled_from((300.0, 341.0, 346.0)), min_size=5, max_size=5),
+    cx_ns=st.lists(st.sampled_from((300.0, 344.0, 374.0, 376.0)), min_size=4, max_size=4),
+    encoding=st.sampled_from(ENCODINGS),
+    logical_value=st.sampled_from((0, 1)),
+    dd_scope=st.sampled_from(DD_SCOPES),
+    extra=st.sampled_from((43, 44, 73, 74, 75, 76)) | st.integers(0, 2_000),
+)
+def test_random_lines_with_tied_durations(line, x_ns, readout_ns, cx_ns, encoding, logical_value, dd_scope, extra):
+    # durations drawn from small sets tie starts and lengths, which the fixed
+    # devices rarely do, and qubit ids out of line order tie-break the sort
+    # differently from positions; cx differences and extra delays land on
+    # the echo threshold 2*x + 4 (44, 74 and 76 ns) and next to it
+    doc = line_calibration_doc()
+    for q, x, ro in zip(doc["qubits"], x_ns, readout_ns):
+        q.update(x_ns=x, readout_ns=ro)
+    doc["cx_gates"] = [
+        {"qubits": [a, b], "error": 0.01, "duration_ns": d} for (a, b), d in zip(zip(line, line[1:]), cx_ns)
+    ]
+    cal = load_calibration(json.dumps(doc))
+    circuit = build_repetition_circuit(line, cal, encoding, logical_value, extra, dd_scope)
+    assert_timeline_valid(circuit)
+    if dd_scope != "none":
+        plain = build_repetition_circuit(line, cal, encoding, logical_value, extra)
+        assert circuit == insert_dynamical_decoupling(plain, cal, dd_scope)
+    for q in line:
+        assert idle_exposure(circuit, q) == sum(d for kind, d in window_segments(circuit, q) if kind == "delay")
 
 
 def test_dd_split_arithmetic(cal):
@@ -382,8 +416,22 @@ def test_invalid_line_rejected(cal):
         ((0, 1, 2, 1, 0), {}, "repeated qubits"),
         (LINE, {"logical_value": 2}, "logical value must be 0 or 1"),
         (LINE, {"extra_delay_ns": -1}, "extra delay must be nonnegative"),
+        (LINE, {"extra_delay_ns": 10.5}, "extra delay must be nonnegative integer"),
+        (LINE, {"extra_delay_ns": float("nan")}, "extra delay must be nonnegative integer"),
+        (LINE, {"extra_delay_ns": float("inf")}, "extra delay must be nonnegative integer"),
+        (LINE, {"extra_delay_ns": "5"}, "extra delay must be nonnegative integer"),
+        (LINE, {"extra_delay_ns": True}, "extra delay must be nonnegative integer"),
     ],
-    ids=["repeated-qubit", "logical-value-2", "negative-extra-delay"],
+    ids=[
+        "repeated-qubit",
+        "logical-value-2",
+        "negative-extra-delay",
+        "fractional-extra-delay",
+        "nan-extra-delay",
+        "infinite-extra-delay",
+        "string-extra-delay",
+        "bool-extra-delay",
+    ],
 )
 def test_builder_rejects_out_of_range_inputs(cal, line, kwargs, match):
     with pytest.raises(CircuitBuildError, match=match):

@@ -1,4 +1,5 @@
-"""Stored digests of exact cells and of a run's report and maps.
+"""Stored digests of built timelines, of exact cells and of a run's report
+and maps.
 
 Every other test compares one walk or estimator with another, or checks a
 number to a tolerance, so a change that moves cells or estimates by an ulp
@@ -22,10 +23,21 @@ from synbench.simulator import compile_program, pair_distribution
 from conftest import falcon_bytes
 from helpers import pipeline_circuits
 
+FALCON_PIPELINE_TIMELINES = "3233a8bcbebe887900c6f62d1d354f44b7ad384a713a83ed2d882f9317c0cb11"
 FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
 FALCON_REPORT_CSV = "2a649449e300636ab49ba932d5011bcb9b693cacb1e7678c7386d4d623fe19bd"
 FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e02995"
 FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
+
+
+def test_falcon_pipeline_timelines_keep_their_bytes(falcon):
+    # every instruction of falcon27's pipeline circuits at all three
+    # dd_scope values: the cells see only code_only, and a reordering that
+    # leaves the walk's result equal moves this digest
+    digest = hashlib.sha256()
+    for _, circuit in pipeline_circuits(falcon):
+        digest.update(repr([tuple(i) for i in circuit.instructions]).encode())
+    assert digest.hexdigest() == FALCON_PIPELINE_TIMELINES
 
 
 def test_falcon_pipeline_cells_keep_their_bytes(falcon):
