@@ -79,7 +79,6 @@ class Instruction(NamedTuple):
 class Circuit:
     line: tuple[int, ...]
     instructions: tuple[Instruction, ...]
-    encoding: str
 
 
 def build_repetition_circuit(
@@ -181,7 +180,7 @@ def build_repetition_circuit(
             barrier(max(cursor) + extra_delay_ns)
 
     instrs.sort(key=_timeline_order)
-    return Circuit(line=qubits, instructions=tuple(instrs), encoding=encoding)
+    return Circuit(line=qubits, instructions=tuple(instrs))
 
 
 def idle_exposure(circuit: Circuit, qubit: int) -> int:

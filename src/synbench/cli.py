@@ -38,7 +38,7 @@ from .analysis import (
     extract_idle_rates,
 )
 from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
-from .device import BenchLine, CalibrationError, DeviceCalibration, load_calibration, plan_device, warn_caller
+from .device import BenchLine, CalibrationError, DeviceCalibration, json_float, load_calibration, plan_device, warn_caller
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
 from .simulator import compile_program, pair_distribution, run_shots
@@ -114,14 +114,10 @@ class RunConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.shots > MAX_SHOTS:
             raise ConfigError(f"shots must be at most 2**63 - 1, got {self.shots}")
-        fraction = self.extra_delay_fraction
-        try:
-            number = float(fraction) if type(fraction) in (int, float) else math.nan
-        except OverflowError:  # an integer beyond the float range
-            number = math.inf
-        if not 0 <= number < math.inf:
-            raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {fraction!r}")
-        object.__setattr__(self, "extra_delay_fraction", number)
+        fraction = json_float(self.extra_delay_fraction)
+        if not 0 <= fraction < math.inf:
+            raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {self.extra_delay_fraction!r}")
+        object.__setattr__(self, "extra_delay_fraction", fraction)
         _distinct("encodings", self.encodings, ENCODINGS)
         _distinct("logical_values", self.logical_values, (0, 1))
         if self.dd_scope not in DD_SCOPES:

@@ -153,14 +153,17 @@ class BenchLine:
         return self.qubits[2]
 
 
-def _finite(value, what: str) -> float:
-    """A finite JSON number: a bool, a string, null or an infinity is
-    rejected, not converted."""
+def json_float(value) -> float:
+    """A JSON number as a float to range-check: nan for a bool, a string or null, inf past the float range."""
     try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
+        return float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        return math.inf
+
+
+def _finite(value, what: str) -> float:
+    """A finite JSON number: a bool, a string, null or an infinity is rejected, not converted."""
+    if not math.isfinite(number := json_float(value)):
         raise CalibrationError(f"{what} must be a finite number, got {value!r}")
     return number
 

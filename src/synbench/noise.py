@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .device import DeviceCalibration, Edge, QubitCalibration
+from .device import DeviceCalibration, Edge, QubitCalibration, json_float
 
 CHANNEL_NAMES = ("cx", "readout", "relaxation", "dephasing", "crosstalk")
 
@@ -77,9 +77,9 @@ class NoiseOptions:
     def __post_init__(self) -> None:
         for name in ("crosstalk_eta", "prep_error"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+            if not 0.0 <= (number := json_float(value)) <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, number)
         if not isinstance(self.disable, frozenset) or not self.disable <= set(CHANNEL_NAMES):
             raise ValueError(
                 f"disable must be a list of names from {list(CHANNEL_NAMES)}, got {self.disable!r}"

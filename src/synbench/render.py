@@ -71,6 +71,8 @@ def render_device_map(report: dict, cal: DeviceCalibration, mode: str = "rates")
     height = max(y for _, y in px.values()) + _MARGIN + 10
 
     values = _node_values(report, cal, mode)
+    # the name as XML text; importing xml.sax.saxutils.escape loads urllib, ~7 MB
+    name = cal.name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     bit_max = max((v[0] for v in values.values() if v[0]), default=0.0)
     phase_max = max((v[1] for v in values.values() if v[1]), default=0.0)
 
@@ -83,7 +85,7 @@ def render_device_map(report: dict, cal: DeviceCalibration, mode: str = "rates")
         '<line x1="0" y1="0" x2="0" y2="6" stroke="#777777" stroke-width="2"/></pattern>',
         "</defs>",
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
-        f"<title>{cal.name}: {mode}</title>",
+        f"<title>{name}: {mode}</title>",
     ]
 
     for a, b in sorted(cal.edges):

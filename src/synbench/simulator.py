@@ -29,30 +29,33 @@ followed by it equals it. Each Z-basis delay that can decay and overlaps
 an X-basis delay of a line neighbour becomes a `decay` op: its decays
 (1 -> 0) flip each such receiver once, with probability eta, at the decay
 itself. No op after the last measure can change a parity, so the program
-ends there. The op formats, a decay carrying one channel per qubit of its
-block, from its lowest qubit to its highest:
+ends there. A program holds its ops, which name what acts on which
+qubits, and one flat row of doubles with every op's probabilities in op
+order, each channel an (up, down) pair, a decay's one per qubit of its
+block, lowest first:
 
-    ("cx", control, target, eps, control channel, target channel)
-    ("measure", i, readout flip, channel)
-    ("decay", i, receivers, P(0->1), P(1->0), eta, block channels)
+    op                          its probabilities in the row
+    ("cx", control, target)     eps, control channel, target channel
+    ("measure", i)              readout flip, channel
+    ("decay", i, receivers)     P(0->1), P(1->0), eta, block channels
 
 The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
-programs of one structure (the same ops up to their probabilities): they
-differ only in the channels folded into the first cx layer.
+programs of equal ops: their rows differ only in the channels folded into
+the first cx layer.
 
-`pair_distribution(programs)` reads its programs lazily, keeping each one's
-structure and a row of its probabilities, then walks the ops once over a
-probability vector on binary axes, for every program of one structure at a
-time behind a leading batch axis. The qubit axes come first, in line order;
-then one parity axis per measured qubit, in line order, added at its first
-measure, into which each later measure XORs its read-out bit. Each op is one
-or two numpy calls on the members' stacked matrices: a cx or a decay one
-matmul on the (batch, 2**lo, 2**k, -1) view of its block of k neighbouring
-qubits from lo; a measure one matmul to (bit, read-out bit) on the (batch,
-2**i, 2, -1) view and one transposed copy, or a sum for a later measure. A
-benchmark circuit measures each auxiliary once per round, so its parity axes
-are the round-2 detectors, and the result is the 4 cells of (d_left,
-d_right), cell 2 d_left + d_right.
+`pair_distribution(programs)` reads its programs lazily, appending each
+one's row to those of the programs with its ops, then walks the ops once
+over a probability vector on binary axes, for all the programs with those
+ops at a time behind a leading batch axis. The qubit axes come first, in
+line order; then one parity axis per measured qubit, in line order, added at
+its first measure, into which each later measure XORs its read-out bit. Each
+op is one or two numpy calls on the members' stacked matrices: a cx or a
+decay one matmul on the (batch, 2**lo, 2**k, -1) view of its block of k
+neighbouring qubits from lo; a measure one matmul to (bit, read-out bit) on
+the (batch, 2**i, 2, -1) view and one transposed copy, or a sum for a later
+measure. A benchmark circuit measures each auxiliary once per round, so its
+parity axes are the round-2 detectors, and the result is the 4 cells of
+(d_left, d_right), cell 2 d_left + d_right.
 
 `run_shots` draws its shots' cell counts with one multinomial and expands a
 detector-major table of the cells by those counts, so each detector's bits
@@ -62,11 +65,11 @@ transposed view, rows grouped by cell.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import itemgetter
-from struct import pack
 
 import numpy as np
 
@@ -91,15 +94,16 @@ class BasisContractError(ValueError):
 
 @dataclass(frozen=True)
 class FrameProgram:
-    """A circuit compiled against a noise model, ready to execute."""
+    """A circuit compiled against a noise model: its ops and their probability row."""
 
     ops: tuple[tuple, ...]
+    probs: array
     n_qubits: int
 
 
 def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
-    """Lower the circuit to ops in two sweeps over its instructions, checking
-    the tracked-basis contract; every channel probability is baked in.
+    """Lower the circuit to ops and their probability row in two sweeps over
+    its instructions, checking the tracked-basis contract.
     Raises BasisContractError if the circuit cannot be tracked classically.
 
     The instructions run in one stable sort by start, so instructions of
@@ -107,10 +111,10 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     The first sweep records each qubit's X-basis delays as their starts and
     the running maximum of their ends. The second folds each qubit's
     channels into one pending (up, down) pair, handed to the next op that
-    acts on the qubit, and keeps the ops up to the last measure. A Z-basis
-    delay [start, end) that can decay is received by a line neighbour iff
-    the latest end among the neighbour's X-basis delays that start before
-    `end`, found by one bisect, lies after `start`.
+    acts on the qubit, and keeps the ops and probabilities up to the last
+    measure. A Z-basis delay [start, end) that can decay is received by a
+    line neighbour iff the latest end among the neighbour's X-basis delays
+    that start before `end`, found by one bisect, lies after `start`.
     """
     line = circuit.line
     n = len(line)
@@ -137,7 +141,8 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     in_x = [False] * n
     pending = [_NO_FLIP] * n
     ops: list[tuple] = []
-    kept = 0  # the ops up to the last measure
+    probs: list[float] = []
+    kept = kept_probs = 0  # the ops, and their probabilities, up to the last measure
     for kind, qubits, time, d, echoed in ordered:
         q = qubits[0]
         i = index[q]
@@ -159,7 +164,8 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                     )
                     if receivers:
                         lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
-                        ops.append(("decay", i, receivers, up, down, eta, tuple(pending[lo:hi])))
+                        ops.append(("decay", i, receivers))
+                        probs += (up, down, eta, *(x for channel in pending[lo:hi] for x in channel))
                         pending[lo:hi] = [_NO_FLIP] * (hi - lo)
                         continue
         elif kind == "x":
@@ -173,15 +179,17 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                 raise BasisContractError(f"cx at t={time} has an X-basis target {t}; only Z-basis targets are trackable")
             if abs(i - j) != 1:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            ops.append(("cx", i, j, noise.cx[c, t], pending[i], pending[j]))
+            ops.append(("cx", i, j))
+            probs += (noise.cx[c, t], *pending[i], *pending[j])
             pending[i] = pending[j] = _NO_FLIP
             continue
         elif kind == "measure":
             if in_x[i]:
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            ops.append(("measure", i, noise.readout[q], pending[i]))
+            ops.append(("measure", i))
+            probs += (noise.readout[q], *pending[i])
             pending[i] = _NO_FLIP
-            kept = len(ops)
+            kept, kept_probs = len(ops), len(probs)
             continue
         elif kind in ("prepare_z0", "reset"):
             # whatever the old bit, the new bit is 1 with probability p; any
@@ -197,7 +205,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
         # the exact Markov composition of the qubit's pending channel, then this one
         was_up, was_down = pending[i]
         pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
-    return FrameProgram(ops=tuple(ops[:kept]), n_qubits=n)
+    return FrameProgram(ops=tuple(ops[:kept]), probs=array("d", probs[:kept_probs]), n_qubits=n)
 
 
 def _block(op: tuple) -> range:
@@ -247,7 +255,7 @@ def _decay_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
     # the block's folded channels, then the source's relaxation, whose
     # decays flip each receiver with probability eta; rows of one source
     # bit are views of the block's matrices, updated in place
-    _, i, receivers = op[:3]
+    _, i, receivers = op
     block = _block(op)
     p01, p10, eta = (probs[:, f, None, None] for f in range(3))
     out = _kron([_channels(probs[:, 3 + 2 * b], probs[:, 4 + 2 * b]) for b in range(len(block))])
@@ -269,12 +277,10 @@ def _decay_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
 
 _BUILDERS = {"cx": _cx_matrices, "measure": _measure_matrices, "decay": _decay_matrices}
 
-# each op's probabilities, flattened in field order, channels as (up, down)
-_ROWS = {
-    "cx": lambda op: (op[3], *op[4], *op[5]),
-    "measure": lambda op: (op[2], *op[3]),
-    "decay": lambda op: (*op[3:6], *(x for channel in op[6] for x in channel)),
-}
+
+def _width(op: tuple) -> int:
+    """How many probabilities an op has in its program's row."""
+    return 5 if op[0] == "cx" else 3 if op[0] == "measure" else 3 + 2 * len(_block(op))
 
 
 def _layout(op: tuple) -> tuple:
@@ -286,15 +292,16 @@ def _layout(op: tuple) -> tuple:
 
 def _matrices(ops: tuple[tuple, ...], probs: np.ndarray) -> list[np.ndarray]:
     """The members' (b, 1, r, c) stack of matrices of each op of b programs
-    of one structure, given one member's ops and the members' (b, m) rows of
-    `_ROWS` probabilities. A measure's matrix has rows (bit, recorded bit).
-    Each layout's matrices are built in one vectorized pass."""
+    with these ops, given the members' (b, m) probability rows, in which
+    each op has the next `_width` columns. A measure's matrix has rows (bit,
+    recorded bit). Each layout's matrices are built in one vectorized
+    pass."""
     b = len(probs)
     layouts = [_layout(op) for op in ops]
     by_layout: dict[tuple, tuple[tuple, list[np.ndarray]]] = {}
     start = 0
     for layout, op in zip(layouts, ops):
-        end = start + len(_ROWS[op[0]](op))
+        end = start + _width(op)
         by_layout.setdefault(layout, (op, []))[1].append(probs[:, start:end])
         start = end
     built = {}
@@ -302,14 +309,6 @@ def _matrices(ops: tuple[tuple, ...], probs: np.ndarray) -> list[np.ndarray]:
         m = _BUILDERS[layout[0]](op, np.concatenate(columns))
         built[layout] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
     return [next(built[layout]) for layout in layouts]
-
-
-def _structure(program: FrameProgram) -> tuple:
-    """What a program's ops act on: each op's leading fields, without its probabilities."""
-    # from a list: a tuple grown from a generator leaves CPython's tuple free
-    # lists one more tuple per call, which raised the peak memory
-    ops = tuple([op[: 2 if op[0] == "measure" else 3] for op in program.ops])
-    return program.n_qubits, ops
 
 
 def pair_distribution(programs: Iterable[FrameProgram]) -> list[np.ndarray]:
@@ -320,32 +319,32 @@ def pair_distribution(programs: Iterable[FrameProgram]) -> list[np.ndarray]:
     A measured qubit's parity is the XOR of all its read-out bits. Cell r
     holds the outcome whose k-th measured qubit in line order has bit k of
     r, counted from the most significant end. `programs` is read once,
-    lazily: each program is reduced to its structure and a row of its
-    probabilities and released before the next is read. Programs of one
-    structure are walked together, in one pass behind a leading batch axis.
+    lazily: each program's row is appended to those of the programs with
+    its ops and qubit count, and the program is released before the next is
+    read. Programs with equal ops are walked together, in one pass behind a
+    leading batch axis.
     """
-    classes: dict[tuple, tuple[tuple, list[int], bytearray]] = {}
+    classes: dict[tuple, tuple[list[int], bytearray]] = {}
     count = 0
     for program in programs:
-        _, members, rows = classes.setdefault(_structure(program), (program.ops, [], bytearray()))
+        members, rows = classes.setdefault((program.n_qubits, program.ops), ([], bytearray()))
         members.append(count)
-        row = [x for op in program.ops for x in _ROWS[op[0]](op)]
-        rows += pack(f"{len(row)}d", *row)
+        rows += program.probs
         count += 1
         del program  # released before the next one is made
     out: dict[int, np.ndarray] = {}
-    for (nq, _), (ops, members, rows) in classes.items():
+    for (nq, ops), (members, rows) in classes.items():
         out.update(zip(members, _walk(nq, ops, np.frombuffer(rows).reshape(len(members), -1))))
     return [out[k] for k in range(count)]
 
 
 def _walk(nq: int, ops: tuple[tuple, ...], probs: np.ndarray) -> np.ndarray:
     """The (programs, 2**measured qubits) parity probabilities of programs
-    of one structure on `nq` qubits, given one member's ops and the members'
-    probability rows, walked once over a flat vector on binary axes: the
-    batch, the qubits in line order, the parities in line order. Each op is
-    one matmul of the members' stacked matrices over a view whose third
-    axis holds the bits of its qubit, or of its block of neighbours.
+    with these ops on `nq` qubits, given the members' probability rows,
+    walked once over a flat vector on binary axes: the batch, the qubits in
+    line order, the parities in line order. Each op is one matmul of the
+    members' stacked matrices over a view whose third axis holds the bits
+    of its qubit, or of its block of neighbours.
     """
     b = len(probs)
     state = np.zeros(b << nq)

@@ -201,14 +201,16 @@ def insert_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circ
 
 def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
     """`circuit` followed by the transversal code readout the estimator does
-    not read: after its end, an h on each code qubit (phase-flip encoding
-    only), then each code qubit measured. As in the builder, a gate layer
-    ends with its slowest gate, and every qubit idles up to there with one
-    delay."""
+    not read: after its end, an h on each code qubit that an odd number of
+    h gates left in the X basis (every code qubit of a phase-flip circuit,
+    whose injected faults add h gates in pairs), then each code qubit
+    measured. As in the builder, a gate layer ends with its slowest gate,
+    and every qubit idles up to there with one delay."""
     code = code_qubits(circuit)
     layers = [[("measure", q, cal.qubits[q].readout_ns) for q in code]]
-    if circuit.encoding == "phase_flip":
-        layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in code])
+    in_x = [q for q in code if sum(ins.kind == "h" and ins.qubits == (q,) for ins in circuit.instructions) % 2]
+    if in_x:
+        layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in in_x])
     added = []
     start = max(ins.end for ins in circuit.instructions)
     for layer in layers:

@@ -19,7 +19,8 @@ reset is either a channel, as the library lowers it, or an explicit op that
 marginalizes its qubit and sets it again; crosstalk flips its receivers
 either at the decay, as the library lowers it, or at the end of each
 receiver's first overlapping X-basis segment, through a token axis that
-records the decay.
+records the decay. A program's probability row is split from its ops and
+read back into them here, op by op, by widths of the oracles' own.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from array import array
 
 import numpy as np
 
@@ -241,6 +243,67 @@ def decay_block(op: tuple) -> range:
     return range(min(op[1], *op[2]), max(op[1], *op[2]) + 1)
 
 
+def joined_ops(program: FrameProgram) -> list[tuple]:
+    """Each op of `program` with its probabilities read back from the row
+    into fields, in row order, channels as (up, down) pairs:
+
+        ("cx", control, target, eps, control channel, target channel)
+        ("measure", i, readout flip, channel)
+        ("decay", i, receivers, P(0->1), P(1->0), eta, block channels)
+        ("relax", i, token, P(0->1), P(1->0), channel)
+        ("xtalk", i, ((token, eta), ...), channel)
+        ("prep", i, p)
+
+    a decay carrying one channel per qubit of its block, lowest first; the
+    row must be read to its end."""
+    row = iter(program.probs)
+
+    def take(k: int) -> tuple:
+        return tuple(itertools.islice(row, k))
+
+    out = []
+    for op in program.ops:
+        tag = op[0]
+        if tag == "cx":
+            out.append(op + take(1) + (take(2), take(2)))
+        elif tag == "measure":
+            out.append(op + take(1) + (take(2),))
+        elif tag == "decay":
+            out.append(op + take(3) + (tuple(take(2) for _ in decay_block(op)),))
+        elif tag == "relax":
+            out.append(op + take(2) + (take(2),))
+        elif tag == "xtalk":
+            out.append(op[:2] + (tuple(zip(op[2], take(len(op[2])))), take(2)))
+        else:
+            assert tag == "prep", op
+            out.append(op + take(1))
+    assert next(row, None) is None, "the row holds more probabilities than its ops"
+    return out
+
+
+def _split_program(ops: list[tuple], n_qubits: int) -> FrameProgram:
+    """The FrameProgram of ops in `joined_ops`' form: each op without its
+    probabilities, an xtalk keeping only its tokens, and the probabilities
+    flattened in field order into one row."""
+    structure, row = [], []
+    for op in ops:
+        if op[0] == "xtalk":
+            _, i, entries, channel = op
+            structure.append(("xtalk", i, tuple(token for token, _ in entries)))
+            row += [eta for _, eta in entries] + list(channel)
+            continue
+        head = 2 if op[0] in ("measure", "prep") else 3
+        structure.append(op[:head])
+        for field in op[head:]:
+            if type(field) is not tuple:
+                row.append(field)
+            elif op[0] == "decay":  # the block's channels
+                row += [x for channel in field for x in channel]
+            else:
+                row += field
+    return FrameProgram(ops=tuple(structure), probs=array("d", row), n_qubits=n_qubits)
+
+
 def folded_channels(op: tuple) -> list[tuple[int, tuple[float, float]]]:
     """(qubit index, (up, down)) of each idle channel a compiled op carries,
     in the order they act, before the op itself: a cx's control's and
@@ -292,11 +355,12 @@ def reference_record_distribution(circuit, program) -> np.ndarray:
     summed slices; a cx's error weights come from the 15-Pauli table."""
     op_slots = iter(_op_slots(circuit))
     nq = program.n_qubits
-    last_read = {token: k for k, op in enumerate(program.ops) if op[0] == "xtalk" for token, _ in op[2]}
+    ops = joined_ops(program)
+    last_read = {token: k for k, op in enumerate(ops) if op[0] == "xtalk" for token, _ in op[2]}
     state = np.zeros(1 << nq)
     state[0] = 1.0
     extra: list[tuple[str, int]] = []  # ("s", slot) or ("t", token) of axis nq + j
-    for k, op in enumerate(program.ops):
+    for k, op in enumerate(ops):
         tag, i = op[0], op[1]
         for q, (up, down) in folded_channels(op):
             state = _flip_channel(state.reshape(1 << q, 2, -1), up, down).ravel()
@@ -378,7 +442,7 @@ def _run_chunk(program, op_slots: list[int], n: int, rng: np.random.Generator) -
     bits = np.zeros((program.n_qubits, n), dtype=bool)
     out = np.zeros((len(op_slots), n), dtype=bool)
     slots = iter(op_slots)
-    for op in program.ops:
+    for op in joined_ops(program):
         tag = op[0]
         for i, (up, down) in folded_channels(op):
             if up or down:
@@ -553,7 +617,8 @@ def reference_compile_program(
     ("relax", i, P(0->1), P(1->0), token) op, and an ("xtalk", j, ((token,
     eta), ...)) op at the end of each neighbour's first overlapping X-basis
     segment flips it there. Without either keyword, as in the library, the
-    ops after the last measure are dropped."""
+    ops after the last measure are dropped. The folded ops, in
+    `joined_ops`' form, are split from their probabilities at the end."""
     index = {q: i for i, q in enumerate(circuit.line)}
     basis = {q: "Z" for q in circuit.line}
 
@@ -633,7 +698,7 @@ def reference_compile_program(
     ]
     while not (explicit_preps or crosstalk_at_segment_end) and lowered and lowered[-1][0] != "measure":
         lowered.pop()
-    return FrameProgram(ops=_fold_idle_channels(lowered), n_qubits=len(circuit.line))
+    return _split_program(_fold_idle_channels(lowered), len(circuit.line))
 
 
 def _fold_idle_channels(ops):

@@ -14,17 +14,21 @@ them on its own.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 
 from synbench.cli import RunConfig, run_benchmark
-from synbench.noise import compile_noise
+from synbench.device import load_calibration
+from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import compile_program, pair_distribution
 from conftest import falcon_bytes
-from helpers import pipeline_circuits
+from helpers import load_bench_module, pipeline_circuits
 
 FALCON_PIPELINE_TIMELINES = "3233a8bcbebe887900c6f62d1d354f44b7ad384a713a83ed2d882f9317c0cb11"
 FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
+FALCON_ALL_QUBITS_WEAK_CROSSTALK_CELLS = "82692a484b46e0a2e52cd11b7b6f792ecd9bbcad6686f28e596b06b85d318b6f"
+HEAVY_HEX_NONE_CELLS = "9934102ad22e66d0889281573b8694da999084ba8dbcf9d26071441b9817af41"
 FALCON_REPORT_CSV = "2a649449e300636ab49ba932d5011bcb9b693cacb1e7678c7386d4d623fe19bd"
 FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e02995"
 FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
@@ -40,14 +44,32 @@ def test_falcon_pipeline_timelines_keep_their_bytes(falcon):
     assert digest.hexdigest() == FALCON_PIPELINE_TIMELINES
 
 
+def cells_digest(cal, noise, scope: str) -> tuple[int, str]:
+    """How many pipeline programs `cal` has at `scope`, and the sha256 of
+    their exact cells, walked in one call as the run walks them."""
+    programs = [compile_program(c, noise) for s, c in pipeline_circuits(cal) if s == scope]
+    return len(programs), hashlib.sha256(np.array(pair_distribution(programs)).tobytes()).hexdigest()
+
+
 def test_falcon_pipeline_cells_keep_their_bytes(falcon):
-    # the exact cells of falcon27's 84 pipeline programs at code_only with
-    # default noise, walked in one call as the run walks them
-    noise = compile_noise(falcon)
-    programs = [compile_program(c, noise) for scope, c in pipeline_circuits(falcon) if scope == "code_only"]
-    assert len(programs) == 84
-    cells = np.array(pair_distribution(programs))
-    assert hashlib.sha256(cells.tobytes()).hexdigest() == FALCON_CODE_ONLY_CELLS
+    # falcon27's 84 pipeline programs at code_only with default noise
+    assert cells_digest(falcon, compile_noise(falcon), "code_only") == (84, FALCON_CODE_ONLY_CELLS)
+
+
+def test_falcon_weak_crosstalk_cells_keep_their_bytes(falcon):
+    # falcon27's 84 pipeline programs at all_qubits with crosstalk eta 0.3
+    # and preparation error 0.02, so every decay carries channels of its
+    # block and every preparation folds a nonzero flip
+    noise = compile_noise(falcon, NoiseOptions(crosstalk_eta=0.3, prep_error=0.02))
+    assert cells_digest(falcon, noise, "all_qubits") == (84, FALCON_ALL_QUBITS_WEAK_CROSSTALK_CELLS)
+
+
+def test_heavy_hex_pipeline_cells_keep_their_bytes(monkeypatch):
+    # the benchmark's seeded 129-qubit device at seed 1, its 500 pipeline
+    # programs at dd_scope none with default noise, as hh129_lowshot runs
+    doc = load_bench_module("workloads", monkeypatch).heavy_hex_calibration(1)
+    cal = load_calibration(json.dumps(doc))
+    assert cells_digest(cal, compile_noise(cal), "none") == (500, HEAVY_HEX_NONE_CELLS)
 
 
 def test_falcon_report_csv_keeps_its_bytes(tmp_path):

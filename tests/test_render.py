@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace
+from xml.dom import minidom
 
 import pytest
 
@@ -90,6 +91,16 @@ def test_negative_positions_draw_inside_the_canvas():
     assert svg == render_device_map(report, replace(base, positions={0: (0.0, 0.0), 1: (5.0, 3.0), 2: (7.0, 4.0)}), "rates")
     assert 'viewBox="0 0 740.0 480.0"' in svg
     assert '<circle cx="55.0" cy="55.0"' in svg
+
+
+def test_maps_escape_the_device_name(cal):
+    # markup in a calibration's name stays text: both maps parse as XML,
+    # and each title reads the name back
+    named = replace(cal, name="lab <A> & B")
+    report = _report({2: (0.05, 0.01)})
+    for mode in ("rates", "calibration"):
+        (title,) = minidom.parseString(render_device_map(report, named, mode)).getElementsByTagName("title")
+        assert title.firstChild.data == f"lab <A> & B: {mode}"
 
 
 def test_render_rejects_empty_report(cal):

@@ -13,7 +13,7 @@ from synbench.analysis import detection_events, extract_idle_rates
 from synbench.circuits import Circuit, Instruction, build_repetition_circuit
 from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
-from synbench.simulator import BasisContractError, _structure, compile_program, pair_distribution, run_shots
+from synbench.simulator import BasisContractError, compile_program, pair_distribution, run_shots
 from helpers import (
     ZERO_NOISE_OPTIONS,
     aux_qubits,
@@ -31,6 +31,7 @@ from oracles import (
     flip_pattern_counts,
     frame_shots,
     grouped_records,
+    joined_ops,
     pair_cells,
     record_slots,
     record_table,
@@ -130,7 +131,7 @@ def test_contract_rejects_cx_between_two_x_basis_qubits(cal):
         Instruction("measure", (1,), 40, 20),
         Instruction("measure", (0,), 60, 20),
     )
-    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="bit_flip")
+    circuit = Circuit(line=(0, 1), instructions=instructions)
     with pytest.raises(BasisContractError, match="target"):
         compile_program(circuit, zero_noise(cal))
 
@@ -143,7 +144,7 @@ def test_contract_rejects_cx_between_line_non_neighbours(cal):
         Instruction("measure", (0,), 20, 20),
         Instruction("measure", (2,), 20, 20),
     )
-    circuit = Circuit(line=(0, 1, 2), instructions=instructions, encoding="bit_flip")
+    circuit = Circuit(line=(0, 1, 2), instructions=instructions)
     with pytest.raises(BasisContractError, match="neighbours"):
         compile_program(circuit, zero_noise(cal))
 
@@ -297,7 +298,7 @@ def test_crosstalk_first_overlap_rule_applies_once():
         Instruction("measure", (0,), 110, 20),
         Instruction("measure", (1,), 120, 20),
     )
-    circuit = Circuit(line=(0, 1), instructions=instructions, encoding="phase_flip")
+    circuit = Circuit(line=(0, 1), instructions=instructions)
     cal = make_line_cal(2, t1_ns=0.01, t2_ns=0.02)  # decay within the window is certain
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=1.0, disable=frozenset({"dephasing", "readout", "cx"})))
     shots = sample_records(circuit, noise, 64, seed=1)
@@ -340,7 +341,7 @@ def test_fused_idle_channel_is_exact_markov_composition(lv, scope):
     # probability away from the start bit is the oracle's
     cal = make_line_cal(p0=0.9)
     circuit = build(cal, logical_value=lv, extra_delay_ns=12_500, dd_scope=scope)
-    ops = compile_program(circuit, compile_noise(cal)).ops
+    ops = joined_ops(compile_program(circuit, compile_noise(cal)))
     # round 1 measures each auxiliary once, before any other measure
     last_measure = [k for k, op in enumerate(ops) if op[0] == "measure"][len(aux_qubits(circuit)) - 1]
     next_cx = next(op for op in ops[last_measure:] if op[0] == "cx" and 2 in op[1:3])
@@ -356,7 +357,7 @@ def test_fusion_keeps_exactly_the_tokens_crosstalk_reads(cal, scope):
     # every idle channel is folded into an op that reads its qubit, and a
     # relaxation stays an op only as a decay some neighbour receives, which
     # carries the channel of each qubit of its block
-    ops = compile_program(circuit, compile_noise(cal)).ops
+    ops = joined_ops(compile_program(circuit, compile_noise(cal)))
     assert {op[0] for op in ops} == {"decay", "cx", "measure"}
     for _, i, receivers, *_, channels in (op for op in ops if op[0] == "decay"):
         assert receivers and set(receivers) <= {i - 1, i + 1}
@@ -479,7 +480,7 @@ def test_compile_program_matches_reference_lowering_on_heavy_hex(monkeypatch, se
     noise = compile_noise(cal)
     checked = 0
     for _, circuit in pipeline_circuits(cal):
-        assert compile_program(circuit, noise).ops == reference_compile_program(circuit, noise).ops
+        assert compile_program(circuit, noise) == reference_compile_program(circuit, noise)
         checked += 1
     assert checked == 3 * 4 * sum(line is not None for line in plan_device(cal).values())
 
@@ -494,7 +495,7 @@ def crosstalk_circuit(source: tuple[int, int], x_delays: dict[int, list[tuple[in
     ins += [Instruction("delay", (q,), s, e - s) for q, delays in x_delays.items() for s, e in delays]
     start, end = source
     ins += [Instruction("delay", (1,), start, end - start), Instruction("measure", (1,), end, 20)]
-    return Circuit(LINE, tuple(sorted(ins, key=lambda i: i.start)), "phase_flip")
+    return Circuit(LINE, tuple(sorted(ins, key=lambda i: i.start)))
 
 
 @pytest.mark.parametrize(
@@ -522,8 +523,9 @@ def test_crosstalk_receivers_match_reference_lowering(x_delays, receivers):
     # the lowering equals the oracle's, which scans every X-basis delay
     noise = compile_noise(make_line_cal(p0=0.9), NoiseOptions(crosstalk_eta=0.3))
     circuit = crosstalk_circuit((50, 100), x_delays)
-    ops = compile_program(circuit, noise).ops
-    assert ops == reference_compile_program(circuit, noise).ops
+    program = compile_program(circuit, noise)
+    assert program == reference_compile_program(circuit, noise)
+    ops = program.ops
     assert [op[1:3] for op in ops if op[0] == "decay"] == ([(1, receivers)] if receivers else [])
     assert ops[-1][:2] == ("measure", 1)
 
@@ -648,14 +650,14 @@ def test_final_readout_would_only_split_the_syndrome_records(falcon, crosstalk):
 
 @pytest.mark.parametrize("crosstalk", [True, False])
 def test_paired_walk_matches_each_programs_own_walk(falcon, crosstalk):
-    # a qubit's logical 0 and 1 programs share one structure on every
+    # a qubit's logical 0 and 1 programs have equal ops on every
     # falcon27 pipeline circuit at each dd_scope, so the pipeline walks
     # them as one batch; each member's cells match its own walk
     noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     programs = [compile_program(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(programs) == 3 * 84
     for lv0, lv1 in zip(programs[0::2], programs[1::2]):
-        assert _structure(lv0) == _structure(lv1) and lv0 != lv1
+        assert lv0.ops == lv1.ops and lv0 != lv1
         for paired, program in zip(pair_distribution([lv0, lv1]), (lv0, lv1)):
             (alone,) = pair_distribution([program])
             assert np.abs(paired - alone).max() <= 1e-15
@@ -672,16 +674,16 @@ def test_device_wide_walk_matches_each_programs_own_walk_exactly(falcon, options
     # at each dd_scope, against each program walked alone
     noise = compile_noise(falcon, options)
     programs = [compile_program(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
-    assert len(programs) == 3 * 84 and len({_structure(p) for p in programs}) < len(programs) // 4
+    assert len(programs) == 3 * 84 and len({p.ops for p in programs}) < len(programs) // 4
     together = pair_distribution(programs)
     alone = [pi for program in programs for pi in pair_distribution([program])]
     assert np.abs(np.array(together) - np.array(alone)).max() == 0.0
 
 
 def test_pair_distribution_reads_its_programs_lazily(falcon):
-    # each program is reduced to its structure and probabilities on arrival
-    # and released before the next one is asked for, so a device's programs
-    # never sit in memory together
+    # each program's probability row is copied out on arrival and the
+    # program released before the next one is asked for, so a device's
+    # programs never sit in memory together
     noise = compile_noise(falcon)
     circuits = [circuit for scope, circuit in pipeline_circuits(falcon) if scope == "none"]
     released = []
@@ -701,9 +703,9 @@ def test_pair_distribution_reads_its_programs_lazily(falcon):
 
 def test_programs_of_different_structures_are_walked_apart():
     # an injected fault folds into its qubit's next op, so the faulted
-    # circuit keeps its partner's structure and joins its batch with a
-    # matrix of its own; a phase-flip program, whose structure differs, is
-    # walked on its own. Each matches the oracle's walk.
+    # circuit keeps its partner's ops and joins its batch with a matrix of
+    # its own; a phase-flip program, whose ops differ, is walked on its
+    # own. Each matches the oracle's walk.
     cal = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
     noise = compile_noise(cal, NoiseOptions(crosstalk_eta=0.3))
     plain = build(cal, logical_value=1, extra_delay_ns=5_000)
@@ -711,7 +713,7 @@ def test_programs_of_different_structures_are_walked_apart():
     phase = build(cal, encoding="phase_flip", extra_delay_ns=5_000, dd_scope="all_qubits")
     circuits = (faulted, phase, plain)
     programs = [compile_program(circuit, noise) for circuit in circuits]
-    assert _structure(programs[0]) == _structure(programs[2]) != _structure(programs[1])
+    assert programs[0].ops == programs[2].ops != programs[1].ops
     for pi, circuit, program in zip(pair_distribution(programs), circuits, programs):
         assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, program))).max() <= 1e-14
         (alone,) = pair_distribution([program])
