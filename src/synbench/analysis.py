@@ -153,27 +153,13 @@ class BenchmarkReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        # each qubit and rate entry copies its object's fields: their names are the JSON keys
         return {
             "schema": "synbench-report@1",
             "metadata": self.metadata,
             "medians": self.medians,
             "qubits": [
-                {
-                    "qubit": r.qubit,
-                    "line": list(r.line),
-                    "exposure_ns": r.exposure_ns,
-                    "p0_estimate": r.p0_estimate,
-                    "rates": {
-                        key: {
-                            "estimate": est.estimate,
-                            "stderr": est.stderr,
-                            "shots": est.shots,
-                            "anticorrelated": est.anticorrelated,
-                        }
-                        for key, est in r.rates.items()
-                    },
-                    "guides": r.guides,
-                }
+                {**vars(r), "line": list(r.line), "rates": {key: {**vars(est)} for key, est in r.rates.items()}}
                 for r in self.results
             ],
         }

@@ -1,14 +1,15 @@
 """Benchmark orchestration and the `synbench` command line.
 
-A run is described by one JSON config file; every field has a default so a
-bare calibration path is enough. The pipeline picks each feasible qubit's
-line and runs in three stages over the device: it builds and compiles one
-circuit per (qubit, encoding, logical value), qubit by qubit; one walk over
-every program gives the exact distribution of each circuit's round-2
-detector pair; then, qubit by qubit, it samples each circuit, extracts the
-round-2 idle rates and assembles the qubit's result. Everything aggregates
-into a report (JSON + CSV) with device-map figures. Identical config and
-seed give byte-identical artifacts.
+A run is one JSON config file, or the same fields in a library call, each
+checked and normalised by `RunConfig`; every field has a default so a bare
+calibration path is enough. A usage error exits 1 like any config error. The
+pipeline picks each feasible qubit's line and runs in three stages over the
+device: it builds and compiles one circuit per (qubit, encoding, logical
+value), qubit by qubit; one walk over every program gives the exact
+distribution of each circuit's round-2 detector pair; then, qubit by qubit, it
+samples each circuit, extracts the round-2 idle rates and assembles the qubit's
+result. Everything aggregates into a report (JSON + CSV) with device-map
+figures. Identical config and seed give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -88,11 +90,12 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
-def _distinct(name: str, values, allowed: tuple) -> None:
+def _distinct(name: str, values, allowed: tuple) -> tuple:
     # repr tells True and 1.0 from 1, and works on unhashable values
-    names = [repr(v) for v in values] if isinstance(values, tuple) else []
+    names = [repr(v) for v in values] if isinstance(values, (list, tuple)) else []
     if not names or len(set(names)) < len(names) or not set(names) <= set(map(repr, allowed)):
         raise ConfigError(f"{name} must be one or more distinct values from {list(allowed)}, got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -118,30 +121,29 @@ class RunConfig:
         if not 0 <= fraction < math.inf:
             raise ConfigError(f"extra_delay_fraction must be a finite number >= 0, got {self.extra_delay_fraction!r}")
         object.__setattr__(self, "extra_delay_fraction", fraction)
-        _distinct("encodings", self.encodings, ENCODINGS)
-        _distinct("logical_values", self.logical_values, (0, 1))
+        for name, allowed in (("encodings", ENCODINGS), ("logical_values", (0, 1))):
+            object.__setattr__(self, name, _distinct(name, getattr(self, name), allowed))
         if self.dd_scope not in DD_SCOPES:
             raise ConfigError(f"unknown dd_scope {self.dd_scope!r}")
+        if isinstance(self.noise, dict):
+            try:
+                object.__setattr__(self, "noise", NoiseOptions(**self.noise))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad noise options: {exc}") from exc
+        if not isinstance(self.noise, NoiseOptions):
+            raise ConfigError(f"bad noise options: expected an object, got {self.noise!r}")
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> RunConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
+        if unknown := set(doc) - {f.name for f in fields(cls)}:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "calibration" not in doc:
             raise ConfigError("config needs a 'calibration' path")
-        kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-        calibration = kwargs["calibration"]
-        if base_dir is not None and isinstance(calibration, str) and not Path(calibration).is_absolute():
-            kwargs["calibration"] = str(base_dir / calibration)
-        if "noise" in doc:
-            try:
-                kwargs["noise"] = NoiseOptions.from_dict(doc["noise"])
-            except ValueError as exc:
-                raise ConfigError(f"bad noise options: {exc}") from exc
-        return cls(**kwargs)
+        if base_dir is not None and isinstance(cal := doc["calibration"], str) and not Path(cal).is_absolute():
+            doc = dict(doc, calibration=str(base_dir / cal))
+        return cls(**doc)
 
     @classmethod
     def from_file(cls, path) -> RunConfig:
@@ -149,19 +151,11 @@ class RunConfig:
         return cls.from_dict(_read_json(path, "config"), base_dir=path.parent)
 
     def describe(self) -> dict:
-        return {
-            # relative to the output directory, where the report is written,
-            # so a run's report does not depend on where its tree sits
-            "calibration": os.path.relpath(self.calibration, self.output_dir),
-            "shots": self.shots,
-            "seed": self.seed,
-            "encodings": list(self.encodings),
-            "logical_values": list(self.logical_values),
-            "dd_scope": self.dd_scope,
-            "extra_delay_fraction": self.extra_delay_fraction,
-            "noise": {**asdict(self.noise), "disable": sorted(self.noise.disable)},
-            "version": __version__,
-        }
+        doc = asdict(self)
+        # relative to the report's directory, so the report does not depend on where its tree sits
+        doc["calibration"] = os.path.relpath(self.calibration, doc.pop("output_dir"))
+        doc["noise"]["disable"] = sorted(self.noise.disable)
+        return {**doc, "version": __version__}
 
 
 def _extra_delay_ns(config: RunConfig, cal: DeviceCalibration, qubit: int, encoding: str) -> int:
@@ -312,8 +306,8 @@ def report_csv(report: BenchmarkReport) -> str:
                     key,
                     repr(est.estimate),
                     repr(est.stderr),
-                    repr(result.guides.get(key, "")),
-                    result.exposure_ns.get(encoding, ""),
+                    repr(result.guides[key]),
+                    result.exposure_ns[encoding],
                 )
             )
     return buffer.getvalue()
@@ -372,8 +366,13 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # each subcommand's parser is a _Parser too
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="synbench",
         description="Syndrome-derived idle error rates on a simulated device.",
     )
@@ -399,10 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"plan": _cmd_plan, "run": _cmd_run, "render": _cmd_render}
+    # a shown warning is one line; filtering and recording stay as they were
+    formatwarning, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, CalibrationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -410,3 +410,5 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures keep a distinct exit code
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning

@@ -13,10 +13,10 @@ a delay inflicts a phase flip with probability eta, once per neighbour, at
 the decay, on each line neighbour idling in the X basis during an
 overlapping delay.
 
-`compile_noise` applies the run's options once: the `NoiseModel` it returns
-is only tables (each qubit's idle channel and readout flip, each coupled
-pair's cx error, the preparation flip and eta), with every disabled channel
-already zeroed.
+`NoiseOptions` checks the run's options, and `compile_noise` applies them
+once: the `NoiseModel` it returns is only tables (each qubit's idle channel
+and readout flip, each coupled pair's cx error, the preparation flip and
+eta), with every disabled channel already zeroed.
 
 `guide_values` is the T1/T2 prediction for one circuit, read from the
 calibration alone; a run averages the guides over logical values as it
@@ -26,7 +26,7 @@ averages the estimates they guide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .device import DeviceCalibration, Edge, QubitCalibration, json_float
 
@@ -68,7 +68,8 @@ class IdleChannel:
 
 @dataclass(frozen=True)
 class NoiseOptions:
-    """Knobs for controlled experiments; `disable` names whole channels."""
+    """Knobs for controlled experiments; `disable`, any list, tuple or set of
+    channel names, becomes a frozenset."""
 
     crosstalk_eta: float = 1.0
     prep_error: float = 0.0
@@ -80,20 +81,11 @@ class NoiseOptions:
             if not 0.0 <= (number := json_float(value)) <= 1.0:
                 raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
             object.__setattr__(self, name, number)
-        if not isinstance(self.disable, frozenset) or not self.disable <= set(CHANNEL_NAMES):
-            raise ValueError(
-                f"disable must be a list of names from {list(CHANNEL_NAMES)}, got {self.disable!r}"
-            )
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> NoiseOptions:
-        keys = {f.name for f in fields(cls)}
-        if not isinstance(doc, dict) or not set(doc) <= keys:
-            raise ValueError(f"expected an object with keys from {sorted(keys)}, got {doc!r}")
-        disable = doc.get("disable")
-        if isinstance(disable, list) and all(isinstance(name, str) for name in disable):
-            doc = dict(doc, disable=frozenset(disable))
-        return cls(**doc)
+        # `in` compares by equality, so an unhashable entry is refused too
+        disable = self.disable
+        if not isinstance(disable, (list, tuple, set, frozenset)) or not all(name in CHANNEL_NAMES for name in disable):
+            raise ValueError(f"disable must be a list of names from {list(CHANNEL_NAMES)}, got {disable!r}")
+        object.__setattr__(self, "disable", frozenset(disable))
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,33 @@ def test_aggregate_is_permutation_invariant():
     assert [r.qubit for r in a.results] == [r.qubit for r in b.results]
 
 
+def test_report_document_copies_each_objects_fields():
+    # each qubit entry and rate entry holds its object's fields under their
+    # names; writing into the document leaves the report as it was
+    est = RateEstimate(0.1, 0.01, 1000)
+    result = QubitBenchmark(2, (0, 1, 2, 3, 4), {"p_01": est}, {"p_01": 0.09}, {"bit_flip": 4000}, 0.97)
+    report = aggregate_device([result], {"seed": 7})
+    doc = report.to_dict()
+    assert doc == {
+        "schema": "synbench-report@1",
+        "metadata": {"seed": 7},
+        "medians": {"p_01": 0.1},
+        "qubits": [
+            {
+                "qubit": 2,
+                "line": [0, 1, 2, 3, 4],
+                "exposure_ns": {"bit_flip": 4000},
+                "p0_estimate": 0.97,
+                "rates": {"p_01": {"estimate": 0.1, "stderr": 0.01, "shots": 1000, "anticorrelated": False}},
+                "guides": {"p_01": 0.09},
+            }
+        ],
+    }
+    doc["qubits"][0]["qubit"] = 3
+    doc["qubits"][0]["rates"]["p_01"]["estimate"] = 0.5
+    assert (result.qubit, est.estimate) == (2, 0.1)
+
+
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate_device([])

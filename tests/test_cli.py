@@ -8,11 +8,12 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,18 @@ def test_readme_run_config_is_the_defaults():
     assert RunConfig.from_dict(doc) == RunConfig(calibration=doc["calibration"])
 
 
+def test_readme_commands_parse():
+    # every command in the README's Command line block is one the parser takes
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words for words in commands if words[:1] == ["synbench"] or words[:3] == ["python", "-m", "synbench"]]
+    assert len(commands) == 6
+    for words in commands:
+        argv = words[words.index("synbench") + 1 :]
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
 def test_readme_rate_table_is_rates():
     # the README's rate-key table lists each key with its encoding and the
     # logical values it averages, as analysis.RATES does
@@ -158,6 +171,21 @@ def test_config_validates_values():
         RunConfig.from_dict({"calibration": "c", "extra_delay_fraction": "0.5"})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"calibration": "c", "noise": {"disable": ["gravity"]}})
+
+
+def test_library_lists_give_the_json_config():
+    # a list or a tuple, a noise object or NoiseOptions: each field is
+    # normalised where it is checked, whatever its source
+    doc = {"calibration": "c.json", "encodings": ["phase_flip"], "logical_values": [1, 0], "noise": {"disable": ["cx"]}}
+    config = RunConfig(
+        calibration="c.json", encodings=["phase_flip"], logical_values=[1, 0], noise={"disable": ["cx"]}
+    )
+    assert config == RunConfig.from_dict(doc)
+    assert (config.encodings, config.logical_values) == (("phase_flip",), (1, 0))
+    assert config.noise == NoiseOptions(disable=frozenset({"cx"}))
+    default = RunConfig(calibration="c.json")
+    noise = NoiseOptions(disable=("cx",))
+    assert replace(default, encodings=["phase_flip"], logical_values=(1, 0), noise=noise) == config
 
 
 def test_config_relative_calibration_resolves_against_config_dir(tmp_path, cal_path):
@@ -277,6 +305,31 @@ def test_run_without_benchmarkable_qubits_is_runtime_error(tmp_path, capsys):
 def test_run_with_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "none.json")]) == 1
     assert main(["run"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", ["", "frobnicate", "run --shots", "render --report r.json --mode foo", "run --cal X --bogus 1"]
+)
+def test_usage_error_is_config_error(capsys, argv):
+    # argparse would print a usage line and exit 2, the runtime-error code
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as done:
+        main([flag])
+    assert done.value.code == 0 and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("disable", ["cx", None, [["cx"]]], ids=["bare-name", "null", "nested-list"])
+def test_malformed_disable_is_one_config_error_naming_it(tmp_path, cal_path, capsys, disable):
+    config = write_config(tmp_path, cal_path, noise={"disable": disable})
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad noise options: disable must be") and err.count("\n") == 1, err
 
 
 def test_run_with_both_config_and_cal_is_config_error(tmp_path, cal_path, capsys, monkeypatch):
@@ -866,3 +919,21 @@ def test_entry_points_run_without_warnings(args):
     done = subprocess.run([sys.executable, "-W", "error", *args], env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == ("synbench 0.1.0\n" if "--version" in args else "")
+
+
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    # the command line shows a warning as its message alone, and restores
+    # the format on return, so library callers' warnings keep their location
+    doc = json.loads(falcon_bytes())
+    doc["qubits"][3]["t2_ns"] = 3 * doc["qubits"][3]["t1_ns"]
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    argv = [sys.executable, "-m", "synbench", "plan", "--cal", str(cal)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert re.fullmatch(r"warning: qubit 3: t2 \(\S+\) exceeds 2\*t1 \(\S+\)\n", done.stderr), done.stderr
+    formatwarning = warnings.formatwarning
+    with expected_warnings(r"exceeds 2\*t1") as record:
+        assert exit_and_stderr(["plan", "--cal", str(cal)])[0] == 0
+    assert len(record) == 1 and warnings.formatwarning is formatwarning

@@ -126,6 +126,13 @@ def test_options_validation():
         NoiseOptions(disable=frozenset({"cosmic_rays"}))
     with pytest.raises(ValueError):
         NoiseOptions(prep_error=-0.1)
+    with pytest.raises(ValueError, match="disable"):
+        NoiseOptions(disable="cx")
+
+
+@pytest.mark.parametrize("names", [["cx", "readout"], ("readout", "cx"), {"cx", "readout"}, ["cx", "readout", "cx"]])
+def test_disable_takes_any_collection_of_names(names):
+    assert NoiseOptions(disable=names).disable == frozenset({"cx", "readout"})
 
 
 @pytest.mark.parametrize("start_bit", [0, 1])
