@@ -28,6 +28,7 @@ estimates it averages.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,13 +154,20 @@ class BenchmarkReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        # each qubit and rate entry copies its object's fields: their names are the JSON keys
+        # each qubit and rate entry copies its object's fields, their names the
+        # JSON keys, and every container down to the numbers
         return {
             "schema": "synbench-report@1",
-            "metadata": self.metadata,
-            "medians": self.medians,
+            "metadata": copy.deepcopy(self.metadata),
+            "medians": dict(self.medians),
             "qubits": [
-                {**vars(r), "line": list(r.line), "rates": {key: {**vars(est)} for key, est in r.rates.items()}}
+                {
+                    **vars(r),
+                    "line": list(r.line),
+                    "rates": {key: {**vars(est)} for key, est in r.rates.items()},
+                    "guides": dict(r.guides),
+                    "exposure_ns": dict(r.exposure_ns),
+                }
                 for r in self.results
             ],
         }

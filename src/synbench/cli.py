@@ -280,10 +280,15 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
         "calibration_map": out_dir / "calibration.svg",
     }
     doc = report.to_dict()
-    _write(paths["report"], report_json(doc))
-    _write(paths["csv"], report_csv(report))
-    _write(paths["rates_map"], render_device_map(doc, cal, "rates"))
-    _write(paths["calibration_map"], render_device_map(doc, cal, "calibration"))
+    # every artifact is made before any is written, so a refused map leaves none
+    texts = {
+        "report": report_json(doc),
+        "csv": report_csv(report),
+        "rates_map": render_device_map(doc, cal, "rates"),
+        "calibration_map": render_device_map(doc, cal, "calibration"),
+    }
+    for key, path in paths.items():
+        _write(path, texts[key])
     return report, paths
 
 

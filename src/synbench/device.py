@@ -12,16 +12,11 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 Edge = tuple[int, int]
-
-DEFAULT_P0 = 1.0
-DEFAULT_READOUT_ERROR = 0.01
-DEFAULT_X_NS = 35.0
-T2_STAR_FACTOR = 0.5
 
 # cx gates above this error rate signal a broken calibration and disqualify
 # any line containing them
@@ -47,17 +42,20 @@ def canonical_edge(a: int, b: int) -> Edge:
 
 @dataclass(frozen=True)
 class QubitCalibration:
-    """Per-qubit timing and error figures. Durations in ns."""
+    """Per-qubit timing and error figures. Durations in ns; t2_star_ns
+    defaults to 0.5 * t2_ns."""
 
     t1_ns: float
     t2_ns: float
-    t2_star_ns: float
-    p0: float
-    readout_error: float
     readout_ns: float
-    x_ns: float
+    t2_star_ns: float | None = None
+    p0: float = 1.0
+    readout_error: float = 0.01
+    x_ns: float = 35.0
 
     def __post_init__(self) -> None:
+        if self.t2_star_ns is None:
+            object.__setattr__(self, "t2_star_ns", 0.5 * self.t2_ns)
         for name in ("t1_ns", "t2_ns", "t2_star_ns", "readout_ns", "x_ns"):
             if not getattr(self, name) > 0:
                 raise CalibrationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -174,9 +172,8 @@ def load_calibration(source) -> DeviceCalibration:
     A Path names the JSON file to read; a str or bytes is the JSON text
     itself, never a file name. Every numeric field and position coordinate
     must be a finite JSON number, cx qubit ids integers and the name a
-    string; either every qubit has a position or none has. Optional fields
-    take documented default values: p0 = 1.0, t2_star_ns = 0.5 * t2_ns,
-    readout_error = 0.01, x_ns = 35.0.
+    string; either every qubit has a position or none has. A missing
+    optional field takes QubitCalibration's default.
     """
     if isinstance(source, Path):
         try:
@@ -202,19 +199,13 @@ def load_calibration(source) -> DeviceCalibration:
     if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(entries))):
         raise CalibrationError("qubit ids must be exactly 0..n-1")
 
+    qubit_fields = [(f.name, f.default is MISSING) for f in fields(QubitCalibration)]
     qubits: list[QubitCalibration | None] = [None] * len(entries)
     positions: dict[int, tuple[float, float]] = {}
     for entry in entries:
         q = entry["id"]
         try:
-            values = {name: _finite(entry[name], name) for name in ("t1_ns", "t2_ns", "readout_ns")}
-            optional = {
-                "t2_star_ns": T2_STAR_FACTOR * values["t2_ns"],
-                "p0": DEFAULT_P0,
-                "readout_error": DEFAULT_READOUT_ERROR,
-                "x_ns": DEFAULT_X_NS,
-            }
-            values.update({name: _finite(entry.get(name, default), name) for name, default in optional.items()})
+            values = {name: _finite(entry[name], name) for name, required in qubit_fields if required or name in entry}
             qubits[q] = QubitCalibration(**values)
             if "position" in entry:
                 x, y = entry["position"]

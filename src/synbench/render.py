@@ -12,7 +12,9 @@ Unbenchmarked qubits are hatched.
 
 from __future__ import annotations
 
-from .device import DeviceCalibration
+import math
+
+from .device import CalibrationError, DeviceCalibration
 
 CX_FULL_GREEN_ERROR = 0.02
 _SCALE = 90.0
@@ -69,6 +71,9 @@ def render_device_map(report: dict, cal: DeviceCalibration, mode: str = "rates")
     px = {q: (_MARGIN + _SCALE * (x - x0), _MARGIN + _SCALE * (y - y0)) for q, (x, y) in cal.layout.items()}
     width = max(x for x, _ in px.values()) + _MARGIN
     height = max(y for _, y in px.values()) + _MARGIN + 10
+    # every point lies between the margin and these
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise CalibrationError(f"device {cal.name}: qubit positions span too far to draw")
 
     values = _node_values(report, cal, mode)
     # the name as XML text; importing xml.sax.saxutils.escape loads urllib, ~7 MB

@@ -31,13 +31,13 @@ an X-basis delay of a line neighbour becomes a `decay` op: its decays
 itself. No op after the last measure can change a parity, so the program
 ends there. A program holds its ops, which name what acts on which
 qubits, and one flat row of doubles with every op's probabilities in op
-order, each channel an (up, down) pair, a decay's one per qubit of its
-block, lowest first:
+order: its parameters, then one (up, down) channel per qubit of its block
+of neighbouring qubits, lowest first:
 
-    op                          its probabilities in the row
-    ("cx", control, target)     eps, control channel, target channel
-    ("measure", i)              readout flip, channel
-    ("decay", i, receivers)     P(0->1), P(1->0), eta, block channels
+    op                          its parameters
+    ("cx", control, target)     eps
+    ("measure", i)              readout flip
+    ("decay", i, receivers)     P(0->1), P(1->0), eta
 
 The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
 programs of equal ops: their rows differ only in the channels folded into
@@ -49,12 +49,12 @@ over a probability vector on binary axes, for all the programs with those
 ops at a time behind a leading batch axis. The qubit axes come first, in
 line order; then one parity axis per measured qubit, in line order, added at
 its first measure, into which each later measure XORs its read-out bit. Each
-op is one or two numpy calls on the members' stacked matrices: a cx or a
-decay one matmul on the (batch, 2**lo, 2**k, -1) view of its block of k
-neighbouring qubits from lo; a measure one matmul to (bit, read-out bit) on
-the (batch, 2**i, 2, -1) view and one transposed copy, or a sum for a later
-measure. A benchmark circuit measures each auxiliary once per round, so its
-parity axes are the round-2 detectors, and the result is the 4 cells of
+op is one matmul of the members' stacked matrices on the
+(batch, 2**lo, 2**k, -1) view of its block of k neighbouring qubits from
+lo, a measure's to (bit, read-out bit); a measure then moves its read-out
+bit with one transposed copy, or XORs it with a sum for a later measure.
+A benchmark circuit measures each auxiliary once per round, so its parity
+axes are the round-2 detectors, and the result is the 4 cells of
 (d_left, d_right), cell 2 d_left + d_right.
 
 `run_shots` draws its shots' cell counts with one multinomial and expands a
@@ -81,8 +81,8 @@ _NO_FLIP = (0.0, 0.0)
 
 # the rows of the noise-free cx on a neighbour pair's (2**lo, 4, -1) view,
 # whose middle index is 2 * (lower qubit's bit) + (upper qubit's bit); keyed
-# by whether the control is the lower qubit
-_CX_ROWS = {True: [0, 1, 3, 2], False: [0, 3, 2, 1]}
+# by its layout: the control's and the target's offsets from the lower qubit
+_CX_ROWS = {("cx", 0, 1): [0, 1, 3, 2], ("cx", 1, 0): [0, 3, 2, 1]}
 
 # _PAIR_TABLE[:, r] is cell r's (d_left, d_right)
 _PAIR_TABLE = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
@@ -180,7 +180,8 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             if abs(i - j) != 1:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
             ops.append(("cx", i, j))
-            probs += (noise.cx[c, t], *pending[i], *pending[j])
+            lo, hi = (i, j) if i < j else (j, i)
+            probs += (noise.cx[c, t], *pending[lo], *pending[hi])
             pending[i] = pending[j] = _NO_FLIP
             continue
         elif kind == "measure":
@@ -208,12 +209,6 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     return FrameProgram(ops=tuple(ops[:kept]), probs=array("d", probs[:kept_probs]), n_qubits=n)
 
 
-def _block(op: tuple) -> range:
-    """The line indices a cx or a decay acts on, lowest first."""
-    qubits = (op[1], op[2]) if op[0] == "cx" else (op[1], *op[2])
-    return range(min(qubits), max(qubits) + 1)
-
-
 def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """The (n, 2, 2) stochastic matrices [new bit, old bit] that move mass
     from bit 0 to 1 with probability `up` and from 1 to 0 with probability
@@ -221,94 +216,85 @@ def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     return np.array([1.0 - up, down, up, 1.0 - down]).T.reshape(-1, 2, 2)
 
 
-def _kron(channels: list[np.ndarray]) -> np.ndarray:
-    """The (n, 2**k, 2**k) Kronecker products of k stacks of (n, 2, 2)
-    channels, the first on the most significant bit."""
-    out = channels[0]
-    for ch in channels[1:]:
-        n, r, c = out.shape
-        out = (out[:, :, None, :, None] * ch[:, None, :, None, :]).reshape(n, 2 * r, 2 * c)
-    return out
-
-
-def _cx_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
-    # (eps, lower qubit's channel, upper qubit's channel) and the cx's
-    # noise-free rows
-    lower = op[1] < op[2]
-    eps, lo_up, lo_down, hi_up, hi_down = probs[:, [0, 1, 2, 3, 4] if lower else [0, 3, 4, 1, 2]].T
-    folded = np.take(_kron([_channels(lo_up, lo_down), _channels(hi_up, hi_down)]), _CX_ROWS[lower], axis=1)
+def _cx_matrices(layout: tuple, params: np.ndarray, folded: np.ndarray) -> np.ndarray:
     # every error pattern flips (control, target) by one of the three
     # nonzero bit pairs with probability 4 eps / 15; the folded columns sum
     # to 1, so the error's uniform part is w in every cell
-    w = (4.0 * eps / 15.0)[:, None, None]
-    return (1.0 - 4.0 * w) * folded + w
+    w = (4.0 * params[:, 0] / 15.0)[:, None, None]
+    return (1.0 - 4.0 * w) * np.take(folded, _CX_ROWS[layout], axis=1) + w
 
 
-def _measure_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
+def _measure_matrices(layout: tuple, params: np.ndarray, folded: np.ndarray) -> np.ndarray:
     # rows (bit, recorded bit) after the folded channel
-    p, up, down = probs.T
+    p = params[:, 0]
     readout = _channels(p, p)  # [bit, recorded bit]
-    return (readout[:, :, :, None] * _channels(up, down)[:, :, None, :]).reshape(-1, 4, 2)
+    return (readout[:, :, :, None] * folded[:, :, None, :]).reshape(-1, 4, 2)
 
 
-def _decay_matrices(op: tuple, probs: np.ndarray) -> np.ndarray:
-    # the block's folded channels, then the source's relaxation, whose
-    # decays flip each receiver with probability eta; rows of one source
-    # bit are views of the block's matrices, updated in place
-    _, i, receivers = op
-    block = _block(op)
-    p01, p10, eta = (probs[:, f, None, None] for f in range(3))
-    out = _kron([_channels(probs[:, 3 + 2 * b], probs[:, 4 + 2 * b]) for b in range(len(block))])
-    s = i - block.start
-    split = out.reshape(len(probs), 1 << s, 2, -1)
+def _decay_matrices(layout: tuple, params: np.ndarray, folded: np.ndarray) -> np.ndarray:
+    # the source's relaxation after the folded channels, whose decays flip
+    # each receiver with probability eta; rows of one source bit are views
+    # of the folded matrices, updated in place
+    _, s, *receivers = layout
+    n = len(params)
+    p01, p10, eta = (params[:, f, None, None] for f in range(3))
+    split = folded.reshape(n, 1 << s, 2, -1)
     zero, one = split[:, :, 0], split[:, :, 1]
-    decayed = (p10 * one).reshape(len(probs), 1 << s, -1)
+    decayed = (p10 * one).reshape(n, 1 << s, -1)
     one *= 1.0 - p10
     one += p01 * zero
     zero *= 1.0 - p01
     for j in receivers:
         # the receiver's bit among the decayed rows, which lack the source's
-        r = j - block.start - (j > i)
-        v = decayed.reshape(len(probs), 1 << r, 2, -1)
+        v = decayed.reshape(n, 1 << (j - (j > s)), 2, -1)
         v[:] = (1.0 - eta[:, :, None]) * v + eta[:, :, None] * v[:, :, ::-1]
     zero += decayed.reshape(zero.shape)
-    return out
+    return folded
 
 
 _BUILDERS = {"cx": _cx_matrices, "measure": _measure_matrices, "decay": _decay_matrices}
 
-
-def _width(op: tuple) -> int:
-    """How many probabilities an op has in its program's row."""
-    return 5 if op[0] == "cx" else 3 if op[0] == "measure" else 3 + 2 * len(_block(op))
+# how many parameters of each kind lead its op's columns in the row
+_PARAMS = {"cx": 1, "measure": 1, "decay": 3}
 
 
-def _layout(op: tuple) -> tuple:
-    """Ops of one layout have matrices of one shape and meaning: a cx's
-    rows depend on whether its control is the lower qubit, a decay's on
-    which of its neighbours receive it."""
-    return (op[0], *(j - op[1] for j in op[2])) if op[0] == "decay" else (op[0], op[0] == "cx" and op[1] < op[2])
+def _layout(op: tuple) -> tuple[int, tuple]:
+    """The first line index of the op's block of neighbouring qubits, and
+    its layout: the kind and its qubits' offsets from that index, a cx's
+    control or a decay's source first. Ops of one layout have matrices of
+    one shape and meaning, and the kind's parameters then 2 * (block
+    length) channel columns in the row."""
+    qubits = (op[1], *op[2]) if op[0] == "decay" else op[1:]
+    lo = min(qubits)
+    return lo, (op[0], *(q - lo for q in qubits))
 
 
-def _matrices(ops: tuple[tuple, ...], probs: np.ndarray) -> list[np.ndarray]:
-    """The members' (b, 1, r, c) stack of matrices of each op of b programs
-    with these ops, given the members' (b, m) probability rows, in which
-    each op has the next `_width` columns. A measure's matrix has rows (bit,
-    recorded bit). Each layout's matrices are built in one vectorized
-    pass."""
+def _matrices(placed: list[tuple[int, tuple]], probs: np.ndarray) -> list[np.ndarray]:
+    """The members' (b, 1, r, c) stack of matrices of each op of b programs,
+    given each op's `_layout` and the members' (b, m) probability rows. A
+    measure's matrix has rows (bit, recorded bit). Each layout's matrices
+    are built in one vectorized pass: the Kronecker product of its block's
+    channels, the first on the most significant bit, then its kind's
+    builder."""
     b = len(probs)
-    layouts = [_layout(op) for op in ops]
-    by_layout: dict[tuple, tuple[tuple, list[np.ndarray]]] = {}
+    by_layout: dict[tuple, list[np.ndarray]] = {}
     start = 0
-    for layout, op in zip(layouts, ops):
-        end = start + _width(op)
-        by_layout.setdefault(layout, (op, []))[1].append(probs[:, start:end])
+    for _, layout in placed:
+        end = start + _PARAMS[layout[0]] + 2 * max(layout[1:]) + 2
+        by_layout.setdefault(layout, []).append(probs[:, start:end])
         start = end
     built = {}
-    for layout, (op, columns) in by_layout.items():
-        m = _BUILDERS[layout[0]](op, np.concatenate(columns))
+    for layout, parts in by_layout.items():
+        columns = np.concatenate(parts)
+        k = _PARAMS[layout[0]]
+        folded = _channels(columns[:, k], columns[:, k + 1])
+        for c in range(k + 2, columns.shape[1], 2):
+            n, r, _ = folded.shape
+            ch = _channels(columns[:, c], columns[:, c + 1])
+            folded = (folded[:, :, None, :, None] * ch[:, None, :, None, :]).reshape(n, 2 * r, 2 * r)
+        m = _BUILDERS[layout[0]](layout, columns[:, :k], folded)
         built[layout] = iter(m.reshape(-1, b, 1, *m.shape[1:]))
-    return [next(built[layout]) for layout in layouts]
+    return [next(built[layout]) for _, layout in placed]
 
 
 def pair_distribution(programs: Iterable[FrameProgram]) -> list[np.ndarray]:
@@ -344,29 +330,28 @@ def _walk(nq: int, ops: tuple[tuple, ...], probs: np.ndarray) -> np.ndarray:
     walked once over a flat vector on binary axes: the batch, the qubits in
     line order, the parities in line order. Each op is one matmul of the
     members' stacked matrices over a view whose third axis holds the bits
-    of its qubit, or of its block of neighbours.
+    of its block of neighbours, which starts at the index `_layout` gives.
     """
     b = len(probs)
     state = np.zeros(b << nq)
     state[:: 1 << nq] = 1.0
     measured: list[int] = []  # the qubit of each parity axis
-    for op, m in zip(ops, _matrices(ops, probs)):
-        i = op[1]
-        if op[0] != "measure":
-            state = np.matmul(m, state.reshape(b, 1 << _block(op).start, m.shape[-1], -1))
+    placed = [_layout(op) for op in ops]
+    for (i, layout), m in zip(placed, _matrices(placed, probs)):
+        state = np.matmul(m, state.reshape(b, 1 << i, m.shape[-1], -1))
+        if layout[0] != "measure":
             continue
-        moved = np.matmul(m, state.reshape(b, 1 << i, 2, -1))
         if i in measured:
             # the read-out bit, next to its qubit's bit, is XORed into the
             # qubit's parity axis
-            v = moved.reshape(b << (i + 1), 2, 1 << (nq - i - 1 + measured.index(i)), 2, -1)
+            v = state.reshape(b << (i + 1), 2, 1 << (nq - i - 1 + measured.index(i)), 2, -1)
             state = v[:, 0] + v[:, 1, :, ::-1]
         else:
             # the read-out bit moves from next to its qubit's bit to a new
             # parity axis nq + j
             j = bisect_left(measured, i)
             measured.insert(j, i)
-            state = moved.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1 + j), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
+            state = state.reshape(b, 1 << i, 2, 2, 1 << (nq - i - 1 + j), -1).transpose(0, 1, 2, 4, 3, 5).ravel()
     return state.reshape(b, 1 << nq, -1).sum(axis=1)
 
 

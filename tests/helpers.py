@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, _timeline_order, build_repetition_circuit
+from synbench.cli import RunConfig, _extra_delay_ns
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge, plan_device
 from synbench.noise import CHANNEL_NAMES, NoiseOptions
 from synbench.simulator import compile_program, pair_distribution, run_shots
@@ -79,7 +80,7 @@ def make_line_cal(
     qubit = QubitCalibration(
         t1_ns=t1_ns,
         t2_ns=t2_ns,
-        t2_star_ns=t2_star_ns if t2_star_ns is not None else 0.5 * t2_ns,
+        t2_star_ns=t2_star_ns,
         p0=p0,
         readout_error=readout_error,
         readout_ns=readout_ns,
@@ -161,11 +162,11 @@ def load_bench_module(name: str, monkeypatch):
 
 def pipeline_circuits(cal):
     """Every circuit the pipeline builds for `cal` at each dd_scope, with
-    the default extra delay."""
+    the default config's extra delay."""
+    config = RunConfig(calibration="")
     lines = {q: line for q, line in plan_device(cal).items() if line is not None}
     for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
-        qc = cal.qubits[q]
-        extra = round(0.125 * (qc.t1_ns if encoding == "bit_flip" else qc.t2_ns))
+        extra = _extra_delay_ns(config, cal, q, encoding)
         yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
 
 

@@ -245,7 +245,7 @@ def decay_block(op: tuple) -> range:
 
 def joined_ops(program: FrameProgram) -> list[tuple]:
     """Each op of `program` with its probabilities read back from the row
-    into fields, in row order, channels as (up, down) pairs:
+    into fields, channels as (up, down) pairs:
 
         ("cx", control, target, eps, control channel, target channel)
         ("measure", i, readout flip, channel)
@@ -254,8 +254,9 @@ def joined_ops(program: FrameProgram) -> list[tuple]:
         ("xtalk", i, ((token, eta), ...), channel)
         ("prep", i, p)
 
-    a decay carrying one channel per qubit of its block, lowest first; the
-    row must be read to its end."""
+    a decay carrying one channel per qubit of its block, lowest first. The
+    fields are in row order, except that the row holds a cx's channels
+    lowest qubit first; the row must be read to its end."""
     row = iter(program.probs)
 
     def take(k: int) -> tuple:
@@ -265,7 +266,8 @@ def joined_ops(program: FrameProgram) -> list[tuple]:
     for op in program.ops:
         tag = op[0]
         if tag == "cx":
-            out.append(op + take(1) + (take(2), take(2)))
+            eps, lower, upper = take(1), take(2), take(2)
+            out.append(op + eps + ((lower, upper) if op[1] < op[2] else (upper, lower)))
         elif tag == "measure":
             out.append(op + take(1) + (take(2),))
         elif tag == "decay":
@@ -284,9 +286,12 @@ def joined_ops(program: FrameProgram) -> list[tuple]:
 def _split_program(ops: list[tuple], n_qubits: int) -> FrameProgram:
     """The FrameProgram of ops in `joined_ops`' form: each op without its
     probabilities, an xtalk keeping only its tokens, and the probabilities
-    flattened in field order into one row."""
+    flattened in field order into one row, a cx's channels lowest qubit
+    first."""
     structure, row = [], []
     for op in ops:
+        if op[0] == "cx" and op[1] > op[2]:  # the row holds the lower qubit's channel first
+            op = op[:4] + (op[5], op[4])
         if op[0] == "xtalk":
             _, i, entries, channel = op
             structure.append(("xtalk", i, tuple(token for token, _ in entries)))

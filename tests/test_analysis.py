@@ -367,14 +367,15 @@ def test_aggregate_is_permutation_invariant():
 
 def test_report_document_copies_each_objects_fields():
     # each qubit entry and rate entry holds its object's fields under their
-    # names; writing into the document leaves the report as it was
+    # names; writing into any container of the document leaves the report
+    # as it was
     est = RateEstimate(0.1, 0.01, 1000)
     result = QubitBenchmark(2, (0, 1, 2, 3, 4), {"p_01": est}, {"p_01": 0.09}, {"bit_flip": 4000}, 0.97)
-    report = aggregate_device([result], {"seed": 7})
+    report = aggregate_device([result], {"seed": 7, "noise": {"disable": ["cx"], "prep_error": 0.0}})
     doc = report.to_dict()
-    assert doc == {
+    expected = {
         "schema": "synbench-report@1",
-        "metadata": {"seed": 7},
+        "metadata": {"seed": 7, "noise": {"disable": ["cx"], "prep_error": 0.0}},
         "medians": {"p_01": 0.1},
         "qubits": [
             {
@@ -387,9 +388,18 @@ def test_report_document_copies_each_objects_fields():
             }
         ],
     }
-    doc["qubits"][0]["qubit"] = 3
-    doc["qubits"][0]["rates"]["p_01"]["estimate"] = 0.5
+    assert doc == expected
+    entry = doc["qubits"][0]
+    entry["qubit"] = 3
+    entry["rates"]["p_01"]["estimate"] = 0.5
+    entry["guides"]["p_01"] = 0.5
+    entry["exposure_ns"]["bit_flip"] = 1
+    doc["metadata"]["seed"] = 8
+    doc["metadata"]["noise"]["prep_error"] = 0.5
+    doc["metadata"]["noise"]["disable"].append("readout")
+    doc["medians"]["p_01"] = 0.5
     assert (result.qubit, est.estimate) == (2, 0.1)
+    assert report.to_dict() == expected
 
 
 def test_aggregate_rejects_empty():

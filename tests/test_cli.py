@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import importlib
 import io
 import json
 import math
@@ -11,7 +10,6 @@ import re
 import shlex
 import subprocess
 import sys
-import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -22,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench.analysis import BOOTSTRAP_RESAMPLES, RATES
+from synbench.analysis import RATES
 from synbench.circuits import ENCODINGS
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
@@ -241,31 +239,6 @@ def test_no_generator_seed_is_used_twice(tmp_path, cal_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", recording)
     report, _ = run_benchmark(RunConfig.from_file(write_config(tmp_path, cal_path, shots=9_000)))
     assert len(seeds) >= 2 * len(report.results) and len(set(seeds)) == len(seeds)
-
-
-def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
-    # bench/tracing.py wraps pipeline functions by name and counts their
-    # arguments and results; a renamed function or a changed return shape
-    # breaks `bench/run.py --trace 1`
-    monkeypatch.syspath_prepend(str(REPO / "bench"))
-    tracing = importlib.import_module("tracing")
-    per_layer = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
-    config = RunConfig.from_file(write_config(tmp_path, cal_path, shots=1000))
-    tracer = tracing.Tracer()
-    with tracer.installed():  # the wrappers replace module attributes
-        start = time.perf_counter()
-        report, _ = cli.run_benchmark(config)
-        seconds = time.perf_counter() - start
-    metrics = tracing.layer_metrics(tracer.spans, workers=1)
-    assert set(metrics) <= per_layer and all(math.isfinite(v) for v in metrics.values())
-    circuits = len(report.results)  # one encoding, one logical value
-    assert metrics["simulator.shots"] == circuits * config.shots
-    assert metrics["analysis.resamples"] == circuits * BOOTSTRAP_RESAMPLES
-    # every traced function is still called, so no layer reads 0 of 0
-    assert {s.name for s in tracer.spans} >= {name for _, _, name in tracing.TRACED}
-    # coverage: the spans nest, so their self times add up to the call's wall
-    # time and no blocking step goes unattributed
-    assert abs(tracing.unattributed_seconds(tracer.spans)) <= 1e-3 * seconds
 
 
 def test_run_seed_changes_report(tmp_path, cal_path):
@@ -505,6 +478,33 @@ def line_report(fuzz_dir) -> dict:
     with expected_warnings("only 50 shots"):
         assert exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "base")])[0] == 0
     return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("half_span", [5e299, 1e308])
+def test_positions_too_far_apart_to_draw_are_config_error(fuzz_dir, line_report, capsys, half_span):
+    # finite positions whose span overflows the map's coordinates are refused
+    # by run, before it writes any artifact, and by render; a span of 1e300
+    # still draws
+    doc = line_calibration_doc()
+    doc["qubits"][0]["position"], doc["qubits"][4]["position"] = [-half_span, 0.0], [half_span, 0.0]
+    cal = fuzz_dir / f"far{half_span:g}.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    out = fuzz_dir / f"far{half_span:g}"
+    render = ["render", "--report", str(fuzz_dir / "base" / "report.json"), "--cal", str(cal), "--out", str(out / "map.svg")]
+    with expected_warnings("only 50 shots"):
+        code = main(["run", "--cal", str(cal), "--shots", "50", "--output", str(out)])
+    err = capsys.readouterr().err
+    if half_span < 1e300:
+        assert code == 0 and main(render) == 0, err
+        for name in ("rates.svg", "calibration.svg", "map.svg"):
+            assert "inf" not in (out / name).read_text(encoding="utf-8"), name
+        return
+    assert code == 1 and err == "config error: device line5: qubit positions span too far to draw\n"
+    assert not any(out.iterdir())
+    assert main(render) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: report ") and "device line5: " in err and err.count("\n") == 1, err
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("command", ["plan --cal", "render --cal", "render --out", "run --output"])
