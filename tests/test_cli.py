@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import importlib
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench.analysis import RATES
+from synbench.analysis import BOOTSTRAP_RESAMPLES, RATES
 from synbench.circuits import ENCODINGS
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
@@ -239,6 +241,31 @@ def test_no_generator_seed_is_used_twice(tmp_path, cal_path, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", recording)
     report, _ = run_benchmark(RunConfig.from_file(write_config(tmp_path, cal_path, shots=9_000)))
     assert len(seeds) >= 2 * len(report.results) and len(set(seeds)) == len(seeds)
+
+
+def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
+    # bench/tracing.py wraps pipeline functions by name and counts their
+    # arguments and results; a renamed function or a changed return shape
+    # breaks `bench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    tracing = importlib.import_module("tracing")
+    per_layer = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["per_layer"]}
+    config = RunConfig.from_file(write_config(tmp_path, cal_path, shots=1000))
+    tracer = tracing.Tracer()
+    with tracer.installed():  # the wrappers replace module attributes
+        start = time.perf_counter()
+        report, _ = cli.run_benchmark(config)
+        seconds = time.perf_counter() - start
+    metrics = tracing.layer_metrics(tracer.spans, workers=1)
+    assert set(metrics) <= per_layer and all(math.isfinite(v) for v in metrics.values())
+    circuits = len(report.results)  # one encoding, one logical value
+    assert metrics["simulator.shots"] == circuits * config.shots
+    assert metrics["analysis.resamples"] == circuits * BOOTSTRAP_RESAMPLES
+    # every traced function is still called, so no layer reads 0 of 0
+    assert {s.name for s in tracer.spans} >= {name for _, _, name in tracing.TRACED}
+    # coverage: the spans nest, so their self times add up to the call's wall
+    # time and no blocking step goes unattributed
+    assert abs(tracing.unattributed_seconds(tracer.spans)) <= 1e-3 * seconds
 
 
 def test_run_seed_changes_report(tmp_path, cal_path):
