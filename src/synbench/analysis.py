@@ -29,6 +29,7 @@ estimates it averages.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,10 @@ from .device import warn_caller
 
 MIN_RECOMMENDED_SHOTS = 1000
 BOOTSTRAP_RESAMPLES = 200
+
+# a row of joint counts times this is n times (v_i, v_j, <d_i d_j>): the
+# cells with d_left = 1, with d_right = 1, and with both
+_MOMENTS = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.int64)
 
 # report key -> (encoding, logical values averaged). The bit-flip encoding
 # resolves the direction by logical value: logical 1 exposes 1->0 decay,
@@ -107,32 +112,37 @@ def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPL
     round-2 detector pair's joint counts (n00, n01, n10, n11), as
     `detection_events` returns them, with bootstrap SE. The observed counts
     and their multinomial resamples are inverted in one call; row 0 is the
-    estimate, clamped at 0, and the rest give its SE."""
+    estimate, clamped at 0, and the rest give its SE.
+
+    `seed` is anything `np.random.default_rng` takes; a `Generator` is drawn
+    from in place, so the resamples continue its stream."""
     counts = np.asarray(counts)
     if counts.shape != (4,):
         raise ValueError(f"counts must be the four cells (n00, n01, n10, n11), got shape {counts.shape}")
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-    if counts.min() < 0:
-        raise ValueError(f"counts must be non-negative, got {counts.tolist()}")
-    n = int(counts.sum())
+    cells = counts.tolist()
+    if min(cells) < 0:
+        raise ValueError(f"counts must be non-negative, got {cells}")
+    n = sum(cells)
     if n < 1:
         raise ValueError("counts hold no shots")
     if n < MIN_RECOMMENDED_SHOTS:
         warn_caller(f"only {n} shots for the round-2 detector pair; estimates will be noisy")
-    rng = np.random.default_rng(seed)
     # every row, the counts' and each resample's, holds n shots
-    rows = np.vstack([counts, rng.multinomial(n, counts / n, size=resamples)])
-    v_i = (rows[:, 2] + rows[:, 3]) / n
-    v_j = (rows[:, 1] + rows[:, 3]) / n
-    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, rows[:, 3] / n)
+    rows = np.empty((resamples + 1, 4), dtype=np.int64)
+    rows[0] = cells
+    rows[1:] = np.random.default_rng(seed).multinomial(n, counts / n, size=resamples)
+    v_i, v_j, joint = (rows @ _MOMENTS / n).T
+    values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, joint)
     if at_half[0]:
         raise EstimationError(
             f"detector rates v_i={v_i[0]:.4f}, v_j={v_j[0]:.4f} reach 1/2; data is outside the fault model"
         )
-    return RateEstimate(
-        max(0.0, float(values[0])), float(values[1:].std()), n, anticorrelated=bool(anticorrelated[0])
-    )
+    # np.std's arithmetic: the mean square deviation from the mean
+    spread = values[1:] - np.add.reduce(values[1:]) / resamples
+    stderr = math.sqrt(np.add.reduce(spread * spread) / resamples)
+    return RateEstimate(max(0.0, float(values[0])), stderr, n, anticorrelated=bool(anticorrelated[0]))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ figures. Identical config and seed give byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -199,13 +200,11 @@ def benchmark_qubit(
     dd = config.dd_scope != "none"
     for enc_idx, encoding in enumerate(config.encodings):
         for lv in config.logical_values:
-            shots = run_shots(cells[encoding, lv], config.shots, seed=(config.seed, qubit, enc_idx, lv))
+            # one stream per circuit: its shots, then its bootstrap resamples
+            rng = np.random.default_rng((config.seed, qubit, enc_idx, lv))
+            shots = run_shots(cells[encoding, lv], config.shots, seed=rng)
             try:
-                est = extract_idle_rates(
-                    detection_events(shots),
-                    resamples=BOOTSTRAP_RESAMPLES,
-                    seed=(config.seed, qubit, enc_idx, lv, 1),
-                )
+                est = extract_idle_rates(detection_events(shots), resamples=BOOTSTRAP_RESAMPLES, seed=rng)
             except EstimationError as exc:
                 # degenerate statistics (e.g. single-shot runs) stay in the
                 # report at the model boundary rather than failing the device
@@ -228,6 +227,24 @@ def benchmark_qubit(
     return QubitBenchmark(qubit, line.qubits, rates, guides, exposures, p0_estimate)
 
 
+@contextlib.contextmanager
+def _output_dir(path: Path):
+    """Create `path` and its missing parents; if the block raises, remove
+    the ones this made, leaf first, that are still empty."""
+    try:
+        created = [d for d in (path, *path.parents) if not d.exists()]
+        path.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    try:
+        yield path
+    except BaseException:
+        for made in created:
+            with contextlib.suppress(OSError):  # not empty
+                made.rmdir()
+        raise
+
+
 def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     """Full device benchmark; writes report JSON, CSV, and figures under
     config.output_dir and returns (report, artifact paths)."""
@@ -240,56 +257,51 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
     # computed before the qubit stages, which re-raise any error as a
     # runtime error (exit 2)
     delays = {q: {enc: _extra_delay_ns(config, cal, q, enc) for enc in config.encodings} for q in chosen}
-    out_dir = Path(config.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    with _output_dir(Path(config.output_dir)) as out_dir:
+        exposures: dict[int, dict[str, int]] = {q: {} for q in chosen}
 
-    exposures: dict[int, dict[str, int]] = {q: {} for q in chosen}
+        def programs():
+            # every circuit, built and compiled qubit by qubit as the walk reads it
+            for q, line in chosen.items():
+                try:
+                    for encoding, extra in delays[q].items():
+                        for lv in config.logical_values:
+                            circuit = build_repetition_circuit(line, cal, encoding, lv, extra, config.dd_scope)
+                            yield compile_program(circuit, noise)
+                        exposures[q][encoding] = idle_exposure(circuit, q)
+                except Exception as exc:
+                    raise RuntimeError(f"qubit {q}: {exc}") from exc
 
-    def programs():
-        # every circuit, built and compiled qubit by qubit as the walk reads it
+        cells = iter(pair_distribution(programs()))
+        results = []
         for q, line in chosen.items():
+            mine = {(encoding, lv): next(cells) for encoding in config.encodings for lv in config.logical_values}
             try:
-                for encoding, extra in delays[q].items():
-                    for lv in config.logical_values:
-                        circuit = build_repetition_circuit(line, cal, encoding, lv, extra, config.dd_scope)
-                        yield compile_program(circuit, noise)
-                    exposures[q][encoding] = idle_exposure(circuit, q)
+                results.append(benchmark_qubit(q, line, cal, config, mine, exposures[q]))
             except Exception as exc:
                 raise RuntimeError(f"qubit {q}: {exc}") from exc
 
-    cells = iter(pair_distribution(programs()))
-    results = []
-    for q, line in chosen.items():
-        mine = {(encoding, lv): next(cells) for encoding in config.encodings for lv in config.logical_values}
-        try:
-            results.append(benchmark_qubit(q, line, cal, config, mine, exposures[q]))
-        except Exception as exc:
-            raise RuntimeError(f"qubit {q}: {exc}") from exc
+        metadata = config.describe()
+        metadata["device"] = cal.name
+        report = aggregate_device(results, metadata)
 
-    metadata = config.describe()
-    metadata["device"] = cal.name
-    report = aggregate_device(results, metadata)
-
-    paths = {
-        "report": out_dir / "report.json",
-        "csv": out_dir / "report.csv",
-        "rates_map": out_dir / "rates.svg",
-        "calibration_map": out_dir / "calibration.svg",
-    }
-    doc = report.to_dict()
-    # every artifact is made before any is written, so a refused map leaves none
-    texts = {
-        "report": report_json(doc),
-        "csv": report_csv(report),
-        "rates_map": render_device_map(doc, cal, "rates"),
-        "calibration_map": render_device_map(doc, cal, "calibration"),
-    }
-    for key, path in paths.items():
-        _write(path, texts[key])
-    return report, paths
+        paths = {
+            "report": out_dir / "report.json",
+            "csv": out_dir / "report.csv",
+            "rates_map": out_dir / "rates.svg",
+            "calibration_map": out_dir / "calibration.svg",
+        }
+        doc = report.to_dict()
+        # every artifact is made before any is written, so a refused map leaves none
+        texts = {
+            "report": report_json(doc),
+            "csv": report_csv(report),
+            "rates_map": render_device_map(doc, cal, "rates"),
+            "calibration_map": render_device_map(doc, cal, "calibration"),
+        }
+        for key, path in paths.items():
+            _write(path, texts[key])
+        return report, paths
 
 
 def report_json(doc: dict) -> str:
@@ -402,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every character str.splitlines breaks at, as its escape, so that an error
+# naming a path or device with a line break in it is still one line
+_ESCAPED_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def main(argv=None) -> int:
     handlers = {"plan": _cmd_plan, "run": _cmd_run, "render": _cmd_render}
     # a shown warning is one line; filtering and recording stay as they were
@@ -410,10 +427,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, CalibrationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures keep a distinct exit code
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}", file=sys.stderr)
         return 2
     finally:
         warnings.formatwarning = formatwarning

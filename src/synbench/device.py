@@ -54,15 +54,17 @@ class QubitCalibration:
     x_ns: float = 35.0
 
     def __post_init__(self) -> None:
+        # a non-number reads nan and fails its check; T1 and T2 may be infinite
+        for name in ("t1_ns", "t2_ns", "t2_star_ns", "readout_ns", "x_ns"):
+            value = getattr(self, name)
+            if not (value is None and name == "t2_star_ns" or json_float(value) > 0):
+                raise CalibrationError(f"{name} must be a positive number, got {value!r}")
         if self.t2_star_ns is None:
             object.__setattr__(self, "t2_star_ns", 0.5 * self.t2_ns)
-        for name in ("t1_ns", "t2_ns", "t2_star_ns", "readout_ns", "x_ns"):
-            if not getattr(self, name) > 0:
-                raise CalibrationError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("p0", "readout_error"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise CalibrationError(f"{name} must be in [0, 1], got {value}")
+            if not 0.0 <= json_float(value) <= 1.0:
+                raise CalibrationError(f"{name} must be a number in [0, 1], got {value!r}")
         if self.t2_star_ns > self.t2_ns and math.isfinite(self.t2_ns):
             raise CalibrationError(
                 f"t2_star_ns ({self.t2_star_ns}) must not exceed t2_ns ({self.t2_ns})"

@@ -360,12 +360,12 @@ def run_shots(pi: np.ndarray, shots: int, seed) -> np.ndarray:
     `pair_distribution` gives them); returns a (shots, 2) uint8 matrix of
     (d_left, d_right) bits.
 
-    The rows are iid draws from `pi`: one multinomial, from a generator
-    seeded by `seed` (an int or a tuple of ints), draws how many shots hold
-    each cell. The rows come grouped by cell in ascending cell order, not in
+    The rows are iid draws from `pi`: one multinomial draws how many shots
+    hold each cell. `seed` is anything `np.random.default_rng` takes; a
+    `Generator` is drawn from in place, so its stream moves on past the
+    draw. The rows come grouped by cell in ascending cell order, not in
     draw order. The matrix is the transposed view of C-contiguous
-    (2, shots) storage, so each detector's column is contiguous. Output is
-    a pure function of (pi, shots, seed).
+    (2, shots) storage, so each detector's column is contiguous.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

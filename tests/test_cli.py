@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synbench.cli as cli
-from synbench.analysis import BOOTSTRAP_RESAMPLES, RATES
+from synbench.analysis import BOOTSTRAP_RESAMPLES, RATES, QubitBenchmark, RateEstimate, aggregate_device
 from synbench.circuits import ENCODINGS
 from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
@@ -230,17 +230,26 @@ def test_reported_lines_agree_with_selection(tmp_path, cal_path):
 
 
 def test_no_generator_seed_is_used_twice(tmp_path, cal_path, monkeypatch):
-    # each circuit's shots and its bootstrap draw from streams of their own
-    seeds = []
+    # each circuit seeds one generator, from its own (seed, qubit, encoding
+    # index, logical value), and draws its shots and then its bootstrap
+    # resamples from it
+    seeded, drawn = [], []
     default_rng = np.random.default_rng
 
     def recording(seed=None):
-        seeds.append(tuple(seed) if isinstance(seed, (tuple, list)) else (seed,))
-        return default_rng(seed)
+        rng = default_rng(seed)
+        if rng is seed:  # a Generator is drawn from in place
+            drawn.append(rng)
+        else:
+            seeded.append((seed, rng))
+        return rng
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    report, _ = run_benchmark(RunConfig.from_file(write_config(tmp_path, cal_path, shots=9_000)))
-    assert len(seeds) >= 2 * len(report.results) and len(set(seeds)) == len(seeds)
+    config = write_config(tmp_path, cal_path, encodings=list(ENCODINGS), logical_values=[0, 1], shots=1000)
+    report, _ = run_benchmark(RunConfig.from_file(config))
+    circuits = [(3, r.qubit, enc_idx, lv) for r in report.results for enc_idx in (0, 1) for lv in (0, 1)]
+    assert [seed for seed, _ in seeded] == circuits
+    assert [id(rng) for rng in drawn] == [id(rng) for _, rng in seeded for _draw in ("shots", "resamples")]
 
 
 def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
@@ -498,13 +507,38 @@ def test_any_scalar_in_a_calibration_exits_0_or_1(fuzz_dir, data):
     assert code == 0 or (code == 1 and err.startswith("config error: ") and err.count("\n") == 1), err
 
 
+def line_report_paths() -> list[tuple]:
+    """The key paths of `line_report`'s document: a report of the line's
+    centre qubit, measuring every RATES key under the default config."""
+    estimate = RateEstimate(0.0, 0.0, 1)
+    rates, guides = dict.fromkeys(RATES, estimate), dict.fromkeys(RATES, 0.0)
+    result = QubitBenchmark(2, (0, 1, 2, 3, 4), rates, guides, dict.fromkeys(ENCODINGS, 0))
+    report = aggregate_device([result], {**RunConfig("line.json").describe(), "device": "line5"})
+    return sorted(json_paths(json.loads(json.dumps(report.to_dict()))), key=repr)
+
+
+LINE_REPORT_PATHS = line_report_paths()
+
+
 @pytest.fixture(scope="module")
 def line_report(fuzz_dir) -> dict:
     cal = fuzz_dir / "line.json"
     cal.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
     with expected_warnings("only 50 shots"):
         assert exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "base")])[0] == 0
-    return json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
+    doc = json.loads((fuzz_dir / "base" / "report.json").read_text(encoding="utf-8"))
+    assert sorted(json_paths(doc), key=repr) == LINE_REPORT_PATHS
+    return doc
+
+
+def far_apart_calibration(path: Path, half_span: float, name: str = "line5") -> Path:
+    """The five-qubit line calibration, its end qubits `half_span` either
+    side of the origin, written to `path`."""
+    doc = line_calibration_doc()
+    doc["name"] = name
+    doc["qubits"][0]["position"], doc["qubits"][4]["position"] = [-half_span, 0.0], [half_span, 0.0]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 @pytest.mark.parametrize("half_span", [5e299, 1e308])
@@ -512,10 +546,7 @@ def test_positions_too_far_apart_to_draw_are_config_error(fuzz_dir, line_report,
     # finite positions whose span overflows the map's coordinates are refused
     # by run, before it writes any artifact, and by render; a span of 1e300
     # still draws
-    doc = line_calibration_doc()
-    doc["qubits"][0]["position"], doc["qubits"][4]["position"] = [-half_span, 0.0], [half_span, 0.0]
-    cal = fuzz_dir / f"far{half_span:g}.json"
-    cal.write_text(json.dumps(doc), encoding="utf-8")
+    cal = far_apart_calibration(fuzz_dir / f"far{half_span:g}.json", half_span)
     out = fuzz_dir / f"far{half_span:g}"
     render = ["render", "--report", str(fuzz_dir / "base" / "report.json"), "--cal", str(cal), "--out", str(out / "map.svg")]
     with expected_warnings("only 50 shots"):
@@ -527,11 +558,11 @@ def test_positions_too_far_apart_to_draw_are_config_error(fuzz_dir, line_report,
             assert "inf" not in (out / name).read_text(encoding="utf-8"), name
         return
     assert code == 1 and err == "config error: device line5: qubit positions span too far to draw\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
     assert main(render) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: report ") and "device line5: " in err and err.count("\n") == 1, err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["plan --cal", "render --cal", "render --out", "run --output"])
@@ -570,15 +601,51 @@ def test_null_byte_in_a_path_is_config_error(fuzz_dir, line_report, where):
 
 
 @settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, data):
-    path = data.draw(st.sampled_from(sorted(json_paths(line_report), key=repr)), label="path")
+@given(path=st.sampled_from(LINE_REPORT_PATHS), value=JSON_SCALARS, mode=st.sampled_from(["rates", "calibration"]))
+@example(path=("metadata", "calibration"), value="\n", mode="rates")
+def test_any_scalar_in_a_report_renders_or_exits_1(fuzz_dir, line_report, path, value, mode):
     # beside the original, so its relative calibration path still resolves
     report = fuzz_dir / "base" / "fuzzed.json"
-    report.write_text(json.dumps(replaced(line_report, path, data.draw(JSON_SCALARS, label="value"))), encoding="utf-8")
-    mode = data.draw(st.sampled_from(["rates", "calibration"]), label="mode")
+    report.write_text(json.dumps(replaced(line_report, path, value)), encoding="utf-8")
     code, err = exit_and_stderr(["render", "--report", str(report), "--mode", mode, "--out", str(fuzz_dir / "map.svg")])
     assert code == 0 or (code == 1 and err.startswith("config error: ") and err.count("\n") == 1), err
+
+
+def test_config_path_with_a_line_break_is_one_line(tmp_path):
+    code, err = exit_and_stderr(["run", "--config", str(tmp_path / "run\n.json")])
+    assert code == 1 and err.startswith("config error: cannot read config ") and err.count("\n") == 1, err
+    assert str(tmp_path / "run\\n.json") in err
+
+
+def test_device_name_with_a_line_break_is_one_line(fuzz_dir):
+    cal = far_apart_calibration(fuzz_dir / "far_crlf.json", 1e308, name="line\r\n5")
+    with expected_warnings("only 50 shots"):
+        code, err = exit_and_stderr(["run", "--cal", str(cal), "--shots", "50", "--output", str(fuzz_dir / "far_crlf")])
+    assert code == 1 and err == "config error: device line\\r\\n5: qubit positions span too far to draw\n"
+
+
+def test_an_error_is_one_line_whatever_it_holds(monkeypatch):
+    # every character str.splitlines breaks at, found among all code points
+    pieces = "".join(map(chr, range(sys.maxunicode + 1))).splitlines(keepends=True)
+    breaks = "".join(piece[-1] for piece in pieces[:-1])
+    assert len(breaks) == 10
+    for error, exit_code in [(ConfigError, 1), (RuntimeError, 2)]:
+
+        def refuse(args):
+            raise error(f"a{breaks}\r\nb")
+
+        monkeypatch.setattr(cli, "_cmd_plan", refuse)
+        code, err = exit_and_stderr(["plan", "--cal", "cal.json"])
+        assert code == exit_code and len(err.splitlines()) == 1 and err.endswith("b\n"), err
+
+
+def test_refused_run_removes_only_the_directories_it_made(fuzz_dir):
+    cal = far_apart_calibration(fuzz_dir / "far_nested.json", 1e308)
+    kept = fuzz_dir / "kept"
+    (kept / "empty").mkdir(parents=True, exist_ok=True)
+    with expected_warnings("only 50 shots"):
+        assert main(["run", "--cal", str(cal), "--shots", "50", "--output", str(kept / "made" / "out")]) == 1
+    assert sorted(p.name for p in kept.iterdir()) == ["empty"]
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
+from synbench.device import CalibrationError, QubitCalibration, enumerate_lines, load_calibration, plan_device, select_line
 from conftest import FALCON_LEAVES, falcon_bytes
 from helpers import load_bench_module, make_graph_cal, make_line_cal, random_graph_edges
 from oracles import brute_force_lines
@@ -106,6 +106,15 @@ def test_direct_construction_checks_the_edges(cx_error, cx_duration_ns, match):
     # load_calibration never builds these; a library caller can
     with pytest.raises(CalibrationError, match=match):
         replace(make_line_cal(2), cx_error=cx_error, cx_duration_ns=cx_duration_ns)
+
+
+@pytest.mark.parametrize("value", ["a", None, True])
+def test_direct_qubit_construction_refuses_a_non_number(value):
+    # load_calibration checks each value first; a library caller may pass anything
+    required = {"t1_ns": 1.0, "t2_ns": 1.0, "readout_ns": 1.0}
+    for name in [f.name for f in fields(QubitCalibration) if not (f.name == "t2_star_ns" and value is None)]:
+        with pytest.raises(CalibrationError, match=f"^{name} must be a"):
+            QubitCalibration(**{**required, name: value})
 
 
 def test_missing_t2_star_defaults_to_half_t2():

@@ -29,7 +29,7 @@ FALCON_PIPELINE_TIMELINES = "3233a8bcbebe887900c6f62d1d354f44b7ad384a713a83ed2d8
 FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
 FALCON_ALL_QUBITS_WEAK_CROSSTALK_CELLS = "82692a484b46e0a2e52cd11b7b6f792ecd9bbcad6686f28e596b06b85d318b6f"
 HEAVY_HEX_NONE_CELLS = "9934102ad22e66d0889281573b8694da999084ba8dbcf9d26071441b9817af41"
-FALCON_REPORT_CSV = "2a649449e300636ab49ba932d5011bcb9b693cacb1e7678c7386d4d623fe19bd"
+FALCON_REPORT_CSV = "b8e046f2ab8a70aa6d11d6710448730acf0498397ee0ab212d4f20cc316e3568"
 FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e02995"
 FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from synbench.analysis import detection_events, extract_idle_rates
+from synbench.analysis import BOOTSTRAP_RESAMPLES, detection_events, extract_idle_rates
 from synbench.circuits import Circuit, Instruction, build_repetition_circuit
 from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
@@ -808,3 +808,22 @@ def test_pipeline_pair_counts_match_exact_cells(falcon):
         drawn.append((detection_events(run_shots(pi, 20_000, len(drawn))), pi))
     assert len(drawn) == 3 * 84
     assert pooled_p_value(drawn) > 1e-3
+
+
+def test_resamples_after_a_circuits_shots_are_multinomial(falcon):
+    # a circuit's bootstrap continues the generator that drew its shots, as
+    # the pipeline draws them: over falcon27's code_only circuits at three
+    # seeds, one pooled chi-square of every resample row against
+    # Multinomial(n, counts / n) of the counts it resamples fails below
+    # p = 1e-3
+    noise = compile_noise(falcon)
+    programs = [compile_program(c, noise) for scope, c in pipeline_circuits(falcon) if scope == "code_only"]
+    n = 2_000
+    rows = []
+    for circuit, pi in enumerate(pair_distribution(programs)):
+        for seed in range(3):
+            rng = np.random.default_rng((seed, circuit))
+            p = detection_events(run_shots(pi, n, rng)) / n
+            rows += [(row, p) for row in rng.multinomial(n, p, size=BOOTSTRAP_RESAMPLES)]
+    assert len(rows) == 3 * 84 * BOOTSTRAP_RESAMPLES
+    assert pooled_p_value(rows) > 1e-3
