@@ -100,11 +100,15 @@ def estimate_from_moments(v_i, v_j, joint) -> tuple[np.ndarray, np.ndarray, np.n
     """
     c = joint - v_i * v_j
     denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radicand = 1.0 + 4.0 * c / denom
-        values = np.where(radicand <= 0.0, 0.0, 0.5 - 0.5 / np.sqrt(radicand))
+    # each masked row divides by, or takes the root of, 1.0 instead, so no
+    # row warns, and its value is then written through its mask
     at_half = denom <= 0.0
-    return np.where(at_half, 0.5, values), at_half, (radicand <= 0.0) & ~at_half
+    radicand = 1.0 + 4.0 * c / np.where(at_half, 1.0, denom)
+    low = radicand <= 0.0
+    values = np.asarray(0.5 - 0.5 / np.sqrt(np.where(low, 1.0, radicand)))
+    values[low] = 0.0
+    values[at_half] = 0.5
+    return values, at_half, low & ~at_half
 
 
 def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPLES, seed=0) -> RateEstimate:

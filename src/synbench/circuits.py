@@ -5,26 +5,29 @@ syndrome rounds, ending with round 2's auxiliary readout: each auxiliary is
 measured once per round, the XOR of its two outcomes is its round-2
 detector, and the code qubits are never read.
 Circuits are flat, time-ordered instruction lists over physical qubits,
-with every idle gap materialized as an explicit delay instruction. Times are
-integer nanoseconds: durations round to at least 1 ns, and the extra delay
-must be an int. The schedule is fixed and documented:
+with every idle gap before round 2's readout materialized as an explicit
+delay instruction. Times are integer nanoseconds: durations round to at
+least 1 ns, and the extra delay must be an int. The schedule is fixed and
+documented:
 
 * per round, each auxiliary couples to its left code neighbor first, then its
   right, with the gates packed into two barrier-aligned layers so no qubit is
   in two cx gates at once;
-* auxiliaries are measured simultaneously after the second layer, each
-  followed by an unconditional reset;
+* auxiliaries are measured simultaneously after the second layer; in
+  round 1 each measure is followed by an unconditional reset;
 * the optional extra delay sits between the two rounds as its own delay
-  instruction on every qubit.
+  instruction on every qubit;
+* round 2 ends at its two measures: no reset or barrier follows them, since
+  nothing after them reaches a detector.
 
 The builder places the gates layer by layer. Each gate starts where its
 qubits' timelines end: at the last barrier, or for a reset where its own
-measure ends. Each layer ends with a barrier at its latest end, and the
-extra delay is the window between two barriers. A barrier fills every
-qubit's timeline up to its time with one delay. With an echo scope, each
-in-scope window of at least 2*x + 4 ns becomes delay(t'/4), x, delay(t'/2),
-x, delay(t'/4) with t' = t - 2*x, the integer remainder in the middle,
-every sub-delay flagged echoed. The instructions are sorted once, by
+measure ends. Each layer but round 2's readout ends with a barrier at its
+latest end, and the extra delay is the window between two barriers. A
+barrier fills every qubit's timeline up to its time with one delay. With an
+echo scope, each in-scope window of at least 2*x + 4 ns becomes
+delay(t'/4), x, delay(t'/2), x, delay(t'/4) with t' = t - 2*x, the integer
+remainder in the middle, every sub-delay flagged echoed. The instructions are sorted once, by
 (start, end, qubits, kind), which orders a circuit's instructions totally.
 
 The phase-flip encoding is the bit-flip circuit with one h layer on the code
@@ -33,6 +36,7 @@ qubits right after preparation.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -147,15 +151,19 @@ def build_repetition_circuit(
                 instrs.append(new(Instruction, ("delay", qs, lo, time - lo, False)))
         cursor[:] = (time,) * 5
 
-    def layer(gates) -> None:
+    def place(gates) -> None:
         # a gate (kind, positions, qubits, duration) starts where its
         # positions all stand: at the last barrier, or for a reset at its own
-        # measure's end; the layer ends with a barrier at its latest end
+        # measure's end
         for kind, ps, qs, duration in gates:
             start = cursor[ps[0]]
             instrs.append(new(Instruction, (kind, qs, start, duration, False)))
             for p in ps:
                 cursor[p] = start + duration
+
+    def layer(gates) -> None:
+        # the layer ends with a barrier at its latest end
+        place(gates)
         barrier(max(cursor))
 
     # each auxiliary couples to its left code neighbor, then its right
@@ -163,21 +171,24 @@ def build_repetition_circuit(
         [("cx", (c, a), (qubits[c], qubits[a]), cx_dur[min(c, a)]) for c, a in pairs]
         for pairs in (((0, 1), (2, 3)), ((2, 1), (4, 3)))
     ]
-    # simultaneous auxiliary readout, each followed by unconditional reset
-    readout = []
-    for a in (1, 3):
-        qs, x, _ = table[a]
-        readout += (("measure", (a,), qs, max(1, round(cal.qubits[qubits[a]].readout_ns))), ("reset", (a,), qs, x))
+    # simultaneous auxiliary readout
+    measures = [("measure", (a,), table[a][0], max(1, round(cal.qubits[qubits[a]].readout_ns))) for a in (1, 3)]
     if logical_value == 1:
         layer(("x", (p,), *table[p][:2]) for p in (0, 2, 4))
     if encoding == "phase_flip":
         layer(("h", (p,), *table[p][:2]) for p in (0, 2, 4))
-    for r in range(1, ROUNDS + 1):
-        for gates in (*cx_layers, readout):
+    for _ in range(ROUNDS - 1):
+        for gates in cx_layers:
             layer(gates)
+        # each measure followed by an unconditional reset
+        layer([*measures, *(("reset", (a,), *table[a][:2]) for a in (1, 3))])
         # the extra delay is one window on every qubit, between the rounds
-        if r < ROUNDS:
-            barrier(max(cursor) + extra_delay_ns)
+        barrier(max(cursor) + extra_delay_ns)
+    # the last round ends with its measures: nothing after them reaches a
+    # detector, so no reset or barrier follows
+    for gates in cx_layers:
+        layer(gates)
+    place(measures)
 
     instrs.sort(key=_timeline_order)
     return Circuit(line=qubits, instructions=tuple(instrs))
@@ -187,10 +198,17 @@ def idle_exposure(circuit: Circuit, qubit: int) -> int:
     """Summed delay ns on `qubit` from the start of round 1's auxiliary
     measurements, the circuit's first, to the qubit's next non-idle
     instruction (its round-2 cx for code qubits; echo x pulses do not end
-    the window)."""
+    the window), in one walk of the builder's time order from the first
+    instruction at that start."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
-    meas_start = min(ins.start for ins in circuit.instructions if ins.kind == "measure")
-    own = [ins for ins in circuit.instructions if qubit in ins.qubits and ins.start >= meas_start]
-    boundary = min(ins.start for ins in own if ins.kind in _IDLE_BOUNDARY_KINDS)
-    return sum(ins.duration for ins in own if ins.kind == "delay" and ins.end <= boundary)
+    instrs = circuit.instructions
+    meas_start = next(ins.start for ins in instrs if ins.kind == "measure")
+    exposure = 0
+    for kind, qubits, _, duration, _ in instrs[bisect_left(instrs, meas_start, key=itemgetter(2)) :]:
+        if qubit in qubits:
+            if kind in _IDLE_BOUNDARY_KINDS:
+                break
+            if kind == "delay":
+                exposure += duration
+    return exposure

@@ -20,11 +20,12 @@ Every single-qubit map, preparation and reset included, is a 2x2 channel
 two directions, and a preparation with flip p is (p, 1 - p), which sets the
 bit whatever it was (a reset has p = 0). `compile_program` sweeps the
 instructions twice, stably sorted by start: once to note each qubit's
-X-basis delays, then once to emit the ops. As the second sweep goes, it
-composes each qubit's channels between two ops that act on it into one
-exact Markov composition, folded into the next such op as an (up, down)
-pair, so the program has no channel ops; the end of the program discards
-the rest. A preparation forgets what came before it, since any channel
+X-basis delays, then once to emit the ops. The first sweep runs only when
+crosstalk can act: eta > 0 and the circuit has an h, since only an h puts a
+qubit in the X basis. As the second sweep goes, it composes each qubit's
+channels between two ops that act on it into one exact Markov composition,
+folded into the next such op as an (up, down) pair, so the program has no
+channel ops; the end of the program discards the rest. A preparation forgets what came before it, since any channel
 followed by it equals it. Each Z-basis delay that can decay and overlaps
 an X-basis delay of a line neighbour becomes a `decay` op: its decays
 (1 -> 0) flip each such receiver once, with probability eta, at the decay
@@ -108,11 +109,11 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
 
     The instructions run in one stable sort by start, so instructions of
     equal start keep their order; the builder's are already in time order.
-    The first sweep records each qubit's X-basis delays as their starts and
-    the running maximum of their ends. The second folds each qubit's
-    channels into one pending (up, down) pair, handed to the next op that
-    acts on the qubit, and keeps the ops and probabilities up to the last
-    measure. A Z-basis delay [start, end) that can decay is received by a
+    The first sweep, made only when eta > 0 and some instruction is an h,
+    records each qubit's X-basis delays as their starts and the running
+    maximum of their ends. The second folds each qubit's channels into one
+    pending (up, down) pair, handed to the next op that acts on the qubit,
+    and keeps the ops and probabilities up to the last measure. A Z-basis delay [start, end) that can decay is received by a
     line neighbour iff the latest end among the neighbour's X-basis delays
     that start before `end`, found by one bisect, lies after `start`.
     """
@@ -121,23 +122,26 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
     index = {q: i for i, q in enumerate(line)}
     ordered = sorted(circuit.instructions, key=itemgetter(2))  # by start
 
+    # only an h puts a qubit in the X basis, so without one no delay has a
+    # receiver and the first sweep is skipped
+    prep, eta = noise.prep, noise.crosstalk
+    crosstalk = eta > 0.0 and "h" in map(itemgetter(0), ordered)
     x_starts: list[list[int]] = [[] for _ in line]
     x_reach: list[list[int]] = [[] for _ in line]  # the running maximum end
-    in_x = [False] * n
-    for kind, qubits, time, d, _ in ordered:
-        i = index[qubits[0]]
-        if kind == "h":
-            in_x[i] = not in_x[i]
-        elif kind in ("prepare_z0", "reset"):
-            in_x[i] = False
-        elif kind == "delay" and in_x[i]:
-            reach = x_reach[i]
-            x_starts[i].append(time)
-            reach.append(max(time + d, reach[-1]) if reach else time + d)
+    if crosstalk:
+        in_x = [False] * n
+        for kind, qubits, time, d, _ in ordered:
+            i = index[qubits[0]]
+            if kind == "h":
+                in_x[i] = not in_x[i]
+            elif kind in ("prepare_z0", "reset"):
+                in_x[i] = False
+            elif kind == "delay" and in_x[i]:
+                reach = x_reach[i]
+                x_starts[i].append(time)
+                reach.append(max(time + d, reach[-1]) if reach else time + d)
 
     idle = [noise.idle[q] for q in line]
-    prep, eta = noise.prep, noise.crosstalk
-    crosstalk = eta > 0.0 and any(x_starts)
     in_x = [False] * n
     pending = [_NO_FLIP] * n
     ops: list[tuple] = []

@@ -15,7 +15,7 @@ from synbench.cli import RunConfig, _extra_delay_ns
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge, plan_device
 from synbench.noise import CHANNEL_NAMES, NoiseOptions
 from synbench.simulator import compile_program, pair_distribution, run_shots
-from oracles import grouped_records, reference_record_distribution
+from oracles import grouped_records, insert_dynamical_decoupling, reference_record_distribution
 
 # every channel off: a circuit's outcomes are then deterministic
 ZERO_NOISE_OPTIONS = NoiseOptions(disable=frozenset(CHANNEL_NAMES))
@@ -41,15 +41,20 @@ def per_qubit(circuit: Circuit) -> dict[int, tuple[Instruction, ...]]:
 
 
 def assert_timeline_valid(circuit):
-    """Per-qubit intervals are disjoint, gap-free, and tile [0, duration],
-    in integer nanoseconds."""
+    """Per-qubit intervals are disjoint and tile [0, readout] gap-free, in
+    integer nanoseconds, where readout is round 2's readout start; only the
+    two round-2 measures start at or after it."""
+    readout = max(i.start for i in circuit.instructions if i.kind == "measure")
+    last = sorted((i.kind, i.qubits) for i in circuit.instructions if i.start >= readout)
+    assert last == sorted(("measure", (a,)) for a in aux_qubits(circuit)), last
     for q in circuit.line:
         cursor = 0
         for ins in sorted(per_qubit(circuit)[q], key=lambda i: (i.start, i.end)):
             assert type(ins.start) is int and type(ins.duration) is int, (q, ins)
-            assert ins.start == cursor or ins.duration == 0, (q, ins)
-            cursor = max(cursor, ins.end)
-        assert cursor == max(i.end for i in circuit.instructions), q
+            if ins.start < readout:
+                assert ins.start == cursor or ins.duration == 0, (q, ins)
+                cursor = max(cursor, ins.end)
+        assert cursor == readout, q
 
 
 def timeline_text(circuit: Circuit) -> str:
@@ -200,20 +205,36 @@ def insert_fault(circuit: Circuit, qubit: int, time_ns: int, pauli: str) -> Circ
     return replace(circuit, instructions=ins[:k] + fault + ins[k:])
 
 
+def with_round_two_tail(circuit: Circuit, cal: DeviceCalibration, dd_scope: str) -> Circuit:
+    """A builder circuit with the tail its circuits once had after round
+    2's measures: each auxiliary's reset at its measure's end, then every
+    qubit idling up to the latest reset's end with one delay, echoed at
+    `dd_scope` as the builder echoes a window."""
+    m1, m2 = circuit.instructions[-2:]
+    resets = [Instruction("reset", m.qubits, m.end, max(1, round(cal.qubits[m.qubits[0]].x_ns))) for m in (m1, m2)]
+    end = max(r.end for r in resets)
+    cursor = {q: m1.start for q in circuit.line} | {r.qubits[0]: r.end for r in resets}
+    tail = resets + [Instruction("delay", (q,), t, end - t) for q, t in cursor.items() if t < end]
+    tailed = replace(circuit, instructions=tuple(sorted(circuit.instructions + tuple(tail), key=_timeline_order)))
+    return tailed if dd_scope == "none" else insert_dynamical_decoupling(tailed, cal, dd_scope)
+
+
 def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
     """`circuit` followed by the transversal code readout the estimator does
     not read: after its end, an h on each code qubit that an odd number of
     h gates left in the X basis (every code qubit of a phase-flip circuit,
     whose injected faults add h gates in pairs), then each code qubit
-    measured. As in the builder, a gate layer ends with its slowest gate,
+    measured. Each qubit first idles with one delay from its own end to the
+    circuit's; as in the builder, a gate layer ends with its slowest gate,
     and every qubit idles up to there with one delay."""
     code = code_qubits(circuit)
     layers = [[("measure", q, cal.qubits[q].readout_ns) for q in code]]
     in_x = [q for q in code if sum(ins.kind == "h" and ins.qubits == (q,) for ins in circuit.instructions) % 2]
     if in_x:
         layers.insert(0, [("h", q, cal.qubits[q].x_ns) for q in in_x])
-    added = []
     start = max(ins.end for ins in circuit.instructions)
+    ends = {q: max(ins.end for ins in own) for q, own in per_qubit(circuit).items()}
+    added = [Instruction("delay", (q,), t, start - t) for q, t in ends.items() if t < start]
     for layer in layers:
         busy = dict.fromkeys(circuit.line, start)  # where each qubit's gate ends
         for kind, q, ns in layer:

@@ -211,6 +211,14 @@ def test_estimator_rejects_rates_at_one_half():
     assert values[1] == shared_fault_inversion(0.1, 0.2, 0.03)
 
 
+def test_estimator_takes_a_scalar_mean_of_one_half():
+    # Python floats at exactly 1/2 would divide a float by zero, which
+    # raises outside numpy: the row divides by 1.0 and is masked instead
+    values, at_half, anticorrelated = estimate_from_moments(0.5, 0.1, 0.05)
+    assert at_half and not anticorrelated
+    assert values == 0.5
+
+
 def test_estimator_flags_excess_anticorrelation():
     values, at_half, anticorrelated = estimate_from_moments(0.4, 0.4, 0.0)
     assert anticorrelated and not at_half

@@ -33,8 +33,8 @@ from oracles import insert_dynamical_decoupling, window_segments
 LINE = (0, 1, 2, 3, 4)
 
 # verified by hand against the documented schedule: two staggered cx layers
-# per round, simultaneous aux readout + reset, the circuit ending with round
-# 2's, every gap materialized
+# per round, simultaneous aux readout, a reset after each of round 1's, the
+# circuit ending with round 2's readout, every gap before it materialized
 GOLDEN_T2_BITFLIP = """\
          0 prepare_z0 q[0] dur=0
          0 prepare_z0 q[1] dur=0
@@ -62,17 +62,13 @@ GOLDEN_T2_BITFLIP = """\
         90 cx         q[4,3] dur=20
        110 measure    q[1] dur=20
        110 measure    q[3] dur=20
-       110 delay      q[0] dur=30
-       110 delay      q[2] dur=30
-       110 delay      q[4] dur=30
-       130 reset      q[1] dur=10
-       130 reset      q[3] dur=10
 """
 
 # phase flip, logical 1, code-only echo and a 100 ns extra delay between the
 # rounds on a line whose x, readout and cx durations all differ: each layer
 # ends with its slowest gate, every qubit idles up to that end, and each
-# code-qubit window of at least 2*x + 4 ns holds an echo pair
+# code-qubit window of at least 2*x + 4 ns holds an echo pair; round 2's
+# readout ends the circuit
 GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
          0 prepare_z0 q[0] dur=0
          0 prepare_z0 q[1] dur=0
@@ -158,26 +154,8 @@ GOLDEN_UNEQUAL_PHASEFLIP_ECHO = """\
        276 delay      q[1] dur=4
        276 delay      q[2] dur=4
        278 delay      q[0] dur=2 echoed
-       280 delay      q[4] dur=3 echoed
-       280 delay      q[2] dur=5 echoed
-       280 delay      q[0] dur=6 echoed
        280 measure    q[1] dur=24
        280 measure    q[3] dur=36
-       283 x          q[4] dur=16
-       285 x          q[2] dur=12
-       286 x          q[0] dur=10
-       296 delay      q[0] dur=12 echoed
-       297 delay      q[2] dur=10 echoed
-       299 delay      q[4] dur=6 echoed
-       304 reset      q[1] dur=14
-       305 x          q[4] dur=16
-       307 x          q[2] dur=12
-       308 x          q[0] dur=10
-       316 reset      q[3] dur=8
-       318 delay      q[0] dur=6 echoed
-       318 delay      q[1] dur=6
-       319 delay      q[2] dur=5 echoed
-       321 delay      q[4] dur=3 echoed
 """
 
 
@@ -386,14 +364,18 @@ def test_idle_exposure_matches_walker_on_pipeline_circuits(falcon):
 
 
 def test_final_readout_keeps_builder_order(cal):
-    # the appended readout sorts as the builder sorts, so the whole
-    # timeline stays in builder order
+    # the appended readout sorts as the builder sorts and starts no earlier
+    # than round 2's readout, so a stable sort by start, as compile_program
+    # makes, keeps the builder's instructions first and in their order
     for encoding in ENCODINGS:
         circuit = build(cal, encoding=encoding, extra_delay_ns=100)
         read = with_final_readout(circuit, cal)
-        assert read.instructions[: len(circuit.instructions)] == circuit.instructions
-        assert list(read.instructions) == sorted(read.instructions, key=_timeline_order)
-        assert [i.kind for i in read.instructions[len(circuit.instructions) :]].count("measure") == 3
+        n = len(circuit.instructions)
+        assert read.instructions[:n] == circuit.instructions
+        added = read.instructions[n:]
+        assert list(added) == sorted(added, key=_timeline_order)
+        assert list(read.instructions) == sorted(read.instructions, key=lambda i: i.start)
+        assert [i.kind for i in added].count("measure") == 3
 
 
 def test_idle_exposure_unknown_qubit(cal):

@@ -23,9 +23,12 @@ from synbench.device import load_calibration
 from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import compile_program, pair_distribution
 from conftest import falcon_bytes
-from helpers import load_bench_module, pipeline_circuits
+from helpers import load_bench_module, pipeline_circuits, with_round_two_tail
 
-FALCON_PIPELINE_TIMELINES = "3233a8bcbebe887900c6f62d1d354f44b7ad384a713a83ed2d882f9317c0cb11"
+FALCON_PIPELINE_TIMELINES = "86d9c669e6790f826b4ab39508ce07329c539b4145d4301cb36fd9b515ae42a3"
+# the same circuits with the tail they had before round 2's readout ended
+# them: round 2's resets and the closing barrier
+FALCON_PIPELINE_TIMELINES_WITH_ROUND_TWO_TAIL = "3233a8bcbebe887900c6f62d1d354f44b7ad384a713a83ed2d882f9317c0cb11"
 FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198756467df56"
 FALCON_ALL_QUBITS_WEAK_CROSSTALK_CELLS = "82692a484b46e0a2e52cd11b7b6f792ecd9bbcad6686f28e596b06b85d318b6f"
 HEAVY_HEX_NONE_CELLS = "9934102ad22e66d0889281573b8694da999084ba8dbcf9d26071441b9817af41"
@@ -34,14 +37,26 @@ FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e0
 FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
 
 
+def timelines_digest(circuits) -> str:
+    """The sha256 of every instruction of `circuits`, in order."""
+    digest = hashlib.sha256()
+    for circuit in circuits:
+        digest.update(repr([tuple(i) for i in circuit.instructions]).encode())
+    return digest.hexdigest()
+
+
 def test_falcon_pipeline_timelines_keep_their_bytes(falcon):
     # every instruction of falcon27's pipeline circuits at all three
     # dd_scope values: the cells see only code_only, and a reordering that
     # leaves the walk's result equal moves this digest
-    digest = hashlib.sha256()
-    for _, circuit in pipeline_circuits(falcon):
-        digest.update(repr([tuple(i) for i in circuit.instructions]).encode())
-    assert digest.hexdigest() == FALCON_PIPELINE_TIMELINES
+    assert timelines_digest(circuit for _, circuit in pipeline_circuits(falcon)) == FALCON_PIPELINE_TIMELINES
+
+
+def test_round_two_tail_is_the_old_builders_tail(falcon):
+    # the tail `with_round_two_tail` re-appends gives back, byte for byte,
+    # the timelines the builder made while it still emitted that tail
+    tailed = (with_round_two_tail(circuit, falcon, scope) for scope, circuit in pipeline_circuits(falcon))
+    assert timelines_digest(tailed) == FALCON_PIPELINE_TIMELINES_WITH_ROUND_TWO_TAIL
 
 
 def cells_digest(cal, noise, scope: str) -> tuple[int, str]:

@@ -25,6 +25,7 @@ from helpers import (
     sample_records,
     sample_shots,
     with_final_readout,
+    with_round_two_tail,
 )
 from oracles import (
     bincount_pair_counts,
@@ -406,10 +407,9 @@ def op_qubits(op: tuple) -> tuple:
 
 @pytest.mark.parametrize("crosstalk", [True, False])
 def test_no_op_is_a_preparation(falcon, crosstalk):
-    # every preparation and reset folds into the op that next reads its
-    # qubit, and the reset after an auxiliary's round-2 measure, which no op
-    # reads, leaves nothing: nothing follows an auxiliary's round-2
-    # measure, and every program ends with the two round-2 measures
+    # every preparation and round-1 reset folds into the op that next reads
+    # its qubit: nothing follows an auxiliary's round-2 measure, and every
+    # program ends with the two round-2 measures
     noise = compile_noise(falcon, NoiseOptions() if crosstalk else NoiseOptions(disable=frozenset({"crosstalk"})))
     checked = 0
     for _, circuit in pipeline_circuits(falcon):
@@ -422,6 +422,52 @@ def test_no_op_is_a_preparation(falcon, crosstalk):
         assert sorted(op[:2] for op in ops[-2:]) == [("measure", 1), ("measure", 3)]
         checked += 1
     assert checked == 3 * 84
+
+
+def program_bytes(circuit: Circuit, noise) -> tuple:
+    """A circuit's compiled ops, and its probability row as bytes."""
+    program = compile_program(circuit, noise)
+    return program.ops, program.probs.tobytes()
+
+
+@pytest.mark.parametrize(
+    "options", [NoiseOptions(), NoiseOptions(crosstalk_eta=0.3, prep_error=0.02)], ids=["default", "weak_crosstalk"]
+)
+def test_round_two_tail_compiles_away(falcon, options):
+    # a builder circuit's last two instructions are round 2's measures, and
+    # the tail its circuits once had after them (round 2's resets, then the
+    # closing barrier's delays, echoed at its dd_scope) leaves the program
+    # bit-identical: every falcon27 pipeline circuit at each dd_scope
+    noise = compile_noise(falcon, options)
+    checked = 0
+    for scope, circuit in pipeline_circuits(falcon):
+        last = sorted((ins.kind, ins.qubits) for ins in circuit.instructions[-2:])
+        assert last == sorted(("measure", (a,)) for a in aux_qubits(circuit))
+        assert program_bytes(with_round_two_tail(circuit, falcon, scope), noise) == program_bytes(circuit, noise)
+        checked += 1
+    assert checked == 3 * 84
+
+
+def test_round_two_tail_compiles_away_on_heavy_hex(monkeypatch):
+    # the benchmark's seeded 129-qubit device at seed 1, its 500 pipeline
+    # circuits at dd_scope none with default noise, as hh129_lowshot runs
+    cal = load_calibration(json.dumps(load_bench_module("workloads", monkeypatch).heavy_hex_calibration(1)))
+    noise = compile_noise(cal)
+    circuits = [circuit for scope, circuit in pipeline_circuits(cal) if scope == "none"]
+    assert len(circuits) == 500
+    for circuit in circuits:
+        assert program_bytes(with_round_two_tail(circuit, cal, "none"), noise) == program_bytes(circuit, noise)
+
+
+def test_bit_flip_programs_ignore_crosstalk(falcon):
+    # only an h puts a qubit in the X basis, so no delay of a bit-flip
+    # circuit has a crosstalk receiver: every falcon27 bit-flip pipeline
+    # circuit at each dd_scope compiles alike at eta 1 and 0
+    on, off = (compile_noise(falcon, NoiseOptions(crosstalk_eta=eta)) for eta in (1.0, 0.0))
+    bit_flip = [c for _, c in pipeline_circuits(falcon) if all(ins.kind != "h" for ins in c.instructions)]
+    assert len(bit_flip) == 3 * 42
+    for circuit in bit_flip:
+        assert program_bytes(circuit, on) == program_bytes(circuit, off)
 
 
 @pytest.mark.parametrize(
@@ -437,7 +483,7 @@ def test_preparation_channels_match_explicit_preparations(falcon, options):
     checked = 0
     for _, circuit in pipeline_circuits(falcon):
         explicit = reference_compile_program(circuit, noise, explicit_preps=True)
-        assert [op[0] for op in explicit.ops].count("prep") == 9  # five preparations, four resets
+        assert [op[0] for op in explicit.ops].count("prep") == 7  # five preparations, round 1's two resets
         (pi,) = pair_distribution([compile_program(circuit, noise)])
         assert np.abs(pi - pair_cells(circuit, reference_record_distribution(circuit, explicit))).max() <= 1e-14
         checked += 1
