@@ -96,8 +96,10 @@ def estimate_from_moments(v_i, v_j, joint) -> tuple[np.ndarray, np.ndarray, np.n
     mean at or past 1/2 (the model's denominator vanishes: broken data),
     whose value is 0.5; `anticorrelated` marks a covariance more negative
     than the model allows (radicand <= 0), whose value is 0.0. Small
-    negative values near p = 0 are ordinary sampling noise.
+    negative values near p = 0 are ordinary sampling noise. Both masks are
+    numpy bools, for Python floats as for arrays.
     """
+    v_i, v_j, joint = np.asarray(v_i), np.asarray(v_j), np.asarray(joint)
     c = joint - v_i * v_j
     denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
     # each masked row divides by, or takes the root of, 1.0 instead, so no

@@ -10,20 +10,26 @@ distribution of each circuit's round-2 detector pair; then, qubit by qubit, it
 samples each circuit, extracts the round-2 idle rates and assembles the qubit's
 result. Everything aggregates into a report (JSON + CSV) with device-map
 figures. Identical config and seed give byte-identical artifacts.
+
+`report.json` holds the bytes of `json.dumps(doc, sort_keys=True,
+indent=2)`, but `report_json` writes them without `indent`: any `indent`
+sends the standard library to its pure-Python encoder, whose many short
+chunk strings set the run's Python memory peak. It hands each innermost
+container to the C encoder instead, with the line break and indentation in
+its item separator.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -305,29 +311,65 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
 
 
 def report_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"` for a document
+    of JSON values with string keys, written through the C encoder.
+
+    Python walks only the dicts and lists that hold a container. Each one
+    whose values are all scalars is one call of the C encoder at its depth,
+    whose item separator carries the line break and the next indentation;
+    only the opening line break and the closing indentation are added."""
+    pieces: list[str] = []
+    encoders: list[json.JSONEncoder] = []
+
+    def write(value, depth: int) -> None:
+        if depth == len(encoders):
+            encoders.append(json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")))
+        encoder = encoders[depth]
+        if isinstance(value, dict):
+            values = value.values()
+        elif isinstance(value, (list, tuple)):
+            values = value
+        else:
+            pieces.append(encoder.encode(value))
+            return
+        indent, outdent = encoder.item_separator[1:], "\n" + "  " * depth
+        if not any(isinstance(v, (dict, list, tuple)) for v in values):
+            text = encoder.encode(value)
+            # an empty container stays "{}" or "[]"
+            pieces.append(f"{text[0]}{indent}{text[1:-1]}{outdent}{text[-1]}" if len(text) > 2 else text)
+            return
+        if isinstance(value, dict):
+            brackets, entries = "{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items())]
+        else:
+            brackets, entries = "[]", [("", v) for v in value]
+        separator = brackets[0] + indent
+        for prefix, v in entries:
+            pieces.append(separator + prefix)
+            write(v, depth + 1)
+            separator = encoder.item_separator
+        pieces.append(outdent + brackets[1])
+
+    write(doc, 0)
+    # `write` refers to itself through its closure: deleting it breaks that
+    # cycle, so its pieces are freed on return, not at the next collection
+    del write
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 def report_csv(report: BenchmarkReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RATE_CSV_HEADER)
+    # no field can hold a comma, quote or line break (ints, fixed names and
+    # float reprs), so each row is its fields joined by commas
+    rows = [",".join(RATE_CSV_HEADER)]
     for result in report.results:
         for key in sorted(result.rates):
             est = result.rates[key]
             encoding, _ = RATES[key]
-            writer.writerow(
-                (
-                    result.qubit,
-                    encoding,
-                    key,
-                    repr(est.estimate),
-                    repr(est.stderr),
-                    repr(result.guides[key]),
-                    result.exposure_ns[encoding],
-                )
+            rows.append(
+                f"{result.qubit},{encoding},{key},{est.estimate!r},{est.stderr!r},"
+                f"{result.guides[key]!r},{result.exposure_ns[encoding]}"
             )
-    return buffer.getvalue()
+    return "\n".join(rows) + "\n"
 
 
 def _cmd_plan(args) -> int:

@@ -227,6 +227,18 @@ def test_estimator_flags_excess_anticorrelation():
         shared_fault_inversion(0.4, 0.4, 0.0)
 
 
+@pytest.mark.parametrize(
+    "moments", [(0.5, 0.1, 0.05), (0.4, 0.4, 0.0), (0.1, 0.2, 0.03)], ids=["at-half", "anticorrelated", "ordinary"]
+)
+def test_estimator_masks_are_bools_for_scalar_moments(moments):
+    # Python floats give numpy bool masks, equal to a one-row array call's
+    values, at_half, anticorrelated = estimate_from_moments(*moments)
+    row_values, row_at_half, row_anticorrelated = estimate_from_moments(*(np.array([m]) for m in moments))
+    for mask, row_mask in ((at_half, row_at_half), (anticorrelated, row_anticorrelated)):
+        assert isinstance(mask, np.bool_) and mask == row_mask[0]
+    assert values == row_values[0]
+
+
 def test_extract_idle_rates_on_synthetic_columns():
     rng = np.random.default_rng(12)
     n = 200_000

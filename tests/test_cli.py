@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import csv
 import importlib
 import io
 import json
@@ -950,6 +951,49 @@ def test_csv_rows_cover_all_rates(tmp_path, cal_path):
     assert rows[0] == "qubit,encoding,rate_type,estimate,stderr,guide,exposure_ns"
     # p_0to1, p_1to0, p_01, p_phase per benchmarked qubit
     assert len(rows) == 1 + 4 * len(report.results)
+
+
+def test_csv_reads_back_the_written_fields():
+    # the rows are joined by hand, so a csv reader must still get each
+    # field back, float reprs at their edges included
+    values = {
+        "p_0to1": (math.nan, math.inf, -0.0),
+        "p_1to0": (5e-324, -math.inf, 0.25),
+        "p_phase": (-0.0, 0.0, math.nan),
+    }
+    rates = {key: RateEstimate(estimate, stderr, 10) for key, (estimate, stderr, _) in values.items()}
+    guides = {key: guide for key, (_, _, guide) in values.items()}
+    result = QubitBenchmark(12, (11, 12, 13), rates, guides, {"bit_flip": 7, "phase_flip": 1_000_000})
+    report = aggregate_device([result])
+    rows = list(csv.reader(io.StringIO(cli.report_csv(report), newline="")))
+    assert rows[0] == list(cli.RATE_CSV_HEADER)
+    exposures = {"bit_flip": "7", "phase_flip": "1000000"}
+    assert rows[1:] == [
+        ["12", RATES[key][0], key, *map(repr, values[key]), exposures[RATES[key][0]]] for key in sorted(values)
+    ]
+
+
+DOCUMENT_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**30), 10**30)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.text(max_size=6)
+)
+DOCUMENT_VALUES = st.recursive(
+    DOCUMENT_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=6), DOCUMENT_VALUES, max_size=5))
+@example(doc={"é\n\"\\ ": [[], {}, ([{}],)], "": {"a": [-0.0, 5e-324, math.nan, -math.inf]}, "\x00": 10**30})
+def test_report_json_is_json_dumps_with_indent(doc):
+    assert cli.report_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 P0_ONLY_RELAXATION = {"disable": ["cx", "readout", "dephasing", "crosstalk"]}

@@ -1,4 +1,4 @@
-"""Stored digests of built timelines, of exact cells and of a run's report
+"""Stored digests of built timelines, of exact cells and of runs' reports
 and maps.
 
 Every other test compares one walk or estimator with another, or checks a
@@ -33,6 +33,9 @@ FALCON_CODE_ONLY_CELLS = "9abc113eb5763fe2d53582cd4b10024f55f24b4496ec2ff643e198
 FALCON_ALL_QUBITS_WEAK_CROSSTALK_CELLS = "82692a484b46e0a2e52cd11b7b6f792ecd9bbcad6686f28e596b06b85d318b6f"
 HEAVY_HEX_NONE_CELLS = "9934102ad22e66d0889281573b8694da999084ba8dbcf9d26071441b9817af41"
 FALCON_REPORT_CSV = "b8e046f2ab8a70aa6d11d6710448730acf0498397ee0ab212d4f20cc316e3568"
+FALCON_REPORT_JSON = "abaeaa8a6492502654404104bca127759936fa46b9d173d04c904173637f783e"
+HEAVY_HEX_REPORT_CSV = "fc823a8b1848852541bcb2b4b6b9c5ec17d4c5935c7378441c3c79d993753e50"
+HEAVY_HEX_REPORT_JSON = "359e85f17f1a637c53e74d403e6ac645b182b1ac32168ac631317e794690ae7f"
 FALCON_RATES_SVG = "0e0f6f0ca123055375d6340ef3621096118a91622514c746743cf83533e02995"
 FALCON_CALIBRATION_SVG = "cf0e1c238b61eb54d04ba036ab3688e9f0594a43c30c95076b4a99381c1daf57"
 
@@ -88,11 +91,27 @@ def test_heavy_hex_pipeline_cells_keep_their_bytes(monkeypatch):
 
 
 def test_falcon_report_csv_keeps_its_bytes(tmp_path):
-    # a falcon27 run at 2,000 shots, seed 7; the CSV and the maps hold no
-    # paths, and falcon27's positions keep its maps off the computed layout
+    # a falcon27 run at 2,000 shots, seed 7. The report records its
+    # calibration relative to the output directory, and synbench's version,
+    # so a version bump moves both report digests. The CSV and the maps hold
+    # no paths, and falcon27's positions keep its maps off the computed
+    # layout
     cal_path = tmp_path / "falcon27.json"
     cal_path.write_bytes(falcon_bytes())
     _, paths = run_benchmark(RunConfig(str(cal_path), shots=2_000, seed=7, output_dir=str(tmp_path / "out")))
+    assert hashlib.sha256(paths["report"].read_bytes()).hexdigest() == FALCON_REPORT_JSON
     assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == FALCON_REPORT_CSV
     assert hashlib.sha256(paths["rates_map"].read_bytes()).hexdigest() == FALCON_RATES_SVG
     assert hashlib.sha256(paths["calibration_map"].read_bytes()).hexdigest() == FALCON_CALIBRATION_SVG
+
+
+def test_heavy_hex_report_keeps_its_bytes(tmp_path, monkeypatch):
+    # the benchmark's seeded 129-qubit device at seed 1, run as
+    # hh129_lowshot runs it: 2,000 shots, dd_scope none, seed 1
+    cal_path = tmp_path / "hh129.json"
+    doc = load_bench_module("workloads", monkeypatch).heavy_hex_calibration(1)
+    cal_path.write_text(json.dumps(doc), encoding="utf-8")
+    config = RunConfig(str(cal_path), shots=2_000, seed=1, dd_scope="none", output_dir=str(tmp_path / "out"))
+    _, paths = run_benchmark(config)
+    assert hashlib.sha256(paths["report"].read_bytes()).hexdigest() == HEAVY_HEX_REPORT_JSON
+    assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == HEAVY_HEX_REPORT_CSV
