@@ -92,19 +92,20 @@ def estimate_from_moments(v_i, v_j, joint) -> tuple[np.ndarray, np.ndarray, np.n
     """Shared-fault probability from detector moments (exact inversion),
     elementwise over arrays of v_i, v_j and <d_i d_j>.
 
-    Returns (values, at_half, anticorrelated). `at_half` marks a detector
-    mean at or past 1/2 (the model's denominator vanishes: broken data),
-    whose value is 0.5; `anticorrelated` marks a covariance more negative
-    than the model allows (radicand <= 0), whose value is 0.0. Small
-    negative values near p = 0 are ordinary sampling noise. Both masks are
-    numpy bools, for Python floats as for arrays.
+    Returns (values, at_half, anticorrelated). `at_half` marks a row with
+    either detector mean at or past 1/2, which the model's means never
+    reach (broken data), whose value is 0.5; `anticorrelated` marks a
+    covariance more negative than the model allows (radicand <= 0), whose
+    value is 0.0. Small negative values near p = 0 are ordinary sampling
+    noise. Both masks are numpy bools, for Python floats as for arrays.
     """
     v_i, v_j, joint = np.asarray(v_i), np.asarray(v_j), np.asarray(joint)
     c = joint - v_i * v_j
     denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
+    # mean by mean: two means past 1/2 give a positive denominator
+    at_half = (v_i >= 0.5) | (v_j >= 0.5)
     # each masked row divides by, or takes the root of, 1.0 instead, so no
     # row warns, and its value is then written through its mask
-    at_half = denom <= 0.0
     radicand = 1.0 + 4.0 * c / np.where(at_half, 1.0, denom)
     low = radicand <= 0.0
     values = np.asarray(0.5 - 0.5 / np.sqrt(np.where(low, 1.0, radicand)))
@@ -117,11 +118,14 @@ def extract_idle_rates(counts: np.ndarray, *, resamples: int = BOOTSTRAP_RESAMPL
     """Central-qubit idle error rate: the shared-fault probability of the
     round-2 detector pair's joint counts (n00, n01, n10, n11), as
     `detection_events` returns them, with bootstrap SE. The observed counts
-    and their multinomial resamples are inverted in one call; row 0 is the
-    estimate, clamped at 0, and the rest give its SE.
+    and their `resamples` multinomial resamples, at least 2, are inverted
+    in one call; row 0 is the estimate, clamped at 0, and the rest give its
+    SE.
 
     `seed` is anything `np.random.default_rng` takes; a `Generator` is drawn
     from in place, so the resamples continue its stream."""
+    if isinstance(resamples, bool) or not isinstance(resamples, int) or resamples < 2:
+        raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     counts = np.asarray(counts)
     if counts.shape != (4,):
         raise ValueError(f"counts must be the four cells (n00, n01, n10, n11), got shape {counts.shape}")

@@ -9,14 +9,10 @@ value), qubit by qubit; one walk over every program gives the exact
 distribution of each circuit's round-2 detector pair; then, qubit by qubit, it
 samples each circuit, extracts the round-2 idle rates and assembles the qubit's
 result. Everything aggregates into a report (JSON + CSV) with device-map
-figures. Identical config and seed give byte-identical artifacts.
-
-`report.json` holds the bytes of `json.dumps(doc, sort_keys=True,
-indent=2)`, but `report_json` writes them without `indent`: any `indent`
-sends the standard library to its pure-Python encoder, whose many short
-chunk strings set the run's Python memory peak. It hands each innermost
-container to the C encoder instead, with the line break and indentation in
-its item separator.
+figures. Identical config and seed give byte-identical artifacts. The maps
+are drawn before any file is written, because a map is the only artifact a
+run can refuse, and `report.json` is streamed into its file by `json.dump`,
+so no run holds the report's text.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -71,11 +66,20 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _write(path: Path, text: str) -> None:
+@contextlib.contextmanager
+def _writing(path: Path):
+    """`path` opened for UTF-8 text; failing to open or write it is a
+    config error."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fp:
+            yield fp
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(path: Path, text: str) -> None:
+    with _writing(path) as fp:
+        fp.write(text)
 
 
 def _flag_value(text: str):
@@ -298,63 +302,25 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
             "calibration_map": out_dir / "calibration.svg",
         }
         doc = report.to_dict()
-        # every artifact is made before any is written, so a refused map leaves none
-        texts = {
-            "report": report_json(doc),
-            "csv": report_csv(report),
+        # a map is the only artifact a run can refuse, so both are drawn before any file is written
+        maps = {
             "rates_map": render_device_map(doc, cal, "rates"),
             "calibration_map": render_device_map(doc, cal, "calibration"),
         }
-        for key, path in paths.items():
-            _write(path, texts[key])
+        report_json(doc, paths["report"])
+        _write(paths["csv"], report_csv(report))
+        for key, svg in maps.items():
+            _write(paths[key], svg)
         return report, paths
 
 
-def report_json(doc: dict) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"` for a document
-    of JSON values with string keys, written through the C encoder.
-
-    Python walks only the dicts and lists that hold a container. Each one
-    whose values are all scalars is one call of the C encoder at its depth,
-    whose item separator carries the line break and the next indentation;
-    only the opening line break and the closing indentation are added."""
-    pieces: list[str] = []
-    encoders: list[json.JSONEncoder] = []
-
-    def write(value, depth: int) -> None:
-        if depth == len(encoders):
-            encoders.append(json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")))
-        encoder = encoders[depth]
-        if isinstance(value, dict):
-            values = value.values()
-        elif isinstance(value, (list, tuple)):
-            values = value
-        else:
-            pieces.append(encoder.encode(value))
-            return
-        indent, outdent = encoder.item_separator[1:], "\n" + "  " * depth
-        if not any(isinstance(v, (dict, list, tuple)) for v in values):
-            text = encoder.encode(value)
-            # an empty container stays "{}" or "[]"
-            pieces.append(f"{text[0]}{indent}{text[1:-1]}{outdent}{text[-1]}" if len(text) > 2 else text)
-            return
-        if isinstance(value, dict):
-            brackets, entries = "{}", [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(value.items())]
-        else:
-            brackets, entries = "[]", [("", v) for v in value]
-        separator = brackets[0] + indent
-        for prefix, v in entries:
-            pieces.append(separator + prefix)
-            write(v, depth + 1)
-            separator = encoder.item_separator
-        pieces.append(outdent + brackets[1])
-
-    write(doc, 0)
-    # `write` refers to itself through its closure: deleting it breaks that
-    # cycle, so its pieces are freed on return, not at the next collection
-    del write
-    pieces.append("\n")
-    return "".join(pieces)
+def report_json(doc: dict, path: Path) -> None:
+    """Write `json.dumps(doc, sort_keys=True, indent=2) + "\\n"` to `path`,
+    streamed chunk by chunk so that the text is never held whole; a failed
+    write is a `ConfigError`."""
+    with _writing(path) as fp:
+        json.dump(doc, fp, sort_keys=True, indent=2)
+        fp.write("\n")
 
 
 def report_csv(report: BenchmarkReport) -> str:

@@ -74,13 +74,12 @@ class AntiCorrelated(ValueError):
 
 def shared_fault_inversion(v_i: float, v_j: float, joint: float) -> float:
     """The shared-fault probability of one set of detector moments, one
-    scalar at a time: ValueError where a detector mean reaches 1/2 and
+    scalar at a time: ValueError where either detector mean reaches 1/2 and
     AntiCorrelated where the radicand is not positive."""
-    c = joint - v_i * v_j
-    denom = (1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j)
-    if denom <= 0.0:
+    if v_i >= 0.5 or v_j >= 0.5:
         raise ValueError(f"detector rates v_i={v_i}, v_j={v_j} reach 1/2")
-    radicand = 1.0 + 4.0 * c / denom
+    c = joint - v_i * v_j
+    radicand = 1.0 + 4.0 * c / ((1.0 - 2.0 * v_i) * (1.0 - 2.0 * v_j))
     if radicand <= 0.0:
         raise AntiCorrelated(f"covariance {c} is below the model's bound")
     return 0.5 - 0.5 / math.sqrt(radicand)

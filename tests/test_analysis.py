@@ -213,10 +213,12 @@ def test_estimator_rejects_rates_at_one_half():
 
 def test_estimator_takes_a_scalar_mean_of_one_half():
     # Python floats at exactly 1/2 would divide a float by zero, which
-    # raises outside numpy: the row divides by 1.0 and is masked instead
-    values, at_half, anticorrelated = estimate_from_moments(0.5, 0.1, 0.05)
-    assert at_half and not anticorrelated
-    assert values == 0.5
+    # raises outside numpy: the row divides by 1.0 and is masked instead.
+    # Two means past 1/2 give a positive product and are masked all the same
+    for moments in ((0.5, 0.1, 0.05), (0.6, 0.6, 0.36)):
+        values, at_half, anticorrelated = estimate_from_moments(*moments)
+        assert at_half and not anticorrelated, moments
+        assert values == 0.5
 
 
 def test_estimator_flags_excess_anticorrelation():
@@ -275,6 +277,16 @@ def test_extract_idle_rates_rejects_half_rate_detectors():
     d_i = np.tile([0, 1], n // 2).astype(np.uint8)
     with pytest.raises(EstimationError):
         extract_idle_rates(bincount_pair_counts(d_i, 1 - d_i), seed=5)
+    # two means past 1/2 give the model a positive denominator all the same
+    with pytest.raises(EstimationError, match="v_i=0.6000, v_j=0.6000"):
+        extract_idle_rates(np.array([160, 240, 240, 360]), seed=5)
+
+
+@pytest.mark.parametrize("resamples", [0, -1, 1])
+def test_extract_refuses_fewer_than_two_resamples(resamples):
+    # no resample gives no SE, one gives an SE of 0.0, and fewer cannot be drawn
+    with pytest.raises(ValueError, match="resamples must be an integer >= 2"):
+        extract_idle_rates(np.array([1900, 40, 50, 10]), resamples=resamples, seed=5)
 
 
 def test_extract_idle_rates_warns_below_recommended_shots():

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from dataclasses import fields, replace
@@ -276,6 +277,24 @@ def test_tracer_metrics_fit_the_benchmark(tmp_path, cal_path, monkeypatch):
     # coverage: the spans nest, so their self times add up to the call's wall
     # time and no blocking step goes unattributed
     assert abs(tracing.unattributed_seconds(tracer.spans)) <= 1e-3 * seconds
+
+
+def test_two_detector_means_past_one_half_fall_back(tmp_path):
+    # every cx lasting 1e300 ns saturates the auxiliaries: q1's logical-0
+    # phase-flip circuit draws detector means of about 0.505 and 0.508, both
+    # past 1/2, so it falls back, and no resample of it enters p_phase's SE
+    doc = json.loads(falcon_bytes())
+    for gate in doc["cx_gates"]:
+        gate["duration_ns"] = 1e300
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", UserWarning)
+        report, _ = run_benchmark(RunConfig(calibration=str(cal), shots=2000, output_dir=str(tmp_path / "out")))
+    messages = [str(w.message) for w in record]
+    assert any(m.startswith("qubit 1 phase_flip logical 0: ") and m.endswith("recording 0.5") for m in messages)
+    (q1,) = [result for result in report.results if result.qubit == 1]
+    assert q1.rates["p_phase"].stderr <= 0.5
 
 
 def test_run_seed_changes_report(tmp_path, cal_path):
@@ -993,7 +1012,11 @@ DOCUMENT_VALUES = st.recursive(
 @given(doc=st.dictionaries(st.text(max_size=6), DOCUMENT_VALUES, max_size=5))
 @example(doc={"é\n\"\\ ": [[], {}, ([{}],)], "": {"a": [-0.0, 5e-324, math.nan, -math.inf]}, "\x00": 10**30})
 def test_report_json_is_json_dumps_with_indent(doc):
-    assert cli.report_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # hypothesis refuses the function-scoped tmp_path, so each example makes its own directory
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "report.json"
+        cli.report_json(doc, path)
+        assert path.read_bytes().decode("utf-8") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 P0_ONLY_RELAXATION = {"disable": ["cx", "readout", "dephasing", "crosstalk"]}
