@@ -193,18 +193,25 @@ class BenchmarkReport:
         }
 
 
+def _median(values: list[float]) -> float:
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
+
+
 def aggregate_device(results: list[QubitBenchmark], metadata: dict | None = None) -> BenchmarkReport:
     """Assemble per-qubit estimates into a device report with medians.
 
-    Medians use the usual even-count rule (mean of the central pair) and are
-    recomputed per rate key over the qubits that measured it.
+    Medians are recomputed per rate key over the qubits that measured it.
+    They are computed in Python by `np.median`'s rules (the mean of the
+    central pair for an even count, nan if any estimate is nan), so that a
+    run does not import `numpy.ma`.
     """
     if not results:
         raise ValueError("no benchmarked qubits to aggregate")
     ordered = tuple(sorted(results, key=lambda r: r.qubit))
     rate_keys = sorted({key for r in ordered for key in r.rates})
-    medians = {
-        key: float(np.median([r.rates[key].estimate for r in ordered if key in r.rates]))
-        for key in rate_keys
-    }
+    medians = {key: _median([r.rates[key].estimate for r in ordered if key in r.rates]) for key in rate_keys}
     return BenchmarkReport(results=ordered, medians=medians, metadata=metadata or {})

@@ -203,7 +203,9 @@ def idle_exposure(circuit: Circuit, qubit: int) -> int:
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
     instrs = circuit.instructions
-    meas_start = next(ins.start for ins in instrs if ins.kind == "measure")
+    meas_start = next((ins.start for ins in instrs if ins.kind == "measure"), None)
+    if meas_start is None:
+        raise ValueError("the circuit has no measurement")
     exposure = 0
     for kind, qubits, _, duration, _ in instrs[bisect_left(instrs, meas_start, key=itemgetter(2)) :]:
         if qubit in qubits:

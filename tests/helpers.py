@@ -9,6 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, _timeline_order, build_repetition_circuit
 from synbench.cli import RunConfig, _extra_delay_ns
@@ -98,6 +99,45 @@ def make_line_cal(
         cx_duration_ns={e: cx_ns for e in edges},
         name=f"line{n}",
     )
+
+
+@st.composite
+def random_line_cases(draw) -> tuple[DeviceCalibration, NoiseOptions, dict]:
+    """A random five-qubit line 0-1-2-3-4 with its noise options and one
+    circuit's builder keywords, as (cal, options, kwargs). Per qubit: T1
+    20-400 us, T2 <= 2 T1, T2* <= T2, p0, read-out error and the read-out
+    and x durations; per edge a cx error and duration; then the crosstalk
+    eta, encoding, logical value, dd_scope and extra delay."""
+    qubits = []
+    for _ in range(5):
+        t1 = draw(st.floats(20_000.0, 400_000.0))
+        t2 = draw(st.floats(0.1, 2.0)) * t1
+        qubits.append(
+            QubitCalibration(
+                t1_ns=t1,
+                t2_ns=t2,
+                t2_star_ns=draw(st.floats(0.1, 1.0)) * t2,
+                p0=draw(st.floats(0.8, 1.0)),
+                readout_error=draw(st.floats(0.0, 0.1)),
+                readout_ns=draw(st.floats(100.0, 2_000.0)),
+                x_ns=draw(st.floats(10.0, 100.0)),
+            )
+        )
+    edges = [canonical_edge(i, i + 1) for i in range(4)]
+    cal = DeviceCalibration(
+        qubits=tuple(qubits),
+        cx_error={e: draw(st.floats(0.0, 0.05)) for e in edges},
+        cx_duration_ns={e: draw(st.floats(100.0, 800.0)) for e in edges},
+        name="random-line5",
+    )
+    options = NoiseOptions(crosstalk_eta=draw(st.floats(0.0, 1.0)))
+    kwargs = dict(
+        encoding=draw(st.sampled_from(ENCODINGS)),
+        logical_value=draw(st.sampled_from((0, 1))),
+        dd_scope=draw(st.sampled_from(DD_SCOPES)),
+        extra_delay_ns=draw(st.integers(0, 100_000)),
+    )
+    return cal, options, kwargs
 
 
 def line_calibration_doc() -> dict:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synbench.analysis import (
     RATES,
@@ -387,6 +389,39 @@ def test_aggregate_median_odd_and_single():
 def test_aggregate_median_even_is_mean_of_central_pair():
     report = aggregate_device([_qb(1, 0.1), _qb(2, 0.3)])
     assert report.medians["p_phase"] == pytest.approx(0.2)
+
+
+# estimates in [0, 1/2], with repeats: a pool of values, then lists whose
+# entries come from the pool or afresh
+TIED_ESTIMATES = st.lists(st.floats(0.0, 0.5), min_size=1, max_size=20).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool) | st.floats(0.0, 0.5), min_size=1, max_size=300)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=TIED_ESTIMATES)
+def test_aggregate_median_is_numpys_bit_for_bit(values):
+    # min_value 0 draws no -0.0, and the estimator clamps with max(0.0, ...),
+    # whose estimates are never -0.0 either
+    median = aggregate_device([_qb(q, v) for q, v in enumerate(values)]).medians["p_phase"]
+    assert type(median) is float
+    assert median.hex() == float(np.median(values)).hex()
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [([0.3], 0.3), ([0.4, 0.1, 0.3, 0.2], (0.2 + 0.3) / 2), ([0.1, 0.1, 0.25, 0.5], (0.1 + 0.25) / 2)],
+    ids=["single", "even", "even-tied"],
+)
+def test_aggregate_median_explicit_cases(values, expected):
+    median = aggregate_device([_qb(q, v) for q, v in enumerate(values)]).medians["p_phase"]
+    assert median.hex() == expected.hex() == float(np.median(values)).hex()
+
+
+def test_aggregate_median_of_a_nan_estimate_is_nan():
+    values = [0.1, math.nan, 0.2, 0.05]
+    median = aggregate_device([_qb(q, v) for q, v in enumerate(values)]).medians["p_phase"]
+    assert type(median) is float and math.isnan(median) and math.isnan(np.median(values))
 
 
 def test_aggregate_is_permutation_invariant():

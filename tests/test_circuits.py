@@ -11,7 +11,9 @@ from synbench import load_calibration
 from synbench.circuits import (
     DD_SCOPES,
     ENCODINGS,
+    Circuit,
     CircuitBuildError,
+    Instruction,
     _timeline_order,
     build_repetition_circuit,
     idle_exposure,
@@ -381,6 +383,16 @@ def test_final_readout_keeps_builder_order(cal):
 def test_idle_exposure_unknown_qubit(cal):
     with pytest.raises(KeyError):
         idle_exposure(build(cal), 9)
+
+
+def test_idle_exposure_without_measurement_is_value_error():
+    # a bare StopIteration here would surface as "generator raised
+    # StopIteration" inside the run's program generator
+    circuit = Circuit(LINE, (Instruction("prepare_z0", (2,), 0, 0), Instruction("delay", (2,), 0, 100)))
+    with pytest.raises(ValueError, match="no measurement"):
+        idle_exposure(circuit, 2)
+    with pytest.raises(ValueError, match="no measurement"):
+        list(idle_exposure(circuit, q) for q in (2,))
 
 
 def test_invalid_line_rejected(cal):

@@ -1082,6 +1082,31 @@ def test_entry_points_run_without_warnings(args):
     assert done.stdout == ("synbench 0.1.0\n" if "--version" in args else "")
 
 
+RUN_FOOTPRINT = """
+import json, sys
+import numpy.random
+import synbench
+config = synbench.RunConfig(calibration=sys.argv[1], shots=2_000, output_dir=sys.argv[2])
+before = set(sys.modules)
+synbench.run_benchmark(config)
+heavy = [name for name in ("numpy.ma", "statistics") if name in sys.modules]
+print(json.dumps([sorted(set(sys.modules) - before), heavy]))
+"""
+
+
+def test_run_imports_no_module(tmp_path):
+    # once numpy.random, which a run needs, and the package are loaded, a
+    # run loads nothing more: the device medians need no numpy.ma, and
+    # nothing in the package loads statistics
+    cal = tmp_path / "line.json"
+    cal.write_text(json.dumps(line_calibration_doc()), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    argv = [sys.executable, "-c", RUN_FOOTPRINT, str(cal), str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [[], []]
+
+
 def test_cli_prints_each_warning_as_one_line(tmp_path):
     # the command line shows a warning as its message alone, and restores
     # the format on return, so library callers' warnings keep their location

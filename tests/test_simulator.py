@@ -8,8 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from synbench.analysis import BOOTSTRAP_RESAMPLES, detection_events, extract_idle_rates
+from synbench.analysis import BOOTSTRAP_RESAMPLES, detection_events, estimate_from_moments, extract_idle_rates
 from synbench.circuits import Circuit, Instruction, build_repetition_circuit
 from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
@@ -22,6 +23,7 @@ from helpers import (
     load_bench_module,
     make_line_cal,
     pipeline_circuits,
+    random_line_cases,
     sample_records,
     sample_shots,
     with_final_readout,
@@ -281,6 +283,27 @@ def test_readout_channel_linearity_at_small_p():
         data, detectors = stacked_detection_events(circuit, shots)
         rates[p] = float((data[:, detectors.index((1, 1))] & data[:, detectors.index((1, 2))]).mean())
     assert rates[0.01] == pytest.approx(2 * rates[0.005], rel=0.10)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.3])
+def test_readout_flips_cancel_in_the_shared_fault_inversion(falcon, eta):
+    # an auxiliary's independent read-out flip moves its detector's mean but
+    # no shared fault, so the exact estimate (N -> infinity) of every
+    # falcon27 pipeline circuit at each dd_scope is the same with the read-out
+    # channel off, though the cells are not
+    circuits = [circuit for _, circuit in pipeline_circuits(falcon)]
+    assert len(circuits) == 3 * 84
+    moments, estimates = [], []
+    for disable in ((), ("readout",)):
+        noise = compile_noise(falcon, NoiseOptions(crosstalk_eta=eta, disable=disable))
+        cells = np.array(pair_distribution(compile_program(circuit, noise) for circuit in circuits))
+        v_i, v_j, joint = cells[:, 2] + cells[:, 3], cells[:, 1] + cells[:, 3], cells[:, 3]
+        values, at_half, anticorrelated = estimate_from_moments(v_i, v_j, joint)
+        assert not (at_half.any() or anticorrelated.any())
+        moments.append(v_i)
+        estimates.append(values)
+    assert (moments[0] - moments[1]).min() > 1e-3
+    assert np.abs(estimates[0] - estimates[1]).max() <= 1e-14
 
 
 def test_crosstalk_first_overlap_rule_applies_once():
@@ -745,6 +768,19 @@ def test_pair_distribution_reads_its_programs_lazily(falcon):
     cells = pair_distribution(programs())
     assert len(cells) == len(released) == 84 and all(released)
     assert all(np.array_equal(pi, pair_distribution([compile_program(c, noise)])[0]) for pi, c in zip(cells, circuits))
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=random_line_cases())
+def test_cells_match_the_reference_walk_on_random_lines(case):
+    # the library's lowering and walk against the oracle's lowering and
+    # full-record walk, on random per-qubit calibrations and options
+    cal, options, kwargs = case
+    circuit = build(cal, **kwargs)
+    noise = compile_noise(cal, options)
+    (pi,) = pair_distribution([compile_program(circuit, noise)])
+    reference = pair_cells(circuit, reference_record_distribution(circuit, reference_compile_program(circuit, noise)))
+    assert np.abs(pi - reference).max() <= 1e-14
 
 
 def test_programs_of_different_structures_are_walked_apart():
