@@ -32,6 +32,13 @@ remainder in the middle, every sub-delay flagged echoed. The instructions are so
 
 The phase-flip encoding is the bit-flip circuit with one h layer on the code
 qubits right after preparation.
+
+`logical_prelude` is the one definition of the logical value: nothing for
+0, and for 1 an x layer on the code qubits with its closing barrier, from
+t = 0. The logical-1 circuit is the prelude followed by the logical-0
+circuit started at the prelude's end, so the pipeline builds only the
+logical-0 circuit and `simulator.compile_program` folds each configured
+logical value's prelude into its one compile.
 """
 
 from __future__ import annotations
@@ -62,6 +69,9 @@ _MIN_ECHO_SUBDELAY_NS = 4
 # starts, duration orders as end does
 _timeline_order = itemgetter(2, 3, 1, 0)
 
+# an Instruction without the namedtuple's Python-level __new__
+_new = tuple.__new__
+
 
 class CircuitBuildError(ValueError):
     """Invalid inputs to the circuit builder."""
@@ -85,6 +95,96 @@ class Circuit:
     instructions: tuple[Instruction, ...]
 
 
+def _line_qubits(line: BenchLine | tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
+
+
+class _Schedule:
+    """Gates placed layer by layer on a line's five positions, from `start`.
+
+    Per position, `table` holds the operand tuple its instructions share,
+    its x (and reset) duration, and the shortest window it echoes, None out
+    of scope; `cursor` holds where its timeline is filled to."""
+
+    __slots__ = ("table", "instrs", "cursor")
+
+    def __init__(self, qubits: tuple[int, ...], cal: DeviceCalibration, dd_scope: str, start: int = 0) -> None:
+        echo = range(5) if dd_scope == "all_qubits" else range(0, 5, 2) if dd_scope == "code_only" else ()
+        self.table = []
+        for p, q in enumerate(qubits):
+            x = max(1, round(cal.qubits[q].x_ns))
+            self.table.append(((q,), x, 2 * x + _MIN_ECHO_SUBDELAY_NS if p in echo else None))
+        self.instrs: list[Instruction] = []
+        self.cursor = [start] * 5
+
+    def barrier(self, time: int) -> None:
+        # fill every position's timeline up to `time` with one delay, or with
+        # the echo pair when it is in scope and the window fits it
+        instrs, cursor = self.instrs, self.cursor
+        for (qs, x, shortest), lo in zip(self.table, cursor):
+            if shortest is not None and time - lo >= shortest:
+                quarter = (time - lo - 2 * x) // 4
+                middle = time - lo - 2 * x - 2 * quarter
+                instrs.extend(
+                    (
+                        _new(Instruction, ("delay", qs, lo, quarter, True)),
+                        _new(Instruction, ("x", qs, lo + quarter, x, False)),
+                        _new(Instruction, ("delay", qs, lo + quarter + x, middle, True)),
+                        _new(Instruction, ("x", qs, time - quarter - x, x, False)),
+                        _new(Instruction, ("delay", qs, time - quarter, quarter, True)),
+                    )
+                )
+            elif time > lo:
+                instrs.append(_new(Instruction, ("delay", qs, lo, time - lo, False)))
+        cursor[:] = (time,) * 5
+
+    def place(self, gates) -> None:
+        # a gate (kind, positions, qubits, duration) starts where its
+        # positions all stand: at the last barrier, or for a reset at its own
+        # measure's end
+        instrs, cursor = self.instrs, self.cursor
+        for kind, ps, qs, duration in gates:
+            start = cursor[ps[0]]
+            instrs.append(_new(Instruction, (kind, qs, start, duration, False)))
+            for p in ps:
+                cursor[p] = start + duration
+
+    def layer(self, gates) -> None:
+        # the layer ends with a barrier at its latest end
+        self.place(gates)
+        self.barrier(max(self.cursor))
+
+    def code_layer(self, kind: str) -> None:
+        # one `kind` gate on each code qubit, lasting its x duration
+        self.layer((kind, (p,), *self.table[p][:2]) for p in (0, 2, 4))
+
+
+def logical_prelude(
+    line: BenchLine | tuple[int, ...],
+    cal: DeviceCalibration,
+    logical_value: int,
+    dd_scope: str = "none",
+) -> tuple[Instruction, ...]:
+    """The instructions that set the code to `logical_value` right after
+    preparation, from t = 0 and in time order: none for 0; for 1 an x on
+    each code qubit and the barrier that closes their layer, echoed where
+    `dd_scope` covers a window that fits the echo pair. The circuit of
+    logical value 1 is the one of logical value 0 started at the prelude's
+    end, with the prelude before it.
+
+    `logical_value` must be the int 0 or 1: a bool or a float is refused,
+    as for the extra delay."""
+    if isinstance(logical_value, bool) or not isinstance(logical_value, int) or logical_value not in (0, 1):
+        raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value!r}")
+    if dd_scope not in DD_SCOPES:
+        raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
+    if logical_value == 0:
+        return ()
+    schedule = _Schedule(_line_qubits(line), cal, dd_scope)
+    schedule.code_layer("x")
+    return tuple(sorted(schedule.instrs, key=_timeline_order))
+
+
 def build_repetition_circuit(
     line: BenchLine | tuple[int, ...],
     cal: DeviceCalibration,
@@ -98,9 +198,11 @@ def build_repetition_circuit(
 
     `line` is a BenchLine or a path of five qubits whose consecutive pairs
     are device edges; even positions are code qubits, odd positions
-    auxiliaries. A reset lasts as long as the qubit's x gate.
+    auxiliaries. A reset lasts as long as the qubit's x gate. The logical
+    value's `logical_prelude` follows the preparations, and the code starts
+    at its end.
     """
-    qubits = tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
+    qubits = _line_qubits(line)
     if len(qubits) != 5:
         raise CircuitBuildError(f"line must have five qubits, got {qubits}")
     if len(set(qubits)) != len(qubits):
@@ -113,59 +215,14 @@ def build_repetition_circuit(
         cx_dur.append(max(1, round(cal.cx_duration_ns[edge])))
     if encoding not in ENCODINGS:
         raise CircuitBuildError(f"unknown encoding {encoding!r}")
-    if logical_value not in (0, 1):
-        raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value}")
     if isinstance(extra_delay_ns, bool) or not isinstance(extra_delay_ns, int) or extra_delay_ns < 0:
         raise CircuitBuildError(f"extra delay must be nonnegative integer ns, got {extra_delay_ns!r}")
-    if dd_scope not in DD_SCOPES:
-        raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
+    prelude = logical_prelude(qubits, cal, logical_value, dd_scope)
 
-    # per position: the operand tuple its instructions share, its x (and
-    # reset) duration, and the shortest window it echoes, None out of scope
-    echo = range(5) if dd_scope == "all_qubits" else range(0, 5, 2) if dd_scope == "code_only" else ()
-    table = []
-    for p, q in enumerate(qubits):
-        x = max(1, round(cal.qubits[q].x_ns))
-        table.append(((q,), x, 2 * x + _MIN_ECHO_SUBDELAY_NS if p in echo else None))
-    new = tuple.__new__  # an Instruction without the namedtuple's Python-level __new__
-    instrs = [new(Instruction, ("prepare_z0", qs, 0, 0, False)) for qs, _, _ in table]
-    cursor = [0] * 5  # where each position's timeline is filled to
-
-    def barrier(time: int) -> None:
-        # fill every position's timeline up to `time` with one delay, or with
-        # the echo pair when it is in scope and the window fits it
-        for (qs, x, shortest), lo in zip(table, cursor):
-            if shortest is not None and time - lo >= shortest:
-                quarter = (time - lo - 2 * x) // 4
-                middle = time - lo - 2 * x - 2 * quarter
-                instrs.extend(
-                    (
-                        new(Instruction, ("delay", qs, lo, quarter, True)),
-                        new(Instruction, ("x", qs, lo + quarter, x, False)),
-                        new(Instruction, ("delay", qs, lo + quarter + x, middle, True)),
-                        new(Instruction, ("x", qs, time - quarter - x, x, False)),
-                        new(Instruction, ("delay", qs, time - quarter, quarter, True)),
-                    )
-                )
-            elif time > lo:
-                instrs.append(new(Instruction, ("delay", qs, lo, time - lo, False)))
-        cursor[:] = (time,) * 5
-
-    def place(gates) -> None:
-        # a gate (kind, positions, qubits, duration) starts where its
-        # positions all stand: at the last barrier, or for a reset at its own
-        # measure's end
-        for kind, ps, qs, duration in gates:
-            start = cursor[ps[0]]
-            instrs.append(new(Instruction, (kind, qs, start, duration, False)))
-            for p in ps:
-                cursor[p] = start + duration
-
-    def layer(gates) -> None:
-        # the layer ends with a barrier at its latest end
-        place(gates)
-        barrier(max(cursor))
-
+    schedule = _Schedule(qubits, cal, dd_scope, max((ins.end for ins in prelude), default=0))
+    table = schedule.table
+    schedule.instrs += (_new(Instruction, ("prepare_z0", qs, 0, 0, False)) for qs, _, _ in table)
+    schedule.instrs += prelude
     # each auxiliary couples to its left code neighbor, then its right
     cx_layers = [
         [("cx", (c, a), (qubits[c], qubits[a]), cx_dur[min(c, a)]) for c, a in pairs]
@@ -173,25 +230,23 @@ def build_repetition_circuit(
     ]
     # simultaneous auxiliary readout
     measures = [("measure", (a,), table[a][0], max(1, round(cal.qubits[qubits[a]].readout_ns))) for a in (1, 3)]
-    if logical_value == 1:
-        layer(("x", (p,), *table[p][:2]) for p in (0, 2, 4))
     if encoding == "phase_flip":
-        layer(("h", (p,), *table[p][:2]) for p in (0, 2, 4))
+        schedule.code_layer("h")
     for _ in range(ROUNDS - 1):
         for gates in cx_layers:
-            layer(gates)
+            schedule.layer(gates)
         # each measure followed by an unconditional reset
-        layer([*measures, *(("reset", (a,), *table[a][:2]) for a in (1, 3))])
+        schedule.layer([*measures, *(("reset", (a,), *table[a][:2]) for a in (1, 3))])
         # the extra delay is one window on every qubit, between the rounds
-        barrier(max(cursor) + extra_delay_ns)
+        schedule.barrier(max(schedule.cursor) + extra_delay_ns)
     # the last round ends with its measures: nothing after them reaches a
     # detector, so no reset or barrier follows
     for gates in cx_layers:
-        layer(gates)
-    place(measures)
+        schedule.layer(gates)
+    schedule.place(measures)
 
-    instrs.sort(key=_timeline_order)
-    return Circuit(line=qubits, instructions=tuple(instrs))
+    schedule.instrs.sort(key=_timeline_order)
+    return Circuit(line=qubits, instructions=tuple(schedule.instrs))
 
 
 def idle_exposure(circuit: Circuit, qubit: int) -> int:

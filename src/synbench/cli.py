@@ -4,9 +4,10 @@ A run is one JSON config file, or the same fields in a library call, each
 checked and normalised by `RunConfig`; every field has a default so a bare
 calibration path is enough. A usage error exits 1 like any config error. The
 pipeline picks each feasible qubit's line and runs in three stages over the
-device: it builds and compiles one circuit per (qubit, encoding, logical
-value), qubit by qubit; one walk over every program gives the exact
-distribution of each circuit's round-2 detector pair; then, qubit by qubit, it
+device: it builds one logical-0 circuit per (qubit, encoding) and compiles
+it once for every configured logical value, qubit by qubit; one walk over
+every program gives the exact distribution of each (encoding, logical
+value) circuit's round-2 detector pair; then, qubit by qubit, it
 samples each circuit, extracts the round-2 idle rates and assembles the qubit's
 result. Everything aggregates into a report (JSON + CSV) with device-map
 figures. Identical config and seed give byte-identical artifacts. The maps
@@ -41,7 +42,7 @@ from .analysis import (
     detection_events,
     extract_idle_rates,
 )
-from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure
+from .circuits import DD_SCOPES, ENCODINGS, build_repetition_circuit, idle_exposure, logical_prelude
 from .device import BenchLine, CalibrationError, DeviceCalibration, json_float, load_calibration, plan_device, warn_caller
 from .noise import NoiseOptions, compile_noise, guide_values
 from .render import render_device_map
@@ -271,13 +272,14 @@ def run_benchmark(config: RunConfig) -> tuple[BenchmarkReport, dict]:
         exposures: dict[int, dict[str, int]] = {q: {} for q in chosen}
 
         def programs():
-            # every circuit, built and compiled qubit by qubit as the walk reads it
+            # one logical-0 circuit per (qubit, encoding), built and compiled
+            # once for every logical value, qubit by qubit as the walk reads it
             for q, line in chosen.items():
                 try:
+                    preludes = tuple(logical_prelude(line, cal, lv, config.dd_scope) for lv in config.logical_values)
                     for encoding, extra in delays[q].items():
-                        for lv in config.logical_values:
-                            circuit = build_repetition_circuit(line, cal, encoding, lv, extra, config.dd_scope)
-                            yield compile_program(circuit, noise)
+                        circuit = build_repetition_circuit(line, cal, encoding, 0, extra, config.dd_scope)
+                        yield compile_program(circuit, noise, preludes)
                         exposures[q][encoding] = idle_exposure(circuit, q)
                 except Exception as exc:
                     raise RuntimeError(f"qubit {q}: {exc}") from exc

@@ -31,7 +31,7 @@ an X-basis delay of a line neighbour becomes a `decay` op: its decays
 (1 -> 0) flip each such receiver once, with probability eta, at the decay
 itself. No op after the last measure can change a parity, so the program
 ends there. A program holds its ops, which name what acts on which
-qubits, and one flat row of doubles with every op's probabilities in op
+qubits, and rows of doubles, each with every op's probabilities in op
 order: its parameters, then one (up, down) channel per qubit of its block
 of neighbouring qubits, lowest first:
 
@@ -40,14 +40,18 @@ of neighbouring qubits, lowest first:
     ("measure", i)              readout flip
     ("decay", i, receivers)     P(0->1), P(1->0), eta
 
-The pipeline's logical 0 and logical 1 circuits of a qubit then compile to
-programs of equal ops: their rows differ only in the channels folded into
-the first cx layer.
+A circuit compiles with one prelude per row, by default one empty prelude.
+A prelude's x gates and delays act right after the preparations, all in
+the Z basis, so they only change each qubit's channel pending after its
+preparation, and every row has the same ops. The pipeline compiles a
+qubit's logical-0 circuit once with each configured logical value's
+prelude (`circuits.logical_prelude`): row v is byte for byte the row of
+that logical value's own circuit, whose rest starts at the prelude's end.
 
 `pair_distribution(programs)` reads its programs lazily, appending each
-one's row to those of the programs with its ops, then walks the ops once
-over a probability vector on binary axes, for all the programs with those
-ops at a time behind a leading batch axis. The qubit axes come first, in
+one's rows to those of the programs with its ops, then walks the ops once
+over a probability vector on binary axes, for all the rows with those ops
+at a time behind a leading batch axis. The qubit axes come first, in
 line order; then one parity axis per measured qubit, in line order, added at
 its first measure, into which each later measure XORs its read-out bit. Each
 op is one matmul of the members' stacked matrices on the
@@ -74,8 +78,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .circuits import Circuit
-from .noise import NoiseModel
+from .circuits import Circuit, Instruction
+from .noise import IdleChannel, NoiseModel
 
 # a folded channel that flips nothing
 _NO_FLIP = (0.0, 0.0)
@@ -95,27 +99,66 @@ class BasisContractError(ValueError):
 
 @dataclass(frozen=True)
 class FrameProgram:
-    """A circuit compiled against a noise model: its ops and their probability row."""
+    """A circuit compiled against a noise model: its ops, and `rows`
+    probability rows of equal length back to back in `probs`."""
 
     ops: tuple[tuple, ...]
     probs: array
     n_qubits: int
+    rows: int = 1
 
 
-def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
-    """Lower the circuit to ops and their probability row in two sweeps over
-    its instructions, checking the tracked-basis contract.
+def _then(channel: tuple[float, float], up: float, down: float) -> tuple[float, float]:
+    """The exact Markov composition of a pending (up, down) channel, then
+    this one."""
+    was_up, was_down = channel
+    return (1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up)
+
+
+def _relaxation(ch: IdleChannel, d: int) -> tuple[float, float]:
+    """The (up, down) channel of a Z-basis qubit idling for `d` ns."""
+    f = ch.decay_fraction(d)
+    return (1.0 - ch.p0) * f, ch.p0 * f
+
+
+def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idle: list) -> list[list]:
+    """Each line qubit's channels of a prelude, in time order: an x flips
+    both ways, and a delay relaxes a Z-basis qubit."""
+    channels: list[list] = [[] for _ in index]
+    for kind, qubits, time, d, _ in sorted(prelude, key=itemgetter(2)):
+        i = index[qubits[0]]
+        if kind == "x":
+            channels[i].append((1.0, 1.0))
+        elif kind == "delay":
+            channels[i].append(_relaxation(idle[i], d))
+        else:
+            raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
+    return channels
+
+
+def compile_program(
+    circuit: Circuit, noise: NoiseModel, preludes: Iterable[Iterable[Instruction]] = ((),)
+) -> FrameProgram:
+    """Lower the circuit to ops and one probability row per prelude in two
+    sweeps over its instructions, checking the tracked-basis contract.
     Raises BasisContractError if the circuit cannot be tracked classically.
+
+    A prelude is instructions that act right after the preparations, x
+    gates and Z-basis delays only: each qubit's channels from it fold in
+    right after the qubit's preparation, in time order. Row v is therefore
+    the row of the circuit that runs prelude v first and the rest after
+    its end, and every row has the same ops.
 
     The instructions run in one stable sort by start, so instructions of
     equal start keep their order; the builder's are already in time order.
     The first sweep, made only when eta > 0 and some instruction is an h,
     records each qubit's X-basis delays as their starts and the running
     maximum of their ends. The second folds each qubit's channels into one
-    pending (up, down) pair, handed to the next op that acts on the qubit,
-    and keeps the ops and probabilities up to the last measure. A Z-basis delay [start, end) that can decay is received by a
-    line neighbour iff the latest end among the neighbour's X-basis delays
-    that start before `end`, found by one bisect, lies after `start`.
+    pending (up, down) pair per prelude, handed to the next op that acts on
+    the qubit, and keeps the ops and probabilities up to the last measure.
+    A Z-basis delay [start, end) that can decay is received by a line
+    neighbour iff the latest end among the neighbour's X-basis delays that
+    start before `end`, found by one bisect, lies after `start`.
     """
     line = circuit.line
     n = len(line)
@@ -142,10 +185,14 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                 reach.append(max(time + d, reach[-1]) if reach else time + d)
 
     idle = [noise.idle[q] for q in line]
+    folds = [_prelude_channels(prelude, index, idle) for prelude in preludes]
+    if not folds:
+        raise ValueError("compile_program needs one prelude per row, and at least one row")
     in_x = [False] * n
-    pending = [_NO_FLIP] * n
+    # per prelude: each qubit's pending channel, and its row
+    pending = [[_NO_FLIP] * n for _ in folds]
+    rows: list[list[float]] = [[] for _ in folds]
     ops: list[tuple] = []
-    probs: list[float] = []
     kept = kept_probs = 0  # the ops, and their probabilities, up to the last measure
     for kind, qubits, time, d, echoed in ordered:
         q = qubits[0]
@@ -155,8 +202,7 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             if in_x[i]:
                 up = down = ch.p_phaseflip(d, echoed)
             else:
-                f = ch.decay_fraction(d)
-                up, down = (1.0 - ch.p0) * f, ch.p0 * f
+                up, down = _relaxation(ch, d)
                 # a receiver's first k X-basis delays, those that start
                 # before this one ends, reach past its start
                 if crosstalk and down > 0.0:
@@ -169,8 +215,9 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                     if receivers:
                         lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
                         ops.append(("decay", i, receivers))
-                        probs += (up, down, eta, *(x for channel in pending[lo:hi] for x in channel))
-                        pending[lo:hi] = [_NO_FLIP] * (hi - lo)
+                        for row, own in zip(rows, pending):
+                            row += (up, down, eta, *(x for channel in own[lo:hi] for x in channel))
+                            own[lo:hi] = [_NO_FLIP] * (hi - lo)
                         continue
         elif kind == "x":
             if in_x[i]:  # an x on an X-basis qubit changes only the phase
@@ -185,16 +232,20 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
             ops.append(("cx", i, j))
             lo, hi = (i, j) if i < j else (j, i)
-            probs += (noise.cx[c, t], *pending[lo], *pending[hi])
-            pending[i] = pending[j] = _NO_FLIP
+            eps = noise.cx[c, t]
+            for row, own in zip(rows, pending):
+                row += (eps, *own[lo], *own[hi])
+                own[i] = own[j] = _NO_FLIP
             continue
         elif kind == "measure":
             if in_x[i]:
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
             ops.append(("measure", i))
-            probs += (noise.readout[q], *pending[i])
-            pending[i] = _NO_FLIP
-            kept, kept_probs = len(ops), len(probs)
+            flip = noise.readout[q]
+            for row, own in zip(rows, pending):
+                row += (flip, *own[i])
+                own[i] = _NO_FLIP
+            kept, kept_probs = len(ops), len(rows[0])
             continue
         elif kind in ("prepare_z0", "reset"):
             # whatever the old bit, the new bit is 1 with probability p; any
@@ -207,10 +258,17 @@ def compile_program(circuit: Circuit, noise: NoiseModel) -> FrameProgram:
             continue
         else:
             raise BasisContractError(f"unknown instruction kind {kind!r}")
-        # the exact Markov composition of the qubit's pending channel, then this one
-        was_up, was_down = pending[i]
-        pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
-    return FrameProgram(ops=tuple(ops[:kept]), probs=array("d", probs[:kept_probs]), n_qubits=n)
+        for own in pending:
+            own[i] = _then(own[i], up, down)
+        if kind == "prepare_z0":
+            # each prelude's channels of this qubit act right after its preparation
+            for own, fold in zip(pending, folds):
+                for channel in fold[i]:
+                    own[i] = _then(own[i], *channel)
+    probs = array("d")
+    for row in rows:
+        probs.extend(row[:kept_probs])
+    return FrameProgram(ops=tuple(ops[:kept]), probs=probs, n_qubits=n, rows=len(rows))
 
 
 def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:
@@ -303,24 +361,25 @@ def _matrices(placed: list[tuple[int, tuple]], probs: np.ndarray) -> list[np.nda
 
 def pair_distribution(programs: Iterable[FrameProgram]) -> list[np.ndarray]:
     """The exact outcome probabilities of every program's measured qubits'
-    parities, one array per program: for a benchmark circuit, the 4 cells
-    of the round-2 detector pair, cell 2 d_left + d_right.
+    parities, one array per row, programs in order and each program's rows
+    in order: for a benchmark circuit, the 4 cells of the round-2 detector
+    pair, cell 2 d_left + d_right.
 
     A measured qubit's parity is the XOR of all its read-out bits. Cell r
     holds the outcome whose k-th measured qubit in line order has bit k of
     r, counted from the most significant end. `programs` is read once,
-    lazily: each program's row is appended to those of the programs with
+    lazily: each program's rows are appended to those of the programs with
     its ops and qubit count, and the program is released before the next is
-    read. Programs with equal ops are walked together, in one pass behind a
+    read. Rows with equal ops are walked together, in one pass behind a
     leading batch axis.
     """
     classes: dict[tuple, tuple[list[int], bytearray]] = {}
     count = 0
     for program in programs:
         members, rows = classes.setdefault((program.n_qubits, program.ops), ([], bytearray()))
-        members.append(count)
+        members += range(count, count + program.rows)
         rows += program.probs
-        count += 1
+        count += program.rows
         del program  # released before the next one is made
     out: dict[int, np.ndarray] = {}
     for (nq, ops), (members, rows) in classes.items():

@@ -11,7 +11,15 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from synbench.circuits import DD_SCOPES, ENCODINGS, Circuit, Instruction, _timeline_order, build_repetition_circuit
+from synbench.circuits import (
+    DD_SCOPES,
+    ENCODINGS,
+    Circuit,
+    Instruction,
+    _timeline_order,
+    build_repetition_circuit,
+    logical_prelude,
+)
 from synbench.cli import RunConfig, _extra_delay_ns
 from synbench.device import DeviceCalibration, QubitCalibration, canonical_edge, plan_device
 from synbench.noise import CHANNEL_NAMES, NoiseOptions
@@ -205,14 +213,27 @@ def load_bench_module(name: str, monkeypatch):
     return module
 
 
-def pipeline_circuits(cal):
-    """Every circuit the pipeline builds for `cal` at each dd_scope, with
-    the default config's extra delay."""
+def pipeline_pairs(cal, scopes=DD_SCOPES):
+    """Per dd_scope, qubit and encoding of the pipeline on `cal`, with the
+    default config's extra delay: the dd_scope, the logical preludes of 0
+    and 1, and the circuits built at logical 0 and at logical 1."""
     config = RunConfig(calibration="")
     lines = {q: line for q, line in plan_device(cal).items() if line is not None}
-    for scope, (q, line), encoding, lv in itertools.product(DD_SCOPES, sorted(lines.items()), ENCODINGS, (0, 1)):
-        extra = _extra_delay_ns(config, cal, q, encoding)
-        yield scope, build_repetition_circuit(line, cal, encoding, lv, extra_delay_ns=extra, dd_scope=scope)
+    for scope, (q, line) in itertools.product(scopes, sorted(lines.items())):
+        preludes = tuple(logical_prelude(line, cal, lv, scope) for lv in (0, 1))
+        for encoding in ENCODINGS:
+            extra = _extra_delay_ns(config, cal, q, encoding)
+            pair = tuple(build_repetition_circuit(line, cal, encoding, lv, extra, scope) for lv in (0, 1))
+            yield scope, preludes, pair
+
+
+def pipeline_circuits(cal):
+    """Every circuit the pipeline compiles for `cal` at each dd_scope, each
+    logical value's as built on its own, with the default config's extra
+    delay."""
+    for scope, _, pair in pipeline_pairs(cal):
+        for circuit in pair:
+            yield scope, circuit
 
 
 def sample_shots(circuit, noise, shots: int, seed) -> np.ndarray:

@@ -65,17 +65,19 @@ def test_traced_run_gives_every_layer_metric(tracing, tmp_path):
     names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]}
     assert set(metrics) <= names
     assert {n for n in names if not n.startswith(("trace.", "workload."))} <= set(metrics)
+    # the run builds and compiles one logical-0 circuit per (qubit,
+    # encoding), and samples and estimates each configured logical value
     cal = load_calibration(cal_path)
     circuits = [
         build_repetition_circuit(
-            line, cal, encoding, lv, synbench.cli._extra_delay_ns(config, cal, q, encoding), config.dd_scope
+            line, cal, encoding, 0, synbench.cli._extra_delay_ns(config, cal, q, encoding), config.dd_scope
         )
         for q, line in plan_device(cal).items()
         if line is not None
         for encoding in config.encodings
-        for lv in config.logical_values
     ]
-    assert len(circuits) == 4  # the centre qubit's two encodings and logical values
-    assert metrics["simulator.shots"] == len(circuits) * config.shots
-    assert metrics["analysis.resamples"] == len(circuits) * BOOTSTRAP_RESAMPLES
+    assert len(circuits) == 2 and len(config.logical_values) == 2  # the centre qubit's two encodings
+    assert metrics["circuits.builds"] == metrics["simulator.compiles"] == len(circuits)
+    assert metrics["simulator.shots"] == 2 * len(circuits) * config.shots
+    assert metrics["analysis.resamples"] == 2 * len(circuits) * BOOTSTRAP_RESAMPLES
     assert metrics["circuits.instructions"] == sum(len(c.instructions) for c in circuits)

@@ -17,6 +17,7 @@ from synbench.circuits import (
     _timeline_order,
     build_repetition_circuit,
     idle_exposure,
+    logical_prelude,
 )
 from synbench.device import canonical_edge, plan_device
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     make_line_cal,
     per_qubit,
     pipeline_circuits,
+    pipeline_pairs,
     timeline_text,
     with_final_readout,
 )
@@ -212,6 +214,32 @@ def test_logical_one_adds_x_on_code_qubits(cal):
     assert shape[:5] == gate_shape(zero)[:5]  # preparations
     assert shape[5:8] == [("x", (q,)) for q in code_qubits(zero)]
     assert shape[8:] == gate_shape(zero)[5:]
+
+
+def test_logical_one_circuit_is_its_prelude_then_the_logical_zero_circuit(falcon):
+    # the logical-1 circuit is the preparations, the logical-1 prelude from
+    # t = 0, and the rest of the logical-0 circuit started at the prelude's
+    # end: every falcon27 pipeline pair at each dd_scope
+    checked = 0
+    for _, (none, prelude), (zero, one) in pipeline_pairs(falcon):
+        assert none == () and {ins.kind for ins in prelude} == {"x", "delay"}
+        end = max(ins.end for ins in prelude)
+        preps, rest = zero.instructions[:5], zero.instructions[5:]
+        assert {ins.kind for ins in preps} == {"prepare_z0"} and min(ins.start for ins in rest) == 0
+        shifted = [ins._replace(start=ins.start + end) for ins in rest]
+        assert one.instructions == tuple(sorted([*preps, *prelude, *shifted], key=_timeline_order))
+        checked += 1
+    assert checked == 3 * 42
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, 2], ids=["true", "false", "float-one", "two"])
+def test_logical_value_must_be_the_int_0_or_1(cal, value):
+    # checked once, in logical_prelude, by the extra delay's rule: a bool or
+    # a float is refused even where it equals 0 or 1
+    with pytest.raises(CircuitBuildError, match="logical value must be 0 or 1"):
+        logical_prelude(LINE, cal, value)
+    with pytest.raises(CircuitBuildError, match="logical value must be 0 or 1"):
+        build(cal, logical_value=value)
 
 
 def test_phase_flip_adds_one_hadamard_layer(cal):

@@ -30,7 +30,7 @@ from synbench.cli import ConfigError, RunConfig, main, run_benchmark
 from synbench.device import CalibrationError, enumerate_lines, load_calibration, plan_device, select_line
 from synbench.noise import NoiseOptions
 from conftest import falcon_bytes
-from helpers import line_calibration_doc
+from helpers import line_calibration_doc, pipeline_pairs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -780,7 +780,8 @@ def test_failing_build_or_compile_is_runtime_error_naming_its_qubit(tmp_path, ca
 
 
 def test_run_walks_the_device_once(tmp_path, cal_path, monkeypatch):
-    # one pair_distribution call reads every program of the run
+    # one pair_distribution call reads every program of the run: one per
+    # (qubit, encoding), with one row per logical value
     calls = []
     original = cli.pair_distribution
 
@@ -791,7 +792,8 @@ def test_run_walks_the_device_once(tmp_path, cal_path, monkeypatch):
     monkeypatch.setattr(cli, "pair_distribution", counting)
     config = RunConfig.from_file(write_config(tmp_path, cal_path, encodings=list(ENCODINGS), logical_values=[0, 1]))
     report, _ = run_benchmark(config)
-    assert len(calls) == 1 and len(calls[0]) == 4 * len(report.results) == 4 * 21
+    assert len(calls) == 1 and len(calls[0]) == 2 * len(report.results) == 2 * 21
+    assert [program.rows for program in calls[0]] == [2] * 2 * 21
 
 
 def test_run_bare_cal_uses_defaults(tmp_path, cal_path, capsys, monkeypatch):
@@ -870,6 +872,35 @@ def test_single_logical_value_guides_p01_by_its_direction(tmp_path, cal_path, lv
     for result in report.results:
         assert result.guides["p_01"] == result.guides[direction]
         assert result.rates["p_01"] == result.rates[direction]
+
+
+def test_logical_values_share_each_circuits_exposure(falcon):
+    # the run reads exposures from the logical-0 circuit alone: the
+    # logical-1 circuit idles alike on every qubit once its prelude ends,
+    # on every falcon27 pipeline pair at each dd_scope
+    from synbench.circuits import idle_exposure
+
+    checked = 0
+    for _, _, (zero, one) in pipeline_pairs(falcon):
+        assert [idle_exposure(zero, q) for q in zero.line] == [idle_exposure(one, q) for q in one.line]
+        checked += 1
+    assert checked == 3 * 42
+
+
+def test_each_direction_reads_its_own_circuit_whatever_the_logical_values(tmp_path, cal_path):
+    # a logical value's circuit is one row of its qubit's program, seeded
+    # by its value: runs with logical values [0, 1], [1] and [1, 0] read
+    # the same p_0to1 and p_1to0 wherever they measure them
+    rates = {}
+    for lvs in ([0, 1], [1], [1, 0]):
+        out = tmp_path / "-".join(map(str, lvs))
+        report, _ = run_benchmark(RunConfig.from_file(write_config(tmp_path, cal_path, logical_values=lvs, output_dir=str(out))))
+        rates[tuple(lvs)] = {result.qubit: result.rates for result in report.results}
+    assert len(rates[0, 1]) == 21
+    for q, both in rates[0, 1].items():
+        assert "p_0to1" not in rates[1,][q]
+        assert rates[1, 0][q]["p_0to1"] == both["p_0to1"]
+        assert rates[1, 0][q]["p_1to0"] == rates[1,][q]["p_1to0"] == both["p_1to0"]
 
 
 @pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])

@@ -52,3 +52,20 @@ def test_oracles_import_only_classes_from_the_library():
     assert imported
     modules = {module: importlib.import_module(module) for module, _ in imported}
     assert [name for module, name in imported if not inspect.isclass(getattr(modules[module], name))] == []
+
+
+def test_simulator_takes_only_types_from_circuits():
+    # the lowering stays independent of the placement rules: what it takes
+    # from the circuits module is the types it reads, never the builder or
+    # logical_prelude, and never the module itself
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / "simulator.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "circuits"), (0, "synbench.circuits")):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            assert "circuits" not in [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            assert "synbench.circuits" not in [alias.name for alias in node.names]
+    assert imported
+    circuits = importlib.import_module("synbench.circuits")
+    assert [name for name in imported if not inspect.isclass(getattr(circuits, name))] == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from synbench.analysis import BOOTSTRAP_RESAMPLES, detection_events, estimate_from_moments, extract_idle_rates
-from synbench.circuits import Circuit, Instruction, build_repetition_circuit
+from synbench.circuits import Circuit, Instruction, build_repetition_circuit, logical_prelude
 from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, compile_program, pair_distribution, run_shots
@@ -23,6 +23,7 @@ from helpers import (
     load_bench_module,
     make_line_cal,
     pipeline_circuits,
+    pipeline_pairs,
     random_line_cases,
     sample_records,
     sample_shots,
@@ -447,9 +448,9 @@ def test_no_op_is_a_preparation(falcon, crosstalk):
     assert checked == 3 * 84
 
 
-def program_bytes(circuit: Circuit, noise) -> tuple:
-    """A circuit's compiled ops, and its probability row as bytes."""
-    program = compile_program(circuit, noise)
+def program_bytes(circuit: Circuit, noise, preludes=((),)) -> tuple:
+    """A circuit's compiled ops, and its probability rows as bytes."""
+    program = compile_program(circuit, noise, preludes)
     return program.ops, program.probs.tobytes()
 
 
@@ -733,6 +734,40 @@ def test_paired_walk_matches_each_programs_own_walk(falcon, crosstalk):
 
 
 @pytest.mark.parametrize(
+    "options", [NoiseOptions(), NoiseOptions(crosstalk_eta=0.3, prep_error=0.02)], ids=["default", "weak_crosstalk"]
+)
+def test_prelude_rows_equal_each_logical_values_own_compile(falcon, monkeypatch, options):
+    # the pipeline compiles a qubit's logical-0 circuit once with the
+    # preludes of logical 0 and 1: row v has the ops and the row bytes of
+    # the circuit built at logical value v, on every falcon27 pipeline
+    # circuit at each dd_scope and on the 250 (qubit, encoding) pairs of
+    # the benchmark's seed-1 heavy-hex device at dd_scope none
+    heavy_hex = load_calibration(json.dumps(load_bench_module("workloads", monkeypatch).heavy_hex_calibration(1)))
+    cases = [(falcon, case) for case in pipeline_pairs(falcon)]
+    cases += [(heavy_hex, case) for case in pipeline_pairs(heavy_hex, ("none",))]
+    assert len(cases) == 3 * 42 + 250
+    models = {id(cal): compile_noise(cal, options) for cal in (falcon, heavy_hex)}
+    for cal, (_, preludes, pair) in cases:
+        noise = models[id(cal)]
+        program = compile_program(pair[0], noise, preludes)
+        rows = [program_bytes(circuit, noise) for circuit in pair]
+        assert program.rows == 2 and all(ops == program.ops for ops, _ in rows)
+        assert program.probs.tobytes() == b"".join(row for _, row in rows)
+
+
+@pytest.mark.parametrize("kind, qubits", [("h", (2,)), ("cx", (2, 1)), ("measure", (1,))])
+def test_a_prelude_holds_only_x_gates_and_delays(cal, kind, qubits):
+    prelude = (Instruction("x", (2,), 0, 10), Instruction(kind, qubits, 10, 20))
+    with pytest.raises(BasisContractError, match=f"prelude holds '{kind}'"):
+        compile_program(build(cal), compile_noise(cal), ((), prelude))
+
+
+def test_a_program_has_at_least_one_row(cal):
+    with pytest.raises(ValueError, match="at least one row"):
+        compile_program(build(cal), compile_noise(cal), ())
+
+
+@pytest.mark.parametrize(
     "options",
     [NoiseOptions(), NoiseOptions(crosstalk_eta=0.3), NoiseOptions(prep_error=0.05)],
     ids=["eta-1", "eta-0.3", "prep-0.05"],
@@ -781,6 +816,20 @@ def test_cells_match_the_reference_walk_on_random_lines(case):
     (pi,) = pair_distribution([compile_program(circuit, noise)])
     reference = pair_cells(circuit, reference_record_distribution(circuit, reference_compile_program(circuit, noise)))
     assert np.abs(pi - reference).max() <= 1e-14
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=random_line_cases())
+def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines(case):
+    # the logical-0 circuit compiled with the logical-1 prelude against the
+    # logical-1 circuit's own compile, byte for byte, on random per-qubit
+    # calibrations and options; the 10-100 ns x durations make some
+    # examples' preludes echo their barrier window
+    cal, options, kwargs = case
+    noise = compile_noise(cal, options)
+    prelude = logical_prelude(LINE, cal, 1, kwargs["dd_scope"])
+    folded = program_bytes(build(cal, **dict(kwargs, logical_value=0)), noise, (prelude,))
+    assert folded == program_bytes(build(cal, **dict(kwargs, logical_value=1)), noise)
 
 
 def test_programs_of_different_structures_are_walked_apart():
