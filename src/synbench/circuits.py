@@ -95,8 +95,17 @@ class Circuit:
     instructions: tuple[Instruction, ...]
 
 
-def _line_qubits(line: BenchLine | tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
+def _line_qubits(line: BenchLine | tuple[int, ...], cal: DeviceCalibration) -> tuple[int, ...]:
+    """The line's five distinct qubits, a path of device edges, or a CircuitBuildError."""
+    qubits = tuple(line.qubits) if isinstance(line, BenchLine) else tuple(line)
+    if len(qubits) != 5:
+        raise CircuitBuildError(f"line must have five qubits, got {qubits}")
+    if len(set(qubits)) != len(qubits):
+        raise CircuitBuildError(f"line has repeated qubits: {qubits}")
+    for a, b in zip(qubits, qubits[1:]):
+        if canonical_edge(a, b) not in cal.edges:
+            raise CircuitBuildError(f"({a}, {b}) is not an edge of the device graph")
+    return qubits
 
 
 class _Schedule:
@@ -172,15 +181,16 @@ def logical_prelude(
     logical value 1 is the one of logical value 0 started at the prelude's
     end, with the prelude before it.
 
-    `logical_value` must be the int 0 or 1: a bool or a float is refused,
-    as for the extra delay."""
+    `line` is checked as by the builder, and `logical_value` must be the int
+    0 or 1: a bool or a float is refused, as for the extra delay."""
+    qubits = _line_qubits(line, cal)
     if isinstance(logical_value, bool) or not isinstance(logical_value, int) or logical_value not in (0, 1):
         raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value!r}")
     if dd_scope not in DD_SCOPES:
         raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
     if logical_value == 0:
         return ()
-    schedule = _Schedule(_line_qubits(line), cal, dd_scope)
+    schedule = _Schedule(qubits, cal, dd_scope)
     schedule.code_layer("x")
     return tuple(sorted(schedule.instrs, key=_timeline_order))
 
@@ -202,17 +212,9 @@ def build_repetition_circuit(
     value's `logical_prelude` follows the preparations, and the code starts
     at its end.
     """
-    qubits = _line_qubits(line)
-    if len(qubits) != 5:
-        raise CircuitBuildError(f"line must have five qubits, got {qubits}")
-    if len(set(qubits)) != len(qubits):
-        raise CircuitBuildError(f"line has repeated qubits: {qubits}")
-    cx_dur = []  # edge p joins positions p and p + 1
-    for a, b in zip(qubits, qubits[1:]):
-        edge = canonical_edge(a, b)
-        if edge not in cal.edges:
-            raise CircuitBuildError(f"({a}, {b}) is not an edge of the device graph")
-        cx_dur.append(max(1, round(cal.cx_duration_ns[edge])))
+    qubits = _line_qubits(line, cal)
+    # edge p joins positions p and p + 1
+    cx_dur = [max(1, round(cal.cx_duration_ns[canonical_edge(a, b)])) for a, b in zip(qubits, qubits[1:])]
     if encoding not in ENCODINGS:
         raise CircuitBuildError(f"unknown encoding {encoding!r}")
     if isinstance(extra_delay_ns, bool) or not isinstance(extra_delay_ns, int) or extra_delay_ns < 0:

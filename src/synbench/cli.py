@@ -10,7 +10,8 @@ every program gives the exact distribution of each (encoding, logical
 value) circuit's round-2 detector pair; then, qubit by qubit, it
 samples each circuit, extracts the round-2 idle rates and assembles the qubit's
 result. Everything aggregates into a report (JSON + CSV) with device-map
-figures. Identical config and seed give byte-identical artifacts. The maps
+figures. Identical config and seed give byte-identical artifacts, and a
+circuit's draws depend on nothing else the run measures. The maps
 are drawn before any file is written, because a map is the only artifact a
 run can refuse, and `report.json` is streamed into its file by `json.dump`,
 so no run holds the report's text.
@@ -209,10 +210,10 @@ def benchmark_qubit(
     combining the estimates and the guides alike."""
     measured: dict[tuple[str, int], tuple[RateEstimate, float]] = {}
     dd = config.dd_scope != "none"
-    for enc_idx, encoding in enumerate(config.encodings):
+    for encoding in config.encodings:
         for lv in config.logical_values:
-            # one stream per circuit: its shots, then its bootstrap resamples
-            rng = np.random.default_rng((config.seed, qubit, enc_idx, lv))
+            # one stream per circuit, keyed by what it is: its shots, then its resamples
+            rng = np.random.default_rng((config.seed, qubit, ENCODINGS.index(encoding), lv))
             shots = run_shots(cells[encoding, lv], config.shots, seed=rng)
             try:
                 est = extract_idle_rates(detection_events(shots), resamples=BOOTSTRAP_RESAMPLES, seed=rng)

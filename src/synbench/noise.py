@@ -1,12 +1,13 @@
 """Stochastic error channels compiled from device calibration.
 
-Idle channels follow the standard relaxation/dephasing picture: over an idle
-time t, the two bit-flip directions sum to 1 - exp(-t/T1) and split according
-to the equilibrium population p0, while the phase-flip probability is
-(1 - exp(-t/T2)) / 2 for echoed idles and uses the shorter free-induction
-time T2* when no echo is present. A cx with calibrated error rate eps applies
-one of the 15 non-identity two-qubit Paulis uniformly at random with
-probability eps; readout flips the recorded bit with the calibrated error.
+Idle channels follow the standard relaxation/dephasing picture, defined
+once in `IdleChannel.channel`: over an idle time t in the Z basis, the two
+bit-flip directions sum to 1 - exp(-t/T1) and split by the equilibrium
+population p0; in the X basis both are the phase flip (1 - exp(-t/T2)) / 2
+when echoed, over the shorter free-induction time T2* when not. A cx with
+calibrated error rate eps applies one of the 15 non-identity two-qubit
+Paulis uniformly at random with probability eps; readout flips the
+recorded bit with the calibrated error.
 
 Cross-talk is modeled phenomenologically: a relaxation event (1 -> 0) during
 a delay inflicts a phase flip with probability eta, once per neighbour, at
@@ -53,17 +54,20 @@ class IdleChannel:
             return 0.0
         return -math.expm1(-t_ns / self.t1_ns)
 
-    def p_1to0(self, t_ns: float) -> float:
-        return self.p0 * self.decay_fraction(t_ns)
-
-    def p_0to1(self, t_ns: float) -> float:
-        return (1.0 - self.p0) * self.decay_fraction(t_ns)
-
     def p_phaseflip(self, t_ns: float, echoed: bool) -> float:
         if t_ns <= 0:
             return 0.0
         timescale = self.t2_ns if echoed else self.t2_star_ns
         return -math.expm1(-t_ns / timescale) / 2.0
+
+    def channel(self, t_ns: float, x_basis: bool, echoed: bool = False) -> tuple[float, float]:
+        """One idle delay's (P(0->1), P(1->0)): the phase flip both ways in
+        the X basis, the relaxation split by p0 in the Z basis."""
+        if x_basis:
+            p = self.p_phaseflip(t_ns, echoed)
+            return p, p
+        f = self.decay_fraction(t_ns)
+        return (1.0 - self.p0) * f, self.p0 * f
 
 
 @dataclass(frozen=True)
@@ -136,16 +140,14 @@ def guide_values(
     """The T1/T2 prediction for one circuit's idle error over a delay of t,
     to set beside that circuit's estimate.
 
-    The phase-flip encoding's guide is the phase-flip probability, over T2
-    when echoed and T2* when not. Without echoing, relaxation acts on a
-    resting state: logical 1 decays with p_1to0 = p0 * (1 - exp(-t/T1)) and
-    logical 0 excites with its p0-complement. With echoing the state spends
+    The guide is the logical value's direction of the delay's
+    `IdleChannel.channel`: the phase flip over T2 when echoed and T2* when
+    not, or unechoed relaxation from rest, p0 * (1 - exp(-t/T1)) at logical
+    1 and its p0-complement at logical 0. An echoed bit-flip state spends
     half the delay flipped, so both directions collapse onto the
     symmetrized 1 - exp(-(t/2)/T1). Every channel gives 0 for t <= 0.
     """
     ch = IdleChannel.of(cal.qubits[qubit])
-    if encoding == "phase_flip":
-        return ch.p_phaseflip(t_delay_ns, echoed=dd)
-    if dd:
+    if dd and encoding == "bit_flip":
         return ch.decay_fraction(t_delay_ns / 2.0)
-    return ch.p_1to0(t_delay_ns) if logical_value == 1 else ch.p_0to1(t_delay_ns)
+    return ch.channel(t_delay_ns, encoding == "phase_flip", dd)[logical_value]

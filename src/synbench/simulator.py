@@ -16,24 +16,26 @@ both, so the error flips (control, target) by (0, 1), (1, 0) or (1, 1) with
 probability 4 eps / 15 each.
 
 Every single-qubit map, preparation and reset included, is a 2x2 channel
-(P(0->1), P(1->0)): x flips are (1, 1), dephasing (p, p), relaxation its
-two directions, and a preparation with flip p is (p, 1 - p), which sets the
-bit whatever it was (a reset has p = 0). `compile_program` sweeps the
-instructions twice, stably sorted by start: once to note each qubit's
-X-basis delays, then once to emit the ops. The first sweep runs only when
-crosstalk can act: eta > 0 and the circuit has an h, since only an h puts a
-qubit in the X basis. As the second sweep goes, it composes each qubit's
-channels between two ops that act on it into one exact Markov composition,
-folded into the next such op as an (up, down) pair, so the program has no
-channel ops; the end of the program discards the rest. A preparation forgets what came before it, since any channel
-followed by it equals it. Each Z-basis delay that can decay and overlaps
-an X-basis delay of a line neighbour becomes a `decay` op: its decays
-(1 -> 0) flip each such receiver once, with probability eta, at the decay
-itself. No op after the last measure can change a parity, so the program
-ends there. A program holds its ops, which name what acts on which
-qubits, and rows of doubles, each with every op's probabilities in op
-order: its parameters, then one (up, down) channel per qubit of its block
-of neighbouring qubits, lowest first:
+(P(0->1), P(1->0)): x flips are (1, 1), a delay is its qubit's
+`IdleChannel.channel` in the qubit's basis (dephasing (p, p) in the X
+basis, relaxation's two directions in the Z basis), and a preparation with
+flip p is (p, 1 - p), which sets the bit whatever it was (a reset has
+p = 0). `compile_program` sweeps the instructions twice, stably sorted by
+start: once to note each qubit's X-basis delays, then once to emit the
+ops. The first sweep runs only when crosstalk can act: eta > 0 and the
+circuit has an h, since only an h puts a qubit in the X basis. As the
+second sweep goes, it composes each qubit's channels between two ops that
+act on it into one exact Markov composition, folded into the next such op
+as an (up, down) pair, so the program has no channel ops; the end of the
+program discards the rest. A preparation forgets what came before it,
+since any channel followed by it equals it. Each Z-basis delay that can
+decay and overlaps an X-basis delay of a line neighbour becomes a `decay`
+op: its decays (1 -> 0) flip each such receiver once, with probability
+eta, at the decay itself. No op after the last measure can change a
+parity, so the program ends there. A program holds its ops, which name
+what acts on which qubits, and rows of doubles, each with every op's
+probabilities in op order: its parameters, then one (up, down) channel per
+qubit of its block of neighbouring qubits, lowest first:
 
     op                          its parameters
     ("cx", control, target)     eps
@@ -79,7 +81,7 @@ from operator import itemgetter
 import numpy as np
 
 from .circuits import Circuit, Instruction
-from .noise import IdleChannel, NoiseModel
+from .noise import NoiseModel
 
 # a folded channel that flips nothing
 _NO_FLIP = (0.0, 0.0)
@@ -115,12 +117,6 @@ def _then(channel: tuple[float, float], up: float, down: float) -> tuple[float, 
     return (1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up)
 
 
-def _relaxation(ch: IdleChannel, d: int) -> tuple[float, float]:
-    """The (up, down) channel of a Z-basis qubit idling for `d` ns."""
-    f = ch.decay_fraction(d)
-    return (1.0 - ch.p0) * f, ch.p0 * f
-
-
 def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idle: list) -> list[list]:
     """Each line qubit's channels of a prelude, in time order: an x flips
     both ways, and a delay relaxes a Z-basis qubit."""
@@ -130,7 +126,7 @@ def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idl
         if kind == "x":
             channels[i].append((1.0, 1.0))
         elif kind == "delay":
-            channels[i].append(_relaxation(idle[i], d))
+            channels[i].append(idle[i].channel(d, False))
         else:
             raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
     return channels
@@ -198,27 +194,24 @@ def compile_program(
         q = qubits[0]
         i = index[q]
         if kind == "delay":
-            ch = idle[i]
-            if in_x[i]:
-                up = down = ch.p_phaseflip(d, echoed)
-            else:
-                up, down = _relaxation(ch, d)
-                # a receiver's first k X-basis delays, those that start
-                # before this one ends, reach past its start
-                if crosstalk and down > 0.0:
-                    end = time + d
-                    receivers = tuple(
-                        j
-                        for j in (i - 1, i + 1)
-                        if 0 <= j < n and (k := bisect_left(x_starts[j], end)) and x_reach[j][k - 1] > time
-                    )
-                    if receivers:
-                        lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
-                        ops.append(("decay", i, receivers))
-                        for row, own in zip(rows, pending):
-                            row += (up, down, eta, *(x for channel in own[lo:hi] for x in channel))
-                            own[lo:hi] = [_NO_FLIP] * (hi - lo)
-                        continue
+            up, down = idle[i].channel(d, in_x[i], echoed)
+            # a Z-basis delay that can decay reaches a receiver whose first
+            # k X-basis delays, those that start before this one ends,
+            # reach past its start
+            if crosstalk and not in_x[i] and down > 0.0:
+                end = time + d
+                receivers = tuple(
+                    j
+                    for j in (i - 1, i + 1)
+                    if 0 <= j < n and (k := bisect_left(x_starts[j], end)) and x_reach[j][k - 1] > time
+                )
+                if receivers:
+                    lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
+                    ops.append(("decay", i, receivers))
+                    for row, own in zip(rows, pending):
+                        row += (up, down, eta, *(x for channel in own[lo:hi] for x in channel))
+                        own[lo:hi] = [_NO_FLIP] * (hi - lo)
+                    continue
         elif kind == "x":
             if in_x[i]:  # an x on an X-basis qubit changes only the phase
                 continue

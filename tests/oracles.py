@@ -670,7 +670,8 @@ def reference_compile_program(
         elif ins.kind == "delay":
             ch = noise.idle[q]
             if basis[q] == "Z":
-                p10, p01 = ch.p_1to0(ins.duration), ch.p_0to1(ins.duration)
+                f = ch.decay_fraction(ins.duration)
+                p10, p01 = ch.p0 * f, (1.0 - ch.p0) * f
                 token = len(segments) if p10 > 0.0 and eta > 0.0 else -1
                 emit(time, phase, ("relax", i, p01, p10, token) if token >= 0 else ("channel", i, p01, p10))
                 segments.append(_Segment(q, i, ins.start, ins.end, "Z", token, len(segments)))

@@ -336,17 +336,17 @@ def test_criterion_8_unit_identities():
         t = rng.uniform(0.0, 1e7)
         ch = IdleChannel(t1_ns=t1, t2_ns=t2, t2_star_ns=0.5 * t2, p0=p0)
         f = -math.expm1(-t / t1)
-        worst = max(worst, abs(ch.p_0to1(t) + ch.p_1to0(t) - f))
-        if ch.p_1to0(t) > 0:
-            worst = max(
-                worst, abs(ch.p_0to1(t) / ch.p_1to0(t) - (1.0 - p0) / p0) * min(1.0, p0)
-            )
+        up, down = ch.channel(t, x_basis=False)
+        worst = max(worst, abs(up + down - f))
+        if down > 0:
+            worst = max(worst, abs(up / down - (1.0 - p0) / p0) * min(1.0, p0))
         worst = max(worst, abs(ch.p_phaseflip(t, True) - (-math.expm1(-t / t2) / 2.0)))
     huge = 1e15
     ch = IdleChannel(t1_ns=1e4, t2_ns=1e4, t2_star_ns=5e3, p0=0.93)
+    up, down = ch.channel(huge, x_basis=False)
     limits_ok = (
-        abs(ch.p_1to0(huge) - 0.93) < 1e-9
-        and abs(ch.p_0to1(huge) - 0.07) < 1e-9
+        abs(down - 0.93) < 1e-9
+        and abs(up - 0.07) < 1e-9
         and abs(ch.p_phaseflip(huge, True) - 0.5) < 1e-9
     )
     _verdict(

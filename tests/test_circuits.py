@@ -242,6 +242,25 @@ def test_logical_value_must_be_the_int_0_or_1(cal, value):
         build(cal, logical_value=value)
 
 
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ((0, 1, 4, 7), "five qubits"),
+        ((0, 1, 4, 7, 10, 12), "five qubits"),
+        ((0, 1, 4, 7, 1), "repeated qubits"),
+        ((0, 2, 1, 4, 7), r"\(0, 2\) is not an edge"),
+    ],
+    ids=["four-qubits", "six-qubits", "repeated-qubit", "not-a-path"],
+)
+@pytest.mark.parametrize("logical_value", [0, 1])
+def test_logical_prelude_checks_its_line_as_the_builder_does(falcon, line, match, logical_value):
+    # the line is checked in one place, whichever of the two reads it
+    with pytest.raises(CircuitBuildError, match=match):
+        logical_prelude(line, falcon, logical_value)
+    with pytest.raises(CircuitBuildError, match=match):
+        build_repetition_circuit(line, falcon, logical_value=logical_value)
+
+
 def test_phase_flip_adds_one_hadamard_layer(cal):
     bit, phase = build(cal), build(cal, encoding="phase_flip")
     hs = [("h", (q,)) for q in code_qubits(bit)]

@@ -232,9 +232,9 @@ def test_reported_lines_agree_with_selection(tmp_path, cal_path):
 
 
 def test_no_generator_seed_is_used_twice(tmp_path, cal_path, monkeypatch):
-    # each circuit seeds one generator, from its own (seed, qubit, encoding
-    # index, logical value), and draws its shots and then its bootstrap
-    # resamples from it
+    # each circuit seeds one generator, from its own (seed, qubit, index of
+    # its encoding in ENCODINGS, logical value), and draws its shots and
+    # then its bootstrap resamples from it
     seeded, drawn = [], []
     default_rng = np.random.default_rng
 
@@ -901,6 +901,26 @@ def test_each_direction_reads_its_own_circuit_whatever_the_logical_values(tmp_pa
         assert "p_0to1" not in rates[1,][q]
         assert rates[1, 0][q]["p_0to1"] == both["p_0to1"]
         assert rates[1, 0][q]["p_1to0"] == rates[1,][q]["p_1to0"] == both["p_1to0"]
+
+
+def test_each_circuit_draws_the_same_whatever_the_other_encodings(tmp_path, cal_path):
+    # a circuit's stream is keyed by its encoding, not by the encoding's
+    # place in the config: runs with encodings [bit_flip, phase_flip],
+    # [phase_flip], [phase_flip, bit_flip] and [bit_flip] read the same
+    # RateEstimate for every rate they share
+    rates = {}
+    for encodings in (["bit_flip", "phase_flip"], ["phase_flip"], ["phase_flip", "bit_flip"], ["bit_flip"]):
+        out = tmp_path / "-".join(encodings)
+        config = write_config(tmp_path, cal_path, encodings=encodings, logical_values=[0, 1], output_dir=str(out))
+        report, _ = run_benchmark(RunConfig.from_file(config))
+        rates[tuple(encodings)] = {result.qubit: result.rates for result in report.results}
+    full = rates["bit_flip", "phase_flip"]
+    assert len(full) == 21 and all(measured.keys() == RATES.keys() for measured in full.values())
+    for encodings, run in rates.items():
+        assert run.keys() == full.keys()
+        for q, measured in run.items():
+            assert measured.keys() == {key for key, (encoding, _) in RATES.items() if encoding in encodings}
+            assert measured == {key: full[q][key] for key in measured}
 
 
 @pytest.mark.parametrize("scope", ["none", "all_qubits", "code_only"])

@@ -69,3 +69,29 @@ def test_simulator_takes_only_types_from_circuits():
     assert imported
     circuits = importlib.import_module("synbench.circuits")
     assert [name for name in imported if not inspect.isclass(getattr(circuits, name))] == []
+
+
+def expm1_calls(source: str) -> list[str]:
+    """Each call of an `expm1` in `source`, as written, and each import of
+    numpy's `expm1` as "from numpy import expm1"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [f"from {node.module} import expm1" for alias in node.names if alias.name == "expm1"]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "expm1":
+            found.append(ast.unparse(node.func))
+    return found
+
+
+def test_expm1_reader_finds_every_call_form():
+    source = "import math, numpy as np\nfrom numpy import expm1\nmath.expm1(1)\nnp.expm1(2)\nexpm1(3)\nnumpy.expm1(4)\n"
+    assert sorted(expm1_calls(source)) == ["expm1", "from numpy import expm1", "math.expm1", "np.expm1", "numpy.expm1"]
+
+
+def test_only_the_noise_model_calls_expm1():
+    # the idle channel has one owner, so one module computes its
+    # exponentials, and only with math.expm1: numpy's vectorized expm1
+    # rounds differently from it on some inputs and CPUs
+    calls = {path.stem: expm1_calls(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {module for module, found in calls.items() if found} == {"noise"}
+    assert set(calls["noise"]) == {"math.expm1"}

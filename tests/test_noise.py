@@ -23,11 +23,12 @@ p0s = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def test_flip_direction_identities(t1, t2, p0, t):
     ch = IdleChannel(t1_ns=t1, t2_ns=t2, t2_star_ns=0.5 * t2, p0=p0)
     total = ch.decay_fraction(t)
-    assert ch.p_0to1(t) + ch.p_1to0(t) == pytest.approx(total, rel=1e-12, abs=1e-300)
+    up, down = ch.channel(t, x_basis=False)
+    assert up + down == pytest.approx(total, rel=1e-12, abs=1e-300)
     assert total == pytest.approx(-math.expm1(-t / t1), rel=1e-12, abs=1e-300)
-    # a subnormal p_1to0 keeps too few significant bits for a 1e-12 ratio
-    if 0.0 < p0 < 1.0 and ch.p_1to0(t) >= sys.float_info.min:
-        ratio = ch.p_0to1(t) / ch.p_1to0(t)
+    # a subnormal P(1->0) keeps too few significant bits for a 1e-12 ratio
+    if 0.0 < p0 < 1.0 and down >= sys.float_info.min:
+        ratio = up / down
         assert ratio == pytest.approx((1.0 - p0) / p0, rel=1e-12)
 
 
@@ -35,7 +36,7 @@ def test_flip_direction_identities(t1, t2, p0, t):
 @settings(max_examples=100, deadline=None)
 def test_equilibrium_ground_state_never_excites(t1, t2, t):
     ch = IdleChannel(t1_ns=t1, t2_ns=t2, t2_star_ns=0.5 * t2, p0=1.0)
-    assert ch.p_0to1(t) == 0.0
+    assert ch.channel(t, x_basis=False)[0] == 0.0
 
 
 @given(t2=t1s, t=times)
@@ -49,16 +50,24 @@ def test_phase_flip_formula_and_echo_timescale(t2, t):
         -math.expm1(-t / (0.5 * t2)) / 2.0, rel=1e-12, abs=1e-300
     )
     assert ch.p_phaseflip(t, echoed=False) >= ch.p_phaseflip(t, echoed=True)
+    # an X-basis delay flips the phase both ways, and T1 plays no part
+    for echoed in (False, True):
+        p = ch.p_phaseflip(t, echoed)
+        assert ch.channel(t, x_basis=True, echoed=echoed) == (p, p)
 
 
 def test_channel_monotone_and_saturating():
     ch = IdleChannel(t1_ns=1e5, t2_ns=8e4, t2_star_ns=4e4, p0=0.97)
     ts = [0.0, 10.0, 1e3, 1e5, 1e7, 1e9]
-    for f in (ch.p_1to0, ch.p_0to1, lambda t: ch.p_phaseflip(t, True)):
+    for f in (
+        lambda t: ch.channel(t, False)[1],
+        lambda t: ch.channel(t, False)[0],
+        lambda t: ch.p_phaseflip(t, True),
+    ):
         values = [f(t) for t in ts]
         assert values == sorted(values)
-    assert ch.p_1to0(1e12) == pytest.approx(0.97, rel=1e-9)
-    assert ch.p_0to1(1e12) == pytest.approx(0.03, rel=1e-9)
+    assert ch.channel(1e12, False)[1] == pytest.approx(0.97, rel=1e-9)
+    assert ch.channel(1e12, False)[0] == pytest.approx(0.03, rel=1e-9)
     assert ch.p_phaseflip(1e12, True) == pytest.approx(0.5, rel=1e-9)
     assert all(0.0 <= ch.p_phaseflip(t, True) <= 0.5 for t in ts)
 
@@ -91,7 +100,7 @@ def test_zero_noise_model_is_all_zero():
     cal = make_line_cal(t1_ns=math.inf, t2_ns=math.inf, t2_star_ns=math.inf)
     model = compile_noise(cal, ZERO_NOISE_OPTIONS)
     ch = model.idle[2]
-    assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
+    assert ch.channel(1e9, False) == (0.0, 0.0)
     assert ch.p_phaseflip(1e9, True) == 0.0
     assert model.cx[0, 1] == 0.0
     assert model.readout[0] == 0.0
@@ -99,7 +108,7 @@ def test_zero_noise_model_is_all_zero():
     # infinite timescales alone already give zero idle error
     open_model = compile_noise(cal, NoiseOptions())
     ch = open_model.idle[2]
-    assert (ch.p_1to0(1e9), ch.p_0to1(1e9)) == (0.0, 0.0)
+    assert ch.channel(1e9, False) == (0.0, 0.0)
     assert ch.p_phaseflip(1e9, True) == 0.0
 
 
@@ -107,7 +116,7 @@ def test_disable_masks_are_per_channel():
     cal = make_line_cal(readout_error=0.02, cx_error=0.01)
     model = compile_noise(cal, NoiseOptions(disable=frozenset({"relaxation", "cx"})))
     ch = model.idle[2]
-    assert (ch.p_1to0(1e6), ch.p_0to1(1e6)) == (0.0, 0.0)
+    assert ch.channel(1e6, False) == (0.0, 0.0)
     assert model.cx[0, 1] == 0.0
     assert model.readout[0] == 0.02
     assert ch.p_phaseflip(1e6, True) > 0.0
