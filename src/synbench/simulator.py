@@ -45,7 +45,11 @@ qubit of its block of neighbouring qubits, lowest first:
 A circuit compiles with one prelude per row, by default one empty prelude.
 A prelude's x gates and delays act right after the preparations, all in
 the Z basis, so they only change each qubit's channel pending after its
-preparation, and every row has the same ops. The pipeline compiles a
+preparation, and every row has the same ops. Rows differ only in the
+columns where a qubit whose prelude channels differ between them is first
+read after its preparation, so the compile writes one row, carries the
+other rows' pending channels of such a qubit only from its preparation to
+that read, and writes them into copies of the row. The pipeline compiles a
 qubit's logical-0 circuit once with each configured logical value's
 prelude (`circuits.logical_prelude`): row v is byte for byte the row of
 that logical value's own circuit, whose rest starts at the prelude's end.
@@ -117,6 +121,13 @@ def _then(channel: tuple[float, float], up: float, down: float) -> tuple[float, 
     return (1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up)
 
 
+def _fold(channel: tuple[float, float], channels: list) -> tuple[float, float]:
+    """A pending channel, then each of `channels` in turn."""
+    for up, down in channels:
+        channel = _then(channel, up, down)
+    return channel
+
+
 def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idle: list) -> list[list]:
     """Each line qubit's channels of a prelude, in time order: an x flips
     both ways, and a delay relaxes a Z-basis qubit."""
@@ -148,13 +159,21 @@ def compile_program(
     The instructions run in one stable sort by start, so instructions of
     equal start keep their order; the builder's are already in time order.
     The first sweep, made only when eta > 0 and some instruction is an h,
-    records each qubit's X-basis delays as their starts and the running
-    maximum of their ends. The second folds each qubit's channels into one
-    pending (up, down) pair per prelude, handed to the next op that acts on
-    the qubit, and keeps the ops and probabilities up to the last measure.
-    A Z-basis delay [start, end) that can decay is received by a line
-    neighbour iff the latest end among the neighbour's X-basis delays that
-    start before `end`, found by one bisect, lies after `start`.
+    looks only at h, preparations, resets and delays, and records each
+    qubit's X-basis delays as their starts and the running maximum of their
+    ends. The second folds each qubit's channels into one pending (up,
+    down) pair, handed to the next op that acts on the qubit, and writes
+    row 0's ops and probabilities up to the last measure. A Z-basis delay
+    [start, end) that can decay is received by a line neighbour iff the
+    latest end among the neighbour's X-basis delays that start before
+    `end`, found by one bisect, lies after `start`.
+
+    Rows differ only where a qubit whose prelude channels differ between
+    them is read. From such a qubit's preparation, the qubit also carries
+    the pending pair of every other row, composed exactly as row 0's,
+    until the first op that reads it (a cx, a measure or a decay block);
+    that op's columns of the qubit are noted with the other rows' pairs.
+    Rows 1.. are row 0 with their noted pairs written in.
     """
     line = circuit.line
     n = len(line)
@@ -170,24 +189,30 @@ def compile_program(
     if crosstalk:
         in_x = [False] * n
         for kind, qubits, time, d, _ in ordered:
-            i = index[qubits[0]]
-            if kind == "h":
+            if kind == "delay":
+                i = index[qubits[0]]
+                if in_x[i]:
+                    reach = x_reach[i]
+                    x_starts[i].append(time)
+                    reach.append(max(time + d, reach[-1]) if reach else time + d)
+            elif kind == "h":
+                i = index[qubits[0]]
                 in_x[i] = not in_x[i]
-            elif kind in ("prepare_z0", "reset"):
-                in_x[i] = False
-            elif kind == "delay" and in_x[i]:
-                reach = x_reach[i]
-                x_starts[i].append(time)
-                reach.append(max(time + d, reach[-1]) if reach else time + d)
+            elif kind == "prepare_z0" or kind == "reset":
+                in_x[index[qubits[0]]] = False
 
     idle = [noise.idle[q] for q in line]
     folds = [_prelude_channels(prelude, index, idle) for prelude in preludes]
     if not folds:
         raise ValueError("compile_program needs one prelude per row, and at least one row")
+    first, *others = folds
+    # the qubits whose prelude channels differ between rows
+    forking = {i for fold in others for i in range(n) if fold[i] != first[i]}
     in_x = [False] * n
-    # per prelude: each qubit's pending channel, and its row
-    pending = [[_NO_FLIP] * n for _ in folds]
-    rows: list[list[float]] = [[] for _ in folds]
+    pending = [_NO_FLIP] * n  # row 0's pending channel of each qubit
+    forked: dict[int, list] = {}  # rows 1..'s pending channels of a qubit not read since its preparation
+    noted: list[tuple[int, list]] = []  # a read forked qubit's column in row 0, and rows 1..'s pairs
+    row: list[float] = []
     ops: list[tuple] = []
     kept = kept_probs = 0  # the ops, and their probabilities, up to the last measure
     for kind, qubits, time, d, echoed in ordered:
@@ -200,17 +225,17 @@ def compile_program(
             # reach past its start
             if crosstalk and not in_x[i] and down > 0.0:
                 end = time + d
-                receivers = tuple(
-                    j
-                    for j in (i - 1, i + 1)
-                    if 0 <= j < n and (k := bisect_left(x_starts[j], end)) and x_reach[j][k - 1] > time
-                )
-                if receivers:
-                    lo, hi = min(i, receivers[0]), max(i, receivers[-1]) + 1
-                    ops.append(("decay", i, receivers))
-                    for row, own in zip(rows, pending):
-                        row += (up, down, eta, *(x for channel in own[lo:hi] for x in channel))
-                        own[lo:hi] = [_NO_FLIP] * (hi - lo)
+                left = i and (k := bisect_left(x_starts[i - 1], end)) and x_reach[i - 1][k - 1] > time
+                right = i + 1 < n and (k := bisect_left(x_starts[i + 1], end)) and x_reach[i + 1][k - 1] > time
+                if left or right:
+                    lo, hi = i - 1 if left else i, i + 2 if right else i + 1
+                    ops.append(("decay", i, (i - 1, i + 1) if left and right else (lo,) if left else (i + 1,)))
+                    row += (up, down, eta)
+                    for j in range(lo, hi):
+                        if j in forked:
+                            noted.append((len(row), forked.pop(j)))
+                        row += pending[j]
+                        pending[j] = _NO_FLIP
                     continue
         elif kind == "x":
             if in_x[i]:  # an x on an X-basis qubit changes only the phase
@@ -225,20 +250,23 @@ def compile_program(
                 raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
             ops.append(("cx", i, j))
             lo, hi = (i, j) if i < j else (j, i)
-            eps = noise.cx[c, t]
-            for row, own in zip(rows, pending):
-                row += (eps, *own[lo], *own[hi])
-                own[i] = own[j] = _NO_FLIP
+            if forked:
+                if lo in forked:
+                    noted.append((len(row) + 1, forked.pop(lo)))
+                if hi in forked:
+                    noted.append((len(row) + 3, forked.pop(hi)))
+            row += (noise.cx[c, t], *pending[lo], *pending[hi])
+            pending[i] = pending[j] = _NO_FLIP
             continue
         elif kind == "measure":
             if in_x[i]:
                 raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
             ops.append(("measure", i))
-            flip = noise.readout[q]
-            for row, own in zip(rows, pending):
-                row += (flip, *own[i])
-                own[i] = _NO_FLIP
-            kept, kept_probs = len(ops), len(rows[0])
+            if i in forked:
+                noted.append((len(row) + 1, forked.pop(i)))
+            row += (noise.readout[q], *pending[i])
+            pending[i] = _NO_FLIP
+            kept, kept_probs = len(ops), len(row)
             continue
         elif kind in ("prepare_z0", "reset"):
             # whatever the old bit, the new bit is 1 with probability p; any
@@ -251,17 +279,25 @@ def compile_program(
             continue
         else:
             raise BasisContractError(f"unknown instruction kind {kind!r}")
-        for own in pending:
-            own[i] = _then(own[i], up, down)
+        # the exact Markov composition of the qubit's pending channel, then this one
+        was_up, was_down = pending[i]
+        pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
+        if i in forked:
+            forked[i] = [_then(channel, up, down) for channel in forked[i]]
         if kind == "prepare_z0":
-            # each prelude's channels of this qubit act right after its preparation
-            for own, fold in zip(pending, folds):
-                for channel in fold[i]:
-                    own[i] = _then(own[i], *channel)
-    probs = array("d")
-    for row in rows:
-        probs.extend(row[:kept_probs])
-    return FrameProgram(ops=tuple(ops[:kept]), probs=probs, n_qubits=n, rows=len(rows))
+            # each row's prelude channels of this qubit act right after its preparation
+            if i in forking:
+                own = forked.get(i) or [pending[i]] * len(others)
+                forked[i] = [_fold(channel, fold[i]) for channel, fold in zip(own, others)]
+            if first[i]:
+                pending[i] = _fold(pending[i], first[i])
+    probs = array("d", row[:kept_probs]) * len(folds)
+    for at, pairs in noted:
+        if at < kept_probs:  # read before the last measure
+            for k, (up, down) in zip(range(at + kept_probs, len(probs), kept_probs), pairs):
+                probs[k] = up
+                probs[k + 1] = down
+    return FrameProgram(ops=tuple(ops[:kept]), probs=probs, n_qubits=n, rows=len(folds))
 
 
 def _channels(up: np.ndarray, down: np.ndarray) -> np.ndarray:

@@ -1003,15 +1003,22 @@ def test_calibration_map_shows_the_report_guides(tmp_path, cal_path):
 
 def test_render_calibration_with_non_numeric_guide_is_config_error(tmp_path, cal_path, capsys):
     # each mode checks what it paints: the rates map draws this report, the
-    # calibration map refuses its string guide
+    # calibration map refuses its string guide; a guide or an estimate
+    # above 1 is refused by the mode that paints it
     report = tmp_path / "report.json"
-    entry = {"qubit": 2, "rates": {"p_01": {"estimate": 0.05}}, "guides": {"p_01": "0.05"}}
-    report.write_text(json.dumps({"metadata": {"calibration": str(cal_path)}, "qubits": [entry]}), encoding="utf-8")
-    assert main(["render", "--report", str(report), "--mode", "rates", "--out", str(tmp_path / "r.svg")]) == 0
-    capsys.readouterr()
-    assert main(["render", "--report", str(report), "--mode", "calibration", "--out", str(tmp_path / "c.svg")]) == 1
-    err = capsys.readouterr().err
-    assert err == "config error: report " + str(report) + ": qubit 2: each guide must be a number in [0, 1]\n", err
+
+    def render(estimate, guide, mode: str) -> tuple[int, str]:
+        entry = {"qubit": 2, "rates": {"p_01": {"estimate": estimate}}, "guides": {"p_01": guide}}
+        report.write_text(json.dumps({"metadata": {"calibration": str(cal_path)}, "qubits": [entry]}), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["render", "--report", str(report), "--mode", mode, "--out", str(tmp_path / f"{mode}.svg")])
+        return code, capsys.readouterr().err
+
+    refused = "config error: report " + str(report) + ": qubit 2: "
+    assert render(0.05, "0.05", "rates") == (0, "")
+    assert render(0.05, "0.05", "calibration") == (1, refused + "each guide must be a number in [0, 1]\n")
+    assert render(0.05, 1.5, "calibration") == (1, refused + "each guide must be a number in [0, 1]\n")
+    assert render(1.5, 0.05, "rates") == (1, refused + "each rate must be an object with an estimate in [0, 1]\n")
 
 
 def test_csv_rows_cover_all_rates(tmp_path, cal_path):

@@ -752,6 +752,103 @@ def test_a_program_has_at_least_one_row(cal):
         compile_program(build(cal), compile_noise(cal), ())
 
 
+def spliced(circuit: Circuit, k: int, by: int, inserted: tuple) -> Circuit:
+    """`circuit` with `inserted` placed before its k-th instruction, and
+    that instruction and every later one moved `by` later."""
+    ins = circuit.instructions
+    moved = tuple(i._replace(start=i.start + by) for i in ins[k:])
+    return replace(circuit, instructions=ins[:k] + inserted + moved)
+
+
+FORK_CAL = make_line_cal(p0=0.9, readout_error=0.02, cx_error=0.01)
+FORK_OPTIONS = NoiseOptions(crosstalk_eta=0.3, prep_error=0.02)
+LOGICAL = (), logical_prelude(LINE, FORK_CAL, 1, "code_only")
+
+
+def reset_before_first_cx():
+    # code qubit 0 idles, is reset and idles again between its preparation
+    # and its first cx. A reset leaves exactly (0.0, 1.0) in every row,
+    # since fl(fl(1 - w) + w) is 1 for every w in [0, 1], so this case
+    # holds the rows but cannot tell a fork kept through the reset from one
+    # dropped at it
+    edit = (Instruction("delay", (0,), 0, 15), Instruction("reset", (0,), 15, 10), Instruction("delay", (0,), 25, 5))
+    return spliced(build(FORK_CAL, extra_delay_ns=1_000), 5, 30, edit), LOGICAL
+
+
+def prepared_again_before_first_cx():
+    # the second preparation rounds each row's channel its own way, which
+    # a prelude that only relaxes code qubit 0 keeps
+    edit = (
+        Instruction("delay", (0,), 0, 100),
+        Instruction("prepare_z0", (0,), 100, 0),
+        Instruction("delay", (0,), 100, 15),
+    )
+    relax = (Instruction("delay", (0,), 0, 100),)
+    return spliced(build(FORK_CAL, extra_delay_ns=1_000), 5, 115, edit), (*LOGICAL, relax)
+
+
+def read_first_by_a_decay():
+    # after the h layer, code qubits 0 and 2 idle in the X basis while
+    # auxiliary 1 relaxes beside them, so a decay block is the first op
+    # to read all three
+    circuit = build(FORK_CAL, encoding="phase_flip", extra_delay_ns=1_000, dd_scope="all_qubits")
+    edit = tuple(Instruction("delay", (q,), 10, 30) for q in (0, 1, 2))
+    return spliced(circuit, 10, 30, edit), ((), logical_prelude(LINE, FORK_CAL, 1, "all_qubits"))
+
+
+def never_read_before_the_last_measure():
+    # code qubit 4 loses its cx gates but one after the last measure
+    ins = build(FORK_CAL, extra_delay_ns=1_000).instructions
+    kept = tuple(i for i in ins if not (i.kind == "cx" and 4 in i.qubits))
+    late = Instruction("cx", (4, 3), ins[-1].end + 10, 20)
+    return Circuit(LINE, kept + (late,)), (*LOGICAL, (Instruction("x", (4,), 0, 10),))
+
+
+def read_first_by_its_measure():
+    # auxiliary 1 loses its round-1 cx gates, so its round-1 measure is
+    # the first op to read it
+    circuit = build(FORK_CAL, extra_delay_ns=1_000)
+    first = first_measure_start(circuit, 1)
+    ins = tuple(i for i in circuit.instructions if not (i.kind == "cx" and 1 in i.qubits and i.start < first))
+    return replace(circuit, instructions=ins), LOGICAL
+
+
+def three_preludes():
+    # the third flips auxiliary 3 and idles code qubit 2
+    aux = (Instruction("x", (3,), 0, 10), Instruction("delay", (2,), 0, 10))
+    return build(FORK_CAL, extra_delay_ns=1_000), (LOGICAL[1], (), aux)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        reset_before_first_cx,
+        prepared_again_before_first_cx,
+        read_first_by_a_decay,
+        never_read_before_the_last_measure,
+        read_first_by_its_measure,
+        three_preludes,
+    ],
+)
+def test_each_row_is_its_own_preludes_compile_on_edited_circuits(case):
+    # a qubit's rows part at its preparation and stay apart until an op
+    # reads it, whatever acts on it between: row v is byte for byte the
+    # circuit compiled with prelude v alone
+    circuit, preludes = case()
+    noise = compile_noise(FORK_CAL, FORK_OPTIONS)
+    program = compile_program(circuit, noise, preludes)
+    rows = [program_bytes(circuit, noise, (prelude,)) for prelude in preludes]
+    assert program.rows == len(preludes) and all(ops == program.ops for ops, _ in rows)
+    assert len({row for _, row in rows}) > 1
+    assert program.probs.tobytes() == b"".join(row for _, row in rows)
+    if case is read_first_by_a_decay:
+        assert program.ops[0] == ("decay", 1, (0, 2))
+    if case is never_read_before_the_last_measure:
+        assert all(4 not in op_qubits(op) for op in program.ops)
+    if case is read_first_by_its_measure:
+        assert next(op for op in program.ops if 1 in op_qubits(op)) == ("measure", 1)
+
+
 @pytest.mark.parametrize(
     "options",
     [
@@ -815,12 +912,17 @@ def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines
     # the logical-0 circuit compiled with the logical-1 prelude against the
     # logical-1 circuit's own compile, byte for byte, on random per-qubit
     # calibrations and options; the 10-100 ns x durations make some
-    # examples' preludes echo their barrier window
+    # examples' preludes echo their barrier window. Compiled with both
+    # preludes, in either order, the rows are those two compiles' rows.
     cal, options, kwargs = case
     noise = compile_noise(cal, options)
     prelude = logical_prelude(LINE, cal, 1, kwargs["dd_scope"])
-    folded = program_bytes(build(cal, **dict(kwargs, logical_value=0)), noise, (prelude,))
-    assert folded == program_bytes(build(cal, **dict(kwargs, logical_value=1)), noise)
+    circuit = build(cal, **dict(kwargs, logical_value=0))
+    zero, one = program_bytes(circuit, noise), program_bytes(circuit, noise, (prelude,))
+    assert one == program_bytes(build(cal, **dict(kwargs, logical_value=1)), noise)
+    assert zero[0] == one[0]
+    for preludes, rows in ((((), prelude), (zero, one)), ((prelude, ()), (one, zero))):
+        assert program_bytes(circuit, noise, preludes) == (one[0], b"".join(row for _, row in rows))
 
 
 def test_programs_of_different_structures_are_walked_apart():
