@@ -27,18 +27,20 @@ latest end, and the extra delay is the window between two barriers. A
 barrier fills every qubit's timeline up to its time with one delay. With an
 echo scope, each in-scope window of at least 2*x + 4 ns becomes
 delay(t'/4), x, delay(t'/2), x, delay(t'/4) with t' = t - 2*x, the integer
-remainder in the middle, every sub-delay flagged echoed. The instructions are sorted once, by
-(start, end, qubits, kind), which orders a circuit's instructions totally.
+remainder in the middle, every sub-delay flagged echoed. The builder sorts
+its instructions once, by (start, end, qubits, kind), a total order. Any
+`Circuit` keeps its instructions in one stable sort by start, the time
+order its readers take as given, which leaves the builder's unchanged.
 
 The phase-flip encoding is the bit-flip circuit with one h layer on the code
 qubits right after preparation.
 
-`logical_prelude` is the one definition of the logical value: nothing for
-0, and for 1 an x layer on the code qubits with its closing barrier, from
-t = 0. The logical-1 circuit is the prelude followed by the logical-0
-circuit started at the prelude's end, so the pipeline builds only the
-logical-0 circuit and `simulator.compile_program` folds each configured
-logical value's prelude into its one compile.
+The builder and `logical_prelude` place the logical value through one
+schedule step: nothing for 0, and for 1 an x layer on the code qubits with
+its closing barrier, from t = 0. The logical-1 circuit is that prelude
+followed by the logical-0 circuit started at the prelude's end, so the
+pipeline builds only the logical-0 circuit and `simulator.compile_program`
+folds each configured logical value's prelude into its one compile.
 """
 
 from __future__ import annotations
@@ -94,6 +96,10 @@ class Circuit:
     line: tuple[int, ...]
     instructions: tuple[Instruction, ...]
 
+    def __post_init__(self) -> None:
+        # the circuit's time order: one stable sort by start
+        object.__setattr__(self, "instructions", tuple(sorted(self.instructions, key=itemgetter(2))))
+
 
 def _line_qubits(line: BenchLine | tuple[int, ...], cal: DeviceCalibration) -> tuple[int, ...]:
     """The line's five distinct qubits, a path of device edges, or a CircuitBuildError."""
@@ -109,7 +115,7 @@ def _line_qubits(line: BenchLine | tuple[int, ...], cal: DeviceCalibration) -> t
 
 
 class _Schedule:
-    """Gates placed layer by layer on a line's five positions, from `start`.
+    """Gates placed layer by layer on a line's five positions, from t = 0.
 
     Per position, `table` holds the operand tuple its instructions share,
     its x (and reset) duration, and the shortest window it echoes, None out
@@ -117,14 +123,16 @@ class _Schedule:
 
     __slots__ = ("table", "instrs", "cursor")
 
-    def __init__(self, qubits: tuple[int, ...], cal: DeviceCalibration, dd_scope: str, start: int = 0) -> None:
+    def __init__(self, qubits: tuple[int, ...], cal: DeviceCalibration, dd_scope: str) -> None:
+        if dd_scope not in DD_SCOPES:
+            raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
         echo = range(5) if dd_scope == "all_qubits" else range(0, 5, 2) if dd_scope == "code_only" else ()
         self.table = []
         for p, q in enumerate(qubits):
             x = max(1, round(cal.qubits[q].x_ns))
             self.table.append(((q,), x, 2 * x + _MIN_ECHO_SUBDELAY_NS if p in echo else None))
         self.instrs: list[Instruction] = []
-        self.cursor = [start] * 5
+        self.cursor = [0] * 5
 
     def barrier(self, time: int) -> None:
         # fill every position's timeline up to `time` with one delay, or with
@@ -167,6 +175,13 @@ class _Schedule:
         # one `kind` gate on each code qubit, lasting its x duration
         self.layer((kind, (p,), *self.table[p][:2]) for p in (0, 2, 4))
 
+    def logical_layer(self, logical_value: int) -> None:
+        # none for 0, an x on each code qubit for 1; a bool or float is refused
+        if isinstance(logical_value, bool) or not isinstance(logical_value, int) or logical_value not in (0, 1):
+            raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value!r}")
+        if logical_value:
+            self.code_layer("x")
+
 
 def logical_prelude(
     line: BenchLine | tuple[int, ...],
@@ -181,17 +196,9 @@ def logical_prelude(
     logical value 1 is the one of logical value 0 started at the prelude's
     end, with the prelude before it.
 
-    `line` is checked as by the builder, and `logical_value` must be the int
-    0 or 1: a bool or a float is refused, as for the extra delay."""
-    qubits = _line_qubits(line, cal)
-    if isinstance(logical_value, bool) or not isinstance(logical_value, int) or logical_value not in (0, 1):
-        raise CircuitBuildError(f"logical value must be 0 or 1, got {logical_value!r}")
-    if dd_scope not in DD_SCOPES:
-        raise CircuitBuildError(f"unknown dd_scope {dd_scope!r}")
-    if logical_value == 0:
-        return ()
-    schedule = _Schedule(qubits, cal, dd_scope)
-    schedule.code_layer("x")
+    `line`, `logical_value` and `dd_scope` are checked as by the builder."""
+    schedule = _Schedule(_line_qubits(line, cal), cal, dd_scope)
+    schedule.logical_layer(logical_value)
     return tuple(sorted(schedule.instrs, key=_timeline_order))
 
 
@@ -209,8 +216,8 @@ def build_repetition_circuit(
     `line` is a BenchLine or a path of five qubits whose consecutive pairs
     are device edges; even positions are code qubits, odd positions
     auxiliaries. A reset lasts as long as the qubit's x gate. The logical
-    value's `logical_prelude` follows the preparations, and the code starts
-    at its end.
+    value's layer, its `logical_prelude`, follows the preparations, and the
+    code starts at its end.
     """
     qubits = _line_qubits(line, cal)
     # edge p joins positions p and p + 1
@@ -219,12 +226,10 @@ def build_repetition_circuit(
         raise CircuitBuildError(f"unknown encoding {encoding!r}")
     if isinstance(extra_delay_ns, bool) or not isinstance(extra_delay_ns, int) or extra_delay_ns < 0:
         raise CircuitBuildError(f"extra delay must be nonnegative integer ns, got {extra_delay_ns!r}")
-    prelude = logical_prelude(qubits, cal, logical_value, dd_scope)
-
-    schedule = _Schedule(qubits, cal, dd_scope, max((ins.end for ins in prelude), default=0))
+    schedule = _Schedule(qubits, cal, dd_scope)
     table = schedule.table
     schedule.instrs += (_new(Instruction, ("prepare_z0", qs, 0, 0, False)) for qs, _, _ in table)
-    schedule.instrs += prelude
+    schedule.logical_layer(logical_value)
     # each auxiliary couples to its left code neighbor, then its right
     cx_layers = [
         [("cx", (c, a), (qubits[c], qubits[a]), cx_dur[min(c, a)]) for c, a in pairs]
@@ -255,7 +260,7 @@ def idle_exposure(circuit: Circuit, qubit: int) -> int:
     """Summed delay ns on `qubit` from the start of round 1's auxiliary
     measurements, the circuit's first, to the qubit's next non-idle
     instruction (its round-2 cx for code qubits; echo x pulses do not end
-    the window), in one walk of the builder's time order from the first
+    the window), in one walk of the circuit's time order from the first
     instruction at that start."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")

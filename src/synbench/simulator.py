@@ -20,8 +20,8 @@ Every single-qubit map, preparation and reset included, is a 2x2 channel
 `IdleChannel.channel` in the qubit's basis (dephasing (p, p) in the X
 basis, relaxation's two directions in the Z basis), and a preparation with
 flip p is (p, 1 - p), which sets the bit whatever it was (a reset has
-p = 0). `compile_program` sweeps the instructions twice, stably sorted by
-start: once to note each qubit's X-basis delays, then once to emit the
+p = 0). `compile_program` sweeps the instructions twice, in the circuit's
+time order: once to note each qubit's X-basis delays, then once to emit the
 ops. The first sweep runs only when crosstalk can act: eta > 0 and the
 circuit has an h, since only an h puts a qubit in the X basis. As the
 second sweep goes, it composes each qubit's channels between two ops that
@@ -45,14 +45,15 @@ qubit of its block of neighbouring qubits, lowest first:
 A circuit compiles with one prelude per row, by default one empty prelude.
 A prelude's x gates and delays act right after the preparations, all in
 the Z basis, so they only change each qubit's channel pending after its
-preparation, and every row has the same ops. Rows differ only in the
-columns where a qubit whose prelude channels differ between them is first
-read after its preparation, so the compile writes one row, carries the
-other rows' pending channels of such a qubit only from its preparation to
-that read, and writes them into copies of the row. The pipeline compiles a
-qubit's logical-0 circuit once with each configured logical value's
-prelude (`circuits.logical_prelude`): row v is byte for byte the row of
-that logical value's own circuit, whose rest starts at the prelude's end.
+preparation, and every row has the same ops. An op writes its parameters,
+then its block's pending channels, lowest first, and clears them (the read
+rule). With several rows, each qubit forks at its preparation and carries
+every row's pending channel until an op reads it, and rows 1.. are copies
+of row 0 with those reads' columns written in (the fork rule). The
+pipeline compiles a qubit's logical-0 circuit once with each configured
+logical value's prelude (`circuits.logical_prelude`): row v is byte for
+byte the row of that logical value's own circuit, whose rest starts at the
+prelude's end.
 
 `pair_distribution(programs)` reads its programs lazily, appending each
 one's rows to those of the programs with its ops, then walks the ops once
@@ -132,14 +133,17 @@ def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idl
     """Each line qubit's channels of a prelude, in time order: an x flips
     both ways, and a delay relaxes a Z-basis qubit."""
     channels: list[list] = [[] for _ in index]
-    for kind, qubits, time, d, _ in sorted(prelude, key=itemgetter(2)):
-        i = index[qubits[0]]
-        if kind == "x":
-            channels[i].append((1.0, 1.0))
-        elif kind == "delay":
-            channels[i].append(idle[i].channel(d, False))
-        else:
-            raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
+    try:
+        for kind, qubits, time, d, _ in sorted(prelude, key=itemgetter(2)):
+            i = index[qubits[0]]
+            if kind == "x":
+                channels[i].append((1.0, 1.0))
+            elif kind == "delay":
+                channels[i].append(idle[i].channel(d, False))
+            else:
+                raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
+    except KeyError as missing:
+        raise BasisContractError(f"a prelude's {kind} at t={time} on qubits {qubits}: qubit {missing} is not in the line") from None
     return channels
 
 
@@ -147,8 +151,9 @@ def compile_program(
     circuit: Circuit, noise: NoiseModel, preludes: Iterable[Iterable[Instruction]] = ((),)
 ) -> FrameProgram:
     """Lower the circuit to ops and one probability row per prelude in two
-    sweeps over its instructions, checking the tracked-basis contract.
-    Raises BasisContractError if the circuit cannot be tracked classically.
+    sweeps over its instructions in time order, checking the tracked-basis
+    contract. Raises BasisContractError if the circuit cannot be tracked
+    classically, names a qubit off its line, or has a cx the noise model lacks.
 
     A prelude is instructions that act right after the preparations, x
     gates and Z-basis delays only: each qubit's channels from it fold in
@@ -156,141 +161,130 @@ def compile_program(
     the row of the circuit that runs prelude v first and the rest after
     its end, and every row has the same ops.
 
-    The instructions run in one stable sort by start, so instructions of
-    equal start keep their order; the builder's are already in time order.
     The first sweep, made only when eta > 0 and some instruction is an h,
     looks only at h, preparations, resets and delays, and records each
     qubit's X-basis delays as their starts and the running maximum of their
     ends. The second folds each qubit's channels into one pending (up,
-    down) pair, handed to the next op that acts on the qubit, and writes
-    row 0's ops and probabilities up to the last measure. A Z-basis delay
-    [start, end) that can decay is received by a line neighbour iff the
-    latest end among the neighbour's X-basis delays that start before
-    `end`, found by one bisect, lies after `start`.
+    down) pair and writes row 0's ops and probabilities up to the last
+    measure. A Z-basis delay [start, end) that can decay is received by a
+    line neighbour iff the latest end among the neighbour's X-basis delays
+    that start before `end`, found by one bisect, lies after `start`.
 
-    Rows differ only where a qubit whose prelude channels differ between
-    them is read. From such a qubit's preparation, the qubit also carries
-    the pending pair of every other row, composed exactly as row 0's,
-    until the first op that reads it (a cx, a measure or a decay block);
-    that op's columns of the qubit are noted with the other rows' pairs.
-    Rows 1.. are row 0 with their noted pairs written in.
+    The read rule: a cx, a measure or a decay block writes its parameters,
+    then its block's pending pairs, lowest first, and clears them. The fork
+    rule: with several rows, each qubit also carries rows 1..'s pending
+    pairs, composed as row 0's, from its preparation to the first op that
+    reads it, which notes them at the qubit's column; rows 1.. are row 0
+    with their noted pairs written in.
     """
     line = circuit.line
     n = len(line)
     index = {q: i for i, q in enumerate(line)}
-    ordered = sorted(circuit.instructions, key=itemgetter(2))  # by start
-
-    # only an h puts a qubit in the X basis, so without one no delay has a
-    # receiver and the first sweep is skipped
-    prep, eta = noise.prep, noise.crosstalk
-    crosstalk = eta > 0.0 and "h" in map(itemgetter(0), ordered)
-    x_starts: list[list[int]] = [[] for _ in line]
-    x_reach: list[list[int]] = [[] for _ in line]  # the running maximum end
-    if crosstalk:
-        in_x = [False] * n
-        for kind, qubits, time, d, _ in ordered:
-            if kind == "delay":
-                i = index[qubits[0]]
-                if in_x[i]:
-                    reach = x_reach[i]
-                    x_starts[i].append(time)
-                    reach.append(max(time + d, reach[-1]) if reach else time + d)
-            elif kind == "h":
-                i = index[qubits[0]]
-                in_x[i] = not in_x[i]
-            elif kind == "prepare_z0" or kind == "reset":
-                in_x[index[qubits[0]]] = False
-
     idle = [noise.idle[q] for q in line]
     folds = [_prelude_channels(prelude, index, idle) for prelude in preludes]
     if not folds:
         raise ValueError("compile_program needs one prelude per row, and at least one row")
     first, *others = folds
-    # the qubits whose prelude channels differ between rows
-    forking = {i for fold in others for i in range(n) if fold[i] != first[i]}
+
+    # only an h puts a qubit in the X basis, so without one no delay has a
+    # receiver and the first sweep is skipped
+    prep, eta = noise.prep, noise.crosstalk
+    crosstalk = eta > 0.0 and "h" in map(itemgetter(0), circuit.instructions)
+    x_starts: list[list[int]] = [[] for _ in line]
+    x_reach: list[list[int]] = [[] for _ in line]  # the running maximum end
     in_x = [False] * n
     pending = [_NO_FLIP] * n  # row 0's pending channel of each qubit
     forked: dict[int, list] = {}  # rows 1..'s pending channels of a qubit not read since its preparation
     noted: list[tuple[int, list]] = []  # a read forked qubit's column in row 0, and rows 1..'s pairs
     row: list[float] = []
     ops: list[tuple] = []
+    op = None  # the op that reads the current instruction's block, if any
     kept = kept_probs = 0  # the ops, and their probabilities, up to the last measure
-    for kind, qubits, time, d, echoed in ordered:
-        q = qubits[0]
-        i = index[q]
-        if kind == "delay":
-            up, down = idle[i].channel(d, in_x[i], echoed)
-            # a Z-basis delay that can decay reaches a receiver whose first
-            # k X-basis delays, those that start before this one ends,
-            # reach past its start
-            if crosstalk and not in_x[i] and down > 0.0:
-                end = time + d
-                left = i and (k := bisect_left(x_starts[i - 1], end)) and x_reach[i - 1][k - 1] > time
-                right = i + 1 < n and (k := bisect_left(x_starts[i + 1], end)) and x_reach[i + 1][k - 1] > time
-                if left or right:
-                    lo, hi = i - 1 if left else i, i + 2 if right else i + 1
-                    ops.append(("decay", i, (i - 1, i + 1) if left and right else (lo,) if left else (i + 1,)))
-                    row += (up, down, eta)
-                    for j in range(lo, hi):
-                        if j in forked:
-                            noted.append((len(row), forked.pop(j)))
-                        row += pending[j]
-                        pending[j] = _NO_FLIP
+    try:
+        if crosstalk:
+            for kind, qubits, time, d, _ in circuit.instructions:
+                if kind == "delay":
+                    i = index[qubits[0]]
+                    if in_x[i]:
+                        reach = x_reach[i]
+                        x_starts[i].append(time)
+                        reach.append(max(time + d, reach[-1]) if reach else time + d)
+                elif kind == "h":
+                    i = index[qubits[0]]
+                    in_x[i] = not in_x[i]
+                elif kind == "prepare_z0" or kind == "reset":
+                    in_x[index[qubits[0]]] = False
+            in_x = [False] * n
+        for kind, qubits, time, d, echoed in circuit.instructions:
+            q = qubits[0]
+            i = index[q]
+            if kind == "delay":
+                up, down = idle[i].channel(d, in_x[i], echoed)
+                # a Z-basis delay that can decay reaches a receiver whose first
+                # k X-basis delays, those that start before this one ends,
+                # reach past its start
+                if crosstalk and not in_x[i] and down > 0.0:
+                    end = time + d
+                    left = i and (k := bisect_left(x_starts[i - 1], end)) and x_reach[i - 1][k - 1] > time
+                    right = i + 1 < n and (k := bisect_left(x_starts[i + 1], end)) and x_reach[i + 1][k - 1] > time
+                    if left or right:
+                        op = ("decay", i, (i - 1, i + 1) if left and right else (i - 1,) if left else (i + 1,))
+                        params, block = (up, down, eta), range(i - 1 if left else i, i + 2 if right else i + 1)
+            elif kind == "x":
+                if in_x[i]:  # an x on an X-basis qubit changes only the phase
                     continue
-        elif kind == "x":
-            if in_x[i]:  # an x on an X-basis qubit changes only the phase
+                up = down = 1.0
+            elif kind == "cx":
+                c, t = qubits
+                j = index[t]
+                if in_x[j]:
+                    raise BasisContractError(f"cx at t={time} has an X-basis target {t}; only Z-basis targets are trackable")
+                if abs(i - j) != 1:
+                    raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
+                op, params, block = ("cx", i, j), (noise.cx[c, t],), (i, j) if i < j else (j, i)
+            elif kind == "measure":
+                if in_x[i]:
+                    raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
+                op, params, block = ("measure", i), (noise.readout[q],), (i,)
+            elif kind in ("prepare_z0", "reset"):
+                # whatever the old bit, the new bit is 1 with probability p; any
+                # channel followed by this one equals it
+                in_x[i] = False
+                up = prep if kind == "prepare_z0" else 0.0
+                down = 1.0 - up
+            elif kind == "h":
+                in_x[i] = not in_x[i]
                 continue
-            up = down = 1.0
-        elif kind == "cx":
-            c, t = qubits
-            j = index[t]
-            if in_x[j]:
-                raise BasisContractError(f"cx at t={time} has an X-basis target {t}; only Z-basis targets are trackable")
-            if abs(i - j) != 1:
-                raise BasisContractError(f"cx at t={time} couples {c} and {t}, which are not neighbours in the line")
-            ops.append(("cx", i, j))
-            lo, hi = (i, j) if i < j else (j, i)
-            if forked:
-                if lo in forked:
-                    noted.append((len(row) + 1, forked.pop(lo)))
-                if hi in forked:
-                    noted.append((len(row) + 3, forked.pop(hi)))
-            row += (noise.cx[c, t], *pending[lo], *pending[hi])
-            pending[i] = pending[j] = _NO_FLIP
-            continue
-        elif kind == "measure":
-            if in_x[i]:
-                raise BasisContractError(f"measurement of X-basis qubit {q} at t={time}")
-            ops.append(("measure", i))
+            else:
+                raise BasisContractError(f"unknown instruction kind {kind!r}")
+            if op:
+                # the read rule, and the fork rule's note
+                ops.append(op)
+                row += params
+                for j in block:
+                    if j in forked:
+                        noted.append((len(row), forked.pop(j)))
+                    row += pending[j]
+                    pending[j] = _NO_FLIP
+                if kind == "measure":
+                    kept, kept_probs = len(ops), len(row)
+                op = None
+                continue
+            # the exact Markov composition of the qubit's pending channel, then this one
+            was_up, was_down = pending[i]
+            pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
             if i in forked:
-                noted.append((len(row) + 1, forked.pop(i)))
-            row += (noise.readout[q], *pending[i])
-            pending[i] = _NO_FLIP
-            kept, kept_probs = len(ops), len(row)
-            continue
-        elif kind in ("prepare_z0", "reset"):
-            # whatever the old bit, the new bit is 1 with probability p; any
-            # channel followed by this one equals it
-            in_x[i] = False
-            up = prep if kind == "prepare_z0" else 0.0
-            down = 1.0 - up
-        elif kind == "h":
-            in_x[i] = not in_x[i]
-            continue
-        else:
-            raise BasisContractError(f"unknown instruction kind {kind!r}")
-        # the exact Markov composition of the qubit's pending channel, then this one
-        was_up, was_down = pending[i]
-        pending[i] = ((1.0 - was_up) * up + was_up * (1.0 - down), (1.0 - was_down) * down + was_down * (1.0 - up))
-        if i in forked:
-            forked[i] = [_then(channel, up, down) for channel in forked[i]]
-        if kind == "prepare_z0":
-            # each row's prelude channels of this qubit act right after its preparation
-            if i in forking:
-                own = forked.get(i) or [pending[i]] * len(others)
-                forked[i] = [_fold(channel, fold[i]) for channel, fold in zip(own, others)]
-            if first[i]:
+                forked[i] = [_then(channel, up, down) for channel in forked[i]]
+            if kind == "prepare_z0":
+                # each row's prelude channels of this qubit act right after its preparation
+                if others:
+                    own = forked.get(i) or [pending[i]] * len(others)
+                    forked[i] = [_fold(channel, fold[i]) for channel, fold in zip(own, others)]
                 pending[i] = _fold(pending[i], first[i])
+    except KeyError as missing:
+        key = missing.args[0]
+        what = f"the noise model has no cx error for {key}" if isinstance(key, tuple) else f"qubit {key} is not in the line"
+        raise BasisContractError(f"{kind} at t={time} on qubits {qubits}: {what}") from None
     probs = array("d", row[:kept_probs]) * len(folds)
     for at, pairs in noted:
         if at < kept_probs:  # read before the last measure

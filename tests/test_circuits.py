@@ -412,10 +412,22 @@ def test_idle_exposure_matches_walker_on_pipeline_circuits(falcon):
         assert idle_exposure(circuit, centre) == walker > 0
 
 
+@pytest.mark.parametrize("dd_scope", DD_SCOPES)
+def test_idle_exposure_reads_the_circuits_time_order(falcon, dd_scope):
+    # a circuit keeps its instructions in one stable sort by start, so
+    # q7's exposure reads the same from the builder's instructions, the
+    # same reversed, and grouped by qubit
+    circuit = build_repetition_circuit(plan_device(falcon)[7], falcon, "bit_flip", 0, 12_000, dd_scope)
+    exposure = idle_exposure(circuit, 7)
+    assert exposure > 12_000
+    for instructions in (circuit.instructions[::-1], sorted(circuit.instructions, key=lambda ins: ins.qubits)):
+        assert idle_exposure(Circuit(circuit.line, instructions), 7) == exposure
+
+
 def test_final_readout_keeps_builder_order(cal):
     # the appended readout sorts as the builder sorts and starts no earlier
-    # than round 2's readout, so a stable sort by start, as compile_program
-    # makes, keeps the builder's instructions first and in their order
+    # than round 2's readout, so a circuit's stable sort by start keeps the
+    # builder's instructions first and in their order
     for encoding in ENCODINGS:
         circuit = build(cal, encoding=encoding, extra_delay_ns=100)
         read = with_final_readout(circuit, cal)

@@ -95,3 +95,32 @@ def test_only_the_noise_model_calls_expm1():
     calls = {path.stem: expm1_calls(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert {module for module, found in calls.items() if found} == {"noise"}
     assert set(calls["noise"]) == {"math.expm1"}
+
+
+def instruction_sorts(source: str) -> list[str]:
+    """Each `sorted(...)` or `.sort(...)` call in `source` whose argument
+    or receiver reads an `.instructions` attribute, as written."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if getattr(node.func, "id", None) == "sorted" and node.args:
+                target = node.args[0]
+            elif getattr(node.func, "attr", None) == "sort":
+                target = node.func.value
+            else:
+                continue
+            if any(getattr(sub, "attr", None) == "instructions" for sub in ast.walk(target)):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_instruction_sort_reader_finds_every_form():
+    source = "sorted(c.instructions, key=k)\nc.instructions.sort()\nsorted(list(c.instructions))\nsorted(c.instrs)\nx.sort()\n"
+    assert instruction_sorts(source) == ["sorted(c.instructions, key=k)", "c.instructions.sort()", "sorted(list(c.instructions))"]
+
+
+def test_only_the_circuit_sorts_its_instructions():
+    # a circuit's time order has one owner, the Circuit itself, so every
+    # other reader takes its instructions as given
+    sorts = {path.stem: instruction_sorts(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert {module for module, found in sorts.items() if found} == {"circuits"}

@@ -167,6 +167,31 @@ def test_program_outside_the_tracked_model_is_refused(cal, edit, error, match):
         pair_distribution([compile_program(edited, zero_noise(cal))])
 
 
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("x-off-the-line", r"^x at t=100 on qubits \(26,\): qubit 26 is not in the line$"),
+        ("another-lines-prelude", r"^a prelude's delay at t=0 on qubits \(15,\): qubit 15 is not in the line$"),
+        ("cx-off-the-device", r"^cx at t=0 on qubits \(0, 5\): the noise model has no cx error for \(0, 5\)$"),
+    ],
+)
+def test_compile_names_the_instruction_it_cannot_place(falcon, case, message):
+    # a gate on a qubit off the line, q12's logical-1 prelude on q7's line
+    # (1, 4, 7, 10, 12), and a cx between line neighbours that are no
+    # device edge each give one line naming the instruction, not a KeyError
+    lines = plan_device(falcon)
+    circuit, preludes = build_repetition_circuit(lines[7], falcon), ((),)
+    if case == "x-off-the-line":
+        circuit = replace(circuit, instructions=circuit.instructions + (Instruction("x", (26,), 100, 35),))
+    elif case == "another-lines-prelude":
+        preludes = (logical_prelude(lines[12], falcon, 1),)
+    else:
+        prepared = tuple(Instruction("prepare_z0", (q,), 0, 0) for q in (0, 5))
+        circuit = Circuit((0, 5), (*prepared, Instruction("cx", (0, 5), 0, 300), Instruction("measure", (5,), 300, 700)))
+    with pytest.raises(BasisContractError, match=message):
+        compile_program(circuit, compile_noise(falcon), preludes)
+
+
 @pytest.mark.parametrize("control_basis,target_basis", itertools.product("ZX", repeat=2))
 def test_cx_error_flip_patterns_are_uniform_in_every_basis(control_basis, target_basis):
     # the 15 Paulis flip (control, target) by (0, 0), (0, 1), (1, 0), (1, 1)
@@ -519,8 +544,8 @@ def test_compile_program_matches_reference_lowering(falcon):
     # every falcon27 pipeline circuit at each dd_scope, a phase-flip circuit
     # with every qubit echoed and eta 0.3, faults at the time an instruction
     # starts and the extra delay's X-basis windows end (round 2's first cx
-    # layer), and that circuit and the unfaulted one with their
-    # instructions grouped by qubit instead of in time order
+    # layer), and that circuit and the unfaulted one given their
+    # instructions grouped by qubit, which a circuit sorts stably by start
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
@@ -913,7 +938,8 @@ def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines
     # logical-1 circuit's own compile, byte for byte, on random per-qubit
     # calibrations and options; the 10-100 ns x durations make some
     # examples' preludes echo their barrier window. Compiled with both
-    # preludes, in either order, the rows are those two compiles' rows.
+    # preludes, in either order, or with one prelude twice, the rows are
+    # those of the one-row compiles.
     cal, options, kwargs = case
     noise = compile_noise(cal, options)
     prelude = logical_prelude(LINE, cal, 1, kwargs["dd_scope"])
@@ -921,7 +947,12 @@ def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines
     zero, one = program_bytes(circuit, noise), program_bytes(circuit, noise, (prelude,))
     assert one == program_bytes(build(cal, **dict(kwargs, logical_value=1)), noise)
     assert zero[0] == one[0]
-    for preludes, rows in ((((), prelude), (zero, one)), ((prelude, ()), (one, zero))):
+    for preludes, rows in (
+        (((), prelude), (zero, one)),
+        ((prelude, ()), (one, zero)),
+        (((), ()), (zero, zero)),
+        ((prelude, prelude), (one, one)),
+    ):
         assert program_bytes(circuit, noise, preludes) == (one[0], b"".join(row for _, row in rows))
 
 
