@@ -29,8 +29,8 @@ echo scope, each in-scope window of at least 2*x + 4 ns becomes
 delay(t'/4), x, delay(t'/2), x, delay(t'/4) with t' = t - 2*x, the integer
 remainder in the middle, every sub-delay flagged echoed. The builder sorts
 its instructions once, by (start, end, qubits, kind), a total order. Any
-`Circuit` keeps its instructions in one stable sort by start, the time
-order its readers take as given, which leaves the builder's unchanged.
+`Circuit` keeps its instructions in one stable sort by (start, duration),
+the time order its readers take as given; the builder's is already in it.
 
 The phase-flip encoding is the bit-flip circuit with one h layer on the code
 qubits right after preparation.
@@ -67,9 +67,10 @@ _IDLE_BOUNDARY_KINDS = frozenset({"prepare_z0", "cx", "measure", "reset", "h"})
 # quarter segments and is left untouched
 _MIN_ECHO_SUBDELAY_NS = 4
 
-# the timeline's sort key, (start, duration, qubits, kind); at equal
-# starts, duration orders as end does
+# the builder's sort key, (start, duration, qubits, kind), and a circuit's,
+# (start, duration); at equal starts, duration orders as end does
 _timeline_order = itemgetter(2, 3, 1, 0)
+_time_order = itemgetter(2, 3)
 
 # an Instruction without the namedtuple's Python-level __new__
 _new = tuple.__new__
@@ -97,8 +98,9 @@ class Circuit:
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self) -> None:
-        # the circuit's time order: one stable sort by start
-        object.__setattr__(self, "instructions", tuple(sorted(self.instructions, key=itemgetter(2))))
+        # the circuit's time order: one stable sort by (start, duration), so an
+        # instruction of no duration acts before any that starts with it and lasts
+        object.__setattr__(self, "instructions", tuple(sorted(self.instructions, key=_time_order)))
 
 
 def _line_qubits(line: BenchLine | tuple[int, ...], cal: DeviceCalibration) -> tuple[int, ...]:

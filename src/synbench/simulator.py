@@ -43,17 +43,17 @@ qubit of its block of neighbouring qubits, lowest first:
     ("decay", i, receivers)     P(0->1), P(1->0), eta
 
 A circuit compiles with one prelude per row, by default one empty prelude.
-A prelude's x gates and delays act right after the preparations, all in
-the Z basis, so they only change each qubit's channel pending after its
-preparation, and every row has the same ops. An op writes its parameters,
-then its block's pending channels, lowest first, and clears them (the read
-rule). With several rows, each qubit forks at its preparation and carries
-every row's pending channel until an op reads it, and rows 1.. are copies
-of row 0 with those reads' columns written in (the fork rule). The
-pipeline compiles a qubit's logical-0 circuit once with each configured
-logical value's prelude (`circuits.logical_prelude`): row v is byte for
-byte the row of that logical value's own circuit, whose rest starts at the
-prelude's end.
+A prelude's x gates and delays, ordered as a `Circuit` orders its
+instructions, act right after the preparations, all in the Z basis, so they
+only change each qubit's channel pending after its preparation, and every
+row has the same ops. An op writes its parameters, then its block's pending
+channels, lowest first, and clears them (the read rule). With several rows,
+each qubit forks at its preparation and carries every row's pending channel
+until an op reads it, and rows 1.. are copies of row 0 with those reads'
+columns written in (the fork rule). The pipeline compiles a qubit's
+logical-0 circuit once with each configured logical value's prelude
+(`circuits.logical_prelude`): row v is byte for byte the row of that
+logical value's own circuit, whose rest starts at the prelude's end.
 
 `pair_distribution(programs)` reads its programs lazily, appending each
 one's rows to those of the programs with its ops, then walks the ops once
@@ -129,24 +129,6 @@ def _fold(channel: tuple[float, float], channels: list) -> tuple[float, float]:
     return channel
 
 
-def _prelude_channels(prelude: Iterable[Instruction], index: dict[int, int], idle: list) -> list[list]:
-    """Each line qubit's channels of a prelude, in time order: an x flips
-    both ways, and a delay relaxes a Z-basis qubit."""
-    channels: list[list] = [[] for _ in index]
-    try:
-        for kind, qubits, time, d, _ in sorted(prelude, key=itemgetter(2)):
-            i = index[qubits[0]]
-            if kind == "x":
-                channels[i].append((1.0, 1.0))
-            elif kind == "delay":
-                channels[i].append(idle[i].channel(d, False))
-            else:
-                raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
-    except KeyError as missing:
-        raise BasisContractError(f"a prelude's {kind} at t={time} on qubits {qubits}: qubit {missing} is not in the line") from None
-    return channels
-
-
 def compile_program(
     circuit: Circuit, noise: NoiseModel, preludes: Iterable[Iterable[Instruction]] = ((),)
 ) -> FrameProgram:
@@ -156,10 +138,11 @@ def compile_program(
     classically, names a qubit off its line, or has a cx the noise model lacks.
 
     A prelude is instructions that act right after the preparations, x
-    gates and Z-basis delays only: each qubit's channels from it fold in
-    right after the qubit's preparation, in time order. Row v is therefore
-    the row of the circuit that runs prelude v first and the rest after
-    its end, and every row has the same ops.
+    gates and Z-basis delays only: ordered as a `Circuit` orders its
+    instructions, each qubit's channels from it fold in right after the
+    qubit's preparation. Row v is therefore the row of the circuit that
+    runs prelude v first and the rest after its end, and every row has the
+    same ops.
 
     The first sweep, made only when eta > 0 and some instruction is an h,
     looks only at h, preparations, resets and delays, and records each
@@ -181,10 +164,6 @@ def compile_program(
     n = len(line)
     index = {q: i for i, q in enumerate(line)}
     idle = [noise.idle[q] for q in line]
-    folds = [_prelude_channels(prelude, index, idle) for prelude in preludes]
-    if not folds:
-        raise ValueError("compile_program needs one prelude per row, and at least one row")
-    first, *others = folds
 
     # only an h puts a qubit in the X basis, so without one no delay has a
     # receiver and the first sweep is skipped
@@ -200,7 +179,23 @@ def compile_program(
     ops: list[tuple] = []
     op = None  # the op that reads the current instruction's block, if any
     kept = kept_probs = 0  # the ops, and their probabilities, up to the last measure
+    folds: list[list[list]] = []  # each row's prelude channels of each qubit, in time order
+    whose = "a prelude's "
     try:
+        for prelude in preludes:
+            folds.append(fold := [[] for _ in line])
+            for kind, qubits, time, d, _ in Circuit(line, tuple(prelude)).instructions:
+                i = index[qubits[0]]
+                if kind == "x":
+                    fold[i].append((1.0, 1.0))
+                elif kind == "delay":
+                    fold[i].append(idle[i].channel(d, False))
+                else:
+                    raise BasisContractError(f"a prelude holds {kind!r} at t={time}; only x and Z-basis delays fold in")
+        if not folds:
+            raise ValueError("compile_program needs one prelude per row, and at least one row")
+        first, *others = folds
+        whose = ""
         if crosstalk:
             for kind, qubits, time, d, _ in circuit.instructions:
                 if kind == "delay":
@@ -284,7 +279,7 @@ def compile_program(
     except KeyError as missing:
         key = missing.args[0]
         what = f"the noise model has no cx error for {key}" if isinstance(key, tuple) else f"qubit {key} is not in the line"
-        raise BasisContractError(f"{kind} at t={time} on qubits {qubits}: {what}") from None
+        raise BasisContractError(f"{whose}{kind} at t={time} on qubits {qubits}: {what}") from None
     probs = array("d", row[:kept_probs]) * len(folds)
     for at, pairs in noted:
         if at < kept_probs:  # read before the last measure

@@ -344,9 +344,9 @@ def record_slots(circuit) -> dict[tuple[int, int], int]:
 
 def _op_slots(circuit) -> list[int]:
     """The slot of each measure op of the circuit's program, in program
-    order: the measures sorted stably by start, as the compiler sweeps
-    them."""
-    measures = sorted((ins for ins in circuit.instructions if ins.kind == "measure"), key=lambda ins: ins.start)
+    order: the measures in the circuit's time order, as the compiler
+    sweeps them."""
+    measures = [ins for ins in circuit.instructions if ins.kind == "measure"]
     ranked = sorted(measures, key=lambda ins: (ins.start, circuit.line.index(ins.qubits[0])))
     return [ranked.index(ins) for ins in measures]
 

@@ -414,9 +414,9 @@ def test_idle_exposure_matches_walker_on_pipeline_circuits(falcon):
 
 @pytest.mark.parametrize("dd_scope", DD_SCOPES)
 def test_idle_exposure_reads_the_circuits_time_order(falcon, dd_scope):
-    # a circuit keeps its instructions in one stable sort by start, so
-    # q7's exposure reads the same from the builder's instructions, the
-    # same reversed, and grouped by qubit
+    # a circuit keeps its instructions in one stable sort by (start,
+    # duration), so q7's exposure reads the same from the builder's
+    # instructions, the same reversed, and grouped by qubit
     circuit = build_repetition_circuit(plan_device(falcon)[7], falcon, "bit_flip", 0, 12_000, dd_scope)
     exposure = idle_exposure(circuit, 7)
     assert exposure > 12_000
@@ -426,8 +426,8 @@ def test_idle_exposure_reads_the_circuits_time_order(falcon, dd_scope):
 
 def test_final_readout_keeps_builder_order(cal):
     # the appended readout sorts as the builder sorts and starts no earlier
-    # than round 2's readout, so a circuit's stable sort by start keeps the
-    # builder's instructions first and in their order
+    # than round 2's readout, so a circuit's stable sort by (start,
+    # duration) keeps the builder's instructions first and in their order
     for encoding in ENCODINGS:
         circuit = build(cal, encoding=encoding, extra_delay_ns=100)
         read = with_final_readout(circuit, cal)
@@ -435,7 +435,7 @@ def test_final_readout_keeps_builder_order(cal):
         assert read.instructions[:n] == circuit.instructions
         added = read.instructions[n:]
         assert list(added) == sorted(added, key=_timeline_order)
-        assert list(read.instructions) == sorted(read.instructions, key=lambda i: i.start)
+        assert list(read.instructions) == sorted(read.instructions, key=lambda i: (i.start, i.duration))
         assert [i.kind for i in added].count("measure") == 3
 
 

@@ -97,21 +97,27 @@ def test_only_the_noise_model_calls_expm1():
     assert set(calls["noise"]) == {"math.expm1"}
 
 
-def instruction_sorts(source: str) -> list[str]:
-    """Each `sorted(...)` or `.sort(...)` call in `source` whose argument
-    or receiver reads an `.instructions` attribute, as written."""
+def sort_calls(source: str) -> list[tuple[ast.Call, ast.expr | None]]:
+    """Each `sorted(...)` or `.sort(...)` call in `source`, with what it
+    sorts: sorted's first argument, if any, or sort's receiver."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            if getattr(node.func, "id", None) == "sorted" and node.args:
-                target = node.args[0]
+            if getattr(node.func, "id", None) == "sorted":
+                found.append((node, node.args[0] if node.args else None))
             elif getattr(node.func, "attr", None) == "sort":
-                target = node.func.value
-            else:
-                continue
-            if any(getattr(sub, "attr", None) == "instructions" for sub in ast.walk(target)):
-                found.append(ast.unparse(node))
+                found.append((node, node.func.value))
     return found
+
+
+def instruction_sorts(source: str) -> list[str]:
+    """Each `sorted(...)` or `.sort(...)` call in `source` whose argument
+    or receiver reads an `.instructions` attribute, as written."""
+    return [
+        ast.unparse(call)
+        for call, target in sort_calls(source)
+        if target and any(getattr(sub, "attr", None) == "instructions" for sub in ast.walk(target))
+    ]
 
 
 def test_instruction_sort_reader_finds_every_form():
@@ -124,3 +130,14 @@ def test_only_the_circuit_sorts_its_instructions():
     # other reader takes its instructions as given
     sorts = {path.stem: instruction_sorts(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
     assert {module for module, found in sorts.items() if found} == {"circuits"}
+
+
+def test_sort_reader_finds_every_form():
+    source = "sorted(p, key=k)\nxs.sort()\nnp.sort(a)\nsorted()\nsort(x)\nkey = sorted\n"
+    assert [ast.unparse(call) for call, _ in sort_calls(source)] == ["sorted(p, key=k)", "xs.sort()", "np.sort(a)", "sorted()"]
+
+
+def test_the_simulator_sorts_nothing():
+    # time order is the Circuit's alone: the lowering reads a circuit's
+    # instructions, and a prelude's, in the order a Circuit keeps them
+    assert sort_calls((PACKAGE / "simulator.py").read_text(encoding="utf-8")) == []

@@ -9,9 +9,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synbench.analysis import BOOTSTRAP_RESAMPLES, detection_events, estimate_from_moments, extract_idle_rates
-from synbench.circuits import Circuit, Instruction, build_repetition_circuit, logical_prelude
+from synbench.circuits import DD_SCOPES, Circuit, Instruction, build_repetition_circuit, logical_prelude
 from synbench.device import load_calibration, plan_device
 from synbench.noise import NoiseOptions, compile_noise
 from synbench.simulator import BasisContractError, compile_program, pair_distribution, run_shots
@@ -545,7 +546,8 @@ def test_compile_program_matches_reference_lowering(falcon):
     # with every qubit echoed and eta 0.3, faults at the time an instruction
     # starts and the extra delay's X-basis windows end (round 2's first cx
     # layer), and that circuit and the unfaulted one given their
-    # instructions grouped by qubit, which a circuit sorts stably by start
+    # instructions grouped by qubit, which a circuit sorts back into its
+    # time order
     noise = compile_noise(falcon)
     cases = [(circuit, noise) for _, circuit in pipeline_circuits(falcon)]
     assert len(cases) == 3 * 84
@@ -555,15 +557,30 @@ def test_compile_program_matches_reference_lowering(falcon):
     round2 = sorted({ins.start for ins in deep.instructions if ins.kind == "cx"})[2]
     faulted = insert_fault(insert_fault(deep, 2, round2, "Z"), 1, round2, "X")
 
-    def by_qubit(circuit):
-        return replace(circuit, instructions=tuple(sorted(circuit.instructions, key=lambda ins: ins.qubits)))
+    def grouped(circuit):
+        return tuple(sorted(circuit.instructions, key=lambda ins: ins.qubits))
 
-    assert by_qubit(faulted).instructions != faulted.instructions
-    cases += [(deep, weak), (faulted, weak), (by_qubit(faulted), weak), (by_qubit(deep), weak)]
+    # the grouped tuple is another order until a Circuit orders it
+    assert grouped(faulted) != faulted.instructions
+    cases += [(deep, weak), (faulted, weak)] + [(replace(c, instructions=grouped(c)), weak) for c in (faulted, deep)]
     for circuit, model in cases:
         assert compile_program(circuit, model) == reference_compile_program(circuit, model)
     tags = [op[0] for op in compile_program(faulted, weak).ops]
     assert (len(tags), tags.count("decay"), tags.count("measure")) == (18, 6, 4)
+
+
+@pytest.mark.parametrize("dd_scope", DD_SCOPES)
+def test_reordered_copies_compile_to_the_builders_program(falcon, dd_scope):
+    # a circuit keeps its instructions in one stable sort by (start,
+    # duration), so q7's bit-flip circuit given reversed, or grouped by
+    # qubit, lists each preparation before the gates that start with it and
+    # compiles to the builder's ops and row bytes
+    circuit = build_repetition_circuit(plan_device(falcon)[7], falcon, "bit_flip", 0, 12_000, dd_scope)
+    noise = compile_noise(falcon)
+    program = compile_program(circuit, noise)
+    for instructions in (circuit.instructions[::-1], sorted(circuit.instructions, key=lambda ins: ins.qubits)):
+        copy = compile_program(Circuit(circuit.line, tuple(instructions)), noise)
+        assert (copy.ops, copy.rows, copy.probs.tobytes()) == (program.ops, program.rows, program.probs.tobytes())
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -954,6 +971,34 @@ def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines
         ((prelude, prelude), (one, one)),
     ):
         assert program_bytes(circuit, noise, preludes) == (one[0], b"".join(row for _, row in rows))
+
+
+def tie_keeping_shuffle(instructions: tuple, rng) -> tuple:
+    """`instructions` shuffled by `rng`, with each tie of equal (start,
+    duration) refilled in its given order."""
+    ties: dict[tuple, list] = {}
+    for ins in instructions:
+        ties.setdefault((ins.start, ins.duration), []).append(ins)
+    given_order = {key: iter(tie) for key, tie in ties.items()}
+    shuffled = list(instructions)
+    rng.shuffle(shuffled)
+    return tuple(next(given_order[ins.start, ins.duration]) for ins in shuffled)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=random_line_cases(), rng=st.randoms(use_true_random=False))
+def test_shuffled_instructions_compile_to_the_builders_program_on_random_lines(case, rng):
+    # a circuit and a prelude are ordered by one stable sort by (start,
+    # duration), so the builder's circuit and the logical-1 prelude given
+    # shuffled, each tie in its given order, compile byte for byte as given
+    # by the builder, on random per-qubit calibrations and options
+    cal, options, kwargs = case
+    noise = compile_noise(cal, options)
+    circuit = build(cal, **kwargs)
+    prelude = logical_prelude(LINE, cal, 1, kwargs["dd_scope"])
+    shuffled = Circuit(circuit.line, tie_keeping_shuffle(circuit.instructions, rng))
+    preludes = ((), tie_keeping_shuffle(prelude, rng))
+    assert program_bytes(shuffled, noise, preludes) == program_bytes(circuit, noise, ((), prelude))
 
 
 def test_programs_of_different_structures_are_walked_apart():
