@@ -27,10 +27,10 @@ latest end, and the extra delay is the window between two barriers. A
 barrier fills every qubit's timeline up to its time with one delay. With an
 echo scope, each in-scope window of at least 2*x + 4 ns becomes
 delay(t'/4), x, delay(t'/2), x, delay(t'/4) with t' = t - 2*x, the integer
-remainder in the middle, every sub-delay flagged echoed. The builder sorts
-its instructions once, by (start, end, qubits, kind), a total order. Any
-`Circuit` keeps its instructions in one stable sort by (start, duration),
-the time order its readers take as given; the builder's is already in it.
+remainder in the middle, every sub-delay flagged echoed. A `Circuit`, the
+builder's included, keeps its instructions in one stable sort by (start,
+duration, qubits), the time order its readers take as given, so the same
+qubits' instructions at one time keep their given order.
 
 The phase-flip encoding is the bit-flip circuit with one h layer on the code
 qubits right after preparation.
@@ -67,10 +67,9 @@ _IDLE_BOUNDARY_KINDS = frozenset({"prepare_z0", "cx", "measure", "reset", "h"})
 # quarter segments and is left untouched
 _MIN_ECHO_SUBDELAY_NS = 4
 
-# the builder's sort key, (start, duration, qubits, kind), and a circuit's,
-# (start, duration); at equal starts, duration orders as end does
-_timeline_order = itemgetter(2, 3, 1, 0)
-_time_order = itemgetter(2, 3)
+# a circuit's sort key, (start, duration, qubits); at equal starts, duration
+# orders as end does
+_time_order = itemgetter(2, 3, 1)
 
 # an Instruction without the namedtuple's Python-level __new__
 _new = tuple.__new__
@@ -98,8 +97,8 @@ class Circuit:
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self) -> None:
-        # the circuit's time order: one stable sort by (start, duration), so an
-        # instruction of no duration acts before any that starts with it and lasts
+        # the time order: one stable sort, so an instruction of no duration acts
+        # first, and the same qubits' instructions at one time keep their order
         object.__setattr__(self, "instructions", tuple(sorted(self.instructions, key=_time_order)))
 
 
@@ -199,9 +198,10 @@ def logical_prelude(
     end, with the prelude before it.
 
     `line`, `logical_value` and `dd_scope` are checked as by the builder."""
-    schedule = _Schedule(_line_qubits(line, cal), cal, dd_scope)
+    qubits = _line_qubits(line, cal)
+    schedule = _Schedule(qubits, cal, dd_scope)
     schedule.logical_layer(logical_value)
-    return tuple(sorted(schedule.instrs, key=_timeline_order))
+    return Circuit(qubits, tuple(schedule.instrs)).instructions
 
 
 def build_repetition_circuit(
@@ -253,8 +253,6 @@ def build_repetition_circuit(
     for gates in cx_layers:
         schedule.layer(gates)
     schedule.place(measures)
-
-    schedule.instrs.sort(key=_timeline_order)
     return Circuit(line=qubits, instructions=tuple(schedule.instrs))
 
 
@@ -262,8 +260,9 @@ def idle_exposure(circuit: Circuit, qubit: int) -> int:
     """Summed delay ns on `qubit` from the start of round 1's auxiliary
     measurements, the circuit's first, to the qubit's next non-idle
     instruction (its round-2 cx for code qubits; echo x pulses do not end
-    the window), in one walk of the circuit's time order from the first
-    instruction at that start."""
+    the window), walking the circuit's time order from that start. This is
+    the report's `exposure_ns`; the estimator's window on the centre opens
+    earlier, at the end of its last round-1 cx."""
     if qubit not in circuit.line:
         raise KeyError(f"qubit {qubit} is not in this circuit")
     instrs = circuit.instructions

@@ -16,7 +16,6 @@ from synbench.circuits import (
     ENCODINGS,
     Circuit,
     Instruction,
-    _timeline_order,
     build_repetition_circuit,
     logical_prelude,
 )
@@ -276,7 +275,7 @@ def with_round_two_tail(circuit: Circuit, cal: DeviceCalibration, dd_scope: str)
     end = max(r.end for r in resets)
     cursor = {q: m1.start for q in circuit.line} | {r.qubits[0]: r.end for r in resets}
     tail = resets + [Instruction("delay", (q,), t, end - t) for q, t in cursor.items() if t < end]
-    tailed = replace(circuit, instructions=tuple(sorted(circuit.instructions + tuple(tail), key=_timeline_order)))
+    tailed = replace(circuit, instructions=circuit.instructions + tuple(tail))
     return tailed if dd_scope == "none" else insert_dynamical_decoupling(tailed, cal, dd_scope)
 
 
@@ -304,5 +303,4 @@ def with_final_readout(circuit: Circuit, cal: DeviceCalibration) -> Circuit:
         end = max(busy.values())
         added += [Instruction("delay", (q,), t, end - t) for q, t in busy.items() if t < end]
         start = end
-    added.sort(key=_timeline_order)
     return replace(circuit, instructions=circuit.instructions + tuple(added))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,6 @@ from synbench.circuits import (
     Circuit,
     CircuitBuildError,
     Instruction,
-    _timeline_order,
     build_repetition_circuit,
     idle_exposure,
     logical_prelude,
@@ -227,7 +227,7 @@ def test_logical_one_circuit_is_its_prelude_then_the_logical_zero_circuit(falcon
         preps, rest = zero.instructions[:5], zero.instructions[5:]
         assert {ins.kind for ins in preps} == {"prepare_z0"} and min(ins.start for ins in rest) == 0
         shifted = [ins._replace(start=ins.start + end) for ins in rest]
-        assert one.instructions == tuple(sorted([*preps, *prelude, *shifted], key=_timeline_order))
+        assert one.instructions == Circuit(one.line, (*preps, *prelude, *shifted)).instructions
         checked += 1
     assert checked == 3 * 42
 
@@ -415,7 +415,7 @@ def test_idle_exposure_matches_walker_on_pipeline_circuits(falcon):
 @pytest.mark.parametrize("dd_scope", DD_SCOPES)
 def test_idle_exposure_reads_the_circuits_time_order(falcon, dd_scope):
     # a circuit keeps its instructions in one stable sort by (start,
-    # duration), so q7's exposure reads the same from the builder's
+    # duration, qubits), so q7's exposure reads the same from the builder's
     # instructions, the same reversed, and grouped by qubit
     circuit = build_repetition_circuit(plan_device(falcon)[7], falcon, "bit_flip", 0, 12_000, dd_scope)
     exposure = idle_exposure(circuit, 7)
@@ -425,18 +425,50 @@ def test_idle_exposure_reads_the_circuits_time_order(falcon, dd_scope):
 
 
 def test_final_readout_keeps_builder_order(cal):
-    # the appended readout sorts as the builder sorts and starts no earlier
-    # than round 2's readout, so a circuit's stable sort by (start,
-    # duration) keeps the builder's instructions first and in their order
+    # the appended readout starts no earlier than round 2's readout, and a
+    # circuit's one stable sort by (start, duration, qubits) keeps the
+    # builder's instructions in their order among it; an appended delay
+    # that ties in time with a round-2 measure sorts by qubit, so it may
+    # fall between the builder's instructions
     for encoding in ENCODINGS:
         circuit = build(cal, encoding=encoding, extra_delay_ns=100)
         read = with_final_readout(circuit, cal)
-        n = len(circuit.instructions)
-        assert read.instructions[:n] == circuit.instructions
-        added = read.instructions[n:]
-        assert list(added) == sorted(added, key=_timeline_order)
-        assert list(read.instructions) == sorted(read.instructions, key=lambda i: (i.start, i.duration))
-        assert [i.kind for i in added].count("measure") == 3
+        rest = iter(read.instructions)
+        assert all(ins in rest for ins in circuit.instructions)
+        added = Counter(read.instructions) - Counter(circuit.instructions)
+        assert min(ins.start for ins in added) >= circuit.instructions[-1].start
+        assert [ins.kind for ins in added.elements()].count("measure") == 3
+
+
+def test_circuit_orders_by_start_duration_and_qubits():
+    # one stable sort by (start, duration, qubits): at one start an
+    # instruction of no duration comes first, equal (start, duration) on
+    # different qubits order by qubit whatever the given order, and one
+    # qubit's zero-duration h, x, h keep their given order
+    prepare, cx = Instruction("prepare_z0", (1,), 0, 0), Instruction("cx", (0, 1), 0, 20)
+    assert Circuit(LINE, (cx, prepare)).instructions == (prepare, cx)
+    kinds = {(0,): "delay", (1,): "measure", (2, 3): "cx", (4,): "delay"}
+    tie = tuple(Instruction(kind, qubits, 20, 30) for qubits, kind in kinds.items())
+    for given in itertools.permutations(tie):
+        assert Circuit(LINE, given).instructions == tie
+    for kinds in (("h", "x", "h"), ("x", "h", "h")):
+        fault = tuple(Instruction(kind, (2,), 55, 0) for kind in kinds)
+        lasting, other = Instruction("delay", (2,), 55, 10), Instruction("x", (0,), 55, 0)
+        assert Circuit(LINE, (lasting, *fault, other)).instructions == (other, *fault, lasting)
+
+
+def test_pipeline_circuits_share_no_time_on_one_qubit(falcon):
+    # no falcon27 pipeline circuit or logical-1 prelude, at any dd_scope and
+    # either logical value, has two instructions sharing (start, duration,
+    # qubits), so a circuit's stable sort gives the builder's order back
+    # from any order it is given
+    checked = 0
+    for _, (_, prelude), pair in pipeline_pairs(falcon):
+        for instructions in (prelude, *(circuit.instructions for circuit in pair)):
+            keys = [(ins.start, ins.duration, ins.qubits) for ins in instructions]
+            assert len(set(keys)) == len(keys)
+            checked += 1
+    assert checked == 3 * 42 * 3
 
 
 def test_idle_exposure_unknown_qubit(cal):

@@ -137,6 +137,15 @@ def test_sort_reader_finds_every_form():
     assert [ast.unparse(call) for call, _ in sort_calls(source)] == ["sorted(p, key=k)", "xs.sort()", "np.sort(a)", "sorted()"]
 
 
+def test_the_circuit_sorts_once():
+    # a circuit's time order is one sort, in `Circuit.__post_init__`: the
+    # builder and `logical_prelude` hand it their placements unsorted
+    source = (PACKAGE / "circuits.py").read_text(encoding="utf-8")
+    circuit = next(node for node in ast.parse(source).body if getattr(node, "name", None) == "Circuit")
+    post_init = next(node for node in circuit.body if getattr(node, "name", None) == "__post_init__")
+    assert len(sort_calls(source)) == len(sort_calls(ast.unparse(post_init))) == 1
+
+
 def test_the_simulator_sorts_nothing():
     # time order is the Circuit's alone: the lowering reads a circuit's
     # instructions, and a prelude's, in the order a Circuit keeps them

@@ -572,9 +572,9 @@ def test_compile_program_matches_reference_lowering(falcon):
 @pytest.mark.parametrize("dd_scope", DD_SCOPES)
 def test_reordered_copies_compile_to_the_builders_program(falcon, dd_scope):
     # a circuit keeps its instructions in one stable sort by (start,
-    # duration), so q7's bit-flip circuit given reversed, or grouped by
-    # qubit, lists each preparation before the gates that start with it and
-    # compiles to the builder's ops and row bytes
+    # duration, qubits), so q7's bit-flip circuit given reversed, or grouped
+    # by qubit, lists each preparation before the gates that start with it
+    # and compiles to the builder's ops and row bytes
     circuit = build_repetition_circuit(plan_device(falcon)[7], falcon, "bit_flip", 0, 12_000, dd_scope)
     noise = compile_noise(falcon)
     program = compile_program(circuit, noise)
@@ -973,31 +973,34 @@ def test_logical_one_prelude_compiles_as_the_logical_one_circuit_on_random_lines
         assert program_bytes(circuit, noise, preludes) == (one[0], b"".join(row for _, row in rows))
 
 
-def tie_keeping_shuffle(instructions: tuple, rng) -> tuple:
-    """`instructions` shuffled by `rng`, with each tie of equal (start,
-    duration) refilled in its given order."""
-    ties: dict[tuple, list] = {}
+def qubit_order_keeping_shuffle(instructions: tuple, rng) -> tuple:
+    """`instructions` shuffled by `rng`, with the instructions on each
+    operand tuple refilled in their given order."""
+    own: dict[tuple, list] = {}
     for ins in instructions:
-        ties.setdefault((ins.start, ins.duration), []).append(ins)
-    given_order = {key: iter(tie) for key, tie in ties.items()}
+        own.setdefault(ins.qubits, []).append(ins)
+    given_order = {qubits: iter(mine) for qubits, mine in own.items()}
     shuffled = list(instructions)
     rng.shuffle(shuffled)
-    return tuple(next(given_order[ins.start, ins.duration]) for ins in shuffled)
+    return tuple(next(given_order[ins.qubits]) for ins in shuffled)
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=random_line_cases(), rng=st.randoms(use_true_random=False))
 def test_shuffled_instructions_compile_to_the_builders_program_on_random_lines(case, rng):
     # a circuit and a prelude are ordered by one stable sort by (start,
-    # duration), so the builder's circuit and the logical-1 prelude given
-    # shuffled, each tie in its given order, compile byte for byte as given
-    # by the builder, on random per-qubit calibrations and options
+    # duration, qubits), so the builder's circuit and the logical-1 prelude,
+    # given in any order that keeps each operand tuple's own, are put back
+    # in the builder's order and compile byte for byte as given by the
+    # builder, on random per-qubit calibrations and options
     cal, options, kwargs = case
     noise = compile_noise(cal, options)
     circuit = build(cal, **kwargs)
     prelude = logical_prelude(LINE, cal, 1, kwargs["dd_scope"])
-    shuffled = Circuit(circuit.line, tie_keeping_shuffle(circuit.instructions, rng))
-    preludes = ((), tie_keeping_shuffle(prelude, rng))
+    shuffled = Circuit(circuit.line, qubit_order_keeping_shuffle(circuit.instructions, rng))
+    preludes = ((), qubit_order_keeping_shuffle(prelude, rng))
+    assert shuffled.instructions == circuit.instructions
+    assert Circuit(LINE, preludes[1]).instructions == prelude
     assert program_bytes(shuffled, noise, preludes) == program_bytes(circuit, noise, ((), prelude))
 
 
